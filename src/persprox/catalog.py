@@ -16,6 +16,8 @@ from .core import INF, CaseKind, SignClass, Vec, as_vec, norm, scale, zeros_like
 from .radial import RadialFunction, radial_prox
 from .roots import RootFindError, real_quartic_roots, solve_bracketed
 
+_EPS = 2.0 ** -52  # machine epsilon
+
 # ---------------------------------------------------------------------------
 # scalar pieces
 
@@ -560,42 +562,49 @@ def root_scaling_prox_neg(mu: float, gamma: float, q: float, y: float) -> float:
     """The unique ``z > 0`` with ``y = z - q*gamma*mu*z**(q-1)``.
 
     This is the prox of ``gamma*mu*(-psi)`` at ``y`` for ``psi`` the q-th
-    root on the nonnegative half line.  Solved by bisection on ``log z``
-    (the fractional power makes the equation stiff near 0) plus a guarded
-    Newton polish.
+    root on the nonnegative half line.  Newton on the increasing
+    ``F(t) = exp(t) - w(t) - y`` in ``t = log z``, with
+    ``w(t) = exp(log(q*gamma*mu) + (q-1)*t)``, starts from the
+    dominant-balance end of a bracket of width ``log 2`` (``y >= 0``) or
+    ``log 2 / (1-q)`` (``y < 0``), bisects when a step leaves the bracket,
+    and stops once a step is within four rounding units of ``t`` and of
+    ``F``.  No power of ``z`` is taken, so nothing underflows; the result
+    ``exp(t)`` is 0 only for a root below the smallest double.
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"root exponent must lie in (0, 1), got {q}")
     if mu <= 0.0 or gamma <= 0.0:
         raise ValueError(f"weights must be positive, got mu={mu}, gamma={gamma}")
-    c = q * gamma * mu
-
-    def h(z: float) -> float:
-        return z - c * z ** (q - 1.0)
-
-    z_hi = max(1.0, y + c + 1.0)
-    z_lo = min(1.0, (c / (1.0 + abs(y) + c)) ** (1.0 / (1.0 - q)))
-    while h(z_lo) > y and z_lo > 1e-290:
-        z_lo *= 0.5
-    t_lo, t_hi = math.log(z_lo), math.log(z_hi)
-    for _ in range(48):
-        t_mid = 0.5 * (t_lo + t_hi)
-        if h(math.exp(t_mid)) <= y:
-            t_lo = t_mid
+    a = 1.0 - q
+    log_c = math.log(q) + math.log(gamma) + math.log(mu)
+    t_bal = log_c / (1.0 + a)  # the root at y == 0, where exp(t) == w(t)
+    if y >= 0.0:
+        # F < 0 at log y and at t_bal; above both, exp(t) >= y, w, so z = y + w <= 2 e^t_lo
+        t = t_lo = max(math.log(y), t_bal) if y > 0.0 else t_bal
+        t_hi = t_lo + math.log(2.0)
+    else:
+        # F > 0 at t_bal and where w == -y; below both, w >= exp(t), -y, so w(z) <= 2 w(t_hi)
+        t = t_hi = min(t_bal, (log_c - math.log(-y)) / a)
+        t_lo = t_hi - math.log(2.0) / a
+    f_lo, f_hi = -INF, INF  # not evaluated yet
+    for _ in range(200):
+        ez = math.exp(t)
+        w = math.exp(log_c - a * t)
+        f = ez - w - y
+        dfdt = ez + a * w
+        dt = f / dfdt
+        if abs(dt) <= 4.0 * _EPS * (abs(t) + (ez + w + abs(y)) / dfdt):
+            return math.exp(t - dt)
+        if f > 0.0:
+            t_hi, f_hi = t, f
         else:
-            t_hi = t_mid
-    z = math.exp(0.5 * (t_lo + t_hi))
-    lo, hi = math.exp(t_lo), math.exp(t_hi)
-    for _ in range(4):
-        g = h(z) - y
-        d = 1.0 + c * (1.0 - q) * z ** (q - 2.0)
-        nxt = z - g / d
-        if not (lo <= nxt <= hi) or not math.isfinite(nxt):
-            nxt = 0.5 * (lo + hi)
-        if nxt == z:
-            break
-        z = nxt
-    return z
+            t_lo, f_lo = t, f
+        t -= dt
+        if not t_lo < t < t_hi:
+            t = 0.5 * (t_lo + t_hi)
+    raise RootFindError(
+        "no convergence of Newton in log z", math.exp(t_lo), math.exp(t_hi), f_lo, f_hi,
+    )
 
 
 def sqrt_scaling_prox(beta: float, mu: float, y: float) -> float:

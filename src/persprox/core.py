@@ -51,14 +51,6 @@ def dot(x, y) -> float:
     return sum(a * b for a, b in zip(x, y))
 
 
-def add(x, y):
-    if isinstance(x, (int, float)):
-        return float(x) + float(y)
-    if len(x) != len(y):
-        raise DimensionMismatch(f"incompatible operands: {x!r} vs {y!r}")
-    return tuple(a + b for a, b in zip(x, y))
-
-
 def sub(x, y):
     if isinstance(x, (int, float)):
         return float(x) - float(y)

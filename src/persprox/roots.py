@@ -1,8 +1,9 @@
 """Scalar root finding and the closed-form quartic solver.
 
-Everything here works on monotone or polynomial problems with guaranteed
-brackets, so plain bisection always converges; an Illinois-style secant
-step is layered on top for speed.
+``solve_bracketed`` is Brent's method (R. P. Brent, *Algorithms for
+Minimization without Derivatives*, 1973): inverse quadratic interpolation
+and secant steps, safeguarded by bisection inside a bracket that always
+keeps its sign change.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable
+
+_EPS = 2.0 ** -52  # machine epsilon
 
 
 class RootFindError(RuntimeError):
@@ -39,71 +42,67 @@ def solve_bracketed(
     max_iter: int,
     trace: Callable[[int, float, float, float, float], None] | None = None,
 ) -> RootResult:
-    """Root of an increasing ``fn`` on a sign-changing bracket.
+    """Root of an increasing ``fn`` on a sign-changing bracket, by Brent's method.
 
-    Stops once the bracket width is below ``xtol`` and the residual at the
-    returned endpoint is below ``ftol``.  Regula falsi with Illinois
-    weighting supplies fast steps; any step outside the middle of the
-    bracket falls back to bisection, so convergence is unconditional.
+    With ``b`` the bracket end of smaller ``|fn|``, it stops once
+    ``fn(b) == 0``, or once the half-width is at most ``2*eps*|b| + xtol/2``
+    and ``|fn(b)| <= ftol`` (it bisects while only the width is met), or
+    when no double lies strictly inside the bracket: ``b`` is then the root
+    to float resolution, whatever its residual.  ``iterations`` counts calls
+    of ``fn``; ``trace(it, lo, hi, x, fn(x))`` gets each evaluated ``x`` and
+    the bracket it was chosen in.
     """
     if flo > 0.0 or fhi < 0.0:
         raise RootFindError("no sign change on bracket", lo, hi, flo, fhi)
-    if flo == 0.0:
-        return RootResult(lo, 0.0, 0)
-    if fhi == 0.0:
-        return RootResult(hi, 0.0, 0)
-
-    side = 0
+    # c is the other end of the bracket; a is the previous b, the third
+    # point of the inverse quadratic interpolation; e is the step before last
+    b, fb, c, fc = hi, fhi, lo, flo
+    a, fa = c, fc
+    d = e = b - c
     it = 0
-    wlo, whi = flo, fhi  # Illinois-weighted residuals used for the secant point
     while True:
-        best, fbest = (lo, flo) if -flo <= fhi else (hi, fhi)
-        if hi - lo <= xtol and abs(fbest) <= ftol:
-            return RootResult(best, fbest, it)
+        if abs(fc) < abs(fb):
+            a, fa = b, fb
+            b, fb, c, fc = c, fc, b, fb
+        xm = 0.5 * (c - b)
+        tol = 2.0 * _EPS * abs(b) + 0.5 * xtol
+        width_met = abs(xm) <= tol
+        # b + xm in (b, c): no double lies strictly inside the bracket
+        if fb == 0.0 or (width_met and abs(fb) <= ftol) or b + xm in (b, c):
+            return RootResult(b, fb, it)
         if it >= max_iter:
-            raise RootFindError(
-                f"no convergence in {max_iter} iterations (residual {fbest!r})",
-                lo, hi, flo, fhi,
-            )
-        it += 1
-        width = hi - lo
-        denom = whi - wlo
-        mid = lo - wlo * width / denom if denom != 0.0 else lo + 0.5 * width
-        # every third step is a plain bisection, so the width provably halves
-        # at least once per three iterations
-        if it % 3 == 0 or not (lo + 0.01 * width <= mid <= hi - 0.01 * width):
-            mid = lo + 0.5 * width
-        fmid = fn(mid)
-        if trace is not None:
-            trace(it, lo, hi, mid, fmid)
-        if fmid == 0.0:
-            return RootResult(mid, 0.0, it)
-        if fmid < 0.0:
-            if side == -1:
-                whi *= 0.5
-            lo, flo, wlo, side = mid, fmid, fmid, -1
+            lo, hi, flo, fhi = (b, c, fb, fc) if b < c else (c, b, fc, fb)
+            raise RootFindError(f"no convergence in {max_iter} iterations", lo, hi, flo, fhi)
+        if width_met or abs(e) < tol or abs(fa) <= abs(fb):
+            d = e = xm
         else:
-            if side == +1:
-                wlo *= 0.5
-            hi, fhi, whi, side = mid, fmid, fmid, +1
-
-
-def solve_increasing(
-    g: Callable[[float], float],
-    target: float,
-    lo: float,
-    hi: float,
-    *,
-    xtol: float = 0.0,
-    ftol: float,
-    max_iter: int = 200,
-) -> float:
-    """Solve ``g(z) = target`` for increasing ``g`` with ``g(lo) <= target <= g(hi)``."""
-    res = solve_bracketed(
-        lambda z: g(z) - target, lo, hi, g(lo) - target, g(hi) - target,
-        xtol=max(xtol, 4e-16 * (abs(lo) + abs(hi))), ftol=ftol, max_iter=max_iter,
-    )
-    return res.root
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * xm * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            q = -q if p > 0.0 else q
+            p = abs(p)
+            # accept only a step well inside the bracket that shrinks faster
+            # than the step before last; else bisect
+            if 2.0 * p < min(3.0 * xm * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = xm
+        # a step shorter than tol becomes tol, which stays inside the bracket
+        # unless the width is met, when the step is the exact bisection
+        step = d if width_met or abs(d) > tol else math.copysign(tol, xm)
+        a, fa = b, fb
+        b += step
+        fb = fn(b)
+        it += 1
+        if trace is not None:  # [a, c] is the bracket b was chosen in
+            trace(it, min(a, c), max(a, c), b, fb)
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
 
 
 def _cbrt(x: float) -> float:

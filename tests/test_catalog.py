@@ -74,6 +74,20 @@ def test_root_scaling_prox_asymptotics():
     assert z == pytest.approx(y + q * w * y ** (q - 1.0), rel=1e-6)
 
 
+def test_root_scaling_prox_tiny_weight():
+    # (c / (1 + |y| + c))**(1/(1-q)), a bracket end in z, underflows to 0 here
+    q, mu = 0.95, 1e-20
+    assert root_scaling_prox_neg(mu, 1.0, q, 1e-3) == pytest.approx(1e-3, rel=1e-15)
+    # the root, about 3.6e-401, lies below the smallest double
+    assert root_scaling_prox_neg(mu, 1.0, q, -1.0) == 0.0
+
+
+def test_root_scaling_prox_one_sided_convergence():
+    # Newton meets this root from one side, so one bracket end never moves
+    z = root_scaling_prox_neg(8.68e-4, 1.0, 0.95, -3.54e-3)
+    assert z == pytest.approx(2.2120827456377473e-13, rel=1e-14)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     q=st.floats(0.05, 0.95),

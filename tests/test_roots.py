@@ -6,12 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persprox.roots import (
-    RootFindError,
-    real_quartic_roots,
-    solve_bracketed,
-    solve_increasing,
-)
+from persprox.roots import RootFindError, real_quartic_roots, solve_bracketed
 
 
 def test_solve_bracketed_linear():
@@ -35,10 +30,24 @@ def test_solve_bracketed_requires_sign_change():
 
 
 def test_solve_bracketed_iteration_budget():
+    # the stiff kink needs 4 evaluations; a linear function would take one
+    fn = lambda t: 1e6 * (t - 0.1) if t > 0.1 else (t - 0.1)
     with pytest.raises(RootFindError) as err:
-        solve_bracketed(lambda t: t - 0.5, 0.0, 1e9, -0.5, 1e9,
-                        xtol=1e-15, ftol=1e-15, max_iter=3)
-    assert err.value.lo <= 0.5 <= err.value.hi
+        solve_bracketed(fn, 0.0, 5.0, fn(0.0), fn(5.0),
+                        xtol=1e-13, ftol=1e-10, max_iter=3)
+    assert err.value.lo <= 0.1 <= err.value.hi
+
+
+def test_solve_bracketed_stops_at_float_resolution():
+    # |fn| at the doubles next to sqrt(2) is about 4e4, far above ftol
+    fn = lambda t: 1e20 * (t * t - 2.0)
+    res = solve_bracketed(fn, 1.0, 2.0, fn(1.0), fn(2.0),
+                          xtol=0.0, ftol=1e-20, max_iter=200)
+    lo, hi = math.nextafter(res.root, 0.0), math.nextafter(res.root, 3.0)
+    other = lo if fn(lo) * fn(res.root) < 0.0 else hi
+    assert fn(other) * fn(res.root) < 0.0
+    assert res.residual == fn(res.root)
+    assert 1e-20 < abs(res.residual) <= abs(fn(other))
 
 
 def test_trace_reports_shrinking_sign_change_bracket():
@@ -50,11 +59,6 @@ def test_trace_reports_shrinking_sign_change_bracket():
     widths = [hi - lo for _, lo, hi, _, _ in rows]
     assert all(b <= a + 1e-15 for a, b in zip(widths, widths[1:]))
     assert all(lo <= mid <= hi for _, lo, hi, mid, _ in rows)
-
-
-def test_solve_increasing_wrapper():
-    root = solve_increasing(lambda z: z + math.exp(z), 3.0, 0.0, 3.0, ftol=1e-12)
-    assert root + math.exp(root) == pytest.approx(3.0, abs=1e-11)
 
 
 def _numpy_real_roots(b, c, d, e):

@@ -237,3 +237,29 @@ def test_input_validation():
         RootConfig(eta_tol=0.0)
     with pytest.raises(ValueError):
         RootConfig(max_iter=0)
+
+
+@pytest.mark.parametrize("pair", [
+    PerspectivePair(PowerBase(3.0), RootScaling(0.5, 4.0), n=2),
+    PerspectivePair(HuberBase(1.0), SqrtScaling(1.0), n=2),
+])
+def test_multiplier_search_is_superlinear(pair):
+    # bisection to eta_tol would take about 40 evaluations per root
+    rng = random.Random(2024)
+    iters = []
+    for _ in range(200):
+        x = tuple(rng.uniform(-4.0, 4.0) for _ in range(2))
+        res = prox_perspective(pair, 1.0, x, rng.uniform(-4.0, 4.0))
+        if res.label in (CaseLabel.OMEGA4, CaseLabel.XI4):
+            iters.append(res.root_iterations)
+    assert len(iters) > 100
+    assert max(iters) <= 12
+
+
+def test_root_region_at_float_resolution_is_certified():
+    # eta is about 5e7, where one ulp exceeds eta_tol = 1e-12
+    pair = PerspectivePair(HuberBase(1e4), SqrtScaling(1.0), n=2)
+    x, y = (-0.5052512307920287, -0.5867986318407988), 0.18993191320550248
+    res = prox_perspective(pair, 133.42882630475916, x, y)
+    assert res.label is CaseLabel.XI4
+    assert res.certificate_gap <= 1e-8 * (1.0 + sum(c * c for c in x) + y * y)
