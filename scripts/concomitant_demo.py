@@ -3,11 +3,12 @@
 
 Generates a random regression problem with heavy-tailed noise, runs the
 splitting iteration with the robust-loss/sqrt perspective as the coupling
-term, and writes the iteration trace as CSV.
+term, and writes the iteration trace as CSV.  Needs numpy (for the random
+problem only; persprox itself does not use it).
 """
 
 import argparse
-import random
+import dataclasses
 import sys
 
 sys.path.insert(0, "src")
@@ -47,13 +48,10 @@ def main():
         b=tuple(float(v) for v in b),
         y0=1.0,
         kappa=args.kappa,
-        tau=0.9 / smooth_lipschitz(
-            DemoSpec(a_matrix=tuple(tuple(float(v) for v in row) for row in a),
-                     b=tuple(float(v) for v in b), kappa=args.kappa)
-        ),
         iterations=args.iterations,
         seed=args.seed,
     )
+    spec = dataclasses.replace(spec, tau=0.9 / smooth_lipschitz(spec))
     pair = PerspectivePair(HuberBase(args.alpha), SqrtScaling(args.beta), n=args.cols)
     trace = run_concomitant_demo(pair, spec)
 

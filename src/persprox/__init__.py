@@ -74,7 +74,7 @@ from .solver import (
     solve_eta_case_i,
     solve_eta_case_iii,
 )
-from .oracle import OracleConfig, OracleError, brute_force_prox, subgradient_certificate
+from .oracle import OracleConfig, OracleError, brute_force_prox
 from .roots import RootFindError, real_quartic_roots
 from .splitting import DemoSpec, DemoTrace, StepSizeError, run_concomitant_demo
 

@@ -15,7 +15,6 @@ import json
 import math
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .catalog import HuberBase, SqrtScaling, make_base, make_scaling
 from .core import INF, SignClass
@@ -93,8 +92,8 @@ def build_problem(data: dict) -> tuple[PerspectivePair, float]:
     base = make_base(base_cfg.pop("name"), base_cfg)
     scaling = make_scaling(scaling_cfg.pop("name"), scaling_cfg)
     gamma = float(data.get("gamma", 1.0))
-    if gamma <= 0.0:
-        raise InputError(f"gamma must be positive, got {gamma}")
+    if not 0.0 < gamma < INF:
+        raise InputError(f"gamma must be positive and finite, got {gamma}")
     dims = data.get("dims", [1, 1])
     n, m = int(dims[0]), int(dims[1])
     if m != 1:
@@ -271,6 +270,9 @@ def cmd_validate(args) -> int:
     root_kwargs = {k: getattr(cfg, k) for k in _ROOT_KEYS}
     oracle_kwargs = {k: getattr(ocfg, k) for k in _ORACLE_KEYS}
     if args.workers > 1:
+        # imported here: the pool costs every other command its start-up time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = list(
                 pool.map(
@@ -365,7 +367,7 @@ def main(argv=None) -> int:
     except (InputError, PairMismatch, StepSizeError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except RootFindError as exc:
+    except (RootFindError, ArithmeticError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except OracleError as exc:

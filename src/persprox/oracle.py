@@ -1,4 +1,4 @@
-"""Brute-force prox oracle and optimality certificates.
+"""Brute-force prox oracle.
 
 Test support: an independent ground truth for prox computations on the
 product space, by coarse grid scan plus cyclic coordinate-wise
@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 from .core import Vec, as_vec
-from .perspective import PerspectivePair, prox_fenchel_gap
 
 _INV_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -137,9 +136,3 @@ def brute_force_prox(
             )
     return tuple(w[:-1]), w[-1]
 
-
-def subgradient_certificate(
-    pair: PerspectivePair, gamma: float, x, y: float, p, q: float
-) -> float:
-    """Fenchel residual certifying ``(p, q)`` as the prox, solver-path free."""
-    return prox_fenchel_gap(pair, gamma, x, y, p, q)

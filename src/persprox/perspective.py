@@ -9,6 +9,7 @@ convexity side of the scaling.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core import (
@@ -75,6 +76,8 @@ class PerspectivePair:
             if len(y) != 1:
                 raise DimensionMismatch("the scale space is one-dimensional")
             y = y[0]
+        if not math.isfinite(y):
+            raise ValueError(f"the scale component must be finite, got {y!r}")
         return x, float(y)
 
 
@@ -172,8 +175,8 @@ def prox_fenchel_gap(
     base side is pulled onto ``cl dom phi*`` when round-off leaves it a
     hair outside.
     """
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not 0.0 < gamma < INF:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     x, y = pair.check_point(x, y)
     p, q = pair.check_point(p, q)
     xstar = scale(sub(x, p), 1.0 / gamma)

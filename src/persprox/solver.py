@@ -261,8 +261,8 @@ def prox_perspective(
     region, assembles the prox from contract calls only, and attaches the
     Fenchel certificate of the output.
     """
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not 0.0 < gamma < INF:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     x, y = pair.check_point(x, y)
     sc = pair.base.sign_class
     if sc is SignClass.ZERO_INFTY_CONJUGATE:

@@ -3,15 +3,17 @@
 Minimizes a smooth least-squares term plus a quadratic scale anchor plus
 the (nonsmooth) perspective coupling of residual size and scale, by the
 standard gradient-step / prox-step iteration.  The smooth gradient is
-analytic; the prox step is the perspective prox at the step size.
+analytic; the prox step is the perspective prox at the step size.  The
+linear algebra is plain Python on tuples (the designs are small), so
+importing the package never loads numpy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from .core import dot
 from .perspective import PerspectivePair, perspective_eval
 from .solver import RootConfig, prox_perspective
 
@@ -64,10 +66,57 @@ class DemoTrace:
     sigma: float
 
 
+def _columns(a) -> tuple[tuple[float, ...], ...]:
+    """Columns of the design matrix ``a``; ragged rows raise ValueError."""
+    if len({len(row) for row in a}) > 1:
+        raise ValueError("the design matrix needs rows of one common length")
+    return tuple(zip(*a))
+
+
 def smooth_lipschitz(spec: DemoSpec) -> float:
-    a = np.asarray(spec.a_matrix, dtype=float)
-    gram_top = float(np.linalg.eigvalsh(a.T @ a)[-1]) if a.size else 0.0
-    return max(gram_top, spec.kappa)
+    """``max(lambda_max(A^T A), kappa)``, exact up to rounding.
+
+    The eigenvalue comes from cyclic Jacobi rotations, not power
+    iteration: power iteration approaches lambda_max from below and would
+    pass a step size that is slightly too large.
+    """
+    cols = _columns(spec.a_matrix)
+    gram = [[dot(ci, cj) for cj in cols] for ci in cols]
+    return max(_largest_eigenvalue(gram), spec.kappa)
+
+
+def _largest_eigenvalue(g: list[list[float]]) -> float:
+    """Largest eigenvalue of the symmetric matrix ``g`` (overwritten), 0 if empty.
+
+    Each rotation zeroes one off-diagonal pair; sweeps repeat until every
+    off-diagonal entry is below rounding of the Frobenius norm, which
+    bounds the error of every eigenvalue by a few ulps of lambda_max.
+    """
+    n = len(g)
+    tiny = 2.0**-52 * math.sqrt(sum(v * v for row in g for v in row))
+    for _ in range(64):
+        rotated = False
+        for i in range(n - 1):
+            for j in range(i + 1, n):
+                gij = g[i][j]
+                if abs(gij) <= tiny:
+                    continue
+                rotated = True
+                theta = (g[j][j] - g[i][i]) / (2.0 * gij)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+                c = 1.0 / math.hypot(t, 1.0)
+                s = t * c
+                g[i][i] -= t * gij
+                g[j][j] += t * gij
+                g[i][j] = g[j][i] = 0.0
+                for k in range(n):
+                    if k != i and k != j:
+                        gki, gkj = g[k][i], g[k][j]
+                        g[k][i] = g[i][k] = c * gki - s * gkj
+                        g[k][j] = g[j][k] = s * gki + c * gkj
+        if not rotated:
+            break
+    return max((g[k][k] for k in range(n)), default=0.0)
 
 
 def run_concomitant_demo(
@@ -78,40 +127,39 @@ def run_concomitant_demo(
     The objective is nonincreasing for admissible step sizes; the step
     norm tends to zero as the iterates approach the unique minimizer.
     """
-    a = np.asarray(spec.a_matrix, dtype=float)
-    b = np.asarray(spec.b, dtype=float)
-    if a.ndim != 2 or a.shape[0] != b.shape[0]:
+    a, b = spec.a_matrix, spec.b
+    if len(a) != len(b):
         raise ValueError("design matrix and observations disagree on rows")
-    n = a.shape[1]
+    cols = _columns(a)
+    n = len(cols)
     if n != pair.n:
         raise ValueError(f"pair expects base dimension {pair.n}, design has {n}")
     lip = smooth_lipschitz(spec)
     if spec.tau <= 0.0 or spec.tau * lip > 1.0 + 1e-12:
         raise StepSizeError(f"tau*L = {spec.tau * lip} exceeds 1")
 
-    w = np.zeros(n) if spec.w0 is None else np.asarray(spec.w0, dtype=float)
+    w = (0.0,) * n if spec.w0 is None else tuple(float(v) for v in spec.w0)
     sigma = float(spec.sigma0)
 
-    def objective(wv: np.ndarray, sv: float) -> float:
-        resid = a @ wv - b
-        smooth = 0.5 * float(resid @ resid) + 0.5 * spec.kappa * (sv - spec.y0) ** 2
-        return smooth + perspective_eval(pair, tuple(wv), sv)
+    def residual(wv) -> list[float]:
+        return [dot(row, wv) - bi for row, bi in zip(a, b)]
 
-    rows = [(0, objective(w, sigma), 0.0)]
+    def objective(wv, sv: float, resid: list[float]) -> float:
+        smooth = 0.5 * dot(resid, resid) + 0.5 * spec.kappa * (sv - spec.y0) ** 2
+        return smooth + perspective_eval(pair, wv, sv)
+
+    resid = residual(w)
+    rows = [(0, objective(w, sigma, resid), 0.0)]
     for it in range(1, spec.iterations + 1):
-        grad_w = a.T @ (a @ w - b)
         grad_sigma = spec.kappa * (sigma - spec.y0)
         res = prox_perspective(
             pair, spec.tau,
-            tuple(w - spec.tau * grad_w), sigma - spec.tau * grad_sigma,
+            tuple(wi - spec.tau * dot(col, resid) for wi, col in zip(w, cols)),
+            sigma - spec.tau * grad_sigma,
             cfg,
         )
-        new_w = np.asarray(res.p, dtype=float)
-        step = _step_norm(new_w - w, res.q - sigma)
-        w, sigma = new_w, res.q
-        rows.append((it, objective(w, sigma), step))
-    return DemoTrace(tuple(rows), tuple(float(v) for v in w), sigma)
-
-
-def _step_norm(dw: np.ndarray, dsigma: float) -> float:
-    return float(np.sqrt(float(dw @ dw) + dsigma * dsigma))
+        step = math.sqrt(sum((u - v) ** 2 for u, v in zip(res.p, w)) + (res.q - sigma) ** 2)
+        w, sigma = res.p, res.q
+        resid = residual(w)
+        rows.append((it, objective(w, sigma, resid), step))
+    return DemoTrace(tuple(rows), w, sigma)

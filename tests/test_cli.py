@@ -1,8 +1,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 HUBER_SPEC = '{"base":{"name":"huber","alpha":1},"scaling":{"name":"sqrt","beta":1},"gamma":1,"dims":[2,1]}'
 POWER_SPEC = '{"base":{"name":"power","p":2},"scaling":{"name":"root","q":0.5,"interval":[0,4]},"gamma":1,"dims":[2,1]}'
@@ -80,6 +83,44 @@ def test_solver_failure_exit_code():
     )
     assert out.returncode == 3
     assert "solver failure" in out.stderr
+
+
+def test_arithmetic_error_is_a_solver_failure():
+    # power(1.05) raises OverflowError at this scale; the CLI must report it
+    # as a solver failure, not die with a traceback and the validation code
+    spec = ('{"base":{"name":"power","p":1.05},"scaling":{"name":"root","q":0.5},'
+            '"gamma":1.0587494316948148e-08,"dims":[2,1]}')
+    point = '{"x":[-170330633889.8174,-12697009397.661478],"y":375435283154.65405}'
+    out = run_cli("prox", "--spec", spec, "--point", point)
+    assert out.returncode == 3
+    assert "solver failure" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("spec, point", [
+    (HUBER_SPEC, '{"x":[1,0],"y":"+inf"}'),
+    (HUBER_SPEC, '{"x":[1,0],"y":Infinity}'),
+    (POWER_SPEC, '{"x":[1,0],"y":"-inf"}'),
+    (HUBER_SPEC.replace('"gamma":1', '"gamma":"+inf"'), '{"x":[1,0],"y":0}'),
+    (HUBER_SPEC.replace('"gamma":1', '"gamma":NaN'), '{"x":[1,0],"y":0}'),
+], ids=["y+inf", "yInfinity", "y-inf", "gamma+inf", "gamma-NaN"])
+def test_non_finite_input_is_bad_input(spec, point):
+    out = run_cli("prox", "--spec", spec, "--point", point)
+    assert out.returncode == 2
+    assert "finite" in out.stderr
+
+
+def test_prox_process_imports_no_numpy_or_process_pool():
+    code = (
+        f"import sys; sys.path.insert(0, {SRC!r}); from persprox.cli import main; "
+        f"rc = main(['prox', '--spec', {HUBER_SPEC!r}, '--point', '{{\"x\":[1,0],\"y\":0}}']); "
+        "heavy = ('numpy', 'concurrent.futures', 'multiprocessing'); "
+        "print([m for m in heavy if m in sys.modules], file=sys.stderr); sys.exit(rc)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["case_label"] == "Xi4"
+    assert out.stderr.strip() == "[]"
 
 
 def test_trace_root_csv():

@@ -13,8 +13,8 @@ from persprox import (
     brute_force_prox,
     case_ii_prox,
     perspective_eval,
+    prox_fenchel_gap,
     prox_perspective,
-    subgradient_certificate,
 )
 from persprox.oracle import golden_min_anchored
 
@@ -80,16 +80,16 @@ def test_self_consistency_under_tolerance_halving():
 
 def test_certificate_at_exact_and_perturbed_outputs():
     res = prox_perspective(HUBER, 1.0, (1.2, -0.7), 0.4)
-    gap = subgradient_certificate(HUBER, 1.0, (1.2, -0.7), 0.4, res.p, res.q)
+    gap = prox_fenchel_gap(HUBER, 1.0, (1.2, -0.7), 0.4, res.p, res.q)
     assert -1e-12 <= gap <= 1e-8  # nonnegative up to round-off
     perturbed = (res.p[0] + 0.1, res.p[1])
-    gap_bad = subgradient_certificate(HUBER, 1.0, (1.2, -0.7), 0.4, perturbed, res.q)
+    gap_bad = prox_fenchel_gap(HUBER, 1.0, (1.2, -0.7), 0.4, perturbed, res.q)
     assert gap_bad > 1e-3
 
 
 def test_certificate_case_ii():
     res = case_ii_prox(ABS_ROOT, 1.0, (2.0, 0.0), 2.0)
-    gap = subgradient_certificate(ABS_ROOT, 1.0, (2.0, 0.0), 2.0, res.p, res.q)
+    gap = prox_fenchel_gap(ABS_ROOT, 1.0, (2.0, 0.0), 2.0, res.p, res.q)
     assert 0.0 <= gap <= 1e-8
 
 

@@ -153,6 +153,16 @@ def test_dimension_rejection():
         preperspective_eval(HUBER_PAIR, (1.0, 2.0), (0.0, 1.0))
 
 
+def test_non_finite_scale_component_is_rejected():
+    for y in (math.inf, -math.inf, math.nan, [math.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            HUBER_PAIR.check_point((1.0, 0.0), y)
+        with pytest.raises(ValueError, match="finite"):
+            perspective_eval(HUBER_PAIR, (1.0, 0.0), y)
+    with pytest.raises(ValueError, match="finite"):
+        prox_fenchel_gap(HUBER_PAIR, math.inf, (3.0, 0.0), 0.0, (2.0, 0.0), 0.0)
+
+
 def test_fenchel_gap_detects_wrong_point():
     gap_exact = prox_fenchel_gap(HUBER_PAIR, 1.0, (3.0, 0.0), 0.0, (2.0, 0.0), 0.0)
     assert 0.0 <= gap_exact <= 1e-10

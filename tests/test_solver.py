@@ -239,6 +239,15 @@ def test_input_validation():
         RootConfig(max_iter=0)
 
 
+@pytest.mark.parametrize("gamma, y", [
+    (math.inf, 0.0), (math.nan, 0.0), (1.0, math.inf), (1.0, -math.inf), (1.0, math.nan),
+])
+def test_non_finite_gamma_or_scale_is_rejected(gamma, y):
+    for pair in (HUBER, POWER_ROOT_BOUNDED, ABS_ROOT):
+        with pytest.raises(ValueError, match="finite"):
+            prox_perspective(pair, gamma, (1.0, 0.0), y)
+
+
 @pytest.mark.parametrize("pair", [
     PerspectivePair(PowerBase(3.0), RootScaling(0.5, 4.0), n=2),
     PerspectivePair(HuberBase(1.0), SqrtScaling(1.0), n=2),

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -22,6 +23,41 @@ def test_lipschitz_constant():
     assert smooth_lipschitz(spec) == pytest.approx(3.0)
     spec = DemoSpec(a_matrix=((2.0, 0.0), (0.0, 1.0)), b=(0.0, 0.0), kappa=1.0)
     assert smooth_lipschitz(spec) == pytest.approx(4.0)
+
+
+def _random_design(rng, rows, cols, magnitude, rank):
+    """A rows x cols design of the given rank at the given magnitude."""
+    left = [[rng.gauss(0.0, 1.0) for _ in range(rank)] for _ in range(rows)]
+    right = [[rng.gauss(0.0, 1.0) for _ in range(cols)] for _ in range(rank)]
+    return tuple(
+        tuple(magnitude * sum(l * right[k][j] for k, l in enumerate(row)) for j in range(cols))
+        for row in left
+    )
+
+
+def test_lipschitz_constant_matches_a_reference_eigensolver():
+    np = pytest.importorskip("numpy")
+    rng = random.Random(20240817)
+    cases = [((1.0,),), ((-3.5,),), ((0.0, 0.0), (0.0, 0.0))]
+    for _ in range(600):
+        rows, cols = rng.randint(1, 14), rng.randint(1, 5)
+        magnitude = 10.0 ** rng.choice((-6, -3, 0, 3, 6))
+        rank = rng.randint(1, min(rows, cols))  # often below min(rows, cols)
+        cases.append(_random_design(rng, rows, cols, magnitude, rank))
+    for a in cases:
+        spec = DemoSpec(a_matrix=a, b=(0.0,) * len(a), kappa=0.0)
+        arr = np.asarray(a, dtype=float)
+        want = float(np.linalg.eigvalsh(arr.T @ arr)[-1])
+        got = smooth_lipschitz(spec)
+        assert abs(got - want) <= 1e-12 * max(want, 1e-300), (a, got, want)
+
+
+def test_lipschitz_constant_rejects_a_ragged_design():
+    spec = DemoSpec(a_matrix=((1.0, 0.0), (1.0,)), b=(1.0, 1.0))
+    with pytest.raises(ValueError):
+        smooth_lipschitz(spec)
+    with pytest.raises(ValueError):
+        run_concomitant_demo(PAIR, spec)
 
 
 def test_step_size_guard():
