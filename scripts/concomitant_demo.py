@@ -10,8 +10,9 @@ problem only; persprox itself does not use it).
 import argparse
 import dataclasses
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 
@@ -49,7 +50,6 @@ def main():
         y0=1.0,
         kappa=args.kappa,
         iterations=args.iterations,
-        seed=args.seed,
     )
     spec = dataclasses.replace(spec, tau=0.9 / smooth_lipschitz(spec))
     pair = PerspectivePair(HuberBase(args.alpha), SqrtScaling(args.beta), n=args.cols)

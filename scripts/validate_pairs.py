@@ -10,8 +10,9 @@ import math
 import random
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from persprox import (
     AbsBase,

@@ -47,7 +47,6 @@ from .catalog import (
     SqrtScaling,
     SupportInterval,
     closed_form_huber_prox,
-    huber_prox_conj,
     make_base,
     make_scaling,
     power_prox_conj,

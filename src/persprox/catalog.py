@@ -14,7 +14,9 @@ from functools import cached_property
 
 from .core import INF, CaseKind, SignClass, Vec, as_vec, norm, scale, zeros_like
 from .radial import RadialFunction, radial_prox
-from .roots import RootFindError, real_quartic_roots, solve_bracketed
+# real_quartic_roots is no longer called here; it stays a module global
+# because perfbench/tracing.py wraps persprox.catalog.real_quartic_roots by name
+from .roots import RootFindError, real_quartic_roots, solve_bracketed  # noqa: F401
 
 _EPS = 2.0 ** -52  # machine epsilon
 
@@ -608,76 +610,44 @@ def root_scaling_prox_neg(mu: float, gamma: float, q: float, y: float) -> float:
 
 
 def sqrt_scaling_prox(beta: float, mu: float, y: float) -> float:
-    """Prox of ``mu * sqrt(beta + (.)**2)`` at ``y`` via the closed-form quartic.
+    """Prox of ``mu * sqrt(beta + (.)**2)`` at ``y``, by monotone Newton.
 
-    The prox point is the root of
-    ``r**4 - 2y r**3 + (y**2 + beta - mu**2) r**2 - 2 beta y r + beta y**2``
-    lying between 0 and ``y``; candidates come from Ferrari's formula and
-    the winner (smallest first-order residual) is polished against the
-    stationarity condition ``r - y + mu*r/sqrt(beta + r**2) = 0``.
+    The prox point is ``sign(y) * r`` for the root ``r`` in ``[0, |y|]`` of
+    ``g(r) = r - |y| + mu*r/sqrt(beta + r**2)``.  On ``r >= 0``, ``g`` is
+    strictly increasing (``g' = 1 + mu*beta/(beta + r**2)**1.5``) and
+    concave (``g'' = -3*mu*beta*r/(beta + r**2)**2.5``), so every tangent
+    lies above ``g`` and a Newton step from a point with ``g <= 0`` lands
+    again where ``g <= 0``: from ``r0 = max(0, |y| - mu)``, where
+    ``g(r0) <= 0``, the iterates rise monotonically to the root and never
+    overshoot.  Clamping to ``[r0, |y|]`` only absorbs rounding.  The loop
+    stops once a step is within four rounding units of ``r`` and of ``g``,
+    and returns the point after that step.  The returned point lies between
+    the last evaluated one and the root, so the stationarity residual there,
+    checked against ``1e-10 * (1 + |y| + mu)``, bounds the one returned.
     """
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
     if mu < 0.0:
         raise ValueError(f"weight must be nonnegative, got {mu}")
-    if mu == 0.0:
-        return float(y)
-    if y == 0.0:
-        return 0.0
-
-    def stationarity(r: float) -> float:
-        return r - y + mu * r / math.sqrt(beta + r * r)
-
-    lo, hi = (0.0, y) if y > 0.0 else (y, 0.0)
-    if mu * mu <= 1e-14 * (y * y + beta):
-        # the quartic coefficients cannot resolve mu at double precision
-        # (near-double root at y); start from the first-order expansion instead
-        r = y - mu * y / math.sqrt(beta + y * y)
+    a = abs(y)
+    r = r0 = max(0.0, a - mu)
+    for _ in range(200):
+        ss = beta + r * r
+        w = mu / math.sqrt(ss)
+        g = r - a + w * r
+        dg = 1.0 + w * beta / ss
+        dr = g / dg
+        converged = abs(dr) <= 4.0 * _EPS * (r + (r + a + w * r) / dg)
+        r = min(max(r - dr, r0), a)
+        if converged:
+            break
     else:
-        # a loose near-real tolerance keeps round-off-degenerate double roots
-        # as candidates; the stationarity polish and final check filter them
-        roots = real_quartic_roots(
-            -2.0 * y, y * y + beta - mu * mu, -2.0 * beta * y, beta * y * y,
-            near_real_tol=1e-6,
-        )
-        slack = 1e-9 * (1.0 + abs(y))
-        candidates = [r for r in roots if lo - slack <= r <= hi + slack]
-        if candidates:
-            r = min(candidates, key=lambda c: abs(stationarity(c)))
-        else:
-            # the closed form loses the root to rounding when |y| is tiny
-            # against sqrt(beta + mu^2); the stationarity equation is
-            # strictly increasing with a guaranteed sign change, so recover
-            # the root directly on [lo, hi]
-            res = solve_bracketed(
-                stationarity, lo, hi, stationarity(lo), stationarity(hi),
-                xtol=1e-15 * (1.0 + abs(y)), ftol=1e-13 * (1.0 + abs(y) + mu),
-                max_iter=200,
-            )
-            r = res.root
-    r = min(max(r, lo), hi)
-    for _ in range(8):
-        g = stationarity(r)
-        d = 1.0 + mu * beta / (beta + r * r) ** 1.5
-        r = min(max(r - g / d, lo), hi)
-    residual = stationarity(r)
-    if abs(residual) > 1e-10 * (1.0 + abs(y) + mu):
         raise RootFindError(
-            f"stationarity residual {residual!r} after polish", lo, hi,
-            stationarity(lo), stationarity(hi),
+            "no convergence of Newton on the stationarity equation", r0, a, -INF, INF,
         )
-    return r
-
-
-def huber_prox_conj(alpha: float, gamma: float, xi: float) -> float:
-    """Prox of ``gamma * conjugate-of-Huber(alpha)`` at the scalar ``xi``."""
-    if not alpha > 0.0:
-        raise ValueError(f"slope must be positive, got {alpha}")
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    if abs(xi) > (gamma + 1.0) * alpha:
-        return math.copysign(alpha, xi)
-    return xi / (gamma + 1.0)
+    if abs(g) > 1e-10 * (1.0 + a + mu):
+        raise RootFindError(f"stationarity residual {g!r}", r0, a, -INF, INF)
+    return math.copysign(r, y) if r > 0.0 else 0.0
 
 
 def closed_form_huber_prox(
@@ -687,7 +657,7 @@ def closed_form_huber_prox(
 
     Used exclusively as a cross-check against the generic solver: the
     outer branch is linear shrinkage of ``x``, the inner branch couples a
-    scalar fixed point for the multiplier with the quartic scale prox.
+    scalar fixed point for the multiplier with the sqrt scale prox.
     """
     x = as_vec(x)
     r = norm(x)

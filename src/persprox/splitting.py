@@ -35,7 +35,6 @@ class DemoSpec:
     iterations: int = 500
     w0: tuple[float, ...] | None = None
     sigma0: float = 0.0
-    seed: int = 0
 
     @staticmethod
     def from_dict(data: dict) -> "DemoSpec":
@@ -51,7 +50,6 @@ class DemoSpec:
             iterations=int(data.get("iterations", 500)),
             w0=None if w0 is None else tuple(float(v) for v in w0),
             sigma0=float(data.get("sigma0", 0.0)),
-            seed=int(data.get("seed", 0)),
         )
 
 

@@ -9,12 +9,12 @@ from persprox import (
     INF,
     AbsBase,
     HuberBase,
+    HuberConjScalar,
     IdentityScaling,
     PowerBase,
     RootScaling,
     SqrtScaling,
     closed_form_huber_prox,
-    huber_prox_conj,
     make_base,
     make_scaling,
     power_prox_conj,
@@ -101,7 +101,7 @@ def test_root_scaling_prox_residual(q, mu, y):
     assert abs(resid) <= 1e-10 * (1.0 + abs(y) + z)
 
 
-# --- sqrt scaling prox (quartic) --------------------------------------------
+# --- sqrt scaling prox -----------------------------------------------------
 
 def test_sqrt_scaling_prox_trivial():
     assert sqrt_scaling_prox(1.0, 0.0, 3.0) == 3.0
@@ -141,26 +141,48 @@ def test_quartic_matches_stationarity_expansion(rng):
         assert quartic == pytest.approx(expanded, rel=1e-12, abs=1e-9)
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    beta=st.floats(1e-2, 1e2),
-    mu=st.floats(0.0, 20.0),
-    y=st.floats(-20.0, 20.0),
-)
-def test_sqrt_scaling_prox_contract(beta, mu, y):
+def _assert_sqrt_scaling_prox_contract(beta, mu, y):
     r = sqrt_scaling_prox(beta, mu, y)
     lo, hi = (0.0, y) if y >= 0 else (y, 0.0)
     assert lo <= r <= hi
     stat = r - y + (mu * r / math.sqrt(beta + r * r) if mu > 0 else 0.0)
     assert abs(stat) <= 1e-10 * (1.0 + abs(y) + mu)
+    return r
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    log_beta=st.floats(-8.0, 8.0),
+    log_mu=st.floats(-12.0, 12.0),
+    log_y=st.floats(-12.0, 12.0),
+    negative=st.booleans(),
+)
+def test_sqrt_scaling_prox_contract(log_beta, log_mu, log_y, negative):
+    beta, mu, y = 10.0 ** log_beta, 10.0 ** log_mu, 10.0 ** log_y
+    if negative:
+        y = -y
+    r = _assert_sqrt_scaling_prox_contract(beta, mu, y)
+    assert sqrt_scaling_prox(beta, mu, -y) == -r
+
+
+@pytest.mark.parametrize("beta, mu, y", [
+    (1.0, 30661455160.769173, 29391875995.522743),
+    (1.0, 146530433596.00775, -146410532205.72626),
+    (1.0, 17145332574.631796, 16633716645.192924),
+])
+def test_sqrt_scaling_prox_huge_weight_and_input(beta, mu, y):
+    # weight and input near 1e11 with roots from 3 to 25 (Huber(1e4)/sqrt
+    # calls of the wide_scale robustness probe, seed 0, calls 82, 256, 1018)
+    _assert_sqrt_scaling_prox_contract(beta, mu, y)
 
 
 # --- Huber pieces -----------------------------------------------------------
 
 def test_huber_prox_conj_branches():
-    assert huber_prox_conj(1.0, 1.0, 3.0) == 1.0
-    assert huber_prox_conj(1.0, 1.0, 1.0) == 0.5
-    assert huber_prox_conj(1.0, 1.0, 0.0) == 0.0
+    conj = HuberConjScalar(1.0)
+    assert conj.prox(1.0, 3.0) == 1.0
+    assert conj.prox(1.0, 1.0) == 0.5
+    assert conj.prox(1.0, 0.0) == 0.0
 
 
 def test_huber_prox_conj_lipschitz_and_range(rng):
@@ -168,7 +190,8 @@ def test_huber_prox_conj_lipschitz_and_range(rng):
         alpha = rng.choice([0.3, 1.0, 2.5])
         gamma = 10 ** rng.uniform(-2, 2)
         a, b = rng.uniform(-9, 9), rng.uniform(-9, 9)
-        fa, fb = huber_prox_conj(alpha, gamma, a), huber_prox_conj(alpha, gamma, b)
+        conj = HuberConjScalar(alpha)
+        fa, fb = conj.prox(gamma, a), conj.prox(gamma, b)
         assert abs(fa - fb) <= abs(a - b) + 1e-12
         assert abs(fa) <= alpha
 

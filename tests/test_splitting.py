@@ -106,6 +106,12 @@ def test_from_dict_roundtrip():
     assert len(trace.rows) == 11
 
 
+def test_from_dict_ignores_a_seed_key():
+    # documents written for the former ``seed`` field still parse
+    doc = {"a": [[1, 0], [0, 1]], "b": [1, 1], "iterations": 3}
+    assert DemoSpec.from_dict({**doc, "seed": 7}) == DemoSpec.from_dict(doc)
+
+
 def test_dimension_validation():
     spec = DemoSpec(a_matrix=((1.0, 0.0, 0.0),), b=(1.0,), tau=0.5)
     with pytest.raises(ValueError):
