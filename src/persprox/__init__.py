@@ -46,7 +46,6 @@ from .catalog import (
     RootScaling,
     SqrtScaling,
     SupportInterval,
-    closed_form_huber_prox,
     make_base,
     make_scaling,
     power_prox_conj,

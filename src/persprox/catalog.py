@@ -14,8 +14,8 @@ from functools import cached_property
 
 from .core import INF, CaseKind, SignClass, Vec, as_vec, norm, scale, zeros_like
 from .radial import RadialFunction, radial_prox
-# real_quartic_roots is no longer called here; it stays a module global
-# because perfbench/tracing.py wraps persprox.catalog.real_quartic_roots by name
+# real_quartic_roots and solve_bracketed are no longer called here; they stay
+# module globals because perfbench/tracing.py wraps them in persprox.catalog by name
 from .roots import RootFindError, real_quartic_roots, solve_bracketed  # noqa: F401
 
 _EPS = 2.0 ** -52  # machine epsilon
@@ -648,38 +648,6 @@ def sqrt_scaling_prox(beta: float, mu: float, y: float) -> float:
     if abs(g) > 1e-10 * (1.0 + a + mu):
         raise RootFindError(f"stationarity residual {g!r}", r0, a, -INF, INF)
     return math.copysign(r, y) if r > 0.0 else 0.0
-
-
-def closed_form_huber_prox(
-    alpha: float, beta: float, gamma: float, x, y: float
-) -> tuple[Vec, float]:
-    """Specialized two-branch prox for the Huber/sqrt pair.
-
-    Used exclusively as a cross-check against the generic solver: the
-    outer branch is linear shrinkage of ``x``, the inner branch couples a
-    scalar fixed point for the multiplier with the sqrt scale prox.
-    """
-    x = as_vec(x)
-    r = norm(x)
-    s_y = math.sqrt(beta + y * y)
-    if r >= alpha * (s_y + gamma):
-        return scale(x, 1.0 - alpha * gamma / r), float(y)
-
-    def fixed_point_gap(eta: float) -> float:
-        qv = sqrt_scaling_prox(beta, gamma * eta, y) if eta > 0.0 else float(y)
-        sq = gamma + math.sqrt(beta + qv * qv)
-        return eta - (alpha * alpha * sq * sq - r * r) / (2.0 * sq * sq)
-
-    hi = 0.5 * alpha * alpha + 1e-12
-    res = solve_bracketed(
-        fixed_point_gap, 0.0, hi, fixed_point_gap(0.0), fixed_point_gap(hi),
-        xtol=1e-13 * (1.0 + alpha * alpha), ftol=1e-13 * (1.0 + alpha * alpha),
-        max_iter=300,
-    )
-    eta = res.root
-    qv = sqrt_scaling_prox(beta, gamma * eta, y) if eta > 0.0 else float(y)
-    sq = math.sqrt(beta + qv * qv)
-    return scale(x, sq / (gamma + sq)), qv
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,10 @@ def perspective_eval(pair: PerspectivePair, x, y) -> float:
     boundary behaviour is governed by the recession of the base.
     """
     x, y = pair.check_point(x, y)
+    return _perspective_value(pair, x, y)
+
+
+def _perspective_value(pair: PerspectivePair, x: Vec, y: float) -> float:
     base, scaling = pair.base, pair.scaling
     sc = base.sign_class
     if sc is SignClass.ZERO_INFTY_CONJUGATE:
@@ -184,7 +188,7 @@ def prox_fenchel_gap(
     proj = pair.base.proj_dom_conj(xstar)
     if dist(proj, xstar) <= _CLAMP_TOL * (1.0 + norm(xstar)):
         xstar = proj
-    val = perspective_eval(pair, p, q)
+    val = _perspective_value(pair, p, q)
     conj = _conj_value(pair, xstar, ystar, clamp=True)
     if val == INF or conj == INF:
         return INF

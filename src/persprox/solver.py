@@ -10,6 +10,7 @@ root-find.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -67,6 +68,9 @@ class ProxResult:
 
 DEFAULT_CONFIG = RootConfig()
 
+# multiplier brackets wider than this are narrowed in log space before Brent
+_WIDE_BRACKET = 2.0 ** 32
+
 
 def _is_zero(value: float, tol: float, ref: float) -> bool:
     return abs(value) <= tol * (1.0 + abs(ref))
@@ -93,61 +97,80 @@ def _pull_back(x: Vec, gamma: float, xg: Vec, d: Vec) -> Vec:
     )
 
 
-def classify_case_i(pair: PerspectivePair, gamma: float, x, y, cfg: RootConfig = DEFAULT_CONFIG) -> CaseLabel:
-    """Region of an input for a nonnegative-conjugate pair.
+def _pass_case_i(base, scaling, gamma: float, x: Vec, y: float, tol: float):
+    """One pass over a checked nonnegative-conjugate input: the region
+    tests, and the prox when the region they select has a closed form.
 
-    Zero tests use ``cfg.classify_tol`` scaled by the magnitude of the
-    quantity's argument; a conjugate value of +inf at the projected point
-    defers to the root-find region, whose prox calls never leave the
-    conjugate domain.
+    Zero tests use ``tol`` scaled by the magnitude of the quantity's
+    argument; a conjugate value of +inf at the projected point defers to
+    the root region, whose prox calls never leave the conjugate domain.
+    Returns ``(label, p, q, eta)``.  On Omega4 ``p`` and ``q`` are None and
+    the last entry is ``T(0)`` where the tests computed it (else None).
     """
-    x, y = pair.check_point(x, y)
-    base, scaling = pair.base, pair.scaling
-    if base.sign_class is not SignClass.NONNEGATIVE_CONJUGATE:
-        raise ValueError("classification by scale regions needs a nonnegative conjugate")
     xg = scale(x, 1.0 / gamma)
     ref_x = norm(xg)
-    c0 = base.conj_eval(base.proj_dom_conj(xg))
-    s_proj = scaling.eval(scaling.proj_cl_S(y))
-    c0_zero = c0 != INF and _is_zero(c0, cfg.classify_tol, ref_x)
-    s_zero = _is_zero(s_proj, cfg.classify_tol, y)
+    d = base.proj_dom_conj(xg)
+    c0 = base.conj_eval(d)
+    q_proj = scaling.proj_cl_S(y)
+    s_proj = scaling.eval(q_proj)
+    c0_zero = c0 != INF and _is_zero(c0, tol, ref_x)
+    s_zero = _is_zero(s_proj, tol, y)
     if c0_zero and s_zero:
-        return CaseLabel.OMEGA1
+        return CaseLabel.OMEGA1, _pull_back(x, gamma, xg, d), q_proj, 0.0
+    q2 = None
     if not c0_zero and c0 != INF:
         q2 = scaling.prox_env(gamma * c0, y)
-        if _is_zero(scaling.eval(q2), cfg.classify_tol, y):
-            return CaseLabel.OMEGA2
+        if _is_zero(scaling.eval(q2), tol, y):
+            return CaseLabel.OMEGA2, _pull_back(x, gamma, xg, d), q2, 0.0
     if not s_zero and s_proj != INF:
         rho = base.prox_conj(s_proj / gamma, xg)
-        if _is_zero(base.conj_eval(rho), cfg.classify_tol, ref_x):
-            return CaseLabel.OMEGA3
-    return CaseLabel.OMEGA4
+        if _is_zero(base.conj_eval(rho), tol, ref_x):
+            return CaseLabel.OMEGA3, _pull_back(x, gamma, xg, rho), q_proj, s_proj
+    return CaseLabel.OMEGA4, None, None, None if q2 is None else scaling.env_eval(q2)
+
+
+def _pass_case_iii(base, scaling, gamma: float, x: Vec, y: float, tol: float):
+    """Mirror of ``_pass_case_i`` for a nonpositive conjugate, with base and
+    scaling roles swapped."""
+    xg = scale(x, 1.0 / gamma)
+    ref_x = norm(xg)
+    d = base.proj_dom_conj(xg)
+    c0 = base.conj_eval(d)
+    q_proj = scaling.proj_cl_conv_S(y)
+    sv = scaling.env_eval(q_proj)
+    sv_zero = _is_zero(sv, tol, y)
+    c0_zero = c0 != INF and _is_zero(c0, tol, ref_x)
+    if sv_zero and c0_zero:
+        return CaseLabel.XI1, _pull_back(x, gamma, xg, d), q_proj, 0.0
+    t0 = None
+    if not sv_zero and sv != INF:
+        u = base.prox_conj(sv / gamma, xg)
+        t0 = base.conj_eval(u)
+        if _is_zero(t0, tol, ref_x):
+            return CaseLabel.XI2, _pull_back(x, gamma, xg, u), q_proj, 0.0
+    if c0 != INF and not c0_zero and c0 < 0.0:
+        q3 = scaling.prox_env(gamma * (-c0), y)
+        if _is_zero(scaling.env_eval(q3), tol, y):
+            return CaseLabel.XI3, _pull_back(x, gamma, xg, d), q3, -c0
+    return CaseLabel.XI4, None, None, t0
+
+
+def classify_case_i(pair: PerspectivePair, gamma: float, x, y, cfg: RootConfig = DEFAULT_CONFIG) -> CaseLabel:
+    """Region of an input for a nonnegative-conjugate pair: the label of the
+    pass ``prox_perspective`` runs on it."""
+    x, y = pair.check_point(x, y)
+    if pair.base.sign_class is not SignClass.NONNEGATIVE_CONJUGATE:
+        raise ValueError("classification by scale regions needs a nonnegative conjugate")
+    return _pass_case_i(pair.base, pair.scaling, gamma, x, y, cfg.classify_tol)[0]
 
 
 def classify_case_iii(pair: PerspectivePair, gamma: float, x, y, cfg: RootConfig = DEFAULT_CONFIG) -> CaseLabel:
-    """Region of an input for a nonpositive-conjugate pair (mirror of the
-    nonnegative classification with base and scaling roles swapped)."""
+    """Region of an input for a nonpositive-conjugate pair; see
+    ``classify_case_i``."""
     x, y = pair.check_point(x, y)
-    base, scaling = pair.base, pair.scaling
-    if base.sign_class is not SignClass.NONPOSITIVE_CONJUGATE:
+    if pair.base.sign_class is not SignClass.NONPOSITIVE_CONJUGATE:
         raise ValueError("this classification needs a nonpositive conjugate")
-    xg = scale(x, 1.0 / gamma)
-    ref_x = norm(xg)
-    c0 = base.conj_eval(base.proj_dom_conj(xg))
-    sv = scaling.env_eval(scaling.proj_cl_conv_S(y))
-    sv_zero = _is_zero(sv, cfg.classify_tol, y)
-    c0_zero = c0 != INF and _is_zero(c0, cfg.classify_tol, ref_x)
-    if sv_zero and c0_zero:
-        return CaseLabel.XI1
-    if not sv_zero and sv != INF:
-        u = base.prox_conj(sv / gamma, xg)
-        if _is_zero(base.conj_eval(u), cfg.classify_tol, ref_x):
-            return CaseLabel.XI2
-    if c0 != INF and not c0_zero and c0 < 0.0:
-        q3 = scaling.prox_env(gamma * (-c0), y)
-        if _is_zero(scaling.env_eval(q3), cfg.classify_tol, y):
-            return CaseLabel.XI3
-    return CaseLabel.XI4
+    return _pass_case_iii(pair.base, pair.scaling, gamma, x, y, cfg.classify_tol)[0]
 
 
 def _solve_eta(
@@ -155,25 +178,37 @@ def _solve_eta(
     cfg: RootConfig,
     eta_hi: float | None,
     trace: Callable[[int, float, float, float, float], None] | None,
+    t0: float | None,
 ) -> tuple[float, int]:
-    t0 = T(0.0)
+    if t0 is None:
+        t0 = T(0.0)
     if t0 >= 0.0:
         return 0.0, 0
     hi = eta_hi if eta_hi is not None else max(1.0, -t0) + cfg.eta_tol
     fhi = T(hi)
-    doublings = 0
-    while fhi < 0.0 and doublings < 60:
+    bracket_evals = 0
+    while fhi < 0.0 and bracket_evals < 60:
         hi *= 2.0
         fhi = T(hi)
-        doublings += 1
+        bracket_evals += 1
     if fhi < 0.0:
         raise RootFindError("could not bracket the multiplier", 0.0, hi, t0, fhi)
+    # -T(0) can exceed the root by many orders of magnitude (about 1e67
+    # against 1e-3 for power(1.05)/root(0.5)); Brent's secant points then sit
+    # on hi and it only bisects, so a wide bracket is halved in log space first
+    while hi > _WIDE_BRACKET:
+        mid = math.sqrt(hi)
+        fmid = T(mid)
+        bracket_evals += 1
+        if fmid < 0.0:
+            break
+        hi, fhi = mid, fmid
     res = solve_bracketed(
         T, 0.0, hi, t0, fhi,
         xtol=cfg.eta_tol, ftol=cfg.residual_tol, max_iter=cfg.max_iter,
         trace=trace,
     )
-    return res.root, res.iterations + doublings
+    return res.root, res.iterations + bracket_evals
 
 
 def make_residual_case_i(pair: PerspectivePair, gamma: float, x, y) -> Callable[[float], float]:
@@ -212,43 +247,74 @@ def make_residual_case_iii(pair: PerspectivePair, gamma: float, x, y) -> Callabl
 def solve_eta_case_i(
     pair: PerspectivePair, gamma: float, x, y,
     cfg: RootConfig = DEFAULT_CONFIG, *, eta_hi: float | None = None,
-    trace=None,
+    trace=None, t0: float | None = None,
 ) -> tuple[float, int]:
     """Multiplier for the case-(i) root region: the unique ``eta >= 0``
     with ``T(eta) = 0``.
 
     The default bracket is ``[0, max(1, -T(0)) + eta_tol]``, valid because
     the composed curve term of ``T`` is nondecreasing; a doubling fallback
-    guards round-off.  Pass ``eta_hi`` to start from a different bracket.
+    guards round-off, and an upper end above 2**32 is square-rooted while
+    ``T`` stays nonnegative there.  Pass ``eta_hi`` to start from a
+    different bracket, and ``t0`` when ``T(0)`` is already known.
     """
-    return _solve_eta(make_residual_case_i(pair, gamma, x, y), cfg, eta_hi, trace)
+    return _solve_eta(make_residual_case_i(pair, gamma, x, y), cfg, eta_hi, trace, t0)
 
 
 def solve_eta_case_iii(
     pair: PerspectivePair, gamma: float, x, y,
     cfg: RootConfig = DEFAULT_CONFIG, *, eta_hi: float | None = None,
-    trace=None,
+    trace=None, t0: float | None = None,
 ) -> tuple[float, int]:
     """Multiplier for the case-(iii) root region; see ``solve_eta_case_i``."""
-    return _solve_eta(make_residual_case_iii(pair, gamma, x, y), cfg, eta_hi, trace)
+    return _solve_eta(make_residual_case_iii(pair, gamma, x, y), cfg, eta_hi, trace, t0)
 
 
-def case_ii_prox(pair: PerspectivePair, gamma: float, x, y) -> ProxResult:
-    """Decoupled prox for zero-or-infinity conjugates: base prox in ``x``,
-    projection onto the closed scale hull in ``y``."""
-    x, y = pair.check_point(x, y)
-    base, scaling = pair.base, pair.scaling
-    if base.sign_class is not SignClass.ZERO_INFTY_CONJUGATE:
-        raise ValueError("the decoupled prox needs a zero-or-infinity conjugate")
+def _prox_case_ii(base, scaling, gamma: float, x: Vec, y: float) -> tuple[Vec, float]:
     prox_primal = getattr(base, "prox_primal", None)
     if prox_primal is not None:
         p = prox_primal(gamma, x)
     else:
         xg = scale(x, 1.0 / gamma)
         p = _pull_back(x, gamma, xg, base.prox_conj(1.0 / gamma, xg))
-    q = scaling.proj_cl_conv_S(y)
+    return p, scaling.proj_cl_conv_S(y)
+
+
+def case_ii_prox(pair: PerspectivePair, gamma: float, x, y) -> ProxResult:
+    """Decoupled prox for zero-or-infinity conjugates: base prox in ``x``,
+    projection onto the closed scale hull in ``y``."""
+    x, y = pair.check_point(x, y)
+    if pair.base.sign_class is not SignClass.ZERO_INFTY_CONJUGATE:
+        raise ValueError("the decoupled prox needs a zero-or-infinity conjugate")
+    p, q = _prox_case_ii(pair.base, pair.scaling, gamma, x, y)
     gap = prox_fenchel_gap(pair, gamma, x, y, p, q)
     return ProxResult(p, q, 0.0, CaseLabel.CASE_II, 0, gap)
+
+
+def _prox_case_i(pair, gamma, x, y, cfg):
+    base, scaling = pair.base, pair.scaling
+    label, p, q, eta = _pass_case_i(base, scaling, gamma, x, y, cfg.classify_tol)
+    if p is not None:
+        return label, p, q, eta, 0
+    eta, iters = solve_eta_case_i(pair, gamma, x, y, cfg, t0=eta)
+    xg = scale(x, 1.0 / gamma)
+    rho = _prox_conj_scaled(base, eta / gamma, xg)
+    p = _pull_back(x, gamma, xg, rho)
+    q = scaling.prox_env(gamma * base.conj_eval(rho), y)
+    return label, p, q, eta, iters
+
+
+def _prox_case_iii(pair, gamma, x, y, cfg):
+    base, scaling = pair.base, pair.scaling
+    label, p, q, eta = _pass_case_iii(base, scaling, gamma, x, y, cfg.classify_tol)
+    if p is not None:
+        return label, p, q, eta, 0
+    eta, iters = solve_eta_case_iii(pair, gamma, x, y, cfg, t0=eta)
+    q = scaling.prox_env(gamma * eta, y)
+    w = scaling.env_eval(q) / gamma
+    xg = scale(x, 1.0 / gamma)
+    p = _pull_back(x, gamma, xg, _prox_conj_scaled(base, w, xg))
+    return label, p, q, eta, iters
 
 
 def prox_perspective(
@@ -257,69 +323,20 @@ def prox_perspective(
 ) -> ProxResult:
     """Prox of ``gamma * (perspective of base with scaling)`` at ``(x, y)``.
 
-    Dispatches on the sign class of the base conjugate, resolves the
-    region, assembles the prox from contract calls only, and attaches the
-    Fenchel certificate of the output.
+    Validates the input once, dispatches on the sign class of the base
+    conjugate, resolves the region and assembles the prox in one pass from
+    contract calls only, and attaches the Fenchel certificate of the output.
     """
     if not 0.0 < gamma < INF:
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
     x, y = pair.check_point(x, y)
     sc = pair.base.sign_class
     if sc is SignClass.ZERO_INFTY_CONJUGATE:
-        return case_ii_prox(pair, gamma, x, y)
-    if sc is SignClass.NONNEGATIVE_CONJUGATE:
-        p, q, eta, label, iters = _prox_case_i(pair, gamma, x, y, cfg)
+        p, q = _prox_case_ii(pair.base, pair.scaling, gamma, x, y)
+        label, eta, iters = CaseLabel.CASE_II, 0.0, 0
+    elif sc is SignClass.NONNEGATIVE_CONJUGATE:
+        label, p, q, eta, iters = _prox_case_i(pair, gamma, x, y, cfg)
     else:
-        p, q, eta, label, iters = _prox_case_iii(pair, gamma, x, y, cfg)
+        label, p, q, eta, iters = _prox_case_iii(pair, gamma, x, y, cfg)
     gap = prox_fenchel_gap(pair, gamma, x, y, p, q)
     return ProxResult(p, q, eta, label, iters, gap)
-
-
-def _prox_case_i(pair, gamma, x, y, cfg):
-    base, scaling = pair.base, pair.scaling
-    xg = scale(x, 1.0 / gamma)
-    label = classify_case_i(pair, gamma, x, y, cfg)
-    if label is CaseLabel.OMEGA1:
-        p = _pull_back(x, gamma, xg, base.proj_dom_conj(xg))
-        return p, scaling.proj_cl_S(y), 0.0, label, 0
-    if label is CaseLabel.OMEGA2:
-        d = base.proj_dom_conj(xg)
-        p = _pull_back(x, gamma, xg, d)
-        q = scaling.prox_env(gamma * base.conj_eval(d), y)
-        return p, q, 0.0, label, 0
-    if label is CaseLabel.OMEGA3:
-        eta = scaling.eval(scaling.proj_cl_S(y))
-        rho = base.prox_conj(eta / gamma, xg)
-        p = _pull_back(x, gamma, xg, rho)
-        return p, scaling.proj_cl_S(y), eta, label, 0
-    eta, iters = solve_eta_case_i(pair, gamma, x, y, cfg)
-    rho = _prox_conj_scaled(base, eta / gamma, xg)
-    p = _pull_back(x, gamma, xg, rho)
-    q = scaling.prox_env(gamma * base.conj_eval(rho), y)
-    return p, q, eta, label, iters
-
-
-def _prox_case_iii(pair, gamma, x, y, cfg):
-    base, scaling = pair.base, pair.scaling
-    xg = scale(x, 1.0 / gamma)
-    label = classify_case_iii(pair, gamma, x, y, cfg)
-    if label is CaseLabel.XI1:
-        p = _pull_back(x, gamma, xg, base.proj_dom_conj(xg))
-        return p, scaling.proj_cl_conv_S(y), 0.0, label, 0
-    if label is CaseLabel.XI2:
-        sv = scaling.env_eval(scaling.proj_cl_conv_S(y))
-        u = base.prox_conj(sv / gamma, xg)
-        p = _pull_back(x, gamma, xg, u)
-        return p, scaling.proj_cl_conv_S(y), 0.0, label, 0
-    if label is CaseLabel.XI3:
-        d = base.proj_dom_conj(xg)
-        eta = -base.conj_eval(d)
-        p = _pull_back(x, gamma, xg, d)
-        q = scaling.prox_env(gamma * eta, y)
-        return p, q, eta, label, 0
-    eta, iters = solve_eta_case_iii(pair, gamma, x, y, cfg)
-    q = scaling.prox_env(gamma * eta, y)
-    w = scaling.env_eval(q) / gamma
-    u = _prox_conj_scaled(base, w, xg)
-    p = _pull_back(x, gamma, xg, u)
-    return p, q, eta, label, iters

@@ -12,6 +12,9 @@ import random
 
 import pytest
 
+from persprox import sqrt_scaling_prox
+from persprox.roots import solve_bracketed
+
 INF = math.inf
 
 _INV_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
@@ -69,6 +72,35 @@ def limit_quotient_recession(f_eval, x, z, lam: float = 1e6) -> float:
     if fm == INF:
         return INF
     return (fm - fz) / lam
+
+
+def closed_form_huber_prox(alpha: float, beta: float, gamma: float, x, y: float):
+    """Two-branch prox of the Huber/sqrt perspective, a cross-check of the
+    generic region solver.
+
+    The outer branch is linear shrinkage of ``x``; the inner branch couples
+    a scalar fixed point for the multiplier with the sqrt scale prox.
+    """
+    x = tuple(float(c) for c in x)
+    r = math.hypot(*x)
+    s_y = math.sqrt(beta + y * y)
+    if r >= alpha * (s_y + gamma):
+        return tuple(c * (1.0 - alpha * gamma / r) for c in x), float(y)
+
+    def fixed_point_gap(eta: float) -> float:
+        qv = sqrt_scaling_prox(beta, gamma * eta, y) if eta > 0.0 else float(y)
+        sq = gamma + math.sqrt(beta + qv * qv)
+        return eta - (alpha * alpha * sq * sq - r * r) / (2.0 * sq * sq)
+
+    hi = 0.5 * alpha * alpha + 1e-12
+    res = solve_bracketed(
+        fixed_point_gap, 0.0, hi, fixed_point_gap(0.0), fixed_point_gap(hi),
+        xtol=1e-13 * (1.0 + alpha * alpha), ftol=1e-13 * (1.0 + alpha * alpha),
+        max_iter=300,
+    )
+    qv = sqrt_scaling_prox(beta, gamma * res.root, y) if res.root > 0.0 else float(y)
+    sq = math.sqrt(beta + qv * qv)
+    return tuple(c * (sq / (gamma + sq)) for c in x), qv
 
 
 def rand_vec(rng: random.Random, n: int, lo: float = -4.0, hi: float = 4.0):

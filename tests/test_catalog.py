@@ -14,14 +14,13 @@ from persprox import (
     PowerBase,
     RootScaling,
     SqrtScaling,
-    closed_form_huber_prox,
     make_base,
     make_scaling,
     power_prox_conj,
     root_scaling_prox_neg,
     sqrt_scaling_prox,
 )
-from conftest import golden_min, grid_prox_1d
+from conftest import closed_form_huber_prox, golden_min, grid_prox_1d
 
 SCALINGS = [RootScaling(0.5, 1.0), RootScaling(0.5), RootScaling(0.3, 4.0),
             SqrtScaling(1.0), SqrtScaling(0.2), IdentityScaling(), IdentityScaling(2.0)]
@@ -218,8 +217,8 @@ def test_closed_form_huber_origin():
 
 
 def test_closed_form_huber_agrees_with_generic_solver(rng):
-    # the specialized two-branch formula exists purely as a cross-check of
-    # the generic region solver
+    # the specialized two-branch formula is a cross-check of the generic
+    # region solver
     from persprox import PerspectivePair, prox_perspective
 
     for _ in range(150):

@@ -272,3 +272,56 @@ def test_root_region_at_float_resolution_is_certified():
     res = prox_perspective(pair, 133.42882630475916, x, y)
     assert res.label is CaseLabel.XI4
     assert res.certificate_gap <= 1e-8 * (1.0 + sum(c * c for c in x) + y * y)
+
+
+def test_wide_multiplier_bracket_converges():
+    # T(0) is about -1e67 while the root is near 1e-3: Brent on the bracket
+    # [0, -T(0)] only bisects and ran out of iterations
+    pair = PerspectivePair(PowerBase(1.05), RootScaling(0.5), n=2)
+    x, y = (22006.724533872693, -62532.52918439194), -45281.95959480737
+    res = prox_perspective(pair, 8.262494585872198e-06, x, y)
+    assert res.label is CaseLabel.OMEGA4
+    assert res.eta == pytest.approx(8.45e-4, rel=1e-3)
+    assert res.root_iterations <= 200
+    assert res.certificate_gap <= 1e-8 * (1.0 + sum(c * c for c in x) + y * y)
+
+
+@pytest.mark.parametrize("pair, classify", [
+    (POWER_ROOT_BOUNDED, classify_case_i),
+    (POWER_ROOT_FREE, classify_case_i),
+    (POWER_ID, classify_case_i),
+    (HUBER, classify_case_iii),
+])
+def test_classification_is_the_label_of_the_prox(pair, classify):
+    rng = random.Random(77)
+    for k in range(2000):
+        if k % 2:
+            gamma, size = 1.0, 4.0
+        else:
+            gamma, size = 10.0 ** rng.uniform(-6.0, 6.0), 10.0 ** rng.uniform(-6.0, 6.0)
+        x = tuple(size * rng.uniform(-1.0, 1.0) for _ in range(2))
+        y = size * rng.uniform(-1.0, 1.0)
+        assert classify(pair, gamma, x, y) is prox_perspective(pair, gamma, x, y).label, (gamma, x, y)
+
+
+@pytest.mark.parametrize("pair, x, y, label, checks", [
+    (ABS_ROOT, (2.0, 0.0), 2.0, CaseLabel.CASE_II, 3),
+    (HUBER, (3.0, 0.0), 0.0, CaseLabel.XI2, 3),
+    (POWER_ID, (2.0, 0.0), -5.0, CaseLabel.OMEGA2, 3),
+    (POWER_ROOT_BOUNDED, (0.0, 0.0), 2.0, CaseLabel.OMEGA3, 3),
+    (HUBER, (1.0, 0.0), 0.0, CaseLabel.XI4, 4),
+    (POWER_ROOT_FREE, (6.0, 0.0), 3.5, CaseLabel.OMEGA4, 4),
+])
+def test_prox_validates_its_input_once(monkeypatch, pair, x, y, label, checks):
+    # the entry and the certificate's two checks; the root region adds the
+    # residual's own
+    calls = []
+    check = PerspectivePair.check_point
+
+    def counted(self, *args):
+        calls.append(args)
+        return check(self, *args)
+
+    monkeypatch.setattr(PerspectivePair, "check_point", counted)
+    assert prox_perspective(pair, 1.0, x, y).label is label
+    assert len(calls) == checks
