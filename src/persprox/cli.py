@@ -11,6 +11,7 @@ failure, 4 oracle failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import random
@@ -197,7 +198,11 @@ def cmd_trace_root(args) -> int:
     x, y = parse_point(_resolve(args, "point", "point"))
     cfg, _, _ = parse_tol_overrides(args.tol)
     sc = pair.base.sign_class
-    if sc is SignClass.ZERO_INFTY_CONJUGATE:
+    if sc is SignClass.NONNEGATIVE_CONJUGATE:
+        classify, solve_eta, root = classify_case_i, solve_eta_case_i, CaseLabel.OMEGA4
+    else:
+        classify, solve_eta, root = classify_case_iii, solve_eta_case_iii, CaseLabel.XI4
+    if sc is SignClass.ZERO_INFTY_CONJUGATE or classify(pair, gamma, x, y, cfg) is not root:
         _emit(args, "closed-form case, no root trace\n")
         return EXIT_OK
     rows: list[tuple[int, float, float, float, float]] = []
@@ -205,18 +210,7 @@ def cmd_trace_root(args) -> int:
     def trace(it, lo, hi, mid, fmid):
         rows.append((it, lo, hi, mid, fmid))
 
-    if sc is SignClass.NONNEGATIVE_CONJUGATE:
-        label = classify_case_i(pair, gamma, x, y, cfg)
-        if label is not CaseLabel.OMEGA4:
-            _emit(args, "closed-form case, no root trace\n")
-            return EXIT_OK
-        solve_eta_case_i(pair, gamma, x, y, cfg, trace=trace)
-    else:
-        label = classify_case_iii(pair, gamma, x, y, cfg)
-        if label is not CaseLabel.XI4:
-            _emit(args, "closed-form case, no root trace\n")
-            return EXIT_OK
-        solve_eta_case_iii(pair, gamma, x, y, cfg, trace=trace)
+    solve_eta(pair, gamma, x, y, cfg, trace=trace)
     lines = ["iter,eta_lo,eta_hi,eta_mid,T_mid"]
     lines += [f"{it},{lo!r},{hi!r},{mid!r},{fmid!r}" for it, lo, hi, mid, fmid in rows]
     _emit(args, "\n".join(lines) + "\n")
@@ -230,12 +224,7 @@ def _default_validate_oracle(n: int, overrides: set[str], ocfg: OracleConfig) ->
         return ocfg
     budget = int(round(3e4 ** (1.0 / (n + 1))))
     points = max(5, min(ocfg.coarse_points_per_dim, budget))
-    return OracleConfig(
-        radius_factor=ocfg.radius_factor,
-        coarse_points_per_dim=points,
-        refine_tol=ocfg.refine_tol,
-        max_refine_iters=ocfg.max_refine_iters,
-    )
+    return dataclasses.replace(ocfg, coarse_points_per_dim=points)
 
 
 def random_point(seed: int, n: int) -> tuple[tuple[float, ...], float]:
@@ -244,10 +233,8 @@ def random_point(seed: int, n: int) -> tuple[tuple[float, ...], float]:
     return x, rng.uniform(-4.0, 4.0)
 
 
-def _validate_seed(spec_data: dict, seed: int, root_kwargs: dict, oracle_kwargs: dict):
+def _validate_seed(spec_data: dict, seed: int, cfg: RootConfig, ocfg: OracleConfig):
     pair, gamma = build_problem(spec_data)
-    cfg = RootConfig(**root_kwargs)
-    ocfg = OracleConfig(**oracle_kwargs)
     x, y = random_point(seed, pair.n)
     res = prox_perspective(pair, gamma, x, y, cfg)
     op, oq = brute_force_prox(
@@ -264,11 +251,11 @@ def cmd_validate(args) -> int:
     pair, _ = build_problem(spec_data)
     if pair.n > 3:
         raise InputError("validation supports base dimensions up to 3")
+    if args.seeds < 1:
+        raise InputError(f"--seeds must be at least 1, got {args.seeds}")
     cfg, ocfg, seen = parse_tol_overrides(args.tol)
     ocfg = _default_validate_oracle(pair.n, seen, ocfg)
     seeds = list(range(args.seeds))
-    root_kwargs = {k: getattr(cfg, k) for k in _ROOT_KEYS}
-    oracle_kwargs = {k: getattr(ocfg, k) for k in _ORACLE_KEYS}
     if args.workers > 1:
         # imported here: the pool costs every other command its start-up time
         from concurrent.futures import ProcessPoolExecutor
@@ -277,11 +264,11 @@ def cmd_validate(args) -> int:
             results = list(
                 pool.map(
                     _validate_seed_star,
-                    [(spec_data, s, root_kwargs, oracle_kwargs) for s in seeds],
+                    [(spec_data, s, cfg, ocfg) for s in seeds],
                 )
             )
     else:
-        results = [_validate_seed(spec_data, s, root_kwargs, oracle_kwargs) for s in seeds]
+        results = [_validate_seed(spec_data, s, cfg, ocfg) for s in seeds]
     results.sort(key=lambda row: row[0])
     devs = [row[1] for row in results]
     gaps = [row[2] for row in results]

@@ -26,7 +26,7 @@ def as_vec(x: float | Sequence[float]) -> Vec:
     if isinstance(x, (int, float)):
         entries = (float(x),)
     else:
-        entries = tuple(float(c) for c in x)
+        entries = tuple([float(c) for c in x])
     if not entries:
         raise ValueError("a vector needs at least one entry")
     for c in entries:
@@ -48,7 +48,7 @@ def dot(x, y) -> float:
         return float(x) * float(y)
     if xs or ys or len(x) != len(y):
         raise DimensionMismatch(f"incompatible operands: {x!r} vs {y!r}")
-    return sum(a * b for a, b in zip(x, y))
+    return sum([a * b for a, b in zip(x, y)])
 
 
 def sub(x, y):
@@ -56,13 +56,13 @@ def sub(x, y):
         return float(x) - float(y)
     if len(x) != len(y):
         raise DimensionMismatch(f"incompatible operands: {x!r} vs {y!r}")
-    return tuple(a - b for a, b in zip(x, y))
+    return tuple([a - b for a, b in zip(x, y)])
 
 
 def scale(x, a: float):
     if isinstance(x, (int, float)):
         return float(x) * a
-    return tuple(c * a for c in x)
+    return tuple([c * a for c in x])
 
 
 def dist(x, y) -> float:
@@ -145,6 +145,13 @@ class ScalingFunction(Protocol):
     of ``w * envelope`` (projection onto the closed envelope domain when
     ``w == 0``), and ``env_conj_eval`` is the envelope's convex conjugate,
     needed to evaluate the conjugate of the perspective.
+
+    The solver touches the scale side through ``prox_env`` and ``env_eval``
+    only, which relies on two identities:
+
+    - ``prox_env(0.0, y) == proj_cl_S(y) == proj_cl_conv_S(y)``;
+    - at ``q = proj_cl_S(y)``, ``env_eval(q) == -eval(q)`` for NEG_S_LOWER
+      and ``env_eval(q) == eval(q)`` for S_LOWER.
     """
 
     case_kind: CaseKind

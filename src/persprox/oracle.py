@@ -30,8 +30,10 @@ class OracleConfig:
     max_refine_iters: int = 500
 
     def __post_init__(self):
-        if self.radius_factor <= 0.0 or self.refine_tol <= 0.0:
-            raise ValueError("oracle tolerances must be positive")
+        for name in ("radius_factor", "refine_tol"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.coarse_points_per_dim < 2 or self.max_refine_iters < 1:
             raise ValueError("oracle counts must be positive")
 

@@ -2,10 +2,22 @@
 
 The computation dispatches on the sign class of the base conjugate.  The
 zero-or-infinity class decouples into a base prox and a scale projection.
-The signed classes classify the input into one of four regions: three
-carry closed forms, the fourth couples the base and scaling proxes
-through a scalar multiplier found by a monotone one-dimensional
-root-find.
+The signed classes work with two nonincreasing value curves of a weight
+``v >= 0`` (weight 0 meaning projection):
+
+- the base curve ``B(v) = phi*(prox_{(v/gamma) phi*}(x/gamma))``;
+- the scale curve ``S(v) = env(prox_{gamma v env}(y))``, with ``env`` the
+  scaling's convex envelope.
+
+The multiplier ``eta`` drives B for a nonnegative conjugate (case i) and
+S for a nonpositive one (case iii); the other curve takes the driven
+curve's value, so ``T(eta) = inner(outer(eta)) + eta`` in both cases.
+One pass tests the regions the same way in both cases and assembles the
+prox where a closed form applies: region 1 when both curves vanish at
+weight 0, region 2 when the inner curve vanishes at the outer curve's
+weight-0 value, region 3 when the outer curve vanishes at minus the inner
+curve's weight-0 value (that value is ``eta``).  Region 4 finds the root
+of ``T`` by a monotone one-dimensional search.
 """
 
 from __future__ import annotations
@@ -42,8 +54,10 @@ class RootConfig:
     classify_tol: float = 1e-12
 
     def __post_init__(self):
-        if min(self.eta_tol, self.residual_tol, self.classify_tol) <= 0.0:
-            raise ValueError("tolerances must be positive")
+        for name in ("eta_tol", "residual_tol", "classify_tol"):
+            value = getattr(self, name)
+            if not 0.0 < value < INF:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.max_iter <= 0:
             raise ValueError("max_iter must be positive")
 
@@ -68,19 +82,20 @@ class ProxResult:
 
 DEFAULT_CONFIG = RootConfig()
 
+# region labels of the signed cases, keyed by "the multiplier drives B"
+_LABELS = {
+    True: (CaseLabel.OMEGA1, CaseLabel.OMEGA2, CaseLabel.OMEGA3, CaseLabel.OMEGA4),
+    False: (CaseLabel.XI1, CaseLabel.XI2, CaseLabel.XI3, CaseLabel.XI4),
+}
+
 # multiplier brackets wider than this are narrowed in log space before Brent
 _WIDE_BRACKET = 2.0 ** 32
 
 
 def _is_zero(value: float, tol: float, ref: float) -> bool:
-    return abs(value) <= tol * (1.0 + abs(ref))
-
-
-def _prox_conj_scaled(base, weight: float, xg: Vec) -> Vec:
-    """Prox of ``weight (.) phi*``: projection onto cl dom phi* at weight 0."""
-    if weight == 0.0:
-        return base.proj_dom_conj(xg)
-    return base.prox_conj(weight, xg)
+    """Zero test scaled by the magnitude ``ref`` of the value's argument; +inf
+    is never zero."""
+    return value != INF and abs(value) <= tol * (1.0 + abs(ref))
 
 
 def _pull_back(x: Vec, gamma: float, xg: Vec, d: Vec) -> Vec:
@@ -91,86 +106,86 @@ def _pull_back(x: Vec, gamma: float, xg: Vec, d: Vec) -> Vec:
     arithmetic (and the recession indicator in the certificate rejects any
     nonzero junk).
     """
-    return tuple(
+    return tuple([
         0.0 if di == gi and gi != 0.0 else xi - gamma * di
         for xi, gi, di in zip(x, xg, d)
-    )
+    ])
 
 
-def _pass_case_i(base, scaling, gamma: float, x: Vec, y: float, tol: float):
-    """One pass over a checked nonnegative-conjugate input: the region
-    tests, and the prox when the region they select has a closed form.
-
-    Zero tests use ``tol`` scaled by the magnitude of the quantity's
-    argument; a conjugate value of +inf at the projected point defers to
-    the root region, whose prox calls never leave the conjugate domain.
-    Returns ``(label, p, q, eta)``.  On Omega4 ``p`` and ``q`` are None and
-    the last entry is ``T(0)`` where the tests computed it (else None).
+def _curves(pair: PerspectivePair, gamma: float, x: Vec, y: float, base_drives: bool):
+    """``(x/gamma, outer, inner)``: the curve the multiplier drives and the
+    other one, each as a ``(point, value)`` pair of functions; the curve at
+    weight ``v`` is ``value(point(v))``.
     """
+    base, scaling = pair.base, pair.scaling
     xg = scale(x, 1.0 / gamma)
-    ref_x = norm(xg)
-    d = base.proj_dom_conj(xg)
-    c0 = base.conj_eval(d)
-    q_proj = scaling.proj_cl_S(y)
-    s_proj = scaling.eval(q_proj)
-    c0_zero = c0 != INF and _is_zero(c0, tol, ref_x)
-    s_zero = _is_zero(s_proj, tol, y)
-    if c0_zero and s_zero:
-        return CaseLabel.OMEGA1, _pull_back(x, gamma, xg, d), q_proj, 0.0
-    q2 = None
-    if not c0_zero and c0 != INF:
-        q2 = scaling.prox_env(gamma * c0, y)
-        if _is_zero(scaling.eval(q2), tol, y):
-            return CaseLabel.OMEGA2, _pull_back(x, gamma, xg, d), q2, 0.0
-    if not s_zero and s_proj != INF:
-        rho = base.prox_conj(s_proj / gamma, xg)
-        if _is_zero(base.conj_eval(rho), tol, ref_x):
-            return CaseLabel.OMEGA3, _pull_back(x, gamma, xg, rho), q_proj, s_proj
-    return CaseLabel.OMEGA4, None, None, None if q2 is None else scaling.env_eval(q2)
+
+    # bound through default arguments, which are cheaper to set up than
+    # closure cells on a path that runs once per prox call
+    def b_point(v: float, base=base, gamma=gamma, xg=xg) -> Vec:
+        # the prox of (v/gamma) phi*, the projection onto cl dom phi* at 0
+        w = v / gamma
+        return base.prox_conj(w, xg) if w != 0.0 else base.proj_dom_conj(xg)
+
+    def s_point(v: float, prox_env=scaling.prox_env, gamma=gamma, y=y) -> float:
+        return prox_env(gamma * v, y)
+
+    b, s = (b_point, base.conj_eval), (s_point, scaling.env_eval)
+    return (xg, b, s) if base_drives else (xg, s, b)
 
 
-def _pass_case_iii(base, scaling, gamma: float, x: Vec, y: float, tol: float):
-    """Mirror of ``_pass_case_i`` for a nonpositive conjugate, with base and
-    scaling roles swapped."""
-    xg = scale(x, 1.0 / gamma)
-    ref_x = norm(xg)
-    d = base.proj_dom_conj(xg)
-    c0 = base.conj_eval(d)
-    q_proj = scaling.proj_cl_conv_S(y)
-    sv = scaling.env_eval(q_proj)
-    sv_zero = _is_zero(sv, tol, y)
-    c0_zero = c0 != INF and _is_zero(c0, tol, ref_x)
-    if sv_zero and c0_zero:
-        return CaseLabel.XI1, _pull_back(x, gamma, xg, d), q_proj, 0.0
+def _signed_pass(pair, gamma: float, x: Vec, y: float, tol: float, base_drives: bool):
+    """The region tests, and the closed-form points where they select one.
+
+    Returns ``(x/gamma, outer, inner, region, outer point, inner point,
+    eta)``.  Region 4, the root region, has no points, and its last entry is
+    ``T(0)`` where the tests computed it (else None).  Zero tests scale
+    ``tol`` by the size of the curve's argument: ``x/gamma`` for B, ``y``
+    for S.  A conjugate value of +inf at the projected point is not zero,
+    so it defers to the root region, whose prox calls never leave the
+    conjugate domain.
+    """
+    xg, outer, inner = _curves(pair, gamma, x, y, base_drives)
+    (o_point, o_value), (i_point, i_value) = outer, inner
+    o_ref, i_ref = (norm(xg), y) if base_drives else (y, norm(xg))
+    o_pt = o_point(0.0)
+    o0 = o_value(o_pt)
+    i_pt = i_point(0.0)
+    i0 = i_value(i_pt)
+    o_zero, i_zero = _is_zero(o0, tol, o_ref), _is_zero(i0, tol, i_ref)
+    if o_zero and i_zero:
+        return xg, outer, inner, 1, o_pt, i_pt, 0.0
     t0 = None
-    if not sv_zero and sv != INF:
-        u = base.prox_conj(sv / gamma, xg)
-        t0 = base.conj_eval(u)
-        if _is_zero(t0, tol, ref_x):
-            return CaseLabel.XI2, _pull_back(x, gamma, xg, u), q_proj, 0.0
-    if c0 != INF and not c0_zero and c0 < 0.0:
-        q3 = scaling.prox_env(gamma * (-c0), y)
-        if _is_zero(scaling.env_eval(q3), tol, y):
-            return CaseLabel.XI3, _pull_back(x, gamma, xg, d), q3, -c0
-    return CaseLabel.XI4, None, None, t0
+    if not o_zero and 0.0 < o0 < INF:
+        i_pt2 = i_point(o0)
+        t0 = i_value(i_pt2)
+        if _is_zero(t0, tol, i_ref):
+            return xg, outer, inner, 2, o_pt, i_pt2, 0.0
+    if not i_zero and 0.0 < -i0 < INF:
+        o_pt3 = o_point(-i0)
+        if _is_zero(o_value(o_pt3), tol, o_ref):
+            return xg, outer, inner, 3, o_pt3, i_pt, -i0
+    return xg, outer, inner, 4, None, None, t0
+
+
+def _classify(pair, gamma, x, y, cfg, sign_class: SignClass) -> CaseLabel:
+    x, y = pair.check_point(x, y)
+    if pair.base.sign_class is not sign_class:
+        raise ValueError(f"this classification needs a {sign_class.value} conjugate")
+    base_drives = sign_class is SignClass.NONNEGATIVE_CONJUGATE
+    return _LABELS[base_drives][_signed_pass(pair, gamma, x, y, cfg.classify_tol, base_drives)[3] - 1]
 
 
 def classify_case_i(pair: PerspectivePair, gamma: float, x, y, cfg: RootConfig = DEFAULT_CONFIG) -> CaseLabel:
     """Region of an input for a nonnegative-conjugate pair: the label of the
     pass ``prox_perspective`` runs on it."""
-    x, y = pair.check_point(x, y)
-    if pair.base.sign_class is not SignClass.NONNEGATIVE_CONJUGATE:
-        raise ValueError("classification by scale regions needs a nonnegative conjugate")
-    return _pass_case_i(pair.base, pair.scaling, gamma, x, y, cfg.classify_tol)[0]
+    return _classify(pair, gamma, x, y, cfg, SignClass.NONNEGATIVE_CONJUGATE)
 
 
 def classify_case_iii(pair: PerspectivePair, gamma: float, x, y, cfg: RootConfig = DEFAULT_CONFIG) -> CaseLabel:
     """Region of an input for a nonpositive-conjugate pair; see
     ``classify_case_i``."""
-    x, y = pair.check_point(x, y)
-    if pair.base.sign_class is not SignClass.NONPOSITIVE_CONJUGATE:
-        raise ValueError("this classification needs a nonpositive conjugate")
-    return _pass_case_iii(pair.base, pair.scaling, gamma, x, y, cfg.classify_tol)[0]
+    return _classify(pair, gamma, x, y, cfg, SignClass.NONPOSITIVE_CONJUGATE)
 
 
 def _solve_eta(
@@ -211,37 +226,26 @@ def _solve_eta(
     return res.root, res.iterations + bracket_evals
 
 
-def make_residual_case_i(pair: PerspectivePair, gamma: float, x, y) -> Callable[[float], float]:
-    """The strictly increasing map whose root is the case-(i) multiplier.
-
-    Composes the base-side value curve (conjugate value at its scaled
-    prox) with the scaling-side value curve and adds the identity; both
-    curves are nonincreasing, which makes the sum strictly increasing.
-    """
+def _residual(pair, gamma, x, y, base_drives: bool) -> Callable[[float], float]:
     x, y = pair.check_point(x, y)
-    base, scaling = pair.base, pair.scaling
-    xg = scale(x, 1.0 / gamma)
+    _, (o_point, o_value), (i_point, i_value) = _curves(pair, gamma, x, y, base_drives)
 
     def T(eta: float) -> float:
-        rho = _prox_conj_scaled(base, eta / gamma, xg)
-        mu = base.conj_eval(rho)
-        return scaling.env_eval(scaling.prox_env(gamma * mu, y)) + eta
+        return i_value(i_point(o_value(o_point(eta)))) + eta
 
     return T
+
+
+def make_residual_case_i(pair: PerspectivePair, gamma: float, x, y) -> Callable[[float], float]:
+    """The strictly increasing map ``T(eta) = S(B(eta)) + eta`` whose root is
+    the case-(i) multiplier; both curves are nonincreasing, so their
+    composition is nondecreasing."""
+    return _residual(pair, gamma, x, y, True)
 
 
 def make_residual_case_iii(pair: PerspectivePair, gamma: float, x, y) -> Callable[[float], float]:
-    """Case-(iii) mirror of the multiplier residual."""
-    x, y = pair.check_point(x, y)
-    base, scaling = pair.base, pair.scaling
-    xg = scale(x, 1.0 / gamma)
-
-    def T(eta: float) -> float:
-        w = scaling.env_eval(scaling.prox_env(gamma * eta, y)) / gamma
-        u = _prox_conj_scaled(base, w, xg)
-        return base.conj_eval(u) + eta
-
-    return T
+    """Case-(iii) multiplier residual ``T(eta) = B(S(eta)) + eta``."""
+    return _residual(pair, gamma, x, y, False)
 
 
 def solve_eta_case_i(
@@ -291,32 +295,6 @@ def case_ii_prox(pair: PerspectivePair, gamma: float, x, y) -> ProxResult:
     return ProxResult(p, q, 0.0, CaseLabel.CASE_II, 0, gap)
 
 
-def _prox_case_i(pair, gamma, x, y, cfg):
-    base, scaling = pair.base, pair.scaling
-    label, p, q, eta = _pass_case_i(base, scaling, gamma, x, y, cfg.classify_tol)
-    if p is not None:
-        return label, p, q, eta, 0
-    eta, iters = solve_eta_case_i(pair, gamma, x, y, cfg, t0=eta)
-    xg = scale(x, 1.0 / gamma)
-    rho = _prox_conj_scaled(base, eta / gamma, xg)
-    p = _pull_back(x, gamma, xg, rho)
-    q = scaling.prox_env(gamma * base.conj_eval(rho), y)
-    return label, p, q, eta, iters
-
-
-def _prox_case_iii(pair, gamma, x, y, cfg):
-    base, scaling = pair.base, pair.scaling
-    label, p, q, eta = _pass_case_iii(base, scaling, gamma, x, y, cfg.classify_tol)
-    if p is not None:
-        return label, p, q, eta, 0
-    eta, iters = solve_eta_case_iii(pair, gamma, x, y, cfg, t0=eta)
-    q = scaling.prox_env(gamma * eta, y)
-    w = scaling.env_eval(q) / gamma
-    xg = scale(x, 1.0 / gamma)
-    p = _pull_back(x, gamma, xg, _prox_conj_scaled(base, w, xg))
-    return label, p, q, eta, iters
-
-
 def prox_perspective(
     pair: PerspectivePair, gamma: float, x, y,
     cfg: RootConfig = DEFAULT_CONFIG,
@@ -324,8 +302,9 @@ def prox_perspective(
     """Prox of ``gamma * (perspective of base with scaling)`` at ``(x, y)``.
 
     Validates the input once, dispatches on the sign class of the base
-    conjugate, resolves the region and assembles the prox in one pass from
-    contract calls only, and attaches the Fenchel certificate of the output.
+    conjugate, resolves the region and assembles the prox in one pass over
+    the two value curves (contract calls only), and attaches the Fenchel
+    certificate of the output.
     """
     if not 0.0 < gamma < INF:
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
@@ -334,9 +313,19 @@ def prox_perspective(
     if sc is SignClass.ZERO_INFTY_CONJUGATE:
         p, q = _prox_case_ii(pair.base, pair.scaling, gamma, x, y)
         label, eta, iters = CaseLabel.CASE_II, 0.0, 0
-    elif sc is SignClass.NONNEGATIVE_CONJUGATE:
-        label, p, q, eta, iters = _prox_case_i(pair, gamma, x, y, cfg)
     else:
-        label, p, q, eta, iters = _prox_case_iii(pair, gamma, x, y, cfg)
+        base_drives = sc is SignClass.NONNEGATIVE_CONJUGATE
+        xg, outer, inner, region, o_pt, i_pt, eta = _signed_pass(
+            pair, gamma, x, y, cfg.classify_tol, base_drives)
+        iters = 0
+        if region == 4:
+            solve = solve_eta_case_i if base_drives else solve_eta_case_iii
+            eta, iters = solve(pair, gamma, x, y, cfg, t0=eta)
+            # the outer curve at eta; of the inner curve only its point
+            o_pt = outer[0](eta)
+            i_pt = inner[0](outer[1](o_pt))
+        label = _LABELS[base_drives][region - 1]
+        b_pt, q = (o_pt, i_pt) if base_drives else (i_pt, o_pt)
+        p = _pull_back(x, gamma, xg, b_pt)
     gap = prox_fenchel_gap(pair, gamma, x, y, p, q)
     return ProxResult(p, q, eta, label, iters, gap)

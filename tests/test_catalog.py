@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from persprox import (
     INF,
     AbsBase,
+    CaseKind,
     HuberBase,
     HuberConjScalar,
     IdentityScaling,
@@ -246,6 +247,18 @@ def test_root_scaling_prox_env_strictly_positive(rng):
             assert scaling.prox_env(w, y) > 0.0
 
 
+def _scale_probe_points(scaling, count=200):
+    """Seeded scale points inside and outside cl S, at sizes 1e-12..1e12,
+    plus the ends of a bounded interval."""
+    rng = random.Random(repr(scaling))
+    points = [0.0, -0.0, 1.0, -1.0]
+    upper = getattr(scaling, "upper", INF)
+    if upper < INF:
+        points += [upper, -upper, 2.0 * upper, upper * (1.0 - 1e-12), upper * rng.random()]
+    points += [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, 12.0) for _ in range(count)]
+    return points
+
+
 def test_envelope_agreement_with_scaling():
     root = RootScaling(0.5, 2.0)
     for y in (0.0, 0.3, 1.7, 2.0):
@@ -256,6 +269,13 @@ def test_envelope_agreement_with_scaling():
     ident = IdentityScaling(5.0)
     for y in (0.0, 1.0, 5.0):
         assert ident.env_eval(y) == -ident.eval(y)
+    # the solver evaluates the scale side through the envelope only: on cl S
+    # it is -s for NEG_S_LOWER scalings and s for S_LOWER ones
+    for scaling in SCALINGS:
+        sign = -1.0 if scaling.case_kind is CaseKind.NEG_S_LOWER else 1.0
+        for y in _scale_probe_points(scaling):
+            q = scaling.proj_cl_S(y)
+            assert scaling.env_eval(q) == sign * scaling.eval(q), (scaling, y)
 
 
 def test_prox_env_zero_weight_is_domain_projection():
@@ -263,6 +283,11 @@ def test_prox_env_zero_weight_is_domain_projection():
     assert RootScaling(0.5, 1.0).prox_env(0.0, -2.0) == 0.0
     assert SqrtScaling(1.0).prox_env(0.0, -2.5) == -2.5
     assert IdentityScaling(4.0).prox_env(0.0, 9.0) == 4.0
+    # and the projections onto cl S and cl conv S coincide with it
+    for scaling in SCALINGS:
+        for y in _scale_probe_points(scaling):
+            q = scaling.prox_env(0.0, y)
+            assert q == scaling.proj_cl_S(y) == scaling.proj_cl_conv_S(y), (scaling, y)
 
 
 def _grid_sup_env_conj(scaling, t, lo, hi, n=40001):

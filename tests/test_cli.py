@@ -110,6 +110,35 @@ def test_non_finite_input_is_bad_input(spec, point):
     assert "finite" in out.stderr
 
 
+@pytest.mark.parametrize("key", [
+    "eta_tol", "residual_tol", "max_iter", "classify_tol",
+    "radius_factor", "coarse_points_per_dim", "refine_tol", "max_refine_iters",
+])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_tolerance_is_bad_input(capsys, key, value):
+    from persprox.cli import main
+
+    # before the check, classify_tol=nan/inf printed a wrong label and
+    # eta_tol=nan exited as a solver failure
+    argv = ["prox", "--spec", HUBER_SPEC, "--point", '{"x":[3,0],"y":0}', "--tol", f"{key}={value}"]
+    assert main(argv) == 2
+    assert value in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--tol", "refine_tol=nan"], "refine_tol must be positive and finite, got nan"),
+    (["--seeds", "0"], "--seeds must be at least 1, got 0"),
+    (["--seeds", "-3"], "--seeds must be at least 1, got -3"),
+], ids=["refine_tol-nan", "seeds-0", "seeds-negative"])
+def test_validate_bad_settings_are_bad_input(capsys, argv, message):
+    from persprox.cli import main
+
+    # refine_tol=nan used to exit 1 with a deviation of 0.216, --seeds 0 to
+    # die on an empty max()
+    assert main(["validate", "--spec", HUBER_SPEC, "--seeds", "2", *argv]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_prox_process_imports_no_numpy_or_process_pool():
     code = (
         f"import sys; sys.path.insert(0, {SRC!r}); from persprox.cli import main; "

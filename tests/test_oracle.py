@@ -107,3 +107,7 @@ def test_oracle_config_validation():
         OracleConfig(radius_factor=0.0)
     with pytest.raises(ValueError):
         OracleConfig(coarse_points_per_dim=1)
+    for key in ("radius_factor", "refine_tol"):
+        for value in (math.nan, math.inf, 0.0):
+            with pytest.raises(ValueError, match=key):
+                OracleConfig(**{key: value})

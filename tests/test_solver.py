@@ -105,16 +105,15 @@ def test_eta_residual_and_monotonicity_probes():
     hi = max(1.0, -T(0.0)) + 1e-12
     assert T(hi) >= 0.0
     # the two composed curves are nonincreasing on a sampled grid
-    from persprox.solver import _prox_conj_scaled
+    from persprox.solver import _curves
 
-    base, scaling = pair.base, pair.scaling
-    xg = tuple(c / gamma for c in x)
+    _, (b_point, b_value), (s_point, s_value) = _curves(pair, gamma, x, y, True)
 
     def phi2(e):
-        return base.conj_eval(_prox_conj_scaled(base, e / gamma, xg))
+        return b_value(b_point(e))
 
     def phi1(mu):
-        return scaling.env_eval(scaling.prox_env(gamma * mu, y))
+        return s_value(s_point(mu))
 
     grid = [0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0]
     assert phi2(0.0) < math.inf
@@ -237,6 +236,12 @@ def test_input_validation():
         RootConfig(eta_tol=0.0)
     with pytest.raises(ValueError):
         RootConfig(max_iter=0)
+    # NaN slipped past a "<= 0" test: classify_tol=inf labelled huber/sqrt at
+    # x = (3, 0), y = 0 as Xi1 and NaN as Xi4 (it is Xi2)
+    for key in ("eta_tol", "residual_tol", "classify_tol"):
+        for value in (math.nan, math.inf, -math.inf, 0.0):
+            with pytest.raises(ValueError, match=key):
+                RootConfig(**{key: value})
 
 
 @pytest.mark.parametrize("gamma, y", [
@@ -325,3 +330,35 @@ def test_prox_validates_its_input_once(monkeypatch, pair, x, y, label, checks):
     monkeypatch.setattr(PerspectivePair, "check_point", counted)
     assert prox_perspective(pair, 1.0, x, y).label is label
     assert len(calls) == checks
+
+
+@pytest.mark.parametrize("pair, x, y, label", [
+    (POWER_ROOT_FREE, (6.0, 0.0), 3.5, CaseLabel.OMEGA4),
+    (HUBER, (1.0, 0.0), 0.0, CaseLabel.XI4),
+    (POWER_ROOT_BOUNDED, (0.0, 0.0), -1.0, CaseLabel.OMEGA1),
+    (POWER_ID, (2.0, 0.0), -5.0, CaseLabel.OMEGA2),
+    (POWER_ROOT_BOUNDED, (0.0, 0.0), 2.0, CaseLabel.OMEGA3),
+    (HUBER, (3.0, 0.0), 0.0, CaseLabel.XI2),
+    (ABS_ROOT, (2.0, 0.0), 2.0, CaseLabel.CASE_II),
+])
+def test_root_region_reaches_the_public_multiplier_names(monkeypatch, pair, x, y, label):
+    # the root region goes through the module globals solve_eta_case_* and,
+    # from there, make_residual_case_*, once each; closed forms call neither
+    import persprox.solver as solver
+
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for case in ("i", "iii"):
+        for stem in ("solve_eta_case_", "make_residual_case_"):
+            name = stem + case
+            monkeypatch.setattr(solver, name, counted(name, getattr(solver, name)))
+    assert prox_perspective(pair, 1.0, x, y).label is label
+    case = {CaseLabel.OMEGA4: "i", CaseLabel.XI4: "iii"}.get(label)
+    expected = [] if case is None else ["solve_eta_case_" + case, "make_residual_case_" + case]
+    assert calls == expected
