@@ -429,7 +429,7 @@ class RootScaling:
         return min(z, self.upper)
 
     def proj_cl_S(self, y: float) -> float:
-        return min(max(float(y), 0.0), self.upper)
+        return min(max(0.0, float(y)), self.upper)
 
     def proj_cl_conv_S(self, y: float) -> float:
         return self.proj_cl_S(y)
@@ -521,7 +521,7 @@ class IdentityScaling:
         return min(max(y + weight, 0.0), self.upper)
 
     def proj_cl_S(self, y: float) -> float:
-        return min(max(float(y), 0.0), self.upper)
+        return min(max(0.0, float(y)), self.upper)
 
     def proj_cl_conv_S(self, y: float) -> float:
         return self.proj_cl_S(y)

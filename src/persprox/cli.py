@@ -11,7 +11,6 @@ failure, 4 oracle failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import random
@@ -46,12 +45,7 @@ EXIT_SOLVER = 3
 EXIT_ORACLE = 4
 
 _ROOT_KEYS = {"eta_tol": float, "residual_tol": float, "max_iter": int, "classify_tol": float}
-_ORACLE_KEYS = {
-    "radius_factor": float,
-    "coarse_points_per_dim": int,
-    "refine_tol": float,
-    "max_refine_iters": int,
-}
+_ORACLE_KEYS = {"radius_factor": float, "refine_tol": float, "max_refine_iters": int}
 
 DEVIATION_LIMIT = 5e-4
 
@@ -115,8 +109,8 @@ def parse_point(data: dict) -> tuple[tuple[float, ...], float]:
     return x, float(y)
 
 
-def parse_tol_overrides(items) -> tuple[RootConfig, OracleConfig, set[str]]:
-    root_kwargs, oracle_kwargs, seen = {}, {}, set()
+def parse_tol_overrides(items) -> tuple[RootConfig, OracleConfig]:
+    root_kwargs, oracle_kwargs = {}, {}
     for item in items or ():
         key, _, raw = item.partition("=")
         key = key.strip()
@@ -126,8 +120,7 @@ def parse_tol_overrides(items) -> tuple[RootConfig, OracleConfig, set[str]]:
             oracle_kwargs[key] = _ORACLE_KEYS[key](raw)
         else:
             raise InputError(f"unknown tolerance {key!r}")
-        seen.add(key)
-    return RootConfig(**root_kwargs), OracleConfig(**oracle_kwargs), seen
+    return RootConfig(**root_kwargs), OracleConfig(**oracle_kwargs)
 
 
 def _stdin_document(args) -> dict:
@@ -179,7 +172,7 @@ def cmd_eval(args) -> int:
 def cmd_prox(args) -> int:
     pair, gamma = build_problem(_resolve(args, "spec", "spec"))
     x, y = parse_point(_resolve(args, "point", "point"))
-    cfg, _, _ = parse_tol_overrides(args.tol)
+    cfg, _ = parse_tol_overrides(args.tol)
     res = prox_perspective(pair, gamma, x, y, cfg)
     record = {
         "p": list(res.p),
@@ -196,7 +189,7 @@ def cmd_prox(args) -> int:
 def cmd_trace_root(args) -> int:
     pair, gamma = build_problem(_resolve(args, "spec", "spec"))
     x, y = parse_point(_resolve(args, "point", "point"))
-    cfg, _, _ = parse_tol_overrides(args.tol)
+    cfg, _ = parse_tol_overrides(args.tol)
     sc = pair.base.sign_class
     if sc is SignClass.NONNEGATIVE_CONJUGATE:
         classify, solve_eta, root = classify_case_i, solve_eta_case_i, CaseLabel.OMEGA4
@@ -215,16 +208,6 @@ def cmd_trace_root(args) -> int:
     lines += [f"{it},{lo!r},{hi!r},{mid!r},{fmid!r}" for it, lo, hi, mid, fmid in rows]
     _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
-
-
-def _default_validate_oracle(n: int, overrides: set[str], ocfg: OracleConfig) -> OracleConfig:
-    # keep the coarse scan near 3e4 points total unless explicitly overridden;
-    # accuracy comes from the golden-section refinement, not the scan
-    if "coarse_points_per_dim" in overrides:
-        return ocfg
-    budget = int(round(3e4 ** (1.0 / (n + 1))))
-    points = max(5, min(ocfg.coarse_points_per_dim, budget))
-    return dataclasses.replace(ocfg, coarse_points_per_dim=points)
 
 
 def random_point(seed: int, n: int) -> tuple[tuple[float, ...], float]:
@@ -248,13 +231,10 @@ def _validate_seed(spec_data: dict, seed: int, cfg: RootConfig, ocfg: OracleConf
 
 def cmd_validate(args) -> int:
     spec_data = _resolve(args, "spec", "spec")
-    pair, _ = build_problem(spec_data)
-    if pair.n > 3:
-        raise InputError("validation supports base dimensions up to 3")
+    build_problem(spec_data)  # reject a bad spec before any seed or worker runs
     if args.seeds < 1:
         raise InputError(f"--seeds must be at least 1, got {args.seeds}")
-    cfg, ocfg, seen = parse_tol_overrides(args.tol)
-    ocfg = _default_validate_oracle(pair.n, seen, ocfg)
+    cfg, ocfg = parse_tol_overrides(args.tol)
     seeds = list(range(args.seeds))
     if args.workers > 1:
         # imported here: the pool costs every other command its start-up time
@@ -296,7 +276,7 @@ def cmd_demo_concomitant(args) -> int:
     spec = DemoSpec.from_dict(demo_data)
     if not isinstance(pair.base, HuberBase) or not isinstance(pair.scaling, SqrtScaling):
         raise InputError("the concomitant demo runs on the huber/sqrt pair")
-    cfg, _, _ = parse_tol_overrides(args.tol)
+    cfg, _ = parse_tol_overrides(args.tol)
     trace = run_concomitant_demo(pair, spec, cfg)
     lines = ["iter,objective,step_norm"]
     lines += [f"{it},{obj!r},{step!r}" for it, obj, step in trace.rows]

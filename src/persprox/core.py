@@ -117,9 +117,10 @@ class BaseFunction(Protocol):
     Only conjugate-side ingredients are required by the solver: phi itself
     and phi* evaluations, the prox of ``gamma * phi*``, the projection
     onto ``cl dom phi*``, the recession function, and the declared sign
-    class of phi*.  Catalog instances also expose ``prox_primal`` (the
-    prox of ``gamma * phi``), used by the decoupled case and by the
-    Moreau-identity cross-checks.
+    class of phi*.  A base whose conjugate is zero-or-infinity must also
+    provide ``prox_primal(gamma, x)`` (the prox of ``gamma * phi``): the
+    decoupled case calls it directly.  The other catalog bases expose it
+    too, for the Moreau-identity cross-checks.
     """
 
     sign_class: SignClass

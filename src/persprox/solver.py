@@ -275,13 +275,7 @@ def solve_eta_case_iii(
 
 
 def _prox_case_ii(base, scaling, gamma: float, x: Vec, y: float) -> tuple[Vec, float]:
-    prox_primal = getattr(base, "prox_primal", None)
-    if prox_primal is not None:
-        p = prox_primal(gamma, x)
-    else:
-        xg = scale(x, 1.0 / gamma)
-        p = _pull_back(x, gamma, xg, base.prox_conj(1.0 / gamma, xg))
-    return p, scaling.proj_cl_conv_S(y)
+    return base.prox_primal(gamma, x), scaling.proj_cl_conv_S(y)
 
 
 def case_ii_prox(pair: PerspectivePair, gamma: float, x, y) -> ProxResult:

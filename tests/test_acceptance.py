@@ -24,7 +24,6 @@ from persprox import (
     HuberScalar,
     IdentityScaling,
     IntervalIndicator,
-    OracleConfig,
     PerspectivePair,
     PowerBase,
     PowerScalar,
@@ -146,10 +145,8 @@ def oracle_runs():
             x = tuple(rng.uniform(-4, 4) for _ in range(n))
             y = rng.uniform(-4, 4)
             res = prox_perspective(pair, gamma, x, y)
-            coarse = {2: 61, 3: 21, 4: 11}[n + 1]
             op, oq = brute_force_prox(
-                lambda u, v: perspective_eval(pair, u, v), gamma, x, y,
-                OracleConfig(coarse_points_per_dim=coarse),
+                lambda u, v: perspective_eval(pair, u, v), gamma, x, y
             )
             dev = math.sqrt(
                 sum((a - b) ** 2 for a, b in zip(res.p, op)) + (res.q - oq) ** 2

@@ -290,6 +290,14 @@ def test_prox_env_zero_weight_is_domain_projection():
             assert q == scaling.proj_cl_S(y) == scaling.proj_cl_conv_S(y), (scaling, y)
 
 
+def test_interval_scalings_project_negative_zero_to_positive_zero():
+    # max(y, 0.0) keeps its first argument on a tie, which turned -0.0 into
+    # q = -0.0 on root-scaling pairs and 0.0 on identity pairs
+    for scaling in (RootScaling(0.5, 4.0), RootScaling(0.5), IdentityScaling(), IdentityScaling(2.0)):
+        values = (scaling.prox_env(0.0, -0.0), scaling.proj_cl_S(-0.0), scaling.proj_cl_conv_S(-0.0))
+        assert [repr(v) for v in values] == ["0.0"] * 3, scaling
+
+
 def _grid_sup_env_conj(scaling, t, lo, hi, n=40001):
     # linear grid plus a log-spaced refinement near 0, where the unbounded
     # root-scaling supremum can concentrate

@@ -12,10 +12,10 @@ POWER_SPEC = '{"base":{"name":"power","p":2},"scaling":{"name":"root","q":0.5,"i
 ABS_SPEC = '{"base":{"name":"abs"},"scaling":{"name":"root","q":0.5,"upper":1},"gamma":1,"dims":[2,1]}'
 
 
-def run_cli(*args, stdin=None):
+def run_cli(*args, stdin=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "persprox", *args],
-        capture_output=True, text=True, input=stdin,
+        capture_output=True, text=True, input=stdin, timeout=timeout,
     )
 
 
@@ -112,7 +112,7 @@ def test_non_finite_input_is_bad_input(spec, point):
 
 @pytest.mark.parametrize("key", [
     "eta_tol", "residual_tol", "max_iter", "classify_tol",
-    "radius_factor", "coarse_points_per_dim", "refine_tol", "max_refine_iters",
+    "radius_factor", "refine_tol", "max_refine_iters",
 ])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_tolerance_is_bad_input(capsys, key, value):
@@ -137,6 +137,38 @@ def test_validate_bad_settings_are_bad_input(capsys, argv, message):
     # die on an empty max()
     assert main(["validate", "--spec", HUBER_SPEC, "--seeds", "2", *argv]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_removed_oracle_grid_knob_is_unknown(capsys):
+    from persprox.cli import main
+
+    argv = ["prox", "--spec", HUBER_SPEC, "--point", '{"x":[3,0],"y":0}', "--tol", "coarse_points_per_dim=21"]
+    assert main(argv) == 2
+    assert "unknown tolerance 'coarse_points_per_dim'" in capsys.readouterr().err
+
+
+def test_validate_any_base_dimension():
+    # the oracle searches the plane of x's ray and the scale axis, so n = 5
+    # costs what n = 1 does
+    out = run_cli("validate", "--spec", POWER_SPEC.replace("[2,1]", "[5,1]"), "--seeds", "8")
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["max_deviation"] <= 5e-4
+
+
+def test_validate_refine_tol_below_float_spacing_terminates():
+    # the golden-section refinement used to loop forever once the probe
+    # rounded onto a bracket end
+    spec = HUBER_SPEC.replace("[2,1]", "[1,1]")
+    out = run_cli("validate", "--spec", spec, "--seeds", "1", "--tol", "refine_tol=1e-17", timeout=30)
+    assert out.returncode in (0, 4), out.stderr
+
+
+def test_validate_refinement_exhaustion_is_oracle_failure():
+    # an unconverged oracle point used to be reported as a solver deviation
+    # (exit 1, max_deviation 0.030)
+    out = run_cli("validate", "--spec", HUBER_SPEC, "--seeds", "20", "--tol", "max_refine_iters=1")
+    assert out.returncode == 4
+    assert "oracle failure" in out.stderr
 
 
 def test_prox_process_imports_no_numpy_or_process_pool():

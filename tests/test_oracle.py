@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,20 +21,22 @@ from persprox import (
 )
 from persprox.oracle import golden_min_anchored
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
 HUBER = PerspectivePair(HuberBase(1.0), SqrtScaling(1.0), n=2)
 ABS_ROOT = PerspectivePair(AbsBase(), RootScaling(0.5, 1.0), n=2)
 
-FAST = OracleConfig(coarse_points_per_dim=21)
-
 
 def test_quadratic_sanity():
-    # gamma = 1 with 0.5*||(u, v)||^2 halves the input
+    # gamma = 1 with 0.5*||(u, v)||^2 halves the input; x < 0 at n = 1 takes
+    # the signed ray, x = 0 at n = 3 the first unit vector
     def quad(u, v):
         return 0.5 * (sum(c * c for c in u) + v * v)
 
-    p, q = brute_force_prox(quad, 1.0, (2.0, -1.0), 3.0, FAST)
-    assert p == pytest.approx((1.0, -0.5), abs=1e-4)
-    assert q == pytest.approx(1.5, abs=1e-4)
+    for x, y in (((2.0, -1.0), 3.0), ((-3.0,), 1.0), ((0.0, 0.0, 0.0), -2.0)):
+        p, q = brute_force_prox(quad, 1.0, x, y)
+        assert p == pytest.approx(tuple(0.5 * c for c in x), abs=1e-4)
+        assert q == pytest.approx(0.5 * y, abs=1e-4)
 
 
 def test_point_indicator():
@@ -41,21 +46,21 @@ def test_point_indicator():
         inside = all(abs(c) <= 1e-12 for c in u) and abs(v) <= 1e-12
         return 0.0 if inside else math.inf
 
-    p, q = brute_force_prox(pin, 1.0, (0.0, 0.0), 0.0, FAST)
+    p, q = brute_force_prox(pin, 1.0, (0.0, 0.0), 0.0)
     assert p == (0.0, 0.0)
     assert q == 0.0
 
 
 def test_huber_pair_against_closed_form():
     p, q = brute_force_prox(
-        lambda u, v: perspective_eval(HUBER, u, v), 1.0, (3.0, 0.0), 0.0, FAST
+        lambda u, v: perspective_eval(HUBER, u, v), 1.0, (3.0, 0.0), 0.0
     )
     assert math.hypot(p[0] - 2.0, p[1], q) <= 5e-4
 
 
 def test_all_infeasible_grid_raises():
     with pytest.raises(OracleError):
-        brute_force_prox(lambda u, v: math.inf, 1.0, (0.0,), 0.0, FAST)
+        brute_force_prox(lambda u, v: math.inf, 1.0, (0.0,), 0.0)
 
 
 def test_off_center_minimizer_raises_boundary_error():
@@ -65,12 +70,12 @@ def test_off_center_minimizer_raises_boundary_error():
         return 100.0 * abs(u[0] - 100.0) + v * v
 
     with pytest.raises(OracleError):
-        brute_force_prox(far, 10.0, (0.0,), 0.0, FAST)
+        brute_force_prox(far, 10.0, (0.0,), 0.0)
 
 
 def test_self_consistency_under_tolerance_halving():
-    base_cfg = OracleConfig(coarse_points_per_dim=21, refine_tol=1e-6)
-    fine_cfg = OracleConfig(coarse_points_per_dim=21, refine_tol=5e-7)
+    base_cfg = OracleConfig(refine_tol=1e-6)
+    fine_cfg = OracleConfig(refine_tol=5e-7)
     obj = lambda u, v: perspective_eval(HUBER, u, v)
     p1, q1 = brute_force_prox(obj, 1.0, (1.3, -0.4), 0.6, base_cfg)
     p2, q2 = brute_force_prox(obj, 1.0, (1.3, -0.4), 0.6, fine_cfg)
@@ -102,11 +107,28 @@ def test_golden_min_anchored_handles_infinite_plateaus():
     assert fm <= f(0.9)
 
 
+def test_refinement_stops_at_float_resolution():
+    # at |x| >= 1e8 the default refine_tol is below the float spacing of the
+    # coordinates: the golden-section probe rounds onto a bracket end, which
+    # used to loop forever, so the run is a subprocess with a time limit
+    code = f"""
+import math, sys
+sys.path.insert(0, {SRC!r})
+from persprox import HuberBase, PerspectivePair, SqrtScaling, brute_force_prox, perspective_eval, prox_perspective
+pair = PerspectivePair(HuberBase(1.0), SqrtScaling(1.0), n=1)
+for k in range(8, 13):
+    x, y = (10.0 ** k,), 0.3 * 10.0 ** k
+    p, q = brute_force_prox(lambda u, v: perspective_eval(pair, u, v), 1.0, x, y)
+    res = prox_perspective(pair, 1.0, x, y)
+    assert math.hypot(p[0] - res.p[0], q - res.q) <= 1e-9 * math.hypot(x[0], y), k
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30)
+    assert out.returncode == 0, out.stderr
+
+
 def test_oracle_config_validation():
     with pytest.raises(ValueError):
         OracleConfig(radius_factor=0.0)
-    with pytest.raises(ValueError):
-        OracleConfig(coarse_points_per_dim=1)
     for key in ("radius_factor", "refine_tol"):
         for value in (math.nan, math.inf, 0.0):
             with pytest.raises(ValueError, match=key):
