@@ -20,42 +20,25 @@ from .core import (
     as_vec,
     dist,
     dot,
-    fenchel_young_gap,
     norm,
 )
-from .scaled import (
-    ConjugateProvider,
-    EnvelopeProvider,
-    PrimalProvider,
-    moreau_decompose,
-    prox_characterization_gap,
-    prox_value_curve,
-    scaled_prox,
-)
-from .radial import RadialFunction, radial_prox, radial_prox_value
+from .radial import RadialFunction, radial_prox
 from .catalog import (
     AbsBase,
-    AbsScalar,
     HuberBase,
-    HuberConjScalar,
-    HuberScalar,
     IdentityScaling,
-    IntervalIndicator,
     PowerBase,
     PowerScalar,
     RootScaling,
     SqrtScaling,
-    SupportInterval,
     make_base,
     make_scaling,
-    power_prox_conj,
     root_scaling_prox_neg,
     sqrt_scaling_prox,
 )
 from .perspective import (
     PairMismatch,
     PerspectivePair,
-    linear_perspective_eval,
     perspective_conj_eval,
     perspective_eval,
     preperspective_eval,
@@ -65,7 +48,6 @@ from .solver import (
     CaseLabel,
     ProxResult,
     RootConfig,
-    case_ii_prox,
     classify_case_i,
     classify_case_iii,
     prox_perspective,

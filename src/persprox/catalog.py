@@ -1,9 +1,9 @@
 """Concrete base and scaling functions with closed-form prox ingredients.
 
-Scalar building blocks come first (powers, absolute value, interval
-indicators and supports, the robust-loss pair), then the vector-level base
-functions built by radial lifting, then the scaling functions.  The scalar
-equation solvers at the bottom are the only iterative pieces.
+The scalar power function comes first (the profile the power base lifts
+radially for the prox of its conjugate), then the vector-level base
+functions, then the scaling functions.  The scalar equation solvers at the
+bottom are the only iterative pieces.
 """
 
 from __future__ import annotations
@@ -67,17 +67,13 @@ def _power_prox(r: float, w: float, t: float) -> float:
 
 @dataclass(frozen=True)
 class PowerScalar:
-    """t -> |t|**p / p for p > 1; self-dual family under p <-> p/(p-1)."""
+    """t -> |t|**p / p for p > 1; ``PowerBase`` lifts it at ``p*`` for the prox of its conjugate."""
 
     p: float
 
     def __post_init__(self):
         if not self.p > 1.0:
             raise ValueError(f"exponent must exceed 1, got {self.p}")
-
-    @property
-    def pstar(self) -> float:
-        return self.p / (self.p - 1.0)
 
     def eval(self, t: float) -> float:
         return abs(t) ** self.p / self.p
@@ -87,165 +83,6 @@ class PowerScalar:
 
     def proj_cl_dom(self, t: float) -> float:
         return float(t)
-
-    def conj_eval(self, t: float) -> float:
-        return abs(t) ** self.pstar / self.pstar
-
-    def support_cl_dom(self, t: float) -> float:
-        return 0.0 if t == 0.0 else INF
-
-    def conjugate(self) -> "PowerScalar":
-        return PowerScalar(self.pstar)
-
-
-@dataclass(frozen=True)
-class AbsScalar:
-    """t -> |t|; prox is the soft threshold."""
-
-    def eval(self, t: float) -> float:
-        return abs(t)
-
-    def prox(self, gamma: float, t: float) -> float:
-        return math.copysign(max(abs(t) - gamma, 0.0), t)
-
-    def proj_cl_dom(self, t: float) -> float:
-        return float(t)
-
-    def conj_eval(self, t: float) -> float:
-        return 0.0 if abs(t) <= 1.0 else INF
-
-    def support_cl_dom(self, t: float) -> float:
-        return 0.0 if t == 0.0 else INF
-
-    def conjugate(self) -> "IntervalIndicator":
-        return IntervalIndicator(-1.0, 1.0)
-
-
-@dataclass(frozen=True)
-class IntervalIndicator:
-    """Indicator of [lo, hi]; prox is the clamp, independent of the weight."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not self.lo <= self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
-
-    def eval(self, t: float) -> float:
-        return 0.0 if self.lo <= t <= self.hi else INF
-
-    def prox(self, gamma: float, t: float) -> float:
-        return min(max(float(t), self.lo), self.hi)
-
-    def proj_cl_dom(self, t: float) -> float:
-        return min(max(float(t), self.lo), self.hi)
-
-    def conj_eval(self, t: float) -> float:
-        return _interval_support(self.lo, self.hi, t)
-
-    def support_cl_dom(self, t: float) -> float:
-        return _interval_support(self.lo, self.hi, t)
-
-    def conjugate(self) -> "SupportInterval":
-        return SupportInterval(self.lo, self.hi)
-
-
-@dataclass(frozen=True)
-class SupportInterval:
-    """Support function of [lo, hi]; prox by Moreau against the clamp."""
-
-    lo: float
-    hi: float
-
-    def eval(self, t: float) -> float:
-        return _interval_support(self.lo, self.hi, t)
-
-    def prox(self, gamma: float, t: float) -> float:
-        return t - min(max(float(t), gamma * self.lo), gamma * self.hi)
-
-    def proj_cl_dom(self, t: float) -> float:
-        lo_dom = -INF if self.lo > -INF else 0.0
-        hi_dom = INF if self.hi < INF else 0.0
-        return min(max(float(t), lo_dom), hi_dom)
-
-    def conj_eval(self, t: float) -> float:
-        return 0.0 if self.lo <= t <= self.hi else INF
-
-    def conjugate(self) -> IntervalIndicator:
-        return IntervalIndicator(self.lo, self.hi)
-
-
-def _interval_support(lo: float, hi: float, t: float) -> float:
-    if t > 0.0:
-        return hi * t if hi < INF else INF
-    if t < 0.0:
-        return lo * t if lo > -INF else INF
-    return 0.0
-
-
-@dataclass(frozen=True)
-class HuberScalar:
-    """Quadratic-near-zero, linear-in-the-tails loss with slope ``alpha``.
-
-    The quadratic branch carries the ``+ alpha**2 / 2`` offset that makes
-    the conjugate vanish exactly on the boundary of its domain.
-    """
-
-    alpha: float
-
-    def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise ValueError(f"slope must be positive, got {self.alpha}")
-
-    def eval(self, t: float) -> float:
-        a = self.alpha
-        return a * abs(t) if abs(t) > a else 0.5 * (t * t + a * a)
-
-    def prox(self, gamma: float, t: float) -> float:
-        a = self.alpha
-        if abs(t) <= a * (1.0 + gamma):
-            return t / (1.0 + gamma)
-        return t - math.copysign(gamma * a, t)
-
-    def proj_cl_dom(self, t: float) -> float:
-        return float(t)
-
-    def conj_eval(self, t: float) -> float:
-        a = self.alpha
-        return 0.5 * (t * t - a * a) if abs(t) <= a else INF
-
-    def support_cl_dom(self, t: float) -> float:
-        return 0.0 if t == 0.0 else INF
-
-    def conjugate(self) -> "HuberConjScalar":
-        return HuberConjScalar(self.alpha)
-
-
-@dataclass(frozen=True)
-class HuberConjScalar:
-    """(t**2 - alpha**2)/2 on [-alpha, alpha], +inf outside."""
-
-    alpha: float
-
-    def eval(self, t: float) -> float:
-        a = self.alpha
-        return 0.5 * (t * t - a * a) if abs(t) <= a else INF
-
-    def prox(self, gamma: float, t: float) -> float:
-        return math.copysign(min(abs(t) / (1.0 + gamma), self.alpha), t)
-
-    def proj_cl_dom(self, t: float) -> float:
-        return math.copysign(min(abs(t), self.alpha), t)
-
-    def conj_eval(self, t: float) -> float:
-        return HuberScalar(self.alpha).eval(t)
-
-    def support_cl_dom(self, t: float) -> float:
-        return self.alpha * abs(t)
-
-    def conjugate(self) -> HuberScalar:
-        return HuberScalar(self.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +117,6 @@ class PowerBase:
         return self.p / (self.p - 1.0)
 
     @cached_property
-    def _primal(self) -> RadialFunction:
-        return RadialFunction(PowerScalar(self.p))
-
-    @cached_property
     def _conj(self) -> RadialFunction:
         return RadialFunction(PowerScalar(self.pstar))
 
@@ -302,9 +135,6 @@ class PowerBase:
     def rec_eval(self, x) -> float:
         # supercoercive: recession is 0 at the origin, +inf elsewhere
         return 0.0 if norm(x) == 0.0 else INF
-
-    def prox_primal(self, gamma: float, x) -> Vec:
-        return radial_prox(self._primal, gamma, x)
 
 
 @dataclass(frozen=True)
@@ -348,12 +178,12 @@ class HuberBase:
         if not self.alpha > 0.0:
             raise ValueError(f"slope must be positive, got {self.alpha}")
 
-    @cached_property
-    def _scalar(self) -> HuberScalar:
-        return HuberScalar(self.alpha)
-
     def eval(self, x) -> float:
-        return self._scalar.eval(norm(x))
+        # quadratic near 0 with the + alpha**2/2 offset that makes the
+        # conjugate vanish on the boundary of its domain, linear in the tails
+        r = norm(x)
+        a = self.alpha
+        return a * r if r > a else 0.5 * (r * r + a * a)
 
     def conj_eval(self, xstar) -> float:
         r = norm(xstar)
@@ -373,13 +203,6 @@ class HuberBase:
 
     def rec_eval(self, x) -> float:
         return self.alpha * norm(x)
-
-    def prox_primal(self, gamma: float, x) -> Vec:
-        x = as_vec(x)
-        r = norm(x)
-        if r == 0.0:
-            return x
-        return scale(x, self._scalar.prox(gamma, r) / r)
 
 
 # ---------------------------------------------------------------------------
@@ -541,25 +364,6 @@ class IdentityScaling:
 # scalar equation solvers
 
 
-def power_prox_conj(p: float, gamma: float, xi: float, xnorm: float) -> float:
-    """The unique ``rho >= 0`` with ``xnorm = rho*gamma + xi*rho**(p*-1)``.
-
-    Equivalently the prox of ``(xi/gamma) * |.|**{p*}/p*`` at ``xnorm/gamma``;
-    the left side is strictly increasing in ``rho``, so the solution is
-    pinned by monotone iteration to residual ``1e-12 * (1 + xnorm)``.
-    """
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    if xi < 0.0:
-        raise ValueError(f"conjugate weight must be nonnegative, got {xi}")
-    if xnorm < 0.0:
-        raise ValueError(f"norm must be nonnegative, got {xnorm}")
-    if not p > 1.0:
-        raise ValueError(f"exponent must exceed 1, got {p}")
-    pstar = p / (p - 1.0)
-    return _power_prox(pstar, xi / gamma, xnorm / gamma)
-
-
 def root_scaling_prox_neg(mu: float, gamma: float, q: float, y: float) -> float:
     """The unique ``z > 0`` with ``y = z - q*gamma*mu*z**(q-1)``.
 
@@ -570,7 +374,8 @@ def root_scaling_prox_neg(mu: float, gamma: float, q: float, y: float) -> float:
     dominant-balance end of a bracket of width ``log 2`` (``y >= 0``) or
     ``log 2 / (1-q)`` (``y < 0``), bisects when a step leaves the bracket,
     and stops once a step is within four rounding units of ``t`` and of
-    ``F``.  No power of ``z`` is taken, so nothing underflows; the result
+    ``F``, or at the end of smaller ``|F|`` once no double lies inside the
+    bracket (``F`` cancels to a few ulps of ``|y|``).  No power of ``z`` is taken, so nothing underflows; the result
     ``exp(t)`` is 0 only for a root below the smallest double.
     """
     if not 0.0 < q < 1.0:
@@ -604,6 +409,8 @@ def root_scaling_prox_neg(mu: float, gamma: float, q: float, y: float) -> float:
         t -= dt
         if not t_lo < t < t_hi:
             t = 0.5 * (t_lo + t_hi)
+            if t in (t_lo, t_hi):  # no double lies strictly inside the bracket
+                return math.exp(t_lo if -f_lo < f_hi else t_hi)
     raise RootFindError(
         "no convergence of Newton in log z", math.exp(t_lo), math.exp(t_hi), f_lo, f_hi,
     )

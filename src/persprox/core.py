@@ -96,7 +96,8 @@ class CaseKind(Enum):
 
 @runtime_checkable
 class ProxCapable(Protocol):
-    """A convex function together with its scaled prox family.
+    """A convex function together with its scaled prox family: the contract
+    of the scalar profile that ``radial.RadialFunction`` lifts.
 
     ``prox(gamma, x)`` is the proximal point of ``gamma * f`` at ``x`` for
     ``gamma > 0``; ``proj_cl_dom`` is the projection onto the closure of
@@ -119,8 +120,8 @@ class BaseFunction(Protocol):
     onto ``cl dom phi*``, the recession function, and the declared sign
     class of phi*.  A base whose conjugate is zero-or-infinity must also
     provide ``prox_primal(gamma, x)`` (the prox of ``gamma * phi``): the
-    decoupled case calls it directly.  The other catalog bases expose it
-    too, for the Moreau-identity cross-checks.
+    decoupled case calls it directly.  In the catalog only ``AbsBase``
+    provides it; the signed-class bases need no primal prox.
     """
 
     sign_class: SignClass
@@ -171,17 +172,3 @@ class ScalingFunction(Protocol):
 
     def support_cl_conv_S(self, ystar: float) -> float: ...
 
-
-def fenchel_young_gap(f, x, xstar) -> float:
-    """Return ``f(x) + f*(x*) - <x, x*>``.
-
-    Nonnegative for any proper ``f``; zero exactly when ``x*`` is a
-    subgradient of ``f`` at ``x``.  ``f`` must expose ``eval`` and
-    ``conj_eval``.
-    """
-    inner = dot(x, xstar)  # raises on dimension mismatch before any eval
-    val = f.eval(x)
-    conj = f.conj_eval(xstar)
-    if val == INF or conj == INF:
-        return INF
-    return val + conj - inner

@@ -122,18 +122,6 @@ def _perspective_value(pair: PerspectivePair, x: Vec, y: float) -> float:
     return INF
 
 
-def linear_perspective_eval(phi: BaseFunction, x, t: float) -> float:
-    """Classical perspective with linear scaling: ``t * phi(x/t)`` for
-    ``t > 0``, the recession of ``phi`` at ``t == 0``, +inf for ``t < 0``."""
-    x = as_vec(x)
-    t = float(t)
-    if t > 0.0:
-        return t * phi.eval(scale(x, 1.0 / t))
-    if t == 0.0:
-        return phi.rec_eval(x)
-    return INF
-
-
 def perspective_conj_eval(pair: PerspectivePair, xstar, ystar) -> float:
     """Conjugate of the perspective at ``(x*, y*)``.
 

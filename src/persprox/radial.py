@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import INF, ProxCapable, Vec, as_vec, norm, scale, zeros_like
-from .scaled import scaled_prox
 
 # below this, x is treated as the zero vector (subnormal guard, not a loose tol)
 _ZERO_NORM = 1e-300
@@ -36,33 +35,19 @@ class RadialFunction:
     def prox(self, gamma: float, x) -> Vec:
         return radial_prox(self, gamma, x)
 
-    def proj_cl_dom(self, x) -> Vec:
-        x = as_vec(x)
-        r = norm(x)
-        if r < _ZERO_NORM:
-            return zeros_like(x)
-        return scale(x, self.phi1d.proj_cl_dom(r) / r)
-
-    def conj_eval(self, t) -> float:
-        return self.phi1d.conj_eval(norm(t))
-
-    def conjugate(self) -> "RadialFunction":
-        return RadialFunction(self.phi1d.conjugate())
-
 
 def radial_prox(phi: RadialFunction, gamma: float, x) -> Vec:
-    """Prox of ``gamma (.) phi`` at ``x``, scaling ``x`` by the scalar prox at ``||x||``."""
+    """Prox of ``gamma (.) phi`` at ``x``, scaling ``x`` by the scalar one at ``||x||``.
+
+    ``gamma (.) phi`` is ``gamma * phi`` for ``gamma > 0`` and the indicator
+    of ``cl dom phi`` for ``gamma == 0``, whose prox is the projection onto
+    that closure; a negative weight raises ``ValueError``.
+    """
+    if gamma < 0.0:
+        raise ValueError(f"weight must be nonnegative, got {gamma}")
     x = as_vec(x)
     r = norm(x)
     if r < _ZERO_NORM:
         return zeros_like(x)
-    t = scaled_prox(phi.phi1d, gamma, r)
+    t = phi.phi1d.prox(gamma, r) if gamma != 0.0 else phi.phi1d.proj_cl_dom(r)
     return scale(x, t / r)
-
-
-def radial_prox_value(phi: RadialFunction, gamma: float, x) -> float:
-    """Value of ``phi`` at the radial prox, computed on the scalar side."""
-    r = norm(as_vec(x))
-    if r < _ZERO_NORM:
-        return phi.phi1d.eval(0.0)
-    return phi.phi1d.eval(scaled_prox(phi.phi1d, gamma, r))

@@ -210,16 +210,20 @@ def _solve_eta(
         raise RootFindError("could not bracket the multiplier", 0.0, hi, t0, fhi)
     # -T(0) can exceed the root by many orders of magnitude (about 1e67
     # against 1e-3 for power(1.05)/root(0.5)); Brent's secant points then sit
-    # on hi and it only bisects, so a wide bracket is halved in log space first
-    while hi > _WIDE_BRACKET:
-        mid = math.sqrt(hi)
-        fmid = T(mid)
-        bracket_evals += 1
-        if fmid < 0.0:
-            break
-        hi, fhi = mid, fmid
+    # on hi and it only bisects, so a wide bracket is bisected in log space
+    # first, with eta_tol standing in for a lower end of 0, until hi <= 2 lo
+    lo, flo = 0.0, t0
+    if hi > _WIDE_BRACKET:
+        while hi > 2.0 * max(lo, cfg.eta_tol):
+            mid = math.sqrt(max(lo, cfg.eta_tol) * hi)
+            fmid = T(mid)
+            bracket_evals += 1
+            if fmid < 0.0:
+                lo, flo = mid, fmid
+            else:
+                hi, fhi = mid, fmid
     res = solve_bracketed(
-        T, 0.0, hi, t0, fhi,
+        T, lo, hi, flo, fhi,
         xtol=cfg.eta_tol, ftol=cfg.residual_tol, max_iter=cfg.max_iter,
         trace=trace,
     )
@@ -258,9 +262,11 @@ def solve_eta_case_i(
 
     The default bracket is ``[0, max(1, -T(0)) + eta_tol]``, valid because
     the composed curve term of ``T`` is nondecreasing; a doubling fallback
-    guards round-off, and an upper end above 2**32 is square-rooted while
-    ``T`` stays nonnegative there.  Pass ``eta_hi`` to start from a
-    different bracket, and ``t0`` when ``T(0)`` is already known.
+    guards round-off, and a bracket whose upper end exceeds 2**32 is
+    bisected in log ``eta``, keeping a point where ``T < 0`` as its lower
+    end, until the ends are within a factor 2 (of ``eta_tol`` for a lower
+    end of 0).  Pass ``eta_hi`` to start from a different bracket, and
+    ``t0`` when ``T(0)`` is already known.
     """
     return _solve_eta(make_residual_case_i(pair, gamma, x, y), cfg, eta_hi, trace, t0)
 
@@ -272,21 +278,6 @@ def solve_eta_case_iii(
 ) -> tuple[float, int]:
     """Multiplier for the case-(iii) root region; see ``solve_eta_case_i``."""
     return _solve_eta(make_residual_case_iii(pair, gamma, x, y), cfg, eta_hi, trace, t0)
-
-
-def _prox_case_ii(base, scaling, gamma: float, x: Vec, y: float) -> tuple[Vec, float]:
-    return base.prox_primal(gamma, x), scaling.proj_cl_conv_S(y)
-
-
-def case_ii_prox(pair: PerspectivePair, gamma: float, x, y) -> ProxResult:
-    """Decoupled prox for zero-or-infinity conjugates: base prox in ``x``,
-    projection onto the closed scale hull in ``y``."""
-    x, y = pair.check_point(x, y)
-    if pair.base.sign_class is not SignClass.ZERO_INFTY_CONJUGATE:
-        raise ValueError("the decoupled prox needs a zero-or-infinity conjugate")
-    p, q = _prox_case_ii(pair.base, pair.scaling, gamma, x, y)
-    gap = prox_fenchel_gap(pair, gamma, x, y, p, q)
-    return ProxResult(p, q, 0.0, CaseLabel.CASE_II, 0, gap)
 
 
 def prox_perspective(
@@ -305,7 +296,8 @@ def prox_perspective(
     x, y = pair.check_point(x, y)
     sc = pair.base.sign_class
     if sc is SignClass.ZERO_INFTY_CONJUGATE:
-        p, q = _prox_case_ii(pair.base, pair.scaling, gamma, x, y)
+        # decoupled: the base prox in x, the projection onto cl conv S in y
+        p, q = pair.base.prox_primal(gamma, x), pair.scaling.proj_cl_conv_S(y)
         label, eta, iters = CaseLabel.CASE_II, 0.0, 0
     else:
         base_drives = sc is SignClass.NONNEGATIVE_CONJUGATE

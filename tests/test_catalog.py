@@ -10,18 +10,17 @@ from persprox import (
     AbsBase,
     CaseKind,
     HuberBase,
-    HuberConjScalar,
     IdentityScaling,
     PowerBase,
     RootScaling,
     SqrtScaling,
     make_base,
     make_scaling,
-    power_prox_conj,
     root_scaling_prox_neg,
     sqrt_scaling_prox,
 )
 from conftest import closed_form_huber_prox, golden_min, grid_prox_1d
+from reference import HuberConjScalar, power_prox_conj
 
 SCALINGS = [RootScaling(0.5, 1.0), RootScaling(0.5), RootScaling(0.3, 4.0),
             SqrtScaling(1.0), SqrtScaling(0.2), IdentityScaling(), IdentityScaling(2.0)]
@@ -86,6 +85,16 @@ def test_root_scaling_prox_one_sided_convergence():
     # Newton meets this root from one side, so one bracket end never moves
     z = root_scaling_prox_neg(8.68e-4, 1.0, 0.95, -3.54e-3)
     assert z == pytest.approx(2.2120827456377473e-13, rel=1e-14)
+
+
+def test_root_scaling_prox_stops_at_float_resolution():
+    # F = z - w - y cancels to a few ulps of |y| here, so the bracket closes
+    # on two adjacent doubles before a Newton step meets the stopping test
+    # (a power(1.05)/root(0.5) multiplier search at gamma 23.5, |y| 2e7)
+    mu, y = 39214999.71336612, -20398317.945543412
+    z = root_scaling_prox_neg(mu, 1.0, 0.5, y)
+    assert z == pytest.approx(0.92396535687465001, rel=1e-14)  # 50-digit root
+    assert abs(z - 0.5 * mu * z ** -0.5 - y) <= 1e-10 * (1.0 + abs(y) + z)
 
 
 @settings(max_examples=200, deadline=None)

@@ -8,18 +8,16 @@ from hypothesis import strategies as st
 from persprox import (
     INF,
     AbsBase,
-    AbsScalar,
     DimensionMismatch,
     HuberBase,
     PowerBase,
-    PowerScalar,
     SignClass,
     as_vec,
     dot,
-    fenchel_young_gap,
     norm,
 )
 from conftest import grid_conjugate_1d, rand_vec
+from reference import AbsScalar, PowerScalar, fenchel_young_gap
 
 BASES = [PowerBase(2.0), PowerBase(3.0), PowerBase(1.5), HuberBase(1.0), HuberBase(0.4), AbsBase()]
 

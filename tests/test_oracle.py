@@ -14,12 +14,12 @@ from persprox import (
     RootScaling,
     SqrtScaling,
     brute_force_prox,
-    case_ii_prox,
     perspective_eval,
     prox_fenchel_gap,
     prox_perspective,
 )
 from persprox.oracle import golden_min_anchored
+from reference import case_ii_prox
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 

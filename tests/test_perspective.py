@@ -14,13 +14,13 @@ from persprox import (
     PowerBase,
     RootScaling,
     SqrtScaling,
-    linear_perspective_eval,
     perspective_conj_eval,
     perspective_eval,
     preperspective_eval,
     prox_fenchel_gap,
 )
 from conftest import limit_quotient_recession, rand_vec
+from reference import linear_perspective_eval
 
 HUBER_PAIR = PerspectivePair(HuberBase(1.0), SqrtScaling(1.0), n=2)
 POWER_ROOT = PerspectivePair(PowerBase(2.0), RootScaling(0.5, 4.0), n=2)

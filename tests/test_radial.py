@@ -3,15 +3,9 @@ import random
 
 import pytest
 
-from persprox import (
-    AbsScalar,
-    HuberScalar,
-    PowerScalar,
-    RadialFunction,
-    radial_prox,
-    radial_prox_value,
-)
+from persprox import PowerScalar, RadialFunction, radial_prox
 from conftest import rand_vec
+from reference import AbsScalar, HuberScalar, radial_prox_value
 
 
 def test_radial_abs_soft_threshold():
@@ -32,6 +26,29 @@ def test_radial_quadratic_shrink():
     assert radial_prox(phi, 1.0, (2.0, 0.0)) == pytest.approx((1.0, 0.0), abs=1e-12)
     # weight 3 at ||x|| = 8: prox 8/4 = 2, value 0.5 * 4 = 2
     assert radial_prox_value(phi, 3.0, (8.0, 0.0)) == pytest.approx(2.0, abs=1e-12)
+
+
+def test_radial_prox_weight_zero_projects_and_negative_weight_raises():
+    class UnitIntervalQuadratic:
+        # t**2 on [-1, 1], with a prox defined for positive weights only
+        def eval(self, t):
+            return t * t if abs(t) <= 1.0 else math.inf
+
+        def prox(self, gamma, t):
+            if not gamma > 0.0:
+                raise AssertionError("weight 0 must take the projection")
+            return min(max(t / (1.0 + 2.0 * gamma), -1.0), 1.0)
+
+        def proj_cl_dom(self, t):
+            return min(max(t, -1.0), 1.0)
+
+    phi = RadialFunction(UnitIntervalQuadratic())
+    assert radial_prox(phi, 0.0, (3.0, 4.0)) == pytest.approx((0.6, 0.8), abs=1e-15)
+    assert radial_prox(phi, 0.0, (0.3, 0.4)) == pytest.approx((0.3, 0.4), abs=1e-15)
+    assert radial_prox(phi, 1.0, (3.0, 4.0)) == pytest.approx((0.6, 0.8), abs=1e-15)
+    for x in ((3.0, 4.0), (0.0, 0.0)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            radial_prox(phi, -0.5, x)
 
 
 def test_direction_preserved(rng):

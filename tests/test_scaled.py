@@ -1,3 +1,6 @@
+"""The reference scaled prox family, its Moreau split and certificates, on
+the reference scalars and the package's bases and scaling envelopes."""
+
 import math
 import random
 
@@ -5,26 +8,29 @@ import pytest
 
 from persprox import (
     INF,
+    HuberBase,
+    IdentityScaling,
+    PowerBase,
+    RootScaling,
+    SqrtScaling,
+)
+from conftest import grid_prox_1d, rand_vec
+from reference import (
     AbsScalar,
     ConjugateProvider,
     EnvelopeProvider,
-    HuberBase,
     HuberConjScalar,
     HuberScalar,
-    IdentityScaling,
     IntervalIndicator,
-    PowerBase,
     PowerScalar,
     PrimalProvider,
-    RootScaling,
-    SqrtScaling,
     SupportInterval,
     moreau_decompose,
     prox_characterization_gap,
+    prox_primal,
     prox_value_curve,
     scaled_prox,
 )
-from conftest import grid_prox_1d, rand_vec
 
 SCALARS = [
     PowerScalar(2.0),
@@ -210,7 +216,7 @@ def test_vector_moreau_for_power_and_huber(rng):
         for _ in range(100):
             gamma = 10.0 ** rng.uniform(-2, 2)
             x = rand_vec(rng, 2, -6.0, 6.0)
-            p = base.prox_primal(gamma, x)
+            p = prox_primal(base, gamma, x)
             d = base.prox_conj(1.0 / gamma, tuple(c / gamma for c in x))
             err = math.sqrt(sum((xi - (pi + gamma * di)) ** 2 for xi, pi, di in zip(x, p, d)))
             assert err <= 1e-10 * (1.0 + math.hypot(*x))
