@@ -8,6 +8,8 @@ monotone scalar root-find on the fourth), and ships a brute-force oracle
 and a forward-backward demo solver for validation.
 """
 
+from importlib import import_module as _import_module
+
 from .core import (
     INF,
     BaseFunction,
@@ -54,8 +56,28 @@ from .solver import (
     solve_eta_case_i,
     solve_eta_case_iii,
 )
-from .oracle import OracleConfig, OracleError, brute_force_prox
 from .roots import RootFindError, real_quartic_roots
-from .splitting import DemoSpec, DemoTrace, StepSizeError, run_concomitant_demo
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the oracle and the demo load on first use: a prox call needs neither
+_LAZY = {
+    "OracleConfig": "oracle",
+    "OracleError": "oracle",
+    "brute_force_prox": "oracle",
+    "DemoSpec": "splitting",
+    "DemoTrace": "splitting",
+    "StepSizeError": "splitting",
+    "run_concomitant_demo": "splitting",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+__all__ = sorted({name for name in dir() if not name.startswith("_")}
+                 | set(_LAZY) | {"oracle", "splitting"})

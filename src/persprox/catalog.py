@@ -112,7 +112,7 @@ class PowerBase:
         if not self.p > 1.0:
             raise ValueError(f"exponent must exceed 1, got {self.p}")
 
-    @property
+    @cached_property
     def pstar(self) -> float:
         return self.p / (self.p - 1.0)
 

@@ -6,6 +6,9 @@ from a file, or a single document on standard input with keys ``spec``,
 ``point``, ``demo``.  Infinite values serialize as the strings "+inf" /
 "-inf".  Exit codes: 0 ok, 1 validation failure, 2 bad input, 3 solver
 failure, 4 oracle failure.
+
+The oracle and the splitting demo load inside the commands that use them,
+so ``eval``, ``prox`` and ``trace-root`` never import them.
 """
 
 from __future__ import annotations
@@ -15,10 +18,10 @@ import json
 import math
 import random
 import sys
+from typing import TYPE_CHECKING
 
 from .catalog import HuberBase, SqrtScaling, make_base, make_scaling
 from .core import INF, SignClass
-from .oracle import OracleConfig, OracleError, brute_force_prox
 from .perspective import (
     PairMismatch,
     PerspectivePair,
@@ -36,7 +39,9 @@ from .solver import (
     solve_eta_case_i,
     solve_eta_case_iii,
 )
-from .splitting import DemoSpec, StepSizeError, run_concomitant_demo
+
+if TYPE_CHECKING:
+    from .oracle import OracleConfig
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -109,7 +114,10 @@ def parse_point(data: dict) -> tuple[tuple[float, ...], float]:
     return x, float(y)
 
 
-def parse_tol_overrides(items) -> tuple[RootConfig, OracleConfig]:
+def parse_tol_overrides(items) -> tuple[RootConfig, OracleConfig | None]:
+    """Solver and oracle settings from ``KEY=VALUE`` items; the oracle's are
+    None when no item names one, so only ``validate`` loads the oracle for
+    its defaults."""
     root_kwargs, oracle_kwargs = {}, {}
     for item in items or ():
         key, _, raw = item.partition("=")
@@ -120,7 +128,12 @@ def parse_tol_overrides(items) -> tuple[RootConfig, OracleConfig]:
             oracle_kwargs[key] = _ORACLE_KEYS[key](raw)
         else:
             raise InputError(f"unknown tolerance {key!r}")
-    return RootConfig(**root_kwargs), OracleConfig(**oracle_kwargs)
+    cfg = RootConfig(**root_kwargs)
+    if not oracle_kwargs:
+        return cfg, None
+    from .oracle import OracleConfig
+
+    return cfg, OracleConfig(**oracle_kwargs)
 
 
 def _stdin_document(args) -> dict:
@@ -217,6 +230,8 @@ def random_point(seed: int, n: int) -> tuple[tuple[float, ...], float]:
 
 
 def _validate_seed(spec_data: dict, seed: int, cfg: RootConfig, ocfg: OracleConfig):
+    from .oracle import brute_force_prox
+
     pair, gamma = build_problem(spec_data)
     x, y = random_point(seed, pair.n)
     res = prox_perspective(pair, gamma, x, y, cfg)
@@ -230,25 +245,33 @@ def _validate_seed(spec_data: dict, seed: int, cfg: RootConfig, ocfg: OracleConf
 
 
 def cmd_validate(args) -> int:
+    from .oracle import OracleConfig, OracleError
+
     spec_data = _resolve(args, "spec", "spec")
     build_problem(spec_data)  # reject a bad spec before any seed or worker runs
     if args.seeds < 1:
         raise InputError(f"--seeds must be at least 1, got {args.seeds}")
     cfg, ocfg = parse_tol_overrides(args.tol)
+    if ocfg is None:
+        ocfg = OracleConfig()
     seeds = list(range(args.seeds))
-    if args.workers > 1:
-        # imported here: the pool costs every other command its start-up time
-        from concurrent.futures import ProcessPoolExecutor
+    try:
+        if args.workers > 1:
+            # imported here: the pool costs every other command its start-up time
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(
-                pool.map(
-                    _validate_seed_star,
-                    [(spec_data, s, cfg, ocfg) for s in seeds],
+            with ProcessPoolExecutor(max_workers=args.workers) as pool:
+                results = list(
+                    pool.map(
+                        _validate_seed_star,
+                        [(spec_data, s, cfg, ocfg) for s in seeds],
+                    )
                 )
-            )
-    else:
-        results = [_validate_seed(spec_data, s, cfg, ocfg) for s in seeds]
+        else:
+            results = [_validate_seed(spec_data, s, cfg, ocfg) for s in seeds]
+    except OracleError as exc:
+        print(f"oracle failure: {exc}", file=sys.stderr)
+        return EXIT_ORACLE
     results.sort(key=lambda row: row[0])
     devs = [row[1] for row in results]
     gaps = [row[2] for row in results]
@@ -269,6 +292,8 @@ def _validate_seed_star(packed):
 
 
 def cmd_demo_concomitant(args) -> int:
+    from .splitting import DemoSpec, run_concomitant_demo
+
     pair, _ = build_problem(_resolve(args, "spec", "spec"))
     demo_data = _load_json_arg(args.demo)
     if demo_data is None:
@@ -331,15 +356,13 @@ def main(argv=None) -> int:
     args._stdin_doc = None
     try:
         return _HANDLERS[args.command](args)
-    except (InputError, PairMismatch, StepSizeError, json.JSONDecodeError, ValueError) as exc:
+    # a StepSizeError of the demo is a ValueError
+    except (InputError, PairMismatch, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except (RootFindError, ArithmeticError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except OracleError as exc:
-        print(f"oracle failure: {exc}", file=sys.stderr)
-        return EXIT_ORACLE
 
 
 def entry() -> None:

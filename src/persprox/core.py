@@ -4,11 +4,21 @@ Points of the base and scaling spaces are tuples of finite floats; a bare
 float stands for a point of a one-dimensional space.  Extended-real values
 use ``math.inf`` directly.  Proper convex functions never return ``-inf``;
 raw scaling evaluations may.
+
+The helpers below sit on the prox hot path, where every vector is already
+a checked tuple, so each tests ``type(x) is tuple`` before anything else.
+``as_vec`` returns a non-empty tuple of finite entries of type exactly
+``float`` unchanged; any other input (a list, ints, bools, float
+subclasses, a non-finite entry, the empty tuple, a scalar) takes the
+general path, with the same conversion or the same ``ValueError``.  Both
+paths give the same value, sign of zero included, so a fast path changes
+no float operation.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from enum import Enum
 from typing import Protocol, Sequence, runtime_checkable
 
@@ -23,6 +33,12 @@ class DimensionMismatch(ValueError):
 
 def as_vec(x: float | Sequence[float]) -> Vec:
     """Coerce ``x`` to a tuple of finite floats (a scalar becomes length 1)."""
+    if type(x) is tuple and x:
+        for c in x:
+            if type(c) is not float or not math.isfinite(c):
+                break
+        else:
+            return x
     if isinstance(x, (int, float)):
         entries = (float(x),)
     else:
@@ -36,31 +52,31 @@ def as_vec(x: float | Sequence[float]) -> Vec:
 
 
 def norm(x: float | Sequence[float]) -> float:
-    if isinstance(x, (int, float)):
+    if type(x) is not tuple and isinstance(x, (int, float)):
         return abs(float(x))
     return math.hypot(*x)
 
 
 def dot(x, y) -> float:
-    xs = isinstance(x, (int, float))
-    ys = isinstance(y, (int, float))
+    xs = type(x) is not tuple and isinstance(x, (int, float))
+    ys = type(y) is not tuple and isinstance(y, (int, float))
     if xs and ys:
         return float(x) * float(y)
     if xs or ys or len(x) != len(y):
         raise DimensionMismatch(f"incompatible operands: {x!r} vs {y!r}")
-    return sum([a * b for a, b in zip(x, y)])
+    return sum(map(operator.mul, x, y))
 
 
 def sub(x, y):
-    if isinstance(x, (int, float)):
+    if type(x) is not tuple and isinstance(x, (int, float)):
         return float(x) - float(y)
     if len(x) != len(y):
         raise DimensionMismatch(f"incompatible operands: {x!r} vs {y!r}")
-    return tuple([a - b for a, b in zip(x, y)])
+    return tuple(map(operator.sub, x, y))
 
 
 def scale(x, a: float):
-    if isinstance(x, (int, float)):
+    if type(x) is not tuple and isinstance(x, (int, float)):
         return float(x) * a
     return tuple([c * a for c in x])
 

@@ -71,7 +71,7 @@ class PerspectivePair:
         x = as_vec(x)
         if len(x) != self.n:
             raise DimensionMismatch(f"expected a base point of dimension {self.n}, got {len(x)}")
-        if not isinstance(y, (int, float)):
+        if type(y) is not float and not isinstance(y, (int, float)):
             y = as_vec(y)
             if len(y) != 1:
                 raise DimensionMismatch("the scale space is one-dimensional")
@@ -174,7 +174,8 @@ def prox_fenchel_gap(
     xstar = scale(sub(x, p), 1.0 / gamma)
     ystar = (y - q) / gamma
     proj = pair.base.proj_dom_conj(xstar)
-    if dist(proj, xstar) <= _CLAMP_TOL * (1.0 + norm(xstar)):
+    # the projection returns xstar itself when it is already in the domain
+    if proj is not xstar and dist(proj, xstar) <= _CLAMP_TOL * (1.0 + norm(xstar)):
         xstar = proj
     val = _perspective_value(pair, p, q)
     conj = _conj_value(pair, xstar, ystar, clamp=True)

@@ -6,7 +6,9 @@ scalar functions and primal proxes that only the tests use.
 of ``gamma * f`` and the projection onto ``cl dom f``; the zero branch is
 taken only for an exact ``0.0`` weight.  The Moreau identity (criterion 5),
 the monotone value curves (criterion 6) and the unit tests check the
-package's prox ingredients against what is built here from them.
+package's prox ingredients against what is built here from them.  The
+``general_*`` helpers at the end are the vector helpers of ``persprox.core``
+with only their general path, the reference for the tuple fast paths.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from persprox import (
     INF,
     CaseKind,
     CaseLabel,
+    DimensionMismatch,
     HuberBase,
     PowerBase,
     ProxResult,
@@ -447,3 +450,65 @@ class PrimalProvider:
 
     def conjugate(self):
         return ConjugateProvider(self.base)
+
+
+# ---------------------------------------------------------------------------
+# the vector helpers of persprox.core without their tuple fast paths
+
+
+def general_as_vec(x):
+    if isinstance(x, (int, float)):
+        entries = (float(x),)
+    else:
+        entries = tuple([float(c) for c in x])
+    if not entries:
+        raise ValueError("a vector needs at least one entry")
+    for c in entries:
+        if not math.isfinite(c):
+            raise ValueError(f"vector entries must be finite, got {c!r}")
+    return entries
+
+
+def general_norm(x) -> float:
+    if isinstance(x, (int, float)):
+        return abs(float(x))
+    return math.hypot(*x)
+
+
+def general_dot(x, y) -> float:
+    xs = isinstance(x, (int, float))
+    ys = isinstance(y, (int, float))
+    if xs and ys:
+        return float(x) * float(y)
+    if xs or ys or len(x) != len(y):
+        raise DimensionMismatch(f"incompatible operands: {x!r} vs {y!r}")
+    return sum([a * b for a, b in zip(x, y)])
+
+
+def general_sub(x, y):
+    if isinstance(x, (int, float)):
+        return float(x) - float(y)
+    if len(x) != len(y):
+        raise DimensionMismatch(f"incompatible operands: {x!r} vs {y!r}")
+    return tuple([a - b for a, b in zip(x, y)])
+
+
+def general_scale(x, a: float):
+    if isinstance(x, (int, float)):
+        return float(x) * a
+    return tuple([c * a for c in x])
+
+
+def general_check_point(n: int, x, y):
+    """``PerspectivePair.check_point`` for base dimension ``n``, on the general path."""
+    x = general_as_vec(x)
+    if len(x) != n:
+        raise DimensionMismatch(f"expected a base point of dimension {n}, got {len(x)}")
+    if not isinstance(y, (int, float)):
+        y = general_as_vec(y)
+        if len(y) != 1:
+            raise DimensionMismatch("the scale space is one-dimensional")
+        y = y[0]
+    if not math.isfinite(y):
+        raise ValueError(f"the scale component must be finite, got {y!r}")
+    return x, float(y)

@@ -6,7 +6,12 @@ only tests use lives next to the tests (``tests/reference.py``).
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "persprox"
 
@@ -112,3 +117,27 @@ def test_every_definition_in_src_has_a_caller():
 def test_allowlist_entries_are_still_needed():
     assert set(ALLOWED) <= unreferenced()
     assert set(ALLOWED.values()) <= {ENTRY, TRACED}
+
+
+def test_oracle_and_demo_names_load_on_first_use():
+    code = (
+        "import sys, persprox; "
+        "lazy = ('persprox.oracle', 'persprox.splitting'); "
+        "before = [m for m in lazy if m in sys.modules]; "
+        "from persprox import OracleConfig, run_concomitant_demo; "
+        "from persprox.oracle import OracleConfig as oracle_config; "
+        "assert OracleConfig is oracle_config and persprox.DemoSpec is persprox.splitting.DemoSpec; "
+        "assert {'OracleError', 'brute_force_prox', 'StepSizeError', 'DemoTrace'} <= set(persprox.__all__); "
+        "print(before, [m for m in lazy if m in sys.modules])"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[] ['persprox.oracle', 'persprox.splitting']"
+
+
+def test_unknown_package_attribute_raises_attribute_error():
+    import persprox
+
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        persprox.no_such_name

@@ -184,6 +184,24 @@ def test_prox_process_imports_no_numpy_or_process_pool():
     assert out.stderr.strip() == "[]"
 
 
+@pytest.mark.parametrize("command", [
+    ["prox", "--spec", HUBER_SPEC, "--point", '{"x":[1,0],"y":0}'],
+    ["prox", "--spec", HUBER_SPEC, "--point", '{"x":[1,0],"y":0}', "--tol", "eta_tol=1e-13"],
+    ["eval", "--spec", HUBER_SPEC, "--point", '{"x":[1,0],"y":0}'],
+    ["trace-root", "--spec", HUBER_SPEC, "--point", '{"x":[1,0],"y":0}'],
+], ids=["prox", "prox-tol", "eval", "trace-root"])
+def test_point_commands_load_neither_oracle_nor_demo(command):
+    code = (
+        f"import sys; sys.path.insert(0, {SRC!r}); from persprox.cli import main; "
+        f"rc = main({command!r}); "
+        "lazy = ('persprox.oracle', 'persprox.splitting'); "
+        "print([m for m in lazy if m in sys.modules], file=sys.stderr); sys.exit(rc)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr.strip() == "[]"
+
+
 def test_trace_root_csv():
     out = run_cli("trace-root", "--spec", HUBER_SPEC, "--point", '{"x":[1,0],"y":0.2}')
     assert out.returncode == 0

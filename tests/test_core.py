@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,14 +11,27 @@ from persprox import (
     AbsBase,
     DimensionMismatch,
     HuberBase,
+    PerspectivePair,
     PowerBase,
+    RootScaling,
     SignClass,
     as_vec,
     dot,
     norm,
 )
+from persprox.core import scale, sub
 from conftest import grid_conjugate_1d, rand_vec
-from reference import AbsScalar, PowerScalar, fenchel_young_gap
+from reference import (
+    AbsScalar,
+    PowerScalar,
+    fenchel_young_gap,
+    general_as_vec,
+    general_check_point,
+    general_dot,
+    general_norm,
+    general_scale,
+    general_sub,
+)
 
 BASES = [PowerBase(2.0), PowerBase(3.0), PowerBase(1.5), HuberBase(1.0), HuberBase(0.4), AbsBase()]
 
@@ -121,3 +135,82 @@ def test_midpoint_convexity_of_catalog_bases(rng):
             v = rand_vec(rng, 2)
             mid = tuple(0.5 * (a + b) for a, b in zip(u, v))
             assert base.eval(mid) <= 0.5 * base.eval(u) + 0.5 * base.eval(v) + 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the tuple fast paths of the vector helpers agree with their general path
+
+EDGE_FLOATS = (
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, math.nan, math.inf, -math.inf,
+)
+FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(EDGE_FLOATS)
+ENTRIES = st.one_of(
+    FLOATS,
+    st.integers(-(2 ** 1100), 2 ** 1100),  # ints beyond the float range too
+    st.booleans(),
+    FLOATS.map(np.float64),
+)
+VECTORS = st.one_of(
+    st.lists(ENTRIES, max_size=4).map(tuple),
+    st.lists(FLOATS, max_size=4).map(tuple),  # mostly the fast path's own input
+    st.lists(ENTRIES, max_size=4),
+    ENTRIES,
+)
+FAST_PATH_SETTINGS = settings(max_examples=400, derandomize=True, deadline=None)
+
+
+def _outcome(fn, *args):
+    """The repr of the value (which tells -0.0 from 0.0, and np.float64 from
+    float), or the exception type and message."""
+    try:
+        with np.errstate(all="ignore"):
+            return repr(fn(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@FAST_PATH_SETTINGS
+@given(x=VECTORS, y=VECTORS, a=FLOATS)
+def test_vector_helpers_fast_paths_match_the_general_path(x, y, a):
+    assert _outcome(as_vec, x) == _outcome(general_as_vec, x)
+    assert _outcome(norm, x) == _outcome(general_norm, x)
+    assert _outcome(scale, x, a) == _outcome(general_scale, x, a)
+    assert _outcome(sub, x, y) == _outcome(general_sub, x, y)
+    assert _outcome(dot, x, y) == _outcome(general_dot, x, y)
+
+
+@FAST_PATH_SETTINGS
+@given(n=st.integers(1, 3), x=VECTORS,
+       y=st.one_of(ENTRIES, st.lists(ENTRIES, max_size=2), st.lists(ENTRIES, max_size=2).map(tuple)))
+def test_check_point_fast_path_matches_the_general_path(n, x, y):
+    pair = PerspectivePair(PowerBase(2.0), RootScaling(0.5), n)
+    assert _outcome(pair.check_point, x, y) == _outcome(general_check_point, n, x, y)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_non_finite_entry_at_every_position_is_rejected(bad, n):
+    pair = PerspectivePair(PowerBase(2.0), RootScaling(0.5), n)
+    for k in range(n):
+        entries = [1.0] * n
+        entries[k] = bad
+        for x in (tuple(entries), entries):
+            message = f"vector entries must be finite, got {bad!r}"
+            for check in (as_vec, lambda v: pair.check_point(v, 0.0)):
+                with pytest.raises(ValueError) as exc:
+                    check(x)
+                assert str(exc.value) == message
+            with pytest.raises(ValueError) as exc:
+                pair.check_point((1.0,) * n, bad)
+            assert str(exc.value) == f"the scale component must be finite, got {bad!r}"
+
+
+def test_as_vec_returns_a_checked_tuple_itself():
+    x = (1.5, -0.0, 5e-324)
+    assert as_vec(x) is x
+    converted = as_vec((np.float64(1.5), True, 2))
+    assert converted == (1.5, 1.0, 2.0)
+    assert all(type(c) is float for c in converted)
+    with pytest.raises(ValueError, match="at least one entry"):
+        as_vec(())

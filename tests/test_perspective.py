@@ -18,7 +18,9 @@ from persprox import (
     perspective_eval,
     preperspective_eval,
     prox_fenchel_gap,
+    prox_perspective,
 )
+from persprox.core import scale, sub
 from conftest import limit_quotient_recession, rand_vec
 from reference import linear_perspective_eval
 
@@ -168,3 +170,47 @@ def test_fenchel_gap_detects_wrong_point():
     assert 0.0 <= gap_exact <= 1e-10
     gap_off = prox_fenchel_gap(HUBER_PAIR, 1.0, (3.0, 0.0), 0.0, (2.1, 0.0), 0.0)
     assert gap_off > 1e-3
+
+
+@pytest.mark.parametrize("ulps", [1, 4])
+def test_gap_clamps_a_dual_point_a_few_ulps_outside_the_ball(ulps):
+    # p = 2 - k ulps puts x* = x - p at 1 + k ulps, just outside the unit
+    # ball where phi* is +inf; the clamp pulls it back onto the boundary
+    p0 = 2.0 - ulps * 2.0 ** -52
+    assert HUBER_PAIR.base.conj_eval((3.0 - p0, 0.0)) == INF
+    gap = prox_fenchel_gap(HUBER_PAIR, 1.0, (3.0, 0.0), 0.0, (p0, 0.0), 0.0)
+    assert math.isfinite(gap) and abs(gap) <= 1e-12
+
+
+def test_gap_does_not_clamp_a_dual_point_far_outside_the_ball():
+    assert prox_fenchel_gap(HUBER_PAIR, 1.0, (3.0, 0.0), 0.0, (2.0 - 1e-3, 0.0), 0.0) == INF
+
+
+def test_gap_is_unchanged_when_the_projection_returns_its_argument(monkeypatch):
+    # the certificate skips the clamp's distance test when proj_dom_conj
+    # hands x* back itself; a projection that returns an equal copy takes
+    # the test and must give the same gaps
+    rng = random.Random(11)
+    cases = []
+    for pair in ALL_PAIRS:
+        for _ in range(200):
+            x, y = rand_vec(rng, 2), rng.uniform(-4.0, 4.0)
+            res = prox_perspective(pair, 1.0, x, y)
+            # the prox, and a point off it whose x* may leave the domain
+            for p in (res.p, scale(res.p, 1.0 + rng.uniform(-1e-3, 1e-3))):
+                cases.append((pair, x, y, p, res.q))
+
+    def gaps():
+        return [repr(prox_fenchel_gap(pair, 1.0, x, y, p, q)) for pair, x, y, p, q in cases]
+
+    itself = 0
+    for pair, x, _, p, _ in cases:
+        xs = sub(x, p)
+        itself += pair.base.proj_dom_conj(xs) is xs
+    assert 0 < itself < len(cases)
+    expected = gaps()
+    for cls in (HuberBase, PowerBase, AbsBase):
+        project = cls.proj_dom_conj
+        monkeypatch.setattr(cls, "proj_dom_conj",
+                            lambda self, xs, project=project: tuple(list(project(self, xs))))
+    assert gaps() == expected

@@ -363,3 +363,18 @@ def test_root_region_reaches_the_public_multiplier_names(monkeypatch, pair, x, y
     case = {CaseLabel.OMEGA4: "i", CaseLabel.XI4: "iii"}.get(label)
     expected = [] if case is None else ["solve_eta_case_" + case, "make_residual_case_" + case]
     assert calls == expected
+
+
+@pytest.mark.parametrize("pair", [
+    PerspectivePair(PowerBase(3.0), RootScaling(0.5), n=2),
+    PerspectivePair(HuberBase(1.0), SqrtScaling(1.0), n=2),
+], ids=["power-root", "huber-sqrt"])
+@pytest.mark.parametrize("gamma, x", [
+    (1e-10, (1e300, 1.0)),
+    (1e-200, (1e200, 0.0)),
+])
+def test_overflowing_scaled_input_is_rejected(pair, gamma, x):
+    # x/gamma overflows to inf; the contract methods' own vector check turns
+    # it into ValueError before any arithmetic runs on it
+    with pytest.raises(ValueError, match="finite"):
+        prox_perspective(pair, gamma, x, 1.0)
