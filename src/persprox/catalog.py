@@ -32,6 +32,10 @@ def _solve_power(r: float, w: float, a: float) -> float:
     log_cap = (math.log(a) - math.log(w)) / (r - 1.0)
     if log_cap < 700.0:
         hi = min(hi, math.exp(log_cap))
+    if 0.5 * hi == 0.0:
+        # the root is within the smallest subnormal of 0, its nearest double
+        # (a start at rho = 0 would take 0.0 ** (r - 2) with r < 2 below)
+        return 0.0
     rho = min(a / (1.0 + w), hi)  # exact for r == 2
     if rho <= 0.0 or rho >= hi:
         rho = 0.5 * hi
@@ -72,8 +76,8 @@ class PowerScalar:
     p: float
 
     def __post_init__(self):
-        if not self.p > 1.0:
-            raise ValueError(f"exponent must exceed 1, got {self.p}")
+        if not 1.0 < self.p < INF:
+            raise ValueError(f"exponent must be finite and exceed 1, got {self.p}")
 
     def eval(self, t: float) -> float:
         return abs(t) ** self.p / self.p
@@ -109,8 +113,8 @@ class PowerBase:
     sign_class = SignClass.NONNEGATIVE_CONJUGATE
 
     def __post_init__(self):
-        if not self.p > 1.0:
-            raise ValueError(f"exponent must exceed 1, got {self.p}")
+        if not 1.0 < self.p < INF:
+            raise ValueError(f"exponent must be finite and exceed 1, got {self.p}")
 
     @cached_property
     def pstar(self) -> float:
@@ -175,8 +179,8 @@ class HuberBase:
     sign_class = SignClass.NONPOSITIVE_CONJUGATE
 
     def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise ValueError(f"slope must be positive, got {self.alpha}")
+        if not 0.0 < self.alpha < INF:
+            raise ValueError(f"slope must be positive and finite, got {self.alpha}")
 
     def eval(self, x) -> float:
         # quadratic near 0 with the + alpha**2/2 offset that makes the
@@ -247,15 +251,10 @@ class RootScaling:
         if weight < 0.0:
             raise ValueError(f"weight must be nonnegative, got {weight}")
         if weight == 0.0:
-            return self.proj_cl_S(y)
+            # max keeps its first argument on a tie, so -0.0 projects to 0.0
+            return min(max(0.0, float(y)), self.upper)
         z = root_scaling_prox_neg(weight, 1.0, self.q, y)
         return min(z, self.upper)
-
-    def proj_cl_S(self, y: float) -> float:
-        return min(max(0.0, float(y)), self.upper)
-
-    def proj_cl_conv_S(self, y: float) -> float:
-        return self.proj_cl_S(y)
 
     def support_cl_conv_S(self, t: float) -> float:
         if t <= 0.0:
@@ -277,8 +276,8 @@ class SqrtScaling:
     case_kind = CaseKind.S_LOWER
 
     def __post_init__(self):
-        if not self.beta > 0.0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        if not 0.0 < self.beta < INF:
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
 
     def eval(self, y: float) -> float:
         return math.sqrt(self.beta + y * y)
@@ -297,12 +296,6 @@ class SqrtScaling:
         if weight == 0.0:
             return float(y)
         return sqrt_scaling_prox(self.beta, weight, y)
-
-    def proj_cl_S(self, y: float) -> float:
-        return float(y)
-
-    def proj_cl_conv_S(self, y: float) -> float:
-        return float(y)
 
     def support_cl_conv_S(self, t: float) -> float:
         return 0.0 if t == 0.0 else INF
@@ -342,12 +335,6 @@ class IdentityScaling:
         if weight < 0.0:
             raise ValueError(f"weight must be nonnegative, got {weight}")
         return min(max(y + weight, 0.0), self.upper)
-
-    def proj_cl_S(self, y: float) -> float:
-        return min(max(0.0, float(y)), self.upper)
-
-    def proj_cl_conv_S(self, y: float) -> float:
-        return self.proj_cl_S(y)
 
     def support_cl_conv_S(self, t: float) -> float:
         if t <= 0.0:

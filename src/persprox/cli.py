@@ -49,7 +49,7 @@ EXIT_BAD_INPUT = 2
 EXIT_SOLVER = 3
 EXIT_ORACLE = 4
 
-_ROOT_KEYS = {"eta_tol": float, "residual_tol": float, "max_iter": int, "classify_tol": float}
+_ROOT_KEYS = {"eta_tol": float, "residual_tol": float, "max_iter": int}
 _ORACLE_KEYS = {"radius_factor": float, "refine_tol": float, "max_refine_iters": int}
 
 DEVIATION_LIMIT = 5e-4
@@ -208,7 +208,7 @@ def cmd_trace_root(args) -> int:
         classify, solve_eta, root = classify_case_i, solve_eta_case_i, CaseLabel.OMEGA4
     else:
         classify, solve_eta, root = classify_case_iii, solve_eta_case_iii, CaseLabel.XI4
-    if sc is SignClass.ZERO_INFTY_CONJUGATE or classify(pair, gamma, x, y, cfg) is not root:
+    if sc is SignClass.ZERO_INFTY_CONJUGATE or classify(pair, gamma, x, y) is not root:
         _emit(args, "closed-form case, no root trace\n")
         return EXIT_OK
     rows: list[tuple[int, float, float, float, float]] = []

@@ -13,6 +13,13 @@ subclasses, a non-finite entry, the empty tuple, a scalar) takes the
 general path, with the same conversion or the same ``ValueError``.  Both
 paths give the same value, sign of zero included, so a fast path changes
 no float operation.
+
+Every zero and membership test in the package applies one rounding-slack
+rule, ``negligible``: a value counts as zero when ``|value| <= SLACK *
+(1 + size)``, where ``size`` is the magnitude of the input the value came
+from (``||x|| / gamma`` on the base side, ``|y|`` on the scale side).  The
+region pass and the Fenchel certificate use it alike, so an input the
+pass treats as zero is snapped to zero by the certificate too.
 """
 
 from __future__ import annotations
@@ -25,6 +32,14 @@ from typing import Protocol, Sequence, runtime_checkable
 INF = math.inf
 
 Vec = tuple[float, ...]
+
+SLACK = 1e-12  # rounding slack of every zero and membership test
+
+
+def negligible(value: float, size: float) -> bool:
+    """Whether ``value`` is zero up to rounding in an input of magnitude
+    ``size``; +-inf and NaN never are."""
+    return abs(value) <= SLACK * (1.0 + abs(size))
 
 
 class DimensionMismatch(ValueError):
@@ -164,12 +179,13 @@ class ScalingFunction(Protocol):
     ``w == 0``), and ``env_conj_eval`` is the envelope's convex conjugate,
     needed to evaluate the conjugate of the perspective.
 
-    The solver touches the scale side through ``prox_env`` and ``env_eval``
-    only, which relies on two identities:
-
-    - ``prox_env(0.0, y) == proj_cl_S(y) == proj_cl_conv_S(y)``;
-    - at ``q = proj_cl_S(y)``, ``env_eval(q) == -eval(q)`` for NEG_S_LOWER
-      and ``env_eval(q) == eval(q)`` for S_LOWER.
+    The closed envelope domain is ``cl S``, convex for both kinds, so
+    ``prox_env(0.0, y)`` is the one projection onto ``cl S = cl conv S``
+    that the solver and the certificate use; at that point ``env_eval``
+    equals ``-eval`` for NEG_S_LOWER and ``eval`` for S_LOWER.
+    ``support_cl_conv_S`` is the support function of that set, and
+    ``proj_dom_env_conj`` the projection onto the closed domain of
+    ``env_conj_eval``, which the certificate calls.
     """
 
     case_kind: CaseKind
@@ -182,9 +198,7 @@ class ScalingFunction(Protocol):
 
     def prox_env(self, weight: float, y: float) -> float: ...
 
-    def proj_cl_S(self, y: float) -> float: ...
-
-    def proj_cl_conv_S(self, y: float) -> float: ...
-
     def support_cl_conv_S(self, ystar: float) -> float: ...
+
+    def proj_dom_env_conj(self, ystar: float) -> float: ...
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .core import INF, SignClass, Vec, norm, scale
+from .core import INF, SignClass, Vec, negligible, norm, scale
 from .perspective import PerspectivePair, prox_fenchel_gap
 from .roots import RootFindError, solve_bracketed
 
@@ -46,15 +46,14 @@ class CaseLabel(Enum):
 
 @dataclass(frozen=True)
 class RootConfig:
-    """Tolerances for classification and the multiplier root-find."""
+    """Tolerances of the multiplier root-find; region tests use ``core.negligible``."""
 
     eta_tol: float = 1e-12
     residual_tol: float = 1e-10
     max_iter: int = 200
-    classify_tol: float = 1e-12
 
     def __post_init__(self):
-        for name in ("eta_tol", "residual_tol", "classify_tol"):
+        for name in ("eta_tol", "residual_tol"):
             value = getattr(self, name)
             if not 0.0 < value < INF:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
@@ -90,12 +89,6 @@ _LABELS = {
 
 # multiplier brackets wider than this are narrowed in log space before Brent
 _WIDE_BRACKET = 2.0 ** 32
-
-
-def _is_zero(value: float, tol: float, ref: float) -> bool:
-    """Zero test scaled by the magnitude ``ref`` of the value's argument; +inf
-    is never zero."""
-    return value != INF and abs(value) <= tol * (1.0 + abs(ref))
 
 
 def _pull_back(x: Vec, gamma: float, xg: Vec, d: Vec) -> Vec:
@@ -134,16 +127,16 @@ def _curves(pair: PerspectivePair, gamma: float, x: Vec, y: float, base_drives: 
     return (xg, b, s) if base_drives else (xg, s, b)
 
 
-def _signed_pass(pair, gamma: float, x: Vec, y: float, tol: float, base_drives: bool):
+def _signed_pass(pair, gamma: float, x: Vec, y: float, base_drives: bool):
     """The region tests, and the closed-form points where they select one.
 
     Returns ``(x/gamma, outer, inner, region, outer point, inner point,
     eta)``.  Region 4, the root region, has no points, and its last entry is
-    ``T(0)`` where the tests computed it (else None).  Zero tests scale
-    ``tol`` by the size of the curve's argument: ``x/gamma`` for B, ``y``
-    for S.  A conjugate value of +inf at the projected point is not zero,
-    so it defers to the root region, whose prox calls never leave the
-    conjugate domain.
+    ``T(0)`` where the tests computed it (else None).  Zero tests are
+    ``core.negligible`` at the size of the curve's argument: ``x/gamma``
+    for B, ``y`` for S.  A conjugate value of +inf at the projected point
+    is not zero, so it defers to the root region, whose prox calls never
+    leave the conjugate domain.
     """
     xg, outer, inner = _curves(pair, gamma, x, y, base_drives)
     (o_point, o_value), (i_point, i_value) = outer, inner
@@ -152,40 +145,40 @@ def _signed_pass(pair, gamma: float, x: Vec, y: float, tol: float, base_drives: 
     o0 = o_value(o_pt)
     i_pt = i_point(0.0)
     i0 = i_value(i_pt)
-    o_zero, i_zero = _is_zero(o0, tol, o_ref), _is_zero(i0, tol, i_ref)
+    o_zero, i_zero = negligible(o0, o_ref), negligible(i0, i_ref)
     if o_zero and i_zero:
         return xg, outer, inner, 1, o_pt, i_pt, 0.0
     t0 = None
     if not o_zero and 0.0 < o0 < INF:
         i_pt2 = i_point(o0)
         t0 = i_value(i_pt2)
-        if _is_zero(t0, tol, i_ref):
+        if negligible(t0, i_ref):
             return xg, outer, inner, 2, o_pt, i_pt2, 0.0
     if not i_zero and 0.0 < -i0 < INF:
         o_pt3 = o_point(-i0)
-        if _is_zero(o_value(o_pt3), tol, o_ref):
+        if negligible(o_value(o_pt3), o_ref):
             return xg, outer, inner, 3, o_pt3, i_pt, -i0
     return xg, outer, inner, 4, None, None, t0
 
 
-def _classify(pair, gamma, x, y, cfg, sign_class: SignClass) -> CaseLabel:
+def _classify(pair, gamma, x, y, sign_class: SignClass) -> CaseLabel:
     x, y = pair.check_point(x, y)
     if pair.base.sign_class is not sign_class:
         raise ValueError(f"this classification needs a {sign_class.value} conjugate")
     base_drives = sign_class is SignClass.NONNEGATIVE_CONJUGATE
-    return _LABELS[base_drives][_signed_pass(pair, gamma, x, y, cfg.classify_tol, base_drives)[3] - 1]
+    return _LABELS[base_drives][_signed_pass(pair, gamma, x, y, base_drives)[3] - 1]
 
 
-def classify_case_i(pair: PerspectivePair, gamma: float, x, y, cfg: RootConfig = DEFAULT_CONFIG) -> CaseLabel:
+def classify_case_i(pair: PerspectivePair, gamma: float, x, y) -> CaseLabel:
     """Region of an input for a nonnegative-conjugate pair: the label of the
     pass ``prox_perspective`` runs on it."""
-    return _classify(pair, gamma, x, y, cfg, SignClass.NONNEGATIVE_CONJUGATE)
+    return _classify(pair, gamma, x, y, SignClass.NONNEGATIVE_CONJUGATE)
 
 
-def classify_case_iii(pair: PerspectivePair, gamma: float, x, y, cfg: RootConfig = DEFAULT_CONFIG) -> CaseLabel:
+def classify_case_iii(pair: PerspectivePair, gamma: float, x, y) -> CaseLabel:
     """Region of an input for a nonpositive-conjugate pair; see
     ``classify_case_i``."""
-    return _classify(pair, gamma, x, y, cfg, SignClass.NONPOSITIVE_CONJUGATE)
+    return _classify(pair, gamma, x, y, SignClass.NONPOSITIVE_CONJUGATE)
 
 
 def _solve_eta(
@@ -297,12 +290,11 @@ def prox_perspective(
     sc = pair.base.sign_class
     if sc is SignClass.ZERO_INFTY_CONJUGATE:
         # decoupled: the base prox in x, the projection onto cl conv S in y
-        p, q = pair.base.prox_primal(gamma, x), pair.scaling.proj_cl_conv_S(y)
+        p, q = pair.base.prox_primal(gamma, x), pair.scaling.prox_env(0.0, y)
         label, eta, iters = CaseLabel.CASE_II, 0.0, 0
     else:
         base_drives = sc is SignClass.NONNEGATIVE_CONJUGATE
-        xg, outer, inner, region, o_pt, i_pt, eta = _signed_pass(
-            pair, gamma, x, y, cfg.classify_tol, base_drives)
+        xg, outer, inner, region, o_pt, i_pt, eta = _signed_pass(pair, gamma, x, y, base_drives)
         iters = 0
         if region == 4:
             solve = solve_eta_case_i if base_drives else solve_eta_case_iii

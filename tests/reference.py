@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from persprox import (
     INF,
-    CaseKind,
     CaseLabel,
     DimensionMismatch,
     HuberBase,
@@ -372,7 +371,7 @@ def case_ii_prox(pair, gamma: float, x, y) -> ProxResult:
     x, y = pair.check_point(x, y)
     if pair.base.sign_class is not SignClass.ZERO_INFTY_CONJUGATE:
         raise ValueError("the decoupled prox needs a zero-or-infinity conjugate")
-    p, q = pair.base.prox_primal(gamma, x), pair.scaling.proj_cl_conv_S(y)
+    p, q = pair.base.prox_primal(gamma, x), pair.scaling.prox_env(0.0, y)
     gap = prox_fenchel_gap(pair, gamma, x, y, p, q)
     return ProxResult(p, q, 0.0, CaseLabel.CASE_II, 0, gap)
 
@@ -390,9 +389,7 @@ class EnvelopeProvider:
         return self.scaling.prox_env(gamma, y)
 
     def proj_cl_dom(self, y: float) -> float:
-        if self.scaling.case_kind is CaseKind.NEG_S_LOWER:
-            return self.scaling.proj_cl_S(y)
-        return self.scaling.proj_cl_conv_S(y)
+        return self.scaling.prox_env(0.0, y)
 
     def conj_eval(self, t: float) -> float:
         return self.scaling.env_conj_eval(t)

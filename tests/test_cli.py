@@ -69,6 +69,17 @@ def test_bad_spec_exit_code():
     assert "error" in out.stderr
 
 
+@pytest.mark.parametrize("spec", [
+    '{"base":{"name":"huber","alpha":Infinity},"scaling":{"name":"sqrt"},"dims":[2,1]}',
+    '{"base":{"name":"huber"},"scaling":{"name":"sqrt","beta":"inf"},"dims":[2,1]}',
+], ids=["huber-alpha-inf", "sqrt-beta-inf"])
+def test_non_finite_catalog_parameter_is_bad_input(spec):
+    # both pairs were built, then every prox raised RootFindError (exit 3)
+    out = run_cli("prox", "--spec", spec, "--point", '{"x":[1,0],"y":0}')
+    assert out.returncode == 2
+    assert "finite" in out.stderr
+
+
 def test_malformed_json_exit_code():
     out = run_cli("eval", "--spec", "{not json", "--point", '{"x":[1],"y":0}')
     assert out.returncode == 2
@@ -119,10 +130,12 @@ def test_non_finite_tolerance_is_bad_input(capsys, key, value):
     from persprox.cli import main
 
     # before the check, classify_tol=nan/inf printed a wrong label and
-    # eta_tol=nan exited as a solver failure
+    # eta_tol=nan exited as a solver failure; classify_tol is no longer a
+    # setting (region tests use the one slack rule of core.negligible)
     argv = ["prox", "--spec", HUBER_SPEC, "--point", '{"x":[3,0],"y":0}', "--tol", f"{key}={value}"]
     assert main(argv) == 2
-    assert value in capsys.readouterr().err
+    expected = "unknown tolerance 'classify_tol'" if key == "classify_tol" else value
+    assert expected in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, message", [

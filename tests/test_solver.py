@@ -36,7 +36,8 @@ def test_classification_power_root_examples():
     assert classify_case_i(POWER_ROOT_BOUNDED, 1.0, (0.0, 0.0), 2.0) is CaseLabel.OMEGA3
     assert classify_case_i(POWER_ROOT_BOUNDED, 1.0, (0.7, -0.3), 0.5) is CaseLabel.OMEGA4
     assert classify_case_i(POWER_ROOT_BOUNDED, 1.0, (1e-4, 0.0), -5.0) is CaseLabel.OMEGA4
-    # inputs within classify_tol of the zero set land on the closed form
+    # inputs within the rounding slack of core.negligible of the zero set
+    # land on the closed form
     assert classify_case_i(POWER_ROOT_BOUNDED, 1.0, (1e-8, 0.0), -5.0) is CaseLabel.OMEGA1
 
 
@@ -178,7 +179,7 @@ def test_omega3_output_matches_closed_form(rng):
         y = rng.uniform(0.1, 5.0)
         res = prox_perspective(pair, 1.0, (0.0, 0.0), y)
         assert res.label is CaseLabel.OMEGA3
-        proj = pair.scaling.proj_cl_S(y)
+        proj = pair.scaling.prox_env(0.0, y)
         assert res.eta == pair.scaling.eval(proj)
         assert res.q == proj
         assert res.p == (0.0, 0.0)
@@ -239,10 +240,14 @@ def test_input_validation():
         RootConfig(max_iter=0)
     # NaN slipped past a "<= 0" test: classify_tol=inf labelled huber/sqrt at
     # x = (3, 0), y = 0 as Xi1 and NaN as Xi4 (it is Xi2)
-    for key in ("eta_tol", "residual_tol", "classify_tol"):
+    for key in ("eta_tol", "residual_tol"):
         for value in (math.nan, math.inf, -math.inf, 0.0):
             with pytest.raises(ValueError, match=key):
                 RootConfig(**{key: value})
+    # region tests use the one slack rule of core.negligible; the
+    # classification tolerance is no longer a setting
+    with pytest.raises(TypeError, match="classify_tol"):
+        RootConfig(classify_tol=1e-12)
 
 
 @pytest.mark.parametrize("gamma, y", [
@@ -378,3 +383,13 @@ def test_overflowing_scaled_input_is_rejected(pair, gamma, x):
     # it into ValueError before any arithmetic runs on it
     with pytest.raises(ValueError, match="finite"):
         prox_perspective(pair, gamma, x, 1.0)
+
+
+def test_huge_multiplier_bracket_does_not_divide_by_zero():
+    # eta = 1e300 makes the conjugate prox weight so large that its root is
+    # below the smallest double; the scalar solver used to raise
+    # ZeroDivisionError there instead of returning 0
+    pair = PerspectivePair(PowerBase(3.0), RootScaling(0.5), n=2)
+    eta, _ = solve_eta_case_i(pair, 1.0, (6.0, 0.0), 3.5, eta_hi=1e300)
+    res = prox_perspective(pair, 1.0, (6.0, 0.0), 3.5)
+    assert eta == pytest.approx(res.eta, rel=1e-9)
