@@ -14,9 +14,23 @@ digests, then the totals.  Two checkouts whose solver outputs are
 bit-identical print the same solver digests, whatever their certificates:
 
     python3 scripts/output_digest.py
+
+Two modes compare checkouts whose outputs differ.  ``--dump PATH`` also
+stores every call's ``(label, p, q, eta, root_iterations)`` and the
+number of ``T`` evaluations it made (counted by wrapping the residuals
+that ``make_residual_case_i/iii`` return) as JSON.  ``--against PATH``
+reads such a file, made by another checkout, and prints per input set the
+label changes, the largest ``(p, q)`` difference in ulps of
+``||(x, y)||``, and the mean and maximum ``T`` evaluations of root-region
+calls per (pair, label), this checkout's beside the stored ones:
+
+    (cd parent && python3 scripts/output_digest.py --dump /tmp/parent.json)
+    python3 scripts/output_digest.py --against /tmp/parent.json
 """
 
+import argparse
 import hashlib
+import json
 import math
 import sys
 from pathlib import Path
@@ -27,10 +41,12 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import checks
 import workloads
+import persprox.solver as solver
 from persprox import prox_perspective
 
 POOL_SEEDS = (0, 1)
 PROBE_SEEDS = range(5)
+ROOT_LABELS = ("Omega4", "Xi4")
 
 
 def input_sets():
@@ -44,27 +60,68 @@ def input_sets():
         yield f"probe seed {seed}", probe_pairs, workloads.probe_calls(seed)
 
 
-def outcome(pair, call) -> tuple[str, str, bool | None]:
-    """The reprs of one call's solver output and gap, and whether the gap
-    is within the bound (None when the call raised)."""
+class EvalCounter:
+    """Counts the ``T`` evaluations of the residuals the solver builds."""
+
+    def __init__(self):
+        self.count = 0
+        self.saved = []
+
+    def install(self):
+        for name in ("make_residual_case_i", "make_residual_case_iii"):
+            make = getattr(solver, name)
+            self.saved.append((name, make))
+            setattr(solver, name, self._wrap(make))
+
+    def uninstall(self):
+        while self.saved:
+            setattr(solver, *self.saved.pop())
+
+    def _wrap(self, make):
+        def counted_make(*args, **kwargs):
+            T = make(*args, **kwargs)
+
+            def counted_T(eta):
+                self.count += 1
+                return T(eta)
+
+            return counted_T
+
+        return counted_make
+
+
+def outcome(pair, call):
+    """The reprs of one call's solver output and gap, whether the gap is
+    within the bound (None when the call raised), and the output itself."""
     try:
         r = prox_perspective(pair, call.gamma, call.x, call.y)
     except Exception as exc:
         text = repr((type(exc).__name__, str(exc)))
-        return text, text, None
+        return text, text, None, None
     size = sum(v * v for v in call.x) + call.y * call.y
     ok = math.isfinite(r.certificate_gap) and r.certificate_gap <= checks.GAP_SCALE * (1.0 + size)
-    return repr((r.p, r.q, r.eta, r.label.value, r.root_iterations)), repr(r.certificate_gap), ok
+    return repr((r.p, r.q, r.eta, r.label.value, r.root_iterations)), repr(r.certificate_gap), ok, r
 
 
-def main():
+def run(counter=None):
+    """Prints the digests; returns ``{set name: [record per call]}``, a
+    record being ``[label, p, q, eta, root_iterations, T evaluations]`` or
+    ``["error", type name]``."""
     totals = hashlib.sha256(), hashlib.sha256()
     total_calls = total_errors = total_uncertified = 0
+    records = {}
     for name, pairs, calls in input_sets():
         digests = hashlib.sha256(), hashlib.sha256()
         errors = uncertified = 0
+        rows = records[name] = []
         for call in calls:
-            solver_text, gap_text, ok = outcome(pairs[call.pair], call)
+            before = counter.count if counter else 0
+            solver_text, gap_text, ok, r = outcome(pairs[call.pair], call)
+            evals = counter.count - before if counter else 0
+            if r is None:
+                rows.append(["error", solver_text])
+            else:
+                rows.append([r.label.value, list(r.p), r.q, r.eta, r.root_iterations, evals])
             errors += ok is None
             uncertified += ok is False
             for digest, total, text in zip(digests, totals, (solver_text, gap_text)):
@@ -79,6 +136,68 @@ def main():
     print(f"{'total':<20} calls {total_calls:>5}  errors {total_errors:>3}"
           f"  uncertified {total_uncertified:>4}"
           f"  solver {totals[0].hexdigest()[:16]}  gaps {totals[1].hexdigest()[:16]}")
+    return records
+
+
+def _eval_stats(rows, calls):
+    """{(pair, label): [T evaluations]} of the root-region calls."""
+    out = {}
+    for row, call in zip(rows, calls):
+        if row[0] in ROOT_LABELS:
+            out.setdefault((call.pair, row[0]), []).append(row[5])
+    return out
+
+
+def compare(stored, records):
+    """Prints, per input set, how this checkout's outputs differ from ``stored``."""
+    worst_ulps = 0.0
+    total_changes = 0
+    for name, pairs, calls in input_sets():
+        old, new = stored[name], records[name]
+        changes = raised = 0
+        set_ulps = 0.0
+        for a, b, call in zip(old, new, calls):
+            if a[0] == "error" or b[0] == "error":
+                raised += a[0] != b[0]
+                continue
+            changes += a[0] != b[0]
+            ulp = math.ulp(math.hypot(*call.x, call.y))
+            diff = math.hypot(*(u - v for u, v in zip(a[1], b[1])), a[2] - b[2])
+            set_ulps = max(set_ulps, diff / ulp)
+        worst_ulps = max(worst_ulps, set_ulps)
+        total_changes += changes
+        print(f"{name:<20} label changes {changes:>3}  error changes {raised:>3}"
+              f"  max (p, q) difference {set_ulps:.3g} ulps of |(x, y)|")
+        before, after = _eval_stats(old, calls), _eval_stats(new, calls)
+        for key in sorted(set(before) | set(after)):
+            b_evals, a_evals = before.get(key, []), after.get(key, [])
+            cells = [f"{sum(v) / len(v):5.2f} mean {max(v):3d} max ({len(v)})" if v else "none"
+                     for v in (b_evals, a_evals)]
+            print(f"    pair {key[0]} {key[1]:<7} T evaluations  stored {cells[0]}"
+                  f"  -> this checkout {cells[1]}")
+    print(f"{'total':<20} label changes {total_changes:>3}"
+          f"  max (p, q) difference {worst_ulps:.3g} ulps of |(x, y)|")
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--dump", metavar="PATH", help="store every call's output as JSON")
+    mode.add_argument("--against", metavar="PATH", help="compare with a stored --dump file")
+    args = parser.parse_args(argv)
+    if not (args.dump or args.against):
+        run()
+        return
+    counter = EvalCounter()
+    counter.install()
+    try:
+        records = run(counter)
+    finally:
+        counter.uninstall()
+    if args.dump:
+        Path(args.dump).write_text(json.dumps(records), encoding="utf-8")
+    else:
+        compare(json.loads(Path(args.against).read_text(encoding="utf-8")), records)
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ from .radial import RadialFunction, radial_prox
 from .roots import RootFindError, real_quartic_roots, solve_bracketed  # noqa: F401
 
 _EPS = 2.0 ** -52  # machine epsilon
+_TINY = 2.0 ** -1074  # smallest subnormal
 
 # ---------------------------------------------------------------------------
 # scalar pieces
@@ -136,6 +137,16 @@ class PowerBase:
     def proj_dom_conj(self, xstar) -> Vec:
         return as_vec(xstar)
 
+    def conj_slope(self, gamma: float, xstar, point) -> float:
+        # g(t) = t**r / r at rho = ||point||: -g'(rho)**2 / (1 + gamma * g''(rho)),
+        # g'(rho) = rho**(r - 1), g''(rho) = (r - 1) * g'(rho) / rho; 0 at rho = 0
+        rho = norm(point)
+        if rho == 0.0:
+            return 0.0
+        r = self.pstar
+        d1 = rho ** (r - 1.0)
+        return -d1 * d1 / (1.0 + gamma * (r - 1.0) * d1 / rho)
+
     def rec_eval(self, x) -> float:
         # supercoercive: recession is 0 at the origin, +inf elsewhere
         return 0.0 if norm(x) == 0.0 else INF
@@ -181,6 +192,9 @@ class HuberBase:
     def __post_init__(self):
         if not 0.0 < self.alpha < INF:
             raise ValueError(f"slope must be positive and finite, got {self.alpha}")
+        if self.alpha * self.alpha == INF:
+            # the conjugate's offset alpha**2 / 2 would be infinite
+            raise ValueError(f"slope must have a finite square, got {self.alpha}")
 
     def eval(self, x) -> float:
         # quadratic near 0 with the + alpha**2/2 offset that makes the
@@ -204,6 +218,15 @@ class HuberBase:
 
     def proj_dom_conj(self, xstar) -> Vec:
         return _cap_norm(as_vec(xstar), self.alpha)
+
+    def conj_slope(self, gamma: float, xstar, point) -> float:
+        # -rho**2 / (1 + gamma) with rho = ||xstar|| / (1 + gamma), 0 where
+        # the point is clamped to the ball of radius alpha
+        r = norm(xstar)
+        if r >= self.alpha * (1.0 + gamma):
+            return 0.0
+        rho = r / (1.0 + gamma)
+        return -rho * rho / (1.0 + gamma)
 
     def rec_eval(self, x) -> float:
         return self.alpha * norm(x)
@@ -256,6 +279,22 @@ class RootScaling:
         z = root_scaling_prox_neg(weight, 1.0, self.q, y)
         return min(z, self.upper)
 
+    def env_slope(self, weight: float, y: float, z: float) -> float:
+        # h(z) = -z**q: -h'(z)**2 / (1 + weight * h''(z)), written with
+        # u = q * z**q = -z * h'(z) so that no power of z overflows:
+        # -u**2 / (z**2 + weight * (1 - q) * u); 0 where z is clamped to the
+        # upper end or the root underflowed, no slope at weight 0 and z = 0
+        if z >= self.upper:
+            return 0.0
+        if z == 0.0:
+            return 0.0 if weight > 0.0 else math.nan
+        q = self.q
+        u = q * z ** q
+        if z > 1.0:  # h'(z) = -u / z <= q
+            c = u / z
+            return -c * c / (1.0 + weight * (1.0 - q) * c / z)
+        return -u * u / (z * z + weight * (1.0 - q) * u)
+
     def support_cl_conv_S(self, t: float) -> float:
         if t <= 0.0:
             return 0.0
@@ -297,6 +336,14 @@ class SqrtScaling:
             return float(y)
         return sqrt_scaling_prox(self.beta, weight, y)
 
+    def env_slope(self, weight: float, y: float, z: float) -> float:
+        # h = sqrt(beta + z**2), s = h(z): h' = z / s, h'' = beta / s**3 = k**2 / s
+        # with k = sqrt(beta) / s; hypot keeps s finite for huge z
+        sb = math.sqrt(self.beta)
+        s = math.hypot(sb, z)
+        t, k = z / s, sb / s
+        return -t * t / (1.0 + weight * k * k / s)
+
     def support_cl_conv_S(self, t: float) -> float:
         return 0.0 if t == 0.0 else INF
 
@@ -335,6 +382,10 @@ class IdentityScaling:
         if weight < 0.0:
             raise ValueError(f"weight must be nonnegative, got {weight}")
         return min(max(y + weight, 0.0), self.upper)
+
+    def env_slope(self, weight: float, y: float, z: float) -> float:
+        # -1 where y + weight lies inside [0, upper], 0 where it is clamped
+        return -1.0 if 0.0 < z < self.upper else 0.0
 
     def support_cl_conv_S(self, t: float) -> float:
         if t <= 0.0:
@@ -410,14 +461,22 @@ def sqrt_scaling_prox(beta: float, mu: float, y: float) -> float:
     ``g(r) = r - |y| + mu*r/sqrt(beta + r**2)``.  On ``r >= 0``, ``g`` is
     strictly increasing (``g' = 1 + mu*beta/(beta + r**2)**1.5``) and
     concave (``g'' = -3*mu*beta*r/(beta + r**2)**2.5``), so every tangent
-    lies above ``g`` and a Newton step from a point with ``g <= 0`` lands
-    again where ``g <= 0``: from ``r0 = max(0, |y| - mu)``, where
-    ``g(r0) <= 0``, the iterates rise monotonically to the root and never
-    overshoot.  Clamping to ``[r0, |y|]`` only absorbs rounding.  The loop
-    stops once a step is within four rounding units of ``r`` and of ``g``,
-    and returns the point after that step.  The returned point lies between
-    the last evaluated one and the root, so the stationarity residual there,
-    checked against ``1e-10 * (1 + |y| + mu)``, bounds the one returned.
+    lies above ``g``: a Newton step from any point lands where ``g <= 0``,
+    and from a point with ``g <= 0`` the iterates rise monotonically to the
+    root and never overshoot.  ``r0 = max(0, |y| - mu)`` has ``g(r0) <= 0``.
+    The start is ``r0``, except where ``beta`` is small against ``mu``: far
+    above ``sqrt(beta)`` the root balances ``r - (|y| - mu)`` against
+    ``mu*beta/(2 r**2)``, and where that balance puts it above ``r0`` and
+    ``2 sqrt(beta)`` the iteration starts there instead (from ``r0`` it
+    would gain only a factor of about 1.5 per step); if that start lies
+    above the root, the first step lands below it.  Clamping to
+    ``[r0, |y|]`` only absorbs rounding.  The loop stops once a step is
+    within four rounding units of ``r`` and of ``g`` (or of the smallest
+    subnormal), and returns the point after that step.  The returned point
+    lies between the last evaluated one and the root (unless the loop
+    stops at a start above the root, which is then within those four
+    units of it), so the stationarity residual there, checked against
+    ``1e-10 * (1 + |y| + mu)``, bounds the one returned.
     """
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
@@ -425,13 +484,23 @@ def sqrt_scaling_prox(beta: float, mu: float, y: float) -> float:
         raise ValueError(f"weight must be nonnegative, got {mu}")
     a = abs(y)
     r = r0 = max(0.0, a - mu)
+    if mu * mu > 256.0 * beta:  # else the balance below stays under 2 sqrt(beta)
+        # the positive root of r**3 - (a - mu) r**2 = mu*beta/2, within a
+        # factor 1.5: its cube root term, capped by the square root term when a < mu
+        c = 0.5 * mu * beta
+        guess = c ** (1.0 / 3.0)
+        if a < mu:
+            guess = min(guess, math.sqrt(c / (mu - a)))
+        if guess > r0 and guess > 2.0 * math.sqrt(beta):
+            r = min(guess, a)
     for _ in range(200):
         ss = beta + r * r
         w = mu / math.sqrt(ss)
         g = r - a + w * r
         dg = 1.0 + w * beta / ss
         dr = g / dg
-        converged = abs(dr) <= 4.0 * _EPS * (r + (r + a + w * r) / dg)
+        # four rounding units, or four of the smallest subnormal below 2**-1022
+        converged = abs(dr) <= 4.0 * (_EPS * (r + (r + a + w * r) / dg) + _TINY)
         r = min(max(r - dr, r0), a)
         if converged:
             break

@@ -153,6 +153,16 @@ class BaseFunction(Protocol):
     provide ``prox_primal(gamma, x)`` (the prox of ``gamma * phi``): the
     decoupled case calls it directly.  In the catalog only ``AbsBase``
     provides it; the signed-class bases need no primal prox.
+
+    A signed-class base provides ``conj_slope(gamma, xstar, point)``
+    instead: the derivative in ``gamma`` of the value curve
+    ``phi*(prox_{gamma phi*}(xstar))`` at ``point``, the point
+    ``prox_conj`` (``proj_dom_conj`` at ``gamma == 0``) returned for those
+    arguments.  For a prox family ``rho = prox_{gamma h}(r)`` the implicit
+    function theorem gives ``-h'(rho)**2 / (1 + gamma * h''(rho))``, with
+    ``h'(rho) = (r - rho) / gamma``; it is 0 where the point sits on a
+    clamp (the boundary of ``cl dom phi*``), and NaN where it is not
+    defined.  The multiplier search takes Newton steps from it.
     """
 
     sign_class: SignClass
@@ -166,6 +176,8 @@ class BaseFunction(Protocol):
     def proj_dom_conj(self, xstar: Vec) -> Vec: ...
 
     def rec_eval(self, x: Vec) -> float: ...
+
+    def conj_slope(self, gamma: float, xstar: Vec, point: Vec) -> float: ...
 
 
 @runtime_checkable
@@ -186,6 +198,12 @@ class ScalingFunction(Protocol):
     ``support_cl_conv_S`` is the support function of that set, and
     ``proj_dom_env_conj`` the projection onto the closed domain of
     ``env_conj_eval``, which the certificate calls.
+
+    ``env_slope(weight, y, z)`` is the derivative in ``weight`` of the
+    value curve ``env_eval(prox_env(weight, y))`` at ``z``, the point
+    ``prox_env`` returned for those arguments: ``-h'(z)**2 / (1 + weight *
+    h''(z))`` for the envelope ``h``, 0 where ``z`` is clamped to an end of
+    ``cl S``, NaN where it is not defined.  See ``BaseFunction``.
     """
 
     case_kind: CaseKind
@@ -201,4 +219,6 @@ class ScalingFunction(Protocol):
     def support_cl_conv_S(self, ystar: float) -> float: ...
 
     def proj_dom_env_conj(self, ystar: float) -> float: ...
+
+    def env_slope(self, weight: float, y: float, z: float) -> float: ...
 

@@ -1,9 +1,9 @@
 """Scalar root finding and the closed-form quartic solver.
 
 ``solve_bracketed`` is Brent's method (R. P. Brent, *Algorithms for
-Minimization without Derivatives*, 1973): inverse quadratic interpolation
-and secant steps, safeguarded by bisection inside a bracket that always
-keeps its sign change.
+Minimization without Derivatives*, 1973) with a Newton step in front:
+Newton, inverse quadratic interpolation and secant steps, safeguarded by
+bisection inside a bracket that always keeps its sign change.
 """
 
 from __future__ import annotations
@@ -13,6 +13,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 _EPS = 2.0 ** -52  # machine epsilon
+NAN = math.nan
+
+# a nonnegative bracket whose ends differ by more than this factor is split in log space
+_WIDE_RATIO = 16.0
 
 
 class RootFindError(RuntimeError):
@@ -35,62 +39,99 @@ def solve_bracketed(
     lo: float,
     hi: float,
     flo: float,
-    fhi: float,
+    fhi: float | None,
     *,
     xtol: float,
     ftol: float,
     max_iter: int,
     trace: Callable[[int, float, float, float, float], None] | None = None,
+    slope: Callable[[float], float] | None = None,
+    min_slope: float = 0.0,
 ) -> RootResult:
-    """Root of an increasing ``fn`` on a sign-changing bracket, by Brent's method.
+    """Root of an increasing ``fn`` on a sign-changing bracket ``[lo, hi]``.
 
-    With ``b`` the bracket end of smaller ``|fn|``, it stops once
-    ``fn(b) == 0``, or once the half-width is at most ``2*eps*|b| + xtol/2``
-    and ``|fn(b)| <= ftol`` (it bisects while only the width is met), or
-    when no double lies strictly inside the bracket: ``b`` is then the root
-    to float resolution, whatever its residual.  ``iterations`` counts calls
-    of ``fn``; ``trace(it, lo, hi, x, fn(x))`` gets each evaluated ``x`` and
-    the bracket it was chosen in.
+    Each step starts from ``b``, the point evaluated last (at first the end
+    of smaller ``|fn|``), which is always an end of the bracket.  It is, in
+    this order, a Newton step when ``slope(b)`` gives a positive finite
+    derivative of ``fn`` at ``b``, an inverse quadratic interpolation or
+    secant step through evaluated points, or a bisection.  A Newton or
+    interpolation step is taken only when it moves towards the far end of
+    the bracket and stops short of it (less than 3/4 of the way where that
+    end was evaluated; an end that was not may be reached), and when it is
+    shorter than half the step before last, or the last step halved
+    ``|fn|`` (with ``min_slope``, where that bounds the width): Brent's
+    test.  A step shorter than the width tolerance becomes that tolerance.
+    A bracket with ``lo >= 0`` whose ends differ by more than a factor 16
+    is split in log space, ``xtol`` standing in for a lower end of 0: no
+    step lands below its geometric midpoint, and its bisection is that
+    midpoint.  There the root can lie many decades below ``hi``.
+
+    ``fhi`` may be None: an upper end that was not evaluated, whose sign
+    the caller knows.  With ``min_slope = L > 0`` the caller asserts
+    ``fn(u) - fn(v) >= L * (u - v)`` for ``u > v``, so each evaluation also
+    bounds the root within ``|fn(x)| / L`` of ``x`` (widened by two rounding
+    units of ``x``) and the bracket shrinks to that bound.
+
+    It stops at ``b`` once ``fn(b) == 0``, once ``|fn(b)| <= L * min(ftol,
+    xtol/2)`` (the root is then within ``xtol/2`` of ``b``), or once the
+    half-width is at most ``2*eps*|b| + xtol/2`` and ``|fn(b)| <= ftol``
+    (it bisects while only the width is met); and when no double lies
+    strictly inside the bracket, at the evaluated end of smaller ``|fn|``:
+    the root to float resolution, whatever its residual.  ``iterations``
+    counts calls of ``fn``; ``trace(it, lo, hi, x, fn(x))`` gets each
+    evaluated ``x`` and the bracket it was chosen in.
     """
-    if flo > 0.0 or fhi < 0.0:
+    if flo > 0.0 or (fhi is not None and fhi < 0.0):
         raise RootFindError("no sign change on bracket", lo, hi, flo, fhi)
-    # c is the other end of the bracket; a is the previous b, the third
-    # point of the inverse quadratic interpolation; e is the step before last
-    b, fb, c, fc = hi, fhi, lo, flo
-    a, fa = c, fc
-    d = e = b - c
+    if fhi is None:
+        fhi = NAN
+    # b is the last evaluated point and a the one before; neg and pos are
+    # the last evaluated points below and above the root, for interpolation
+    if fhi == fhi and abs(fhi) < abs(flo):
+        b, fb, a, fa = hi, fhi, lo, flo
+    else:
+        b, fb, a, fa = lo, flo, hi, fhi
+    neg, pos = (lo, flo), (hi, fhi)
+    shrink = min_slope > 0.0
+    fstop = min_slope * min(ftol, 0.5 * xtol)
+    d, e = hi - lo, math.inf  # the first step has no step before last
     it = 0
     while True:
-        if abs(fc) < abs(fb):
-            a, fa = b, fb
-            b, fb, c, fc = c, fc, b, fb
-        xm = 0.5 * (c - b)
+        far, ffar = (hi, fhi) if fb < 0.0 else (lo, flo)
+        xm = 0.5 * (far - b)
         tol = 2.0 * _EPS * abs(b) + 0.5 * xtol
         width_met = abs(xm) <= tol
-        # b + xm in (b, c): no double lies strictly inside the bracket
-        if fb == 0.0 or (width_met and abs(fb) <= ftol) or b + xm in (b, c):
+        if fb == 0.0 or abs(fb) <= fstop or (width_met and abs(fb) <= ftol):
+            return RootResult(b, fb, it)
+        # b + xm in (b, far): no double lies strictly inside the bracket
+        if b + xm in (b, far):
+            if abs(ffar) < abs(fb):
+                return RootResult(far, ffar, it)
             return RootResult(b, fb, it)
         if it >= max_iter:
-            lo, hi, flo, fhi = (b, c, fb, fc) if b < c else (c, b, fc, fb)
             raise RootFindError(f"no convergence in {max_iter} iterations", lo, hi, flo, fhi)
-        if width_met or abs(e) < tol or abs(fa) <= abs(fb):
-            d = e = xm
+        ok = False
+        if not (width_met or abs(e) < tol):
+            reach = 2.0 * abs(xm) if ffar != ffar else 1.5 * abs(xm) - 0.5 * tol
+            progress = shrink and 2.0 * abs(fb) <= abs(fa)
+            if slope is not None:
+                db = slope(b)
+                if 0.0 < db < math.inf:
+                    step = -fb / db
+                    ok = _acceptable(step, xm, reach, e, progress)
+            if not ok:
+                step = _interpolate(a, fa, b, fb, *(pos if fb < 0.0 else neg))
+                ok = _acceptable(step, xm, reach, e, progress)
+        if lo >= 0.0 and hi > _WIDE_RATIO * max(lo, xtol):
+            geo = math.sqrt(max(lo, xtol) * hi) - b
+            if not (ok and step >= geo):
+                ok, step = False, geo
+        elif not ok:
+            step = xm
+        if ok:
+            e, d = d, step
         else:
-            s = fb / fa
-            if a == c:  # secant
-                p, q = 2.0 * xm * s, 1.0 - s
-            else:  # inverse quadratic interpolation
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            q = -q if p > 0.0 else q
-            p = abs(p)
-            # accept only a step well inside the bracket that shrinks faster
-            # than the step before last; else bisect
-            if 2.0 * p < min(3.0 * xm * q - abs(tol * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = xm
+            d = e = step
         # a step shorter than tol becomes tol, which stays inside the bracket
         # unless the width is met, when the step is the exact bisection
         step = d if width_met or abs(d) > tol else math.copysign(tol, xm)
@@ -98,11 +139,40 @@ def solve_bracketed(
         b += step
         fb = fn(b)
         it += 1
-        if trace is not None:  # [a, c] is the bracket b was chosen in
-            trace(it, min(a, c), max(a, c), b, fb)
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            d = e = b - a
+        if trace is not None:  # [lo, hi] is the bracket b was chosen in
+            trace(it, lo, hi, b, fb)
+        if shrink:
+            # the bound, widened by the rounding of fn(b) near b
+            bound = b - fb / min_slope
+            slack = _EPS * (abs(b) + abs(bound))
+        if fb < 0.0:
+            lo, flo = neg = b, fb
+            if shrink and bound + slack < hi:
+                hi, fhi = bound + slack, NAN
+        elif fb > 0.0:
+            hi, fhi = pos = b, fb
+            if shrink and bound - slack > lo:
+                lo, flo = bound - slack, NAN
+
+
+def _acceptable(step: float, xm: float, reach: float, e: float, progress: bool) -> bool:
+    """Towards the far end ``b + 2 xm``, at most ``reach`` long, and shorter
+    than half the step before last unless ``progress`` (False for NaN)."""
+    return ((step > 0.0) == (xm > 0.0) and abs(step) <= reach
+            and (progress or 2.0 * abs(step) < abs(e)))
+
+
+def _interpolate(a, fa, b, fb, k, fk) -> float:
+    """Step from ``b`` to the root of the inverse quadratic through the
+    evaluated points ``a``, ``b`` and ``k`` (``k`` on the other side of
+    the root), or of the secant through ``b`` and ``k``; NaN where ``k`` was
+    not evaluated."""
+    if fk != fk:
+        return NAN
+    if a != k and fa == fa and fa != fb and fa != fk:
+        return ((a - b) * fb * fk / ((fa - fb) * (fa - fk))
+                + (k - b) * fa * fb / ((fk - fa) * (fk - fb)))
+    return -fb * (b - k) / (fb - fk)
 
 
 def _cbrt(x: float) -> float:

@@ -17,19 +17,22 @@ prox where a closed form applies: region 1 when both curves vanish at
 weight 0, region 2 when the inner curve vanishes at the outer curve's
 weight-0 value, region 3 when the outer curve vanishes at minus the inner
 curve's weight-0 value (that value is ``eta``).  Region 4 finds the root
-of ``T`` by a monotone one-dimensional search.
+of ``T`` by a monotone one-dimensional search.  Both curves are
+nonincreasing, so ``T' >= 1``: the root lies in ``[0, -T(0)]`` and within
+``|T(eta)|`` of every evaluated ``eta``.  Each curve's slope comes from its
+contract (``conj_slope``, ``env_slope``), so ``T' = 1 + inner' * outer'``
+is exact and the search takes Newton steps.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
 from .core import INF, SignClass, Vec, negligible, norm, scale
 from .perspective import PerspectivePair, prox_fenchel_gap
-from .roots import RootFindError, solve_bracketed
+from .roots import NAN, solve_bracketed
 
 
 class CaseLabel(Enum):
@@ -46,7 +49,14 @@ class CaseLabel(Enum):
 
 @dataclass(frozen=True)
 class RootConfig:
-    """Tolerances of the multiplier root-find; region tests use ``core.negligible``."""
+    """Tolerances of the multiplier search; region tests use ``core.negligible``.
+
+    The search stops once ``|T(eta)| <= min(residual_tol, eta_tol / 2)``:
+    since ``T' >= 1`` the root is then within ``eta_tol / 2`` of ``eta``.
+    It also stops once its bracket is within ``eta_tol`` (plus two rounding
+    units of ``eta``) and ``|T(eta)| <= residual_tol``, or when no double
+    lies inside the bracket.  ``max_iter`` bounds its ``T`` evaluations.
+    """
 
     eta_tol: float = 1e-12
     residual_tol: float = 1e-10
@@ -66,8 +76,10 @@ class ProxResult:
     """Prox point plus diagnostics.
 
     ``eta`` is the coupling multiplier (0 on the closed-form regions with
-    vanishing scale value), ``root_iterations`` counts root-finder steps,
-    and ``certificate_gap`` is the Fenchel residual of the output, checked
+    vanishing scale value), ``root_iterations`` counts the evaluations of
+    ``T`` the multiplier search made (``T(0)``, the lower end of its
+    bracket, is not one of them; 0 off the root region), and
+    ``certificate_gap`` is the Fenchel residual of the output, checked
     independently of the path that produced it.
     """
 
@@ -86,9 +98,6 @@ _LABELS = {
     True: (CaseLabel.OMEGA1, CaseLabel.OMEGA2, CaseLabel.OMEGA3, CaseLabel.OMEGA4),
     False: (CaseLabel.XI1, CaseLabel.XI2, CaseLabel.XI3, CaseLabel.XI4),
 }
-
-# multiplier brackets wider than this are narrowed in log space before Brent
-_WIDE_BRACKET = 2.0 ** 32
 
 
 def _pull_back(x: Vec, gamma: float, xg: Vec, d: Vec) -> Vec:
@@ -131,8 +140,10 @@ def _signed_pass(pair, gamma: float, x: Vec, y: float, base_drives: bool):
     """The region tests, and the closed-form points where they select one.
 
     Returns ``(x/gamma, outer, inner, region, outer point, inner point,
-    eta)``.  Region 4, the root region, has no points, and its last entry is
-    ``T(0)`` where the tests computed it (else None).  Zero tests are
+    eta)``.  In region 4, the root region, the points and the last entry
+    are those of ``T(0)``, where the tests computed it (else None): the
+    outer point at 0, the inner point at the outer value, and ``T(0)``
+    itself.  Zero tests are
     ``core.negligible`` at the size of the curve's argument: ``x/gamma``
     for B, ``y`` for S.  A conjugate value of +inf at the projected point
     is not zero, so it defers to the root region, whose prox calls never
@@ -148,7 +159,7 @@ def _signed_pass(pair, gamma: float, x: Vec, y: float, base_drives: bool):
     o_zero, i_zero = negligible(o0, o_ref), negligible(i0, i_ref)
     if o_zero and i_zero:
         return xg, outer, inner, 1, o_pt, i_pt, 0.0
-    t0 = None
+    t0 = i_pt2 = None
     if not o_zero and 0.0 < o0 < INF:
         i_pt2 = i_point(o0)
         t0 = i_value(i_pt2)
@@ -158,7 +169,7 @@ def _signed_pass(pair, gamma: float, x: Vec, y: float, base_drives: bool):
         o_pt3 = o_point(-i0)
         if negligible(o_value(o_pt3), o_ref):
             return xg, outer, inner, 3, o_pt3, i_pt, -i0
-    return xg, outer, inner, 4, None, None, t0
+    return xg, outer, inner, 4, o_pt, i_pt2, t0
 
 
 def _classify(pair, gamma, x, y, sign_class: SignClass) -> CaseLabel:
@@ -181,96 +192,161 @@ def classify_case_iii(pair: PerspectivePair, gamma: float, x, y) -> CaseLabel:
     return _classify(pair, gamma, x, y, SignClass.NONPOSITIVE_CONJUGATE)
 
 
+class SearchRecord:
+    """Side record of one multiplier search.
+
+    ``points[eta] = (outer point, inner point, outer value)`` for each
+    ``eta`` at which ``T`` was evaluated: the outer point is the base point
+    ``prox_{(eta/gamma) phi*}(x/gamma)`` in case (i) and the scale point in
+    case (iii), the inner point the other one, at the outer value as its
+    weight.  An entry may hold None for the outer value.  ``slope(eta)`` is
+    ``T'(eta)`` at such an ``eta``, from the curves' contract slopes (NaN
+    where one is not defined); ``make_residual_case_*`` sets it.
+    """
+
+    __slots__ = ("points", "slope")
+
+    def __init__(self, points: dict | None = None):
+        self.points = {} if points is None else points
+        self.slope: Callable[[float], float] | None = None
+
+
 def _solve_eta(
     T: Callable[[float], float],
     cfg: RootConfig,
     eta_hi: float | None,
     trace: Callable[[int, float, float, float, float], None] | None,
     t0: float | None,
+    record: SearchRecord,
 ) -> tuple[float, int]:
     if t0 is None:
         t0 = T(0.0)
     if t0 >= 0.0:
         return 0.0, 0
-    hi = eta_hi if eta_hi is not None else max(1.0, -t0) + cfg.eta_tol
-    fhi = T(hi)
-    bracket_evals = 0
-    while fhi < 0.0 and bracket_evals < 60:
-        hi *= 2.0
-        fhi = T(hi)
-        bracket_evals += 1
-    if fhi < 0.0:
-        raise RootFindError("could not bracket the multiplier", 0.0, hi, t0, fhi)
-    # -T(0) can exceed the root by many orders of magnitude (about 1e67
-    # against 1e-3 for power(1.05)/root(0.5)); Brent's secant points then sit
-    # on hi and it only bisects, so a wide bracket is bisected in log space
-    # first, with eta_tol standing in for a lower end of 0, until hi <= 2 lo
-    lo, flo = 0.0, t0
-    if hi > _WIDE_BRACKET:
-        while hi > 2.0 * max(lo, cfg.eta_tol):
-            mid = math.sqrt(max(lo, cfg.eta_tol) * hi)
-            fmid = T(mid)
-            bracket_evals += 1
+    # T' >= 1 bounds the root by -T(0); T(-T(0)) >= 0 need not be evaluated
+    lo, hi, flo, fhi, it = 0.0, -t0, t0, None, 0
+    if eta_hi is not None:
+        fmid = T(eta_hi)
+        it = 1
+        if trace is not None:
+            trace(it, lo, hi, eta_hi, fmid)
+            trace = _shifted(trace)
+        if fmid == 0.0:
+            return eta_hi, it
+        if eta_hi < hi:
             if fmid < 0.0:
-                lo, flo = mid, fmid
+                lo, flo = eta_hi, fmid
             else:
-                hi, fhi = mid, fmid
+                hi, fhi = eta_hi, fmid
     res = solve_bracketed(
         T, lo, hi, flo, fhi,
         xtol=cfg.eta_tol, ftol=cfg.residual_tol, max_iter=cfg.max_iter,
-        trace=trace,
+        trace=trace, slope=record.slope, min_slope=1.0,
     )
-    return res.root, res.iterations + bracket_evals
+    return res.root, res.iterations + it
 
 
-def _residual(pair, gamma, x, y, base_drives: bool) -> Callable[[float], float]:
+def _shifted(trace):
+    return lambda it, *row: trace(it + 1, *row)
+
+
+def _residual(pair, gamma, x, y, base_drives: bool, record) -> Callable[[float], float]:
     x, y = pair.check_point(x, y)
-    _, (o_point, o_value), (i_point, i_value) = _curves(pair, gamma, x, y, base_drives)
+    xg, (o_point, o_value), (i_point, i_value) = _curves(pair, gamma, x, y, base_drives)
+    if record is None:
+        def T(eta: float) -> float:
+            return i_value(i_point(o_value(o_point(eta)))) + eta
+
+        return T
+
+    points = record.points
+    base, scaling = pair.base, pair.scaling
+
+    # T' = 1 + inner' * outer', the curves' slopes in v being their contract
+    # slopes scaled by 1/gamma (B) and gamma (S); 1 where the outer one is flat
+    def slope(eta: float) -> float:
+        entry = points.get(eta)
+        if entry is None:  # T(0) passed in without its points
+            return NAN
+        o_pt, i_pt, weight = entry
+        if weight is None:
+            weight = o_value(o_pt)
+        if base_drives:
+            ds = base.conj_slope(eta / gamma, xg, o_pt)
+            return 1.0 + scaling.env_slope(gamma * weight, y, i_pt) * ds if ds else 1.0
+        ds = scaling.env_slope(gamma * eta, y, o_pt)
+        return 1.0 + base.conj_slope(weight / gamma, xg, i_pt) * ds if ds else 1.0
 
     def T(eta: float) -> float:
-        return i_value(i_point(o_value(o_point(eta)))) + eta
+        o_pt = o_point(eta)
+        weight = o_value(o_pt)
+        i_pt = i_point(weight)
+        points[eta] = (o_pt, i_pt, weight)
+        return i_value(i_pt) + eta
 
+    record.slope = slope
     return T
 
 
-def make_residual_case_i(pair: PerspectivePair, gamma: float, x, y) -> Callable[[float], float]:
+def make_residual_case_i(pair: PerspectivePair, gamma: float, x, y,
+                         record: SearchRecord | None = None) -> Callable[[float], float]:
     """The strictly increasing map ``T(eta) = S(B(eta)) + eta`` whose root is
     the case-(i) multiplier; both curves are nonincreasing, so their
-    composition is nondecreasing."""
-    return _residual(pair, gamma, x, y, True)
+    composition is nondecreasing and ``T' >= 1``.
+
+    With a ``SearchRecord``, each evaluation also stores its curve points
+    in ``record.points``, and ``record.slope`` is set to the function
+    giving ``T'`` at those points.
+    """
+    return _residual(pair, gamma, x, y, True, record)
 
 
-def make_residual_case_iii(pair: PerspectivePair, gamma: float, x, y) -> Callable[[float], float]:
-    """Case-(iii) multiplier residual ``T(eta) = B(S(eta)) + eta``."""
-    return _residual(pair, gamma, x, y, False)
+def make_residual_case_iii(pair: PerspectivePair, gamma: float, x, y,
+                           record: SearchRecord | None = None) -> Callable[[float], float]:
+    """Case-(iii) multiplier residual ``T(eta) = B(S(eta)) + eta``; the
+    outer point of a ``record`` entry is the scale point.  See
+    ``make_residual_case_i``."""
+    return _residual(pair, gamma, x, y, False, record)
 
 
 def solve_eta_case_i(
     pair: PerspectivePair, gamma: float, x, y,
     cfg: RootConfig = DEFAULT_CONFIG, *, eta_hi: float | None = None,
-    trace=None, t0: float | None = None,
+    trace=None, t0: float | None = None, record: SearchRecord | None = None,
 ) -> tuple[float, int]:
     """Multiplier for the case-(i) root region: the unique ``eta >= 0``
-    with ``T(eta) = 0``.
+    with ``T(eta) = 0``, and the number of ``T`` evaluations it took.
 
-    The default bracket is ``[0, max(1, -T(0)) + eta_tol]``, valid because
-    the composed curve term of ``T`` is nondecreasing; a doubling fallback
-    guards round-off, and a bracket whose upper end exceeds 2**32 is
-    bisected in log ``eta``, keeping a point where ``T < 0`` as its lower
-    end, until the ends are within a factor 2 (of ``eta_tol`` for a lower
-    end of 0).  Pass ``eta_hi`` to start from a different bracket, and
-    ``t0`` when ``T(0)`` is already known.
+    Since ``T' >= 1`` the bracket is ``[0, -T(0)]``, and its upper end is
+    not evaluated.  ``roots.solve_bracketed`` searches it with
+    ``min_slope = 1``: Newton steps from the exact slopes that
+    ``make_residual_case_i`` gives ``record``, inverse quadratic
+    interpolation or bisection where a Newton step fails Brent's test,
+    log-space bisection while the bracket is wide, and after each
+    evaluation the bracket shrinks to within ``|T(eta)|`` of ``eta``.  It
+    stops as ``RootConfig`` states.  ``T(0)`` is not counted: pass it as
+    ``t0`` when it is known, with its points in ``record.points[0.0]``;
+    otherwise it is evaluated first.  Pass ``eta_hi`` to evaluate ``T``
+    there first; any positive value works.  ``trace(it, lo, hi, eta,
+    T(eta))`` gets every evaluated ``eta`` but 0 and the bracket it was
+    chosen in.  Pass a ``SearchRecord`` to keep the points of every
+    evaluation; the entry at the returned ``eta`` holds the points the
+    prox is assembled from.
     """
-    return _solve_eta(make_residual_case_i(pair, gamma, x, y), cfg, eta_hi, trace, t0)
+    record = SearchRecord() if record is None else record
+    T = make_residual_case_i(pair, gamma, x, y, record)
+    return _solve_eta(T, cfg, eta_hi, trace, t0, record)
 
 
 def solve_eta_case_iii(
     pair: PerspectivePair, gamma: float, x, y,
     cfg: RootConfig = DEFAULT_CONFIG, *, eta_hi: float | None = None,
-    trace=None, t0: float | None = None,
+    trace=None, t0: float | None = None, record: SearchRecord | None = None,
 ) -> tuple[float, int]:
     """Multiplier for the case-(iii) root region; see ``solve_eta_case_i``."""
-    return _solve_eta(make_residual_case_iii(pair, gamma, x, y), cfg, eta_hi, trace, t0)
+    record = SearchRecord() if record is None else record
+    T = make_residual_case_iii(pair, gamma, x, y, record)
+    return _solve_eta(T, cfg, eta_hi, trace, t0, record)
 
 
 def prox_perspective(
@@ -297,11 +373,12 @@ def prox_perspective(
         xg, outer, inner, region, o_pt, i_pt, eta = _signed_pass(pair, gamma, x, y, base_drives)
         iters = 0
         if region == 4:
+            # T(0) and its points come from the pass where it computed them
+            record = SearchRecord(None if eta is None else {0.0: (o_pt, i_pt, None)})
             solve = solve_eta_case_i if base_drives else solve_eta_case_iii
-            eta, iters = solve(pair, gamma, x, y, cfg, t0=eta)
-            # the outer curve at eta; of the inner curve only its point
-            o_pt = outer[0](eta)
-            i_pt = inner[0](outer[1](o_pt))
+            eta, iters = solve(pair, gamma, x, y, cfg, t0=eta, record=record)
+            # the points of the search's evaluation of T at eta
+            o_pt, i_pt, _ = record.points[eta]
         label = _LABELS[base_drives][region - 1]
         b_pt, q = (o_pt, i_pt) if base_drives else (i_pt, o_pt)
         p = _pull_back(x, gamma, xg, b_pt)

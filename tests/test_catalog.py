@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from persprox import (
@@ -184,6 +184,43 @@ def test_sqrt_scaling_prox_huge_weight_and_input(beta, mu, y):
     # weight and input near 1e11 with roots from 3 to 25 (Huber(1e4)/sqrt
     # calls of the wide_scale robustness probe, seed 0, calls 82, 256, 1018)
     _assert_sqrt_scaling_prox_contract(beta, mu, y)
+
+
+@pytest.mark.parametrize("beta, mu, y", [(1.0, 0.99999, 2.2250738585e-313), (1.0, 0.5, -1e-320)])
+def test_sqrt_scaling_prox_subnormal_input(beta, mu, y):
+    # Newton's step stayed one subnormal unit wide, never within four
+    # rounding units of r, and the loop raised RootFindError
+    _assert_sqrt_scaling_prox_contract(beta, mu, y)
+
+
+@pytest.mark.parametrize("beta, mu, y", [
+    (1e-8, 1e12, 1e12),
+    (1e-8, 1e12, 1e12 - 1e4),
+    (1e-8, 1.0, 0.999),
+])
+def test_sqrt_scaling_prox_starts_from_the_dominant_balance(monkeypatch, beta, mu, y):
+    # from r0 = max(0, |y| - mu) = 0 each Newton step multiplied r by about
+    # 1.5 while mu*beta/(beta + r^2)^1.5 dominated g': 34, 27 and 13
+    # evaluations of g.  Each evaluation takes one square root, the start
+    # at most two more
+    import persprox.catalog as catalog
+
+    roots = []
+
+    class CountingMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def sqrt(self, v):
+            roots.append(v)
+            return math.sqrt(v)
+
+    monkeypatch.setattr(catalog, "math", CountingMath())
+    r = _assert_sqrt_scaling_prox_contract(beta, mu, y)
+    assert len(roots) <= 8
+    # stationarity to the rounding of its terms, which are about |y| in size
+    g = r - y + mu * r / math.sqrt(beta + r * r)
+    assert abs(g) <= 8.0 * math.ulp(y)
 
 
 # --- Huber pieces -----------------------------------------------------------
@@ -396,6 +433,15 @@ def test_constructors_reject_non_finite_parameters(make, value):
         make(value)
 
 
+def test_huber_rejects_a_slope_whose_square_overflows():
+    # alpha * alpha = inf made conj_eval((0, 0)) = -inf, and every prox
+    # raised RootFindError from sqrt_scaling_prox
+    assert HuberBase(1e154).conj_eval((0.0, 0.0)) == -0.5e308
+    for alpha in (1.35e154, 1e160, 1e300):
+        with pytest.raises(ValueError, match="finite square"):
+            HuberBase(alpha)
+
+
 def test_interval_upper_end_may_be_infinite_but_not_nan():
     assert RootScaling(0.5, INF).upper == INF == IdentityScaling(INF).upper
     for make in (lambda v: RootScaling(0.5, v), IdentityScaling):
@@ -414,3 +460,95 @@ def test_scaling_validation():
         PowerBase(1.0)
     with pytest.raises(ValueError):
         HuberBase(0.0)
+
+
+# --- value-curve slopes -----------------------------------------------------
+
+def _base_curve(base, xstar):
+    """``w -> (point, value)`` of the value curve phi*(prox_{w phi*}(xstar))."""
+    def at(w):
+        pt = base.prox_conj(w, xstar) if w > 0.0 else base.proj_dom_conj(xstar)
+        return pt, base.conj_eval(pt)
+    return at
+
+
+def _scaling_curve(scaling, y):
+    def at(w):
+        z = scaling.prox_env(w, y)
+        return z, scaling.env_eval(z)
+    return at
+
+
+def _central_difference(curve, w):
+    h = 1e-5 * w
+    return (curve(w + h)[1] - curve(w - h)[1]) / (2.0 * h), h
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    base=st.sampled_from([PowerBase(1.5), PowerBase(2.0), PowerBase(3.0), PowerBase(20.0),
+                          HuberBase(0.5), HuberBase(1.0), HuberBase(3.0)]),
+    log_w=st.floats(-3.0, 3.0),
+    x=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+)
+def test_conj_slope_matches_central_difference(base, log_w, x):
+    w = 10.0 ** log_w
+    curve = _base_curve(base, x)
+    fd, h = _central_difference(curve, w)
+    if isinstance(base, HuberBase):
+        # the clamp onto the ball is a kink of the curve
+        r = math.hypot(*x)
+        assume(abs(r / (1.0 + w) - base.alpha) > 1e-3 * base.alpha)
+    slope = base.conj_slope(w, x, curve(w)[0])
+    assert slope <= 0.0
+    assert abs(slope - fd) <= 1e-5 * (1.0 + abs(fd)) + 1e-9 * abs(curve(w)[1]) / h
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    scaling=st.sampled_from([RootScaling(0.3), RootScaling(0.5, 4.0), RootScaling(0.9, 2.0),
+                             SqrtScaling(0.2), SqrtScaling(1.0), SqrtScaling(5.0),
+                             IdentityScaling(), IdentityScaling(2.0)]),
+    log_w=st.floats(-3.0, 3.0),
+    y=st.floats(-10.0, 10.0),
+)
+def test_env_slope_matches_central_difference(scaling, log_w, y):
+    w = 10.0 ** log_w
+    curve = _scaling_curve(scaling, y)
+    fd, h = _central_difference(curve, w)
+    z = curve(w)[0]
+    # the clamps at 0 and at the upper end are kinks of the curve
+    lo, hi = curve(w - h)[0], curve(w + h)[0]
+    for end in (0.0, getattr(scaling, "upper", INF)):
+        assume((lo == end) == (hi == end))
+    if isinstance(scaling, IdentityScaling):
+        assume(min(abs(y + w), abs(y + w - scaling.upper)) > 2.0 * h)
+    slope = scaling.env_slope(w, y, z)
+    assert slope <= 0.0
+    assert abs(slope - fd) <= 1e-5 * (1.0 + abs(fd)) + 1e-9 * abs(curve(w)[1]) / h
+
+
+def test_slopes_vanish_on_clamps():
+    # the root scaling at its upper end: prox_env(1, 10) would be about 10.1
+    root = RootScaling(0.5, 4.0)
+    assert root.prox_env(1.0, 10.0) == 4.0
+    assert root.env_slope(1.0, 10.0, 4.0) == 0.0
+    assert root.env_slope(0.0, 10.0, root.prox_env(0.0, 10.0)) == 0.0
+    assert _central_difference(_scaling_curve(root, 10.0), 1.0)[0] == 0.0
+    # the Huber conjugate on its ball: |x| / (1 + w) = 2.5 > alpha
+    huber = HuberBase(1.0)
+    pt = huber.prox_conj(1.0, (3.0, 4.0))
+    assert math.hypot(*pt) == pytest.approx(1.0)
+    assert huber.conj_slope(1.0, (3.0, 4.0), pt) == 0.0
+    assert _central_difference(_base_curve(huber, (3.0, 4.0)), 1.0)[0] == 0.0
+    # the power conjugate at rho = 0, where g'' is infinite for p* < 2
+    for p in (1.5, 2.0, 3.0):
+        power = PowerBase(p)
+        assert power.prox_conj(1.0, (0.0, 0.0)) == (0.0, 0.0)
+        assert power.conj_slope(1.0, (0.0, 0.0), (0.0, 0.0)) == 0.0
+        assert power.conj_slope(0.0, (0.0, 0.0), (0.0, 0.0)) == 0.0
+    # the identity scaling clamped at 0 and at its upper end
+    ident = IdentityScaling(2.0)
+    assert ident.env_slope(1.0, -3.0, ident.prox_env(1.0, -3.0)) == 0.0
+    assert ident.env_slope(1.0, 3.0, ident.prox_env(1.0, 3.0)) == 0.0
+    assert ident.env_slope(1.0, 0.5, ident.prox_env(1.0, 0.5)) == -1.0

@@ -72,9 +72,10 @@ def test_bad_spec_exit_code():
 @pytest.mark.parametrize("spec", [
     '{"base":{"name":"huber","alpha":Infinity},"scaling":{"name":"sqrt"},"dims":[2,1]}',
     '{"base":{"name":"huber"},"scaling":{"name":"sqrt","beta":"inf"},"dims":[2,1]}',
-], ids=["huber-alpha-inf", "sqrt-beta-inf"])
+    '{"base":{"name":"huber","alpha":1e160},"scaling":{"name":"sqrt"},"dims":[2,1]}',
+], ids=["huber-alpha-inf", "sqrt-beta-inf", "huber-alpha-square-overflows"])
 def test_non_finite_catalog_parameter_is_bad_input(spec):
-    # both pairs were built, then every prox raised RootFindError (exit 3)
+    # all three pairs were built, then every prox raised RootFindError (exit 3)
     out = run_cli("prox", "--spec", spec, "--point", '{"x":[1,0],"y":0}')
     assert out.returncode == 2
     assert "finite" in out.stderr

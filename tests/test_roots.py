@@ -61,6 +61,33 @@ def test_trace_reports_shrinking_sign_change_bracket():
     assert all(lo <= mid <= hi for _, lo, hi, mid, _ in rows)
 
 
+def test_newton_steps_from_slopes():
+    # interpolation steps alone take 8 evaluations here
+    fn = lambda t: t ** 3 - 2.0
+    rows = []
+    res = solve_bracketed(fn, 1.0, 4.0, -1.0, 62.0, xtol=1e-15, ftol=1e-15, max_iter=200,
+                          slope=lambda t: 3.0 * t * t, trace=lambda *row: rows.append(row))
+    assert res.root == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-15)
+    assert res.iterations == len(rows) <= 5
+
+
+def test_min_slope_shrinks_an_unevaluated_bracket():
+    # fn' >= 1, so the root lies in [0, -fn(0)] and within |fn(x)| of each x
+    fn = lambda t: t + 0.5 * math.tanh(t - 1.0) - 1.5
+    rows = []
+    res = solve_bracketed(fn, 0.0, -fn(0.0), fn(0.0), None, xtol=1e-12, ftol=1e-10,
+                          max_iter=200, slope=lambda t: 1.0 + 0.5 / math.cosh(t - 1.0) ** 2,
+                          min_slope=1.0, trace=lambda *row: rows.append(row))
+    assert abs(fn(res.root)) <= 5e-13
+    assert res.iterations == len(rows) <= 5
+    for _, lo, hi, x, fx in rows:
+        assert lo <= x <= hi
+    # each evaluation bounds the next bracket by |fn(x)|
+    for (_, _, _, x, fx), (_, lo, hi, _, _) in zip(rows, rows[1:]):
+        slack = 4.0 * 2.0 ** -52 * abs(x)
+        assert lo >= x - abs(fx) - slack and hi <= x + abs(fx) + slack
+
+
 def _numpy_real_roots(b, c, d, e):
     roots = np.roots([1.0, b, c, d, e])
     # real means: imaginary part negligible against the root's modulus

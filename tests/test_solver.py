@@ -1,5 +1,10 @@
+import contextlib
+import io
+import json
 import math
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -393,3 +398,64 @@ def test_huge_multiplier_bracket_does_not_divide_by_zero():
     eta, _ = solve_eta_case_i(pair, 1.0, (6.0, 0.0), 3.5, eta_hi=1e300)
     res = prox_perspective(pair, 1.0, (6.0, 0.0), 3.5)
     assert eta == pytest.approx(res.eta, rel=1e-9)
+
+
+def _root_band_inputs(count):
+    """The first ``count`` seed-0 inputs of the benchmark's root_band pool."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    pairs, calls = workloads.setup("root_band", 0)
+    return [(pairs[c.pair], workloads.cli_spec("root_band", c.pair), c) for c in calls[:count]]
+
+
+def test_multiplier_search_on_root_band_inputs(monkeypatch):
+    # Newton steps from the exact slopes, the [0, -T(0)] bracket that is
+    # never evaluated at its upper end, and the |T| stop rule (Brent without
+    # them, plus a probe of T(hi), averaged 5.7 evaluations here, 7 at most)
+    import persprox.solver as solver
+    from persprox.cli import main
+    from persprox.roots import solve_bracketed
+
+    count = [0]
+    for name in ("make_residual_case_i", "make_residual_case_iii"):
+        make = getattr(solver, name)
+
+        def counted(*args, make=make, **kwargs):
+            T = make(*args, **kwargs)
+
+            def counted_T(eta):
+                count[0] += 1
+                return T(eta)
+
+            return counted_T
+
+        monkeypatch.setattr(solver, name, counted)
+    evals = []
+    for pair, spec, call in _root_band_inputs(200):
+        count[0] = 0
+        res = prox_perspective(pair, call.gamma, call.x, call.y)
+        if res.label not in (CaseLabel.OMEGA4, CaseLabel.XI4):
+            assert count[0] == 0
+            continue
+        evals.append(count[0])
+        # the pass hands T(0) over, so every evaluation is one of the search's
+        assert count[0] == res.root_iterations
+        # the same root as Brent's method without slopes, run to float
+        # resolution; the search stops at |T| <= 5e-13, and T' >= 1
+        make = make_residual_case_i if res.label is CaseLabel.OMEGA4 else make_residual_case_iii
+        T = make(pair, call.gamma, call.x, call.y)
+        hi = -T(0.0)
+        ref = solve_bracketed(T, 0.0, hi, T(0.0), T(hi), xtol=0.0, ftol=0.0, max_iter=200)
+        assert abs(res.eta - ref.root) <= 1e-12 * (1.0 + ref.root), (call, res.eta, ref.root)
+        # trace-root prints one row per evaluation
+        out = io.StringIO()
+        point = json.dumps({"x": list(call.x), "y": call.y})
+        with contextlib.redirect_stdout(out):
+            assert main(["trace-root", "--spec", json.dumps(spec), "--point", point]) == 0
+        assert len(out.getvalue().splitlines()) == 1 + res.root_iterations
+    assert len(evals) > 150
+    assert sum(evals) / len(evals) <= 4.0
+    assert max(evals) <= 5
