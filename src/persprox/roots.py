@@ -15,8 +15,10 @@ from typing import Callable
 _EPS = 2.0 ** -52  # machine epsilon
 NAN = math.nan
 
-# a nonnegative bracket whose ends differ by more than this factor is split in log space
+# a nonnegative bracket whose ends differ by more than this factor is split in
+# log space, with the smallest normal double standing in for a lower end of 0
 _WIDE_RATIO = 16.0
+_TINY = 2.0 ** -1022
 
 
 class RootFindError(RuntimeError):
@@ -62,28 +64,34 @@ def solve_bracketed(
     ``|fn|`` (with ``min_slope``, where that bounds the width): Brent's
     test.  A step shorter than the width tolerance becomes that tolerance.
     A bracket with ``lo >= 0`` whose ends differ by more than a factor 16
-    is split in log space, ``xtol`` standing in for a lower end of 0: no
-    step lands below its geometric midpoint, and its bisection is that
-    midpoint.  There the root can lie many decades below ``hi``.
+    is split in log space, ``xtol`` (or, where that is 0, the smallest
+    normal double) standing in for a lower end of 0: no step lands below
+    its geometric midpoint, and its bisection is that midpoint.  There the
+    root can lie many decades below ``hi``.
 
-    ``fhi`` may be None: an upper end that was not evaluated, whose sign
-    the caller knows.  With ``min_slope = L > 0`` the caller asserts
-    ``fn(u) - fn(v) >= L * (u - v)`` for ``u > v``, so each evaluation also
-    bounds the root within ``|fn(x)| / L`` of ``x`` (widened by two rounding
-    units of ``x``) and the bracket shrinks to that bound.
+    With ``min_slope = L > 0`` the caller asserts ``fn(u) - fn(v) >= L *
+    (u - v)`` for ``u > v``, so each evaluation also bounds the root within
+    ``|fn(x)| / L`` of ``x`` (widened by two rounding units of ``x``) and
+    the bracket shrinks to that bound; ``fhi`` may then be None, an upper
+    end that was not evaluated.  Such an end is a bound that the rounding
+    of ``fn`` can break: an evaluation there with the wrong sign replaces
+    it by the last evaluated point beyond, or else by its own bound.
 
     It stops at ``b`` once ``fn(b) == 0``, once ``|fn(b)| <= L * min(ftol,
     xtol/2)`` (the root is then within ``xtol/2`` of ``b``), or once the
-    half-width is at most ``2*eps*|b| + xtol/2`` and ``|fn(b)| <= ftol``
-    (it bisects while only the width is met); and when no double lies
-    strictly inside the bracket, at the evaluated end of smaller ``|fn|``:
-    the root to float resolution, whatever its residual.  ``iterations``
-    counts calls of ``fn``; ``trace(it, lo, hi, x, fn(x))`` gets each
-    evaluated ``x`` and the bracket it was chosen in.
+    half-width is at most ``2*eps*|b| + xtol/2`` and ``|fn(b)| <= ftol``.
+    While only the width is met it evaluates the far end if that was
+    never evaluated, and bisects otherwise.  When no double lies strictly
+    inside a bracket of evaluated ends it stops at the end of smaller
+    ``|fn|``: the root to float resolution, whatever its residual.
+    ``iterations`` counts calls of ``fn``; ``trace(it, lo, hi, x, fn(x))``
+    gets each evaluated ``x`` and the bracket it was chosen in.
     """
     if flo > 0.0 or (fhi is not None and fhi < 0.0):
         raise RootFindError("no sign change on bracket", lo, hi, flo, fhi)
     if fhi is None:
+        if min_slope <= 0.0:
+            raise ValueError("an upper end that was not evaluated needs min_slope > 0")
         fhi = NAN
     # b is the last evaluated point and a the one before; neg and pos are
     # the last evaluated points below and above the root, for interpolation
@@ -103,40 +111,54 @@ def solve_bracketed(
         width_met = abs(xm) <= tol
         if fb == 0.0 or abs(fb) <= fstop or (width_met and abs(fb) <= ftol):
             return RootResult(b, fb, it)
-        # b + xm in (b, far): no double lies strictly inside the bracket
-        if b + xm in (b, far):
+        # b + xm in (b, far): no double lies strictly inside the bracket,
+        # whose width is then met unless tol is 0
+        edge = b + xm in (b, far)
+        if edge and (ffar == ffar or abs(fb) <= ftol):
             if abs(ffar) < abs(fb):
                 return RootResult(far, ffar, it)
             return RootResult(b, fb, it)
         if it >= max_iter:
             raise RootFindError(f"no convergence in {max_iter} iterations", lo, hi, flo, fhi)
-        ok = False
-        if not (width_met or abs(e) < tol):
-            reach = 2.0 * abs(xm) if ffar != ffar else 1.5 * abs(xm) - 0.5 * tol
-            progress = shrink and 2.0 * abs(fb) <= abs(fa)
-            if slope is not None:
-                db = slope(b)
-                if 0.0 < db < math.inf:
-                    step = -fb / db
-                    ok = _acceptable(step, xm, reach, e, progress)
-            if not ok:
-                step = _interpolate(a, fa, b, fb, *(pos if fb < 0.0 else neg))
-                ok = _acceptable(step, xm, reach, e, progress)
-        if lo >= 0.0 and hi > _WIDE_RATIO * max(lo, xtol):
-            geo = math.sqrt(max(lo, xtol) * hi) - b
-            if not (ok and step >= geo):
-                ok, step = False, geo
-        elif not ok:
-            step = xm
-        if ok:
-            e, d = d, step
+        if ffar != ffar and (edge or width_met):
+            # fn(b) misses ftol next to an end never evaluated: evaluate it
+            # rather than trust its bound or creep towards it
+            d = e = far - b
+            x = far
         else:
-            d = e = step
-        # a step shorter than tol becomes tol, which stays inside the bracket
-        # unless the width is met, when the step is the exact bisection
-        step = d if width_met or abs(d) > tol else math.copysign(tol, xm)
+            ok = False
+            if not (width_met or abs(e) < tol):
+                reach = 2.0 * abs(xm) if ffar != ffar else 1.5 * abs(xm) - 0.5 * tol
+                progress = shrink and 2.0 * abs(fb) <= abs(fa)
+                if slope is not None:
+                    db = slope(b)
+                    if 0.0 < db < math.inf:
+                        step = -fb / db
+                        ok = _acceptable(step, xm, reach, e, progress)
+                if not ok:
+                    step = _interpolate(a, fa, b, fb, *(pos if fb < 0.0 else neg))
+                    ok = _acceptable(step, xm, reach, e, progress)
+            mid = None
+            if lo >= 0.0 and hi > _WIDE_RATIO * max(lo, xtol, _TINY):
+                geo = math.sqrt(max(lo, xtol, _TINY)) * math.sqrt(hi)
+                if not (ok and step >= geo - b):
+                    ok, step, mid = False, geo - b, geo
+            elif not ok:
+                step = xm
+            if ok:
+                e, d = d, step
+            else:
+                d = e = step
+            # a step shorter than tol becomes tol, which stays inside the bracket
+            # unless the width is met, when the step is the exact bisection; a
+            # log-space bisection, always longer than tol, lands on its midpoint
+            # itself, since b + (mid - b) can round to an end of the bracket
+            if mid is not None:
+                x = mid
+            else:
+                x = b + (d if width_met or abs(d) > tol else math.copysign(tol, xm))
         a, fa = b, fb
-        b += step
+        b = x
         fb = fn(b)
         it += 1
         if trace is not None:  # [lo, hi] is the bracket b was chosen in
@@ -147,10 +169,14 @@ def solve_bracketed(
             slack = _EPS * (abs(b) + abs(bound))
         if fb < 0.0:
             lo, flo = neg = b, fb
+            if b >= hi:  # fn's rounding put the root past an end never evaluated
+                hi, fhi = pos if pos[0] > b else (math.inf, NAN)
             if shrink and bound + slack < hi:
                 hi, fhi = bound + slack, NAN
         elif fb > 0.0:
             hi, fhi = pos = b, fb
+            if b <= lo:
+                lo, flo = neg if neg[0] < b else (-math.inf, NAN)
             if shrink and bound - slack > lo:
                 lo, flo = bound - slack, NAN
 

@@ -55,7 +55,8 @@ class RootConfig:
     since ``T' >= 1`` the root is then within ``eta_tol / 2`` of ``eta``.
     It also stops once its bracket is within ``eta_tol`` (plus two rounding
     units of ``eta``) and ``|T(eta)| <= residual_tol``, or when no double
-    lies inside the bracket.  ``max_iter`` bounds its ``T`` evaluations.
+    lies inside a bracket whose ends it evaluated.  ``max_iter`` bounds
+    its ``T`` evaluations.
     """
 
     eta_tol: float = 1e-12
@@ -214,7 +215,6 @@ class SearchRecord:
 def _solve_eta(
     T: Callable[[float], float],
     cfg: RootConfig,
-    eta_hi: float | None,
     trace: Callable[[int, float, float, float, float], None] | None,
     t0: float | None,
     record: SearchRecord,
@@ -224,41 +224,19 @@ def _solve_eta(
     if t0 >= 0.0:
         return 0.0, 0
     # T' >= 1 bounds the root by -T(0); T(-T(0)) >= 0 need not be evaluated
-    lo, hi, flo, fhi, it = 0.0, -t0, t0, None, 0
-    if eta_hi is not None:
-        fmid = T(eta_hi)
-        it = 1
-        if trace is not None:
-            trace(it, lo, hi, eta_hi, fmid)
-            trace = _shifted(trace)
-        if fmid == 0.0:
-            return eta_hi, it
-        if eta_hi < hi:
-            if fmid < 0.0:
-                lo, flo = eta_hi, fmid
-            else:
-                hi, fhi = eta_hi, fmid
     res = solve_bracketed(
-        T, lo, hi, flo, fhi,
+        T, 0.0, -t0, t0, None,
         xtol=cfg.eta_tol, ftol=cfg.residual_tol, max_iter=cfg.max_iter,
         trace=trace, slope=record.slope, min_slope=1.0,
     )
-    return res.root, res.iterations + it
-
-
-def _shifted(trace):
-    return lambda it, *row: trace(it + 1, *row)
+    return res.root, res.iterations
 
 
 def _residual(pair, gamma, x, y, base_drives: bool, record) -> Callable[[float], float]:
     x, y = pair.check_point(x, y)
     xg, (o_point, o_value), (i_point, i_value) = _curves(pair, gamma, x, y, base_drives)
     if record is None:
-        def T(eta: float) -> float:
-            return i_value(i_point(o_value(o_point(eta)))) + eta
-
-        return T
-
+        record = SearchRecord()
     points = record.points
     base, scaling = pair.base, pair.scaling
 
@@ -294,9 +272,9 @@ def make_residual_case_i(pair: PerspectivePair, gamma: float, x, y,
     the case-(i) multiplier; both curves are nonincreasing, so their
     composition is nondecreasing and ``T' >= 1``.
 
-    With a ``SearchRecord``, each evaluation also stores its curve points
-    in ``record.points``, and ``record.slope`` is set to the function
-    giving ``T'`` at those points.
+    Each evaluation stores its curve points in ``record.points`` (a fresh
+    ``SearchRecord`` when none is given), and ``record.slope`` is set to
+    the function giving ``T'`` at those points.
     """
     return _residual(pair, gamma, x, y, True, record)
 
@@ -311,7 +289,7 @@ def make_residual_case_iii(pair: PerspectivePair, gamma: float, x, y,
 
 def solve_eta_case_i(
     pair: PerspectivePair, gamma: float, x, y,
-    cfg: RootConfig = DEFAULT_CONFIG, *, eta_hi: float | None = None,
+    cfg: RootConfig = DEFAULT_CONFIG, *,
     trace=None, t0: float | None = None, record: SearchRecord | None = None,
 ) -> tuple[float, int]:
     """Multiplier for the case-(i) root region: the unique ``eta >= 0``
@@ -326,8 +304,7 @@ def solve_eta_case_i(
     evaluation the bracket shrinks to within ``|T(eta)|`` of ``eta``.  It
     stops as ``RootConfig`` states.  ``T(0)`` is not counted: pass it as
     ``t0`` when it is known, with its points in ``record.points[0.0]``;
-    otherwise it is evaluated first.  Pass ``eta_hi`` to evaluate ``T``
-    there first; any positive value works.  ``trace(it, lo, hi, eta,
+    otherwise it is evaluated first.  ``trace(it, lo, hi, eta,
     T(eta))`` gets every evaluated ``eta`` but 0 and the bracket it was
     chosen in.  Pass a ``SearchRecord`` to keep the points of every
     evaluation; the entry at the returned ``eta`` holds the points the
@@ -335,18 +312,18 @@ def solve_eta_case_i(
     """
     record = SearchRecord() if record is None else record
     T = make_residual_case_i(pair, gamma, x, y, record)
-    return _solve_eta(T, cfg, eta_hi, trace, t0, record)
+    return _solve_eta(T, cfg, trace, t0, record)
 
 
 def solve_eta_case_iii(
     pair: PerspectivePair, gamma: float, x, y,
-    cfg: RootConfig = DEFAULT_CONFIG, *, eta_hi: float | None = None,
+    cfg: RootConfig = DEFAULT_CONFIG, *,
     trace=None, t0: float | None = None, record: SearchRecord | None = None,
 ) -> tuple[float, int]:
     """Multiplier for the case-(iii) root region; see ``solve_eta_case_i``."""
     record = SearchRecord() if record is None else record
     T = make_residual_case_iii(pair, gamma, x, y, record)
-    return _solve_eta(T, cfg, eta_hi, trace, t0, record)
+    return _solve_eta(T, cfg, trace, t0, record)
 
 
 def prox_perspective(

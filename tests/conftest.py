@@ -103,6 +103,18 @@ def closed_form_huber_prox(alpha: float, beta: float, gamma: float, x, y: float)
     return tuple(c * (sq / (gamma + sq)) for c in x), qv
 
 
+def eta_on_wider_bracket(T, extra: float) -> float:
+    """Root of a multiplier residual ``T`` by the search of
+    ``solve_eta_case_*`` (``min_slope = 1``, default tolerances, no slopes)
+    on the evaluated bracket ``[0, extra - T(0)]``, which holds it since
+    ``T' >= 1``; ``solve_eta_case_*`` start from ``[0, -T(0)]`` and never
+    evaluate its upper end."""
+    t0 = T(0.0)
+    hi = extra - t0
+    return solve_bracketed(T, 0.0, hi, t0, T(hi), xtol=1e-12, ftol=1e-10,
+                           max_iter=200, min_slope=1.0).root
+
+
 def rand_vec(rng: random.Random, n: int, lo: float = -4.0, hi: float = 4.0):
     return tuple(rng.uniform(lo, hi) for _ in range(n))
 

@@ -28,11 +28,10 @@ from persprox import (
     perspective_eval,
     prox_perspective,
     run_concomitant_demo,
-    solve_eta_case_i,
-    solve_eta_case_iii,
     sqrt_scaling_prox,
 )
 from persprox.solver import make_residual_case_i, make_residual_case_iii
+from conftest import eta_on_wider_bracket
 from reference import (
     AbsScalar,
     ConjugateProvider,
@@ -194,12 +193,10 @@ def test_criterion_4_root_finder_contract(oracle_runs):
             max_iters = max(max_iters, res.root_iterations)
             if res.label is CaseLabel.OMEGA4:
                 T = make_residual_case_i(pair, gamma, x, y)
-                eta2, _ = solve_eta_case_i(pair, gamma, x, y, eta_hi=3.7)
             else:
                 T = make_residual_case_iii(pair, gamma, x, y)
-                eta2, _ = solve_eta_case_iii(pair, gamma, x, y, eta_hi=3.7)
             worst_residual = max(worst_residual, abs(T(res.eta)))
-            worst_gap = max(worst_gap, abs(res.eta - eta2))
+            worst_gap = max(worst_gap, abs(res.eta - eta_on_wider_bracket(T, 3.7)))
     ok = (
         checked > 0
         and worst_residual <= 1e-10

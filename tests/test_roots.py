@@ -88,6 +88,50 @@ def test_min_slope_shrinks_an_unevaluated_bracket():
         assert lo >= x - abs(fx) - slack and hi <= x + abs(fx) + slack
 
 
+def test_log_space_split_with_zero_lower_end_and_xtol():
+    # concave powers with roots 1e-20..1e-90, decades below hi = 1e6; with
+    # lo = xtol = 0 the smallest normal double stands in for the lower end
+    for power, c in ((0.3, 1e-6), (0.1, 1e-3), (0.1, 1e-9), (0.5, 1e-9)):
+        fn = lambda t: t ** power - c
+        res = solve_bracketed(fn, 0.0, 1e6, fn(0.0), fn(1e6),
+                              xtol=0.0, ftol=0.0, max_iter=200)
+        assert res.root == pytest.approx(c ** (1.0 / power), rel=1e-13)
+        assert res.iterations <= 30
+
+
+def test_min_slope_bound_broken_by_rounding_noise():
+    # fn' >= 1 up to noise of 30 ulps of the root, so the bound |fn(x)| from
+    # x can exclude the root of the computed fn; the search must still end
+    # at a sign change between adjacent doubles or at |fn| <= ftol
+    for k in range(40):
+        r = 1e6 * (1.0 + k / 7.0)
+        fn = lambda t: (t - r) + 30.0 * math.ulp(r) * (2.0 * random.Random(t).random() - 1.0)
+        res = solve_bracketed(fn, 0.0, -fn(0.0), fn(0.0), None, xtol=1e-12, ftol=1e-12,
+                              max_iter=200, slope=lambda t: 1.0, min_slope=1.0)
+        x, fx = res.root, res.residual
+        assert fx == fn(x)
+        if abs(fx) > 1e-12:
+            sides = [fn(math.nextafter(x, s)) for s in (-math.inf, math.inf)]
+            assert any(fx * f <= 0.0 for f in sides), (k, x, fx, sides)
+
+
+def test_unevaluated_end_is_evaluated_once_the_width_is_met():
+    # a slope two rounding units above 1 puts the Newton step from 0 three
+    # ulps short of the root, the end -fn(0) that was never evaluated; the
+    # width is met there but not ftol, so that end is evaluated next rather
+    # than reached by bisections of an ulp or two
+    r = 5e7
+    res = solve_bracketed(lambda t: t - r, 0.0, r, -r, None, xtol=1e-12, ftol=1e-10,
+                          max_iter=200, slope=lambda t: 1.0 + 4.5e-16, min_slope=1.0)
+    assert (res.root, res.iterations) == (r, 2)
+
+
+def test_unevaluated_end_needs_min_slope():
+    with pytest.raises(ValueError, match="min_slope"):
+        solve_bracketed(lambda t: t - 1.0, 0.0, 2.0, -1.0, None,
+                        xtol=1e-12, ftol=1e-12, max_iter=50)
+
+
 def _numpy_real_roots(b, c, d, e):
     roots = np.roots([1.0, b, c, d, e])
     # real means: imaginary part negligible against the root's modulus

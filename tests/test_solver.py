@@ -26,7 +26,7 @@ from persprox import (
     solve_eta_case_iii,
 )
 from persprox.solver import make_residual_case_i, make_residual_case_iii
-from conftest import rand_vec
+from conftest import eta_on_wider_bracket, rand_vec
 from reference import case_ii_prox
 
 HUBER = PerspectivePair(HuberBase(1.0), SqrtScaling(1.0), n=2)
@@ -143,7 +143,8 @@ def test_eta_unique_across_brackets(rng):
             if label not in (CaseLabel.OMEGA4, CaseLabel.XI4):
                 continue
             e1, _ = solver(pair, gamma, x, y)
-            e2, _ = solver(pair, gamma, x, y, eta_hi=4.0 + 8.0 * rng.random())
+            make = make_residual_case_i if solver is solve_eta_case_i else make_residual_case_iii
+            e2 = eta_on_wider_bracket(make(pair, gamma, x, y), 4.0 + 8.0 * rng.random())
             assert abs(e1 - e2) <= 1e-12 * (1.0 + abs(e1))
 
 
@@ -395,7 +396,7 @@ def test_huge_multiplier_bracket_does_not_divide_by_zero():
     # below the smallest double; the scalar solver used to raise
     # ZeroDivisionError there instead of returning 0
     pair = PerspectivePair(PowerBase(3.0), RootScaling(0.5), n=2)
-    eta, _ = solve_eta_case_i(pair, 1.0, (6.0, 0.0), 3.5, eta_hi=1e300)
+    eta = eta_on_wider_bracket(make_residual_case_i(pair, 1.0, (6.0, 0.0), 3.5), 1e300)
     res = prox_perspective(pair, 1.0, (6.0, 0.0), 3.5)
     assert eta == pytest.approx(res.eta, rel=1e-9)
 
