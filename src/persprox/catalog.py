@@ -9,10 +9,7 @@ bottom are the only iterative pieces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
-
-from .core import INF, CaseKind, SignClass, Vec, as_vec, norm, scale, zeros_like
+from .core import INF, CaseKind, SignClass, Value, Vec, as_vec, norm, scale, zeros_like
 from .radial import RadialFunction, radial_prox
 # real_quartic_roots and solve_bracketed are no longer called here; they stay
 # module globals because perfbench/tracing.py wraps them in persprox.catalog by name
@@ -70,18 +67,21 @@ def _power_prox(r: float, w: float, t: float) -> float:
     return math.copysign(rho, t) if t != 0.0 else 0.0
 
 
-@dataclass(frozen=True)
-class PowerScalar:
+class PowerScalar(Value):
     """t -> |t|**p / p for p > 1; ``PowerBase`` lifts it at ``p*`` for the prox of its conjugate."""
 
-    p: float
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if not 1.0 < self.p < INF:
-            raise ValueError(f"exponent must be finite and exceed 1, got {self.p}")
+    def __init__(self, p: float):
+        if not 1.0 < p < INF:
+            raise ValueError(f"exponent must be finite and exceed 1, got {p}")
+        object.__setattr__(self, "p", p)
 
     def eval(self, t: float) -> float:
-        return abs(t) ** self.p / self.p
+        try:
+            return abs(t) ** self.p / self.p
+        except OverflowError:  # the value exceeds the largest double
+            return INF
 
     def prox(self, gamma: float, t: float) -> float:
         return _power_prox(self.p, gamma, t)
@@ -105,25 +105,25 @@ def _cap_norm(x: Vec, radius: float) -> Vec:
     return out
 
 
-@dataclass(frozen=True)
-class PowerBase:
-    """phi = ||.||**p / p with conjugate ||.||**{p*} / p*."""
+class PowerBase(Value):
+    """phi = ||.||**p / p with conjugate ||.||**{p*} / p*.
 
-    p: float
+    ``pstar`` is the conjugate exponent and ``_conj`` the radial lift of
+    ``PowerScalar(pstar)``, whose prox is the prox of the conjugate.
+    """
+
+    __slots__ = ("p", "pstar", "_conj")
+    _fields = ("p",)
 
     sign_class = SignClass.NONNEGATIVE_CONJUGATE
 
-    def __post_init__(self):
-        if not 1.0 < self.p < INF:
-            raise ValueError(f"exponent must be finite and exceed 1, got {self.p}")
-
-    @cached_property
-    def pstar(self) -> float:
-        return self.p / (self.p - 1.0)
-
-    @cached_property
-    def _conj(self) -> RadialFunction:
-        return RadialFunction(PowerScalar(self.pstar))
+    def __init__(self, p: float):
+        if not 1.0 < p < INF:
+            raise ValueError(f"exponent must be finite and exceed 1, got {p}")
+        pstar = p / (p - 1.0)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "pstar", pstar)
+        object.__setattr__(self, "_conj", RadialFunction(PowerScalar(pstar)))
 
     def eval(self, x) -> float:
         return norm(x) ** self.p / self.p
@@ -152,9 +152,10 @@ class PowerBase:
         return 0.0 if norm(x) == 0.0 else INF
 
 
-@dataclass(frozen=True)
-class AbsBase:
+class AbsBase(Value):
     """phi = ||.||; conjugate is the indicator of the unit ball."""
+
+    __slots__ = ()
 
     sign_class = SignClass.ZERO_INFTY_CONJUGATE
 
@@ -181,20 +182,20 @@ class AbsBase:
         return scale(x, 1.0 - gamma / r)
 
 
-@dataclass(frozen=True)
-class HuberBase:
+class HuberBase(Value):
     """Radial robust loss with slope ``alpha``; conjugate range is [-alpha^2/2, 0]."""
 
-    alpha: float
+    __slots__ = ("alpha",)
 
     sign_class = SignClass.NONPOSITIVE_CONJUGATE
 
-    def __post_init__(self):
-        if not 0.0 < self.alpha < INF:
-            raise ValueError(f"slope must be positive and finite, got {self.alpha}")
-        if self.alpha * self.alpha == INF:
+    def __init__(self, alpha: float):
+        if not 0.0 < alpha < INF:
+            raise ValueError(f"slope must be positive and finite, got {alpha}")
+        if alpha * alpha == INF:
             # the conjugate's offset alpha**2 / 2 would be infinite
-            raise ValueError(f"slope must have a finite square, got {self.alpha}")
+            raise ValueError(f"slope must have a finite square, got {alpha}")
+        object.__setattr__(self, "alpha", alpha)
 
     def eval(self, x) -> float:
         # quadratic near 0 with the + alpha**2/2 offset that makes the
@@ -236,20 +237,20 @@ class HuberBase:
 # scaling functions (scalar scale space)
 
 
-@dataclass(frozen=True)
-class RootScaling:
+class RootScaling(Value):
     """s(y) = y**q on the interval [0, upper], -inf elsewhere (0 < q < 1)."""
 
-    q: float
-    upper: float = INF
+    __slots__ = ("q", "upper")
 
     case_kind = CaseKind.NEG_S_LOWER
 
-    def __post_init__(self):
-        if not 0.0 < self.q < 1.0:
-            raise ValueError(f"root exponent must lie in (0, 1), got {self.q}")
-        if not self.upper > 0.0:
-            raise ValueError(f"interval upper end must be positive, got {self.upper}")
+    def __init__(self, q: float, upper: float = INF):
+        if not 0.0 < q < 1.0:
+            raise ValueError(f"root exponent must lie in (0, 1), got {q}")
+        if not upper > 0.0:
+            raise ValueError(f"interval upper end must be positive, got {upper}")
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "upper", upper)
 
     def eval(self, y: float) -> float:
         if 0.0 <= y <= self.upper:
@@ -306,17 +307,17 @@ class RootScaling:
         return min(float(t), 0.0)
 
 
-@dataclass(frozen=True)
-class SqrtScaling:
+class SqrtScaling(Value):
     """s(y) = sqrt(beta + y^2), positive everywhere, so its upper envelope is itself."""
 
-    beta: float
+    __slots__ = ("beta",)
 
     case_kind = CaseKind.S_LOWER
 
-    def __post_init__(self):
-        if not 0.0 < self.beta < INF:
-            raise ValueError(f"beta must be positive and finite, got {self.beta}")
+    def __init__(self, beta: float):
+        if not 0.0 < beta < INF:
+            raise ValueError(f"beta must be positive and finite, got {beta}")
+        object.__setattr__(self, "beta", beta)
 
     def eval(self, y: float) -> float:
         return math.sqrt(self.beta + y * y)
@@ -351,17 +352,17 @@ class SqrtScaling:
         return min(max(float(t), -1.0), 1.0)
 
 
-@dataclass(frozen=True)
-class IdentityScaling:
+class IdentityScaling(Value):
     """The linear scale s(y) = y, optionally capped to the interval [0, upper]."""
 
-    upper: float = INF
+    __slots__ = ("upper",)
 
     case_kind = CaseKind.NEG_S_LOWER
 
-    def __post_init__(self):
-        if not self.upper > 0.0:
-            raise ValueError(f"interval upper end must be positive, got {self.upper}")
+    def __init__(self, upper: float = INF):
+        if not upper > 0.0:
+            raise ValueError(f"interval upper end must be positive, got {upper}")
+        object.__setattr__(self, "upper", upper)
 
     def eval(self, y: float) -> float:
         if self.upper == INF:
@@ -516,41 +517,57 @@ def sqrt_scaling_prox(beta: float, mu: float, y: float) -> float:
 # ---------------------------------------------------------------------------
 # construction by name (CLI configuration surface)
 
-_BASES = {
-    "power": lambda params: PowerBase(p=float(params["p"])),
-    "huber": lambda params: HuberBase(alpha=float(params.get("alpha", 1.0))),
-    "abs": lambda params: AbsBase(),
-}
+def _number(value, name: str, default: float | None = None) -> float:
+    """The parameter ``name`` as a float, ``default`` when it is absent
+    (None) and has one; otherwise ``ValueError`` naming it."""
+    if value is None:
+        if default is None:
+            raise ValueError(f"missing parameter {name!r}")
+        return default
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"parameter {name!r} must be a number, got {value!r}") from None
 
 
 def _interval_upper(params) -> float:
     if "interval" in params:
-        lo, hi = params["interval"]
-        if float(lo) != 0.0:
+        interval = params["interval"]
+        if not isinstance(interval, (list, tuple)) or len(interval) != 2:
+            raise ValueError(f"parameter 'interval' must be [0, upper], got {interval!r}")
+        if _number(interval[0], "interval") != 0.0:
             raise ValueError("interval must start at 0")
-        return INF if hi is None else float(hi)
-    upper = params.get("upper")
-    return INF if upper is None else float(upper)
+        return _number(interval[1], "interval", INF)
+    return _number(params.get("upper"), "upper", INF)
 
+
+_BASES = {
+    "power": lambda params: PowerBase(p=_number(params.get("p"), "p")),
+    "huber": lambda params: HuberBase(alpha=_number(params.get("alpha"), "alpha", 1.0)),
+    "abs": lambda params: AbsBase(),
+}
 
 _SCALINGS = {
-    "root": lambda params: RootScaling(q=float(params["q"]), upper=_interval_upper(params)),
-    "sqrt": lambda params: SqrtScaling(beta=float(params.get("beta", 1.0))),
+    "root": lambda params: RootScaling(q=_number(params.get("q"), "q"), upper=_interval_upper(params)),
+    "sqrt": lambda params: SqrtScaling(beta=_number(params.get("beta"), "beta", 1.0)),
     "identity-interval": lambda params: IdentityScaling(upper=_interval_upper(params)),
 }
 
 
 def make_base(name: str, params: dict | None = None):
+    """The catalog base ``name`` with ``params``; ``ValueError`` for an
+    unknown name or a missing or non-numeric parameter."""
     try:
         factory = _BASES[name]
-    except KeyError:
-        raise ValueError(f"unknown base function {name!r}; choose from {sorted(_BASES)}")
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown base function {name!r}; choose from {sorted(_BASES)}") from None
     return factory(params or {})
 
 
 def make_scaling(name: str, params: dict | None = None):
+    """The catalog scaling ``name`` with ``params``; see ``make_base``."""
     try:
         factory = _SCALINGS[name]
-    except KeyError:
-        raise ValueError(f"unknown scaling function {name!r}; choose from {sorted(_SCALINGS)}")
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown scaling function {name!r}; choose from {sorted(_SCALINGS)}") from None
     return factory(params or {})

@@ -89,13 +89,18 @@ def build_problem(data: dict) -> tuple[PerspectivePair, float]:
         scaling_cfg = dict(data["scaling"])
     except (KeyError, TypeError) as exc:
         raise InputError(f"spec needs 'base' and 'scaling' objects: {exc}") from exc
-    base = make_base(base_cfg.pop("name"), base_cfg)
-    scaling = make_scaling(scaling_cfg.pop("name"), scaling_cfg)
-    gamma = float(data.get("gamma", 1.0))
+    base = make_base(base_cfg.pop("name", None), base_cfg)
+    scaling = make_scaling(scaling_cfg.pop("name", None), scaling_cfg)
+    try:
+        gamma = float(data.get("gamma", 1.0))
+    except TypeError as exc:
+        raise InputError(f"gamma must be a number: {exc}") from exc
     if not 0.0 < gamma < INF:
         raise InputError(f"gamma must be positive and finite, got {gamma}")
     dims = data.get("dims", [1, 1])
-    n, m = int(dims[0]), int(dims[1])
+    if not isinstance(dims, list) or len(dims) != 2 or any(type(d) is not int for d in dims):
+        raise InputError(f"dims must be two integers [n, m], got {dims!r}")
+    n, m = dims
     if m != 1:
         raise InputError("catalog scalings use a one-dimensional scale space")
     return PerspectivePair(base, scaling, n), gamma

@@ -106,6 +106,65 @@ def zeros_like(x):
     return tuple(0.0 for _ in x)
 
 
+class Record:
+    """A slotted record whose fields are its ``__slots__``.
+
+    A subclass lists its fields in ``__slots__`` (or in ``_fields``, when
+    it also keeps derived values in slots) and sets them in its own
+    ``__init__``.  It gets a repr in the dataclass format
+    (``RootScaling(q=0.5, upper=4.0)``) and field-wise ``==`` between
+    objects of the same class.  A record has no instance dict, so its
+    attributes are read through slots, and the class needs neither
+    ``dataclasses`` nor ``inspect`` at import.  It may be assigned to, so
+    it is unhashable; ``ProxResult`` is one, built fresh by every call.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "_fields" not in cls.__dict__ and "__slots__" in cls.__dict__:
+            cls._fields = tuple(cls.__slots__)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+
+class Value(Record):
+    """An immutable record: the function objects, the pair, ``RootConfig``.
+
+    Its ``__init__`` sets the fields through ``object.__setattr__``;
+    afterwards assigning or deleting an attribute raises ``AttributeError``.
+    Equal values hash alike, and a value pickles by its constructor, which
+    takes the fields positionally in ``_fields`` order.
+    """
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable {type(self).__name__}")
+
+    def __reduce__(self):
+        # default unpickling would restore the slots through __setattr__
+        return type(self), self._values()
+
+
 class SignClass(Enum):
     """Range class of the conjugate of a base function.
 

@@ -10,7 +10,6 @@ convexity side of the scaling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .core import (
     INF,
@@ -19,6 +18,7 @@ from .core import (
     DimensionMismatch,
     ScalingFunction,
     SignClass,
+    Value,
     Vec,
     as_vec,
     dist,
@@ -41,18 +41,15 @@ class PairMismatch(ValueError):
     """Base sign class and scaling convexity side are incompatible."""
 
 
-@dataclass(frozen=True)
-class PerspectivePair:
+class PerspectivePair(Value):
     """A base function, a scaling function, and the base dimension."""
 
-    base: BaseFunction
-    scaling: ScalingFunction
-    n: int = 1
+    __slots__ = ("base", "scaling", "n")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"base dimension must be >= 1, got {self.n}")
-        sc, kind = self.base.sign_class, self.scaling.case_kind
+    def __init__(self, base: BaseFunction, scaling: ScalingFunction, n: int = 1):
+        if n < 1:
+            raise ValueError(f"base dimension must be >= 1, got {n}")
+        sc, kind = base.sign_class, scaling.case_kind
         if sc is SignClass.NONNEGATIVE_CONJUGATE and kind is not CaseKind.NEG_S_LOWER:
             raise PairMismatch(
                 "a nonnegative conjugate needs a scaling whose negation is convex lsc"
@@ -61,6 +58,9 @@ class PerspectivePair:
             raise PairMismatch(
                 "a nonpositive conjugate needs a convex lsc scaling"
             )
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "scaling", scaling)
+        object.__setattr__(self, "n", n)
 
     def check_point(self, x, y) -> tuple[Vec, float]:
         x = as_vec(x)

@@ -7,27 +7,25 @@ the radial lift acts along the ray through ``x``, so one scalar prox at
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import INF, ProxCapable, Vec, as_vec, norm, scale, zeros_like
+from .core import INF, ProxCapable, Value, Vec, as_vec, norm, scale, zeros_like
 
 # below this, x is treated as the zero vector (subnormal guard, not a loose tol)
 _ZERO_NORM = 1e-300
 
 
-@dataclass(frozen=True)
-class RadialFunction:
+class RadialFunction(Value):
     """The lift ``x -> phi1d(||x||)`` of an even scalar function."""
 
-    phi1d: ProxCapable
+    __slots__ = ("phi1d",)
 
-    def __post_init__(self):
+    def __init__(self, phi1d: ProxCapable):
         for t in (0.25, 1.0, 3.5):
-            left, right = self.phi1d.eval(-t), self.phi1d.eval(t)
+            left, right = phi1d.eval(-t), phi1d.eval(t)
             if left != right:
                 raise ValueError(f"phi1d must be even; differs at +-{t}")
-        if self.phi1d.eval(0.0) == INF:
+        if phi1d.eval(0.0) == INF:
             raise ValueError("phi1d must be finite near 0")
+        object.__setattr__(self, "phi1d", phi1d)
 
     def eval(self, x) -> float:
         return self.phi1d.eval(norm(x))

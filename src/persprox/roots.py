@@ -9,8 +9,9 @@ bisection inside a bracket that always keeps its sign change.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
+
+from .core import Record
 
 _EPS = 2.0 ** -52  # machine epsilon
 NAN = math.nan
@@ -29,11 +30,15 @@ class RootFindError(RuntimeError):
         self.lo, self.hi, self.flo, self.fhi = lo, hi, flo, fhi
 
 
-@dataclass(frozen=True)
-class RootResult:
-    root: float
-    residual: float
-    iterations: int
+class RootResult(Record):
+    """Root, ``fn`` there, and the evaluations made: a plain record per search."""
+
+    __slots__ = ("root", "residual", "iterations")
+
+    def __init__(self, root: float, residual: float, iterations: int):
+        self.root = root
+        self.residual = residual
+        self.iterations = iterations
 
 
 def solve_bracketed(

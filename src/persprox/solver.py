@@ -26,11 +26,10 @@ is exact and the search takes Newton steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .core import INF, SignClass, Vec, negligible, norm, scale
+from .core import INF, Record, SignClass, Value, Vec, negligible, norm, scale
 from .perspective import PerspectivePair, prox_fenchel_gap
 from .roots import NAN, solve_bracketed
 
@@ -47,8 +46,7 @@ class CaseLabel(Enum):
     CASE_II = "CaseII"
 
 
-@dataclass(frozen=True)
-class RootConfig:
+class RootConfig(Value):
     """Tolerances of the multiplier search; region tests use ``core.negligible``.
 
     The search stops once ``|T(eta)| <= min(residual_tol, eta_tol / 2)``:
@@ -57,23 +55,25 @@ class RootConfig:
     units of ``eta``) and ``|T(eta)| <= residual_tol``, or when no double
     lies inside a bracket whose ends it evaluated.  ``max_iter`` bounds
     its ``T`` evaluations.
+
+    An immutable value (``core.Value``): equal settings compare and hash
+    equal, and it pickles, so ``validate --workers`` can send it.
     """
 
-    eta_tol: float = 1e-12
-    residual_tol: float = 1e-10
-    max_iter: int = 200
+    __slots__ = ("eta_tol", "residual_tol", "max_iter")
 
-    def __post_init__(self):
-        for name in ("eta_tol", "residual_tol"):
-            value = getattr(self, name)
+    def __init__(self, eta_tol: float = 1e-12, residual_tol: float = 1e-10, max_iter: int = 200):
+        for name, value in (("eta_tol", eta_tol), ("residual_tol", residual_tol)):
             if not 0.0 < value < INF:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if self.max_iter <= 0:
+        if max_iter <= 0:
             raise ValueError("max_iter must be positive")
+        object.__setattr__(self, "eta_tol", eta_tol)
+        object.__setattr__(self, "residual_tol", residual_tol)
+        object.__setattr__(self, "max_iter", max_iter)
 
 
-@dataclass(frozen=True)
-class ProxResult:
+class ProxResult(Record):
     """Prox point plus diagnostics.
 
     ``eta`` is the coupling multiplier (0 on the closed-form regions with
@@ -82,14 +82,22 @@ class ProxResult:
     bracket, is not one of them; 0 off the root region), and
     ``certificate_gap`` is the Fenchel residual of the output, checked
     independently of the path that produced it.
+
+    A plain per-call record (``core.Record``): every call builds a fresh
+    one and shares it with nobody, so it has no assignment guard, which
+    would cost each call more than the record itself.
     """
 
-    p: Vec
-    q: float
-    eta: float
-    label: CaseLabel
-    root_iterations: int
-    certificate_gap: float
+    __slots__ = ("p", "q", "eta", "label", "root_iterations", "certificate_gap")
+
+    def __init__(self, p: Vec, q: float, eta: float, label: CaseLabel,
+                 root_iterations: int, certificate_gap: float):
+        self.p = p
+        self.q = q
+        self.eta = eta
+        self.label = label
+        self.root_iterations = root_iterations
+        self.certificate_gap = certificate_gap
 
 
 DEFAULT_CONFIG = RootConfig()

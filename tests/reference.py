@@ -163,7 +163,6 @@ def radial_prox_value(phi: RadialFunction, gamma: float, x) -> float:
 # scalar functions with their conjugates
 
 
-@dataclass(frozen=True)
 class PowerScalar(catalog.PowerScalar):
     """The package's ``|t|**p / p`` with its conjugate side: the family is
     self-dual under ``p <-> p/(p-1)``."""

@@ -462,6 +462,14 @@ def test_scaling_validation():
         HuberBase(0.0)
 
 
+def test_power_base_near_one_builds_its_conjugate_lift():
+    # p* = 1001: the lift's evenness check evaluates |3.5|**p* / p*, which
+    # overflows; the value is +inf there, and eval of the base still works
+    base = PowerBase(1.001)
+    assert base._conj.phi1d.eval(3.5) == INF
+    assert base.eval((2.0, 0.0)) == pytest.approx(2.0 ** 1.001 / 1.001)
+
+
 # --- value-curve slopes -----------------------------------------------------
 
 def _base_curve(base, xstar):

@@ -62,11 +62,29 @@ def test_prox_eta_value():
     assert record["certificate_gap"] <= 1e-8
 
 
+BAD_SPECS = [
+    ('{"base":{"name":"nope"},"scaling":{"name":"sqrt"}}', "unknown base function 'nope'"),
+    ('{"base":{},"scaling":{"name":"sqrt"}}', "unknown base function None"),
+    ('{"base":{"name":"power"},"scaling":{"name":"root","q":0.5}}', "missing parameter 'p'"),
+    ('{"base":{"name":"power","p":3},"scaling":{"name":"root"}}', "missing parameter 'q'"),
+    ('{"base":{"name":"power","p":[3]},"scaling":{"name":"root","q":0.5}}',
+     "parameter 'p' must be a number, got [3]"),
+    ('{"base":{"name":"power","p":3},"scaling":{"name":"root","q":0.5,"interval":4}}',
+     "parameter 'interval' must be [0, upper], got 4"),
+    ('{"base":{"name":"huber"},"scaling":{"name":"sqrt"},"dims":5}', "dims must be two integers"),
+    ('{"base":{"name":"huber"},"scaling":{"name":"sqrt"},"dims":[2.7,1]}', "dims must be two integers"),
+    ('{"base":{"name":"huber"},"scaling":{"name":"sqrt"},"gamma":[1]}', "gamma must be a number"),
+]
+
+
 def test_bad_spec_exit_code():
-    out = run_cli("prox", "--spec", '{"base":{"name":"nope"},"scaling":{"name":"sqrt"}}',
-                  "--point", '{"x":[1],"y":0}')
-    assert out.returncode == 2
-    assert "error" in out.stderr
+    # the missing and non-numeric parameters exited 1 with a traceback
+    # (KeyError, TypeError), and dims [2.7, 1] ran with n = 2
+    for spec, message in BAD_SPECS:
+        out = run_cli("prox", "--spec", spec, "--point", '{"x":[1],"y":0}')
+        assert out.returncode == 2, spec
+        assert message in out.stderr, (spec, out.stderr)
+        assert "Traceback" not in out.stderr, spec
 
 
 @pytest.mark.parametrize("spec", [
@@ -189,7 +207,7 @@ def test_prox_process_imports_no_numpy_or_process_pool():
     code = (
         f"import sys; sys.path.insert(0, {SRC!r}); from persprox.cli import main; "
         f"rc = main(['prox', '--spec', {HUBER_SPEC!r}, '--point', '{{\"x\":[1,0],\"y\":0}}']); "
-        "heavy = ('numpy', 'concurrent.futures', 'multiprocessing'); "
+        "heavy = ('numpy', 'concurrent.futures', 'multiprocessing', 'dataclasses', 'inspect'); "
         "print([m for m in heavy if m in sys.modules], file=sys.stderr); sys.exit(rc)"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

@@ -1,5 +1,7 @@
 import math
+import pickle
 import random
+import re
 
 import numpy as np
 import pytest
@@ -11,14 +13,19 @@ from persprox import (
     AbsBase,
     DimensionMismatch,
     HuberBase,
+    IdentityScaling,
     PerspectivePair,
     PowerBase,
+    RadialFunction,
+    RootConfig,
     RootScaling,
     SignClass,
+    SqrtScaling,
     as_vec,
     dot,
     norm,
 )
+from persprox import catalog
 from persprox.core import scale, sub
 from conftest import grid_conjugate_1d, rand_vec
 from reference import (
@@ -214,3 +221,51 @@ def test_as_vec_returns_a_checked_tuple_itself():
     assert all(type(c) is float for c in converted)
     with pytest.raises(ValueError, match="at least one entry"):
         as_vec(())
+
+
+# (constructor, repr): each constructor builds a fresh, equal value; the
+# reprs are those the dataclass versions of these classes printed, which
+# tests such as test_catalog._scale_probe_points use as RNG seeds
+VALUES = [
+    (lambda: catalog.PowerScalar(2.5), "PowerScalar(p=2.5)"),
+    (lambda: PowerBase(3.0), "PowerBase(p=3.0)"),
+    (lambda: AbsBase(), "AbsBase()"),
+    (lambda: HuberBase(1.0), "HuberBase(alpha=1.0)"),
+    (lambda: RootScaling(0.5, 4.0), "RootScaling(q=0.5, upper=4.0)"),
+    (lambda: RootScaling(0.5), "RootScaling(q=0.5, upper=inf)"),
+    (lambda: SqrtScaling(2.0), "SqrtScaling(beta=2.0)"),
+    (lambda: IdentityScaling(), "IdentityScaling(upper=inf)"),
+    (lambda: IdentityScaling(3.0), "IdentityScaling(upper=3.0)"),
+    (lambda: RadialFunction(catalog.PowerScalar(2.0)), "RadialFunction(phi1d=PowerScalar(p=2.0))"),
+    (lambda: PerspectivePair(PowerBase(3.0), RootScaling(0.5, 4.0), 2),
+     "PerspectivePair(base=PowerBase(p=3.0), scaling=RootScaling(q=0.5, upper=4.0), n=2)"),
+    (lambda: PerspectivePair(HuberBase(2.0), SqrtScaling(1.0)),
+     "PerspectivePair(base=HuberBase(alpha=2.0), scaling=SqrtScaling(beta=1.0), n=1)"),
+    (lambda: RootConfig(), "RootConfig(eta_tol=1e-12, residual_tol=1e-10, max_iter=200)"),
+    (lambda: RootConfig(eta_tol=1e-13, max_iter=50),
+     "RootConfig(eta_tol=1e-13, residual_tol=1e-10, max_iter=50)"),
+]
+
+
+@pytest.mark.parametrize("make, text", VALUES, ids=[text for _, text in VALUES])
+def test_value_objects_keep_value_semantics(make, text):
+    value = make()
+    assert repr(value) == text
+    twin = make()
+    assert twin is not value and twin == value and hash(twin) == hash(value)
+    restored = pickle.loads(pickle.dumps(value))
+    assert type(restored) is type(value) and restored == value and repr(restored) == text
+    field = re.match(r"\w+\((\w+)=", text)
+    name = field.group(1) if field else "extra"
+    with pytest.raises(AttributeError):
+        setattr(value, name, 1.0)
+    with pytest.raises(AttributeError):
+        delattr(value, name)
+    assert repr(value) == text
+
+
+def test_values_of_other_classes_or_fields_differ():
+    assert PowerBase(3.0) != PowerBase(2.0)
+    assert RootScaling(0.5) != RootScaling(0.5, 4.0)
+    assert catalog.PowerScalar(2.0) != PowerScalar(2.0)  # the test-side subclass
+    assert RootConfig() != RootConfig(max_iter=100)
