@@ -20,7 +20,10 @@ stores every call's ``(label, p, q, eta, root_iterations)`` and the
 number of ``T`` evaluations it made (counted by wrapping the residuals
 that ``make_residual_case_i/iii`` return) as JSON.  ``--against PATH``
 reads such a file, made by another checkout, and prints per input set the
-label changes, the largest ``(p, q)`` difference in ulps of
+label changes, the number of changed outputs ``(label, p, q, eta,
+root_iterations)``, the largest ``eta`` difference (also as a share of
+``eta_tol + 4 eps |eta|``, the most two searches that meet the default
+stop rules can differ by), the largest ``(p, q)`` difference in ulps of
 ``||(x, y)||``, and the mean and maximum ``T`` evaluations of root-region
 calls per (pair, label), this checkout's beside the stored ones:
 
@@ -47,6 +50,10 @@ from persprox import prox_perspective
 POOL_SEEDS = (0, 1)
 PROBE_SEEDS = range(5)
 ROOT_LABELS = ("Omega4", "Xi4")
+EPS = 2.0 ** -52
+# two searches that each stop within eta_tol/2 + 2 eps |eta| of the root
+# return multipliers within ETA_TOL + 4 eps |eta| of each other
+ETA_TOL = solver.DEFAULT_CONFIG.eta_tol
 
 
 def input_sets():
@@ -150,23 +157,31 @@ def _eval_stats(rows, calls):
 
 def compare(stored, records):
     """Prints, per input set, how this checkout's outputs differ from ``stored``."""
-    worst_ulps = 0.0
-    total_changes = 0
+    worst_ulps = worst_eta = worst_share = 0.0
+    total_changes = total_moved = 0
     for name, pairs, calls in input_sets():
         old, new = stored[name], records[name]
-        changes = raised = 0
-        set_ulps = 0.0
+        changes = raised = moved = 0
+        set_ulps = set_eta = set_share = 0.0
         for a, b, call in zip(old, new, calls):
             if a[0] == "error" or b[0] == "error":
                 raised += a[0] != b[0]
                 continue
             changes += a[0] != b[0]
+            moved += a[:5] != b[:5]
             ulp = math.ulp(math.hypot(*call.x, call.y))
             diff = math.hypot(*(u - v for u, v in zip(a[1], b[1])), a[2] - b[2])
             set_ulps = max(set_ulps, diff / ulp)
+            d_eta = abs(a[3] - b[3])
+            set_eta = max(set_eta, d_eta)
+            set_share = max(set_share, d_eta / (ETA_TOL + 4.0 * EPS * max(a[3], b[3])))
         worst_ulps = max(worst_ulps, set_ulps)
+        worst_eta = max(worst_eta, set_eta)
+        worst_share = max(worst_share, set_share)
         total_changes += changes
+        total_moved += moved
         print(f"{name:<20} label changes {changes:>3}  error changes {raised:>3}"
+              f"  changed outputs {moved:>4}  max |d eta| {set_eta:.2g} ({set_share:.2f} of tol)"
               f"  max (p, q) difference {set_ulps:.3g} ulps of |(x, y)|")
         before, after = _eval_stats(old, calls), _eval_stats(new, calls)
         for key in sorted(set(before) | set(after)):
@@ -176,6 +191,7 @@ def compare(stored, records):
             print(f"    pair {key[0]} {key[1]:<7} T evaluations  stored {cells[0]}"
                   f"  -> this checkout {cells[1]}")
     print(f"{'total':<20} label changes {total_changes:>3}"
+          f"  changed outputs {total_moved:>4}  max |d eta| {worst_eta:.2g} ({worst_share:.2f} of tol)"
           f"  max (p, q) difference {worst_ulps:.3g} ulps of |(x, y)|")
 
 

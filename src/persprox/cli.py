@@ -110,13 +110,13 @@ def parse_point(data: dict) -> tuple[tuple[float, ...], float]:
     try:
         x = tuple(float(v) for v in data["x"])
         y = data["y"]
+        if isinstance(y, list):
+            if len(y) != 1:
+                raise InputError("the scale component must be a scalar")
+            y = y[0]
+        return x, float(y)
     except (KeyError, TypeError) as exc:
-        raise InputError(f"point needs 'x' (array) and 'y': {exc}") from exc
-    if isinstance(y, list):
-        if len(y) != 1:
-            raise InputError("the scale component must be a scalar")
-        y = y[0]
-    return x, float(y)
+        raise InputError(f"point needs 'x' (array) and 'y' (number): {exc}") from exc
 
 
 def parse_tol_overrides(items) -> tuple[RootConfig, OracleConfig | None]:
@@ -147,6 +147,8 @@ def _stdin_document(args) -> dict:
             args._stdin_doc = json.load(sys.stdin)
         except json.JSONDecodeError as exc:
             raise InputError(f"stdin is not valid JSON: {exc}") from exc
+        if not isinstance(args._stdin_doc, dict):
+            raise InputError("the stdin document must be a JSON object")
     return args._stdin_doc
 
 
@@ -303,7 +305,10 @@ def cmd_demo_concomitant(args) -> int:
     demo_data = _load_json_arg(args.demo)
     if demo_data is None:
         demo_data = {"a": [[1.0, 0.0], [0.0, 1.0]], "b": [1.0, 1.0]}
-    spec = DemoSpec.from_dict(demo_data)
+    try:
+        spec = DemoSpec.from_dict(demo_data)
+    except (KeyError, TypeError) as exc:
+        raise InputError(f"demo needs an object with 'a' (rows) and 'b' (array): {exc}") from exc
     if not isinstance(pair.base, HuberBase) or not isinstance(pair.scaling, SqrtScaling):
         raise InputError("the concomitant demo runs on the huber/sqrt pair")
     cfg, _ = parse_tol_overrides(args.tol)

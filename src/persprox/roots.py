@@ -1,9 +1,7 @@
 """Scalar root finding and the closed-form quartic solver.
 
-``solve_bracketed`` is Brent's method (R. P. Brent, *Algorithms for
-Minimization without Derivatives*, 1973) with a Newton step in front:
-Newton, inverse quadratic interpolation and secant steps, safeguarded by
-bisection inside a bracket that always keeps its sign change.
+``solve_bracketed`` is a Newton-bisection search for the root of a function
+of slope at least 1, the multiplier residual ``T`` of ``solver``.
 """
 
 from __future__ import annotations
@@ -16,8 +14,8 @@ from .core import Record
 _EPS = 2.0 ** -52  # machine epsilon
 NAN = math.nan
 
-# a nonnegative bracket whose ends differ by more than this factor is split in
-# log space, with the smallest normal double standing in for a lower end of 0
+# a bracket whose ends differ by more than this factor is split in log space,
+# with the smallest normal double standing in for a lower end of 0
 _WIDE_RATIO = 16.0
 _TINY = 2.0 ** -1022
 
@@ -43,71 +41,50 @@ class RootResult(Record):
 
 def solve_bracketed(
     fn: Callable[[float], float],
-    lo: float,
-    hi: float,
-    flo: float,
-    fhi: float | None,
+    slope: Callable[[float], float],
+    f0: float,
     *,
     xtol: float,
     ftol: float,
     max_iter: int,
     trace: Callable[[int, float, float, float, float], None] | None = None,
-    slope: Callable[[float], float] | None = None,
-    min_slope: float = 0.0,
 ) -> RootResult:
-    """Root of an increasing ``fn`` on a sign-changing bracket ``[lo, hi]``.
+    """Root of ``fn`` from ``f0 = fn(0) <= 0``, where ``fn(u) - fn(v) >= u - v``
+    for ``u > v`` and ``slope(x)`` is ``fn'(x)`` at an evaluated ``x``.
 
-    Each step starts from ``b``, the point evaluated last (at first the end
-    of smaller ``|fn|``), which is always an end of the bracket.  It is, in
-    this order, a Newton step when ``slope(b)`` gives a positive finite
-    derivative of ``fn`` at ``b``, an inverse quadratic interpolation or
-    secant step through evaluated points, or a bisection.  A Newton or
-    interpolation step is taken only when it moves towards the far end of
-    the bracket and stops short of it (less than 3/4 of the way where that
-    end was evaluated; an end that was not may be reached), and when it is
-    shorter than half the step before last, or the last step halved
-    ``|fn|`` (with ``min_slope``, where that bounds the width): Brent's
-    test.  A step shorter than the width tolerance becomes that tolerance.
-    A bracket with ``lo >= 0`` whose ends differ by more than a factor 16
-    is split in log space, ``xtol`` (or, where that is 0, the smallest
-    normal double) standing in for a lower end of 0: no step lands below
-    its geometric midpoint, and its bisection is that midpoint.  There the
-    root can lie many decades below ``hi``.
+    The root lies in ``[0, -f0]``, whose upper end is not evaluated, and
+    within ``|fn(x)|`` of each evaluated ``x``, the bound to which the
+    bracket shrinks (widened by two rounding units).  Each step, from
+    ``b``, the end evaluated last, is a Newton step where ``slope(b)`` is
+    positive and finite and the step moves towards the far end without
+    passing it (nor 3/4 of the way to an evaluated end), and a bisection
+    otherwise: in log space while the ends differ by more than a factor
+    16, ``xtol`` (or the smallest normal double) standing in for a lower
+    end of 0, and there no step lands below the geometric midpoint.  A
+    step shorter than the width tolerance becomes that tolerance.
 
-    With ``min_slope = L > 0`` the caller asserts ``fn(u) - fn(v) >= L *
-    (u - v)`` for ``u > v``, so each evaluation also bounds the root within
-    ``|fn(x)| / L`` of ``x`` (widened by two rounding units of ``x``) and
-    the bracket shrinks to that bound; ``fhi`` may then be None, an upper
-    end that was not evaluated.  Such an end is a bound that the rounding
-    of ``fn`` can break: an evaluation there with the wrong sign replaces
-    it by the last evaluated point beyond, or else by its own bound.
-
-    It stops at ``b`` once ``fn(b) == 0``, once ``|fn(b)| <= L * min(ftol,
+    It stops at ``b`` once ``fn(b) == 0``, once ``|fn(b)| <= min(ftol,
     xtol/2)`` (the root is then within ``xtol/2`` of ``b``), or once the
-    half-width is at most ``2*eps*|b| + xtol/2`` and ``|fn(b)| <= ftol``.
-    While only the width is met it evaluates the far end if that was
-    never evaluated, and bisects otherwise.  When no double lies strictly
-    inside a bracket of evaluated ends it stops at the end of smaller
-    ``|fn|``: the root to float resolution, whatever its residual.
+    half-width is at most ``2*eps*|b| + xtol/2`` and ``|fn(b)| <= ftol``;
+    while only the width is met it evaluates a far end never evaluated,
+    and bisects otherwise.  With no double strictly inside a bracket of
+    evaluated ends it stops at the end of smaller ``|fn|``, the root to
+    float resolution, whatever its residual.  The rounding of ``fn`` can
+    break the bound of an end never evaluated: an evaluation there with
+    the wrong sign replaces it by the last evaluated point beyond, or else
+    by its own bound.
+
     ``iterations`` counts calls of ``fn``; ``trace(it, lo, hi, x, fn(x))``
     gets each evaluated ``x`` and the bracket it was chosen in.
     """
-    if flo > 0.0 or (fhi is not None and fhi < 0.0):
-        raise RootFindError("no sign change on bracket", lo, hi, flo, fhi)
-    if fhi is None:
-        if min_slope <= 0.0:
-            raise ValueError("an upper end that was not evaluated needs min_slope > 0")
-        fhi = NAN
-    # b is the last evaluated point and a the one before; neg and pos are
-    # the last evaluated points below and above the root, for interpolation
-    if fhi == fhi and abs(fhi) < abs(flo):
-        b, fb, a, fa = hi, fhi, lo, flo
-    else:
-        b, fb, a, fa = lo, flo, hi, fhi
+    if not f0 <= 0.0:
+        raise RootFindError("no sign change on bracket", 0.0, -f0, f0, NAN)
+    lo, hi, flo, fhi = 0.0, -f0, f0, NAN
+    b, fb = lo, flo
+    # the last points evaluated below and above the root (the upper end
+    # until one is), which replace an end whose bound rounding broke
     neg, pos = (lo, flo), (hi, fhi)
-    shrink = min_slope > 0.0
-    fstop = min_slope * min(ftol, 0.5 * xtol)
-    d, e = hi - lo, math.inf  # the first step has no step before last
+    fstop = min(ftol, 0.5 * xtol)
     it = 0
     while True:
         far, ffar = (hi, fhi) if fb < 0.0 else (lo, flo)
@@ -128,82 +105,44 @@ def solve_bracketed(
         if ffar != ffar and (edge or width_met):
             # fn(b) misses ftol next to an end never evaluated: evaluate it
             # rather than trust its bound or creep towards it
-            d = e = far - b
             x = far
         else:
-            ok = False
-            if not (width_met or abs(e) < tol):
-                reach = 2.0 * abs(xm) if ffar != ffar else 1.5 * abs(xm) - 0.5 * tol
-                progress = shrink and 2.0 * abs(fb) <= abs(fa)
-                if slope is not None:
-                    db = slope(b)
-                    if 0.0 < db < math.inf:
-                        step = -fb / db
-                        ok = _acceptable(step, xm, reach, e, progress)
-                if not ok:
-                    step = _interpolate(a, fa, b, fb, *(pos if fb < 0.0 else neg))
-                    ok = _acceptable(step, xm, reach, e, progress)
-            mid = None
-            if lo >= 0.0 and hi > _WIDE_RATIO * max(lo, xtol, _TINY):
-                geo = math.sqrt(max(lo, xtol, _TINY)) * math.sqrt(hi)
-                if not (ok and step >= geo - b):
-                    ok, step, mid = False, geo - b, geo
-            elif not ok:
-                step = xm
-            if ok:
-                e, d = d, step
+            # the Newton step, or NaN where it is not taken
+            db = NAN if width_met else slope(b)
+            step = -fb / db if 0.0 < db < math.inf else NAN
+            reach = 2.0 * abs(xm) if ffar != ffar else 1.5 * abs(xm) - 0.5 * tol
+            if not ((step > 0.0) == (xm > 0.0) and abs(step) <= reach):
+                step = NAN
+            low = max(lo, xtol, _TINY)
+            if hi > _WIDE_RATIO * low and not step >= math.sqrt(low) * math.sqrt(hi) - b:
+                # the log-space bisection lands on its midpoint itself, since
+                # b + (mid - b) can round to an end of the bracket
+                x = math.sqrt(low) * math.sqrt(hi)
             else:
-                d = e = step
-            # a step shorter than tol becomes tol, which stays inside the bracket
-            # unless the width is met, when the step is the exact bisection; a
-            # log-space bisection, always longer than tol, lands on its midpoint
-            # itself, since b + (mid - b) can round to an end of the bracket
-            if mid is not None:
-                x = mid
-            else:
-                x = b + (d if width_met or abs(d) > tol else math.copysign(tol, xm))
-        a, fa = b, fb
+                step = xm if step != step else step
+                # a step shorter than tol becomes tol, which stays inside the
+                # bracket unless the width is met, when it is the bisection
+                x = b + (step if width_met or abs(step) > tol else math.copysign(tol, xm))
         b = x
         fb = fn(b)
         it += 1
         if trace is not None:  # [lo, hi] is the bracket b was chosen in
             trace(it, lo, hi, b, fb)
-        if shrink:
-            # the bound, widened by the rounding of fn(b) near b
-            bound = b - fb / min_slope
-            slack = _EPS * (abs(b) + abs(bound))
+        # the bound, widened by the rounding of fn(b) near b
+        bound = b - fb
+        slack = _EPS * (abs(b) + abs(bound))
         if fb < 0.0:
             lo, flo = neg = b, fb
             if b >= hi:  # fn's rounding put the root past an end never evaluated
                 hi, fhi = pos if pos[0] > b else (math.inf, NAN)
-            if shrink and bound + slack < hi:
+            if bound + slack < hi:
                 hi, fhi = bound + slack, NAN
         elif fb > 0.0:
             hi, fhi = pos = b, fb
             if b <= lo:
                 lo, flo = neg if neg[0] < b else (-math.inf, NAN)
-            if shrink and bound - slack > lo:
+            if bound - slack > lo:
                 lo, flo = bound - slack, NAN
-
-
-def _acceptable(step: float, xm: float, reach: float, e: float, progress: bool) -> bool:
-    """Towards the far end ``b + 2 xm``, at most ``reach`` long, and shorter
-    than half the step before last unless ``progress`` (False for NaN)."""
-    return ((step > 0.0) == (xm > 0.0) and abs(step) <= reach
-            and (progress or 2.0 * abs(step) < abs(e)))
-
-
-def _interpolate(a, fa, b, fb, k, fk) -> float:
-    """Step from ``b`` to the root of the inverse quadratic through the
-    evaluated points ``a``, ``b`` and ``k`` (``k`` on the other side of
-    the root), or of the secant through ``b`` and ``k``; NaN where ``k`` was
-    not evaluated."""
-    if fk != fk:
-        return NAN
-    if a != k and fa == fa and fa != fb and fa != fk:
-        return ((a - b) * fb * fk / ((fa - fb) * (fa - fk))
-                + (k - b) * fa * fb / ((fk - fa) * (fk - fb)))
-    return -fb * (b - k) / (fb - fk)
 
 
 def _cbrt(x: float) -> float:

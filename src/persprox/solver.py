@@ -21,7 +21,8 @@ of ``T`` by a monotone one-dimensional search.  Both curves are
 nonincreasing, so ``T' >= 1``: the root lies in ``[0, -T(0)]`` and within
 ``|T(eta)|`` of every evaluated ``eta``.  Each curve's slope comes from its
 contract (``conj_slope``, ``env_slope``), so ``T' = 1 + inner' * outer'``
-is exact and the search takes Newton steps.
+is exact and the search takes Newton steps, with bisection as their
+safeguard.
 """
 
 from __future__ import annotations
@@ -49,12 +50,12 @@ class CaseLabel(Enum):
 class RootConfig(Value):
     """Tolerances of the multiplier search; region tests use ``core.negligible``.
 
-    The search stops once ``|T(eta)| <= min(residual_tol, eta_tol / 2)``:
-    since ``T' >= 1`` the root is then within ``eta_tol / 2`` of ``eta``.
-    It also stops once its bracket is within ``eta_tol`` (plus two rounding
-    units of ``eta``) and ``|T(eta)| <= residual_tol``, or when no double
-    lies inside a bracket whose ends it evaluated.  ``max_iter`` bounds
-    its ``T`` evaluations.
+    The Newton-bisection search stops once ``|T(eta)| <= min(residual_tol,
+    eta_tol / 2)``: since ``T' >= 1`` the root is then within ``eta_tol /
+    2`` of ``eta``.  It also stops once its bracket is within ``eta_tol``
+    (plus two rounding units of ``eta``) and ``|T(eta)| <= residual_tol``,
+    or when no double lies inside a bracket whose ends it evaluated.
+    ``max_iter`` bounds its ``T`` evaluations.
 
     An immutable value (``core.Value``): equal settings compare and hash
     equal, and it pickles, so ``validate --workers`` can send it.
@@ -220,23 +221,18 @@ class SearchRecord:
         self.slope: Callable[[float], float] | None = None
 
 
-def _solve_eta(
-    T: Callable[[float], float],
-    cfg: RootConfig,
-    trace: Callable[[int, float, float, float, float], None] | None,
-    t0: float | None,
-    record: SearchRecord,
-) -> tuple[float, int]:
+def _solve_eta(make: Callable[..., Callable[[float], float]], pair, gamma: float, x, y,
+               cfg: RootConfig, trace, t0: float | None, record: SearchRecord | None,
+               ) -> tuple[float, int]:
+    """``solve_eta_case_*`` with the residual that ``make`` builds."""
+    record = SearchRecord() if record is None else record
+    T = make(pair, gamma, x, y, record)
     if t0 is None:
         t0 = T(0.0)
     if t0 >= 0.0:
         return 0.0, 0
-    # T' >= 1 bounds the root by -T(0); T(-T(0)) >= 0 need not be evaluated
-    res = solve_bracketed(
-        T, 0.0, -t0, t0, None,
-        xtol=cfg.eta_tol, ftol=cfg.residual_tol, max_iter=cfg.max_iter,
-        trace=trace, slope=record.slope, min_slope=1.0,
-    )
+    res = solve_bracketed(T, record.slope, t0, xtol=cfg.eta_tol, ftol=cfg.residual_tol,
+                          max_iter=cfg.max_iter, trace=trace)
     return res.root, res.iterations
 
 
@@ -303,24 +299,16 @@ def solve_eta_case_i(
     """Multiplier for the case-(i) root region: the unique ``eta >= 0``
     with ``T(eta) = 0``, and the number of ``T`` evaluations it took.
 
-    Since ``T' >= 1`` the bracket is ``[0, -T(0)]``, and its upper end is
-    not evaluated.  ``roots.solve_bracketed`` searches it with
-    ``min_slope = 1``: Newton steps from the exact slopes that
-    ``make_residual_case_i`` gives ``record``, inverse quadratic
-    interpolation or bisection where a Newton step fails Brent's test,
-    log-space bisection while the bracket is wide, and after each
-    evaluation the bracket shrinks to within ``|T(eta)|`` of ``eta``.  It
-    stops as ``RootConfig`` states.  ``T(0)`` is not counted: pass it as
-    ``t0`` when it is known, with its points in ``record.points[0.0]``;
-    otherwise it is evaluated first.  ``trace(it, lo, hi, eta,
-    T(eta))`` gets every evaluated ``eta`` but 0 and the bracket it was
-    chosen in.  Pass a ``SearchRecord`` to keep the points of every
-    evaluation; the entry at the returned ``eta`` holds the points the
-    prox is assembled from.
+    ``roots.solve_bracketed`` searches ``[0, -T(0)]`` with Newton steps
+    from the exact slopes that ``make_residual_case_i`` gives ``record``,
+    and bisections where a Newton step fails, and stops as ``RootConfig``
+    states.  ``T(0)`` is not counted: pass it as ``t0`` when it is known,
+    with its points in ``record.points[0.0]``; otherwise it is evaluated
+    first.  ``trace(it, lo, hi, eta, T(eta))`` gets every evaluated
+    ``eta`` but 0 and the bracket it was chosen in.  The ``record`` entry
+    at the returned ``eta`` holds the points the prox is assembled from.
     """
-    record = SearchRecord() if record is None else record
-    T = make_residual_case_i(pair, gamma, x, y, record)
-    return _solve_eta(T, cfg, trace, t0, record)
+    return _solve_eta(make_residual_case_i, pair, gamma, x, y, cfg, trace, t0, record)
 
 
 def solve_eta_case_iii(
@@ -329,9 +317,7 @@ def solve_eta_case_iii(
     trace=None, t0: float | None = None, record: SearchRecord | None = None,
 ) -> tuple[float, int]:
     """Multiplier for the case-(iii) root region; see ``solve_eta_case_i``."""
-    record = SearchRecord() if record is None else record
-    T = make_residual_case_iii(pair, gamma, x, y, record)
-    return _solve_eta(T, cfg, trace, t0, record)
+    return _solve_eta(make_residual_case_iii, pair, gamma, x, y, cfg, trace, t0, record)
 
 
 def prox_perspective(

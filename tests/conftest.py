@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 
 import pytest
 
 from persprox import sqrt_scaling_prox
-from persprox.roots import solve_bracketed
 
 INF = math.inf
 
@@ -36,6 +36,38 @@ def golden_min(f, lo: float, hi: float, tol: float = 1e-12) -> float:
             x2 = a + _INV_GOLD * (b - a)
             f2 = f(x2)
     return 0.5 * (a + b)
+
+
+def _bits(x: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _double(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def bisect_root(f, lo: float, hi: float) -> float:
+    """Root of a nondecreasing function with ``f(lo) <= 0 <= f(hi)`` on a
+    bracket ``0 <= lo < hi``, to float resolution.
+
+    Bisects the bit patterns of the ends, which order like the nonnegative
+    doubles themselves, so any bracket (up to 1e300 and beyond) takes at
+    most 64 halvings.  Returns the end of the final bracket of adjacent
+    doubles with the smaller ``|f|``.
+    """
+    flo, fhi = f(lo), f(hi)
+    assert 0.0 <= lo < hi and flo <= 0.0 <= fhi, (lo, hi, flo, fhi)
+    a, b = _bits(lo), _bits(hi)
+    while b - a > 1:
+        mid = (a + b) // 2
+        fm = f(_double(mid))
+        if fm == 0.0:
+            return _double(mid)
+        if fm < 0.0:
+            a, flo = mid, fm
+        else:
+            b, fhi = mid, fm
+    return _double(a) if -flo <= fhi else _double(b)
 
 
 def grid_prox_1d(f_eval, gamma: float, x: float, lo: float, hi: float, tol: float = 1e-12) -> float:
@@ -92,27 +124,18 @@ def closed_form_huber_prox(alpha: float, beta: float, gamma: float, x, y: float)
         sq = gamma + math.sqrt(beta + qv * qv)
         return eta - (alpha * alpha * sq * sq - r * r) / (2.0 * sq * sq)
 
-    hi = 0.5 * alpha * alpha + 1e-12
-    res = solve_bracketed(
-        fixed_point_gap, 0.0, hi, fixed_point_gap(0.0), fixed_point_gap(hi),
-        xtol=1e-13 * (1.0 + alpha * alpha), ftol=1e-13 * (1.0 + alpha * alpha),
-        max_iter=300,
-    )
-    qv = sqrt_scaling_prox(beta, gamma * res.root, y) if res.root > 0.0 else float(y)
+    eta = bisect_root(fixed_point_gap, 0.0, 0.5 * alpha * alpha + 1e-12)
+    qv = sqrt_scaling_prox(beta, gamma * eta, y) if eta > 0.0 else float(y)
     sq = math.sqrt(beta + qv * qv)
     return tuple(c * (sq / (gamma + sq)) for c in x), qv
 
 
 def eta_on_wider_bracket(T, extra: float) -> float:
-    """Root of a multiplier residual ``T`` by the search of
-    ``solve_eta_case_*`` (``min_slope = 1``, default tolerances, no slopes)
+    """Root of a multiplier residual ``T`` by bisection to float resolution
     on the evaluated bracket ``[0, extra - T(0)]``, which holds it since
     ``T' >= 1``; ``solve_eta_case_*`` start from ``[0, -T(0)]`` and never
     evaluate its upper end."""
-    t0 = T(0.0)
-    hi = extra - t0
-    return solve_bracketed(T, 0.0, hi, t0, T(hi), xtol=1e-12, ftol=1e-10,
-                           max_iter=200, min_slope=1.0).root
+    return bisect_root(T, 0.0, extra - T(0.0))
 
 
 def rand_vec(rng: random.Random, n: int, lo: float = -4.0, hi: float = 4.0):

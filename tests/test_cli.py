@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -97,6 +98,25 @@ def test_non_finite_catalog_parameter_is_bad_input(spec):
     out = run_cli("prox", "--spec", spec, "--point", '{"x":[1,0],"y":0}')
     assert out.returncode == 2
     assert "finite" in out.stderr
+
+
+@pytest.mark.parametrize("argv, stdin, message", [
+    (["prox"], "5", "the stdin document must be a JSON object"),
+    (["eval"], "[1, 2]", "the stdin document must be a JSON object"),
+    (["demo-concomitant", "--spec", HUBER_SPEC, "--demo", '{"b":[1,1]}'], None, "demo needs"),
+    (["demo-concomitant", "--spec", HUBER_SPEC, "--demo", "[1,2]"], None, "demo needs"),
+    (["prox", "--spec", HUBER_SPEC, "--point", '{"x":[1,0],"y":null}'], None, "point needs"),
+    (["prox", "--spec", HUBER_SPEC, "--point", '{"x":[1,0],"y":[null]}'], None, "point needs"),
+], ids=["stdin-number", "stdin-array", "demo-without-a", "demo-array", "y-null", "y-list-null"])
+def test_malformed_document_is_bad_input(capsys, monkeypatch, argv, stdin, message):
+    from persprox.cli import main
+
+    # each of these died with a traceback (TypeError, KeyError) and exit 1,
+    # the code of a validation failure
+    if stdin is not None:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_malformed_json_exit_code():

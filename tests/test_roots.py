@@ -9,40 +9,48 @@ from hypothesis import strategies as st
 from persprox.roots import RootFindError, real_quartic_roots, solve_bracketed
 
 
+def _solve(fn, slope, *, trace=None, **kw):
+    """``solve_bracketed`` from ``fn(0)``, with the tolerances in ``kw``
+    (``1e-12`` and 200 evaluations where not given)."""
+    kw.setdefault("xtol", 1e-12)
+    kw.setdefault("ftol", 1e-12)
+    kw.setdefault("max_iter", 200)
+    return solve_bracketed(fn, slope, fn(0.0), trace=trace, **kw)
+
+
+def _no_slope(t):
+    return math.nan
+
+
 def test_solve_bracketed_linear():
-    res = solve_bracketed(lambda t: t - 3.0, 0.0, 10.0, -3.0, 7.0,
-                          xtol=1e-12, ftol=1e-12, max_iter=200)
-    assert res.root == pytest.approx(3.0, abs=1e-12)
-    assert res.iterations <= 200
+    res = _solve(lambda t: t - 3.0, lambda t: 1.0)
+    assert (res.root, res.residual, res.iterations) == (3.0, 0.0, 1)
 
 
 def test_solve_bracketed_stiff_kink():
     fn = lambda t: 1e6 * (t - 0.1) if t > 0.1 else (t - 0.1)
-    res = solve_bracketed(fn, 0.0, 5.0, fn(0.0), fn(5.0),
-                          xtol=1e-13, ftol=1e-10, max_iter=200)
+    res = _solve(fn, _no_slope, xtol=1e-13, ftol=1e-10)
     assert res.root == pytest.approx(0.1, abs=1e-12)
 
 
 def test_solve_bracketed_requires_sign_change():
     with pytest.raises(RootFindError):
-        solve_bracketed(lambda t: t + 1.0, 0.0, 1.0, 1.0, 2.0,
+        solve_bracketed(lambda t: t + 1.0, lambda t: 1.0, 1.0,
                         xtol=1e-12, ftol=1e-12, max_iter=50)
 
 
 def test_solve_bracketed_iteration_budget():
-    # the stiff kink needs 4 evaluations; a linear function would take one
-    fn = lambda t: 1e6 * (t - 0.1) if t > 0.1 else (t - 0.1)
+    # Newton from 0 needs 8 evaluations here
+    fn = lambda t: t ** 3 + t - 3.0
     with pytest.raises(RootFindError) as err:
-        solve_bracketed(fn, 0.0, 5.0, fn(0.0), fn(5.0),
-                        xtol=1e-13, ftol=1e-10, max_iter=3)
-    assert err.value.lo <= 0.1 <= err.value.hi
+        _solve(fn, lambda t: 3.0 * t * t + 1.0, xtol=1e-15, ftol=1e-15, max_iter=3)
+    assert err.value.lo <= 1.2134116627622296 <= err.value.hi
 
 
 def test_solve_bracketed_stops_at_float_resolution():
-    # |fn| at the doubles next to sqrt(2) is about 4e4, far above ftol
-    fn = lambda t: 1e20 * (t * t - 2.0)
-    res = solve_bracketed(fn, 1.0, 2.0, fn(1.0), fn(2.0),
-                          xtol=0.0, ftol=1e-20, max_iter=200)
+    # |fn| at the doubles next to the root is about 4e4, far above ftol
+    fn = lambda t: t + 1e20 * (t * t - 2.0)
+    res = _solve(fn, lambda t: 1.0 + 2e20 * t, xtol=0.0, ftol=1e-20)
     lo, hi = math.nextafter(res.root, 0.0), math.nextafter(res.root, 3.0)
     other = lo if fn(lo) * fn(res.root) < 0.0 else hi
     assert fn(other) * fn(res.root) < 0.0
@@ -52,32 +60,33 @@ def test_solve_bracketed_stops_at_float_resolution():
 
 def test_trace_reports_shrinking_sign_change_bracket():
     rows = []
-    solve_bracketed(lambda t: t ** 3 - 2.0, 0.0, 4.0, -2.0, 62.0,
-                    xtol=1e-12, ftol=1e-12, max_iter=200,
-                    trace=lambda *row: rows.append(row))
-    assert rows
+    res = _solve(lambda t: t ** 3 + t - 2.5, lambda t: 3.0 * t * t + 1.0,
+                 trace=lambda *row: rows.append(row))
+    assert len(rows) == res.iterations > 0
+    assert [row[0] for row in rows] == list(range(1, len(rows) + 1))
     widths = [hi - lo for _, lo, hi, _, _ in rows]
-    assert all(b <= a + 1e-15 for a, b in zip(widths, widths[1:]))
+    assert all(b <= a for a, b in zip(widths, widths[1:]))
     assert all(lo <= mid <= hi for _, lo, hi, mid, _ in rows)
+    assert rows[-1][3:] == (res.root, res.residual)
 
 
 def test_newton_steps_from_slopes():
-    # interpolation steps alone take 8 evaluations here
-    fn = lambda t: t ** 3 - 2.0
+    fn = lambda t: t ** 3 + t - 3.0
     rows = []
-    res = solve_bracketed(fn, 1.0, 4.0, -1.0, 62.0, xtol=1e-15, ftol=1e-15, max_iter=200,
-                          slope=lambda t: 3.0 * t * t, trace=lambda *row: rows.append(row))
-    assert res.root == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-15)
-    assert res.iterations == len(rows) <= 5
+    res = _solve(fn, lambda t: 3.0 * t * t + 1.0, xtol=1e-15, ftol=1e-15,
+                 trace=lambda *row: rows.append(row))
+    assert res.root == pytest.approx(1.2134116627622296, rel=1e-15)
+    assert res.iterations == len(rows) <= 8
+    # bisection alone takes 42 evaluations to the same tolerances
+    assert _solve(fn, _no_slope, xtol=1e-15, ftol=1e-15).iterations >= 40
 
 
-def test_min_slope_shrinks_an_unevaluated_bracket():
+def test_each_evaluation_shrinks_the_bracket():
     # fn' >= 1, so the root lies in [0, -fn(0)] and within |fn(x)| of each x
     fn = lambda t: t + 0.5 * math.tanh(t - 1.0) - 1.5
     rows = []
-    res = solve_bracketed(fn, 0.0, -fn(0.0), fn(0.0), None, xtol=1e-12, ftol=1e-10,
-                          max_iter=200, slope=lambda t: 1.0 + 0.5 / math.cosh(t - 1.0) ** 2,
-                          min_slope=1.0, trace=lambda *row: rows.append(row))
+    res = _solve(fn, lambda t: 1.0 + 0.5 / math.cosh(t - 1.0) ** 2, ftol=1e-10,
+                 trace=lambda *row: rows.append(row))
     assert abs(fn(res.root)) <= 5e-13
     assert res.iterations == len(rows) <= 5
     for _, lo, hi, x, fx in rows:
@@ -88,26 +97,42 @@ def test_min_slope_shrinks_an_unevaluated_bracket():
         assert lo >= x - abs(fx) - slack and hi <= x + abs(fx) + slack
 
 
+def test_bisects_where_the_slope_is_nan():
+    # a NaN slope (T(0) passed without its points) rules out a Newton step:
+    # every step bisects, in log space while the ends differ by more than
+    # 16x, and the search still converges
+    fn = lambda t: t + 0.5 * math.tanh(t - 1.0) - 1.5
+    rows = []
+    res = _solve(fn, _no_slope, xtol=1e-12, ftol=1e-10, trace=lambda *row: rows.append(row))
+    # stopped on the width: within xtol of the root, |fn| within ftol
+    assert res.root == pytest.approx(1.3374158071711997, abs=1e-12)
+    assert abs(res.residual) <= 1e-10
+    assert res.iterations == len(rows) <= 30
+    for _, lo, hi, x, _ in rows:
+        low = max(lo, 1e-12)
+        mid = math.sqrt(low) * math.sqrt(hi) if hi > 16.0 * low else lo + 0.5 * (hi - lo)
+        assert x == pytest.approx(mid, rel=1e-15, abs=1e-12)
+
+
 def test_log_space_split_with_zero_lower_end_and_xtol():
-    # concave powers with roots 1e-20..1e-90, decades below hi = 1e6; with
-    # lo = xtol = 0 the smallest normal double stands in for the lower end
+    # roots 1e-18..1e-90 of fn' >= 1 functions, decades below -fn(0); with
+    # xtol = 0 the smallest normal double stands in for the lower end 0
     for power, c in ((0.3, 1e-6), (0.1, 1e-3), (0.1, 1e-9), (0.5, 1e-9)):
-        fn = lambda t: t ** power - c
-        res = solve_bracketed(fn, 0.0, 1e6, fn(0.0), fn(1e6),
-                              xtol=0.0, ftol=0.0, max_iter=200)
+        fn = lambda t: t + 1e12 * (t ** power - c)
+        slope = lambda t: 1.0 + 1e12 * power * t ** (power - 1.0) if t > 0.0 else math.inf
+        res = _solve(fn, slope, xtol=0.0, ftol=0.0)
         assert res.root == pytest.approx(c ** (1.0 / power), rel=1e-13)
-        assert res.iterations <= 30
+        assert res.iterations <= 20
 
 
-def test_min_slope_bound_broken_by_rounding_noise():
+def test_bound_broken_by_rounding_noise():
     # fn' >= 1 up to noise of 30 ulps of the root, so the bound |fn(x)| from
     # x can exclude the root of the computed fn; the search must still end
     # at a sign change between adjacent doubles or at |fn| <= ftol
     for k in range(40):
         r = 1e6 * (1.0 + k / 7.0)
         fn = lambda t: (t - r) + 30.0 * math.ulp(r) * (2.0 * random.Random(t).random() - 1.0)
-        res = solve_bracketed(fn, 0.0, -fn(0.0), fn(0.0), None, xtol=1e-12, ftol=1e-12,
-                              max_iter=200, slope=lambda t: 1.0, min_slope=1.0)
+        res = _solve(fn, lambda t: 1.0)
         x, fx = res.root, res.residual
         assert fx == fn(x)
         if abs(fx) > 1e-12:
@@ -121,15 +146,8 @@ def test_unevaluated_end_is_evaluated_once_the_width_is_met():
     # width is met there but not ftol, so that end is evaluated next rather
     # than reached by bisections of an ulp or two
     r = 5e7
-    res = solve_bracketed(lambda t: t - r, 0.0, r, -r, None, xtol=1e-12, ftol=1e-10,
-                          max_iter=200, slope=lambda t: 1.0 + 4.5e-16, min_slope=1.0)
+    res = _solve(lambda t: t - r, lambda t: 1.0 + 4.5e-16, ftol=1e-10)
     assert (res.root, res.iterations) == (r, 2)
-
-
-def test_unevaluated_end_needs_min_slope():
-    with pytest.raises(ValueError, match="min_slope"):
-        solve_bracketed(lambda t: t - 1.0, 0.0, 2.0, -1.0, None,
-                        xtol=1e-12, ftol=1e-12, max_iter=50)
 
 
 def _numpy_real_roots(b, c, d, e):

@@ -26,7 +26,7 @@ from persprox import (
     solve_eta_case_iii,
 )
 from persprox.solver import make_residual_case_i, make_residual_case_iii
-from conftest import eta_on_wider_bracket, rand_vec
+from conftest import bisect_root, eta_on_wider_bracket, rand_vec
 from reference import case_ii_prox
 
 HUBER = PerspectivePair(HuberBase(1.0), SqrtScaling(1.0), n=2)
@@ -391,6 +391,20 @@ def test_overflowing_scaled_input_is_rejected(pair, gamma, x):
         prox_perspective(pair, gamma, x, 1.0)
 
 
+def test_t0_without_its_points_starts_with_a_bisection():
+    # T(0) handed over without its curve points has no slope there (NaN):
+    # the first step is the log-space midpoint of [0, -T(0)], and Newton
+    # steps resume from the points of that evaluation
+    pair, x, y = POWER_ROOT_FREE, (6.0, 0.0), 3.5
+    eta, _ = solve_eta_case_i(pair, 1.0, x, y)
+    t0 = make_residual_case_i(pair, 1.0, x, y)(0.0)
+    rows = []
+    eta2, iters = solve_eta_case_i(pair, 1.0, x, y, t0=t0, trace=lambda *row: rows.append(row))
+    assert rows[0][1:4] == (0.0, -t0, math.sqrt(1e-12) * math.sqrt(-t0))
+    assert iters == len(rows) <= 12
+    assert abs(eta2 - eta) <= 1e-12 * (1.0 + eta)
+
+
 def test_huge_multiplier_bracket_does_not_divide_by_zero():
     # eta = 1e300 makes the conjugate prox weight so large that its root is
     # below the smallest double; the scalar solver used to raise
@@ -418,8 +432,6 @@ def test_multiplier_search_on_root_band_inputs(monkeypatch):
     # them, plus a probe of T(hi), averaged 5.7 evaluations here, 7 at most)
     import persprox.solver as solver
     from persprox.cli import main
-    from persprox.roots import solve_bracketed
-
     count = [0]
     for name in ("make_residual_case_i", "make_residual_case_iii"):
         make = getattr(solver, name)
@@ -444,13 +456,12 @@ def test_multiplier_search_on_root_band_inputs(monkeypatch):
         evals.append(count[0])
         # the pass hands T(0) over, so every evaluation is one of the search's
         assert count[0] == res.root_iterations
-        # the same root as Brent's method without slopes, run to float
-        # resolution; the search stops at |T| <= 5e-13, and T' >= 1
+        # the same root as a bisection run to float resolution; the search
+        # stops at |T| <= 5e-13, and T' >= 1
         make = make_residual_case_i if res.label is CaseLabel.OMEGA4 else make_residual_case_iii
         T = make(pair, call.gamma, call.x, call.y)
-        hi = -T(0.0)
-        ref = solve_bracketed(T, 0.0, hi, T(0.0), T(hi), xtol=0.0, ftol=0.0, max_iter=200)
-        assert abs(res.eta - ref.root) <= 1e-12 * (1.0 + ref.root), (call, res.eta, ref.root)
+        ref = bisect_root(T, 0.0, -T(0.0))
+        assert abs(res.eta - ref) <= 1e-12 * (1.0 + ref), (call, res.eta, ref)
         # trace-root prints one row per evaluation
         out = io.StringIO()
         point = json.dumps({"x": list(call.x), "y": call.y})
