@@ -3,8 +3,10 @@
 Subcommands: ``eval``, ``prox``, ``trace-root``, ``validate``,
 ``demo-concomitant``.  Problem and point descriptions are JSON, inline or
 from a file, or a single document on standard input with keys ``spec``,
-``point``, ``demo``.  Infinite values serialize as the strings "+inf" /
-"-inf".  Exit codes: 0 ok, 1 validation failure, 2 bad input, 3 solver
+``point``, ``demo`` (read only when ``--spec`` or ``--point`` is missing;
+``demo`` is taken from it when it was read).  Infinite values serialize
+as the strings "+inf" / "-inf".  Exit codes: 0 ok, 1 validation failure,
+2 bad input (a file that cannot be read or written too), 3 solver
 failure, 4 oracle failure.
 
 The oracle and the splitting demo load inside the commands that use them,
@@ -34,10 +36,8 @@ from .solver import (
     CaseLabel,
     RootConfig,
     classify_case_i,
-    classify_case_iii,
     prox_perspective,
     solve_eta_case_i,
-    solve_eta_case_iii,
 )
 
 if TYPE_CHECKING:
@@ -65,8 +65,11 @@ def _load_json_arg(text: str | None):
     stripped = text.strip()
     if stripped.startswith("{") or stripped.startswith("["):
         return json.loads(stripped)
-    with open(text, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(text, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read {text!r}: {exc.strerror or exc}") from exc
 
 
 def _jsonable(value):
@@ -152,34 +155,31 @@ def _stdin_document(args) -> dict:
     return args._stdin_doc
 
 
-def _resolve(args, flag: str, key: str):
-    data = _load_json_arg(getattr(args, flag, None))
+def _resolve(args, key: str):
+    """The ``--key`` flag's document, else the stdin document's ``key``."""
+    data = _load_json_arg(getattr(args, key))
     if data is not None:
         return data
     doc = _stdin_document(args)
     if key not in doc:
-        raise InputError(f"missing --{flag} and no {key!r} key on stdin")
+        raise InputError(f"missing --{key} and no {key!r} key on stdin")
     return doc[key]
 
 
-def _open_out(args):
-    if args.out:
-        return open(args.out, "w", encoding="utf-8", newline="")
-    return sys.stdout
-
-
 def _emit(args, text: str) -> None:
-    out = _open_out(args)
+    if not args.out:
+        sys.stdout.write(text)
+        return
     try:
-        out.write(text)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+        with open(args.out, "w", encoding="utf-8", newline="") as out:
+            out.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {args.out!r}: {exc.strerror or exc}") from exc
 
 
 def cmd_eval(args) -> int:
-    pair, _ = build_problem(_resolve(args, "spec", "spec"))
-    x, y = parse_point(_resolve(args, "point", "point"))
+    pair, _ = build_problem(_resolve(args, "spec"))
+    x, y = parse_point(_resolve(args, "point"))
     record = {
         "value": perspective_eval(pair, x, y),
         "preperspective_value": preperspective_eval(pair, x, y),
@@ -190,8 +190,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_prox(args) -> int:
-    pair, gamma = build_problem(_resolve(args, "spec", "spec"))
-    x, y = parse_point(_resolve(args, "point", "point"))
+    pair, gamma = build_problem(_resolve(args, "spec"))
+    x, y = parse_point(_resolve(args, "point"))
     cfg, _ = parse_tol_overrides(args.tol)
     res = prox_perspective(pair, gamma, x, y, cfg)
     record = {
@@ -207,15 +207,11 @@ def cmd_prox(args) -> int:
 
 
 def cmd_trace_root(args) -> int:
-    pair, gamma = build_problem(_resolve(args, "spec", "spec"))
-    x, y = parse_point(_resolve(args, "point", "point"))
+    pair, gamma = build_problem(_resolve(args, "spec"))
+    x, y = parse_point(_resolve(args, "point"))
     cfg, _ = parse_tol_overrides(args.tol)
-    sc = pair.base.sign_class
-    if sc is SignClass.NONNEGATIVE_CONJUGATE:
-        classify, solve_eta, root = classify_case_i, solve_eta_case_i, CaseLabel.OMEGA4
-    else:
-        classify, solve_eta, root = classify_case_iii, solve_eta_case_iii, CaseLabel.XI4
-    if sc is SignClass.ZERO_INFTY_CONJUGATE or classify(pair, gamma, x, y) is not root:
+    if (pair.base.sign_class is SignClass.ZERO_INFTY_CONJUGATE
+            or classify_case_i(pair, gamma, x, y) not in (CaseLabel.OMEGA4, CaseLabel.XI4)):
         _emit(args, "closed-form case, no root trace\n")
         return EXIT_OK
     rows: list[tuple[int, float, float, float, float]] = []
@@ -223,7 +219,7 @@ def cmd_trace_root(args) -> int:
     def trace(it, lo, hi, mid, fmid):
         rows.append((it, lo, hi, mid, fmid))
 
-    solve_eta(pair, gamma, x, y, cfg, trace=trace)
+    solve_eta_case_i(pair, gamma, x, y, cfg, trace=trace)
     lines = ["iter,eta_lo,eta_hi,eta_mid,T_mid"]
     lines += [f"{it},{lo!r},{hi!r},{mid!r},{fmid!r}" for it, lo, hi, mid, fmid in rows]
     _emit(args, "\n".join(lines) + "\n")
@@ -254,10 +250,12 @@ def _validate_seed(spec_data: dict, seed: int, cfg: RootConfig, ocfg: OracleConf
 def cmd_validate(args) -> int:
     from .oracle import OracleConfig, OracleError
 
-    spec_data = _resolve(args, "spec", "spec")
+    spec_data = _resolve(args, "spec")
     build_problem(spec_data)  # reject a bad spec before any seed or worker runs
     if args.seeds < 1:
         raise InputError(f"--seeds must be at least 1, got {args.seeds}")
+    if args.workers < 1:
+        raise InputError(f"--workers must be at least 1, got {args.workers}")
     cfg, ocfg = parse_tol_overrides(args.tol)
     if ocfg is None:
         ocfg = OracleConfig()
@@ -267,13 +265,10 @@ def cmd_validate(args) -> int:
             # imported here: the pool costs every other command its start-up time
             from concurrent.futures import ProcessPoolExecutor
 
+            n = len(seeds)
             with ProcessPoolExecutor(max_workers=args.workers) as pool:
-                results = list(
-                    pool.map(
-                        _validate_seed_star,
-                        [(spec_data, s, cfg, ocfg) for s in seeds],
-                    )
-                )
+                results = list(pool.map(_validate_seed, [spec_data] * n, seeds,
+                                        [cfg] * n, [ocfg] * n))
         else:
             results = [_validate_seed(spec_data, s, cfg, ocfg) for s in seeds]
     except OracleError as exc:
@@ -294,15 +289,14 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report["max_deviation"] <= DEVIATION_LIMIT else EXIT_VALIDATION
 
 
-def _validate_seed_star(packed):
-    return _validate_seed(*packed)
-
-
 def cmd_demo_concomitant(args) -> int:
     from .splitting import DemoSpec, run_concomitant_demo
 
-    pair, _ = build_problem(_resolve(args, "spec", "spec"))
+    pair, _ = build_problem(_resolve(args, "spec"))
     demo_data = _load_json_arg(args.demo)
+    if demo_data is None and args._stdin_doc is not None:
+        # the stdin document that gave the spec may also hold the demo
+        demo_data = args._stdin_doc.get("demo")
     if demo_data is None:
         demo_data = {"a": [[1.0, 0.0], [0.0, 1.0]], "b": [1.0, 1.0]}
     try:

@@ -22,7 +22,13 @@ nonincreasing, so ``T' >= 1``: the root lies in ``[0, -T(0)]`` and within
 ``|T(eta)|`` of every evaluated ``eta``.  Each curve's slope comes from its
 contract (``conj_slope``, ``env_slope``), so ``T' = 1 + inner' * outer'``
 is exact and the search takes Newton steps, with bisection as their
-safeguard.
+safeguard.  Where the pass computed ``T(0)``, it hands it to the search,
+with its curve points, as the search record's entry at 0.
+
+Classification, the residual and the search are each written once and
+read the case from the sign class; the case-(iii) names are aliases of
+the case-(i) ones, and a zero-or-infinity pair makes them raise
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from typing import Callable
 
 from .core import INF, Record, SignClass, Value, Vec, negligible, norm, scale
 from .perspective import PerspectivePair, prox_fenchel_gap
-from .roots import NAN, solve_bracketed
+from .roots import solve_bracketed
 
 
 class CaseLabel(Enum):
@@ -149,18 +155,16 @@ def _curves(pair: PerspectivePair, gamma: float, x: Vec, y: float, base_drives: 
 def _signed_pass(pair, gamma: float, x: Vec, y: float, base_drives: bool):
     """The region tests, and the closed-form points where they select one.
 
-    Returns ``(x/gamma, outer, inner, region, outer point, inner point,
-    eta)``.  In region 4, the root region, the points and the last entry
-    are those of ``T(0)``, where the tests computed it (else None): the
-    outer point at 0, the inner point at the outer value, and ``T(0)``
-    itself.  Zero tests are
-    ``core.negligible`` at the size of the curve's argument: ``x/gamma``
-    for B, ``y`` for S.  A conjugate value of +inf at the projected point
-    is not zero, so it defers to the root region, whose prox calls never
-    leave the conjugate domain.
+    Returns ``(x/gamma, region, outer point, inner point, eta)``.  In
+    region 4, the root region, the last entry is instead the
+    ``SearchRecord`` entry of ``T(0)`` where the tests computed it (else
+    None): the outer point at 0, the inner point at the outer value, that
+    value and ``T(0)``.  Zero tests are ``core.negligible`` at the size of
+    the curve's argument: ``x/gamma`` for B, ``y`` for S.  A conjugate
+    value of +inf at the projected point is not zero, so it defers to the
+    root region, whose prox calls never leave the conjugate domain.
     """
-    xg, outer, inner = _curves(pair, gamma, x, y, base_drives)
-    (o_point, o_value), (i_point, i_value) = outer, inner
+    xg, (o_point, o_value), (i_point, i_value) = _curves(pair, gamma, x, y, base_drives)
     o_ref, i_ref = (norm(xg), y) if base_drives else (y, norm(xg))
     o_pt = o_point(0.0)
     o0 = o_value(o_pt)
@@ -168,50 +172,49 @@ def _signed_pass(pair, gamma: float, x: Vec, y: float, base_drives: bool):
     i0 = i_value(i_pt)
     o_zero, i_zero = negligible(o0, o_ref), negligible(i0, i_ref)
     if o_zero and i_zero:
-        return xg, outer, inner, 1, o_pt, i_pt, 0.0
-    t0 = i_pt2 = None
+        return xg, 1, o_pt, i_pt, 0.0
+    entry = None
     if not o_zero and 0.0 < o0 < INF:
         i_pt2 = i_point(o0)
         t0 = i_value(i_pt2)
         if negligible(t0, i_ref):
-            return xg, outer, inner, 2, o_pt, i_pt2, 0.0
+            return xg, 2, o_pt, i_pt2, 0.0
+        entry = (o_pt, i_pt2, o0, t0)
     if not i_zero and 0.0 < -i0 < INF:
         o_pt3 = o_point(-i0)
         if negligible(o_value(o_pt3), o_ref):
-            return xg, outer, inner, 3, o_pt3, i_pt, -i0
-    return xg, outer, inner, 4, o_pt, i_pt2, t0
+            return xg, 3, o_pt3, i_pt, -i0
+    return xg, 4, None, None, entry
 
 
-def _classify(pair, gamma, x, y, sign_class: SignClass) -> CaseLabel:
-    x, y = pair.check_point(x, y)
-    if pair.base.sign_class is not sign_class:
-        raise ValueError(f"this classification needs a {sign_class.value} conjugate")
-    base_drives = sign_class is SignClass.NONNEGATIVE_CONJUGATE
-    return _LABELS[base_drives][_signed_pass(pair, gamma, x, y, base_drives)[3] - 1]
+def _base_drives(pair) -> bool:
+    """Whether the multiplier drives B (case i) rather than S (case iii)."""
+    sc = pair.base.sign_class
+    if sc is SignClass.ZERO_INFTY_CONJUGATE:
+        raise ValueError("a zero-or-infinity conjugate decouples: it has no multiplier")
+    return sc is SignClass.NONNEGATIVE_CONJUGATE
 
 
 def classify_case_i(pair: PerspectivePair, gamma: float, x, y) -> CaseLabel:
-    """Region of an input for a nonnegative-conjugate pair: the label of the
-    pass ``prox_perspective`` runs on it."""
-    return _classify(pair, gamma, x, y, SignClass.NONNEGATIVE_CONJUGATE)
-
-
-def classify_case_iii(pair: PerspectivePair, gamma: float, x, y) -> CaseLabel:
-    """Region of an input for a nonpositive-conjugate pair; see
-    ``classify_case_i``."""
-    return _classify(pair, gamma, x, y, SignClass.NONPOSITIVE_CONJUGATE)
+    """Region of an input for a signed pair, case (i) or (iii) by the sign
+    class of its base conjugate: the label of the pass ``prox_perspective``
+    runs on it.  A zero-or-infinity pair raises ``ValueError``."""
+    x, y = pair.check_point(x, y)
+    base_drives = _base_drives(pair)
+    return _LABELS[base_drives][_signed_pass(pair, gamma, x, y, base_drives)[1] - 1]
 
 
 class SearchRecord:
     """Side record of one multiplier search.
 
-    ``points[eta] = (outer point, inner point, outer value)`` for each
-    ``eta`` at which ``T`` was evaluated: the outer point is the base point
-    ``prox_{(eta/gamma) phi*}(x/gamma)`` in case (i) and the scale point in
-    case (iii), the inner point the other one, at the outer value as its
-    weight.  An entry may hold None for the outer value.  ``slope(eta)`` is
-    ``T'(eta)`` at such an ``eta``, from the curves' contract slopes (NaN
-    where one is not defined); ``make_residual_case_*`` sets it.
+    ``points[eta] = (outer point, inner point, outer value, T(eta))`` for
+    each ``eta`` at which ``T`` was evaluated: the outer point is the base
+    point ``prox_{(eta/gamma) phi*}(x/gamma)`` in case (i) and the scale
+    point in case (iii), the inner point the other one, at the outer value
+    as its weight.  The search takes ``T(0)`` from the entry at 0 when one
+    is there.  ``slope(eta)`` is ``T'(eta)`` at such an ``eta``, from the
+    curves' contract slopes (NaN where one is not defined);
+    ``make_residual_case_i`` sets it.
     """
 
     __slots__ = ("points", "slope")
@@ -221,23 +224,20 @@ class SearchRecord:
         self.slope: Callable[[float], float] | None = None
 
 
-def _solve_eta(make: Callable[..., Callable[[float], float]], pair, gamma: float, x, y,
-               cfg: RootConfig, trace, t0: float | None, record: SearchRecord | None,
-               ) -> tuple[float, int]:
-    """``solve_eta_case_*`` with the residual that ``make`` builds."""
-    record = SearchRecord() if record is None else record
-    T = make(pair, gamma, x, y, record)
-    if t0 is None:
-        t0 = T(0.0)
-    if t0 >= 0.0:
-        return 0.0, 0
-    res = solve_bracketed(T, record.slope, t0, xtol=cfg.eta_tol, ftol=cfg.residual_tol,
-                          max_iter=cfg.max_iter, trace=trace)
-    return res.root, res.iterations
+def make_residual_case_i(pair: PerspectivePair, gamma: float, x, y,
+                         record: SearchRecord | None = None) -> Callable[[float], float]:
+    """The strictly increasing map ``T(eta) = inner(outer(eta)) + eta`` whose
+    root is the multiplier: ``S(B(eta)) + eta`` in case (i), ``B(S(eta)) +
+    eta`` in case (iii), by the sign class as in ``classify_case_i``.  Both
+    curves are nonincreasing, so their composition is nondecreasing and
+    ``T' >= 1``.
 
-
-def _residual(pair, gamma, x, y, base_drives: bool, record) -> Callable[[float], float]:
+    Each evaluation stores its curve points in ``record.points`` (a fresh
+    ``SearchRecord`` when none is given), and ``record.slope`` is set to
+    the function giving ``T'`` at those points.
+    """
     x, y = pair.check_point(x, y)
+    base_drives = _base_drives(pair)
     xg, (o_point, o_value), (i_point, i_value) = _curves(pair, gamma, x, y, base_drives)
     if record is None:
         record = SearchRecord()
@@ -247,12 +247,7 @@ def _residual(pair, gamma, x, y, base_drives: bool, record) -> Callable[[float],
     # T' = 1 + inner' * outer', the curves' slopes in v being their contract
     # slopes scaled by 1/gamma (B) and gamma (S); 1 where the outer one is flat
     def slope(eta: float) -> float:
-        entry = points.get(eta)
-        if entry is None:  # T(0) passed in without its points
-            return NAN
-        o_pt, i_pt, weight = entry
-        if weight is None:
-            weight = o_value(o_pt)
+        o_pt, i_pt, weight, _ = points[eta]
         if base_drives:
             ds = base.conj_slope(eta / gamma, xg, o_pt)
             return 1.0 + scaling.env_slope(gamma * weight, y, i_pt) * ds if ds else 1.0
@@ -263,61 +258,49 @@ def _residual(pair, gamma, x, y, base_drives: bool, record) -> Callable[[float],
         o_pt = o_point(eta)
         weight = o_value(o_pt)
         i_pt = i_point(weight)
-        points[eta] = (o_pt, i_pt, weight)
-        return i_value(i_pt) + eta
+        t = i_value(i_pt) + eta
+        points[eta] = (o_pt, i_pt, weight, t)
+        return t
 
     record.slope = slope
     return T
 
 
-def make_residual_case_i(pair: PerspectivePair, gamma: float, x, y,
-                         record: SearchRecord | None = None) -> Callable[[float], float]:
-    """The strictly increasing map ``T(eta) = S(B(eta)) + eta`` whose root is
-    the case-(i) multiplier; both curves are nonincreasing, so their
-    composition is nondecreasing and ``T' >= 1``.
-
-    Each evaluation stores its curve points in ``record.points`` (a fresh
-    ``SearchRecord`` when none is given), and ``record.slope`` is set to
-    the function giving ``T'`` at those points.
-    """
-    return _residual(pair, gamma, x, y, True, record)
-
-
-def make_residual_case_iii(pair: PerspectivePair, gamma: float, x, y,
-                           record: SearchRecord | None = None) -> Callable[[float], float]:
-    """Case-(iii) multiplier residual ``T(eta) = B(S(eta)) + eta``; the
-    outer point of a ``record`` entry is the scale point.  See
-    ``make_residual_case_i``."""
-    return _residual(pair, gamma, x, y, False, record)
-
-
 def solve_eta_case_i(
     pair: PerspectivePair, gamma: float, x, y,
     cfg: RootConfig = DEFAULT_CONFIG, *,
-    trace=None, t0: float | None = None, record: SearchRecord | None = None,
+    trace=None, record: SearchRecord | None = None,
 ) -> tuple[float, int]:
-    """Multiplier for the case-(i) root region: the unique ``eta >= 0``
+    """Multiplier for the root region of a signed pair, case (i) or (iii)
+    by the sign class as in ``classify_case_i``: the unique ``eta >= 0``
     with ``T(eta) = 0``, and the number of ``T`` evaluations it took.
 
     ``roots.solve_bracketed`` searches ``[0, -T(0)]`` with Newton steps
-    from the exact slopes that ``make_residual_case_i`` gives ``record``,
-    and bisections where a Newton step fails, and stops as ``RootConfig``
-    states.  ``T(0)`` is not counted: pass it as ``t0`` when it is known,
-    with its points in ``record.points[0.0]``; otherwise it is evaluated
-    first.  ``trace(it, lo, hi, eta, T(eta))`` gets every evaluated
+    from the exact slopes that the case's ``make_residual_case_*`` gives
+    ``record``, and bisections where a Newton step fails, and stops as
+    ``RootConfig`` states.  ``T(0)`` is not counted: it comes from
+    ``record.points[0.0]`` when that entry is there, and is evaluated first
+    otherwise.  ``trace(it, lo, hi, eta, T(eta))`` gets every evaluated
     ``eta`` but 0 and the bracket it was chosen in.  The ``record`` entry
     at the returned ``eta`` holds the points the prox is assembled from.
     """
-    return _solve_eta(make_residual_case_i, pair, gamma, x, y, cfg, trace, t0, record)
+    make = make_residual_case_i if _base_drives(pair) else make_residual_case_iii
+    record = SearchRecord() if record is None else record
+    T = make(pair, gamma, x, y, record)
+    entry = record.points.get(0.0)
+    t0 = T(0.0) if entry is None else entry[3]
+    if t0 >= 0.0:
+        return 0.0, 0
+    res = solve_bracketed(T, record.slope, t0, xtol=cfg.eta_tol, ftol=cfg.residual_tol,
+                          max_iter=cfg.max_iter, trace=trace)
+    return res.root, res.iterations
 
 
-def solve_eta_case_iii(
-    pair: PerspectivePair, gamma: float, x, y,
-    cfg: RootConfig = DEFAULT_CONFIG, *,
-    trace=None, t0: float | None = None, record: SearchRecord | None = None,
-) -> tuple[float, int]:
-    """Multiplier for the case-(iii) root region; see ``solve_eta_case_i``."""
-    return _solve_eta(make_residual_case_iii, pair, gamma, x, y, cfg, trace, t0, record)
+# the same functions under their case-(iii) names; the root region of each
+# case calls its own solve_eta_case_* and make_residual_case_* globals
+classify_case_iii = classify_case_i
+make_residual_case_iii = make_residual_case_i
+solve_eta_case_iii = solve_eta_case_i
 
 
 def prox_perspective(
@@ -341,15 +324,15 @@ def prox_perspective(
         label, eta, iters = CaseLabel.CASE_II, 0.0, 0
     else:
         base_drives = sc is SignClass.NONNEGATIVE_CONJUGATE
-        xg, outer, inner, region, o_pt, i_pt, eta = _signed_pass(pair, gamma, x, y, base_drives)
+        xg, region, o_pt, i_pt, eta = _signed_pass(pair, gamma, x, y, base_drives)
         iters = 0
         if region == 4:
             # T(0) and its points come from the pass where it computed them
-            record = SearchRecord(None if eta is None else {0.0: (o_pt, i_pt, None)})
+            record = SearchRecord(None if eta is None else {0.0: eta})
             solve = solve_eta_case_i if base_drives else solve_eta_case_iii
-            eta, iters = solve(pair, gamma, x, y, cfg, t0=eta, record=record)
+            eta, iters = solve(pair, gamma, x, y, cfg, record=record)
             # the points of the search's evaluation of T at eta
-            o_pt, i_pt, _ = record.points[eta]
+            o_pt, i_pt = record.points[eta][:2]
         label = _LABELS[base_drives][region - 1]
         b_pt, q = (o_pt, i_pt) if base_drives else (i_pt, o_pt)
         p = _pull_back(x, gamma, xg, b_pt)

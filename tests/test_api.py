@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "persprox"
+PERFBENCH = SRC.parents[1] / "perfbench"
 
 ENTRY = "public entry point in README"
 TRACED = "wrapped by name in perfbench/tracing.py"
@@ -117,6 +118,18 @@ def test_every_definition_in_src_has_a_caller():
 def test_allowlist_entries_are_still_needed():
     assert set(ALLOWED) <= unreferenced()
     assert set(ALLOWED.values()) <= {ENTRY, TRACED}
+
+
+def test_names_the_tracer_wraps_resolve():
+    # the benchmark's tracer looks names of src/ up by name; a change that
+    # drops or renames one fails here, not only in the benchmark's own tests
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import tracing
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    assert all(callable(value) for _, _, value in tracing.shim_targets())
+    assert 0.0 < tracing._residual_tol() < 1.0
 
 
 def test_oracle_and_demo_names_load_on_first_use():

@@ -119,6 +119,30 @@ def test_malformed_document_is_bad_input(capsys, monkeypatch, argv, stdin, messa
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["prox", "--spec", "PATH", "--point", '{"x":[3,0],"y":0}'],
+    ["prox", "--spec", HUBER_SPEC, "--point", "PATH"],
+    ["demo-concomitant", "--spec", HUBER_SPEC, "--demo", "PATH"],
+], ids=["spec", "point", "demo"])
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_file_is_bad_input(capsys, tmp_path, argv, kind):
+    from persprox.cli import main
+
+    # a missing file or a directory died with a traceback (FileNotFoundError,
+    # IsADirectoryError) and exit 1, the code of a validation failure
+    path = str(tmp_path / "absent.json") if kind == "missing" else str(tmp_path)
+    assert main([path if a == "PATH" else a for a in argv]) == 2
+    assert f"cannot read {path!r}" in capsys.readouterr().err
+
+
+def test_out_into_a_missing_directory_is_bad_input(capsys, tmp_path):
+    from persprox.cli import main
+
+    target = str(tmp_path / "absent" / "result.json")
+    assert main(["prox", "--spec", HUBER_SPEC, "--point", '{"x":[3,0],"y":0}', "--out", target]) == 2
+    assert f"cannot write {target!r}" in capsys.readouterr().err
+
+
 def test_malformed_json_exit_code():
     out = run_cli("eval", "--spec", "{not json", "--point", '{"x":[1],"y":0}')
     assert out.returncode == 2
@@ -181,12 +205,14 @@ def test_non_finite_tolerance_is_bad_input(capsys, key, value):
     (["--tol", "refine_tol=nan"], "refine_tol must be positive and finite, got nan"),
     (["--seeds", "0"], "--seeds must be at least 1, got 0"),
     (["--seeds", "-3"], "--seeds must be at least 1, got -3"),
-], ids=["refine_tol-nan", "seeds-0", "seeds-negative"])
+    (["--workers", "0"], "--workers must be at least 1, got 0"),
+    (["--workers", "-5"], "--workers must be at least 1, got -5"),
+], ids=["refine_tol-nan", "seeds-0", "seeds-negative", "workers-0", "workers-negative"])
 def test_validate_bad_settings_are_bad_input(capsys, argv, message):
     from persprox.cli import main
 
     # refine_tol=nan used to exit 1 with a deviation of 0.216, --seeds 0 to
-    # die on an empty max()
+    # die on an empty max(), --workers 0 to run serially without a word
     assert main(["validate", "--spec", HUBER_SPEC, "--seeds", "2", *argv]) == 2
     assert message in capsys.readouterr().err
 
@@ -359,3 +385,31 @@ def test_stdin_document():
     assert record["p"] == [1.0, 0.0]
     assert record["q"] == 1.0
     assert record["case_label"] == "CaseII"
+
+
+@pytest.mark.parametrize("demo, rows", [
+    ({"a": [[1, 0], [0, 1]], "b": [1, 1], "iterations": 3}, 4),
+    (None, 501),
+], ids=["stdin-demo", "built-in"])
+def test_demo_from_the_stdin_document(capsys, monkeypatch, demo, rows):
+    from persprox.cli import main
+
+    # the demo key of the stdin document was ignored: 500 iterations ran
+    doc = {"spec": json.loads(HUBER_SPEC)}
+    if demo is not None:
+        doc["demo"] = demo
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    assert main(["demo-concomitant"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + rows
+
+
+def test_demo_with_a_spec_flag_never_reads_stdin(capsys, monkeypatch):
+    from persprox.cli import main
+
+    class Unreadable(io.StringIO):
+        def read(self, *args):
+            raise AssertionError("stdin read")
+
+    monkeypatch.setattr(sys, "stdin", Unreadable())
+    assert main(["demo-concomitant", "--spec", HUBER_SPEC]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 502

@@ -98,7 +98,7 @@ def test_each_evaluation_shrinks_the_bracket():
 
 
 def test_bisects_where_the_slope_is_nan():
-    # a NaN slope (T(0) passed without its points) rules out a Newton step:
+    # a NaN slope (one the curves do not define) rules out a Newton step:
     # every step bisects, in log space while the ends differ by more than
     # 16x, and the search still converges
     fn = lambda t: t + 0.5 * math.tanh(t - 1.0) - 1.5

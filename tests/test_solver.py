@@ -51,11 +51,24 @@ def test_classification_huber_examples():
     assert classify_case_iii(HUBER, 1.0, (1.0, 0.0), 0.0) is CaseLabel.XI4
 
 
-def test_classification_rejects_wrong_class():
-    with pytest.raises(ValueError):
-        classify_case_i(HUBER, 1.0, (1.0, 0.0), 0.0)
-    with pytest.raises(ValueError):
-        classify_case_iii(POWER_ROOT_BOUNDED, 1.0, (1.0, 0.0), 0.0)
+@pytest.mark.parametrize("pair, x, y, label", [
+    (PerspectivePair(PowerBase(3.0), RootScaling(0.5, 4.0), n=2), (6.0, 0.0), 3.5, CaseLabel.OMEGA4),
+    (HUBER, (1.0, 0.0), 0.0, CaseLabel.XI4),
+], ids=["case-i", "case-iii"])
+def test_either_case_name_serves_both_signed_cases(pair, x, y, label):
+    # the sign class of the base conjugate picks the case, whichever name is
+    # called; solve_eta_case_iii used to reject the power/root pair
+    res = prox_perspective(pair, 1.0, x, y)
+    assert res.label is label
+    for classify in (classify_case_i, classify_case_iii):
+        assert classify(pair, 1.0, x, y) is res.label
+    for solve in (solve_eta_case_i, solve_eta_case_iii):
+        assert solve(pair, 1.0, x, y)[0] == res.eta
+    # a zero-or-infinity pair decouples and has no multiplier
+    for fn in (classify_case_i, classify_case_iii, make_residual_case_i,
+               make_residual_case_iii, solve_eta_case_i, solve_eta_case_iii):
+        with pytest.raises(ValueError, match="zero-or-infinity"):
+            fn(ABS_ROOT, 1.0, (2.0, 0.0), 2.0)
 
 
 def test_identity_scaling_reaches_omega2():
@@ -303,12 +316,14 @@ def test_wide_multiplier_bracket_converges():
     assert res.certificate_gap <= 1e-8 * (1.0 + sum(c * c for c in x) + y * y)
 
 
+# ids spelled out: the two names are one function, which pytest would name alike
 @pytest.mark.parametrize("pair, classify", [
     (POWER_ROOT_BOUNDED, classify_case_i),
     (POWER_ROOT_FREE, classify_case_i),
     (POWER_ID, classify_case_i),
     (HUBER, classify_case_iii),
-])
+], ids=["pair0-classify_case_i", "pair1-classify_case_i", "pair2-classify_case_i",
+        "pair3-classify_case_iii"])
 def test_classification_is_the_label_of_the_prox(pair, classify):
     rng = random.Random(77)
     for k in range(2000):
@@ -389,20 +404,6 @@ def test_overflowing_scaled_input_is_rejected(pair, gamma, x):
     # it into ValueError before any arithmetic runs on it
     with pytest.raises(ValueError, match="finite"):
         prox_perspective(pair, gamma, x, 1.0)
-
-
-def test_t0_without_its_points_starts_with_a_bisection():
-    # T(0) handed over without its curve points has no slope there (NaN):
-    # the first step is the log-space midpoint of [0, -T(0)], and Newton
-    # steps resume from the points of that evaluation
-    pair, x, y = POWER_ROOT_FREE, (6.0, 0.0), 3.5
-    eta, _ = solve_eta_case_i(pair, 1.0, x, y)
-    t0 = make_residual_case_i(pair, 1.0, x, y)(0.0)
-    rows = []
-    eta2, iters = solve_eta_case_i(pair, 1.0, x, y, t0=t0, trace=lambda *row: rows.append(row))
-    assert rows[0][1:4] == (0.0, -t0, math.sqrt(1e-12) * math.sqrt(-t0))
-    assert iters == len(rows) <= 12
-    assert abs(eta2 - eta) <= 1e-12 * (1.0 + eta)
 
 
 def test_huge_multiplier_bracket_does_not_divide_by_zero():
