@@ -260,13 +260,16 @@ def cmd_validate(args) -> int:
     if ocfg is None:
         ocfg = OracleConfig()
     seeds = list(range(args.seeds))
+    # a process per seed at most: under fork the pool starts all of its
+    # workers at the first submit, whether or not they get a seed
+    n = len(seeds)
+    workers = min(args.workers, n)
     try:
-        if args.workers > 1:
+        if workers > 1:
             # imported here: the pool costs every other command its start-up time
             from concurrent.futures import ProcessPoolExecutor
 
-            n = len(seeds)
-            with ProcessPoolExecutor(max_workers=args.workers) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_validate_seed, [spec_data] * n, seeds,
                                         [cfg] * n, [ocfg] * n))
         else:

@@ -163,11 +163,21 @@ def prox_fenchel_gap(
     the path that produced ``(p, q)``: a conjugate argument that distance
     outside ``cl dom phi*`` is pulled onto it, and a conjugate value
     ``phi*(x*)`` within ``core.negligible`` of zero counts as zero.
+    Checks ``gamma`` and both points, then runs ``certificate_gap``.
     """
     if not 0.0 < gamma < INF:
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
     x, y = pair.check_point(x, y)
     p, q = pair.check_point(p, q)
+    return certificate_gap(pair, gamma, x, y, p, q)
+
+
+def certificate_gap(
+    pair: PerspectivePair, gamma: float, x: Vec, y: float, p: Vec, q: float
+) -> float:
+    """``prox_fenchel_gap`` without its checks, for a caller that has
+    checked ``gamma`` and ``(x, y)`` and assembled ``(p, q)`` itself, as
+    ``prox_perspective`` has."""
     size = norm(x) / gamma
     xstar = scale(sub(x, p), 1.0 / gamma)
     ystar = (y - q) / gamma

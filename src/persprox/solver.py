@@ -22,8 +22,8 @@ nonincreasing, so ``T' >= 1``: the root lies in ``[0, -T(0)]`` and within
 ``|T(eta)|`` of every evaluated ``eta``.  Each curve's slope comes from its
 contract (``conj_slope``, ``env_slope``), so ``T' = 1 + inner' * outer'``
 is exact and the search takes Newton steps, with bisection as their
-safeguard.  Where the pass computed ``T(0)``, it hands it to the search,
-with its curve points, as the search record's entry at 0.
+safeguard.  The pass hands the search its curves, and ``T(0)`` with its
+curve points where it computed them, on the search record.
 
 Classification, the residual and the search are each written once and
 read the case from the sign class; the case-(iii) names are aliases of
@@ -37,7 +37,8 @@ from enum import Enum
 from typing import Callable
 
 from .core import INF, Record, SignClass, Value, Vec, negligible, norm, scale
-from .perspective import PerspectivePair, prox_fenchel_gap
+# prox_fenchel_gap only for the benchmark's tracer, which wraps it by this name
+from .perspective import PerspectivePair, certificate_gap, prox_fenchel_gap
 from .roots import solve_bracketed
 
 
@@ -131,9 +132,10 @@ def _pull_back(x: Vec, gamma: float, xg: Vec, d: Vec) -> Vec:
 
 
 def _curves(pair: PerspectivePair, gamma: float, x: Vec, y: float, base_drives: bool):
-    """``(x/gamma, outer, inner)``: the curve the multiplier drives and the
-    other one, each as a ``(point, value)`` pair of functions; the curve at
-    weight ``v`` is ``value(point(v))``.
+    """``(base_drives, x/gamma, outer, inner)`` at a checked ``(x, y)``: the
+    curve the multiplier drives and the other one, each as a ``(point,
+    value)`` pair of functions; the curve at weight ``v`` is
+    ``value(point(v))``.
     """
     base, scaling = pair.base, pair.scaling
     xg = scale(x, 1.0 / gamma)
@@ -149,22 +151,23 @@ def _curves(pair: PerspectivePair, gamma: float, x: Vec, y: float, base_drives: 
         return prox_env(gamma * v, y)
 
     b, s = (b_point, base.conj_eval), (s_point, scaling.env_eval)
-    return (xg, b, s) if base_drives else (xg, s, b)
+    return (True, xg, b, s) if base_drives else (False, xg, s, b)
 
 
-def _signed_pass(pair, gamma: float, x: Vec, y: float, base_drives: bool):
-    """The region tests, and the closed-form points where they select one.
+def _signed_pass(curves, y: float):
+    """The region tests on the ``_curves`` of an input, and the closed-form
+    points where they select one.
 
-    Returns ``(x/gamma, region, outer point, inner point, eta)``.  In
-    region 4, the root region, the last entry is instead the
-    ``SearchRecord`` entry of ``T(0)`` where the tests computed it (else
-    None): the outer point at 0, the inner point at the outer value, that
-    value and ``T(0)``.  Zero tests are ``core.negligible`` at the size of
-    the curve's argument: ``x/gamma`` for B, ``y`` for S.  A conjugate
-    value of +inf at the projected point is not zero, so it defers to the
-    root region, whose prox calls never leave the conjugate domain.
+    Returns ``(region, outer point, inner point, eta)``.  In region 4, the
+    root region, the last entry is instead the ``SearchRecord`` entry of
+    ``T(0)`` where the tests computed it (else None): the outer point at 0,
+    the inner point at the outer value, that value and ``T(0)``.  Zero
+    tests are ``core.negligible`` at the size of the curve's argument:
+    ``x/gamma`` for B, ``y`` for S.  A conjugate value of +inf at the
+    projected point is not zero, so it defers to the root region, whose
+    prox calls never leave the conjugate domain.
     """
-    xg, (o_point, o_value), (i_point, i_value) = _curves(pair, gamma, x, y, base_drives)
+    base_drives, xg, (o_point, o_value), (i_point, i_value) = curves
     o_ref, i_ref = (norm(xg), y) if base_drives else (y, norm(xg))
     o_pt = o_point(0.0)
     o0 = o_value(o_pt)
@@ -172,19 +175,19 @@ def _signed_pass(pair, gamma: float, x: Vec, y: float, base_drives: bool):
     i0 = i_value(i_pt)
     o_zero, i_zero = negligible(o0, o_ref), negligible(i0, i_ref)
     if o_zero and i_zero:
-        return xg, 1, o_pt, i_pt, 0.0
+        return 1, o_pt, i_pt, 0.0
     entry = None
     if not o_zero and 0.0 < o0 < INF:
         i_pt2 = i_point(o0)
         t0 = i_value(i_pt2)
         if negligible(t0, i_ref):
-            return xg, 2, o_pt, i_pt2, 0.0
+            return 2, o_pt, i_pt2, 0.0
         entry = (o_pt, i_pt2, o0, t0)
     if not i_zero and 0.0 < -i0 < INF:
         o_pt3 = o_point(-i0)
         if negligible(o_value(o_pt3), o_ref):
-            return xg, 3, o_pt3, i_pt, -i0
-    return xg, 4, None, None, entry
+            return 3, o_pt3, i_pt, -i0
+    return 4, None, None, entry
 
 
 def _base_drives(pair) -> bool:
@@ -201,7 +204,8 @@ def classify_case_i(pair: PerspectivePair, gamma: float, x, y) -> CaseLabel:
     runs on it.  A zero-or-infinity pair raises ``ValueError``."""
     x, y = pair.check_point(x, y)
     base_drives = _base_drives(pair)
-    return _LABELS[base_drives][_signed_pass(pair, gamma, x, y, base_drives)[1] - 1]
+    region = _signed_pass(_curves(pair, gamma, x, y, base_drives), y)[0]
+    return _LABELS[base_drives][region - 1]
 
 
 class SearchRecord:
@@ -214,14 +218,16 @@ class SearchRecord:
     as its weight.  The search takes ``T(0)`` from the entry at 0 when one
     is there.  ``slope(eta)`` is ``T'(eta)`` at such an ``eta``, from the
     curves' contract slopes (NaN where one is not defined);
-    ``make_residual_case_i`` sets it.
+    ``make_residual_case_i`` sets it, and builds ``curves``, the
+    ``_curves`` of the checked input, when the record has none.
     """
 
-    __slots__ = ("points", "slope")
+    __slots__ = ("points", "slope", "curves")
 
-    def __init__(self, points: dict | None = None):
+    def __init__(self, points: dict | None = None, curves: tuple | None = None):
         self.points = {} if points is None else points
         self.slope: Callable[[float], float] | None = None
+        self.curves = curves
 
 
 def make_residual_case_i(pair: PerspectivePair, gamma: float, x, y,
@@ -234,13 +240,16 @@ def make_residual_case_i(pair: PerspectivePair, gamma: float, x, y,
 
     Each evaluation stores its curve points in ``record.points`` (a fresh
     ``SearchRecord`` when none is given), and ``record.slope`` is set to
-    the function giving ``T'`` at those points.
+    the function giving ``T'`` at those points.  ``T`` runs on
+    ``record.curves`` when they are set, without checking ``(x, y)`` again:
+    they must be those of this input, as the region pass's are.
     """
-    x, y = pair.check_point(x, y)
-    base_drives = _base_drives(pair)
-    xg, (o_point, o_value), (i_point, i_value) = _curves(pair, gamma, x, y, base_drives)
     if record is None:
         record = SearchRecord()
+    if record.curves is None:
+        x, y = pair.check_point(x, y)
+        record.curves = _curves(pair, gamma, x, y, _base_drives(pair))
+    base_drives, xg, (o_point, o_value), (i_point, i_value) = record.curves
     points = record.points
     base, scaling = pair.base, pair.scaling
 
@@ -309,10 +318,11 @@ def prox_perspective(
 ) -> ProxResult:
     """Prox of ``gamma * (perspective of base with scaling)`` at ``(x, y)``.
 
-    Validates the input once, dispatches on the sign class of the base
-    conjugate, resolves the region and assembles the prox in one pass over
-    the two value curves (contract calls only), and attaches the Fenchel
-    certificate of the output.
+    Validates the input once, at its entry; nothing under it checks it
+    again.  Dispatches on the sign class of the base conjugate, resolves
+    the region and assembles the prox in one pass over the two value
+    curves (contract calls only; the root region's search reuses them),
+    and attaches the Fenchel certificate of the output (``certificate_gap``).
     """
     if not 0.0 < gamma < INF:
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
@@ -324,17 +334,19 @@ def prox_perspective(
         label, eta, iters = CaseLabel.CASE_II, 0.0, 0
     else:
         base_drives = sc is SignClass.NONNEGATIVE_CONJUGATE
-        xg, region, o_pt, i_pt, eta = _signed_pass(pair, gamma, x, y, base_drives)
+        curves = _curves(pair, gamma, x, y, base_drives)
+        region, o_pt, i_pt, eta = _signed_pass(curves, y)
         iters = 0
         if region == 4:
-            # T(0) and its points come from the pass where it computed them
-            record = SearchRecord(None if eta is None else {0.0: eta})
+            # the search runs on the pass's curves, and T(0) and its
+            # points come from the pass where it computed them
+            record = SearchRecord(None if eta is None else {0.0: eta}, curves)
             solve = solve_eta_case_i if base_drives else solve_eta_case_iii
             eta, iters = solve(pair, gamma, x, y, cfg, record=record)
             # the points of the search's evaluation of T at eta
             o_pt, i_pt = record.points[eta][:2]
         label = _LABELS[base_drives][region - 1]
         b_pt, q = (o_pt, i_pt) if base_drives else (i_pt, o_pt)
-        p = _pull_back(x, gamma, xg, b_pt)
-    gap = prox_fenchel_gap(pair, gamma, x, y, p, q)
+        p = _pull_back(x, gamma, curves[1], b_pt)
+    gap = certificate_gap(pair, gamma, x, y, p, q)
     return ProxResult(p, q, eta, label, iters, gap)

@@ -22,6 +22,7 @@ TRACED = "wrapped by name in perfbench/tracing.py"
 # (module, qualified name): why it stays with no reference elsewhere in src/
 ALLOWED = {
     ("roots", "real_quartic_roots"): TRACED,
+    ("perspective", "prox_fenchel_gap"): ENTRY,
 }
 
 

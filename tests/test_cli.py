@@ -330,6 +330,43 @@ def test_validate_worker_pool_matches_serial():
     assert serial.stdout == pooled.stdout
 
 
+@pytest.mark.parametrize("workers, seeds, started", [
+    (64, 3, [3]),
+    (2, 5, [2]),
+    (4, 1, []),
+], ids=["capped-at-seeds", "below-seeds", "one-seed-runs-serially"])
+def test_validate_starts_at_most_one_worker_per_seed(capsys, monkeypatch, workers, seeds, started):
+    # under fork a ProcessPoolExecutor starts max_workers processes at its
+    # first submit; a stand-in records the size asked for and maps serially,
+    # so no process is started here
+    import concurrent.futures
+
+    from persprox.cli import main
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    args = ["validate", "--spec", ABS_SPEC, "--seeds", str(seeds)]
+    assert main([*args, "--workers", str(workers)]) == 0
+    pooled = capsys.readouterr().out
+    assert sizes == started
+    assert main(args) == 0
+    assert capsys.readouterr().out == pooled
+
+
 def test_demo_requires_huber_sqrt_pair():
     out = run_cli("demo-concomitant", "--spec", POWER_SPEC)
     assert out.returncode == 2

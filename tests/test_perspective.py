@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -163,6 +165,48 @@ def test_non_finite_scale_component_is_rejected():
             perspective_eval(HUBER_PAIR, (1.0, 0.0), y)
     with pytest.raises(ValueError, match="finite"):
         prox_fenchel_gap(HUBER_PAIR, math.inf, (3.0, 0.0), 0.0, (2.0, 0.0), 0.0)
+
+
+@pytest.mark.parametrize("gamma, x, y, p, q, error", [
+    (1.0, (3.0, 0.0), 0.0, (math.nan, 0.0), 0.0, ValueError),
+    (1.0, (3.0, 0.0), 0.0, (2.0, -math.inf), 0.0, ValueError),
+    (1.0, (3.0, 0.0), 0.0, (2.0, 0.0), math.inf, ValueError),
+    (1.0, (3.0, 0.0), 0.0, (2.0, 0.0), math.nan, ValueError),
+    (0.0, (3.0, 0.0), 0.0, (2.0, 0.0), 0.0, ValueError),
+    (-1.0, (3.0, 0.0), 0.0, (2.0, 0.0), 0.0, ValueError),
+    (math.inf, (3.0, 0.0), 0.0, (2.0, 0.0), 0.0, ValueError),
+    (math.nan, (3.0, 0.0), 0.0, (2.0, 0.0), 0.0, ValueError),
+    (1.0, (3.0, 0.0, 0.0), 0.0, (2.0, 0.0), 0.0, DimensionMismatch),
+    (1.0, (3.0, 0.0), 0.0, (2.0,), 0.0, DimensionMismatch),
+], ids=["p-nan", "p-inf", "q-inf", "q-nan", "gamma-0", "gamma-negative", "gamma-inf",
+        "gamma-nan", "x-dimension", "p-dimension"])
+def test_public_gap_checks_its_arguments(gamma, x, y, p, q, error):
+    # prox_perspective certifies through the unchecked body; the public
+    # function keeps every check
+    with pytest.raises(error):
+        prox_fenchel_gap(HUBER_PAIR, gamma, x, y, p, q)
+
+
+def test_prox_certificate_is_the_public_gap():
+    # the gap prox_perspective attaches, from the checked input and the
+    # point it assembled, is the public function's on the same arguments;
+    # the inputs are the benchmark's seed-0 pools (its generator, read-only)
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(perfbench)
+    labels = set()
+    for workload in workloads.PROX:
+        pairs, calls = workloads.setup(workload, 0)
+        for call in calls:
+            pair = pairs[call.pair]
+            res = prox_perspective(pair, call.gamma, call.x, call.y)
+            gap = prox_fenchel_gap(pair, call.gamma, call.x, call.y, res.p, res.q)
+            assert repr(res.certificate_gap) == repr(gap), (workload, call)
+            labels.add(res.label.value)
+    assert labels == {"CaseII", "Omega1", "Omega2", "Omega3", "Omega4", "Xi2", "Xi4"}
 
 
 def test_fenchel_gap_detects_wrong_point():
