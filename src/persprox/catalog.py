@@ -1,9 +1,9 @@
 """Concrete base and scaling functions with closed-form prox ingredients.
 
-The scalar power function comes first (the profile the power base lifts
-radially for the prox of its conjugate), then the vector-level base
-functions, then the scaling functions.  The scalar equation solvers at the
-bottom are the only iterative pieces.
+The scalar conjugate profiles come first (each signed base's conjugate is
+the radial lift of one), then the vector-level base functions, then the
+scaling functions.  The scalar equation solvers at the bottom are the only
+iterative pieces.
 """
 
 from __future__ import annotations
@@ -55,20 +55,8 @@ def _solve_power(r: float, w: float, a: float) -> float:
     return rho
 
 
-def _power_prox(r: float, w: float, t: float) -> float:
-    """Prox of ``w * |.|**r / r`` at ``t`` (r > 1, w >= 0)."""
-    a = abs(t)
-    if w == 0.0 or a == 0.0:
-        rho = a
-    elif r == 2.0:
-        rho = a / (1.0 + w)
-    else:
-        rho = _solve_power(r, w, a)
-    return math.copysign(rho, t) if t != 0.0 else 0.0
-
-
 class PowerScalar(Value):
-    """t -> |t|**p / p for p > 1; ``PowerBase`` lifts it at ``p*`` for the prox of its conjugate."""
+    """t -> |t|**p / p for p > 1: the conjugate profile of ``PowerBase`` at ``p*``."""
 
     __slots__ = ("p",)
 
@@ -84,10 +72,48 @@ class PowerScalar(Value):
             return INF
 
     def prox(self, gamma: float, t: float) -> float:
-        return _power_prox(self.p, gamma, t)
+        a = abs(t)
+        if gamma == 0.0 or a == 0.0:
+            rho = a
+        elif self.p == 2.0:
+            rho = a / (1.0 + gamma)
+        else:
+            rho = _solve_power(self.p, gamma, a)
+        return rho if t > 0.0 else -rho if t < 0.0 else 0.0
 
     def proj_cl_dom(self, t: float) -> float:
         return float(t)
+
+    def slope(self, gamma: float, t: float, rho: float) -> float:
+        # -g'**2 / (1 + gamma * g'') at |rho|, g' = |rho|**(p - 1), g'' = (p - 1) * g' / |rho|
+        rho = abs(rho)
+        if rho == 0.0:
+            return 0.0
+        d1 = rho ** (self.p - 1.0)
+        return -d1 * d1 / (1.0 + gamma * (self.p - 1.0) * d1 / rho)
+
+
+class HuberConjScalar(Value):
+    """The conjugate profile of ``HuberBase``: (t**2 - alpha**2) / 2 on [-alpha, alpha]."""
+
+    __slots__ = ("alpha",)
+
+    def __init__(self, alpha: float):
+        object.__setattr__(self, "alpha", alpha)
+
+    def eval(self, t: float) -> float:
+        a = self.alpha
+        return 0.5 * (t * t - a * a) if abs(t) <= a else INF
+
+    def prox(self, gamma: float, t: float) -> float:
+        return math.copysign(min(abs(t) / (1.0 + gamma), self.alpha), t)
+
+    def proj_cl_dom(self, t: float) -> float:
+        return min(t, self.alpha) if t >= 0.0 else max(t, -self.alpha)
+
+    def slope(self, gamma: float, t: float, rho: float) -> float:
+        # -h'**2 / (1 + gamma * h'') = -rho**2 / (1 + gamma), 0 on the clamp at alpha
+        return 0.0 if abs(rho) >= self.alpha else -rho * rho / (1.0 + gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -108,11 +134,10 @@ def _cap_norm(x: Vec, radius: float) -> Vec:
 class PowerBase(Value):
     """phi = ||.||**p / p with conjugate ||.||**{p*} / p*.
 
-    ``pstar`` is the conjugate exponent and ``_conj`` the radial lift of
-    ``PowerScalar(pstar)``, whose prox is the prox of the conjugate.
+    ``conj`` is the radial lift of the conjugate profile ``PowerScalar(p*)``.
     """
 
-    __slots__ = ("p", "pstar", "_conj")
+    __slots__ = ("p", "conj")
     _fields = ("p",)
 
     sign_class = SignClass.NONNEGATIVE_CONJUGATE
@@ -120,32 +145,20 @@ class PowerBase(Value):
     def __init__(self, p: float):
         if not 1.0 < p < INF:
             raise ValueError(f"exponent must be finite and exceed 1, got {p}")
-        pstar = p / (p - 1.0)
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "pstar", pstar)
-        object.__setattr__(self, "_conj", RadialFunction(PowerScalar(pstar)))
+        object.__setattr__(self, "conj", RadialFunction(PowerScalar(p / (p - 1.0))))
 
     def eval(self, x) -> float:
         return norm(x) ** self.p / self.p
 
     def conj_eval(self, xstar) -> float:
-        return norm(xstar) ** self.pstar / self.pstar
+        return self.conj.eval(xstar)
 
     def prox_conj(self, gamma: float, xstar) -> Vec:
-        return radial_prox(self._conj, gamma, xstar)
+        return radial_prox(self.conj, gamma, xstar)
 
     def proj_dom_conj(self, xstar) -> Vec:
-        return as_vec(xstar)
-
-    def conj_slope(self, gamma: float, xstar, point) -> float:
-        # g(t) = t**r / r at rho = ||point||: -g'(rho)**2 / (1 + gamma * g''(rho)),
-        # g'(rho) = rho**(r - 1), g''(rho) = (r - 1) * g'(rho) / rho; 0 at rho = 0
-        rho = norm(point)
-        if rho == 0.0:
-            return 0.0
-        r = self.pstar
-        d1 = rho ** (r - 1.0)
-        return -d1 * d1 / (1.0 + gamma * (r - 1.0) * d1 / rho)
+        return radial_prox(self.conj, 0.0, xstar)
 
     def rec_eval(self, x) -> float:
         # supercoercive: recession is 0 at the origin, +inf elsewhere
@@ -183,9 +196,10 @@ class AbsBase(Value):
 
 
 class HuberBase(Value):
-    """Radial robust loss with slope ``alpha``; conjugate range is [-alpha^2/2, 0]."""
+    """Radial robust loss with slope ``alpha``; ``conj`` lifts ``HuberConjScalar(alpha)``."""
 
-    __slots__ = ("alpha",)
+    __slots__ = ("alpha", "conj")
+    _fields = ("alpha",)
 
     sign_class = SignClass.NONPOSITIVE_CONJUGATE
 
@@ -196,6 +210,7 @@ class HuberBase(Value):
             # the conjugate's offset alpha**2 / 2 would be infinite
             raise ValueError(f"slope must have a finite square, got {alpha}")
         object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "conj", RadialFunction(HuberConjScalar(alpha)))
 
     def eval(self, x) -> float:
         # quadratic near 0 with the + alpha**2/2 offset that makes the
@@ -205,29 +220,13 @@ class HuberBase(Value):
         return a * r if r > a else 0.5 * (r * r + a * a)
 
     def conj_eval(self, xstar) -> float:
-        r = norm(xstar)
-        a = self.alpha
-        return 0.5 * (r * r - a * a) if r <= a else INF
+        return self.conj.eval(xstar)
 
     def prox_conj(self, gamma: float, xstar) -> Vec:
-        xstar = as_vec(xstar)
-        r = norm(xstar)
-        if r == 0.0:
-            return xstar
-        out = scale(xstar, min(r / (1.0 + gamma), self.alpha) / r)
-        return _cap_norm(out, self.alpha)
+        return _cap_norm(radial_prox(self.conj, gamma, xstar), self.alpha)
 
     def proj_dom_conj(self, xstar) -> Vec:
-        return _cap_norm(as_vec(xstar), self.alpha)
-
-    def conj_slope(self, gamma: float, xstar, point) -> float:
-        # -rho**2 / (1 + gamma) with rho = ||xstar|| / (1 + gamma), 0 where
-        # the point is clamped to the ball of radius alpha
-        r = norm(xstar)
-        if r >= self.alpha * (1.0 + gamma):
-            return 0.0
-        rho = r / (1.0 + gamma)
-        return -rho * rho / (1.0 + gamma)
+        return _cap_norm(radial_prox(self.conj, 0.0, xstar), self.alpha)
 
     def rec_eval(self, x) -> float:
         return self.alpha * norm(x)
@@ -266,10 +265,13 @@ class RootScaling(Value):
         q, b = self.q, self.upper
         if t >= 0.0:
             return t * b + b ** q if b < INF else INF
-        zstar = (q / (-t)) ** (1.0 / (1.0 - q))
-        if zstar <= b:
+        # the maximiser (q / -t) ** (1 / (1 - q)) overflows; its power 1 - q does not
+        if q / -t > b ** (1.0 - q):
+            return t * b + b ** q
+        try:
             return (1.0 - q) * q ** (q / (1.0 - q)) * (-t) ** (-q / (1.0 - q))
-        return t * b + b ** q
+        except OverflowError:  # the value exceeds the largest double
+            return INF
 
     def prox_env(self, weight: float, y: float) -> float:
         if weight < 0.0:
@@ -281,10 +283,9 @@ class RootScaling(Value):
         return min(z, self.upper)
 
     def env_slope(self, weight: float, y: float, z: float) -> float:
-        # h(z) = -z**q: -h'(z)**2 / (1 + weight * h''(z)), written with
-        # u = q * z**q = -z * h'(z) so that no power of z overflows:
-        # -u**2 / (z**2 + weight * (1 - q) * u); 0 where z is clamped to the
-        # upper end or the root underflowed, no slope at weight 0 and z = 0
+        # h(z) = -z**q: -h'(z)**2 / (1 + weight * h''(z)) with u = q * z**q =
+        # -z * h'(z), so no power of z overflows: -u**2 / (z**2 + weight * (1 - q) * u);
+        # 0 where z is clamped to the upper end or underflowed, NaN at weight 0 and z = 0
         if z >= self.upper:
             return 0.0
         if z == 0.0:

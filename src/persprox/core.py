@@ -15,11 +15,10 @@ paths give the same value, sign of zero included, so a fast path changes
 no float operation.
 
 Every zero and membership test in the package applies one rounding-slack
-rule, ``negligible``: a value counts as zero when ``|value| <= SLACK *
-(1 + size)``, where ``size`` is the magnitude of the input the value came
-from (``||x|| / gamma`` on the base side, ``|y|`` on the scale side).  The
-region pass and the Fenchel certificate use it alike, so an input the
-pass treats as zero is snapped to zero by the certificate too.
+rule, ``negligible``, at the magnitude of the input a value came from
+(``||x|| / gamma`` on the base side, ``|y|`` on the scale side), so an
+input the region pass treats as zero is snapped to zero by the
+certificate too.
 """
 
 from __future__ import annotations
@@ -113,10 +112,9 @@ class Record:
     it also keeps derived values in slots) and sets them in its own
     ``__init__``.  It gets a repr in the dataclass format
     (``RootScaling(q=0.5, upper=4.0)``) and field-wise ``==`` between
-    objects of the same class.  A record has no instance dict, so its
-    attributes are read through slots, and the class needs neither
-    ``dataclasses`` nor ``inspect`` at import.  It may be assigned to, so
-    it is unhashable; ``ProxResult`` is one, built fresh by every call.
+    objects of the same class, without an instance dict and without
+    importing ``dataclasses`` or ``inspect``.  It may be assigned to, so it
+    is unhashable; ``ProxResult`` is one, built fresh by every call.
     """
 
     __slots__ = ()
@@ -205,23 +203,19 @@ class ProxCapable(Protocol):
 class BaseFunction(Protocol):
     """Contract for a base function phi supplied to a perspective pair.
 
-    Only conjugate-side ingredients are required by the solver: phi itself
-    and phi* evaluations, the prox of ``gamma * phi*``, the projection
-    onto ``cl dom phi*``, the recession function, and the declared sign
-    class of phi*.  A base whose conjugate is zero-or-infinity must also
-    provide ``prox_primal(gamma, x)`` (the prox of ``gamma * phi``): the
-    decoupled case calls it directly.  In the catalog only ``AbsBase``
-    provides it; the signed-class bases need no primal prox.
+    It evaluates phi and phi*, gives the prox of ``gamma * phi*``, the
+    projection onto ``cl dom phi*``, the recession function and the sign
+    class of phi*.  A zero-or-infinity base also provides ``prox_primal(gamma,
+    x)``, the prox of ``gamma * phi``, which the decoupled case calls.
 
-    A signed-class base provides ``conj_slope(gamma, xstar, point)``
-    instead: the derivative in ``gamma`` of the value curve
-    ``phi*(prox_{gamma phi*}(xstar))`` at ``point``, the point
-    ``prox_conj`` (``proj_dom_conj`` at ``gamma == 0``) returned for those
-    arguments.  For a prox family ``rho = prox_{gamma h}(r)`` the implicit
-    function theorem gives ``-h'(rho)**2 / (1 + gamma * h''(rho))``, with
-    ``h'(rho) = (r - rho) / gamma``; it is 0 where the point sits on a
-    clamp (the boundary of ``cl dom phi*``), and NaN where it is not
-    defined.  The multiplier search takes Newton steps from it.
+    A signed base is the radial lift of its conjugate profile: ``conj`` is
+    a ``radial.RadialFunction`` of an even scalar ``h`` (``conj.phi1d``)
+    that ``conj_eval``, ``prox_conj`` and ``proj_dom_conj`` lift, and the
+    solver runs on ``h`` at ``r = ||x/gamma||``.  Besides the ``ProxCapable``
+    methods ``h`` has ``slope(gamma, t, rho)``, the derivative in ``gamma``
+    of ``h(prox_{gamma h}(t))`` at ``rho``, the point ``prox`` returned:
+    ``-h'(rho)**2 / (1 + gamma * h''(rho))``, 0 on a clamp (an end of ``cl
+    dom h``), NaN where not defined.  The search takes Newton steps from it.
     """
 
     sign_class: SignClass
@@ -235,8 +229,6 @@ class BaseFunction(Protocol):
     def proj_dom_conj(self, xstar: Vec) -> Vec: ...
 
     def rec_eval(self, x: Vec) -> float: ...
-
-    def conj_slope(self, gamma: float, xstar: Vec, point: Vec) -> float: ...
 
 
 @runtime_checkable

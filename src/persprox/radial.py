@@ -2,10 +2,13 @@
 
 For an even scalar ``phi1d`` with 0 interior to its domain, the prox of
 the radial lift acts along the ray through ``x``, so one scalar prox at
-``||x||`` suffices.
+``||x||`` suffices.  The conjugate of every signed catalog base is such a
+lift, of its conjugate profile.
 """
 
 from __future__ import annotations
+
+from math import hypot
 
 from .core import INF, ProxCapable, Value, Vec, as_vec, norm, scale, zeros_like
 
@@ -39,13 +42,14 @@ def radial_prox(phi: RadialFunction, gamma: float, x) -> Vec:
 
     ``gamma (.) phi`` is ``gamma * phi`` for ``gamma > 0`` and the indicator
     of ``cl dom phi`` for ``gamma == 0``, whose prox is the projection onto
-    that closure; a negative weight raises ``ValueError``.
+    that closure; a negative weight raises ``ValueError``.  Where the
+    scalar prox leaves ``||x||`` unmoved the result is ``x`` itself.
     """
     if gamma < 0.0:
         raise ValueError(f"weight must be nonnegative, got {gamma}")
     x = as_vec(x)
-    r = norm(x)
+    r = hypot(*x)
     if r < _ZERO_NORM:
         return zeros_like(x)
     t = phi.phi1d.prox(gamma, r) if gamma != 0.0 else phi.phi1d.proj_cl_dom(r)
-    return scale(x, t / r)
+    return x if t == r else scale(x, t / r)

@@ -5,7 +5,9 @@ zero-or-infinity class decouples into a base prox and a scale projection.
 The signed classes work with two nonincreasing value curves of a weight
 ``v >= 0`` (weight 0 meaning projection):
 
-- the base curve ``B(v) = phi*(prox_{(v/gamma) phi*}(x/gamma))``;
+- the base curve ``B(v) = phi*(prox_{(v/gamma) phi*}(x/gamma))``, run on
+  radii as ``h(prox_{(v/gamma) h}(r))``: ``phi*`` is the radial lift of
+  its profile ``h`` (``base.conj.phi1d``) and ``r = ||x/gamma||``;
 - the scale curve ``S(v) = env(prox_{gamma v env}(y))``, with ``env`` the
   scaling's convex envelope.
 
@@ -19,11 +21,13 @@ weight-0 value, region 3 when the outer curve vanishes at minus the inner
 curve's weight-0 value (that value is ``eta``).  Region 4 finds the root
 of ``T`` by a monotone one-dimensional search.  Both curves are
 nonincreasing, so ``T' >= 1``: the root lies in ``[0, -T(0)]`` and within
-``|T(eta)|`` of every evaluated ``eta``.  Each curve's slope comes from its
-contract (``conj_slope``, ``env_slope``), so ``T' = 1 + inner' * outer'``
-is exact and the search takes Newton steps, with bisection as their
-safeguard.  The pass hands the search its curves, and ``T(0)`` with its
-curve points where it computed them, on the search record.
+``|T(eta)|`` of every evaluated ``eta``.  The profile's ``slope`` and the
+scaling's ``env_slope`` make ``T' = 1 + inner' * outer'`` exact, so the
+search takes Newton steps, with bisection as their safeguard.  The pass
+hands the search its curves, and ``T(0)`` with its curve points where it
+computed them.  Every curve point is a float; the base point is built
+once, at assembly, as ``x/gamma`` scaled by ``rho / r`` for the profile
+radius ``rho``.
 
 Classification, the residual and the search are each written once and
 read the case from the sign class; the case-(iii) names are aliases of
@@ -91,9 +95,8 @@ class ProxResult(Record):
     ``certificate_gap`` is the Fenchel residual of the output, checked
     independently of the path that produced it.
 
-    A plain per-call record (``core.Record``): every call builds a fresh
-    one and shares it with nobody, so it has no assignment guard, which
-    would cost each call more than the record itself.
+    A plain per-call record (``core.Record``), fresh from every call, without
+    the assignment guard that would cost each call more than the record.
     """
 
     __slots__ = ("p", "q", "eta", "label", "root_iterations", "certificate_gap")
@@ -118,12 +121,9 @@ _LABELS = {
 
 
 def _pull_back(x: Vec, gamma: float, xg: Vec, d: Vec) -> Vec:
-    """``x - gamma * d`` with exact zeros where ``d`` left ``x/gamma`` unmoved.
-
-    Componentwise ``gamma * (x_i / gamma)`` rounds away from ``x_i``, which
-    would leave one-ulp junk where the difference is exactly zero in real
-    arithmetic (and the recession indicator in the certificate rejects any
-    nonzero junk).
+    """``x - gamma * d`` with exact zeros where ``d`` left ``x/gamma`` unmoved:
+    ``gamma * (x_i / gamma)`` rounds away from ``x_i``, and the recession
+    indicator in the certificate rejects the one-ulp junk that would leave.
     """
     return tuple([
         0.0 if di == gi and gi != 0.0 else xi - gamma * di
@@ -132,26 +132,29 @@ def _pull_back(x: Vec, gamma: float, xg: Vec, d: Vec) -> Vec:
 
 
 def _curves(pair: PerspectivePair, gamma: float, x: Vec, y: float, base_drives: bool):
-    """``(base_drives, x/gamma, outer, inner)`` at a checked ``(x, y)``: the
-    curve the multiplier drives and the other one, each as a ``(point,
-    value)`` pair of functions; the curve at weight ``v`` is
-    ``value(point(v))``.
+    """``(base_drives, (x/gamma, r), outer, inner)`` at a checked ``(x, y)``:
+    the curve the multiplier drives and the other, each a ``(point, value)``
+    pair of functions on floats, the curve at weight ``v`` being ``value(point(v))``.
     """
-    base, scaling = pair.base, pair.scaling
+    scaling = pair.scaling
+    h = pair.base.conj.phi1d
     xg = scale(x, 1.0 / gamma)
+    r = norm(xg)
+    if r == INF:  # x/gamma overflowed
+        raise ValueError(f"x/gamma must be finite, with a finite norm; got {xg!r}")
 
     # bound through default arguments, which are cheaper to set up than
     # closure cells on a path that runs once per prox call
-    def b_point(v: float, base=base, gamma=gamma, xg=xg) -> Vec:
-        # the prox of (v/gamma) phi*, the projection onto cl dom phi* at 0
+    def b_point(v: float, h=h, gamma=gamma, r=r) -> float:
+        # the prox of (v/gamma) h, the projection onto cl dom h at 0
         w = v / gamma
-        return base.prox_conj(w, xg) if w != 0.0 else base.proj_dom_conj(xg)
+        return h.prox(w, r) if w != 0.0 else h.proj_cl_dom(r)
 
     def s_point(v: float, prox_env=scaling.prox_env, gamma=gamma, y=y) -> float:
         return prox_env(gamma * v, y)
 
-    b, s = (b_point, base.conj_eval), (s_point, scaling.env_eval)
-    return (True, xg, b, s) if base_drives else (False, xg, s, b)
+    b, s = (b_point, h.eval), (s_point, scaling.env_eval)
+    return (True, (xg, r), b, s) if base_drives else (False, (xg, r), s, b)
 
 
 def _signed_pass(curves, y: float):
@@ -160,24 +163,24 @@ def _signed_pass(curves, y: float):
 
     Returns ``(region, outer point, inner point, eta)``.  In region 4, the
     root region, the last entry is instead the ``SearchRecord`` entry of
-    ``T(0)`` where the tests computed it (else None): the outer point at 0,
-    the inner point at the outer value, that value and ``T(0)``.  Zero
-    tests are ``core.negligible`` at the size of the curve's argument:
-    ``x/gamma`` for B, ``y`` for S.  A conjugate value of +inf at the
-    projected point is not zero, so it defers to the root region, whose
-    prox calls never leave the conjugate domain.
+    ``T(0)`` where the tests computed it (else None).  Zero tests are
+    ``core.negligible`` at the size of the curve's argument: ``r`` for B,
+    ``y`` for S.  An outer value of +inf at weight 0 is a finite one beyond
+    the largest double, which no test or search can use: ``OverflowError``.
     """
-    base_drives, xg, (o_point, o_value), (i_point, i_value) = curves
-    o_ref, i_ref = (norm(xg), y) if base_drives else (y, norm(xg))
+    base_drives, (_, r), (o_point, o_value), (i_point, i_value) = curves
+    o_ref, i_ref = (r, y) if base_drives else (y, r)
     o_pt = o_point(0.0)
     o0 = o_value(o_pt)
+    if o0 == INF:
+        raise OverflowError("the outer curve value at weight 0 overflows")
     i_pt = i_point(0.0)
     i0 = i_value(i_pt)
     o_zero, i_zero = negligible(o0, o_ref), negligible(i0, i_ref)
     if o_zero and i_zero:
         return 1, o_pt, i_pt, 0.0
     entry = None
-    if not o_zero and 0.0 < o0 < INF:
+    if not o_zero and o0 > 0.0:
         i_pt2 = i_point(o0)
         t0 = i_value(i_pt2)
         if negligible(t0, i_ref):
@@ -211,15 +214,15 @@ def classify_case_i(pair: PerspectivePair, gamma: float, x, y) -> CaseLabel:
 class SearchRecord:
     """Side record of one multiplier search.
 
-    ``points[eta] = (outer point, inner point, outer value, T(eta))`` for
-    each ``eta`` at which ``T`` was evaluated: the outer point is the base
-    point ``prox_{(eta/gamma) phi*}(x/gamma)`` in case (i) and the scale
-    point in case (iii), the inner point the other one, at the outer value
-    as its weight.  The search takes ``T(0)`` from the entry at 0 when one
-    is there.  ``slope(eta)`` is ``T'(eta)`` at such an ``eta``, from the
-    curves' contract slopes (NaN where one is not defined);
-    ``make_residual_case_i`` sets it, and builds ``curves``, the
-    ``_curves`` of the checked input, when the record has none.
+    ``points[eta] = (outer point, inner point, outer value, T(eta))``, all
+    floats, for each ``eta`` at which ``T`` was evaluated: the outer point
+    is the profile radius ``prox_{(eta/gamma) h}(r)`` in case (i) and the
+    scale point in case (iii), the inner point the other one, at the outer
+    value as its weight.  The search takes ``T(0)`` from the entry at 0
+    when one is there.  ``slope(eta)`` is ``T'(eta)`` at such an ``eta``
+    (NaN where a curve slope is not defined); ``make_residual_case_i`` sets
+    it, and builds ``curves``, the ``_curves`` of the checked input, when
+    the record has none.
     """
 
     __slots__ = ("points", "slope", "curves")
@@ -234,38 +237,37 @@ def make_residual_case_i(pair: PerspectivePair, gamma: float, x, y,
                          record: SearchRecord | None = None) -> Callable[[float], float]:
     """The strictly increasing map ``T(eta) = inner(outer(eta)) + eta`` whose
     root is the multiplier: ``S(B(eta)) + eta`` in case (i), ``B(S(eta)) +
-    eta`` in case (iii), by the sign class as in ``classify_case_i``.  Both
-    curves are nonincreasing, so their composition is nondecreasing and
-    ``T' >= 1``.
+    eta`` in case (iii), by the sign class as in ``classify_case_i``.
 
     Each evaluation stores its curve points in ``record.points`` (a fresh
-    ``SearchRecord`` when none is given), and ``record.slope`` is set to
-    the function giving ``T'`` at those points.  ``T`` runs on
-    ``record.curves`` when they are set, without checking ``(x, y)`` again:
-    they must be those of this input, as the region pass's are.
+    ``SearchRecord`` when none is given), and ``record.slope`` gives ``T'``
+    at those points.  ``T`` runs on ``record.curves`` when they are set,
+    without checking ``(x, y)`` again: they must be this input's.
     """
     if record is None:
         record = SearchRecord()
     if record.curves is None:
         x, y = pair.check_point(x, y)
         record.curves = _curves(pair, gamma, x, y, _base_drives(pair))
-    base_drives, xg, (o_point, o_value), (i_point, i_value) = record.curves
+    base_drives, (_, r), (o_point, o_value), (i_point, i_value) = record.curves
     points = record.points
-    base, scaling = pair.base, pair.scaling
+    b_slope, s_slope = pair.base.conj.phi1d.slope, pair.scaling.env_slope
 
-    # T' = 1 + inner' * outer', the curves' slopes in v being their contract
-    # slopes scaled by 1/gamma (B) and gamma (S); 1 where the outer one is flat
+    # T' = 1 + inner' * outer', the curves' slopes in v being the profile's and
+    # the scaling's scaled by 1/gamma (B) and gamma (S); 1 where outer is flat
     def slope(eta: float) -> float:
         o_pt, i_pt, weight, _ = points[eta]
         if base_drives:
-            ds = base.conj_slope(eta / gamma, xg, o_pt)
-            return 1.0 + scaling.env_slope(gamma * weight, y, i_pt) * ds if ds else 1.0
-        ds = scaling.env_slope(gamma * eta, y, o_pt)
-        return 1.0 + base.conj_slope(weight / gamma, xg, i_pt) * ds if ds else 1.0
+            ds = b_slope(eta / gamma, r, o_pt)
+            return 1.0 + s_slope(gamma * weight, y, i_pt) * ds if ds else 1.0
+        ds = s_slope(gamma * eta, y, o_pt)
+        return 1.0 + b_slope(weight / gamma, r, i_pt) * ds if ds else 1.0
 
     def T(eta: float) -> float:
         o_pt = o_point(eta)
         weight = o_value(o_pt)
+        if weight == INF:  # as in _signed_pass, where it is computed first
+            raise OverflowError(f"the outer curve value at eta={eta!r} overflows")
         i_pt = i_point(weight)
         t = i_value(i_pt) + eta
         points[eta] = (o_pt, i_pt, weight, t)
@@ -284,14 +286,13 @@ def solve_eta_case_i(
     by the sign class as in ``classify_case_i``: the unique ``eta >= 0``
     with ``T(eta) = 0``, and the number of ``T`` evaluations it took.
 
-    ``roots.solve_bracketed`` searches ``[0, -T(0)]`` with Newton steps
-    from the exact slopes that the case's ``make_residual_case_*`` gives
-    ``record``, and bisections where a Newton step fails, and stops as
-    ``RootConfig`` states.  ``T(0)`` is not counted: it comes from
-    ``record.points[0.0]`` when that entry is there, and is evaluated first
-    otherwise.  ``trace(it, lo, hi, eta, T(eta))`` gets every evaluated
-    ``eta`` but 0 and the bracket it was chosen in.  The ``record`` entry
-    at the returned ``eta`` holds the points the prox is assembled from.
+    ``roots.solve_bracketed`` searches ``[0, -T(0)]`` by Newton steps from
+    the slopes ``make_residual_case_*`` gives ``record``, safeguarded by
+    bisection, and stops as ``RootConfig`` states.  ``T(0)``, not counted,
+    comes from ``record.points[0.0]`` when that entry is there.  ``trace(it,
+    lo, hi, eta, T(eta))`` gets every other evaluated ``eta`` and the
+    bracket it was chosen in.  The ``record`` entry at the returned ``eta``
+    holds the points the prox is assembled from.
     """
     make = make_residual_case_i if _base_drives(pair) else make_residual_case_iii
     record = SearchRecord() if record is None else record
@@ -321,8 +322,8 @@ def prox_perspective(
     Validates the input once, at its entry; nothing under it checks it
     again.  Dispatches on the sign class of the base conjugate, resolves
     the region and assembles the prox in one pass over the two value
-    curves (contract calls only; the root region's search reuses them),
-    and attaches the Fenchel certificate of the output (``certificate_gap``).
+    curves (scalar profile and scaling calls; the root region's search
+    reuses them), and attaches the Fenchel certificate (``certificate_gap``).
     """
     if not 0.0 < gamma < INF:
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
@@ -346,7 +347,9 @@ def prox_perspective(
             # the points of the search's evaluation of T at eta
             o_pt, i_pt = record.points[eta][:2]
         label = _LABELS[base_drives][region - 1]
-        b_pt, q = (o_pt, i_pt) if base_drives else (i_pt, o_pt)
-        p = _pull_back(x, gamma, curves[1], b_pt)
+        rho, q = (o_pt, i_pt) if base_drives else (i_pt, o_pt)
+        # the base point, built once: x/gamma itself where rho == r
+        xg, r = curves[1]
+        p = _pull_back(x, gamma, xg, xg if rho == r else scale(xg, rho / r))
     gap = certificate_gap(pair, gamma, x, y, p, q)
     return ProxResult(p, q, eta, label, iters, gap)

@@ -306,21 +306,9 @@ class HuberScalar:
         return HuberConjScalar(self.alpha)
 
 
-@dataclass(frozen=True)
-class HuberConjScalar:
-    """(t**2 - alpha**2)/2 on [-alpha, alpha], +inf outside."""
-
-    alpha: float
-
-    def eval(self, t: float) -> float:
-        a = self.alpha
-        return 0.5 * (t * t - a * a) if abs(t) <= a else INF
-
-    def prox(self, gamma: float, t: float) -> float:
-        return math.copysign(min(abs(t) / (1.0 + gamma), self.alpha), t)
-
-    def proj_cl_dom(self, t: float) -> float:
-        return math.copysign(min(abs(t), self.alpha), t)
+class HuberConjScalar(catalog.HuberConjScalar):
+    """The package's conjugate profile of ``HuberBase``, (t**2 - alpha**2)/2
+    on [-alpha, alpha] and +inf outside, with its conjugate side."""
 
     def conj_eval(self, t: float) -> float:
         return HuberScalar(self.alpha).eval(t)

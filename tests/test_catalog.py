@@ -20,6 +20,7 @@ from persprox import (
     root_scaling_prox_neg,
     sqrt_scaling_prox,
 )
+from persprox.catalog import _cap_norm
 from conftest import closed_form_huber_prox, golden_min, grid_prox_1d
 from reference import HuberConjScalar, power_prox_conj
 
@@ -353,6 +354,14 @@ def test_interval_scalings_project_negative_zero_to_positive_zero():
         assert repr(scaling.prox_env(0.0, -0.0)) == "0.0", scaling
 
 
+def test_root_env_conj_at_small_negative_arguments():
+    # the maximiser (q / -t) ** (1 / (1 - q)) overflowed and raised
+    # OverflowError; beyond b the value is t * b + b**q, and where the
+    # interior value exceeds the largest double it is +inf (about 1.9e377 here)
+    assert RootScaling(0.5, 4.0).env_conj_eval(-1e-160) == 2.0
+    assert RootScaling(0.95).env_conj_eval(-1e-20) == INF
+
+
 def _grid_sup_env_conj(scaling, t, lo, hi, n=40001):
     # linear grid plus a log-spaced refinement near 0, where the unbounded
     # root-scaling supremum can concentrate
@@ -466,17 +475,18 @@ def test_power_base_near_one_builds_its_conjugate_lift():
     # p* = 1001: the lift's evenness check evaluates |3.5|**p* / p*, which
     # overflows; the value is +inf there, and eval of the base still works
     base = PowerBase(1.001)
-    assert base._conj.phi1d.eval(3.5) == INF
+    assert base.conj.phi1d.eval(3.5) == INF
     assert base.eval((2.0, 0.0)) == pytest.approx(2.0 ** 1.001 / 1.001)
 
 
 # --- value-curve slopes -----------------------------------------------------
 
-def _base_curve(base, xstar):
-    """``w -> (point, value)`` of the value curve phi*(prox_{w phi*}(xstar))."""
+def _profile_curve(profile, t):
+    """``w -> (point, value)`` of the value curve h(prox_{w h}(t)) of a
+    conjugate profile ``h``."""
     def at(w):
-        pt = base.prox_conj(w, xstar) if w > 0.0 else base.proj_dom_conj(xstar)
-        return pt, base.conj_eval(pt)
+        pt = profile.prox(w, t) if w > 0.0 else profile.proj_cl_dom(t)
+        return pt, profile.eval(pt)
     return at
 
 
@@ -492,22 +502,27 @@ def _central_difference(curve, w):
     return (curve(w + h)[1] - curve(w - h)[1]) / (2.0 * h), h
 
 
+SIGNED_BASES = st.sampled_from([PowerBase(1.5), PowerBase(2.0), PowerBase(3.0), PowerBase(20.0),
+                                 HuberBase(0.5), HuberBase(1.0), HuberBase(3.0)])
+
+
 @settings(max_examples=300, deadline=None)
 @given(
-    base=st.sampled_from([PowerBase(1.5), PowerBase(2.0), PowerBase(3.0), PowerBase(20.0),
-                          HuberBase(0.5), HuberBase(1.0), HuberBase(3.0)]),
+    base=SIGNED_BASES,
     log_w=st.floats(-3.0, 3.0),
     x=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
 )
 def test_conj_slope_matches_central_difference(base, log_w, x):
+    # the value curve of the base's conjugate profile at r = ||x||, the
+    # curve the solver's base side runs on
     w = 10.0 ** log_w
-    curve = _base_curve(base, x)
+    r = math.hypot(*x)
+    curve = _profile_curve(base.conj.phi1d, r)
     fd, h = _central_difference(curve, w)
     if isinstance(base, HuberBase):
         # the clamp onto the ball is a kink of the curve
-        r = math.hypot(*x)
         assume(abs(r / (1.0 + w) - base.alpha) > 1e-3 * base.alpha)
-    slope = base.conj_slope(w, x, curve(w)[0])
+    slope = base.conj.phi1d.slope(w, r, curve(w)[0])
     assert slope <= 0.0
     assert abs(slope - fd) <= 1e-5 * (1.0 + abs(fd)) + 1e-9 * abs(curve(w)[1]) / h
 
@@ -536,6 +551,50 @@ def test_env_slope_matches_central_difference(scaling, log_w, y):
     assert abs(slope - fd) <= 1e-5 * (1.0 + abs(fd)) + 1e-9 * abs(curve(w)[1]) / h
 
 
+@settings(max_examples=300, deadline=None)
+@given(base=SIGNED_BASES, log_w=st.floats(-3.0, 3.0), t=st.floats(-10.0, 10.0))
+def test_conj_profile_prox_meets_its_optimality_condition(base, log_w, t):
+    # rho = prox_{w h}(t) iff t - rho lies in w * dh(rho): t = rho + w h'(rho)
+    # inside dom h, and t - rho pointing out of it at an end
+    h = base.conj.phi1d
+    w = 10.0 ** log_w
+    rho = h.prox(w, t)
+    assert h.eval(rho) < INF
+    assert rho * t >= 0.0 and abs(rho) <= abs(t)
+    if isinstance(base, PowerBase):
+        g = rho - t + w * math.copysign(abs(rho) ** (h.p - 1.0), rho)
+        assert abs(g) <= 1e-12 * (1.0 + abs(t))
+    elif abs(rho) < h.alpha:
+        assert abs(rho * (1.0 + w) - t) <= 1e-14 * (1.0 + abs(t))
+    else:
+        assert abs(rho) == h.alpha
+        assert abs(t) >= h.alpha * (1.0 + w) * (1.0 - 1e-15)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    base=SIGNED_BASES,
+    log_w=st.floats(-3.0, 3.0),
+    x=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+)
+def test_vector_conjugate_methods_are_the_radial_lift_of_the_profile(base, log_w, x):
+    # x -> x * (t / ||x||) for the profile's t at ||x||, bit for bit; the
+    # Huber points are capped onto the ball where rounding left them outside
+    h = base.conj.phi1d
+    w = 10.0 ** log_w
+    r = math.hypot(*x)
+
+    def lift(t):
+        if r < 1e-300:  # radial_prox's zero-vector guard
+            return (0.0, 0.0)
+        out = tuple(c * (t / r) for c in x)
+        return _cap_norm(out, h.alpha) if isinstance(base, HuberBase) else out
+
+    assert repr(base.conj_eval(x)) == repr(h.eval(r))
+    assert repr(base.prox_conj(w, x)) == repr(lift(h.prox(w, r)))
+    assert repr(base.proj_dom_conj(x)) == repr(lift(h.proj_cl_dom(r)))
+
+
 def test_slopes_vanish_on_clamps():
     # the root scaling at its upper end: prox_env(1, 10) would be about 10.1
     root = RootScaling(0.5, 4.0)
@@ -543,18 +602,18 @@ def test_slopes_vanish_on_clamps():
     assert root.env_slope(1.0, 10.0, 4.0) == 0.0
     assert root.env_slope(0.0, 10.0, root.prox_env(0.0, 10.0)) == 0.0
     assert _central_difference(_scaling_curve(root, 10.0), 1.0)[0] == 0.0
-    # the Huber conjugate on its ball: |x| / (1 + w) = 2.5 > alpha
-    huber = HuberBase(1.0)
-    pt = huber.prox_conj(1.0, (3.0, 4.0))
-    assert math.hypot(*pt) == pytest.approx(1.0)
-    assert huber.conj_slope(1.0, (3.0, 4.0), pt) == 0.0
-    assert _central_difference(_base_curve(huber, (3.0, 4.0)), 1.0)[0] == 0.0
-    # the power conjugate at rho = 0, where g'' is infinite for p* < 2
+    # the Huber conjugate profile on its end: r / (1 + w) = 2.5 > alpha
+    huber = HuberBase(1.0).conj.phi1d
+    rho = huber.prox(1.0, 5.0)
+    assert rho == pytest.approx(1.0)
+    assert huber.slope(1.0, 5.0, rho) == 0.0
+    assert _central_difference(_profile_curve(huber, 5.0), 1.0)[0] == 0.0
+    # the power conjugate profile at rho = 0, where g'' is infinite for p* < 2
     for p in (1.5, 2.0, 3.0):
-        power = PowerBase(p)
-        assert power.prox_conj(1.0, (0.0, 0.0)) == (0.0, 0.0)
-        assert power.conj_slope(1.0, (0.0, 0.0), (0.0, 0.0)) == 0.0
-        assert power.conj_slope(0.0, (0.0, 0.0), (0.0, 0.0)) == 0.0
+        power = PowerBase(p).conj.phi1d
+        assert power.prox(1.0, 0.0) == 0.0
+        assert power.slope(1.0, 0.0, 0.0) == 0.0
+        assert power.slope(0.0, 0.0, 0.0) == 0.0
     # the identity scaling clamped at 0 and at its upper end
     ident = IdentityScaling(2.0)
     assert ident.env_slope(1.0, -3.0, ident.prox_env(1.0, -3.0)) == 0.0

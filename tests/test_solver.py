@@ -443,6 +443,49 @@ def _root_band_inputs(count):
     return [(pairs[c.pair], workloads.cli_spec("root_band", c.pair), c) for c in calls[:count]]
 
 
+def test_root_region_runs_on_radii(monkeypatch):
+    # the search and its assembly work on the conjugate profile at
+    # r = ||x/gamma||: no vector base-contract call before the certificate,
+    # and every curve point of the search record is a float
+    import persprox.solver as solver
+    events = []
+    for cls in (PowerBase, HuberBase):
+        for name in ("prox_conj", "conj_eval", "proj_dom_conj"):
+            def spy(self, *args, method=getattr(cls, name), name=name):
+                events.append(name)
+                return method(self, *args)
+
+            monkeypatch.setattr(cls, name, spy)
+    certify = solver.certificate_gap
+
+    def certificate(*args):
+        events.append("certificate")
+        return certify(*args)
+
+    monkeypatch.setattr(solver, "certificate_gap", certificate)
+    records = []
+    for name in ("solve_eta_case_i", "solve_eta_case_iii"):
+        def search(*args, solve=getattr(solver, name), record=None, **kwargs):
+            records.append(record)
+            return solve(*args, record=record, **kwargs)
+
+        monkeypatch.setattr(solver, name, search)
+    labels = set()
+    for pair, _, call in _root_band_inputs(100):
+        events.clear()
+        records.clear()
+        res = prox_perspective(pair, call.gamma, call.x, call.y)
+        if res.label not in (CaseLabel.OMEGA4, CaseLabel.XI4):
+            continue
+        labels.add(res.label)
+        assert events[0] == "certificate", events
+        (record,) = records
+        assert record.points
+        for eta, entry in record.points.items():
+            assert type(eta) is float and [type(v) for v in entry] == [float] * 4, entry
+    assert labels == {CaseLabel.OMEGA4, CaseLabel.XI4}
+
+
 def test_multiplier_search_on_root_band_inputs(monkeypatch):
     # Newton steps from the exact slopes, the [0, -T(0)] bracket that is
     # never evaluated at its upper end, and the |T| stop rule (Brent without
