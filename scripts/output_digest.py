@@ -21,11 +21,14 @@ number of ``T`` evaluations it made (counted by wrapping the residuals
 that ``make_residual_case_i/iii`` return) as JSON.  ``--against PATH``
 reads such a file, made by another checkout, and prints per input set the
 label changes, the number of changed outputs ``(label, p, q, eta,
-root_iterations)``, the largest ``eta`` difference (also as a share of
-``eta_tol + 4 eps |eta|``, the most two searches that meet the default
-stop rules can differ by), the largest ``(p, q)`` difference in ulps of
-``||(x, y)||``, and the mean and maximum ``T`` evaluations of root-region
-calls per (pair, label), this checkout's beside the stored ones:
+root_iterations)``, the largest ``eta`` difference (also as a share of the
+most two searches that meet the default stop rules can differ by, the sum
+of their ``stop_distance``: the full width ``4 eps |eta| + eta_tol`` of
+``roots.solve_bracketed``'s width stop plus the rounding slack ``eps (|eta|
++ |eta - T(eta)|)`` of a bound never evaluated), the largest ``(p, q)``
+difference in ulps of ``||(x, y)||``, and the mean and maximum ``T``
+evaluations of root-region calls per (pair, label), this checkout's beside
+the stored ones:
 
     (cd parent && python3 scripts/output_digest.py --dump /tmp/parent.json)
     python3 scripts/output_digest.py --against /tmp/parent.json
@@ -51,9 +54,18 @@ POOL_SEEDS = (0, 1)
 PROBE_SEEDS = range(5)
 ROOT_LABELS = ("Omega4", "Xi4")
 EPS = 2.0 ** -52
-# two searches that each stop within eta_tol/2 + 2 eps |eta| of the root
-# return multipliers within ETA_TOL + 4 eps |eta| of each other
 ETA_TOL = solver.DEFAULT_CONFIG.eta_tol
+RESIDUAL_TOL = solver.DEFAULT_CONFIG.residual_tol
+
+
+def stop_distance(eta: float) -> float:
+    """The most a search that meets the default stop rules at ``eta`` can
+    lie from the root: the width stop leaves the full bracket width
+    ``4 eps |eta| + eta_tol``, and the far end may be a bound never
+    evaluated, widened by its rounding slack ``eps (|eta| + |eta - T(eta)|)``
+    with ``|T(eta)| <= residual_tol``; every other stop is tighter.  Two
+    searches differ by at most the sum of their distances."""
+    return ETA_TOL + 4.0 * EPS * abs(eta) + EPS * (2.0 * abs(eta) + RESIDUAL_TOL)
 
 
 def input_sets():
@@ -174,7 +186,7 @@ def compare(stored, records):
             set_ulps = max(set_ulps, diff / ulp)
             d_eta = abs(a[3] - b[3])
             set_eta = max(set_eta, d_eta)
-            set_share = max(set_share, d_eta / (ETA_TOL + 4.0 * EPS * max(a[3], b[3])))
+            set_share = max(set_share, d_eta / (stop_distance(a[3]) + stop_distance(b[3])))
         worst_ulps = max(worst_ulps, set_ulps)
         worst_eta = max(worst_eta, set_eta)
         worst_share = max(worst_share, set_share)

@@ -1,7 +1,7 @@
 """Concrete base and scaling functions with closed-form prox ingredients.
 
-The scalar conjugate profiles come first (each signed base's conjugate is
-the radial lift of one), then the vector-level base functions, then the
+The scalar conjugate profiles come first (each base's conjugate is the
+radial lift of one), then the vector-level base functions, then the
 scaling functions.  The scalar equation solvers at the bottom are the only
 iterative pieces.
 """
@@ -116,6 +116,21 @@ class HuberConjScalar(Value):
         return 0.0 if abs(rho) >= self.alpha else -rho * rho / (1.0 + gamma)
 
 
+class AbsConjScalar(Value):
+    """The conjugate profile of ``AbsBase``: the indicator of [-1, 1]."""
+
+    __slots__ = ()
+
+    def eval(self, t: float) -> float:
+        return 0.0 if -1.0 <= t <= 1.0 else INF
+
+    def prox(self, gamma: float, t: float) -> float:
+        return self.proj_cl_dom(t)
+
+    def proj_cl_dom(self, t: float) -> float:
+        return min(max(float(t), -1.0), 1.0)
+
+
 # ---------------------------------------------------------------------------
 # base functions (vector level, by radial lifting)
 
@@ -132,10 +147,7 @@ def _cap_norm(x: Vec, radius: float) -> Vec:
 
 
 class PowerBase(Value):
-    """phi = ||.||**p / p with conjugate ||.||**{p*} / p*.
-
-    ``conj`` is the radial lift of the conjugate profile ``PowerScalar(p*)``.
-    """
+    """phi = ||.||**p / p; ``conj``, ||.||**{p*} / p*, lifts ``PowerScalar(p*)``."""
 
     __slots__ = ("p", "conj")
     _fields = ("p",)
@@ -166,17 +178,18 @@ class PowerBase(Value):
 
 
 class AbsBase(Value):
-    """phi = ||.||; conjugate is the indicator of the unit ball."""
+    """phi = ||.||; ``conj`` lifts ``AbsConjScalar``; the point methods keep ``_cap_norm``."""
 
     __slots__ = ()
 
     sign_class = SignClass.ZERO_INFTY_CONJUGATE
+    conj = RadialFunction(AbsConjScalar())
 
     def eval(self, x) -> float:
         return norm(x)
 
     def conj_eval(self, xstar) -> float:
-        return 0.0 if norm(xstar) <= 1.0 else INF
+        return self.conj.eval(xstar)
 
     def prox_conj(self, gamma: float, xstar) -> Vec:
         return self.proj_dom_conj(xstar)

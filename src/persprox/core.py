@@ -208,14 +208,16 @@ class BaseFunction(Protocol):
     class of phi*.  A zero-or-infinity base also provides ``prox_primal(gamma,
     x)``, the prox of ``gamma * phi``, which the decoupled case calls.
 
-    A signed base is the radial lift of its conjugate profile: ``conj`` is
-    a ``radial.RadialFunction`` of an even scalar ``h`` (``conj.phi1d``)
-    that ``conj_eval``, ``prox_conj`` and ``proj_dom_conj`` lift, and the
-    solver runs on ``h`` at ``r = ||x/gamma||``.  Besides the ``ProxCapable``
-    methods ``h`` has ``slope(gamma, t, rho)``, the derivative in ``gamma``
-    of ``h(prox_{gamma h}(t))`` at ``rho``, the point ``prox`` returned:
-    ``-h'(rho)**2 / (1 + gamma * h''(rho))``, 0 on a clamp (an end of ``cl
-    dom h``), NaN where not defined.  The search takes Newton steps from it.
+    Every base, zero-or-infinity included, carries ``conj``, the
+    ``radial.RadialFunction`` of an even scalar conjugate profile ``h``
+    (``conj.phi1d``): ``conj_eval`` is its lift, and the certificate reads
+    ``phi*`` as ``h`` at one norm.  A signed base's ``prox_conj`` and
+    ``proj_dom_conj`` lift ``h`` too, and the solver runs on ``h`` at ``r =
+    ||x/gamma||``, where ``h`` also has ``slope(gamma, t, rho)``, the
+    derivative in ``gamma`` of ``h(prox_{gamma h}(t))`` at ``rho``, the
+    point ``prox`` returned: ``-h'(rho)**2 / (1 + gamma * h''(rho))``, 0 on
+    a clamp (an end of ``cl dom h``), NaN where not defined.  The search
+    takes Newton steps from it.
     """
 
     sign_class: SignClass

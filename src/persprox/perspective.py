@@ -4,7 +4,9 @@ certificate used to validate prox outputs.
 A perspective couples a base function on R^n with a scaling function on a
 one-dimensional scale space.  Which closed form applies is decided by the
 sign class of the base conjugate, matched at construction against the
-convexity side of the scaling.
+convexity side of the scaling.  The conjugate of the perspective is one
+rule on the value ``c = phi*(x*)`` (``_conj_value``); the certificate reads
+``c`` from the base's conjugate profile at the single norm ``||x*||``.
 """
 
 from __future__ import annotations
@@ -24,10 +26,9 @@ from .core import (
     dist,
     dot,
     negligible,
-    norm,
     scale,
-    sub,
 )
+from .radial import _ZERO_NORM
 
 # the one exception to ``core.negligible``: a ratio y*/c this close
 # (relatively) to dom env* is pulled onto it.  The slack absorbs the
@@ -118,22 +119,18 @@ def _perspective_value(pair: PerspectivePair, x: Vec, y: float) -> float:
 
 
 def perspective_conj_eval(pair: PerspectivePair, xstar, ystar) -> float:
-    """Conjugate of the perspective at ``(x*, y*)``.
-
-    Splits on the value ``c = phi*(x*)``: the support function of the
-    closed scale hull when ``c == 0``, a scaled envelope conjugate when
-    ``c`` has the sign its class promises, +inf when ``c`` is.
-    """
+    """Conjugate of the perspective at ``(x*, y*)``: ``_conj_value`` at ``c = phi*(x*)``."""
     xstar, ystar = pair.check_point(xstar, ystar)
-    return _conj_value(pair, xstar, ystar, None)
+    return _conj_value(pair, pair.base.conj_eval(xstar), ystar, None)
 
 
-def _conj_value(pair: PerspectivePair, xstar, ystar: float, size: float | None) -> float:
-    """The conjugate; with the input ``size`` of a certificate, ``phi*(x*)``
-    negligible at that size counts as zero and the ratio is clamped."""
-    base, scaling = pair.base, pair.scaling
-    c = base.conj_eval(xstar)
-    sc = base.sign_class
+def _conj_value(pair: PerspectivePair, c: float, ystar: float, size: float | None) -> float:
+    """The conjugate at ``(x*, y*)`` from ``c = phi*(x*)``: the support function
+    of the closed scale hull when ``c == 0``, a scaled envelope conjugate when
+    ``c`` has the sign its class promises, +inf when ``c`` is +inf.  At the input
+    ``size`` of a certificate, a negligible ``c`` is zero and the ratio is clamped."""
+    scaling = pair.scaling
+    sc = pair.base.sign_class
     if sc is SignClass.ZERO_INFTY_CONJUGATE:
         if c != 0.0:
             return INF
@@ -175,18 +172,26 @@ def prox_fenchel_gap(
 def certificate_gap(
     pair: PerspectivePair, gamma: float, x: Vec, y: float, p: Vec, q: float
 ) -> float:
-    """``prox_fenchel_gap`` without its checks, for a caller that has
-    checked ``gamma`` and ``(x, y)`` and assembled ``(p, q)`` itself, as
-    ``prox_perspective`` has."""
-    size = norm(x) / gamma
-    xstar = scale(sub(x, p), 1.0 / gamma)
+    """``prox_fenchel_gap`` without its checks, for a caller that has checked
+    ``gamma`` and ``(x, y)`` and assembled ``(p, q)`` itself, as ``prox_perspective``
+    has.  It reads ``phi*(x*)`` as the profile ``h = base.conj.phi1d`` at one norm
+    ``rs = ||x*||``, and runs ``proj_dom_conj`` only where ``h(rs)`` is +inf (``rs``
+    outside ``cl dom h``) or ``rs`` is below ``radial._ZERO_NORM`` or not finite."""
+    base = pair.base
+    h = base.conj.phi1d
+    size = math.hypot(*x) / gamma
+    inv = 1.0 / gamma
+    xstar = tuple([(a - b) * inv for a, b in zip(x, p)])
     ystar = (y - q) / gamma
-    proj = pair.base.proj_dom_conj(xstar)
-    # the projection returns xstar itself when it is already in the domain
-    if proj is not xstar and negligible(dist(proj, xstar), size):
-        xstar = proj
+    rs = math.hypot(*xstar)
+    c = h.eval(rs)
+    if c == INF or not _ZERO_NORM <= rs < INF:
+        proj = base.proj_dom_conj(xstar)
+        # the projection returns xstar itself when it is already in the domain
+        if proj is not xstar and negligible(dist(proj, xstar), size):
+            xstar, c = proj, h.eval(math.hypot(*proj))
     val = _perspective_value(pair, p, q)
-    conj = _conj_value(pair, xstar, ystar, size)
+    conj = _conj_value(pair, c, ystar, size)
     if val == INF or conj == INF:
         return INF
     return val + conj - dot(p, xstar) - q * ystar

@@ -29,8 +29,8 @@ from persprox import (
     prox_fenchel_gap,
     radial_prox,
 )
-from persprox import catalog
-from persprox.core import as_vec, dist, dot, norm, scale, sub
+from persprox import catalog, perspective
+from persprox.core import as_vec, dist, dot, negligible, norm, scale, sub
 
 # identity checks use absolute 1e-12 plus relative 1e-10 * (1 + magnitude)
 ABS_TOL = 1e-12
@@ -137,6 +137,27 @@ def fenchel_young_gap(f, x, xstar) -> float:
     if val == INF or conj == INF:
         return INF
     return val + conj - inner
+
+
+def vector_lift_certificate_gap(pair, gamma: float, x, y: float, p, q: float) -> float:
+    """``perspective.certificate_gap`` as it read ``phi*`` through the base's
+    vector methods: ``proj_dom_conj`` at every ``x*``, then ``conj_eval``.
+
+    The reference for the profile path, which must give the same gap bit
+    for bit; ``(x, y)`` and ``(p, q)`` are checked points.
+    """
+    size = norm(x) / gamma
+    xstar = scale(sub(x, p), 1.0 / gamma)
+    ystar = (y - q) / gamma
+    proj = pair.base.proj_dom_conj(xstar)
+    # the projection returns xstar itself when it is already in the domain
+    if proj is not xstar and negligible(dist(proj, xstar), size):
+        xstar = proj
+    val = perspective._perspective_value(pair, p, q)
+    conj = perspective._conj_value(pair, pair.base.conj_eval(xstar), ystar, size)
+    if val == INF or conj == INF:
+        return INF
+    return val + conj - dot(p, xstar) - q * ystar
 
 
 def linear_perspective_eval(phi, x, t: float) -> float:

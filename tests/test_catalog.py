@@ -13,6 +13,7 @@ from persprox import (
     IdentityScaling,
     PowerBase,
     PowerScalar,
+    RadialFunction,
     RootScaling,
     SqrtScaling,
     make_base,
@@ -573,16 +574,26 @@ def test_conj_profile_prox_meets_its_optimality_condition(base, log_w, t):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    base=SIGNED_BASES,
+    base=st.one_of(SIGNED_BASES, st.just(AbsBase())),
     log_w=st.floats(-3.0, 3.0),
     x=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
 )
 def test_vector_conjugate_methods_are_the_radial_lift_of_the_profile(base, log_w, x):
     # x -> x * (t / ||x||) for the profile's t at ||x||, bit for bit; the
-    # Huber points are capped onto the ball where rounding left them outside
+    # Huber points are capped onto the ball where rounding left them outside.
+    # The abs profile is the indicator of [-1, 1]: its conj_eval is the lift,
+    # its point methods are _cap_norm (a tiny x stays itself, not zeros)
     h = base.conj.phi1d
     w = 10.0 ** log_w
     r = math.hypot(*x)
+    if isinstance(base, AbsBase):
+        assert RadialFunction(h) == base.conj
+        assert repr(base.conj_eval(x)) == repr(h.eval(r))
+        for t in (r, -r):
+            clamp = min(max(t, -1.0), 1.0)
+            assert h.prox(w, t) == h.proj_cl_dom(t) == clamp
+            assert h.eval(clamp) == 0.0
+        return
 
     def lift(t):
         if r < 1e-300:  # radial_prox's zero-vector guard

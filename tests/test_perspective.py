@@ -14,6 +14,7 @@ from persprox import (
     PairMismatch,
     PerspectivePair,
     PowerBase,
+    RootFindError,
     RootScaling,
     SqrtScaling,
     perspective_conj_eval,
@@ -23,8 +24,9 @@ from persprox import (
     prox_perspective,
 )
 from persprox.core import negligible, norm, scale, sub
+from persprox.perspective import certificate_gap
 from conftest import limit_quotient_recession, rand_vec
-from reference import linear_perspective_eval
+from reference import linear_perspective_eval, vector_lift_certificate_gap
 
 HUBER_PAIR = PerspectivePair(HuberBase(1.0), SqrtScaling(1.0), n=2)
 POWER_ROOT = PerspectivePair(PowerBase(2.0), RootScaling(0.5, 4.0), n=2)
@@ -187,26 +189,92 @@ def test_public_gap_checks_its_arguments(gamma, x, y, p, q, error):
         prox_fenchel_gap(HUBER_PAIR, gamma, x, y, p, q)
 
 
-def test_prox_certificate_is_the_public_gap():
-    # the gap prox_perspective attaches, from the checked input and the
-    # point it assembled, is the public function's on the same arguments;
-    # the inputs are the benchmark's seed-0 pools (its generator, read-only)
+def _workloads():
+    """The benchmark's input generator, imported read-only."""
     perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
     sys.path.insert(0, perfbench)
     try:
         import workloads
     finally:
         sys.path.remove(perfbench)
-    labels = set()
-    for workload in workloads.PROX:
-        pairs, calls = workloads.setup(workload, 0)
+    return workloads
+
+
+def test_prox_certificate_is_the_public_gap():
+    # the gap prox_perspective attaches, from the checked input and the
+    # point it assembled, is the public function's on the same arguments,
+    # and bit for bit the one the base's vector conjugate methods give;
+    # the inputs are the benchmark's seed-0 pools and probe seed 0
+    workloads = _workloads()
+    inputs = [(workload, workloads.setup(workload, 0)) for workload in workloads.PROX]
+    probe_pairs = tuple(workloads.build_pair(s) for s in workloads.ROBUSTNESS_SPECS)
+    inputs.append(("probe", (probe_pairs, workloads.probe_calls(0))))
+    labels, probed = set(), 0
+    for workload, (pairs, calls) in inputs:
         for call in calls:
             pair = pairs[call.pair]
-            res = prox_perspective(pair, call.gamma, call.x, call.y)
+            try:
+                res = prox_perspective(pair, call.gamma, call.x, call.y)
+            except (ArithmeticError, RootFindError):
+                assert workload == "probe", call
+                continue
             gap = prox_fenchel_gap(pair, call.gamma, call.x, call.y, res.p, res.q)
             assert repr(res.certificate_gap) == repr(gap), (workload, call)
-            labels.add(res.label.value)
+            x, y = pair.check_point(call.x, call.y)
+            lifted = vector_lift_certificate_gap(pair, call.gamma, x, y, res.p, res.q)
+            assert repr(res.certificate_gap) == repr(lifted), (workload, call)
+            if workload == "probe":
+                probed += 1
+            else:
+                labels.add(res.label.value)
     assert labels == {"CaseII", "Omega1", "Omega2", "Omega3", "Omega4", "Xi2", "Xi4"}
+    assert probed > 1000
+
+
+def test_certificate_reads_the_conjugate_profile(monkeypatch):
+    # on the closed_band pool the certificate reads phi* on the profile at
+    # ||x*|| alone: no conj_eval or prox_conj call, and the vector projection
+    # only where ||x*|| lies outside the profile's domain (rounding puts some
+    # Xi2 and CaseII dual points an ulp or so outside the ball), once there
+    workloads = _workloads()
+    pairs, calls = workloads.setup("closed_band", 0)
+    cases = []
+    for call in calls:
+        pair = pairs[call.pair]
+        x, y = pair.check_point(call.x, call.y)
+        res = prox_perspective(pair, call.gamma, x, y)
+        cases.append((pair, call.gamma, x, y, res.p, res.q, res.certificate_gap))
+    events = []
+    for cls in (PowerBase, HuberBase, AbsBase):
+        for name in ("prox_conj", "conj_eval", "proj_dom_conj"):
+            def spy(self, *args, method=getattr(cls, name), name=name):
+                events.append(name)
+                return method(self, *args)
+
+            monkeypatch.setattr(cls, name, spy)
+    outside = 0
+    for pair, gamma, x, y, p, q, gap in cases:
+        events.clear()
+        assert repr(certificate_gap(pair, gamma, x, y, p, q)) == repr(gap)
+        # the radius of dom phi*: none for power, alpha for Huber, 1 for abs
+        radius = INF if isinstance(pair.base, PowerBase) else getattr(pair.base, "alpha", 1.0)
+        moved = norm(scale(sub(x, p), 1.0 / gamma)) > radius
+        assert events == ["proj_dom_conj"] * moved, (pair, x, p)
+        outside += moved
+    assert {type(case[0].base) for case in cases} == {PowerBase, HuberBase, AbsBase}
+    assert outside <= 0.25 * len(cases)
+    for ulps in (1, 4):
+        events.clear()
+        p0 = 2.0 - ulps * 2.0 ** -52
+        gap = certificate_gap(HUBER_PAIR, 1.0, (3.0, 0.0), 0.0, (p0, 0.0), 0.0)
+        assert math.isfinite(gap) and abs(gap) <= 1e-12
+        assert events == ["proj_dom_conj"]
+    # and below radial._ZERO_NORM, where the power projection is the zero vector
+    events.clear()
+    x, p = (3e-310, 0.0), (1e-310, 0.0)
+    gap = certificate_gap(POWER_ID, 1.0, x, 1.0, p, 1.0)
+    assert events == ["proj_dom_conj"]
+    assert repr(gap) == repr(vector_lift_certificate_gap(POWER_ID, 1.0, x, 1.0, p, 1.0))
 
 
 def test_fenchel_gap_detects_wrong_point():
@@ -231,9 +299,10 @@ def test_gap_does_not_clamp_a_dual_point_far_outside_the_ball():
 
 
 def test_gap_is_unchanged_when_the_projection_returns_its_argument(monkeypatch):
-    # the certificate skips the clamp's distance test when proj_dom_conj
-    # hands x* back itself; a projection that returns an equal copy takes
-    # the test and must give the same gaps
+    # the certificate runs the vector projection only where the profile is
+    # +inf at ||x*|| (or ||x*|| is zero or not finite), and skips the clamp's
+    # distance test when proj_dom_conj hands x* back itself; a projection
+    # that returns an equal copy takes the test and must give the same gaps
     rng = random.Random(11)
     cases = []
     for pair in ALL_PAIRS:
