@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Solver-vs-oracle validation sweep over the three catalog pairs.
+"""Certificate validation sweep over the three catalog pairs.
 
 Runs ``persprox validate`` for power/root, huber/sqrt and abs/root at base
 dimensions 1, 2 and 3 and prints the report of each run under a header
-line.  Exits 1 when some run's maximum deviation exceeds the command's
-5e-4 limit, and with the command's error code when a run fails.
+line.  Exits 1 when some run's ``max_distance_bound`` (the distance from
+the true prox that its worst certificate gap allows) exceeds the command's
+5e-4 ``distance_limit``, and with the command's error code when a run fails.
 """
 
 import argparse

@@ -4,8 +4,8 @@ A perspective couples a base function on R^n with a scaling function on a
 scalar scale space into a jointly convex function on the product.  This
 package evaluates such functions and their conjugates, computes their
 proximity operators exactly (closed forms on three input regions plus a
-monotone scalar root-find on the fourth), and ships a brute-force oracle
-and a forward-backward demo solver for validation.
+monotone scalar root-find on the fourth), certifies each output with its
+Fenchel gap, and ships a forward-backward demo solver.
 """
 
 from importlib import import_module as _import_module
@@ -58,11 +58,8 @@ from .solver import (
 )
 from .roots import RootFindError, real_quartic_roots
 
-# the oracle and the demo load on first use: a prox call needs neither
+# the demo loads on first use: a prox call does not need it
 _LAZY = {
-    "OracleConfig": "oracle",
-    "OracleError": "oracle",
-    "brute_force_prox": "oracle",
     "DemoSpec": "splitting",
     "DemoTrace": "splitting",
     "StepSizeError": "splitting",
@@ -80,4 +77,4 @@ def __getattr__(name: str):
 
 
 __all__ = sorted({name for name in dir() if not name.startswith("_")}
-                 | set(_LAZY) | {"oracle", "splitting"})
+                 | set(_LAZY) | {"splitting"})

@@ -69,7 +69,7 @@ class RootConfig(Value):
     ``max_iter`` bounds its ``T`` evaluations.
 
     An immutable value (``core.Value``): equal settings compare and hash
-    equal, and it pickles, so ``validate --workers`` can send it.
+    equal.
     """
 
     __slots__ = ("eta_tol", "residual_tol", "max_iter")

@@ -22,7 +22,6 @@ from persprox import (
     PowerBase,
     RootScaling,
     SqrtScaling,
-    brute_force_prox,
     classify_case_i,
     classify_case_iii,
     perspective_eval,
@@ -42,6 +41,7 @@ from reference import (
     PowerScalar,
     PrimalProvider,
     SupportInterval,
+    brute_force_prox,
     prox_primal,
     scaled_prox,
 )

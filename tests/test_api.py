@@ -22,7 +22,6 @@ TRACED = "wrapped by name in perfbench/tracing.py"
 # (module, qualified name): why it stays with no reference elsewhere in src/
 ALLOWED = {
     ("roots", "real_quartic_roots"): TRACED,
-    ("perspective", "prox_fenchel_gap"): ENTRY,
 }
 
 
@@ -133,21 +132,31 @@ def test_names_the_tracer_wraps_resolve():
     assert 0.0 < tracing._residual_tol() < 1.0
 
 
-def test_oracle_and_demo_names_load_on_first_use():
+def test_demo_names_load_on_first_use():
     code = (
         "import sys, persprox; "
-        "lazy = ('persprox.oracle', 'persprox.splitting'); "
-        "before = [m for m in lazy if m in sys.modules]; "
-        "from persprox import OracleConfig, run_concomitant_demo; "
-        "from persprox.oracle import OracleConfig as oracle_config; "
-        "assert OracleConfig is oracle_config and persprox.DemoSpec is persprox.splitting.DemoSpec; "
-        "assert {'OracleError', 'brute_force_prox', 'StepSizeError', 'DemoTrace'} <= set(persprox.__all__); "
-        "print(before, [m for m in lazy if m in sys.modules])"
+        "before = 'persprox.splitting' in sys.modules; "
+        "from persprox import run_concomitant_demo; "
+        "assert persprox.DemoSpec is persprox.splitting.DemoSpec; "
+        "assert {'StepSizeError', 'DemoTrace'} <= set(persprox.__all__); "
+        "print(before, 'persprox.splitting' in sys.modules)"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(SRC.parent)})
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[] ['persprox.oracle', 'persprox.splitting']"
+    assert out.stdout.strip() == "False True"
+
+
+def test_the_package_has_no_oracle():
+    # the brute-force oracle is test support: it lives in tests/reference.py
+    import importlib.util
+
+    import persprox
+
+    assert importlib.util.find_spec("persprox.oracle") is None
+    for name in ("oracle", "OracleConfig", "OracleError", "brute_force_prox"):
+        assert not hasattr(persprox, name), name
+        assert name not in persprox.__all__, name
 
 
 def test_unknown_package_attribute_raises_attribute_error():

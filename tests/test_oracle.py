@@ -8,20 +8,23 @@ import pytest
 from persprox import (
     AbsBase,
     HuberBase,
-    OracleConfig,
-    OracleError,
     PerspectivePair,
     RootScaling,
     SqrtScaling,
-    brute_force_prox,
     perspective_eval,
     prox_fenchel_gap,
     prox_perspective,
 )
-from persprox.oracle import golden_min_anchored
-from reference import case_ii_prox
+from reference import (
+    OracleConfig,
+    OracleError,
+    brute_force_prox,
+    case_ii_prox,
+    golden_min_anchored,
+)
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+TESTS = Path(__file__).resolve().parent
+SRC = str(TESTS.parent / "src")
 
 HUBER = PerspectivePair(HuberBase(1.0), SqrtScaling(1.0), n=2)
 ABS_ROOT = PerspectivePair(AbsBase(), RootScaling(0.5, 1.0), n=2)
@@ -113,8 +116,9 @@ def test_refinement_stops_at_float_resolution():
     # used to loop forever, so the run is a subprocess with a time limit
     code = f"""
 import math, sys
-sys.path.insert(0, {SRC!r})
-from persprox import HuberBase, PerspectivePair, SqrtScaling, brute_force_prox, perspective_eval, prox_perspective
+sys.path[:0] = [{SRC!r}, {str(TESTS)!r}]
+from persprox import HuberBase, PerspectivePair, SqrtScaling, perspective_eval, prox_perspective
+from reference import brute_force_prox
 pair = PerspectivePair(HuberBase(1.0), SqrtScaling(1.0), n=1)
 for k in range(8, 13):
     x, y = (10.0 ** k,), 0.3 * 10.0 ** k
@@ -133,3 +137,39 @@ def test_oracle_config_validation():
         for value in (math.nan, math.inf, 0.0):
             with pytest.raises(ValueError, match=key):
                 OracleConfig(**{key: value})
+
+
+def test_refinement_exhaustion_raises():
+    # an unconverged point must not pass for the minimizer
+    with pytest.raises(OracleError, match="max_refine_iters=1"):
+        brute_force_prox(lambda u, v: perspective_eval(HUBER, u, v), 1.0,
+                         (2.755374812200385, 2.06363522352242), -0.63542735335324,
+                         OracleConfig(max_refine_iters=1))
+
+
+def test_scale_interval_thinner_than_the_grid_raises():
+    # a scale interval [0, 1e-9] falls between the grid points, so every
+    # sample is infeasible: the oracle must fail loudly
+    pair = PerspectivePair(AbsBase(), RootScaling(0.5, 1e-9), n=1)
+    with pytest.raises(OracleError, match="every coarse grid point"):
+        brute_force_prox(lambda u, v: perspective_eval(pair, u, v), 1.0,
+                         (2.755374812200385,), 2.06363522352242)
+
+
+def test_refine_tol_below_float_spacing_terminates():
+    # the golden-section refinement used to loop forever once the probe
+    # rounded onto a bracket end, so the run is a subprocess with a time limit
+    code = f"""
+import sys
+sys.path[:0] = [{SRC!r}, {str(TESTS)!r}]
+from persprox import HuberBase, PerspectivePair, SqrtScaling, perspective_eval
+from reference import OracleConfig, OracleError, brute_force_prox
+pair = PerspectivePair(HuberBase(1.0), SqrtScaling(1.0), n=1)
+try:
+    brute_force_prox(lambda u, v: perspective_eval(pair, u, v), 1.0, (2.755374812200385,),
+                     2.06363522352242, OracleConfig(refine_tol=1e-17))
+except OracleError:
+    pass
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30)
+    assert out.returncode == 0, out.stderr
