@@ -17,6 +17,8 @@ from .roots import RootFindError, real_quartic_roots, solve_bracketed  # noqa: F
 
 _EPS = 2.0 ** -52  # machine epsilon
 _TINY = 2.0 ** -1074  # smallest subnormal
+_FOUR_EPS = 4.0 * _EPS
+_LN2 = math.log(2.0)
 
 # ---------------------------------------------------------------------------
 # scalar pieces
@@ -37,17 +39,19 @@ def _solve_power(r: float, w: float, a: float) -> float:
     rho = min(a / (1.0 + w), hi)  # exact for r == 2
     if rho <= 0.0 or rho >= hi:
         rho = 0.5 * hi
+    r1, r2 = r - 1.0, r - 2.0
+    wr1, gtol = w * r1, 1e-15 * (1.0 + a)
     for _ in range(120):
-        g = rho + w * rho ** (r - 1.0) - a
+        g = rho + w * rho ** r1 - a
         if g > 0.0:
             hi = rho
         else:
             lo = rho
-        if abs(g) <= 1e-15 * (1.0 + a):
+        if abs(g) <= gtol:
             break
-        d = 1.0 + w * (r - 1.0) * rho ** (r - 2.0)
-        nxt = rho - g / d if math.isfinite(d) and d > 0.0 else 0.5 * (lo + hi)
-        if not (lo < nxt < hi) or not math.isfinite(nxt):
+        d = 1.0 + wr1 * rho ** r2
+        nxt = rho - g / d if 0.0 < d < INF else 0.5 * (lo + hi)
+        if not lo < nxt < hi:  # also a NaN or infinite step: lo and hi are finite
             nxt = 0.5 * (lo + hi)
         if nxt == rho:
             break
@@ -92,6 +96,19 @@ class PowerScalar(Value):
         d1 = rho ** (self.p - 1.0)
         return -d1 * d1 / (1.0 + gamma * (self.p - 1.0) * d1 / rho)
 
+    def curvature(self, gamma: float, t: float, rho: float) -> float:
+        # g'**2 * (3 g'' - gamma g' g''' / D) / D**2 with D = 1 + gamma g'' and
+        # g''' = (p - 2) g'' / |rho|, so gamma g' g''' = (p - 2) g'' (D - 1) / (p - 1)
+        rho = abs(rho)
+        if rho == 0.0:
+            return 0.0
+        p = self.p
+        d1 = rho ** (p - 1.0)
+        d2 = (p - 1.0) * d1 / rho
+        wd2 = gamma * d2
+        c = d1 / (1.0 + wd2)
+        return c * c * d2 * (3.0 - (p - 2.0) * wd2 / ((p - 1.0) * (1.0 + wd2)))
+
 
 class HuberConjScalar(Value):
     """The conjugate profile of ``HuberBase``: (t**2 - alpha**2) / 2 on [-alpha, alpha]."""
@@ -114,6 +131,11 @@ class HuberConjScalar(Value):
     def slope(self, gamma: float, t: float, rho: float) -> float:
         # -h'**2 / (1 + gamma * h'') = -rho**2 / (1 + gamma), 0 on the clamp at alpha
         return 0.0 if abs(rho) >= self.alpha else -rho * rho / (1.0 + gamma)
+
+    def curvature(self, gamma: float, t: float, rho: float) -> float:
+        # h'**2 * (3 h'' - gamma h' h''' / D) / D**2 = 3 rho**2 / (1 + gamma)**2
+        c = rho / (1.0 + gamma)
+        return 0.0 if abs(rho) >= self.alpha else 3.0 * c * c
 
 
 class AbsConjScalar(Value):
@@ -310,6 +332,23 @@ class RootScaling(Value):
             return -c * c / (1.0 + weight * (1.0 - q) * c / z)
         return -u * u / (z * z + weight * (1.0 - q) * u)
 
+    def env_curvature(self, weight: float, y: float, z: float) -> float:
+        # h'**2 * (3 h'' - weight h' h''' / D) / D**2, h'' = (1 - q) u / z**2 and
+        # h''' = -(2 - q) h'' / z, in the forms of env_slope; 0 and NaN as there
+        if z >= self.upper:
+            return 0.0
+        if z == 0.0:
+            return 0.0 if weight > 0.0 else math.nan
+        q = self.q
+        u = q * z ** q
+        if z > 1.0:
+            c = u / z
+            d2 = (1.0 - q) * c / z
+            dd = 1.0 + weight * d2
+            return c * c * d2 * (3.0 - (2.0 - q) * weight * c / (z * dd)) / (dd * dd)
+        zd = z * z + weight * (1.0 - q) * u  # z**2 * D
+        return (1.0 - q) * u * u * u * (3.0 - (2.0 - q) * weight * u / zd) / zd / zd
+
     def support_cl_conv_S(self, t: float) -> float:
         if t <= 0.0:
             return 0.0
@@ -359,6 +398,14 @@ class SqrtScaling(Value):
         t, k = z / s, sb / s
         return -t * t / (1.0 + weight * k * k / s)
 
+    def env_curvature(self, weight: float, y: float, z: float) -> float:
+        # h''' = -3 t h'' / s, so 3 h'' - weight h' h''' / D = 3 h'' (1 + weight t**2 / (s D))
+        sb = math.sqrt(self.beta)
+        s = math.hypot(sb, z)
+        t, k = z / s, sb / s
+        sd = s + weight * k * k  # s * D
+        return 3.0 * t * t * k * k * (1.0 + weight * t * t / sd) * s / (sd * sd)
+
     def support_cl_conv_S(self, t: float) -> float:
         return 0.0 if t == 0.0 else INF
 
@@ -402,6 +449,9 @@ class IdentityScaling(Value):
         # -1 where y + weight lies inside [0, upper], 0 where it is clamped
         return -1.0 if 0.0 < z < self.upper else 0.0
 
+    def env_curvature(self, weight: float, y: float, z: float) -> float:
+        return 0.0  # the curve is linear in weight, or clamped
+
     def support_cl_conv_S(self, t: float) -> float:
         if t <= 0.0:
             return 0.0
@@ -441,20 +491,21 @@ def root_scaling_prox_neg(mu: float, gamma: float, q: float, y: float) -> float:
     if y >= 0.0:
         # F < 0 at log y and at t_bal; above both, exp(t) >= y, w, so z = y + w <= 2 e^t_lo
         t = t_lo = max(math.log(y), t_bal) if y > 0.0 else t_bal
-        t_hi = t_lo + math.log(2.0)
+        t_hi = t_lo + _LN2
     else:
         # F > 0 at t_bal and where w == -y; below both, w >= exp(t), -y, so w(z) <= 2 w(t_hi)
         t = t_hi = min(t_bal, (log_c - math.log(-y)) / a)
-        t_lo = t_hi - math.log(2.0) / a
+        t_lo = t_hi - _LN2 / a
     f_lo, f_hi = -INF, INF  # not evaluated yet
+    exp, ay = math.exp, abs(y)
     for _ in range(200):
-        ez = math.exp(t)
-        w = math.exp(log_c - a * t)
+        ez = exp(t)
+        w = exp(log_c - a * t)
         f = ez - w - y
         dfdt = ez + a * w
         dt = f / dfdt
-        if abs(dt) <= 4.0 * _EPS * (abs(t) + (ez + w + abs(y)) / dfdt):
-            return math.exp(t - dt)
+        if abs(dt) <= _FOUR_EPS * (abs(t) + (ez + w + ay) / dfdt):
+            return exp(t - dt)
         if f > 0.0:
             t_hi, f_hi = t, f
         else:
@@ -508,15 +559,21 @@ def sqrt_scaling_prox(beta: float, mu: float, y: float) -> float:
             guess = min(guess, math.sqrt(c / (mu - a)))
         if guess > r0 and guess > 2.0 * math.sqrt(beta):
             r = min(guess, a)
+    sqrt = math.sqrt
     for _ in range(200):
         ss = beta + r * r
-        w = mu / math.sqrt(ss)
-        g = r - a + w * r
+        w = mu / sqrt(ss)
+        wr = w * r
+        g = r - a + wr
         dg = 1.0 + w * beta / ss
         dr = g / dg
         # four rounding units, or four of the smallest subnormal below 2**-1022
-        converged = abs(dr) <= 4.0 * (_EPS * (r + (r + a + w * r) / dg) + _TINY)
-        r = min(max(r - dr, r0), a)
+        converged = abs(dr) <= 4.0 * (_EPS * (r + (r + a + wr) / dg) + _TINY)
+        r -= dr
+        if r < r0:  # max(r, r0), then min(r, a), a NaN kept
+            r = r0
+        if r > a:
+            r = a
         if converged:
             break
     else:

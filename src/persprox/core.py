@@ -215,9 +215,11 @@ class BaseFunction(Protocol):
     ``proj_dom_conj`` lift ``h`` too, and the solver runs on ``h`` at ``r =
     ||x/gamma||``, where ``h`` also has ``slope(gamma, t, rho)``, the
     derivative in ``gamma`` of ``h(prox_{gamma h}(t))`` at ``rho``, the
-    point ``prox`` returned: ``-h'(rho)**2 / (1 + gamma * h''(rho))``, 0 on
-    a clamp (an end of ``cl dom h``), NaN where not defined.  The search
-    takes Newton steps from it.
+    point ``prox`` returned: ``-h'(rho)**2 / D`` with ``D = 1 + gamma *
+    h''(rho)``, 0 on a clamp (an end of ``cl dom h``), NaN where not
+    defined.  ``curvature(gamma, t, rho)`` is the second derivative there,
+    ``h'**2 * (3 h'' - gamma h' h''' / D) / D**2``, 0 on a clamp.  The
+    search takes Newton steps from the slope and Halley steps from both.
     """
 
     sign_class: SignClass
@@ -256,7 +258,9 @@ class ScalingFunction(Protocol):
     value curve ``env_eval(prox_env(weight, y))`` at ``z``, the point
     ``prox_env`` returned for those arguments: ``-h'(z)**2 / (1 + weight *
     h''(z))`` for the envelope ``h``, 0 where ``z`` is clamped to an end of
-    ``cl S``, NaN where it is not defined.  See ``BaseFunction``.
+    ``cl S``, NaN where it is not defined.  ``env_curvature(weight, y, z)``
+    is the second derivative there, with 0 and NaN alike.  See
+    ``BaseFunction``.
     """
 
     case_kind: CaseKind
@@ -274,4 +278,6 @@ class ScalingFunction(Protocol):
     def proj_dom_env_conj(self, ystar: float) -> float: ...
 
     def env_slope(self, weight: float, y: float, z: float) -> float: ...
+
+    def env_curvature(self, weight: float, y: float, z: float) -> float: ...
 

@@ -22,12 +22,14 @@ curve's weight-0 value (that value is ``eta``).  Region 4 finds the root
 of ``T`` by a monotone one-dimensional search.  Both curves are
 nonincreasing, so ``T' >= 1``: the root lies in ``[0, -T(0)]`` and within
 ``|T(eta)|`` of every evaluated ``eta``.  The profile's ``slope`` and the
-scaling's ``env_slope`` make ``T' = 1 + inner' * outer'`` exact, so the
-search takes Newton steps, with bisection as their safeguard.  The pass
-hands the search its curves, and ``T(0)`` with its curve points where it
-computed them.  Every curve point is a float; the base point is built
-once, at assembly, as ``x/gamma`` scaled by ``rho / r`` for the profile
-radius ``rho``.
+scaling's ``env_slope`` make ``T' = 1 + inner' * outer'`` exact, and their
+``curvature`` and ``env_curvature`` make ``T''`` exact, so the search takes
+Halley steps where the curvature shifts the Newton step by at most a
+factor 2 and the step stays in the bracket, Newton steps otherwise, with
+bisection as their safeguard.  The pass hands the search its curves, and
+``T(0)`` with its curve points where it computed them.  Every curve point
+is a float; the base point is built once, at assembly, as ``x/gamma``
+scaled by ``rho / r`` for the profile radius ``rho``.
 
 Classification, the residual and the search are each written once and
 read the case from the sign class; the case-(iii) names are aliases of
@@ -61,12 +63,15 @@ class CaseLabel(Enum):
 class RootConfig(Value):
     """Tolerances of the multiplier search; region tests use ``core.negligible``.
 
-    The Newton-bisection search stops once ``|T(eta)| <= min(residual_tol,
-    eta_tol / 2)``: since ``T' >= 1`` the root is then within ``eta_tol /
-    2`` of ``eta``.  It also stops once its bracket is within ``eta_tol``
-    (plus two rounding units of ``eta``) and ``|T(eta)| <= residual_tol``,
-    or when no double lies inside a bracket whose ends it evaluated.
-    ``max_iter`` bounds its ``T`` evaluations.
+    The search (``roots.solve_bracketed``: Halley steps guarded to at most
+    twice the Newton step and to the bracket, else Newton steps, else
+    bisection) stops once ``|T(eta)| <= min(residual_tol, eta_tol / 2)``:
+    since ``T' >= 1`` the root is then within ``eta_tol / 2`` of ``eta``.
+    Once its bracket is within ``eta_tol`` (plus two rounding units of
+    ``eta``) it also stops at the evaluated end of smaller ``|T|`` if that
+    is at most ``residual_tol``, and it stops when no double lies inside a
+    bracket whose ends it evaluated.  ``max_iter`` bounds its ``T``
+    evaluations.
 
     An immutable value (``core.Value``): equal settings compare and hash
     equal.
@@ -219,18 +224,54 @@ class SearchRecord:
     is the profile radius ``prox_{(eta/gamma) h}(r)`` in case (i) and the
     scale point in case (iii), the inner point the other one, at the outer
     value as its weight.  The search takes ``T(0)`` from the entry at 0
-    when one is there.  ``slope(eta)`` is ``T'(eta)`` at such an ``eta``
-    (NaN where a curve slope is not defined); ``make_residual_case_i`` sets
-    it, and builds ``curves``, the ``_curves`` of the checked input, when
-    the record has none.
+    when one is there.  ``slope(eta)`` is ``T'(eta)`` and ``curvature(eta)``
+    is ``T''(eta)`` at such an ``eta`` (NaN where a curve derivative is not
+    defined), once ``make_residual_case_i`` has built ``T`` on the record;
+    it builds ``curves``, the ``_curves`` of the checked input, when the
+    record has none.
     """
 
-    __slots__ = ("points", "slope", "curves")
+    __slots__ = ("points", "curves", "_terms", "_slopes")
 
     def __init__(self, points: dict | None = None, curves: tuple | None = None):
         self.points = {} if points is None else points
-        self.slope: Callable[[float], float] | None = None
         self.curves = curves
+        # (base_drives, profile, scaling, gamma, r, y), set with T
+        self._terms = None
+        # the eta of the last slope call and its outer and inner curve
+        # slopes in w, which the curvature at that eta reuses
+        self._slopes = (None, 0.0, 0.0)
+
+    def slope(self, eta: float) -> float:
+        # T' = 1 + inner' * outer', the curves' slopes in v being the profile's
+        # and the scaling's scaled by 1/gamma (B) and gamma (S); 1 where outer is flat
+        base_drives, h, scaling, gamma, r, y = self._terms
+        o_pt, i_pt, weight, _ = self.points[eta]
+        if base_drives:
+            d_out = h.slope(eta / gamma, r, o_pt)
+            d_in = scaling.env_slope(gamma * weight, y, i_pt) if d_out else 0.0
+        else:
+            d_out = scaling.env_slope(gamma * eta, y, o_pt)
+            d_in = h.slope(weight / gamma, r, i_pt) if d_out else 0.0
+        self._slopes = (eta, d_out, d_in)
+        return 1.0 + d_in * d_out if d_out else 1.0
+
+    def curvature(self, eta: float) -> float:
+        # T'' = inner'' * outer'**2 + inner' * outer'', with the same scalings:
+        # S_w'' B_w'**2 + S_w' B_w'' / gamma in case (i), B_w'' S_w'**2 + gamma
+        # B_w' S_w'' in case (iii); 0 where outer is flat
+        if self._slopes[0] != eta:
+            self.slope(eta)
+        _, d_out, d_in = self._slopes
+        if not d_out:
+            return 0.0
+        base_drives, h, scaling, gamma, r, y = self._terms
+        o_pt, i_pt, weight, _ = self.points[eta]
+        if base_drives:
+            return (scaling.env_curvature(gamma * weight, y, i_pt) * d_out * d_out
+                    + d_in * h.curvature(eta / gamma, r, o_pt) / gamma)
+        return (h.curvature(weight / gamma, r, i_pt) * d_out * d_out
+                + gamma * d_in * scaling.env_curvature(gamma * eta, y, o_pt))
 
 
 def make_residual_case_i(pair: PerspectivePair, gamma: float, x, y,
@@ -240,9 +281,10 @@ def make_residual_case_i(pair: PerspectivePair, gamma: float, x, y,
     eta`` in case (iii), by the sign class as in ``classify_case_i``.
 
     Each evaluation stores its curve points in ``record.points`` (a fresh
-    ``SearchRecord`` when none is given), and ``record.slope`` gives ``T'``
-    at those points.  ``T`` runs on ``record.curves`` when they are set,
-    without checking ``(x, y)`` again: they must be this input's.
+    ``SearchRecord`` when none is given), where ``record.slope`` and
+    ``record.curvature`` read ``T'`` and ``T''``.  ``T`` runs on
+    ``record.curves`` when they are set, without checking ``(x, y)`` again:
+    they must be this input's.
     """
     if record is None:
         record = SearchRecord()
@@ -250,18 +292,8 @@ def make_residual_case_i(pair: PerspectivePair, gamma: float, x, y,
         x, y = pair.check_point(x, y)
         record.curves = _curves(pair, gamma, x, y, _base_drives(pair))
     base_drives, (_, r), (o_point, o_value), (i_point, i_value) = record.curves
+    record._terms = (base_drives, pair.base.conj.phi1d, pair.scaling, gamma, r, y)
     points = record.points
-    b_slope, s_slope = pair.base.conj.phi1d.slope, pair.scaling.env_slope
-
-    # T' = 1 + inner' * outer', the curves' slopes in v being the profile's and
-    # the scaling's scaled by 1/gamma (B) and gamma (S); 1 where outer is flat
-    def slope(eta: float) -> float:
-        o_pt, i_pt, weight, _ = points[eta]
-        if base_drives:
-            ds = b_slope(eta / gamma, r, o_pt)
-            return 1.0 + s_slope(gamma * weight, y, i_pt) * ds if ds else 1.0
-        ds = s_slope(gamma * eta, y, o_pt)
-        return 1.0 + b_slope(weight / gamma, r, i_pt) * ds if ds else 1.0
 
     def T(eta: float) -> float:
         o_pt = o_point(eta)
@@ -273,7 +305,6 @@ def make_residual_case_i(pair: PerspectivePair, gamma: float, x, y,
         points[eta] = (o_pt, i_pt, weight, t)
         return t
 
-    record.slope = slope
     return T
 
 
@@ -286,12 +317,12 @@ def solve_eta_case_i(
     by the sign class as in ``classify_case_i``: the unique ``eta >= 0``
     with ``T(eta) = 0``, and the number of ``T`` evaluations it took.
 
-    ``roots.solve_bracketed`` searches ``[0, -T(0)]`` by Newton steps from
-    the slopes ``make_residual_case_*`` gives ``record``, safeguarded by
-    bisection, and stops as ``RootConfig`` states.  ``T(0)``, not counted,
-    comes from ``record.points[0.0]`` when that entry is there.  ``trace(it,
-    lo, hi, eta, T(eta))`` gets every other evaluated ``eta`` and the
-    bracket it was chosen in.  The ``record`` entry at the returned ``eta``
+    ``roots.solve_bracketed`` searches ``[0, -T(0)]`` by Halley or Newton
+    steps from the derivatives ``record`` reads, safeguarded by bisection,
+    and stops as ``RootConfig`` states.  ``T(0)``, not counted, comes from
+    ``record.points[0.0]`` when that entry is there.  ``trace(it, lo, hi,
+    eta, T(eta))`` gets every other evaluated ``eta`` and the bracket it
+    was chosen in.  The ``record`` entry at the returned ``eta``
     holds the points the prox is assembled from.
     """
     make = make_residual_case_i if _base_drives(pair) else make_residual_case_iii
@@ -302,7 +333,7 @@ def solve_eta_case_i(
     if t0 >= 0.0:
         return 0.0, 0
     res = solve_bracketed(T, record.slope, t0, xtol=cfg.eta_tol, ftol=cfg.residual_tol,
-                          max_iter=cfg.max_iter, trace=trace)
+                          max_iter=cfg.max_iter, curvature=record.curvature, trace=trace)
     return res.root, res.iterations
 
 

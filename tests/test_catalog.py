@@ -503,6 +503,19 @@ def _central_difference(curve, w):
     return (curve(w + h)[1] - curve(w - h)[1]) / (2.0 * h), h
 
 
+def _second_difference(curve, w):
+    h = 1e-3 * w
+    return (curve(w + h)[1] - 2.0 * curve(w)[1] + curve(w - h)[1]) / (h * h), h
+
+
+def _assert_curvature(curvature, curve, w):
+    # truncation of order h**2, and the rounding of three curve values
+    # (each solved to about 1e-13 relative) over h**2
+    fd2, h = _second_difference(curve, w)
+    scale = max(abs(curve(w + s * h)[1]) for s in (-1.0, 0.0, 1.0))
+    assert abs(curvature - fd2) <= 1e-4 * (1.0 + abs(fd2)) + 4e-13 * scale / (h * h), (curvature, fd2)
+
+
 SIGNED_BASES = st.sampled_from([PowerBase(1.5), PowerBase(2.0), PowerBase(3.0), PowerBase(20.0),
                                  HuberBase(0.5), HuberBase(1.0), HuberBase(3.0)])
 
@@ -515,7 +528,8 @@ SIGNED_BASES = st.sampled_from([PowerBase(1.5), PowerBase(2.0), PowerBase(3.0), 
 )
 def test_conj_slope_matches_central_difference(base, log_w, x):
     # the value curve of the base's conjugate profile at r = ||x||, the
-    # curve the solver's base side runs on
+    # curve the solver's base side runs on; its curvature against the
+    # second central difference
     w = 10.0 ** log_w
     r = math.hypot(*x)
     curve = _profile_curve(base.conj.phi1d, r)
@@ -526,6 +540,10 @@ def test_conj_slope_matches_central_difference(base, log_w, x):
     slope = base.conj.phi1d.slope(w, r, curve(w)[0])
     assert slope <= 0.0
     assert abs(slope - fd) <= 1e-5 * (1.0 + abs(fd)) + 1e-9 * abs(curve(w)[1]) / h
+    # the second difference spans 100 times the width: no kink inside it either
+    if isinstance(base, HuberBase) and abs(r / (1.0 + w) - base.alpha) <= 3e-3 * base.alpha:
+        return
+    _assert_curvature(base.conj.phi1d.curvature(w, r, curve(w)[0]), curve, w)
 
 
 @settings(max_examples=300, deadline=None)
@@ -550,6 +568,14 @@ def test_env_slope_matches_central_difference(scaling, log_w, y):
     slope = scaling.env_slope(w, y, z)
     assert slope <= 0.0
     assert abs(slope - fd) <= 1e-5 * (1.0 + abs(fd)) + 1e-9 * abs(curve(w)[1]) / h
+    # the second difference spans 100 times the width: no clamp inside it either
+    h2 = _second_difference(curve, w)[1]
+    lo, hi = curve(w - h2)[0], curve(w + h2)[0]
+    if any((lo == end) != (hi == end) for end in (0.0, getattr(scaling, "upper", INF))):
+        return
+    if isinstance(scaling, IdentityScaling) and min(abs(y + w), abs(y + w - scaling.upper)) <= 2.0 * h2:
+        return
+    _assert_curvature(scaling.env_curvature(w, y, z), curve, w)
 
 
 @settings(max_examples=300, deadline=None)
@@ -612,21 +638,30 @@ def test_slopes_vanish_on_clamps():
     assert root.prox_env(1.0, 10.0) == 4.0
     assert root.env_slope(1.0, 10.0, 4.0) == 0.0
     assert root.env_slope(0.0, 10.0, root.prox_env(0.0, 10.0)) == 0.0
+    assert root.env_curvature(1.0, 10.0, 4.0) == 0.0
+    assert root.env_curvature(0.0, 10.0, root.prox_env(0.0, 10.0)) == 0.0
     assert _central_difference(_scaling_curve(root, 10.0), 1.0)[0] == 0.0
+    assert _second_difference(_scaling_curve(root, 10.0), 1.0)[0] == 0.0
     # the Huber conjugate profile on its end: r / (1 + w) = 2.5 > alpha
     huber = HuberBase(1.0).conj.phi1d
     rho = huber.prox(1.0, 5.0)
     assert rho == pytest.approx(1.0)
     assert huber.slope(1.0, 5.0, rho) == 0.0
+    assert huber.curvature(1.0, 5.0, rho) == 0.0
     assert _central_difference(_profile_curve(huber, 5.0), 1.0)[0] == 0.0
+    assert _second_difference(_profile_curve(huber, 5.0), 1.0)[0] == 0.0
     # the power conjugate profile at rho = 0, where g'' is infinite for p* < 2
     for p in (1.5, 2.0, 3.0):
         power = PowerBase(p).conj.phi1d
         assert power.prox(1.0, 0.0) == 0.0
         assert power.slope(1.0, 0.0, 0.0) == 0.0
         assert power.slope(0.0, 0.0, 0.0) == 0.0
+        assert power.curvature(1.0, 0.0, 0.0) == 0.0
+        assert power.curvature(0.0, 0.0, 0.0) == 0.0
     # the identity scaling clamped at 0 and at its upper end
     ident = IdentityScaling(2.0)
     assert ident.env_slope(1.0, -3.0, ident.prox_env(1.0, -3.0)) == 0.0
     assert ident.env_slope(1.0, 3.0, ident.prox_env(1.0, 3.0)) == 0.0
     assert ident.env_slope(1.0, 0.5, ident.prox_env(1.0, 0.5)) == -1.0
+    for y in (-3.0, 3.0, 0.5):  # linear inside, flat on a clamp
+        assert ident.env_curvature(1.0, y, ident.prox_env(1.0, y)) == 0.0

@@ -150,6 +150,89 @@ def test_unevaluated_end_is_evaluated_once_the_width_is_met():
     assert (res.root, res.iterations) == (r, 2)
 
 
+def test_halley_steps_from_the_curvature():
+    # fn is concave, so every Newton step from below lands short of the root;
+    # Halley's step s / (1 - k), k = fn * fn'' / (2 fn'**2), takes 3
+    # evaluations where Newton takes 5, to the same root
+    fn = lambda t: t + 4.0 * (1.0 - math.exp(-t)) - 3.0
+    slope = lambda t: 1.0 + 4.0 * math.exp(-t)
+    curvature = lambda t: -4.0 * math.exp(-t)
+    rows = []
+    newton = _solve(fn, slope, xtol=1e-15, ftol=1e-15)
+    halley = _solve(fn, slope, xtol=1e-15, ftol=1e-15, curvature=curvature,
+                    trace=lambda *row: rows.append(row))
+    assert (newton.iterations, halley.iterations) == (5, 3)
+    assert halley.root == pytest.approx(newton.root, rel=4e-16)
+    f0, d0 = fn(0.0), slope(0.0)
+    k = 0.5 * f0 * curvature(0.0) / (d0 * d0)
+    assert rows[0][3] == pytest.approx((-f0 / d0) / (1.0 - k), rel=1e-15)
+
+
+def _huber_sqrt_search(gamma, x, y):
+    """The multiplier search of huber(1e4)/sqrt(1), whose T(0) is -5e7, with
+    the points it evaluates and the number of curvature calls."""
+    from persprox import HuberBase, PerspectivePair, SqrtScaling
+    from persprox.solver import SearchRecord, make_residual_case_iii
+
+    pair = PerspectivePair(HuberBase(1e4), SqrtScaling(1.0), n=2)
+    record = SearchRecord()
+    T = make_residual_case_iii(pair, gamma, x, y, record)
+    calls = []
+
+    def curvature(eta):
+        calls.append(eta)
+        return record.curvature(eta)
+
+    rows = []
+    t0 = T(0.0)
+    res = solve_bracketed(T, record.slope, t0, xtol=1e-12, ftol=1e-10, max_iter=200,
+                          curvature=curvature, trace=lambda *row: rows.append(row))
+    return t0, record, res, [row[3] for row in rows], calls
+
+
+def test_curvature_is_read_only_where_a_halley_step_is_considered():
+    # T' is 1 at 0, so the Newton step lands on -T(0), the far end and here
+    # the root: one evaluation, and no T''
+    t0, _, res, points, calls = _huber_sqrt_search(
+        82.460343725865, (-2.2471579863643957e-11, 1.0463393631637133e-11), 1.3480067897445157e-10)
+    assert t0 == -5e7
+    assert (res.iterations, points, calls) == (1, [5e7], [])
+
+
+def test_an_out_of_reach_halley_step_falls_back_to_newton():
+    # T' is a rounding unit above 1 at 0 and k about 0.04: Halley's step would
+    # pass -T(0), so the Newton step is taken, two ulps short of the root, and
+    # the far end next, as without the curvature; a bisection would halve
+    # the 5e7-wide bracket instead
+    t0, record, res, points, calls = _huber_sqrt_search(
+        1379477.7849622804, (-0.17968340073754324, 0.7541093507962938), -0.03661254703780653)
+    assert t0 == -5e7 and calls == [0.0]
+    assert points == [-t0 / record.slope(0.0), 5e7]
+    assert (res.root, res.iterations) == (5e7, 2)
+
+
+def test_width_met_stop_returns_the_evaluated_end_of_smaller_residual():
+    # power(2)/identity with T' about 6e6 near eta = 0.031, where one ulp of
+    # eta moves T by 2e-11: evaluation 15 has |T| = 1.7e-11 <= ftol, the
+    # tol-long step from it overshoots to T = 3e-6, and the width is met
+    # there. The search returns evaluation 15 rather than bisecting back
+    # towards it (15 more evaluations)
+    from persprox import IdentityScaling, PerspectivePair, PowerBase
+    from persprox.solver import SearchRecord, make_residual_case_i
+
+    pair = PerspectivePair(PowerBase(2.0), IdentityScaling(), n=2)
+    record = SearchRecord()
+    T = make_residual_case_i(pair, 9.184349510317373e-08, (41225.91147263342, -16862.3298789671),
+                             -94729.97351573117, record)
+    rows = []
+    res = solve_bracketed(T, record.slope, T(0.0), xtol=1e-12, ftol=1e-10, max_iter=200,
+                          trace=lambda *row: rows.append(row))
+    assert res.iterations == len(rows) == 16
+    (*_, x15, t15), (*_, x16, t16) = rows[-2:]
+    assert abs(t15) <= 1e-10 < abs(t16)
+    assert (res.root, res.residual) == (x15, t15)
+
+
 def _numpy_real_roots(b, c, d, e):
     roots = np.roots([1.0, b, c, d, e])
     # real means: imaginary part negligible against the root's modulus

@@ -487,9 +487,10 @@ def test_root_region_runs_on_radii(monkeypatch):
 
 
 def test_multiplier_search_on_root_band_inputs(monkeypatch):
-    # Newton steps from the exact slopes, the [0, -T(0)] bracket that is
-    # never evaluated at its upper end, and the |T| stop rule (Brent without
-    # them, plus a probe of T(hi), averaged 5.7 evaluations here, 7 at most)
+    # Halley steps from the exact slopes and curvatures, the [0, -T(0)]
+    # bracket that is never evaluated at its upper end, and the |T| stop rule
+    # (Newton steps alone averaged 3.5 evaluations here, 4 at most; Brent
+    # without slopes, plus a probe of T(hi), 5.7 and 7)
     import persprox.solver as solver
     from persprox.cli import main
     count = [0]
@@ -529,5 +530,5 @@ def test_multiplier_search_on_root_band_inputs(monkeypatch):
             assert main(["trace-root", "--spec", json.dumps(spec), "--point", point]) == 0
         assert len(out.getvalue().splitlines()) == 1 + res.root_iterations
     assert len(evals) > 150
-    assert sum(evals) / len(evals) <= 4.0
-    assert max(evals) <= 5
+    assert sum(evals) / len(evals) <= 3.0
+    assert max(evals) <= 4
