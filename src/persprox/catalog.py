@@ -88,26 +88,20 @@ class PowerScalar(Value):
     def proj_cl_dom(self, t: float) -> float:
         return float(t)
 
-    def slope(self, gamma: float, t: float, rho: float) -> float:
-        # -g'**2 / (1 + gamma * g'') at |rho|, g' = |rho|**(p - 1), g'' = (p - 1) * g' / |rho|
+    def derivatives(self, w: float, rho: float) -> tuple[float, float]:
+        # -g'**2 / D and g'**2 * (3 g'' - w g' g''' / D) / D**2 at |rho|, with
+        # D = 1 + w g'', g' = |rho|**(p - 1), g'' = (p - 1) * g' / |rho| and
+        # g''' = (p - 2) g'' / |rho|, so w g' g''' = (p - 2) g'' (D - 1) / (p - 1)
         rho = abs(rho)
         if rho == 0.0:
-            return 0.0
-        d1 = rho ** (self.p - 1.0)
-        return -d1 * d1 / (1.0 + gamma * (self.p - 1.0) * d1 / rho)
-
-    def curvature(self, gamma: float, t: float, rho: float) -> float:
-        # g'**2 * (3 g'' - gamma g' g''' / D) / D**2 with D = 1 + gamma g'' and
-        # g''' = (p - 2) g'' / |rho|, so gamma g' g''' = (p - 2) g'' (D - 1) / (p - 1)
-        rho = abs(rho)
-        if rho == 0.0:
-            return 0.0
+            return 0.0, 0.0
         p = self.p
         d1 = rho ** (p - 1.0)
         d2 = (p - 1.0) * d1 / rho
-        wd2 = gamma * d2
+        wd2 = w * d2
         c = d1 / (1.0 + wd2)
-        return c * c * d2 * (3.0 - (p - 2.0) * wd2 / ((p - 1.0) * (1.0 + wd2)))
+        return (-d1 * d1 / (1.0 + w * (p - 1.0) * d1 / rho),
+                c * c * d2 * (3.0 - (p - 2.0) * wd2 / ((p - 1.0) * (1.0 + wd2))))
 
 
 class HuberConjScalar(Value):
@@ -128,14 +122,14 @@ class HuberConjScalar(Value):
     def proj_cl_dom(self, t: float) -> float:
         return min(t, self.alpha) if t >= 0.0 else max(t, -self.alpha)
 
-    def slope(self, gamma: float, t: float, rho: float) -> float:
-        # -h'**2 / (1 + gamma * h'') = -rho**2 / (1 + gamma), 0 on the clamp at alpha
-        return 0.0 if abs(rho) >= self.alpha else -rho * rho / (1.0 + gamma)
-
-    def curvature(self, gamma: float, t: float, rho: float) -> float:
-        # h'**2 * (3 h'' - gamma h' h''' / D) / D**2 = 3 rho**2 / (1 + gamma)**2
-        c = rho / (1.0 + gamma)
-        return 0.0 if abs(rho) >= self.alpha else 3.0 * c * c
+    def derivatives(self, w: float, rho: float) -> tuple[float, float]:
+        # -h'**2 / D = -rho**2 / (1 + w) and h'**2 * (3 h'' - w h' h''' / D) / D**2
+        # = 3 rho**2 / (1 + w)**2, with D = 1 + w h''; 0 on the clamp at alpha
+        if abs(rho) >= self.alpha:
+            return 0.0, 0.0
+        d = 1.0 + w
+        c = rho / d
+        return -rho * rho / d, 3.0 * c * c
 
 
 class AbsConjScalar(Value):
@@ -314,40 +308,29 @@ class RootScaling(Value):
         if weight == 0.0:
             # max keeps its first argument on a tie, so -0.0 projects to 0.0
             return min(max(0.0, float(y)), self.upper)
-        z = root_scaling_prox_neg(weight, 1.0, self.q, y)
+        z = root_scaling_prox_neg(weight, self.q, y)
         return min(z, self.upper)
 
-    def env_slope(self, weight: float, y: float, z: float) -> float:
-        # h(z) = -z**q: -h'(z)**2 / (1 + weight * h''(z)) with u = q * z**q =
-        # -z * h'(z), so no power of z overflows: -u**2 / (z**2 + weight * (1 - q) * u);
-        # 0 where z is clamped to the upper end or underflowed, NaN at weight 0 and z = 0
+    def env_derivatives(self, weight: float, z: float) -> tuple[float, float]:
+        # h(z) = -z**q, with u = q * z**q = -z * h'(z), so no power of z
+        # overflows: -h'**2 / D = -u**2 / (z**2 + weight * (1 - q) * u) and
+        # h'**2 * (3 h'' - weight h' h''' / D) / D**2, h'' = (1 - q) u / z**2
+        # and h''' = -(2 - q) h'' / z; 0 where z is clamped to the upper end
+        # or underflowed, NaN at weight 0 and z = 0
         if z >= self.upper:
-            return 0.0
+            return 0.0, 0.0
         if z == 0.0:
-            return 0.0 if weight > 0.0 else math.nan
+            return (0.0, 0.0) if weight > 0.0 else (math.nan, math.nan)
         q = self.q
         u = q * z ** q
         if z > 1.0:  # h'(z) = -u / z <= q
             c = u / z
-            return -c * c / (1.0 + weight * (1.0 - q) * c / z)
-        return -u * u / (z * z + weight * (1.0 - q) * u)
-
-    def env_curvature(self, weight: float, y: float, z: float) -> float:
-        # h'**2 * (3 h'' - weight h' h''' / D) / D**2, h'' = (1 - q) u / z**2 and
-        # h''' = -(2 - q) h'' / z, in the forms of env_slope; 0 and NaN as there
-        if z >= self.upper:
-            return 0.0
-        if z == 0.0:
-            return 0.0 if weight > 0.0 else math.nan
-        q = self.q
-        u = q * z ** q
-        if z > 1.0:
-            c = u / z
             d2 = (1.0 - q) * c / z
             dd = 1.0 + weight * d2
-            return c * c * d2 * (3.0 - (2.0 - q) * weight * c / (z * dd)) / (dd * dd)
+            return (-c * c / (1.0 + weight * (1.0 - q) * c / z),
+                    c * c * d2 * (3.0 - (2.0 - q) * weight * c / (z * dd)) / (dd * dd))
         zd = z * z + weight * (1.0 - q) * u  # z**2 * D
-        return (1.0 - q) * u * u * u * (3.0 - (2.0 - q) * weight * u / zd) / zd / zd
+        return -u * u / zd, (1.0 - q) * u * u * u * (3.0 - (2.0 - q) * weight * u / zd) / zd / zd
 
     def support_cl_conv_S(self, t: float) -> float:
         if t <= 0.0:
@@ -390,21 +373,17 @@ class SqrtScaling(Value):
             return float(y)
         return sqrt_scaling_prox(self.beta, weight, y)
 
-    def env_slope(self, weight: float, y: float, z: float) -> float:
+    def env_derivatives(self, weight: float, z: float) -> tuple[float, float]:
         # h = sqrt(beta + z**2), s = h(z): h' = z / s, h'' = beta / s**3 = k**2 / s
-        # with k = sqrt(beta) / s; hypot keeps s finite for huge z
+        # with k = sqrt(beta) / s, and h''' = -3 t h'' / s, so 3 h'' - weight h'
+        # h''' / D = 3 h'' (1 + weight t**2 / (s D)); hypot keeps s finite for huge z
         sb = math.sqrt(self.beta)
         s = math.hypot(sb, z)
         t, k = z / s, sb / s
-        return -t * t / (1.0 + weight * k * k / s)
-
-    def env_curvature(self, weight: float, y: float, z: float) -> float:
-        # h''' = -3 t h'' / s, so 3 h'' - weight h' h''' / D = 3 h'' (1 + weight t**2 / (s D))
-        sb = math.sqrt(self.beta)
-        s = math.hypot(sb, z)
-        t, k = z / s, sb / s
-        sd = s + weight * k * k  # s * D
-        return 3.0 * t * t * k * k * (1.0 + weight * t * t / sd) * s / (sd * sd)
+        wkk = weight * k * k
+        sd = s + wkk  # s * D
+        return (-t * t / (1.0 + wkk / s),
+                3.0 * t * t * k * k * (1.0 + weight * t * t / sd) * s / (sd * sd))
 
     def support_cl_conv_S(self, t: float) -> float:
         return 0.0 if t == 0.0 else INF
@@ -445,12 +424,10 @@ class IdentityScaling(Value):
             raise ValueError(f"weight must be nonnegative, got {weight}")
         return min(max(y + weight, 0.0), self.upper)
 
-    def env_slope(self, weight: float, y: float, z: float) -> float:
-        # -1 where y + weight lies inside [0, upper], 0 where it is clamped
-        return -1.0 if 0.0 < z < self.upper else 0.0
-
-    def env_curvature(self, weight: float, y: float, z: float) -> float:
-        return 0.0  # the curve is linear in weight, or clamped
+    def env_derivatives(self, weight: float, z: float) -> tuple[float, float]:
+        # -1 where y + weight lies inside [0, upper], 0 where it is clamped;
+        # the curve is linear in weight, or clamped, so V'' = 0
+        return (-1.0 if 0.0 < z < self.upper else 0.0), 0.0
 
     def support_cl_conv_S(self, t: float) -> float:
         if t <= 0.0:
@@ -467,13 +444,13 @@ class IdentityScaling(Value):
 # scalar equation solvers
 
 
-def root_scaling_prox_neg(mu: float, gamma: float, q: float, y: float) -> float:
-    """The unique ``z > 0`` with ``y = z - q*gamma*mu*z**(q-1)``.
+def root_scaling_prox_neg(mu: float, q: float, y: float) -> float:
+    """The unique ``z > 0`` with ``y = z - q*mu*z**(q-1)``.
 
-    This is the prox of ``gamma*mu*(-psi)`` at ``y`` for ``psi`` the q-th
+    This is the prox of ``mu*(-psi)`` at ``y`` for ``psi`` the q-th
     root on the nonnegative half line.  Newton on the increasing
     ``F(t) = exp(t) - w(t) - y`` in ``t = log z``, with
-    ``w(t) = exp(log(q*gamma*mu) + (q-1)*t)``, starts from the
+    ``w(t) = exp(log(q*mu) + (q-1)*t)``, starts from the
     dominant-balance end of a bracket of width ``log 2`` (``y >= 0``) or
     ``log 2 / (1-q)`` (``y < 0``), bisects when a step leaves the bracket,
     and stops once a step is within four rounding units of ``t`` and of
@@ -483,10 +460,10 @@ def root_scaling_prox_neg(mu: float, gamma: float, q: float, y: float) -> float:
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"root exponent must lie in (0, 1), got {q}")
-    if mu <= 0.0 or gamma <= 0.0:
-        raise ValueError(f"weights must be positive, got mu={mu}, gamma={gamma}")
+    if mu <= 0.0:
+        raise ValueError(f"weight must be positive, got {mu}")
     a = 1.0 - q
-    log_c = math.log(q) + math.log(gamma) + math.log(mu)
+    log_c = math.log(q) + math.log(mu)
     t_bal = log_c / (1.0 + a)  # the root at y == 0, where exp(t) == w(t)
     if y >= 0.0:
         # F < 0 at log y and at t_bal; above both, exp(t) >= y, w, so z = y + w <= 2 e^t_lo

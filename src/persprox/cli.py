@@ -109,7 +109,10 @@ def build_problem(data: dict) -> tuple[PerspectivePair, float]:
 
 def parse_point(data: dict) -> tuple[tuple[float, ...], float]:
     try:
-        x = tuple(float(v) for v in data["x"])
+        x = data["x"]
+        if not isinstance(x, list):  # a JSON string would be read by character
+            raise TypeError(f"'x' must be an array, got {x!r}")
+        x = tuple(float(v) for v in x)
         y = data["y"]
         if isinstance(y, list):
             if len(y) != 1:
@@ -281,17 +284,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, point=True):
+    def common(p, point=True, tol=True):
         p.add_argument("--spec", help="problem spec: inline JSON or a file path")
         if point:
             p.add_argument("--point", help="evaluation point: inline JSON or a file path")
         p.add_argument("--out", help="write output to this file instead of stdout")
-        p.add_argument(
-            "--tol", action="append", metavar="KEY=VALUE",
-            help="override a multiplier-search tolerance (repeatable)",
-        )
+        if tol:  # eval runs no multiplier search
+            p.add_argument(
+                "--tol", action="append", metavar="KEY=VALUE",
+                help="override a multiplier-search tolerance (repeatable)",
+            )
 
-    common(sub.add_parser("eval", help="evaluate the perspective and its conjugate"))
+    common(sub.add_parser("eval", help="evaluate the perspective and its conjugate"), tol=False)
     common(sub.add_parser("prox", help="compute the perspective prox"))
     common(sub.add_parser("trace-root", help="CSV trace of the multiplier root-find"))
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import operator
 from enum import Enum
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Protocol, Sequence
 
 INF = math.inf
 
@@ -182,7 +182,6 @@ class CaseKind(Enum):
     S_LOWER = "s-lower"          # s is proper lsc convex
 
 
-@runtime_checkable
 class ProxCapable(Protocol):
     """A convex function together with its scaled prox family: the contract
     of the scalar profile that ``radial.RadialFunction`` lifts.
@@ -199,27 +198,26 @@ class ProxCapable(Protocol):
     def proj_cl_dom(self, x): ...
 
 
-@runtime_checkable
 class BaseFunction(Protocol):
     """Contract for a base function phi supplied to a perspective pair.
 
-    It evaluates phi and phi*, gives the prox of ``gamma * phi*``, the
-    projection onto ``cl dom phi*``, the recession function and the sign
-    class of phi*.  A zero-or-infinity base also provides ``prox_primal(gamma,
-    x)``, the prox of ``gamma * phi``, which the decoupled case calls.
+    It evaluates phi and phi*, gives the projection onto ``cl dom phi*``,
+    the recession function and the sign class of phi*.  A zero-or-infinity
+    base also provides ``prox_primal(gamma, x)``, the prox of ``gamma *
+    phi``, which the decoupled case calls.
 
     Every base, zero-or-infinity included, carries ``conj``, the
     ``radial.RadialFunction`` of an even scalar conjugate profile ``h``
     (``conj.phi1d``): ``conj_eval`` is its lift, and the certificate reads
-    ``phi*`` as ``h`` at one norm.  A signed base's ``prox_conj`` and
-    ``proj_dom_conj`` lift ``h`` too, and the solver runs on ``h`` at ``r =
-    ||x/gamma||``, where ``h`` also has ``slope(gamma, t, rho)``, the
-    derivative in ``gamma`` of ``h(prox_{gamma h}(t))`` at ``rho``, the
-    point ``prox`` returned: ``-h'(rho)**2 / D`` with ``D = 1 + gamma *
-    h''(rho)``, 0 on a clamp (an end of ``cl dom h``), NaN where not
-    defined.  ``curvature(gamma, t, rho)`` is the second derivative there,
-    ``h'**2 * (3 h'' - gamma h' h''' / D) / D**2``, 0 on a clamp.  The
-    search takes Newton steps from the slope and Halley steps from both.
+    ``phi*`` as ``h`` at one norm.  A signed base's ``proj_dom_conj`` lifts
+    ``h`` too, and the solver runs on ``h`` at ``r = ||x/gamma||``, where
+    ``h`` also has ``derivatives(w, rho)``: the first and second
+    derivatives in ``w`` of the value curve ``h(prox_{w h}(r))`` at
+    ``rho``, the point ``prox`` returned.  They are ``-h'(rho)**2 / D``
+    and ``h'**2 * (3 h'' - w h' h''' / D) / D**2`` with ``D = 1 + w *
+    h''(rho)``, both 0 on a clamp (an end of ``cl dom h``), NaN where not
+    defined.  The search takes Newton steps from the first and Halley
+    steps from both.
     """
 
     sign_class: SignClass
@@ -228,14 +226,11 @@ class BaseFunction(Protocol):
 
     def conj_eval(self, xstar: Vec) -> float: ...
 
-    def prox_conj(self, gamma: float, xstar: Vec) -> Vec: ...
-
     def proj_dom_conj(self, xstar: Vec) -> Vec: ...
 
     def rec_eval(self, x: Vec) -> float: ...
 
 
-@runtime_checkable
 class ScalingFunction(Protocol):
     """Contract for a scaling function s on a one-dimensional scale space.
 
@@ -254,13 +249,11 @@ class ScalingFunction(Protocol):
     ``proj_dom_env_conj`` the projection onto the closed domain of
     ``env_conj_eval``, which the certificate calls.
 
-    ``env_slope(weight, y, z)`` is the derivative in ``weight`` of the
-    value curve ``env_eval(prox_env(weight, y))`` at ``z``, the point
-    ``prox_env`` returned for those arguments: ``-h'(z)**2 / (1 + weight *
-    h''(z))`` for the envelope ``h``, 0 where ``z`` is clamped to an end of
-    ``cl S``, NaN where it is not defined.  ``env_curvature(weight, y, z)``
-    is the second derivative there, with 0 and NaN alike.  See
-    ``BaseFunction``.
+    ``env_derivatives(weight, z)`` is the first and second derivative in
+    ``weight`` of the value curve ``env_eval(prox_env(weight, y))`` at
+    ``z``, the point ``prox_env`` returned: for the envelope ``h``, the
+    forms ``BaseFunction`` gives for its profile, with ``w = weight``; both
+    0 where ``z`` is clamped to an end of ``cl S``, NaN where not defined.
     """
 
     case_kind: CaseKind
@@ -277,7 +270,5 @@ class ScalingFunction(Protocol):
 
     def proj_dom_env_conj(self, ystar: float) -> float: ...
 
-    def env_slope(self, weight: float, y: float, z: float) -> float: ...
-
-    def env_curvature(self, weight: float, y: float, z: float) -> float: ...
+    def env_derivatives(self, weight: float, z: float) -> tuple[float, float]: ...
 

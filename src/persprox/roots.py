@@ -1,7 +1,8 @@
 """Scalar root finding, and a closed-form quartic solver nothing calls.
 
 ``solve_bracketed`` is a Halley-Newton-bisection search for the root of a
-function of slope at least 1, the multiplier residual ``T`` of ``solver``.
+function of slope at least 1, the multiplier residual ``T`` of ``solver``,
+which reads the first and second derivative from one call.
 ``real_quartic_roots`` (Ferrari, in ``quartic``) is a reference utility:
 no code path of the package calls it.
 """
@@ -44,34 +45,34 @@ class RootResult(Record):
 
 def solve_bracketed(
     fn: Callable[[float], float],
-    slope: Callable[[float], float],
+    derivatives: Callable[[float], tuple[float, float]],
     f0: float,
     *,
     xtol: float,
     ftol: float,
     max_iter: int,
-    curvature: Callable[[float], float] | None = None,
     trace: Callable[[int, float, float, float, float], None] | None = None,
 ) -> RootResult:
     """Root of ``fn`` from ``f0 = fn(0) <= 0``, where ``fn(u) - fn(v) >= u - v``
-    for ``u > v``, ``slope(x)`` is ``fn'(x)`` at an evaluated ``x`` and
-    ``curvature(x)``, when given, is ``fn''(x)`` there.
+    for ``u > v``, and ``derivatives(x)`` is ``(fn'(x), fn''(x))`` at an
+    evaluated ``x``; a NaN ``fn''`` (from a caller that has none) keeps
+    every step Newton's.
 
     The root lies in ``[0, -f0]``, whose upper end is not evaluated, and
     within ``|fn(x)|`` of each evaluated ``x``, the bound to which the
     bracket shrinks (widened by two rounding units).  Each step, from
-    ``b``, the end evaluated last, is a Newton step ``s = -fn(b)/slope(b)``
-    where ``slope(b)`` is positive and finite and the step moves towards
+    ``b``, the end evaluated last, is a Newton step ``s = -fn(b)/fn'(b)``
+    where ``fn'(b)`` is positive and finite and the step moves towards
     the far end without passing it (nor 3/4 of the way to an evaluated
     end), and a bisection otherwise: in log space while the ends differ by
     more than a factor 16, ``xtol`` (or the smallest normal double)
     standing in for a lower end of 0, and there no step lands below the
     geometric midpoint.  A Newton step longer than the width tolerance
     that stops short of the far end becomes Halley's, ``s / (1 - k)`` with
-    ``k = fn(b) * curvature(b) / (2 * slope(b)**2)``, where ``|k| <= 1/2``
-    and that step obeys the same limits; otherwise the Newton step stays.
-    ``curvature`` is called only there.  A step shorter than the width
-    tolerance becomes that tolerance.
+    ``k = fn(b) * fn''(b) / (2 * fn'(b)**2)``, where ``|k| <= 1/2`` and
+    that step obeys the same limits; otherwise the Newton step stays.
+    ``derivatives`` is not called once the width is met.  A step shorter
+    than the width tolerance becomes that tolerance.
 
     It stops at ``b`` once ``fn(b) == 0``, or once ``|fn(b)| <= min(ftol,
     xtol/2)`` (the root is then within ``xtol/2`` of ``b``).  Once the
@@ -133,7 +134,7 @@ def solve_bracketed(
             x = far
         else:
             # the Newton step, or NaN where it is not taken
-            db = NAN if width_met else slope(b)
+            db, d2b = (NAN, NAN) if width_met else derivatives(b)
             step = -fb / db if 0.0 < db < INF else NAN
             reach = 2.0 * axm if ffar != ffar else 1.5 * axm - 0.5 * tol
             if not ((step > 0.0) == (xm > 0.0) and abs(step) <= reach):
@@ -151,10 +152,10 @@ def solve_bracketed(
             else:
                 if step != step:
                     step = xm
-                elif curvature is not None and tol < abs(step) < 2.0 * axm:
+                elif tol < abs(step) < 2.0 * axm:
                     # Halley's step, where the curvature shifts Newton's by at
                     # most a factor 2 and keeps it in reach and above gm
-                    k = -0.5 * step * curvature(b) / db  # T T'' / (2 T'**2)
+                    k = -0.5 * step * d2b / db  # T T'' / (2 T'**2)
                     if -0.5 <= k <= 0.5:
                         halley = step / (1.0 - k)
                         if abs(halley) <= reach and (not wide or halley >= least):

@@ -21,13 +21,14 @@ weight-0 value, region 3 when the outer curve vanishes at minus the inner
 curve's weight-0 value (that value is ``eta``).  Region 4 finds the root
 of ``T`` by a monotone one-dimensional search.  Both curves are
 nonincreasing, so ``T' >= 1``: the root lies in ``[0, -T(0)]`` and within
-``|T(eta)|`` of every evaluated ``eta``.  The profile's ``slope`` and the
-scaling's ``env_slope`` make ``T' = 1 + inner' * outer'`` exact, and their
-``curvature`` and ``env_curvature`` make ``T''`` exact, so the search takes
-Halley steps where the curvature shifts the Newton step by at most a
-factor 2 and the step stays in the bracket, Newton steps otherwise, with
-bisection as their safeguard.  The pass hands the search its curves, and
-``T(0)`` with its curve points where it computed them.  Every curve point
+``|T(eta)|`` of every evaluated ``eta``.  The profile's ``derivatives``
+and the scaling's ``env_derivatives`` give each curve's slope and
+curvature in one call, which make ``T' = 1 + inner' * outer'`` and
+``T''`` exact, so the search takes Halley steps where the curvature
+shifts the Newton step by at most a factor 2 and the step stays in the
+bracket, Newton steps otherwise, with bisection as their safeguard.  The
+pass hands the search its curves, and ``T(0)`` with its curve points
+where it computed them.  Every curve point
 is a float; the base point is built once, at assembly, as ``x/gamma``
 scaled by ``rho / r`` for the profile radius ``rho``.
 
@@ -224,54 +225,39 @@ class SearchRecord:
     is the profile radius ``prox_{(eta/gamma) h}(r)`` in case (i) and the
     scale point in case (iii), the inner point the other one, at the outer
     value as its weight.  The search takes ``T(0)`` from the entry at 0
-    when one is there.  ``slope(eta)`` is ``T'(eta)`` and ``curvature(eta)``
-    is ``T''(eta)`` at such an ``eta`` (NaN where a curve derivative is not
-    defined), once ``make_residual_case_i`` has built ``T`` on the record;
-    it builds ``curves``, the ``_curves`` of the checked input, when the
-    record has none.
+    when one is there.  ``derivatives(eta)`` is ``(T'(eta), T''(eta))`` at
+    such an ``eta`` (NaN where a curve derivative is not defined), once
+    ``make_residual_case_i`` has built ``T`` on the record; it builds
+    ``curves``, the ``_curves`` of the checked input, when the record has
+    none.
     """
 
-    __slots__ = ("points", "curves", "_terms", "_slopes")
+    __slots__ = ("points", "curves", "_terms")
 
     def __init__(self, points: dict | None = None, curves: tuple | None = None):
         self.points = {} if points is None else points
         self.curves = curves
-        # (base_drives, profile, scaling, gamma, r, y), set with T
-        self._terms = None
-        # the eta of the last slope call and its outer and inner curve
-        # slopes in w, which the curvature at that eta reuses
-        self._slopes = (None, 0.0, 0.0)
+        self._terms = None  # (base_drives, profile, scaling, gamma), set with T
 
-    def slope(self, eta: float) -> float:
-        # T' = 1 + inner' * outer', the curves' slopes in v being the profile's
-        # and the scaling's scaled by 1/gamma (B) and gamma (S); 1 where outer is flat
-        base_drives, h, scaling, gamma, r, y = self._terms
+    def derivatives(self, eta: float) -> tuple[float, float]:
+        # T' = 1 + inner' * outer' and T'' = inner'' * outer'**2 + inner' * outer'',
+        # the curves' derivatives in v being the profile's and the scaling's in w
+        # scaled by 1/gamma (B) and gamma (S): S_w'' B_w'**2 + S_w' B_w'' / gamma
+        # in case (i), B_w'' S_w'**2 + gamma B_w' S_w'' in case (iii); (1, 0)
+        # where outer is flat
+        base_drives, h, scaling, gamma = self._terms
         o_pt, i_pt, weight, _ = self.points[eta]
         if base_drives:
-            d_out = h.slope(eta / gamma, r, o_pt)
-            d_in = scaling.env_slope(gamma * weight, y, i_pt) if d_out else 0.0
-        else:
-            d_out = scaling.env_slope(gamma * eta, y, o_pt)
-            d_in = h.slope(weight / gamma, r, i_pt) if d_out else 0.0
-        self._slopes = (eta, d_out, d_in)
-        return 1.0 + d_in * d_out if d_out else 1.0
-
-    def curvature(self, eta: float) -> float:
-        # T'' = inner'' * outer'**2 + inner' * outer'', with the same scalings:
-        # S_w'' B_w'**2 + S_w' B_w'' / gamma in case (i), B_w'' S_w'**2 + gamma
-        # B_w' S_w'' in case (iii); 0 where outer is flat
-        if self._slopes[0] != eta:
-            self.slope(eta)
-        _, d_out, d_in = self._slopes
+            d_out, c_out = h.derivatives(eta / gamma, o_pt)
+            if not d_out:
+                return 1.0, 0.0
+            d_in, c_in = scaling.env_derivatives(gamma * weight, i_pt)
+            return 1.0 + d_in * d_out, c_in * d_out * d_out + d_in * c_out / gamma
+        d_out, c_out = scaling.env_derivatives(gamma * eta, o_pt)
         if not d_out:
-            return 0.0
-        base_drives, h, scaling, gamma, r, y = self._terms
-        o_pt, i_pt, weight, _ = self.points[eta]
-        if base_drives:
-            return (scaling.env_curvature(gamma * weight, y, i_pt) * d_out * d_out
-                    + d_in * h.curvature(eta / gamma, r, o_pt) / gamma)
-        return (h.curvature(weight / gamma, r, i_pt) * d_out * d_out
-                + gamma * d_in * scaling.env_curvature(gamma * eta, y, o_pt))
+            return 1.0, 0.0
+        d_in, c_in = h.derivatives(weight / gamma, i_pt)
+        return 1.0 + d_in * d_out, c_in * d_out * d_out + gamma * d_in * c_out
 
 
 def make_residual_case_i(pair: PerspectivePair, gamma: float, x, y,
@@ -281,8 +267,8 @@ def make_residual_case_i(pair: PerspectivePair, gamma: float, x, y,
     eta`` in case (iii), by the sign class as in ``classify_case_i``.
 
     Each evaluation stores its curve points in ``record.points`` (a fresh
-    ``SearchRecord`` when none is given), where ``record.slope`` and
-    ``record.curvature`` read ``T'`` and ``T''``.  ``T`` runs on
+    ``SearchRecord`` when none is given), where ``record.derivatives``
+    reads ``T'`` and ``T''``.  ``T`` runs on
     ``record.curves`` when they are set, without checking ``(x, y)`` again:
     they must be this input's.
     """
@@ -291,8 +277,8 @@ def make_residual_case_i(pair: PerspectivePair, gamma: float, x, y,
     if record.curves is None:
         x, y = pair.check_point(x, y)
         record.curves = _curves(pair, gamma, x, y, _base_drives(pair))
-    base_drives, (_, r), (o_point, o_value), (i_point, i_value) = record.curves
-    record._terms = (base_drives, pair.base.conj.phi1d, pair.scaling, gamma, r, y)
+    base_drives, _, (o_point, o_value), (i_point, i_value) = record.curves
+    record._terms = (base_drives, pair.base.conj.phi1d, pair.scaling, gamma)
     points = record.points
 
     def T(eta: float) -> float:
@@ -332,8 +318,8 @@ def solve_eta_case_i(
     t0 = T(0.0) if entry is None else entry[3]
     if t0 >= 0.0:
         return 0.0, 0
-    res = solve_bracketed(T, record.slope, t0, xtol=cfg.eta_tol, ftol=cfg.residual_tol,
-                          max_iter=cfg.max_iter, curvature=record.curvature, trace=trace)
+    res = solve_bracketed(T, record.derivatives, t0, xtol=cfg.eta_tol, ftol=cfg.residual_tol,
+                          max_iter=cfg.max_iter, trace=trace)
     return res.root, res.iterations
 
 

@@ -63,30 +63,30 @@ def test_power_prox_conj_residual(p, gamma, xi, xnorm):
 # --- q-th root scaling prox ------------------------------------------------
 
 def test_root_scaling_prox_forward_values():
-    z = root_scaling_prox_neg(2.0, 1.0, 0.5, 3.5)
+    z = root_scaling_prox_neg(2.0, 0.5, 3.5)
     assert z == pytest.approx(4.0, abs=1e-10)
-    z0 = root_scaling_prox_neg(2.0, 1.0, 0.5, 0.0)
+    z0 = root_scaling_prox_neg(2.0, 0.5, 0.0)
     assert z0 == pytest.approx(1.0, abs=1e-10)
 
 
 def test_root_scaling_prox_asymptotics():
-    # dominant balance: z ~ y + q*gamma*mu*y^(q-1) for large y
+    # dominant balance: z ~ y + q*mu*y^(q-1) for large y
     q, w, y = 0.5, 2.0, 1e6
-    z = root_scaling_prox_neg(w, 1.0, q, y)
+    z = root_scaling_prox_neg(w, q, y)
     assert z == pytest.approx(y + q * w * y ** (q - 1.0), rel=1e-6)
 
 
 def test_root_scaling_prox_tiny_weight():
     # (c / (1 + |y| + c))**(1/(1-q)), a bracket end in z, underflows to 0 here
     q, mu = 0.95, 1e-20
-    assert root_scaling_prox_neg(mu, 1.0, q, 1e-3) == pytest.approx(1e-3, rel=1e-15)
+    assert root_scaling_prox_neg(mu, q, 1e-3) == pytest.approx(1e-3, rel=1e-15)
     # the root, about 3.6e-401, lies below the smallest double
-    assert root_scaling_prox_neg(mu, 1.0, q, -1.0) == 0.0
+    assert root_scaling_prox_neg(mu, q, -1.0) == 0.0
 
 
 def test_root_scaling_prox_one_sided_convergence():
     # Newton meets this root from one side, so one bracket end never moves
-    z = root_scaling_prox_neg(8.68e-4, 1.0, 0.95, -3.54e-3)
+    z = root_scaling_prox_neg(8.68e-4, 0.95, -3.54e-3)
     assert z == pytest.approx(2.2120827456377473e-13, rel=1e-14)
 
 
@@ -95,7 +95,7 @@ def test_root_scaling_prox_stops_at_float_resolution():
     # on two adjacent doubles before a Newton step meets the stopping test
     # (a power(1.05)/root(0.5) multiplier search at gamma 23.5, |y| 2e7)
     mu, y = 39214999.71336612, -20398317.945543412
-    z = root_scaling_prox_neg(mu, 1.0, 0.5, y)
+    z = root_scaling_prox_neg(mu, 0.5, y)
     assert z == pytest.approx(0.92396535687465001, rel=1e-14)  # 50-digit root
     assert abs(z - 0.5 * mu * z ** -0.5 - y) <= 1e-10 * (1.0 + abs(y) + z)
 
@@ -107,7 +107,7 @@ def test_root_scaling_prox_stops_at_float_resolution():
     y=st.floats(-100.0, 100.0),
 )
 def test_root_scaling_prox_residual(q, mu, y):
-    z = root_scaling_prox_neg(mu, 1.0, q, y)
+    z = root_scaling_prox_neg(mu, q, y)
     assert z > 0.0
     resid = z - q * mu * z ** (q - 1.0) - y
     assert abs(resid) <= 1e-10 * (1.0 + abs(y) + z)
@@ -537,13 +537,13 @@ def test_conj_slope_matches_central_difference(base, log_w, x):
     if isinstance(base, HuberBase):
         # the clamp onto the ball is a kink of the curve
         assume(abs(r / (1.0 + w) - base.alpha) > 1e-3 * base.alpha)
-    slope = base.conj.phi1d.slope(w, r, curve(w)[0])
+    slope, curvature = base.conj.phi1d.derivatives(w, curve(w)[0])
     assert slope <= 0.0
     assert abs(slope - fd) <= 1e-5 * (1.0 + abs(fd)) + 1e-9 * abs(curve(w)[1]) / h
     # the second difference spans 100 times the width: no kink inside it either
     if isinstance(base, HuberBase) and abs(r / (1.0 + w) - base.alpha) <= 3e-3 * base.alpha:
         return
-    _assert_curvature(base.conj.phi1d.curvature(w, r, curve(w)[0]), curve, w)
+    _assert_curvature(curvature, curve, w)
 
 
 @settings(max_examples=300, deadline=None)
@@ -565,7 +565,7 @@ def test_env_slope_matches_central_difference(scaling, log_w, y):
         assume((lo == end) == (hi == end))
     if isinstance(scaling, IdentityScaling):
         assume(min(abs(y + w), abs(y + w - scaling.upper)) > 2.0 * h)
-    slope = scaling.env_slope(w, y, z)
+    slope, curvature = scaling.env_derivatives(w, z)
     assert slope <= 0.0
     assert abs(slope - fd) <= 1e-5 * (1.0 + abs(fd)) + 1e-9 * abs(curve(w)[1]) / h
     # the second difference spans 100 times the width: no clamp inside it either
@@ -575,7 +575,7 @@ def test_env_slope_matches_central_difference(scaling, log_w, y):
         return
     if isinstance(scaling, IdentityScaling) and min(abs(y + w), abs(y + w - scaling.upper)) <= 2.0 * h2:
         return
-    _assert_curvature(scaling.env_curvature(w, y, z), curve, w)
+    _assert_curvature(curvature, curve, w)
 
 
 @settings(max_examples=300, deadline=None)
@@ -636,32 +636,26 @@ def test_slopes_vanish_on_clamps():
     # the root scaling at its upper end: prox_env(1, 10) would be about 10.1
     root = RootScaling(0.5, 4.0)
     assert root.prox_env(1.0, 10.0) == 4.0
-    assert root.env_slope(1.0, 10.0, 4.0) == 0.0
-    assert root.env_slope(0.0, 10.0, root.prox_env(0.0, 10.0)) == 0.0
-    assert root.env_curvature(1.0, 10.0, 4.0) == 0.0
-    assert root.env_curvature(0.0, 10.0, root.prox_env(0.0, 10.0)) == 0.0
+    assert root.env_derivatives(1.0, 4.0) == (0.0, 0.0)
+    assert root.env_derivatives(0.0, root.prox_env(0.0, 10.0)) == (0.0, 0.0)
     assert _central_difference(_scaling_curve(root, 10.0), 1.0)[0] == 0.0
     assert _second_difference(_scaling_curve(root, 10.0), 1.0)[0] == 0.0
     # the Huber conjugate profile on its end: r / (1 + w) = 2.5 > alpha
     huber = HuberBase(1.0).conj.phi1d
     rho = huber.prox(1.0, 5.0)
     assert rho == pytest.approx(1.0)
-    assert huber.slope(1.0, 5.0, rho) == 0.0
-    assert huber.curvature(1.0, 5.0, rho) == 0.0
+    assert huber.derivatives(1.0, rho) == (0.0, 0.0)
     assert _central_difference(_profile_curve(huber, 5.0), 1.0)[0] == 0.0
     assert _second_difference(_profile_curve(huber, 5.0), 1.0)[0] == 0.0
     # the power conjugate profile at rho = 0, where g'' is infinite for p* < 2
     for p in (1.5, 2.0, 3.0):
         power = PowerBase(p).conj.phi1d
         assert power.prox(1.0, 0.0) == 0.0
-        assert power.slope(1.0, 0.0, 0.0) == 0.0
-        assert power.slope(0.0, 0.0, 0.0) == 0.0
-        assert power.curvature(1.0, 0.0, 0.0) == 0.0
-        assert power.curvature(0.0, 0.0, 0.0) == 0.0
+        assert power.derivatives(1.0, 0.0) == (0.0, 0.0)
+        assert power.derivatives(0.0, 0.0) == (0.0, 0.0)
     # the identity scaling clamped at 0 and at its upper end
     ident = IdentityScaling(2.0)
-    assert ident.env_slope(1.0, -3.0, ident.prox_env(1.0, -3.0)) == 0.0
-    assert ident.env_slope(1.0, 3.0, ident.prox_env(1.0, 3.0)) == 0.0
-    assert ident.env_slope(1.0, 0.5, ident.prox_env(1.0, 0.5)) == -1.0
-    for y in (-3.0, 3.0, 0.5):  # linear inside, flat on a clamp
-        assert ident.env_curvature(1.0, y, ident.prox_env(1.0, y)) == 0.0
+    # linear inside, flat on a clamp
+    assert ident.env_derivatives(1.0, ident.prox_env(1.0, -3.0)) == (0.0, 0.0)
+    assert ident.env_derivatives(1.0, ident.prox_env(1.0, 3.0)) == (0.0, 0.0)
+    assert ident.env_derivatives(1.0, ident.prox_env(1.0, 0.5)) == (-1.0, 0.0)

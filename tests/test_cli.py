@@ -108,7 +108,10 @@ def test_non_finite_catalog_parameter_is_bad_input(spec):
     (["demo-concomitant", "--spec", HUBER_SPEC, "--demo", "[1,2]"], None, "demo needs"),
     (["prox", "--spec", HUBER_SPEC, "--point", '{"x":[1,0],"y":null}'], None, "point needs"),
     (["prox", "--spec", HUBER_SPEC, "--point", '{"x":[1,0],"y":[null]}'], None, "point needs"),
-], ids=["stdin-number", "stdin-array", "demo-without-a", "demo-array", "y-null", "y-list-null"])
+    # a string x was read one character at a time: "30" ran the prox at (3.0, 0.0)
+    (["prox", "--spec", HUBER_SPEC, "--point", '{"x":"30","y":0}'], None, "point needs 'x' (array)"),
+], ids=["stdin-number", "stdin-array", "demo-without-a", "demo-array", "y-null", "y-list-null",
+        "x-string"])
 def test_malformed_document_is_bad_input(capsys, monkeypatch, argv, stdin, message):
     from persprox.cli import main
 
@@ -118,6 +121,17 @@ def test_malformed_document_is_bad_input(capsys, monkeypatch, argv, stdin, messa
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+def test_eval_takes_no_tolerance_flag(capsys):
+    from persprox.cli import main
+
+    # eval runs no multiplier search; it used to accept and ignore --tol,
+    # an unknown key included
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--spec", HUBER_SPEC, "--point", '{"x":[3,0],"y":0}', "--tol", "bogus=1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

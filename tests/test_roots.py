@@ -9,16 +9,20 @@ from hypothesis import strategies as st
 from persprox.roots import RootFindError, real_quartic_roots, solve_bracketed
 
 
-def _solve(fn, slope, *, trace=None, **kw):
-    """``solve_bracketed`` from ``fn(0)``, with the tolerances in ``kw``
+def _solve(fn, slope, *, curvature=None, trace=None, **kw):
+    """``solve_bracketed`` from ``fn(0)`` on ``slope`` and ``curvature``
+    (NaN where not given: Newton steps only), with the tolerances in ``kw``
     (``1e-12`` and 200 evaluations where not given)."""
     kw.setdefault("xtol", 1e-12)
     kw.setdefault("ftol", 1e-12)
     kw.setdefault("max_iter", 200)
-    return solve_bracketed(fn, slope, fn(0.0), trace=trace, **kw)
+    if curvature is None:
+        curvature = _undefined
+    return solve_bracketed(fn, lambda t: (slope(t), curvature(t)), fn(0.0), trace=trace, **kw)
 
 
-def _no_slope(t):
+def _undefined(t):
+    # a derivative the function does not define
     return math.nan
 
 
@@ -29,13 +33,13 @@ def test_solve_bracketed_linear():
 
 def test_solve_bracketed_stiff_kink():
     fn = lambda t: 1e6 * (t - 0.1) if t > 0.1 else (t - 0.1)
-    res = _solve(fn, _no_slope, xtol=1e-13, ftol=1e-10)
+    res = _solve(fn, _undefined, xtol=1e-13, ftol=1e-10)
     assert res.root == pytest.approx(0.1, abs=1e-12)
 
 
 def test_solve_bracketed_requires_sign_change():
     with pytest.raises(RootFindError):
-        solve_bracketed(lambda t: t + 1.0, lambda t: 1.0, 1.0,
+        solve_bracketed(lambda t: t + 1.0, lambda t: (1.0, 0.0), 1.0,
                         xtol=1e-12, ftol=1e-12, max_iter=50)
 
 
@@ -78,7 +82,7 @@ def test_newton_steps_from_slopes():
     assert res.root == pytest.approx(1.2134116627622296, rel=1e-15)
     assert res.iterations == len(rows) <= 8
     # bisection alone takes 42 evaluations to the same tolerances
-    assert _solve(fn, _no_slope, xtol=1e-15, ftol=1e-15).iterations >= 40
+    assert _solve(fn, _undefined, xtol=1e-15, ftol=1e-15).iterations >= 40
 
 
 def test_each_evaluation_shrinks_the_bracket():
@@ -103,7 +107,7 @@ def test_bisects_where_the_slope_is_nan():
     # 16x, and the search still converges
     fn = lambda t: t + 0.5 * math.tanh(t - 1.0) - 1.5
     rows = []
-    res = _solve(fn, _no_slope, xtol=1e-12, ftol=1e-10, trace=lambda *row: rows.append(row))
+    res = _solve(fn, _undefined, xtol=1e-12, ftol=1e-10, trace=lambda *row: rows.append(row))
     # stopped on the width: within xtol of the root, |fn| within ftol
     assert res.root == pytest.approx(1.3374158071711997, abs=1e-12)
     assert abs(res.residual) <= 1e-10
@@ -170,7 +174,7 @@ def test_halley_steps_from_the_curvature():
 
 def _huber_sqrt_search(gamma, x, y):
     """The multiplier search of huber(1e4)/sqrt(1), whose T(0) is -5e7, with
-    the points it evaluates and the number of curvature calls."""
+    the points it evaluates and those at which it reads T' and T''."""
     from persprox import HuberBase, PerspectivePair, SqrtScaling
     from persprox.solver import SearchRecord, make_residual_case_iii
 
@@ -179,24 +183,24 @@ def _huber_sqrt_search(gamma, x, y):
     T = make_residual_case_iii(pair, gamma, x, y, record)
     calls = []
 
-    def curvature(eta):
+    def derivatives(eta):
         calls.append(eta)
-        return record.curvature(eta)
+        return record.derivatives(eta)
 
     rows = []
     t0 = T(0.0)
-    res = solve_bracketed(T, record.slope, t0, xtol=1e-12, ftol=1e-10, max_iter=200,
-                          curvature=curvature, trace=lambda *row: rows.append(row))
+    res = solve_bracketed(T, derivatives, t0, xtol=1e-12, ftol=1e-10, max_iter=200,
+                          trace=lambda *row: rows.append(row))
     return t0, record, res, [row[3] for row in rows], calls
 
 
 def test_curvature_is_read_only_where_a_halley_step_is_considered():
     # T' is 1 at 0, so the Newton step lands on -T(0), the far end and here
-    # the root: one evaluation, and no T''
-    t0, _, res, points, calls = _huber_sqrt_search(
+    # the root: one evaluation, with no Halley step
+    t0, _, res, points, _ = _huber_sqrt_search(
         82.460343725865, (-2.2471579863643957e-11, 1.0463393631637133e-11), 1.3480067897445157e-10)
     assert t0 == -5e7
-    assert (res.iterations, points, calls) == (1, [5e7], [])
+    assert (res.iterations, points) == (1, [5e7])
 
 
 def test_an_out_of_reach_halley_step_falls_back_to_newton():
@@ -207,7 +211,7 @@ def test_an_out_of_reach_halley_step_falls_back_to_newton():
     t0, record, res, points, calls = _huber_sqrt_search(
         1379477.7849622804, (-0.17968340073754324, 0.7541093507962938), -0.03661254703780653)
     assert t0 == -5e7 and calls == [0.0]
-    assert points == [-t0 / record.slope(0.0), 5e7]
+    assert points == [-t0 / record.derivatives(0.0)[0], 5e7]
     assert (res.root, res.iterations) == (5e7, 2)
 
 
@@ -225,8 +229,9 @@ def test_width_met_stop_returns_the_evaluated_end_of_smaller_residual():
     T = make_residual_case_i(pair, 9.184349510317373e-08, (41225.91147263342, -16862.3298789671),
                              -94729.97351573117, record)
     rows = []
-    res = solve_bracketed(T, record.slope, T(0.0), xtol=1e-12, ftol=1e-10, max_iter=200,
-                          trace=lambda *row: rows.append(row))
+    # Newton steps only: T' from the record, no T''
+    res = solve_bracketed(T, lambda eta: (record.derivatives(eta)[0], math.nan), T(0.0),
+                          xtol=1e-12, ftol=1e-10, max_iter=200, trace=lambda *row: rows.append(row))
     assert res.iterations == len(rows) == 16
     (*_, x15, t15), (*_, x16, t16) = rows[-2:]
     assert abs(t15) <= 1e-10 < abs(t16)

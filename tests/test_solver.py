@@ -171,7 +171,7 @@ def test_power_root_fixed_point_matches_scalar_equations():
     pair = POWER_ROOT_FREE
     res = prox_perspective(pair, 1.0, (6.0, 0.0), 3.5)
     rho = power_prox_conj(2.0, 1.0, res.eta, 6.0)
-    z = root_scaling_prox_neg(rho * rho / 2.0, 1.0, 0.5, 3.5)
+    z = root_scaling_prox_neg(rho * rho / 2.0, 0.5, 3.5)
     assert res.eta == pytest.approx(z ** 0.5, abs=1e-10)
     assert res.q == pytest.approx(res.eta ** 2.0, abs=1e-9)
 
