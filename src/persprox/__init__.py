@@ -12,11 +12,8 @@ from importlib import import_module as _import_module
 
 from .core import (
     INF,
-    BaseFunction,
     CaseKind,
     DimensionMismatch,
-    ProxCapable,
-    ScalingFunction,
     SignClass,
     Vec,
     as_vec,

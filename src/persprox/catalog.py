@@ -4,6 +4,42 @@ The scalar conjugate profiles come first (each base's conjugate is the
 radial lift of one), then the vector-level base functions, then the
 scaling functions.  The scalar equation solvers at the bottom are the only
 iterative pieces.
+
+These are the contracts, stated once; the package reads the objects
+through these members alone:
+
+- A profile ``h`` is an even convex function of one variable, finite near
+  0: ``eval(t)``, ``prox(w, t)`` (the prox of ``w * h``, ``w > 0``) and
+  ``proj_cl_dom(t)`` (the projection onto ``cl dom h``, the ``w -> 0``
+  member).  A signed base's profile also gives ``derivatives(w, rho)``,
+  the first and second derivative in ``w`` of the value curve
+  ``h(prox_{w h}(r))`` at ``rho``, the point ``prox`` returned:
+  ``-h'(rho)**2 / D`` and ``h'**2 * (3 h'' - w h' h''' / D) / D**2`` with
+  ``D = 1 + w * h''(rho)``, both 0 on a clamp (an end of ``cl dom h``),
+  NaN where not defined.
+- A base ``phi`` has ``sign_class``, the ``SignClass`` of ``phi*``;
+  ``eval(x)``; ``rec_eval(x)``, its recession function; ``conj``, the
+  ``radial.RadialFunction`` of its profile (``phi*(x*) = h(||x*||)`` for
+  ``h = conj.phi1d``); and ``proj_dom_conj(x*)``, the projection onto
+  ``cl dom phi*``.  The solver runs on ``h`` at ``r = ||x/gamma||``.  A
+  zero-or-infinity base also gives ``prox_primal(gamma, x)``, the prox of
+  ``gamma * phi``, which its decoupled prox calls.
+- A scaling ``s`` on the real line has ``case_kind``, a ``CaseKind``, and
+  ``eval(y)``.  ``env_eval`` is the convex envelope the solver works with:
+  the lower envelope of ``-s`` for NEG_S_LOWER, the upper envelope of
+  ``s`` for S_LOWER.  Its closed domain is ``cl S``, convex for both
+  kinds.  ``prox_env(w, y)`` is the prox of ``w * envelope``, and at
+  ``w == 0`` the projection onto ``cl S = cl conv S``, where ``env_eval``
+  equals ``-eval`` or ``eval`` by the kind.  ``env_conj_eval`` is the
+  envelope's conjugate, ``support_cl_conv_S`` the support function of
+  ``cl S`` and ``proj_dom_env_conj`` the projection onto the closed
+  domain of ``env_conj_eval``.  ``env_derivatives(weight, z)`` gives the
+  profile's ``derivatives`` forms for the envelope at the point ``z``
+  that ``prox_env`` returned.
+
+The bases' ``conj_eval`` and ``prox_conj``, the lift's value and prox, lie
+outside the base contract: the package calls neither, and the benchmark's
+tracer wraps both by name.
 """
 
 from __future__ import annotations
@@ -565,16 +601,36 @@ def sqrt_scaling_prox(beta: float, mu: float, y: float) -> float:
 # ---------------------------------------------------------------------------
 # construction by name (CLI configuration surface)
 
+def _real(value) -> float:
+    """``value`` as a float: an int or a float (an int beyond the largest
+    double is infinite, as JSON's ``1e400`` is), or a string that names an
+    infinity (the CLI writes ``"+inf"`` and ``"-inf"``); ``TypeError`` for
+    anything else, a bool or a finite numeric string included."""
+    if isinstance(value, str):
+        try:
+            number = float(value)
+        except ValueError:
+            number = 0.0
+        if math.isinf(number):
+            return number
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            return INF if value > 0 else -INF
+    raise TypeError(f"expected a number, got {value!r}")
+
+
 def _number(value, name: str, default: float | None = None) -> float:
-    """The parameter ``name`` as a float, ``default`` when it is absent
-    (None) and has one; otherwise ``ValueError`` naming it."""
+    """The parameter ``name`` as a float (``_real``), ``default`` when it is
+    absent (None) and has one; otherwise ``ValueError`` naming it."""
     if value is None:
         if default is None:
             raise ValueError(f"missing parameter {name!r}")
         return default
     try:
-        return float(value)
-    except (TypeError, ValueError):
+        return _real(value)
+    except TypeError:
         raise ValueError(f"parameter {name!r} must be a number, got {value!r}") from None
 
 

@@ -24,7 +24,7 @@ import math
 import random
 import sys
 
-from .catalog import HuberBase, SqrtScaling, make_base, make_scaling
+from .catalog import HuberBase, SqrtScaling, _real, make_base, make_scaling
 from .core import INF, SignClass
 from .perspective import (
     PairMismatch,
@@ -32,7 +32,6 @@ from .perspective import (
     perspective_conj_eval,
     perspective_eval,
     preperspective_eval,
-    prox_fenchel_gap,
 )
 from .roots import RootFindError
 from .solver import (
@@ -93,7 +92,7 @@ def build_problem(data: dict) -> tuple[PerspectivePair, float]:
     base = make_base(base_cfg.pop("name", None), base_cfg)
     scaling = make_scaling(scaling_cfg.pop("name", None), scaling_cfg)
     try:
-        gamma = float(data.get("gamma", 1.0))
+        gamma = _real(data.get("gamma", 1.0))
     except TypeError as exc:
         raise InputError(f"gamma must be a number: {exc}") from exc
     if not 0.0 < gamma < INF:
@@ -112,13 +111,13 @@ def parse_point(data: dict) -> tuple[tuple[float, ...], float]:
         x = data["x"]
         if not isinstance(x, list):  # a JSON string would be read by character
             raise TypeError(f"'x' must be an array, got {x!r}")
-        x = tuple(float(v) for v in x)
+        x = tuple([_real(v) for v in x])
         y = data["y"]
         if isinstance(y, list):
             if len(y) != 1:
                 raise InputError("the scale component must be a scalar")
             y = y[0]
-        return x, float(y)
+        return x, _real(y)
     except (KeyError, TypeError) as exc:
         raise InputError(f"point needs 'x' (array) and 'y' (number): {exc}") from exc
 
@@ -232,8 +231,7 @@ def cmd_validate(args) -> int:
     for seed in range(args.seeds):
         x, y = random_point(seed, pair.n)
         res = prox_perspective(pair, gamma, x, y, cfg)
-        # re-checked on the public path, independent of the one that solved
-        gaps.append(prox_fenchel_gap(pair, gamma, x, y, res.p, res.q))
+        gaps.append(res.certificate_gap)
         labels[res.label.value] = labels.get(res.label.value, 0) + 1
         iterations = max(iterations, res.root_iterations)
     # the bound grows with the gap, so the worst gap (NaN counts as the

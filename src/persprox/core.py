@@ -1,9 +1,10 @@
-"""Shared vocabulary: points, extended reals, function contracts, sign classes.
+"""Shared vocabulary: points, extended reals, value records, sign classes.
 
 Points of the base and scaling spaces are tuples of finite floats; a bare
 float stands for a point of a one-dimensional space.  Extended-real values
 use ``math.inf`` directly.  Proper convex functions never return ``-inf``;
-raw scaling evaluations may.
+raw scaling evaluations may.  The contracts of the function objects are
+stated in the ``catalog`` module's docstring.
 
 The helpers below sit on the prox hot path, where every vector is already
 a checked tuple, so each tests ``type(x) is tuple`` before anything else.
@@ -26,7 +27,6 @@ from __future__ import annotations
 import math
 import operator
 from enum import Enum
-from typing import Protocol, Sequence
 
 INF = math.inf
 
@@ -45,8 +45,9 @@ class DimensionMismatch(ValueError):
     """Two operands live in spaces of different dimension."""
 
 
-def as_vec(x: float | Sequence[float]) -> Vec:
-    """Coerce ``x`` to a tuple of finite floats (a scalar becomes length 1)."""
+def as_vec(x) -> Vec:
+    """Coerce ``x``, a number or a sequence of them, to a tuple of finite
+    floats (a scalar becomes length 1)."""
     if type(x) is tuple and x:
         for c in x:
             if type(c) is not float or not math.isfinite(c):
@@ -65,7 +66,7 @@ def as_vec(x: float | Sequence[float]) -> Vec:
     return entries
 
 
-def norm(x: float | Sequence[float]) -> float:
+def norm(x) -> float:
     if type(x) is not tuple and isinstance(x, (int, float)):
         return abs(float(x))
     return math.hypot(*x)
@@ -143,8 +144,7 @@ class Value(Record):
 
     Its ``__init__`` sets the fields through ``object.__setattr__``;
     afterwards assigning or deleting an attribute raises ``AttributeError``.
-    Equal values hash alike, and a value pickles by its constructor, which
-    takes the fields positionally in ``_fields`` order.
+    Equal values hash alike.
     """
 
     __slots__ = ()
@@ -157,10 +157,6 @@ class Value(Record):
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r} of an immutable {type(self).__name__}")
-
-    def __reduce__(self):
-        # default unpickling would restore the slots through __setattr__
-        return type(self), self._values()
 
 
 class SignClass(Enum):
@@ -180,95 +176,4 @@ class SignClass(Enum):
 class CaseKind(Enum):
     NEG_S_LOWER = "neg-s-lower"  # -s is proper lsc convex
     S_LOWER = "s-lower"          # s is proper lsc convex
-
-
-class ProxCapable(Protocol):
-    """A convex function together with its scaled prox family: the contract
-    of the scalar profile that ``radial.RadialFunction`` lifts.
-
-    ``prox(gamma, x)`` is the proximal point of ``gamma * f`` at ``x`` for
-    ``gamma > 0``; ``proj_cl_dom`` is the projection onto the closure of
-    the domain, which is the ``gamma -> 0`` member of the family.
-    """
-
-    def eval(self, x): ...
-
-    def prox(self, gamma: float, x): ...
-
-    def proj_cl_dom(self, x): ...
-
-
-class BaseFunction(Protocol):
-    """Contract for a base function phi supplied to a perspective pair.
-
-    It evaluates phi and phi*, gives the projection onto ``cl dom phi*``,
-    the recession function and the sign class of phi*.  A zero-or-infinity
-    base also provides ``prox_primal(gamma, x)``, the prox of ``gamma *
-    phi``, which the decoupled case calls.
-
-    Every base, zero-or-infinity included, carries ``conj``, the
-    ``radial.RadialFunction`` of an even scalar conjugate profile ``h``
-    (``conj.phi1d``): ``conj_eval`` is its lift, and the certificate reads
-    ``phi*`` as ``h`` at one norm.  A signed base's ``proj_dom_conj`` lifts
-    ``h`` too, and the solver runs on ``h`` at ``r = ||x/gamma||``, where
-    ``h`` also has ``derivatives(w, rho)``: the first and second
-    derivatives in ``w`` of the value curve ``h(prox_{w h}(r))`` at
-    ``rho``, the point ``prox`` returned.  They are ``-h'(rho)**2 / D``
-    and ``h'**2 * (3 h'' - w h' h''' / D) / D**2`` with ``D = 1 + w *
-    h''(rho)``, both 0 on a clamp (an end of ``cl dom h``), NaN where not
-    defined.  The search takes Newton steps from the first and Halley
-    steps from both.
-    """
-
-    sign_class: SignClass
-
-    def eval(self, x: Vec) -> float: ...
-
-    def conj_eval(self, xstar: Vec) -> float: ...
-
-    def proj_dom_conj(self, xstar: Vec) -> Vec: ...
-
-    def rec_eval(self, x: Vec) -> float: ...
-
-
-class ScalingFunction(Protocol):
-    """Contract for a scaling function s on a one-dimensional scale space.
-
-    ``env_eval`` is the convex envelope the solver works with: the lower
-    envelope of ``-s`` when ``case_kind`` is NEG_S_LOWER, the upper
-    envelope of ``s`` when it is S_LOWER.  ``prox_env(w, y)`` is the prox
-    of ``w * envelope`` (projection onto the closed envelope domain when
-    ``w == 0``), and ``env_conj_eval`` is the envelope's convex conjugate,
-    needed to evaluate the conjugate of the perspective.
-
-    The closed envelope domain is ``cl S``, convex for both kinds, so
-    ``prox_env(0.0, y)`` is the one projection onto ``cl S = cl conv S``
-    that the solver and the certificate use; at that point ``env_eval``
-    equals ``-eval`` for NEG_S_LOWER and ``eval`` for S_LOWER.
-    ``support_cl_conv_S`` is the support function of that set, and
-    ``proj_dom_env_conj`` the projection onto the closed domain of
-    ``env_conj_eval``, which the certificate calls.
-
-    ``env_derivatives(weight, z)`` is the first and second derivative in
-    ``weight`` of the value curve ``env_eval(prox_env(weight, y))`` at
-    ``z``, the point ``prox_env`` returned: for the envelope ``h``, the
-    forms ``BaseFunction`` gives for its profile, with ``w = weight``; both
-    0 where ``z`` is clamped to an end of ``cl S``, NaN where not defined.
-    """
-
-    case_kind: CaseKind
-
-    def eval(self, y: float) -> float: ...
-
-    def env_eval(self, y: float) -> float: ...
-
-    def env_conj_eval(self, ystar: float) -> float: ...
-
-    def prox_env(self, weight: float, y: float) -> float: ...
-
-    def support_cl_conv_S(self, ystar: float) -> float: ...
-
-    def proj_dom_env_conj(self, ystar: float) -> float: ...
-
-    def env_derivatives(self, weight: float, z: float) -> tuple[float, float]: ...
 

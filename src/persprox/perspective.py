@@ -15,10 +15,8 @@ import math
 
 from .core import (
     INF,
-    BaseFunction,
     CaseKind,
     DimensionMismatch,
-    ScalingFunction,
     SignClass,
     Value,
     Vec,
@@ -47,7 +45,7 @@ class PerspectivePair(Value):
 
     __slots__ = ("base", "scaling", "n")
 
-    def __init__(self, base: BaseFunction, scaling: ScalingFunction, n: int = 1):
+    def __init__(self, base, scaling, n: int = 1):
         if n < 1:
             raise ValueError(f"base dimension must be >= 1, got {n}")
         sc, kind = base.sign_class, scaling.case_kind
@@ -77,7 +75,7 @@ class PerspectivePair(Value):
         return x, float(y)
 
 
-def _in_cl_conv_S(scaling: ScalingFunction, y: float) -> bool:
+def _in_cl_conv_S(scaling, y: float) -> bool:
     return negligible(y - scaling.prox_env(0.0, y), y)
 
 
@@ -119,9 +117,10 @@ def _perspective_value(pair: PerspectivePair, x: Vec, y: float) -> float:
 
 
 def perspective_conj_eval(pair: PerspectivePair, xstar, ystar) -> float:
-    """Conjugate of the perspective at ``(x*, y*)``: ``_conj_value`` at ``c = phi*(x*)``."""
+    """Conjugate of the perspective at ``(x*, y*)``: ``_conj_value`` at
+    ``c = phi*(x*)``, read as the base's profile at ``||x*||``."""
     xstar, ystar = pair.check_point(xstar, ystar)
-    return _conj_value(pair, pair.base.conj_eval(xstar), ystar, None)
+    return _conj_value(pair, pair.base.conj.phi1d.eval(math.hypot(*xstar)), ystar, None)
 
 
 def _conj_value(pair: PerspectivePair, c: float, ystar: float, size: float | None) -> float:

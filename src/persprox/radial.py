@@ -10,18 +10,19 @@ from __future__ import annotations
 
 from math import hypot
 
-from .core import INF, ProxCapable, Value, Vec, as_vec, norm, scale, zeros_like
+from .core import INF, Value, Vec, as_vec, norm, scale, zeros_like
 
 # below this, x is treated as the zero vector (subnormal guard, not a loose tol)
 _ZERO_NORM = 1e-300
 
 
 class RadialFunction(Value):
-    """The lift ``x -> phi1d(||x||)`` of an even scalar function."""
+    """The lift ``x -> phi1d(||x||)`` of an even scalar function, a profile
+    as the ``catalog`` module's docstring states the contract."""
 
     __slots__ = ("phi1d",)
 
-    def __init__(self, phi1d: ProxCapable):
+    def __init__(self, phi1d):
         for t in (0.25, 1.0, 3.5):
             left, right = phi1d.eval(-t), phi1d.eval(t)
             if left != right:

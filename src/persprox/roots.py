@@ -10,7 +10,6 @@ no code path of the package calls it.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 from .core import Record
 
@@ -43,16 +42,8 @@ class RootResult(Record):
         self.iterations = iterations
 
 
-def solve_bracketed(
-    fn: Callable[[float], float],
-    derivatives: Callable[[float], tuple[float, float]],
-    f0: float,
-    *,
-    xtol: float,
-    ftol: float,
-    max_iter: int,
-    trace: Callable[[int, float, float, float, float], None] | None = None,
-) -> RootResult:
+def solve_bracketed(fn, derivatives, f0: float, *, xtol: float, ftol: float,
+                    max_iter: int, trace=None) -> RootResult:
     """Root of ``fn`` from ``f0 = fn(0) <= 0``, where ``fn(u) - fn(v) >= u - v``
     for ``u > v``, and ``derivatives(x)`` is ``(fn'(x), fn''(x))`` at an
     evaluated ``x``; a NaN ``fn''`` (from a caller that has none) keeps

@@ -41,7 +41,6 @@ the case-(i) ones, and a zero-or-infinity pair makes them raise
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable
 
 from .core import INF, Record, SignClass, Value, Vec, negligible, norm, scale
 # prox_fenchel_gap only for the benchmark's tracer, which wraps it by this name
@@ -261,7 +260,7 @@ class SearchRecord:
 
 
 def make_residual_case_i(pair: PerspectivePair, gamma: float, x, y,
-                         record: SearchRecord | None = None) -> Callable[[float], float]:
+                         record: SearchRecord | None = None):
     """The strictly increasing map ``T(eta) = inner(outer(eta)) + eta`` whose
     root is the multiplier: ``S(B(eta)) + eta`` in case (i), ``B(S(eta)) +
     eta`` in case (iii), by the sign class as in ``classify_case_i``.

@@ -27,7 +27,6 @@ from persprox import (
     PowerBase,
     ProxResult,
     RadialFunction,
-    ScalingFunction,
     SignClass,
     Vec,
     prox_fenchel_gap,
@@ -392,7 +391,7 @@ def case_ii_prox(pair, gamma: float, x, y) -> ProxResult:
 class EnvelopeProvider:
     """Adapter exposing a scaling function's envelope as a prox-capable object."""
 
-    scaling: ScalingFunction
+    scaling: object
 
     def eval(self, y: float) -> float:
         return self.scaling.env_eval(y)

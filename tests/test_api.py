@@ -1,8 +1,9 @@
 """Every definition in ``src/persprox`` has a caller in ``src/``, or a
-stated reason to exist without one.
+stated reason to exist without one, and every catalog object meets its
+contract.
 
-The check reads the source with ``ast``; nothing is imported.  Code that
-only tests use lives next to the tests (``tests/reference.py``).
+The definition check reads the source with ``ast``; nothing is imported.
+Code that only tests use lives next to the tests (``tests/reference.py``).
 """
 
 import ast
@@ -22,9 +23,28 @@ TRACED = "wrapped by name in perfbench/tracing.py"
 # (module, qualified name): why it stays with no reference elsewhere in src/
 ALLOWED = {
     ("roots", "real_quartic_roots"): TRACED,
+    ("perspective", "prox_fenchel_gap"): ENTRY,
     ("catalog", "PowerBase.prox_conj"): TRACED,
     ("catalog", "HuberBase.prox_conj"): TRACED,
     ("catalog", "AbsBase.prox_conj"): TRACED,
+    ("catalog", "PowerBase.conj_eval"): TRACED,
+    ("catalog", "HuberBase.conj_eval"): TRACED,
+    ("catalog", "AbsBase.conj_eval"): TRACED,
+}
+
+# The methods of each contract that the catalog module's docstring states:
+# the dead-definition guard and the conformance test both read this table.
+# A base also has ``sign_class`` and ``conj`` (its profile is
+# ``conj.phi1d``), a scaling ``case_kind``.
+_PROFILE = ("eval", "prox", "proj_cl_dom")
+_BASE = ("eval", "rec_eval", "proj_dom_conj")
+CONTRACTS = {
+    "profile": _PROFILE,
+    "signed profile": _PROFILE + ("derivatives",),
+    "signed base": _BASE,
+    "zero-or-infinity base": _BASE + ("prox_primal",),
+    "scaling": ("eval", "env_eval", "env_conj_eval", "prox_env", "support_cl_conv_S",
+                "proj_dom_env_conj", "env_derivatives"),
 }
 
 
@@ -32,30 +52,18 @@ def _modules():
     return {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
 
 
-def _contracts(core: ast.Module) -> dict[str, set[str]]:
-    """Method names of each contract Protocol in ``core``."""
-    contracts = {
-        node.name: {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
-        for node in core.body
-        if isinstance(node, ast.ClassDef) and any(
-            isinstance(b, ast.Name) and b.id == "Protocol" for b in node.bases)
-    }
-    # the BaseFunction docstring asks a zero-or-infinity base for prox_primal too
-    contracts["ZERO_INFTY_CONJUGATE"] = contracts["BaseFunction"] | {"prox_primal"}
-    return contracts
-
-
 def _contract_of(cls: ast.ClassDef) -> str:
-    """The contract a catalog class implements, by the attribute that marks it."""
+    """The contract a catalog class implements, by the attribute that marks
+    it; a profile has no mark, and is held to the wider signed contract."""
     marks = {t.id: node.value for node in cls.body if isinstance(node, ast.Assign)
              for t in node.targets if isinstance(t, ast.Name)}
     if "sign_class" in marks:
         if getattr(marks["sign_class"], "attr", None) == "ZERO_INFTY_CONJUGATE":
-            return "ZERO_INFTY_CONJUGATE"
-        return "BaseFunction"
+            return "zero-or-infinity base"
+        return "signed base"
     if "case_kind" in marks:
-        return "ScalingFunction"
-    return "ProxCapable"
+        return "scaling"
+    return "signed profile"
 
 
 def _names_used(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
@@ -82,16 +90,15 @@ def unreferenced() -> set[tuple[str, str]]:
 
     Top-level functions and classes of every module, and the methods of the
     catalog classes.  A reference inside the definition itself does not
-    count, nor does a re-export from ``__init__``, nor does a contract's own
-    declaration in ``core``.  Every catalog method, contract methods
-    included, must be read by name somewhere else in ``src/``; a method
-    named like a contract method its class does not implement is reported
-    too, since that read may be the contract's.
+    count, nor does a re-export from ``__init__``.  Every catalog method,
+    contract methods included, must be read by name somewhere else in
+    ``src/``; a method named like a method of a contract (``CONTRACTS``)
+    its class does not implement is reported too, since that read may be
+    the contract's.
     """
     modules = _modules()
     del modules["__init__"]
-    contracts = _contracts(modules["core"])
-    declared = set().union(*contracts.values())
+    declared = set().union(*CONTRACTS.values())
     found = set()
     for mod, tree in modules.items():
         for node in tree.body:
@@ -102,7 +109,7 @@ def unreferenced() -> set[tuple[str, str]]:
                 found.add((mod, node.name))
             if mod != "catalog" or not isinstance(node, ast.ClassDef):
                 continue
-            own = contracts[_contract_of(node)]
+            own = set(CONTRACTS[_contract_of(node)])
             for meth in node.body:
                 if not isinstance(meth, ast.FunctionDef) or meth.name.startswith("__"):
                     continue
@@ -120,6 +127,27 @@ def test_every_definition_in_src_has_a_caller():
 def test_allowlist_entries_are_still_needed():
     assert set(ALLOWED) <= unreferenced()
     assert set(ALLOWED.values()) <= {ENTRY, TRACED}
+
+
+def test_catalog_members_meet_their_contracts():
+    # every catalog base and scaling, built by name, has each member of its
+    # contract, and a base's profile (conj.phi1d) each member of its own
+    from persprox import CaseKind, SignClass, catalog
+
+    params = {"power": {"p": 3.0}, "root": {"q": 0.5}}
+    for name in catalog._BASES:
+        base = catalog.make_base(name, params.get(name))
+        signed = base.sign_class is not SignClass.ZERO_INFTY_CONJUGATE
+        assert isinstance(base.sign_class, SignClass), name
+        for obj, contract in ((base, "signed base" if signed else "zero-or-infinity base"),
+                              (base.conj.phi1d, "signed profile" if signed else "profile")):
+            for member in CONTRACTS[contract]:
+                assert callable(getattr(obj, member, None)), (name, contract, member)
+    for name in catalog._SCALINGS:
+        scaling = catalog.make_scaling(name, params.get(name))
+        assert isinstance(scaling.case_kind, CaseKind), name
+        for member in CONTRACTS["scaling"]:
+            assert callable(getattr(scaling, member, None)), (name, member)
 
 
 def test_names_the_tracer_wraps_resolve():

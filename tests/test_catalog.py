@@ -424,6 +424,12 @@ def test_make_by_name():
         make_base("nope")
     with pytest.raises(ValueError):
         make_scaling("root", {"q": 0.5, "interval": [1, 4]})
+    # a parameter is an int, a float or a string the CLI writes for an
+    # infinity; a bool or a finite numeric string is not a number
+    assert make_scaling("root", {"q": 0.5, "interval": [0, "+inf"]}).upper == INF
+    for params in ({"q": True}, {"q": "0.5"}, {"q": 0.5, "upper": "4"}, {"q": 0.5, "upper": False}):
+        with pytest.raises(ValueError, match="must be a number"):
+            make_scaling("root", params)
 
 
 def test_power_prox_conj_huge_weight_underflows_to_zero():

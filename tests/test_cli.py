@@ -76,6 +76,21 @@ BAD_SPECS = [
     ('{"base":{"name":"huber"},"scaling":{"name":"sqrt"},"dims":5}', "dims must be two integers"),
     ('{"base":{"name":"huber"},"scaling":{"name":"sqrt"},"dims":[2.7,1]}', "dims must be two integers"),
     ('{"base":{"name":"huber"},"scaling":{"name":"sqrt"},"gamma":[1]}', "gamma must be a number"),
+    # strings and booleans were read through float(): "2" ran at gamma 2, true as 1.0
+    ('{"base":{"name":"huber"},"scaling":{"name":"sqrt"},"gamma":"2"}', "gamma must be a number"),
+    ('{"base":{"name":"huber"},"scaling":{"name":"sqrt"},"gamma":true}', "gamma must be a number"),
+    ('{"base":{"name":"power","p":"2"},"scaling":{"name":"root","q":0.5}}',
+     "parameter 'p' must be a number, got '2'"),
+    ('{"base":{"name":"power","p":3},"scaling":{"name":"root","q":true}}',
+     "parameter 'q' must be a number, got True"),
+    ('{"base":{"name":"huber"},"scaling":{"name":"sqrt","beta":"1e3"}}',
+     "parameter 'beta' must be a number, got '1e3'"),
+    ('{"base":{"name":"huber","alpha":false},"scaling":{"name":"sqrt"}}',
+     "parameter 'alpha' must be a number, got False"),
+    ('{"base":{"name":"power","p":3},"scaling":{"name":"root","q":0.5,"interval":[0,"4"]}}',
+     "parameter 'interval' must be a number, got '4'"),
+    ('{"base":{"name":"power","p":3},"scaling":{"name":"root","q":0.5,"upper":true}}',
+     "parameter 'upper' must be a number, got True"),
 ]
 
 
@@ -110,8 +125,17 @@ def test_non_finite_catalog_parameter_is_bad_input(spec):
     (["prox", "--spec", HUBER_SPEC, "--point", '{"x":[1,0],"y":[null]}'], None, "point needs"),
     # a string x was read one character at a time: "30" ran the prox at (3.0, 0.0)
     (["prox", "--spec", HUBER_SPEC, "--point", '{"x":"30","y":0}'], None, "point needs 'x' (array)"),
+    # strings and booleans were read through float(): this ran at x = (1, 1), y = 0.5
+    (["prox", "--spec", HUBER_SPEC, "--point", '{"x":["1",true],"y":"0.5"}'], None,
+     "point needs"),
+    (["prox", "--spec", HUBER_SPEC, "--point", '{"x":[1,true],"y":0.5}'], None,
+     "expected a number, got True"),
+    (["prox", "--spec", HUBER_SPEC, "--point", '{"x":[1,0],"y":"0.5"}'], None,
+     "expected a number, got '0.5'"),
+    (["eval", "--spec", HUBER_SPEC, "--point", '{"x":[1,0],"y":[false]}'], None,
+     "expected a number, got False"),
 ], ids=["stdin-number", "stdin-array", "demo-without-a", "demo-array", "y-null", "y-list-null",
-        "x-string"])
+        "x-string", "x-y-strings-and-bool", "x-bool", "y-string", "y-list-bool"])
 def test_malformed_document_is_bad_input(capsys, monkeypatch, argv, stdin, message):
     from persprox.cli import main
 
@@ -192,7 +216,11 @@ def test_arithmetic_error_is_a_solver_failure():
     (POWER_SPEC, '{"x":[1,0],"y":"-inf"}'),
     (HUBER_SPEC.replace('"gamma":1', '"gamma":"+inf"'), '{"x":[1,0],"y":0}'),
     (HUBER_SPEC.replace('"gamma":1', '"gamma":NaN'), '{"x":[1,0],"y":0}'),
-], ids=["y+inf", "yInfinity", "y-inf", "gamma+inf", "gamma-NaN"])
+    # an int beyond the largest double raised OverflowError: exit 3, a solver failure
+    (HUBER_SPEC.replace('"gamma":1', '"gamma":1' + "0" * 400), '{"x":[1,0],"y":0}'),
+    (HUBER_SPEC, '{"x":[-1' + "0" * 400 + ',0],"y":0}'),
+], ids=["y+inf", "yInfinity", "y-inf", "gamma+inf", "gamma-NaN", "gamma-huge-int",
+        "x-huge-int"])
 def test_non_finite_input_is_bad_input(spec, point):
     out = run_cli("prox", "--spec", spec, "--point", point)
     assert out.returncode == 2
@@ -266,6 +294,20 @@ def test_prox_process_imports_no_numpy_or_process_pool():
     assert out.stderr.strip() == "[]"
 
 
+def test_prox_process_imports_no_typing():
+    # -S keeps site (which may load typing through installed packages) out,
+    # so only the persprox import path is seen
+    code = (
+        f"import sys; sys.path.insert(0, {SRC!r}); from persprox.cli import main; "
+        f"rc = main(['prox', '--spec', {HUBER_SPEC!r}, '--point', '{{\"x\":[1,0],\"y\":0}}']); "
+        "print('typing' in sys.modules, file=sys.stderr); sys.exit(rc)"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["case_label"] == "Xi4"
+    assert out.stderr.strip() == "False"
+
+
 @pytest.mark.parametrize("command", [
     ["prox", "--spec", HUBER_SPEC, "--point", '{"x":[1,0],"y":0}'],
     ["prox", "--spec", HUBER_SPEC, "--point", '{"x":[1,0],"y":0}', "--tol", "eta_tol=1e-13"],
@@ -327,17 +369,19 @@ def test_validate_small_run_and_determinism():
 
 
 def _shifted_prox(pair, gamma, x, y, cfg):
-    from persprox import prox_perspective
+    from persprox import prox_fenchel_gap, prox_perspective
 
     res = prox_perspective(pair, gamma, x, y, cfg)
     res.p = (res.p[0] + 1e-2,) + res.p[1:]
+    res.certificate_gap = prox_fenchel_gap(pair, gamma, x, y, res.p, res.q)
     return res
 
 
 def test_validate_fails_on_a_perturbed_output(capsys, monkeypatch):
-    # outputs 1e-2 off the prox have certificate gaps near 2.5e-4, so their
-    # distance bounds, near 2.2e-2, lie far above the 5e-4 limit; the power
-    # base's conjugate is finite everywhere, so every gap is too
+    # outputs 1e-2 off the prox, certified as such, have certificate gaps
+    # near 2.5e-4, so their distance bounds, near 2.2e-2, lie far above the
+    # 5e-4 limit; the power base's conjugate is finite everywhere, so every
+    # gap is too
     import persprox.cli
     from persprox.cli import main
 
@@ -347,12 +391,21 @@ def test_validate_fails_on_a_perturbed_output(capsys, monkeypatch):
     assert 5e-4 < report["max_distance_bound"] < math.inf
 
 
+def _nan_gap_prox(pair, gamma, x, y, cfg):
+    from persprox import prox_perspective
+
+    res = prox_perspective(pair, gamma, x, y, cfg)
+    res.certificate_gap = math.nan
+    return res
+
+
 def test_validate_fails_on_a_nan_gap(capsys, monkeypatch):
-    # a NaN compares false with the limit either way round: it must fail
+    # validate judges the certificate each result carries; a NaN compares
+    # false with the limit either way round: it must fail
     import persprox.cli
     from persprox.cli import main
 
-    monkeypatch.setattr(persprox.cli, "prox_fenchel_gap", lambda *args: math.nan)
+    monkeypatch.setattr(persprox.cli, "prox_perspective", _nan_gap_prox)
     assert main(["validate", "--spec", HUBER_SPEC, "--seeds", "4"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert math.isnan(report["max_distance_bound"])

@@ -408,11 +408,13 @@ def test_overflowing_scaled_input_is_rejected(pair, gamma, x):
 
 
 @pytest.mark.xfail(strict=True, raises=OverflowError,
-                   reason="PowerBase.conj_eval overflows ||x*||**p* / p* at p* ~ 1000")
+                   reason="solver._signed_pass: the outer curve value at weight 0 overflows "
+                          "||x/gamma||**p* / p* at p* ~ 1000")
 def test_power_near_one_gives_a_certified_prox_on_the_band():
     # the README admits any finite p > 1, but at p = 1.001 the conjugate
     # exponent is 1001, and 7 of these 8 band points raise OverflowError
-    # from conj_eval (the other lands in Omega4, certified)
+    # from the region pass, where the outer curve value at weight 0 overflows
+    # (the other lands in Omega4, certified)
     pair = PerspectivePair(PowerBase(1.001), RootScaling(0.5), n=2)
     rng = random.Random(0)
     for _ in range(8):
