@@ -9,8 +9,11 @@ label, root_iterations)``, the certificate digest the repr of
 ``certificate_gap``; a call that raises feeds both the repr of
 ``(exception type, message)``.  Prints one line per input set with its
 call count, error count, the count of outputs whose gap is not finite or
-exceeds the benchmark bound ``1e-8 * (1 + ||(x, y)||^2)``, and the two
-digests, then the totals.  Two checkouts whose solver outputs are
+exceeds the benchmark bound ``1e-8 * (1 + ||(x, y)||^2)``, the count of
+calls whose scaling-identity gap exceeds 1e-6 (``identity_gap`` of
+``tests/reference.py``, whose rescaling laws cover every pair but abs; a
+call where either side raises is not counted), and the two digests, then
+the totals.  Two checkouts whose solver outputs are
 bit-identical print the same solver digests, whatever their certificates:
 
     python3 scripts/output_digest.py
@@ -44,16 +47,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 import checks
 import workloads
 import persprox.solver as solver
 from persprox import prox_perspective
+from persprox.core import EPS
+from reference import identity_gap
 
 POOL_SEEDS = (0, 1)
 PROBE_SEEDS = range(5)
 ROOT_LABELS = ("Omega4", "Xi4")
-EPS = 2.0 ** -52
+IDENTITY_LIMIT = 1e-6
 ETA_TOL = solver.DEFAULT_CONFIG.eta_tol
 RESIDUAL_TOL = solver.DEFAULT_CONFIG.residual_tol
 
@@ -127,11 +133,11 @@ def run(counter=None):
     record being ``[label, p, q, eta, root_iterations, T evaluations]`` or
     ``["error", type name]``."""
     totals = hashlib.sha256(), hashlib.sha256()
-    total_calls = total_errors = total_uncertified = 0
+    total_calls = total_errors = total_uncertified = total_identity = 0
     records = {}
     for name, pairs, calls in input_sets():
         digests = hashlib.sha256(), hashlib.sha256()
-        errors = uncertified = 0
+        errors = uncertified = identity = 0
         rows = records[name] = []
         for call in calls:
             before = counter.count if counter else 0
@@ -143,6 +149,9 @@ def run(counter=None):
                 rows.append([r.label.value, list(r.p), r.q, r.eta, r.root_iterations, evals])
             errors += ok is None
             uncertified += ok is False
+            if r is not None:
+                gap = identity_gap(pairs[call.pair], call.gamma, call.x, call.y, r)
+                identity += gap is not None and gap > IDENTITY_LIMIT
             for digest, total, text in zip(digests, totals, (solver_text, gap_text)):
                 line = (text + "\n").encode()
                 digest.update(line)
@@ -150,10 +159,12 @@ def run(counter=None):
         total_calls += len(calls)
         total_errors += errors
         total_uncertified += uncertified
+        total_identity += identity
         print(f"{name:<20} calls {len(calls):>5}  errors {errors:>3}  uncertified {uncertified:>4}"
+              f"  identity {identity:>4}"
               f"  solver {digests[0].hexdigest()[:16]}  gaps {digests[1].hexdigest()[:16]}")
     print(f"{'total':<20} calls {total_calls:>5}  errors {total_errors:>3}"
-          f"  uncertified {total_uncertified:>4}"
+          f"  uncertified {total_uncertified:>4}  identity {total_identity:>4}"
           f"  solver {totals[0].hexdigest()[:16]}  gaps {totals[1].hexdigest()[:16]}")
     return records
 

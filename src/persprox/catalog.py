@@ -45,15 +45,13 @@ tracer wraps both by name.
 from __future__ import annotations
 
 import math
-from .core import INF, CaseKind, SignClass, Value, Vec, as_vec, norm, scale, zeros_like
+from .core import (EPS, INF, MIN_SUBNORMAL, CaseKind, SignClass, Value, Vec, as_vec, norm,
+                   scale, zeros_like)
 from .radial import RadialFunction, radial_prox
 # real_quartic_roots and solve_bracketed are no longer called here; they stay
 # module globals because perfbench/tracing.py wraps them in persprox.catalog by name
 from .roots import RootFindError, real_quartic_roots, solve_bracketed  # noqa: F401
 
-_EPS = 2.0 ** -52  # machine epsilon
-_TINY = 2.0 ** -1074  # smallest subnormal
-_FOUR_EPS = 4.0 * _EPS
 _LN2 = math.log(2.0)
 
 # ---------------------------------------------------------------------------
@@ -61,7 +59,12 @@ _LN2 = math.log(2.0)
 
 
 def _solve_power(r: float, w: float, a: float) -> float:
-    """Solve ``rho + w * rho**(r-1) = a`` for ``rho`` in [0, a] (a > 0, w > 0)."""
+    """Solve ``rho + w * rho**(r-1) = a`` for ``rho`` in [0, a] (a > 0, w > 0).
+
+    Newton, safeguarded by bisection, stops once the residual is within four
+    rounding units of ``a`` or a step rounds to nothing.  A step on or past the
+    unevaluated upper end evaluates it rather than creep to it by bisection;
+    where that end, the monomial cap, rounded to below the root, ``a`` replaces it."""
     lo, hi = 0.0, a
     # each term alone bounds the root; the monomial cap is nearly exact for
     # large exponents, where Newton from a loose start is only linear
@@ -76,7 +79,7 @@ def _solve_power(r: float, w: float, a: float) -> float:
     if rho <= 0.0 or rho >= hi:
         rho = 0.5 * hi
     r1, r2 = r - 1.0, r - 2.0
-    wr1, gtol = w * r1, 1e-15 * (1.0 + a)
+    wr1, gtol, top = w * r1, 4.0 * EPS * a, hi
     for _ in range(120):
         g = rho + w * rho ** r1 - a
         if g > 0.0:
@@ -87,8 +90,13 @@ def _solve_power(r: float, w: float, a: float) -> float:
             break
         d = 1.0 + wr1 * rho ** r2
         nxt = rho - g / d if 0.0 < d < INF else 0.5 * (lo + hi)
-        if not lo < nxt < hi:  # also a NaN or infinite step: lo and hi are finite
-            nxt = 0.5 * (lo + hi)
+        if nxt != rho and not lo < nxt < hi:  # also a NaN or infinite step
+            if nxt >= hi == top:  # top is then unevaluated; a NaN step bisects
+                nxt, top = hi, INF
+            elif lo == hi < nxt:  # the cap, evaluated, rounded to below the root
+                hi = a
+            else:
+                nxt = 0.5 * (lo + hi)
         if nxt == rho:
             break
         rho = nxt
@@ -194,7 +202,7 @@ def _cap_norm(x: Vec, radius: float) -> Vec:
         return x
     out = scale(x, radius / r)
     while norm(out) > radius:
-        out = scale(out, 1.0 - 2.3e-16)
+        out = scale(out, 1.0 - EPS)
     return out
 
 
@@ -510,14 +518,14 @@ def root_scaling_prox_neg(mu: float, q: float, y: float) -> float:
         t = t_hi = min(t_bal, (log_c - math.log(-y)) / a)
         t_lo = t_hi - _LN2 / a
     f_lo, f_hi = -INF, INF  # not evaluated yet
-    exp, ay = math.exp, abs(y)
+    exp, ay, four_eps = math.exp, abs(y), 4.0 * EPS
     for _ in range(200):
         ez = exp(t)
         w = exp(log_c - a * t)
         f = ez - w - y
         dfdt = ez + a * w
         dt = f / dfdt
-        if abs(dt) <= _FOUR_EPS * (abs(t) + (ez + w + ay) / dfdt):
+        if abs(dt) <= four_eps * (abs(t) + (ez + w + ay) / dfdt):
             return exp(t - dt)
         if f > 0.0:
             t_hi, f_hi = t, f
@@ -581,7 +589,7 @@ def sqrt_scaling_prox(beta: float, mu: float, y: float) -> float:
         dg = 1.0 + w * beta / ss
         dr = g / dg
         # four rounding units, or four of the smallest subnormal below 2**-1022
-        converged = abs(dr) <= 4.0 * (_EPS * (r + (r + a + wr) / dg) + _TINY)
+        converged = abs(dr) <= 4.0 * (EPS * (r + (r + a + wr) / dg) + MIN_SUBNORMAL)
         r -= dr
         if r < r0:  # max(r, r0), then min(r, a), a NaN kept
             r = r0

@@ -264,7 +264,7 @@ def cmd_demo_concomitant(args) -> int:
     try:
         spec = DemoSpec.from_dict(demo_data)
     except (KeyError, TypeError) as exc:
-        raise InputError(f"demo needs an object with 'a' (rows) and 'b' (array): {exc}") from exc
+        raise InputError(f"demo needs 'a' (rows) and 'b' (array) of numbers: {exc}") from exc
     if not isinstance(pair.base, HuberBase) or not isinstance(pair.scaling, SqrtScaling):
         raise InputError("the concomitant demo runs on the huber/sqrt pair")
     cfg = parse_tol_overrides(args.tol)

@@ -19,7 +19,10 @@ Every zero and membership test in the package applies one rounding-slack
 rule, ``negligible``, at the magnitude of the input a value came from
 (``||x|| / gamma`` on the base side, ``|y|`` on the scale side), so an
 input the region pass treats as zero is snapped to zero by the
-certificate too.
+certificate too.  The rounding constants are defined here and nowhere
+else.  Every scalar solve stops by one rule: once its step or residual is
+within a few rounding units (``EPS``) of the quantities it is computed
+from, never on an absolute floor.
 """
 
 from __future__ import annotations
@@ -33,6 +36,10 @@ INF = math.inf
 Vec = tuple[float, ...]
 
 SLACK = 1e-12  # rounding slack of every zero and membership test
+EPS = 2.0 ** -52  # the rounding unit: the gap between 1.0 and the next double
+MIN_NORMAL = 2.0 ** -1022  # the smallest normal double
+MIN_SUBNORMAL = 2.0 ** -1074  # the smallest positive double
+ZERO_NORM = 1e-300  # a vector of smaller norm is the zero vector (a subnormal guard)
 
 
 def negligible(value: float, size: float) -> bool:

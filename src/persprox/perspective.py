@@ -13,20 +13,8 @@ from __future__ import annotations
 
 import math
 
-from .core import (
-    INF,
-    CaseKind,
-    DimensionMismatch,
-    SignClass,
-    Value,
-    Vec,
-    as_vec,
-    dist,
-    dot,
-    negligible,
-    scale,
-)
-from .radial import _ZERO_NORM
+from .core import (INF, ZERO_NORM, CaseKind, DimensionMismatch, SignClass, Value, Vec, as_vec,
+                   dist, dot, negligible, scale)
 
 # the one exception to ``core.negligible``: a ratio y*/c this close
 # (relatively) to dom env* is pulled onto it.  The slack absorbs the
@@ -175,7 +163,7 @@ def certificate_gap(
     ``gamma`` and ``(x, y)`` and assembled ``(p, q)`` itself, as ``prox_perspective``
     has.  It reads ``phi*(x*)`` as the profile ``h = base.conj.phi1d`` at one norm
     ``rs = ||x*||``, and runs ``proj_dom_conj`` only where ``h(rs)`` is +inf (``rs``
-    outside ``cl dom h``) or ``rs`` is below ``radial._ZERO_NORM`` or not finite."""
+    outside ``cl dom h``) or ``rs`` is below ``core.ZERO_NORM`` or not finite."""
     base = pair.base
     h = base.conj.phi1d
     size = math.hypot(*x) / gamma
@@ -184,7 +172,7 @@ def certificate_gap(
     ystar = (y - q) / gamma
     rs = math.hypot(*xstar)
     c = h.eval(rs)
-    if c == INF or not _ZERO_NORM <= rs < INF:
+    if c == INF or not ZERO_NORM <= rs < INF:
         proj = base.proj_dom_conj(xstar)
         # the projection returns xstar itself when it is already in the domain
         if proj is not xstar and negligible(dist(proj, xstar), size):

@@ -10,10 +10,7 @@ from __future__ import annotations
 
 from math import hypot
 
-from .core import INF, Value, Vec, as_vec, norm, scale, zeros_like
-
-# below this, x is treated as the zero vector (subnormal guard, not a loose tol)
-_ZERO_NORM = 1e-300
+from .core import INF, ZERO_NORM, Value, Vec, as_vec, norm, scale, zeros_like
 
 
 class RadialFunction(Value):
@@ -50,7 +47,7 @@ def radial_prox(phi: RadialFunction, gamma: float, x) -> Vec:
         raise ValueError(f"weight must be nonnegative, got {gamma}")
     x = as_vec(x)
     r = hypot(*x)
-    if r < _ZERO_NORM:
+    if r < ZERO_NORM:
         return zeros_like(x)
     t = phi.phi1d.prox(gamma, r) if gamma != 0.0 else phi.phi1d.proj_cl_dom(r)
     return x if t == r else scale(x, t / r)

@@ -11,16 +11,13 @@ from __future__ import annotations
 
 import math
 
-from .core import Record
+from .core import EPS, MIN_NORMAL, Record
 
-_EPS = 2.0 ** -52  # machine epsilon
-_TWO_EPS = 2.0 * _EPS
 INF, NAN = math.inf, math.nan
 
 # a bracket whose ends differ by more than this factor is split in log space,
 # with the smallest normal double standing in for a lower end of 0
 _WIDE_RATIO = 16.0
-_TINY = 2.0 ** -1022
 
 
 class RootFindError(RuntimeError):
@@ -89,7 +86,8 @@ def solve_bracketed(fn, derivatives, f0: float, *, xtol: float, ftol: float,
     neg, fneg, pos, fpos = lo, flo, hi, fhi
     fstop = min(ftol, 0.5 * xtol)
     half_xtol = 0.5 * xtol
-    floor = max(xtol, _TINY)
+    floor = max(xtol, MIN_NORMAL)
+    two_eps = 2.0 * EPS
     sqrt, copysign = math.sqrt, math.copysign
     it = 0
     while True:
@@ -100,7 +98,7 @@ def solve_bracketed(fn, derivatives, f0: float, *, xtol: float, ftol: float,
         xm = 0.5 * (far - b)
         axm = abs(xm)
         afb = abs(fb)
-        tol = _TWO_EPS * abs(b) + half_xtol
+        tol = two_eps * abs(b) + half_xtol
         width_met = axm <= tol
         if fb == 0.0 or afb <= fstop:
             return RootResult(b, fb, it)
@@ -161,7 +159,7 @@ def solve_bracketed(fn, derivatives, f0: float, *, xtol: float, ftol: float,
             trace(it, lo, hi, b, fb)
         # the bound, widened by the rounding of fn(b) near b
         bound = b - fb
-        slack = _EPS * (abs(b) + abs(bound))
+        slack = EPS * (abs(b) + abs(bound))
         if fb < 0.0:
             lo = neg = b
             flo = fneg = fb

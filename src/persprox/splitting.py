@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import dot
+from .catalog import _real
+from .core import EPS, dot
 from .perspective import PerspectivePair, perspective_eval
 from .solver import RootConfig, prox_perspective
 
@@ -38,19 +39,18 @@ class DemoSpec:
 
     @staticmethod
     def from_dict(data: dict) -> "DemoSpec":
-        a = tuple(tuple(float(v) for v in row) for row in data["a"])
-        b = tuple(float(v) for v in data["b"])
-        w0 = data.get("w0")
-        return DemoSpec(
-            a_matrix=a,
-            b=b,
-            y0=float(data.get("y0", 1.0)),
-            kappa=float(data.get("kappa", 1.0)),
-            tau=float(data.get("tau", 0.5)),
-            iterations=int(data.get("iterations", 500)),
-            w0=None if w0 is None else tuple(float(v) for v in w0),
-            sigma0=float(data.get("sigma0", 0.0)),
-        )
+        """Numbers read by ``catalog._real``; ``iterations`` an int, not a bool."""
+        def vec(values) -> tuple[float, ...]:
+            return tuple([_real(v) for v in values])
+
+        a, b, w0 = tuple(vec(row) for row in data["a"]), vec(data["b"]), data.get("w0")
+        iterations = data.get("iterations", 500)
+        if type(iterations) is not int:
+            raise TypeError(f"'iterations' must be an integer, got {iterations!r}")
+        return DemoSpec(a_matrix=a, b=b, y0=_real(data.get("y0", 1.0)),
+                        kappa=_real(data.get("kappa", 1.0)), tau=_real(data.get("tau", 0.5)),
+                        iterations=iterations, w0=None if w0 is None else vec(w0),
+                        sigma0=_real(data.get("sigma0", 0.0)))
 
 
 class StepSizeError(ValueError):
@@ -91,7 +91,7 @@ def _largest_eigenvalue(g: list[list[float]]) -> float:
     bounds the error of every eigenvalue by a few ulps of lambda_max.
     """
     n = len(g)
-    tiny = 2.0**-52 * math.sqrt(sum(v * v for row in g for v in row))
+    tiny = EPS * math.sqrt(sum(v * v for row in g for v in row))
     for _ in range(64):
         rotated = False
         for i in range(n - 1):

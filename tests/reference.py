@@ -24,16 +24,22 @@ from persprox import (
     CaseLabel,
     DimensionMismatch,
     HuberBase,
+    IdentityScaling,
+    PerspectivePair,
     PowerBase,
     ProxResult,
     RadialFunction,
+    RootFindError,
+    RootScaling,
     SignClass,
+    SqrtScaling,
     Vec,
     prox_fenchel_gap,
+    prox_perspective,
     radial_prox,
 )
 from persprox import catalog, perspective
-from persprox.core import as_vec, dist, dot, negligible, norm, scale, sub
+from persprox.core import ZERO_NORM, as_vec, dist, dot, negligible, norm, scale, sub
 
 # identity checks use absolute 1e-12 plus relative 1e-10 * (1 + magnitude)
 ABS_TOL = 1e-12
@@ -178,9 +184,58 @@ def linear_perspective_eval(phi, x, t: float) -> float:
 def radial_prox_value(phi: RadialFunction, gamma: float, x) -> float:
     """Value of ``phi`` at the radial prox, computed on the scalar side."""
     r = norm(as_vec(x))
-    if r < 1e-300:  # radial_prox's zero-vector guard
+    if r < ZERO_NORM:  # radial_prox's zero-vector guard
         return phi.phi1d.eval(0.0)
     return phi.phi1d.eval(scaled_prox(phi.phi1d, gamma, r))
+
+
+# ---------------------------------------------------------------------------
+# the scaling identity of the signed catalog pairs
+
+
+def rescaled_pair(pair, lam: float):
+    """``(k, pair_lam)`` with ``f(lam * z) = lam**k * f_lam(z)``, where ``f`` and
+    ``f_lam`` are the perspectives of ``pair`` and ``pair_lam``; None for a pair
+    with no law here (an abs base).  The laws:
+
+    - power(p)/root(q, b): k = p + q - pq, and the upper end becomes b/lam;
+    - power(p)/identity: k = 1, and the upper end becomes upper/lam;
+    - huber(alpha)/sqrt(beta): k = 1, and beta becomes beta/lam**2.
+    """
+    base, scaling = pair.base, pair.scaling
+    if isinstance(base, PowerBase) and isinstance(scaling, RootScaling):
+        k = base.p + scaling.q - base.p * scaling.q
+        twin = RootScaling(scaling.q, scaling.upper / lam)
+    elif isinstance(base, PowerBase) and isinstance(scaling, IdentityScaling):
+        k, twin = 1.0, IdentityScaling(scaling.upper / lam)
+    elif isinstance(base, HuberBase) and isinstance(scaling, SqrtScaling):
+        k, twin = 1.0, SqrtScaling(scaling.beta / (lam * lam))
+    else:
+        return None
+    return k, PerspectivePair(base, twin, pair.n)
+
+
+def identity_gap(pair, gamma: float, x, y: float, out=None) -> float | None:
+    """``||out - lam * twin|| / lam`` at ``lam = ||(x, y)||``, for ``out`` the prox
+    of ``gamma * f`` at ``(x, y)`` (computed here unless given) and ``twin`` that
+    of ``gamma * lam**(k - 2) * f_lam`` at ``(x, y) / lam`` (``rescaled_pair``).
+    The identity ``prox_{gamma f}(lam z) = lam * prox_{gamma lam**(k-2) f_lam}(z)``
+    is exact algebra, as the quadratic term scales by ``lam**2``, so the gap is
+    0 at the exact prox.  None for a pair with no law, or where either call raises."""
+    lam = math.hypot(*x, y)
+    law = rescaled_pair(pair, lam)
+    if law is None:
+        return None
+    k, twin_pair = law
+    try:
+        if out is None:
+            out = prox_perspective(pair, gamma, x, y)
+        twin = prox_perspective(twin_pair, gamma * lam ** (k - 2.0),
+                                tuple([c / lam for c in x]), y / lam)
+    except (ArithmeticError, RootFindError):
+        return None
+    diff = [a - lam * b for a, b in zip(out.p, twin.p)]
+    return math.hypot(*diff, out.q - lam * twin.q) / lam
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
+import decimal
 import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from persprox import (
@@ -22,6 +23,7 @@ from persprox import (
     sqrt_scaling_prox,
 )
 from persprox.catalog import _cap_norm
+from persprox.core import EPS, MIN_NORMAL, ZERO_NORM
 from conftest import closed_form_huber_prox, golden_min, grid_prox_1d
 from reference import HuberConjScalar, power_prox_conj
 
@@ -223,6 +225,99 @@ def test_sqrt_scaling_prox_starts_from_the_dominant_balance(monkeypatch, beta, m
     # stationarity to the rounding of its terms, which are about |y| in size
     g = r - y + mu * r / math.sqrt(beta + r * r)
     assert abs(g) <= 8.0 * math.ulp(y)
+
+
+# --- the scalar solvers against a decimal solve -----------------------------
+#
+# Each solver is compared with a 64-digit bisection of its own equation in the
+# log of its unknown u.  The error, in the variable the solver iterates, is
+# bounded by 32 rounding units of |u*| + sum|terms| / g'(u*), where g is the
+# equation's residual in that variable, plus the distance from the reference
+# to its nearest double (no result can beat that where u* underflows).
+
+D = decimal.Decimal
+
+
+def _decades(lo: float, hi: float):
+    """Floats spread evenly in log10 over [10**lo, 10**hi]."""
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+def _decimal_log_root(F, t0: D) -> D:
+    """The root of ``F``, increasing in ``t = log u``: a bracket grown around
+    ``t0``, then bisection to 1e-30 of ``1 + |t|``, in the current context."""
+    lo = hi = t0
+    step = D(1)
+    while F(lo) > 0:
+        lo, step = lo - step, 2 * step
+    step = D(1)
+    while F(hi) < 0:
+        hi, step = hi + step, 2 * step
+    while hi - lo > D("1e-30") * (1 + abs(lo)):
+        mid = (lo + hi) / 2
+        if F(mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+    return (lo + hi) / 2
+
+
+def _assert_within(got: D, want: D, size: D):
+    """``got`` is within 32 rounding units of ``size`` of ``want``, plus the
+    rounding of ``want`` to a double."""
+    units = abs(got - want) / (D(EPS) * size)
+    assert abs(got - want) <= 32 * D(EPS) * size + abs(D(float(want)) - want), float(units)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(pstar=st.floats(1.05, 50.0), w=_decades(-20.0, 20.0), a=_decades(-30.0, 30.0))
+@example(pstar=1.5, w=1.0, a=1e-12)  # the root is 1e-24; an absolute stop gave 9.98e-25
+def test_power_prox_matches_a_decimal_solve(pstar, w, a):
+    # rho + w * rho**r1 = a with r1 = p* - 1, in rho
+    rho = PowerScalar(pstar).prox(w, a)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 64
+        r1, da, log_w = D(pstar) - 1, D(a), D(w).ln()
+        t = _decimal_log_root(lambda t: t.exp() + (log_w + r1 * t).exp() - da,
+                              min(da.ln(), (da.ln() - log_w) / r1))
+        u, term = t.exp(), (log_w + r1 * t).exp()
+        slope = 1 + r1 * term / u
+        _assert_within(D(rho), u, u + (u + term + da) / slope)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(q=st.floats(0.01, 0.99), mu=_decades(-20.0, 20.0), ay=_decades(-30.0, 30.0),
+       negative=st.booleans())
+def test_root_scaling_prox_matches_a_decimal_solve(q, mu, ay, negative):
+    # exp(t) - q * mu * exp((q - 1) t) = y, in t = log z; roots outside the
+    # normal doubles are left out (the solver returns 0 below them)
+    y = -ay if negative else ay
+    with decimal.localcontext() as ctx:
+        ctx.prec = 64
+        dq, dy, log_c = D(q), D(y), (D(q) * D(mu)).ln()
+        t = _decimal_log_root(lambda t: t.exp() - (log_c + (dq - 1) * t).exp() - dy, D(0))
+        assume(D(MIN_NORMAL).ln() < t < D(1.7e308).ln())  # below the largest double
+        ez, term = t.exp(), (log_c + (dq - 1) * t).exp()
+        slope = ez + (1 - dq) * term
+        got = D(root_scaling_prox_neg(mu, q, y)).ln()
+        _assert_within(got, t, abs(t) + (ez + term + abs(dy)) / slope)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(beta=_decades(-20.0, 20.0), mu=_decades(-20.0, 20.0), ay=_decades(-30.0, 30.0),
+       negative=st.booleans())
+def test_sqrt_scaling_prox_matches_a_decimal_solve(beta, mu, ay, negative):
+    # r - |y| + mu * r / sqrt(beta + r**2) = 0, in r = |prox|
+    r = sqrt_scaling_prox(beta, mu, -ay if negative else ay)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 64
+        db, dmu, day = D(beta), D(mu), D(ay)
+        t = _decimal_log_root(lambda t: t.exp() - day + dmu * t.exp() / (db + (2 * t).exp()).sqrt(),
+                              day.ln())
+        u = t.exp()
+        s = (db + u * u).sqrt()
+        slope = 1 + dmu * db / (s * s * s)
+        _assert_within(D(abs(r)), u, u + (u + day + dmu * u / s) / slope)
 
 
 # --- Huber pieces -----------------------------------------------------------
@@ -628,7 +723,7 @@ def test_vector_conjugate_methods_are_the_radial_lift_of_the_profile(base, log_w
         return
 
     def lift(t):
-        if r < 1e-300:  # radial_prox's zero-vector guard
+        if r < ZERO_NORM:  # radial_prox's zero-vector guard
             return (0.0, 0.0)
         out = tuple(c * (t / r) for c in x)
         return _cap_norm(out, h.alpha) if isinstance(base, HuberBase) else out

@@ -134,8 +134,20 @@ def test_non_finite_catalog_parameter_is_bad_input(spec):
      "expected a number, got '0.5'"),
     (["eval", "--spec", HUBER_SPEC, "--point", '{"x":[1,0],"y":[false]}'], None,
      "expected a number, got False"),
+    # the demo read its numbers through float() and int(): these three ran,
+    # the last two for one and for two steps
+    (["demo-concomitant", "--spec", HUBER_SPEC, "--demo",
+      '{"a":[["1",0],[0,true]],"b":["1","1"],"iterations":2}'], None,
+     "expected a number, got '1'"),
+    (["demo-concomitant", "--spec", HUBER_SPEC, "--demo",
+      '{"a":[[1,0],[0,1]],"b":[1,1],"iterations":true}'], None,
+     "'iterations' must be an integer, got True"),
+    (["demo-concomitant", "--spec", HUBER_SPEC, "--demo",
+      '{"a":[[1,0],[0,1]],"b":[1,1],"iterations":2.7}'], None,
+     "'iterations' must be an integer, got 2.7"),
 ], ids=["stdin-number", "stdin-array", "demo-without-a", "demo-array", "y-null", "y-list-null",
-        "x-string", "x-y-strings-and-bool", "x-bool", "y-string", "y-list-bool"])
+        "x-string", "x-y-strings-and-bool", "x-bool", "y-string", "y-list-bool",
+        "demo-strings-and-bool", "demo-iterations-bool", "demo-iterations-float"])
 def test_malformed_document_is_bad_input(capsys, monkeypatch, argv, stdin, message):
     from persprox.cli import main
 
