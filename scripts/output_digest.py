@@ -13,22 +13,23 @@ exceeds the benchmark bound ``1e-8 * (1 + ||(x, y)||^2)``, the count of
 calls whose scaling-identity gap exceeds 1e-6 (``identity_gap`` of
 ``tests/reference.py``, whose rescaling laws cover every pair but abs; a
 call where either side raises is not counted), and the two digests, then
-the totals.  Two checkouts whose solver outputs are
-bit-identical print the same solver digests, whatever their certificates:
+the totals, and per probe pair the mean and maximum number of ``T``
+evaluations of its root-region calls over the probe seeds (counted by
+wrapping the residuals that ``make_residual_case_i/iii`` return).  Two
+checkouts whose solver outputs are bit-identical print the same solver
+digests, whatever their certificates:
 
     python3 scripts/output_digest.py
 
 Two modes compare checkouts whose outputs differ.  ``--dump PATH`` also
 stores every call's ``(label, p, q, eta, root_iterations)`` and the
-number of ``T`` evaluations it made (counted by wrapping the residuals
-that ``make_residual_case_i/iii`` return) as JSON.  ``--against PATH``
+number of ``T`` evaluations it made as JSON.  ``--against PATH``
 reads such a file, made by another checkout, and prints per input set the
 label changes, the number of changed outputs ``(label, p, q, eta,
 root_iterations)``, the largest ``eta`` difference (also as a share of the
 most two searches that meet the default stop rules can differ by, the sum
-of their ``stop_distance``: the full width ``4 eps |eta| + eta_tol`` of
-``roots.solve_bracketed``'s width stop plus the rounding slack ``eps (|eta|
-+ |eta - T(eta)|)`` of a bound never evaluated), the largest ``(p, q)``
+of their ``stop_distance``: ``eta_tol`` plus six rounding units of
+``eta``, see ``stop_distance``), the largest ``(p, q)``
 difference in ulps of ``||(x, y)||``, and the mean and maximum ``T``
 evaluations of root-region calls per (pair, label), this checkout's beside
 the stored ones:
@@ -61,17 +62,18 @@ PROBE_SEEDS = range(5)
 ROOT_LABELS = ("Omega4", "Xi4")
 IDENTITY_LIMIT = 1e-6
 ETA_TOL = solver.DEFAULT_CONFIG.eta_tol
-RESIDUAL_TOL = solver.DEFAULT_CONFIG.residual_tol
 
 
 def stop_distance(eta: float) -> float:
     """The most a search that meets the default stop rules at ``eta`` can
-    lie from the root: the width stop leaves the full bracket width
-    ``4 eps |eta| + eta_tol``, and the far end may be a bound never
-    evaluated, widened by its rounding slack ``eps (|eta| + |eta - T(eta)|)``
-    with ``|T(eta)| <= residual_tol``; every other stop is tighter.  Two
-    searches differ by at most the sum of their distances."""
-    return ETA_TOL + 4.0 * EPS * abs(eta) + EPS * (2.0 * abs(eta) + RESIDUAL_TOL)
+    lie from the root: the width stop leaves the ends' bounds on the root
+    (minus their inner values) up to ``eta_tol + 4 eps |eta|`` apart, and
+    the reported estimate carries two more rounding units; the residual
+    stops (``|T| <= min(residual_tol, eta_tol / 2)``, or ``|T| <=
+    residual_tol`` with a Newton step in ``eta`` predicted within
+    ``eta_tol / 2``) are tighter.  Two searches differ by at most the sum of
+    their distances."""
+    return ETA_TOL + 6.0 * EPS * abs(eta)
 
 
 def input_sets():
@@ -166,6 +168,15 @@ def run(counter=None):
     print(f"{'total':<20} calls {total_calls:>5}  errors {total_errors:>3}"
           f"  uncertified {total_uncertified:>4}  identity {total_identity:>4}"
           f"  solver {totals[0].hexdigest()[:16]}  gaps {totals[1].hexdigest()[:16]}")
+    probe = {}
+    for name, _, calls in input_sets():
+        if name.startswith("probe"):
+            for key, evals in _eval_stats(records[name], calls).items():
+                probe.setdefault(key[0], []).extend(evals)
+    for pair in sorted(probe):
+        evals = probe[pair]
+        print(f"probe pair {pair} root-region T evaluations: mean {sum(evals) / len(evals):.2f}"
+              f"  max {max(evals)}  ({len(evals)} calls)")
     return records
 
 
@@ -224,9 +235,6 @@ def main(argv=None):
     mode.add_argument("--dump", metavar="PATH", help="store every call's output as JSON")
     mode.add_argument("--against", metavar="PATH", help="compare with a stored --dump file")
     args = parser.parse_args(argv)
-    if not (args.dump or args.against):
-        run()
-        return
     counter = EvalCounter()
     counter.install()
     try:
@@ -235,7 +243,7 @@ def main(argv=None):
         counter.uninstall()
     if args.dump:
         Path(args.dump).write_text(json.dumps(records), encoding="utf-8")
-    else:
+    elif args.against:
         compare(json.loads(Path(args.against).read_text(encoding="utf-8")), records)
 
 

@@ -11,12 +11,7 @@ through these members alone:
 - A profile ``h`` is an even convex function of one variable, finite near
   0: ``eval(t)``, ``prox(w, t)`` (the prox of ``w * h``, ``w > 0``) and
   ``proj_cl_dom(t)`` (the projection onto ``cl dom h``, the ``w -> 0``
-  member).  A signed base's profile also gives ``derivatives(w, rho)``,
-  the first and second derivative in ``w`` of the value curve
-  ``h(prox_{w h}(r))`` at ``rho``, the point ``prox`` returned:
-  ``-h'(rho)**2 / D`` and ``h'**2 * (3 h'' - w h' h''' / D) / D**2`` with
-  ``D = 1 + w * h''(rho)``, both 0 on a clamp (an end of ``cl dom h``),
-  NaN where not defined.
+  member).  A signed base's profile also gives ``inverse``, below.
 - A base ``phi`` has ``sign_class``, the ``SignClass`` of ``phi*``;
   ``eval(x)``; ``rec_eval(x)``, its recession function; ``conj``, the
   ``radial.RadialFunction`` of its profile (``phi*(x*) = h(||x*||)`` for
@@ -33,9 +28,17 @@ through these members alone:
   equals ``-eval`` or ``eval`` by the kind.  ``env_conj_eval`` is the
   envelope's conjugate, ``support_cl_conv_S`` the support function of
   ``cl S`` and ``proj_dom_env_conj`` the projection onto the closed
-  domain of ``env_conj_eval``.  ``env_derivatives(weight, z)`` gives the
-  profile's ``derivatives`` forms for the envelope at the point ``z``
-  that ``prox_env`` returned.
+  domain of ``env_conj_eval``.  It also gives ``inverse``.
+- ``inverse`` runs the prox family ``u = prox_{w f}(t)`` of the profile or
+  envelope ``f`` backwards, in the role the sign class gives ``f`` in the
+  multiplier search: the outer curve (a nonnegative conjugate's profile, an
+  S_LOWER envelope) or the inner one.  The inner ``inverse(t, u)`` returns
+  ``(w, w'/w, w''/w, f(u), f'(u), f''(u))`` in ``u``, ``w`` the weight
+  landing on ``u`` (at a clamp, the weight where it begins).  The outer
+  ``inverse(t, v)``, for ``v`` above ``f(0)``, the least value, returns
+  ``(u, w, v w', v**2 w'', v u')`` in ``v``, ``u`` the point on the side
+  of ``t`` where ``f`` is ``v``; at or below ``f(0)``, ``(0, inf, -inf,
+  inf, 0)``.  Neither takes a scalar solve.
 
 The bases' ``conj_eval`` and ``prox_conj``, the lift's value and prox, lie
 outside the base contract: the package calls neither, and the benchmark's
@@ -64,7 +67,8 @@ def _solve_power(r: float, w: float, a: float) -> float:
     Newton, safeguarded by bisection, stops once the residual is within four
     rounding units of ``a`` or a step rounds to nothing.  A step on or past the
     unevaluated upper end evaluates it rather than creep to it by bisection;
-    where that end, the monomial cap, rounded to below the root, ``a`` replaces it."""
+    where that end, the monomial cap, rounded to below the root, ``a`` replaces it.
+    Where ``rho**(r-1)`` overflows, ``w * rho**(r-1)`` is formed in logs."""
     lo, hi = 0.0, a
     # each term alone bounds the root; the monomial cap is nearly exact for
     # large exponents, where Newton from a loose start is only linear
@@ -81,14 +85,22 @@ def _solve_power(r: float, w: float, a: float) -> float:
     r1, r2 = r - 1.0, r - 2.0
     wr1, gtol, top = w * r1, 4.0 * EPS * a, hi
     for _ in range(120):
-        g = rho + w * rho ** r1 - a
+        try:
+            g = rho + w * rho ** r1 - a
+        except OverflowError:  # rho**r1 beyond the largest double, w * rho**r1 maybe not
+            t = math.log(w) + r1 * math.log(rho)
+            g = rho + (math.exp(t) if t < 709.0 else INF) - a
         if g > 0.0:
             hi = rho
         else:
             lo = rho
         if abs(g) <= gtol:
             break
-        d = 1.0 + wr1 * rho ** r2
+        try:
+            d = 1.0 + wr1 * rho ** r2
+        except OverflowError:
+            t = math.log(w) + r2 * math.log(rho)
+            d = 1.0 + r1 * (math.exp(t) if t < 709.0 else INF)
         nxt = rho - g / d if 0.0 < d < INF else 0.5 * (lo + hi)
         if nxt != rho and not lo < nxt < hi:  # also a NaN or infinite step
             if nxt >= hi == top:  # top is then unevaluated; a NaN step bisects
@@ -132,20 +144,16 @@ class PowerScalar(Value):
     def proj_cl_dom(self, t: float) -> float:
         return float(t)
 
-    def derivatives(self, w: float, rho: float) -> tuple[float, float]:
-        # -g'**2 / D and g'**2 * (3 g'' - w g' g''' / D) / D**2 at |rho|, with
-        # D = 1 + w g'', g' = |rho|**(p - 1), g'' = (p - 1) * g' / |rho| and
-        # g''' = (p - 2) g'' / |rho|, so w g' g''' = (p - 2) g'' (D - 1) / (p - 1)
-        rho = abs(rho)
-        if rho == 0.0:
-            return 0.0, 0.0
-        p = self.p
-        d1 = rho ** (p - 1.0)
-        d2 = (p - 1.0) * d1 / rho
-        wd2 = w * d2
-        c = d1 / (1.0 + wd2)
-        return (-d1 * d1 / (1.0 + w * (p - 1.0) * d1 / rho),
-                c * c * d2 * (3.0 - (p - 2.0) * wd2 / ((p - 1.0) * (1.0 + wd2))))
+    def inverse(self, r: float, v: float) -> tuple[float, ...]:
+        # rho = (p v)**(1/p) has h(rho) = v, and r = rho + w h'(rho) with h'(rho)
+        # = p v / rho, so w = (r - rho) rho / (p v); d rho / dv = rho / (p v)
+        p, g = self.p, self.p * v
+        if not g > 0.0:
+            return 0.0, INF, -INF, INF, 0.0
+        rho = g ** (1.0 / p)
+        f = rho / g
+        return (rho, (r - rho) * f, f * ((1.0 - p) * r + (p - 2.0) * rho) / p,
+                (1.0 - p) * f * ((1.0 - 2.0 * p) * r + 2.0 * (p - 2.0) * rho) / (p * p), rho / p)
 
 
 class HuberConjScalar(Value):
@@ -166,14 +174,12 @@ class HuberConjScalar(Value):
     def proj_cl_dom(self, t: float) -> float:
         return min(t, self.alpha) if t >= 0.0 else max(t, -self.alpha)
 
-    def derivatives(self, w: float, rho: float) -> tuple[float, float]:
-        # -h'**2 / D = -rho**2 / (1 + w) and h'**2 * (3 h'' - w h' h''' / D) / D**2
-        # = 3 rho**2 / (1 + w)**2, with D = 1 + w h''; 0 on the clamp at alpha
-        if abs(rho) >= self.alpha:
-            return 0.0, 0.0
-        d = 1.0 + w
-        c = rho / d
-        return -rho * rho / d, 3.0 * c * c
+    def inverse(self, r: float, rho: float) -> tuple[float, ...]:
+        # r = rho (1 + w) below alpha: w = (r - rho) / rho, w' = -r / rho**2,
+        # w'' = 2 r / rho**3; at alpha the largest weight that clamps there
+        a, rr = self.alpha, r - rho
+        return (rr / rho, -r / rho / rr, 2.0 * r / rho / rho / rr,
+                0.5 * (rho - a) * (rho + a), rho, 1.0)
 
 
 class AbsConjScalar(Value):
@@ -224,7 +230,7 @@ class PowerBase(Value):
         return norm(x) ** self.p / self.p
 
     def conj_eval(self, xstar) -> float:
-        return self.conj.eval(xstar)
+        return self.conj.phi1d.eval(norm(xstar))
 
     def prox_conj(self, gamma: float, xstar) -> Vec:
         return radial_prox(self.conj, gamma, xstar)
@@ -249,7 +255,7 @@ class AbsBase(Value):
         return norm(x)
 
     def conj_eval(self, xstar) -> float:
-        return self.conj.eval(xstar)
+        return self.conj.phi1d.eval(norm(xstar))
 
     def prox_conj(self, gamma: float, xstar) -> Vec:
         return self.proj_dom_conj(xstar)
@@ -293,7 +299,7 @@ class HuberBase(Value):
         return a * r if r > a else 0.5 * (r * r + a * a)
 
     def conj_eval(self, xstar) -> float:
-        return self.conj.eval(xstar)
+        return self.conj.phi1d.eval(norm(xstar))
 
     def prox_conj(self, gamma: float, xstar) -> Vec:
         return _cap_norm(radial_prox(self.conj, gamma, xstar), self.alpha)
@@ -355,26 +361,14 @@ class RootScaling(Value):
         z = root_scaling_prox_neg(weight, self.q, y)
         return min(z, self.upper)
 
-    def env_derivatives(self, weight: float, z: float) -> tuple[float, float]:
-        # h(z) = -z**q, with u = q * z**q = -z * h'(z), so no power of z
-        # overflows: -h'**2 / D = -u**2 / (z**2 + weight * (1 - q) * u) and
-        # h'**2 * (3 h'' - weight h' h''' / D) / D**2, h'' = (1 - q) u / z**2
-        # and h''' = -(2 - q) h'' / z; 0 where z is clamped to the upper end
-        # or underflowed, NaN at weight 0 and z = 0
-        if z >= self.upper:
-            return 0.0, 0.0
-        if z == 0.0:
-            return (0.0, 0.0) if weight > 0.0 else (math.nan, math.nan)
-        q = self.q
-        u = q * z ** q
-        if z > 1.0:  # h'(z) = -u / z <= q
-            c = u / z
-            d2 = (1.0 - q) * c / z
-            dd = 1.0 + weight * d2
-            return (-c * c / (1.0 + weight * (1.0 - q) * c / z),
-                    c * c * d2 * (3.0 - (2.0 - q) * weight * c / (z * dd)) / (dd * dd))
-        zd = z * z + weight * (1.0 - q) * u  # z**2 * D
-        return -u * u / zd, (1.0 - q) * u * u * u * (3.0 - (2.0 - q) * weight * u / zd) / zd / zd
+    def inverse(self, y: float, z: float) -> tuple[float, ...]:
+        # y = z - q w z**(q-1): w = (z - y) z**(1-q) / q, w'/w = ((2 - q) z -
+        # (1 - q) y) / ((z - y) z), w''/w = (1 - q) ((2 - q) z + q y) / ((z - y)
+        # z**2); at the upper end the least weight that clamps there
+        q, zq, zy = self.q, z ** self.q, z - y
+        return (zy * (z / zq) / q, ((2.0 - q) * z - (1.0 - q) * y) / zy / z,
+                (1.0 - q) * ((2.0 - q) * z + q * y) / zy / z / z,
+                -zq, -q * zq / z, q * (1.0 - q) * zq / z / z)
 
     def support_cl_conv_S(self, t: float) -> float:
         if t <= 0.0:
@@ -417,17 +411,18 @@ class SqrtScaling(Value):
             return float(y)
         return sqrt_scaling_prox(self.beta, weight, y)
 
-    def env_derivatives(self, weight: float, z: float) -> tuple[float, float]:
-        # h = sqrt(beta + z**2), s = h(z): h' = z / s, h'' = beta / s**3 = k**2 / s
-        # with k = sqrt(beta) / s, and h''' = -3 t h'' / s, so 3 h'' - weight h'
-        # h''' / D = 3 h'' (1 + weight t**2 / (s D)); hypot keeps s finite for huge z
+    def inverse(self, y: float, v: float) -> tuple[float, ...]:
+        # |z| = sqrt(v**2 - beta) on the side of y, and y - z = w z / v: w =
+        # (|y| - |z|) v / |z|, w' = -1 - |y| beta / |z|**3, w'' = 3 |y| beta v /
+        # |z|**5; a value at or below sqrt(beta) is the pole
         sb = math.sqrt(self.beta)
-        s = math.hypot(sb, z)
-        t, k = z / s, sb / s
-        wkk = weight * k * k
-        sd = s + wkk  # s * D
-        return (-t * t / (1.0 + wkk / s),
-                3.0 * t * t * k * k * (1.0 + weight * t * t / sd) * s / (sd * sd))
+        d = (v - sb) * (v + sb)
+        if not d > 0.0:
+            return 0.0, INF, -INF, INF, 0.0
+        a, ay = math.sqrt(d), abs(y)
+        k = ay * self.beta / a / a / a
+        return (math.copysign(a, y), (ay - a) * v / a, -v * (1.0 + k), 3.0 * k * v * v * v / a / a,
+                math.copysign(v * v / a, y))
 
     def support_cl_conv_S(self, t: float) -> float:
         return 0.0 if t == 0.0 else INF
@@ -468,10 +463,10 @@ class IdentityScaling(Value):
             raise ValueError(f"weight must be nonnegative, got {weight}")
         return min(max(y + weight, 0.0), self.upper)
 
-    def env_derivatives(self, weight: float, z: float) -> tuple[float, float]:
-        # -1 where y + weight lies inside [0, upper], 0 where it is clamped;
-        # the curve is linear in weight, or clamped, so V'' = 0
-        return (-1.0 if 0.0 < z < self.upper else 0.0), 0.0
+    def inverse(self, y: float, z: float) -> tuple[float, ...]:
+        # z = y + w inside [0, upper]: w = z - y, the largest that clamps at 0,
+        # the least that clamps at the upper end
+        return z - y, 1.0 / (z - y), 0.0, -z, -1.0, 0.0
 
     def support_cl_conv_S(self, t: float) -> float:
         if t <= 0.0:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from math import hypot
 
-from .core import INF, ZERO_NORM, Value, Vec, as_vec, norm, scale, zeros_like
+from .core import INF, ZERO_NORM, Value, Vec, as_vec, scale, zeros_like
 
 
 class RadialFunction(Value):
@@ -27,9 +27,6 @@ class RadialFunction(Value):
         if phi1d.eval(0.0) == INF:
             raise ValueError("phi1d must be finite near 0")
         object.__setattr__(self, "phi1d", phi1d)
-
-    def eval(self, x) -> float:
-        return self.phi1d.eval(norm(x))
 
     def prox(self, gamma: float, x) -> Vec:
         return radial_prox(self, gamma, x)

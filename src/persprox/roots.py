@@ -1,8 +1,7 @@
 """Scalar root finding, and a closed-form quartic solver nothing calls.
 
-``solve_bracketed`` is a Halley-Newton-bisection search for the root of a
-function of slope at least 1, the multiplier residual ``T`` of ``solver``,
-which reads the first and second derivative from one call.
+``solve_bracketed`` is a Halley-Newton-secant-bisection search on a bracket
+with one evaluated end, for ``solver``'s multiplier residual.
 ``real_quartic_roots`` (Ferrari, in ``quartic``) is a reference utility:
 no code path of the package calls it.
 """
@@ -11,13 +10,9 @@ from __future__ import annotations
 
 import math
 
-from .core import EPS, MIN_NORMAL, Record
+from .core import EPS, Record
 
 INF, NAN = math.inf, math.nan
-
-# a bracket whose ends differ by more than this factor is split in log space,
-# with the smallest normal double standing in for a lower end of 0
-_WIDE_RATIO = 16.0
 
 
 class RootFindError(RuntimeError):
@@ -29,151 +24,124 @@ class RootFindError(RuntimeError):
 
 
 class RootResult(Record):
-    """Root, ``fn`` there, and the evaluations made: a plain record per search."""
+    """Root, ``fn`` there, the evaluations made and the final bracket (the
+    root and the other end): a plain record per search."""
 
-    __slots__ = ("root", "residual", "iterations")
+    __slots__ = ("root", "residual", "iterations", "bracket")
 
-    def __init__(self, root: float, residual: float, iterations: int):
-        self.root = root
-        self.residual = residual
-        self.iterations = iterations
+    def __init__(self, root: float, residual: float, iterations: int, bracket: tuple):
+        self.root, self.residual = root, residual
+        self.iterations, self.bracket = iterations, bracket
 
 
-def solve_bracketed(fn, derivatives, f0: float, *, xtol: float, ftol: float,
-                    max_iter: int, trace=None) -> RootResult:
-    """Root of ``fn`` from ``f0 = fn(0) <= 0``, where ``fn(u) - fn(v) >= u - v``
-    for ``u > v``, and ``derivatives(x)`` is ``(fn'(x), fn''(x))`` at an
-    evaluated ``x``; a NaN ``fn''`` (from a caller that has none) keeps
-    every step Newton's.
-
-    The root lies in ``[0, -f0]``, whose upper end is not evaluated, and
-    within ``|fn(x)|`` of each evaluated ``x``, the bound to which the
-    bracket shrinks (widened by two rounding units).  Each step, from
-    ``b``, the end evaluated last, is a Newton step ``s = -fn(b)/fn'(b)``
-    where ``fn'(b)`` is positive and finite and the step moves towards
-    the far end without passing it (nor 3/4 of the way to an evaluated
-    end), and a bisection otherwise: in log space while the ends differ by
-    more than a factor 16, ``xtol`` (or the smallest normal double)
-    standing in for a lower end of 0, and there no step lands below the
-    geometric midpoint.  A Newton step longer than the width tolerance
-    that stops short of the far end becomes Halley's, ``s / (1 - k)`` with
-    ``k = fn(b) * fn''(b) / (2 * fn'(b)**2)``, where ``|k| <= 1/2`` and
-    that step obeys the same limits; otherwise the Newton step stays.
-    ``derivatives`` is not called once the width is met.  A step shorter
-    than the width tolerance becomes that tolerance.
-
-    It stops at ``b`` once ``fn(b) == 0``, or once ``|fn(b)| <= min(ftol,
-    xtol/2)`` (the root is then within ``xtol/2`` of ``b``).  Once the
-    half-width is at most ``2*eps*|b| + xtol/2`` it stops at whichever
-    evaluated end has the smaller ``|fn|``, if that is at most ``ftol``;
-    while only the width is met it evaluates a far end never evaluated,
-    and bisects otherwise.  With no double strictly inside a bracket of
-    evaluated ends it stops at the end of smaller ``|fn|``, the root to
-    float resolution, whatever its residual.  The rounding of ``fn`` can
-    break the bound of an end never evaluated: an evaluation there with
-    the wrong sign replaces it by the last evaluated point beyond, or else
-    by its own bound.
-
-    ``iterations`` counts calls of ``fn``; ``trace(it, lo, hi, x, fn(x))``
-    gets each evaluated ``x`` and the bracket it was chosen in.
-    """
-    if not f0 <= 0.0:
-        raise RootFindError("no sign change on bracket", 0.0, -f0, f0, NAN)
-    lo, hi, flo, fhi = 0.0, -f0, f0, NAN
-    b, fb = lo, flo
-    # the last points evaluated below and above the root (the upper end
-    # until one is), which replace an end whose bound rounding broke
-    neg, fneg, pos, fpos = lo, flo, hi, fhi
-    fstop = min(ftol, 0.5 * xtol)
-    half_xtol = 0.5 * xtol
-    floor = max(xtol, MIN_NORMAL)
-    two_eps = 2.0 * EPS
-    sqrt, copysign = math.sqrt, math.copysign
-    it = 0
+def _target(f: float, f1: float, f2: float, b: float, c: float, lo: float, hi: float,
+            toward: float) -> float:
+    """``solve_bracketed``'s Halley, else Newton target from ``b`` for ``f``
+    with derivatives ``f1``, ``f2`` in ``s``; NaN where neither lands inside."""
+    if not (f1 != 0.0 and -INF < f1 < INF and -INF < f < INF):
+        return NAN
+    newton = -f / f1
+    k = -0.5 * newton * f2 / f1
+    step = newton / (1.0 - k) if -0.5 <= k <= 0.5 else newton
+    tol = 2.0 * EPS * (b if b > 0.0 else -b)
     while True:
-        if fb < 0.0:
-            far, ffar = hi, fhi
-        else:
-            far, ffar = lo, flo
-        xm = 0.5 * (far - b)
-        axm = abs(xm)
-        afb = abs(fb)
-        tol = two_eps * abs(b) + half_xtol
-        width_met = axm <= tol
-        if fb == 0.0 or afb <= fstop:
-            return RootResult(b, fb, it)
-        if width_met:
-            if abs(ffar) <= ftol and abs(ffar) < afb:  # never true of a NaN
-                return RootResult(far, ffar, it)
-            if afb <= ftol:
-                return RootResult(b, fb, it)
-        # b + xm at b or far: no double lies strictly inside the bracket,
-        # whose width is then met unless tol is 0
-        mid = b + xm
-        edge = mid == b or mid == far
-        if edge and (ffar == ffar or afb <= ftol):
-            if abs(ffar) < afb:
-                return RootResult(far, ffar, it)
-            return RootResult(b, fb, it)
+        if step <= 700.0:
+            t = c + (b - c) * math.exp(step)
+            if t == c:
+                t = math.nextafter(c, b)
+            if -tol < t - b < tol:
+                t = b + toward * tol
+            if lo < t < hi:
+                return t
+        if step == newton:
+            return NAN
+        step = newton
+
+
+def solve_bracketed(fn, derivatives, b: float, fb: float, c: float, *, xtol: float,
+                    ftol: float, max_iter: int, at_c: float = NAN, trace=None) -> RootResult:
+    """Root of ``fn``, which changes sign once between ``b``, where ``fb =
+    fn(b)`` is known and finite, and ``c``, never evaluated, beyond which it
+    has the other sign (or a pole).
+
+    Steps are taken in ``s = log|x - c|``, which keeps every point on the
+    side of ``c``.  ``derivatives(x)``, at an evaluated ``x``, gives ``(f_s,
+    f_ss, g, g_s, g_ss, e, err)``: the first two derivatives of ``fn`` in
+    ``s``; a second function ``g`` with the root and sign of ``fn`` and its
+    two (NaN where none); ``e``, an estimate that bounds the root from the
+    side of ``x`` (``x`` itself where NaN; ``at_c`` for ``c``); and ``err``,
+    the error of the estimate the caller reports from ``x`` (NaN where
+    none).  From ``b``, the end evaluated last, each function gives Halley's
+    step ``newton / (1 - k)``, ``k = f f_ss / (2 f_s**2)``, where ``|k| <=
+    1/2`` and it stays in the bracket, else Newton's.  A target that rounds
+    onto ``c`` becomes the double next to it; a move under two rounding
+    units of ``b`` becomes that long.  The search takes the target moving
+    farthest, strictly inside the bracket; failing both, the secant between
+    evaluated ends (Illinois' rule: the end kept again weighs half), then a
+    bisection: halving the distance to ``c`` while ``c`` is an end, else in
+    ``s`` while the ends' distances to ``c`` differ by over 16x, else plain.
+    A NaN ``fn`` counts as the side of ``c``.
+
+    It stops at ``b`` once ``|fn(b)| <= min(ftol, xtol/2)``, or ``<= ftol``
+    with ``err <= xtol/2``; and at the evaluated end of smaller ``|fn|`` once
+    the ends' estimates are within ``xtol`` plus four rounding units (without
+    estimates, the ends within ``xtol``) or no double lies inside.
+    ``iterations`` counts calls of ``fn``, ``bracket`` is ``(root, other
+    end)``, and ``trace(it, lo, hi, x, fn(x))`` gets each evaluated ``x``
+    and the bracket it was chosen in.
+    """
+    if not -INF < fb < INF or b == c:
+        raise RootFindError("no sign change on bracket", b, c, fb, NAN)
+    far, ffar, efar, fsec = c, NAN, at_c, NAN  # fsec: ffar, halved each time far is kept
+    fstop, errstop, it = min(ftol, 0.5 * xtol), 0.5 * xtol, 0
+    while True:
+        if -fstop <= fb <= fstop:
+            return RootResult(b, fb, it, (b, far))
+        ds = derivatives(b)
+        e = ds[5]
+        if ds[6] <= errstop and -ftol <= fb <= ftol:
+            return RootResult(b, fb, it, (b, far))
+        mid = b + 0.5 * (far - b)
+        width = abs(efar - e) <= 4.0 * EPS * abs(e) + xtol if e == e else abs(far - b) <= xtol
+        if width or mid == b or mid == far:
+            if abs(ffar) < abs(fb):  # never true of an end not evaluated
+                return RootResult(far, ffar, it, (far, b))
+            return RootResult(b, fb, it, (b, far))
         if it >= max_iter:
-            raise RootFindError(f"no convergence in {max_iter} iterations", lo, hi, flo, fhi)
-        if ffar != ffar and (edge or width_met):
-            # fn(b) misses ftol next to an end never evaluated: evaluate it
-            # rather than trust its bound or creep towards it
-            x = far
-        else:
-            # the Newton step, or NaN where it is not taken
-            db, d2b = (NAN, NAN) if width_met else derivatives(b)
-            step = -fb / db if 0.0 < db < INF else NAN
-            reach = 2.0 * axm if ffar != ffar else 1.5 * axm - 0.5 * tol
-            if not ((step > 0.0) == (xm > 0.0) and abs(step) <= reach):
-                step = NAN
-            low = lo if lo > floor else floor
-            wide = hi > _WIDE_RATIO * low
-            if wide:
-                # no step lands below the geometric midpoint of a wide bracket
-                gm = sqrt(low) * sqrt(hi)
-                least = gm - b
-            if wide and not step >= least:
-                # the log-space bisection lands on its midpoint itself, since
-                # b + (gm - b) can round to an end of the bracket
-                x = gm
-            else:
-                if step != step:
-                    step = xm
-                elif tol < abs(step) < 2.0 * axm:
-                    # Halley's step, where the curvature shifts Newton's by at
-                    # most a factor 2 and keeps it in reach and above gm
-                    k = -0.5 * step * d2b / db  # T T'' / (2 T'**2)
-                    if -0.5 <= k <= 0.5:
-                        halley = step / (1.0 - k)
-                        if abs(halley) <= reach and (not wide or halley >= least):
-                            step = halley
-                # a step shorter than tol becomes tol, which stays inside the
-                # bracket unless the width is met, when it is the bisection
-                x = b + (step if width_met or abs(step) > tol else copysign(tol, xm))
-        b = x
-        fb = fn(b)
+            raise RootFindError(f"no convergence in {max_iter} iterations", b, far, fb, ffar)
+        lo, hi, toward = (b, far, 1.0) if b < far else (far, b, -1.0)
+        x = _target(fb, ds[0], ds[1], b, c, lo, hi, toward)
+        if ds[2] == ds[2]:
+            t = _target(ds[2], ds[3], ds[4], b, c, lo, hi, toward)
+            if not abs(x - b) >= abs(t - b):  # also when x is NaN
+                x = t
+        if x != x:
+            if -INF < fsec < INF:  # the secant, Illinois-weighted
+                x = b - fb * (far - b) / (fsec - fb)
+                tol = 2.0 * EPS * abs(b)
+                if -tol < x - b < tol:
+                    x = b + toward * tol
+            if not lo < x < hi:
+                d, dfar = b - c, far - c
+                if far == c:
+                    x = c + 0.5 * d
+                elif 16.0 * abs(d) < abs(dfar) or 16.0 * abs(dfar) < abs(d):
+                    x = c + math.copysign(math.sqrt(abs(d)) * math.sqrt(abs(dfar)), d)
+                else:
+                    x = mid
+                if not lo < x < hi:
+                    x = mid
+        fx = fn(x)
         it += 1
-        if trace is not None:  # [lo, hi] is the bracket b was chosen in
-            trace(it, lo, hi, b, fb)
-        # the bound, widened by the rounding of fn(b) near b
-        bound = b - fb
-        slack = EPS * (abs(b) + abs(bound))
-        if fb < 0.0:
-            lo = neg = b
-            flo = fneg = fb
-            if b >= hi:  # fn's rounding put the root past an end never evaluated
-                hi, fhi = (pos, fpos) if pos > b else (INF, NAN)
-            if bound + slack < hi:
-                hi, fhi = bound + slack, NAN
-        elif fb > 0.0:
-            hi = pos = b
-            fhi = fpos = fb
-            if b <= lo:
-                lo, flo = (neg, fneg) if neg < b else (-INF, NAN)
-            if bound - slack > lo:
-                lo, flo = bound - slack, NAN
+        if trace is not None:  # [lo, hi] is the bracket x was chosen in
+            trace(it, lo, hi, x, fx)
+        if fx != fx:
+            far, ffar, efar, fsec = x, NAN, NAN, NAN
+        elif (fx > 0.0) == (fb > 0.0):
+            b, fb = x, fx
+            fsec *= 0.5  # the end kept again weighs half in the next secant
+        else:
+            far, ffar, efar, fsec, b, fb = b, fb, e, fb, x, fx
 
 
 def real_quartic_roots(

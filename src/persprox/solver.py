@@ -18,17 +18,12 @@ One pass tests the regions the same way in both cases and assembles the
 prox where a closed form applies: region 1 when both curves vanish at
 weight 0, region 2 when the inner curve vanishes at the outer curve's
 weight-0 value, region 3 when the outer curve vanishes at minus the inner
-curve's weight-0 value (that value is ``eta``).  Region 4 finds the root
-of ``T`` by a monotone one-dimensional search.  Both curves are
-nonincreasing, so ``T' >= 1``: the root lies in ``[0, -T(0)]`` and within
-``|T(eta)|`` of every evaluated ``eta``.  The profile's ``derivatives``
-and the scaling's ``env_derivatives`` give each curve's slope and
-curvature in one call, which make ``T' = 1 + inner' * outer'`` and
-``T''`` exact, so the search takes Halley steps where the curvature
-shifts the Newton step by at most a factor 2 and the step stays in the
-bracket, Newton steps otherwise, with bisection as their safeguard.  The
-pass hands the search its curves, and ``T(0)`` with its curve points
-where it computed them.  Every curve point
+curve's weight-0 value (that value is ``eta``).  Region 4 searches the
+root on the inner curve point ``u`` (``z`` in case i, ``rho`` in case
+iii), between its point at ``eta = 0`` and its pole as ``eta`` grows, in
+``log|u - pole|``: the contracts' ``inverse`` runs both proxes backwards
+(the weight of ``u`` is the outer value, the weight of that value's outer
+point is ``eta``), so ``T(u)`` takes no scalar solve.  Every curve point
 is a float; the base point is built once, at assembly, as ``x/gamma``
 scaled by ``rho / r`` for the profile radius ``rho``.
 
@@ -40,9 +35,10 @@ the case-(i) ones, and a zero-or-infinity pair makes them raise
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
-from .core import INF, Record, SignClass, Value, Vec, negligible, norm, scale
+from .core import EPS, INF, Record, SignClass, Value, Vec, negligible, norm, scale
 # prox_fenchel_gap only for the benchmark's tracer, which wraps it by this name
 from .perspective import PerspectivePair, certificate_gap, prox_fenchel_gap
 from .roots import solve_bracketed
@@ -63,18 +59,15 @@ class CaseLabel(Enum):
 class RootConfig(Value):
     """Tolerances of the multiplier search; region tests use ``core.negligible``.
 
-    The search (``roots.solve_bracketed``: Halley steps guarded to at most
-    twice the Newton step and to the bracket, else Newton steps, else
-    bisection) stops once ``|T(eta)| <= min(residual_tol, eta_tol / 2)``:
-    since ``T' >= 1`` the root is then within ``eta_tol / 2`` of ``eta``.
-    Once its bracket is within ``eta_tol`` (plus two rounding units of
-    ``eta``) it also stops at the evaluated end of smaller ``|T|`` if that
-    is at most ``residual_tol``, and it stops when no double lies inside a
-    bracket whose ends it evaluated.  ``max_iter`` bounds its ``T``
-    evaluations.
-
-    An immutable value (``core.Value``): equal settings compare and hash
-    equal.
+    The search on the inner curve point ``u`` stops once ``|T| <=
+    min(residual_tol, eta_tol / 2)`` (``T(u)`` is ``T(eta)`` at the ``eta``
+    of ``u``, and ``T' >= 1`` in ``eta``); once ``|T| <= residual_tol``
+    where the curvature puts a Newton step in ``eta`` within ``eta_tol / 2``
+    of the root; and, at the evaluated end of smaller ``|T|``, once the
+    ends' bounds on the multiplier (minus their inner values) are within
+    ``eta_tol`` plus four rounding units, or no double lies inside the
+    bracket.  ``max_iter`` bounds its ``T`` evaluations.  An immutable
+    value (``core.Value``): equal settings compare and hash equal.
     """
 
     __slots__ = ("eta_tol", "residual_tol", "max_iter")
@@ -85,9 +78,9 @@ class RootConfig(Value):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if max_iter <= 0:
             raise ValueError("max_iter must be positive")
-        object.__setattr__(self, "eta_tol", eta_tol)
-        object.__setattr__(self, "residual_tol", residual_tol)
-        object.__setattr__(self, "max_iter", max_iter)
+        for name, value in (("eta_tol", eta_tol), ("residual_tol", residual_tol),
+                            ("max_iter", max_iter)):
+            object.__setattr__(self, name, value)
 
 
 class ProxResult(Record):
@@ -95,8 +88,8 @@ class ProxResult(Record):
 
     ``eta`` is the coupling multiplier (0 on the closed-form regions with
     vanishing scale value), ``root_iterations`` counts the evaluations of
-    ``T`` the multiplier search made (``T(0)``, the lower end of its
-    bracket, is not one of them; 0 off the root region), and
+    ``T`` the multiplier search made (not the one at its bracket's end at
+    ``eta = 0``, unless that finds a clamp; 0 off the root region), and
     ``certificate_gap`` is the Fenchel residual of the output, checked
     independently of the path that produced it.
 
@@ -108,12 +101,9 @@ class ProxResult(Record):
 
     def __init__(self, p: Vec, q: float, eta: float, label: CaseLabel,
                  root_iterations: int, certificate_gap: float):
-        self.p = p
-        self.q = q
-        self.eta = eta
-        self.label = label
-        self.root_iterations = root_iterations
-        self.certificate_gap = certificate_gap
+        self.p, self.q = p, q
+        self.eta, self.label = eta, label
+        self.root_iterations, self.certificate_gap = root_iterations, certificate_gap
 
 
 DEFAULT_CONFIG = RootConfig()
@@ -137,7 +127,7 @@ def _pull_back(x: Vec, gamma: float, xg: Vec, d: Vec) -> Vec:
 
 
 def _curves(pair: PerspectivePair, gamma: float, x: Vec, y: float, base_drives: bool):
-    """``(base_drives, (x/gamma, r), outer, inner)`` at a checked ``(x, y)``:
+    """``(base_drives, (x/gamma, r, y), outer, inner)`` at a checked ``(x, y)``:
     the curve the multiplier drives and the other, each a ``(point, value)``
     pair of functions on floats, the curve at weight ``v`` being ``value(point(v))``.
     """
@@ -159,10 +149,10 @@ def _curves(pair: PerspectivePair, gamma: float, x: Vec, y: float, base_drives: 
         return prox_env(gamma * v, y)
 
     b, s = (b_point, h.eval), (s_point, scaling.env_eval)
-    return (True, (xg, r), b, s) if base_drives else (False, (xg, r), s, b)
+    return (True, (xg, r, y), b, s) if base_drives else (False, (xg, r, y), s, b)
 
 
-def _signed_pass(curves, y: float):
+def _signed_pass(curves):
     """The region tests on the ``_curves`` of an input, and the closed-form
     points where they select one.
 
@@ -173,7 +163,7 @@ def _signed_pass(curves, y: float):
     ``y`` for S.  An outer value of +inf at weight 0 is a finite one beyond
     the largest double, which no test or search can use: ``OverflowError``.
     """
-    base_drives, (_, r), (o_point, o_value), (i_point, i_value) = curves
+    base_drives, (_, r, y), (o_point, o_value), (i_point, i_value) = curves
     o_ref, i_ref = (r, y) if base_drives else (y, r)
     o_pt = o_point(0.0)
     o0 = o_value(o_pt)
@@ -212,85 +202,93 @@ def classify_case_i(pair: PerspectivePair, gamma: float, x, y) -> CaseLabel:
     runs on it.  A zero-or-infinity pair raises ``ValueError``."""
     x, y = pair.check_point(x, y)
     base_drives = _base_drives(pair)
-    region = _signed_pass(_curves(pair, gamma, x, y, base_drives), y)[0]
+    region = _signed_pass(_curves(pair, gamma, x, y, base_drives))[0]
     return _LABELS[base_drives][region - 1]
 
 
 class SearchRecord:
     """Side record of one multiplier search.
 
-    ``points[eta] = (outer point, inner point, outer value, T(eta))``, all
-    floats, for each ``eta`` at which ``T`` was evaluated: the outer point
-    is the profile radius ``prox_{(eta/gamma) h}(r)`` in case (i) and the
-    scale point in case (iii), the inner point the other one, at the outer
-    value as its weight.  The search takes ``T(0)`` from the entry at 0
-    when one is there.  ``derivatives(eta)`` is ``(T'(eta), T''(eta))`` at
-    such an ``eta`` (NaN where a curve derivative is not defined), once
-    ``make_residual_case_i`` has built ``T`` on the record; it builds
-    ``curves``, the ``_curves`` of the checked input, when the record has
-    none.
+    ``start`` is ``(outer point, inner point, outer value, T(0))`` at
+    ``eta = 0``, handed over by the region pass where it computed it;
+    ``curves`` the ``_curves`` of the checked input.  ``points[u] = (T_s,
+    T_ss, g, g_s, g_ss, -v, err, v, eta, eta_s, o, o_s)`` for each inner
+    point ``u`` at which ``T`` was evaluated: what ``roots.solve_bracketed``
+    reads (derivatives in ``s = log|u - pole|`` of ``T`` and of ``g =
+    log(eta) - log(-v)``, which has the root and sign of ``T``; minus the
+    inner value ``v``, which bounds the root from the side of ``u``; the
+    error of a Newton step in ``eta`` from ``u``), then ``v``, the ``eta``
+    of ``u`` and the outer point ``o`` at it, with their derivatives.
+    ``pole`` is the inner point as ``eta`` grows without bound, and ``out``
+    the outer and inner points of the prox at the returned ``eta``.
     """
 
-    __slots__ = ("points", "curves", "_terms")
+    __slots__ = ("start", "curves", "points", "pole", "chain", "out")
 
-    def __init__(self, points: dict | None = None, curves: tuple | None = None):
-        self.points = {} if points is None else points
-        self.curves = curves
-        self._terms = None  # (base_drives, profile, scaling, gamma), set with T
-
-    def derivatives(self, eta: float) -> tuple[float, float]:
-        # T' = 1 + inner' * outer' and T'' = inner'' * outer'**2 + inner' * outer'',
-        # the curves' derivatives in v being the profile's and the scaling's in w
-        # scaled by 1/gamma (B) and gamma (S): S_w'' B_w'**2 + S_w' B_w'' / gamma
-        # in case (i), B_w'' S_w'**2 + gamma B_w' S_w'' in case (iii); (1, 0)
-        # where outer is flat
-        base_drives, h, scaling, gamma = self._terms
-        o_pt, i_pt, weight, _ = self.points[eta]
-        if base_drives:
-            d_out, c_out = h.derivatives(eta / gamma, o_pt)
-            if not d_out:
-                return 1.0, 0.0
-            d_in, c_in = scaling.env_derivatives(gamma * weight, i_pt)
-            return 1.0 + d_in * d_out, c_in * d_out * d_out + d_in * c_out / gamma
-        d_out, c_out = scaling.env_derivatives(gamma * eta, o_pt)
-        if not d_out:
-            return 1.0, 0.0
-        d_in, c_in = h.derivatives(weight / gamma, i_pt)
-        return 1.0 + d_in * d_out, c_in * d_out * d_out + gamma * d_in * c_out
+    def __init__(self, start: tuple | None = None, curves: tuple | None = None):
+        self.start, self.curves, self.points = start, curves, {}
+        self.pole = self.chain = self.out = None
 
 
 def make_residual_case_i(pair: PerspectivePair, gamma: float, x, y,
                          record: SearchRecord | None = None):
-    """The strictly increasing map ``T(eta) = inner(outer(eta)) + eta`` whose
-    root is the multiplier: ``S(B(eta)) + eta`` in case (i), ``B(S(eta)) +
-    eta`` in case (iii), by the sign class as in ``classify_case_i``.
-
-    Each evaluation stores its curve points in ``record.points`` (a fresh
-    ``SearchRecord`` when none is given), where ``record.derivatives``
-    reads ``T'`` and ``T''``.  ``T`` runs on
-    ``record.curves`` when they are set, without checking ``(x, y)`` again:
-    they must be this input's.
-    """
-    if record is None:
-        record = SearchRecord()
+    """``T(u) = inner value + eta`` on the inner curve point ``u`` (``z`` in
+    case i, ``rho`` in case iii, as in ``classify_case_i``): ``T(eta)`` at
+    the ``eta`` putting the inner point at ``u``, through the contracts'
+    ``inverse``, with no scalar solve.  Each evaluation stores its entry in
+    ``record.points``; ``record.chain`` is the same map, for evaluations not
+    counted.  ``T`` runs on ``record.curves`` when set, unchecked."""
+    record = SearchRecord() if record is None else record
     if record.curves is None:
         x, y = pair.check_point(x, y)
         record.curves = _curves(pair, gamma, x, y, _base_drives(pair))
-    base_drives, _, (o_point, o_value), (i_point, i_value) = record.curves
-    record._terms = (base_drives, pair.base.conj.phi1d, pair.scaling, gamma)
-    points = record.points
+    base_drives, (_, r, y), (_, o_value), (i_point, _) = record.curves
+    h, sc = pair.base.conj.phi1d.inverse, pair.scaling.inverse
+    # the weights are eta / gamma (B) and gamma * value (S)
+    inner, outer, t_in, t_out, k = (sc, h, y, r, 1.0 / gamma) if base_drives else (h, sc, r, y, gamma)
+    # the outer curve is least at its point 0, where its weight is infinite
+    c = record.pole = i_point(o_value(0.0))
+    points, log, nan = record.points, math.log, math.nan
 
-    def T(eta: float) -> float:
-        o_pt = o_point(eta)
-        weight = o_value(o_pt)
-        if weight == INF:  # as in _signed_pass, where it is computed first
-            raise OverflowError(f"the outer curve value at eta={eta!r} overflows")
-        i_pt = i_point(weight)
-        t = i_value(i_pt) + eta
-        points[eta] = (o_pt, i_pt, weight, t)
+    def T(u: float) -> float:
+        d = u - c  # d/ds = d * d/du
+        w, r1, r2, v, v1, v2 = inner(t_in, u)
+        o_pt, ow, m1, m2, o1 = outer(t_out, w * k)
+        eta = ow / k
+        t = v + eta
+        r1, r2 = r1 * d, (r2 * d + r1) * d
+        v1, v2 = v1 * d, (v2 * d + v1) * d
+        e1 = m1 * r1 / k
+        e2 = (m2 * r1 * r1 + m1 * r2) / k
+        t1, t2 = v1 + e1, v2 + e2
+        err = g = g1 = g2 = nan
+        if abs(t) > -1e-3 * v and 0.0 < eta < INF:  # far from the root: g
+            l1 = m1 / ow * r1
+            g1 = v1 / v
+            g = log(eta) - log(-v)
+            g2 = m2 / ow * r1 * r1 + m1 / ow * r2 - l1 * l1 - v2 / v + g1 * g1
+            g1 = l1 - g1
+        elif t == 0.0:
+            err = 0.0
+        elif abs(t * e1) < EPS ** 0.5 * abs(t1 * eta):
+            # T''_eta delta**2 / (2 T'_eta) for the step delta = t e1 / t1; none
+            # above sqrt(EPS) of eta, where the first-order move of the curve
+            # points to its end would round off
+            err = 0.5 * abs(t2 * e1 - t1 * e2) * t * t / abs(t1 * t1 * t1)
+        points[u] = (t1, t2, g, g1, g2, -v, err, v, eta, e1, o_pt, o1 * r1)
         return t
 
+    record.chain = T
     return T
+
+
+def _settle(record: SearchRecord, eta: float) -> float:
+    """``record.out`` from the curves at ``eta``, the outer prox at weight
+    ``eta`` and the inner one at its value; returns ``T(eta)``."""
+    _, _, (o_point, o_value), (i_point, i_value) = record.curves
+    o_pt = o_point(eta)
+    record.out = o_pt, i_point(o_value(o_pt))
+    return i_value(record.out[1]) + eta
 
 
 def solve_eta_case_i(
@@ -299,27 +297,70 @@ def solve_eta_case_i(
     trace=None, record: SearchRecord | None = None,
 ) -> tuple[float, int]:
     """Multiplier for the root region of a signed pair, case (i) or (iii)
-    by the sign class as in ``classify_case_i``: the unique ``eta >= 0``
-    with ``T(eta) = 0``, and the number of ``T`` evaluations it took.
+    as in ``classify_case_i``, and the number of ``T`` evaluations it took.
 
-    ``roots.solve_bracketed`` searches ``[0, -T(0)]`` by Halley or Newton
-    steps from the derivatives ``record`` reads, safeguarded by bisection,
-    and stops as ``RootConfig`` states.  ``T(0)``, not counted, comes from
-    ``record.points[0.0]`` when that entry is there.  ``trace(it, lo, hi,
-    eta, T(eta))`` gets every other evaluated ``eta`` and the bracket it
-    was chosen in.  The ``record`` entry at the returned ``eta``
-    holds the points the prox is assembled from.
+    ``roots.solve_bracketed`` searches the inner points between ``u0``, the
+    one at ``eta = 0`` (whose entry, for the first step, is an evaluation of
+    ``record.chain`` not counted), and the pole, and stops as ``RootConfig``
+    states.  Where ``T(u0) >= 0``, ``u0`` sits on a clamp of the inner curve
+    (``RootScaling``'s upper end) holding the root, whose value gives the
+    multiplier: one counted evaluation.  Where ``u0`` is the pole, the
+    multiplier is ``-T(0)``.  ``eta`` is a Newton step in ``eta`` from the
+    returned point (minus its inner value where the inner curve is flat in
+    ``eta``, its ``eta`` where it is steep), kept between minus the inner
+    values at the bracket's ends.  ``trace(it, lo, hi, eta, T(eta))`` gets
+    every evaluation and its bracket, as multipliers (the pole's is +inf).
     """
     make = make_residual_case_i if _base_drives(pair) else make_residual_case_iii
     record = SearchRecord() if record is None else record
     T = make(pair, gamma, x, y, record)
-    entry = record.points.get(0.0)
-    t0 = T(0.0) if entry is None else entry[3]
-    if t0 >= 0.0:
-        return 0.0, 0
-    res = solve_bracketed(T, record.derivatives, t0, xtol=cfg.eta_tol, ftol=cfg.residual_tol,
-                          max_iter=cfg.max_iter, trace=trace)
-    return res.root, res.iterations
+    if record.start is None:
+        _, _, (o_point, o_value), (i_point, i_value) = record.curves
+        u0 = i_point(o_value(o_point(0.0)))
+        record.start = None, u0, None, i_value(u0)
+    _, u0, _, t0 = record.start
+    c, points = record.pole, record.points
+    if t0 >= 0.0 or u0 == c:  # eta = 0, or an inner curve that cannot move
+        _settle(record, max(-t0, 0.0))
+        return max(-t0, 0.0), 0
+    if record.chain(u0) >= 0.0 and T(u0) >= 0.0:  # on a clamp, T = eta + v: root -v
+        v, eta_c = points[u0][7:9]
+        if trace is not None:
+            trace(1, 0.0, eta_c, -v, 0.0)
+        _settle(record, -v)
+        return -v, 1
+    report = None
+    if trace is not None:
+        etas = {u0: 0.0, c: INF}
+
+        def report(it, lo, hi, u, t, trace=trace):
+            etas[u] = points[u][8]
+            trace(it, min(etas[lo], etas[hi]), max(etas[lo], etas[hi]), etas[u], t)
+    at_c = -record.curves[3][1](c)
+    res = solve_bracketed(T, points.__getitem__, u0, points[u0][7] + points[u0][8], c,
+                          xtol=cfg.eta_tol, ftol=cfg.residual_tol, max_iter=cfg.max_iter,
+                          at_c=at_c, trace=report)
+    root, other = res.bracket
+    t1, _, _, _, _, lo, err, v, eta, e1, o_pt, o_s = points[root]
+    hi = points[other][5] if other in points else at_c
+    lo, hi = min(lo, hi), max(lo, hi)
+    t, slope = res.residual, e1 / t1 if t1 else 0.0  # 1 / T'(eta), T' >= 1
+    eta -= t * slope
+    if not lo <= eta <= hi:
+        eta = min(max(-v, lo), hi)
+    if abs(t) <= cfg.residual_tol and err <= 0.5 * cfg.eta_tol:
+        # the curve points there, moved to eta to first order in s
+        ds = -t / t1 if t1 else 0.0
+        record.out = o_pt + o_s * ds, root + (root - c) * ds
+        return eta, res.iterations
+    # else the prox from the forward curves at eta, and where the forward T
+    # there misses the stop (the inverse map rounds eta off where the outer
+    # point hardly moves), once more from a Newton step on it
+    t = _settle(record, eta)
+    if abs(t) > max(min(cfg.residual_tol, 0.5 * cfg.eta_tol), 4.0 * EPS * eta) and 0.0 < slope <= 1.0:
+        eta -= t * slope
+        _settle(record, eta)
+    return eta, res.iterations
 
 
 # the same functions under their case-(iii) names; the root region of each
@@ -352,20 +393,19 @@ def prox_perspective(
     else:
         base_drives = sc is SignClass.NONNEGATIVE_CONJUGATE
         curves = _curves(pair, gamma, x, y, base_drives)
-        region, o_pt, i_pt, eta = _signed_pass(curves, y)
+        region, o_pt, i_pt, eta = _signed_pass(curves)
         iters = 0
         if region == 4:
             # the search runs on the pass's curves, and T(0) and its
             # points come from the pass where it computed them
-            record = SearchRecord(None if eta is None else {0.0: eta}, curves)
+            record = SearchRecord(eta, curves)
             solve = solve_eta_case_i if base_drives else solve_eta_case_iii
             eta, iters = solve(pair, gamma, x, y, cfg, record=record)
-            # the points of the search's evaluation of T at eta
-            o_pt, i_pt = record.points[eta][:2]
+            o_pt, i_pt = record.out
         label = _LABELS[base_drives][region - 1]
         rho, q = (o_pt, i_pt) if base_drives else (i_pt, o_pt)
         # the base point, built once: x/gamma itself where rho == r
-        xg, r = curves[1]
+        xg, r, _ = curves[1]
         p = _pull_back(x, gamma, xg, xg if rho == r else scale(xg, rho / r))
     gap = certificate_gap(pair, gamma, x, y, p, q)
     return ProxResult(p, q, eta, label, iters, gap)

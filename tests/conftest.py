@@ -131,10 +131,9 @@ def closed_form_huber_prox(alpha: float, beta: float, gamma: float, x, y: float)
 
 
 def eta_on_wider_bracket(T, extra: float) -> float:
-    """Root of a multiplier residual ``T`` by bisection to float resolution
-    on the evaluated bracket ``[0, extra - T(0)]``, which holds it since
-    ``T' >= 1``; ``solve_eta_case_*`` start from ``[0, -T(0)]`` and never
-    evaluate its upper end."""
+    """Root of a multiplier residual ``T(eta)`` (``reference.multiplier_residual``)
+    by bisection to float resolution on the evaluated bracket ``[0, extra -
+    T(0)]``, which holds it since ``T' >= 1``."""
     return bisect_root(T, 0.0, extra - T(0.0))
 
 

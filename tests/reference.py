@@ -193,6 +193,35 @@ def radial_prox_value(phi: RadialFunction, gamma: float, x) -> float:
 # the scaling identity of the signed catalog pairs
 
 
+def multiplier_residual(pair, gamma: float, x, y: float):
+    """The multiplier residual ``T(eta) = inner(outer(eta)) + eta`` of a
+    signed pair at ``(x, y)``, composed forwards: the outer prox at weight
+    ``eta``, then the inner prox at the outer value as its weight, from the
+    public ``prox``/``eval`` of the base's conjugate profile (at ``r =
+    ||x/gamma||``, weights over ``gamma``) and ``prox_env``/``env_eval`` of
+    the scaling (weights times ``gamma``).  The base curve is the outer one
+    for a nonnegative conjugate, the scale curve for a nonpositive one.
+    Both curves are nonincreasing, so ``T' >= 1`` and the multiplier is the
+    root in ``[0, -T(0)]``; the package searches the same root on the
+    inner curve point instead."""
+    x, y = pair.check_point(x, y)
+    h, scaling = pair.base.conj.phi1d, pair.scaling
+    r = norm(scale(x, 1.0 / gamma))
+
+    def base_curve(v):
+        w = v / gamma
+        return h.eval(h.prox(w, r) if w != 0.0 else h.proj_cl_dom(r))
+
+    def scale_curve(v):
+        return scaling.env_eval(scaling.prox_env(gamma * v, y))
+
+    if pair.base.sign_class is SignClass.NONNEGATIVE_CONJUGATE:
+        outer, inner = base_curve, scale_curve
+    else:
+        outer, inner = scale_curve, base_curve
+    return lambda eta: inner(outer(eta)) + eta
+
+
 def rescaled_pair(pair, lam: float):
     """``(k, pair_lam)`` with ``f(lam * z) = lam**k * f_lam(z)``, where ``f`` and
     ``f_lam`` are the perspectives of ``pair`` and ``pair_lam``; None for a pair

@@ -29,7 +29,6 @@ from persprox import (
     run_concomitant_demo,
     sqrt_scaling_prox,
 )
-from persprox.solver import make_residual_case_i, make_residual_case_iii
 from conftest import eta_on_wider_bracket
 from reference import (
     AbsScalar,
@@ -42,6 +41,7 @@ from reference import (
     PrimalProvider,
     SupportInterval,
     brute_force_prox,
+    multiplier_residual,
     prox_primal,
     scaled_prox,
 )
@@ -191,10 +191,7 @@ def test_criterion_4_root_finder_contract(oracle_runs):
                 continue
             checked += 1
             max_iters = max(max_iters, res.root_iterations)
-            if res.label is CaseLabel.OMEGA4:
-                T = make_residual_case_i(pair, gamma, x, y)
-            else:
-                T = make_residual_case_iii(pair, gamma, x, y)
+            T = multiplier_residual(pair, gamma, x, y)
             worst_residual = max(worst_residual, abs(T(res.eta)))
             worst_gap = max(worst_gap, abs(res.eta - eta_on_wider_bracket(T, 3.7)))
     ok = (

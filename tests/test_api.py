@@ -30,6 +30,7 @@ ALLOWED = {
     ("catalog", "PowerBase.conj_eval"): TRACED,
     ("catalog", "HuberBase.conj_eval"): TRACED,
     ("catalog", "AbsBase.conj_eval"): TRACED,
+    ("radial", "RadialFunction.prox"): TRACED,
 }
 
 # The methods of each contract that the catalog module's docstring states:
@@ -40,11 +41,11 @@ _PROFILE = ("eval", "prox", "proj_cl_dom")
 _BASE = ("eval", "rec_eval", "proj_dom_conj")
 CONTRACTS = {
     "profile": _PROFILE,
-    "signed profile": _PROFILE + ("derivatives",),
+    "signed profile": _PROFILE + ("inverse",),
     "signed base": _BASE,
     "zero-or-infinity base": _BASE + ("prox_primal",),
     "scaling": ("eval", "env_eval", "env_conj_eval", "prox_env", "support_cl_conv_S",
-                "proj_dom_env_conj", "env_derivatives"),
+                "proj_dom_env_conj", "inverse"),
 }
 
 
@@ -52,9 +53,12 @@ def _modules():
     return {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
 
 
-def _contract_of(cls: ast.ClassDef) -> str:
+def _contract_of(mod: str, cls: ast.ClassDef) -> str | None:
     """The contract a catalog class implements, by the attribute that marks
-    it; a profile has no mark, and is held to the wider signed contract."""
+    it; a profile has no mark, and is held to the wider signed contract.
+    A ``radial`` class implements none."""
+    if mod != "catalog":
+        return None
     marks = {t.id: node.value for node in cls.body if isinstance(node, ast.Assign)
              for t in node.targets if isinstance(t, ast.Name)}
     if "sign_class" in marks:
@@ -89,12 +93,13 @@ def unreferenced() -> set[tuple[str, str]]:
     """Definitions nothing else in ``src/`` refers to.
 
     Top-level functions and classes of every module, and the methods of the
-    catalog classes.  A reference inside the definition itself does not
+    catalog and radial classes.  A reference inside the definition itself does not
     count, nor does a re-export from ``__init__``.  Every catalog method,
     contract methods included, must be read by name somewhere else in
     ``src/``; a method named like a method of a contract (``CONTRACTS``)
     its class does not implement is reported too, since that read may be
-    the contract's.
+    the contract's.  A radial class implements no contract, so its methods
+    named like contract members (``RadialFunction.prox``) are reported.
     """
     modules = _modules()
     del modules["__init__"]
@@ -107,9 +112,10 @@ def unreferenced() -> set[tuple[str, str]]:
             used = set().union(*(_names_used(t, skip=node) for t in modules.values()))
             if node.name not in used:
                 found.add((mod, node.name))
-            if mod != "catalog" or not isinstance(node, ast.ClassDef):
+            if mod not in ("catalog", "radial") or not isinstance(node, ast.ClassDef):
                 continue
-            own = set(CONTRACTS[_contract_of(node)])
+            contract = _contract_of(mod, node)
+            own = set(CONTRACTS[contract]) if contract else set()
             for meth in node.body:
                 if not isinstance(meth, ast.FunctionDef) or meth.name.startswith("__"):
                     continue

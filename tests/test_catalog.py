@@ -581,40 +581,21 @@ def test_power_base_near_one_builds_its_conjugate_lift():
     assert base.eval((2.0, 0.0)) == pytest.approx(2.0 ** 1.001 / 1.001)
 
 
-# --- value-curve slopes -----------------------------------------------------
+# --- inverse calls -------------------------------------------------------------
 
-def _profile_curve(profile, t):
-    """``w -> (point, value)`` of the value curve h(prox_{w h}(t)) of a
-    conjugate profile ``h``."""
-    def at(w):
-        pt = profile.prox(w, t) if w > 0.0 else profile.proj_cl_dom(t)
-        return pt, profile.eval(pt)
-    return at
+def _differences(f, a, h):
+    """Central first and second differences of ``f`` at ``a``, step ``h``."""
+    fp, f0, fm = f(a + h), f(a), f(a - h)
+    return (fp - fm) / (2.0 * h), (fp - 2.0 * f0 + fm) / (h * h)
 
 
-def _scaling_curve(scaling, y):
-    def at(w):
-        z = scaling.prox_env(w, y)
-        return z, scaling.env_eval(z)
-    return at
-
-
-def _central_difference(curve, w):
-    h = 1e-5 * w
-    return (curve(w + h)[1] - curve(w - h)[1]) / (2.0 * h), h
-
-
-def _second_difference(curve, w):
-    h = 1e-3 * w
-    return (curve(w + h)[1] - 2.0 * curve(w)[1] + curve(w - h)[1]) / (h * h), h
-
-
-def _assert_curvature(curvature, curve, w):
-    # truncation of order h**2, and the rounding of three curve values
-    # (each solved to about 1e-13 relative) over h**2
-    fd2, h = _second_difference(curve, w)
-    scale = max(abs(curve(w + s * h)[1]) for s in (-1.0, 0.0, 1.0))
-    assert abs(curvature - fd2) <= 1e-4 * (1.0 + abs(fd2)) + 4e-13 * scale / (h * h), (curvature, fd2)
+def _assert_derivatives(first, second, f, a, scale, near):
+    # truncation of order (h / near)**2 at a distance ``near`` from a pole
+    # of f, and the rounding of three values of size ``scale`` over h**2
+    h = 1e-4 * near
+    d1, d2 = _differences(f, a, h)
+    assert abs(first - d1) <= 1e-6 * (abs(d1) + scale / near), (first, d1)
+    assert abs(second - d2) <= 1e-3 * (abs(d2) + scale / (near * near)), (second, d2)
 
 
 SIGNED_BASES = st.sampled_from([PowerBase(1.5), PowerBase(2.0), PowerBase(3.0), PowerBase(20.0),
@@ -627,24 +608,33 @@ SIGNED_BASES = st.sampled_from([PowerBase(1.5), PowerBase(2.0), PowerBase(3.0), 
     log_w=st.floats(-3.0, 3.0),
     x=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
 )
-def test_conj_slope_matches_central_difference(base, log_w, x):
-    # the value curve of the base's conjugate profile at r = ||x||, the
-    # curve the solver's base side runs on; its curvature against the
-    # second central difference
+def test_profile_inverse_runs_the_prox_backwards(base, log_w, x):
+    # the prox of w h at r = ||x||, run backwards: the power profile is an
+    # outer curve (from the value of the point to the point and w), the
+    # Huber profile an inner one (from the point to w and the value); the
+    # derivatives against central differences
+    h = base.conj.phi1d
     w = 10.0 ** log_w
     r = math.hypot(*x)
-    curve = _profile_curve(base.conj.phi1d, r)
-    fd, h = _central_difference(curve, w)
-    if isinstance(base, HuberBase):
-        # the clamp onto the ball is a kink of the curve
-        assume(abs(r / (1.0 + w) - base.alpha) > 1e-3 * base.alpha)
-    slope, curvature = base.conj.phi1d.derivatives(w, curve(w)[0])
-    assert slope <= 0.0
-    assert abs(slope - fd) <= 1e-5 * (1.0 + abs(fd)) + 1e-9 * abs(curve(w)[1]) / h
-    # the second difference spans 100 times the width: no kink inside it either
-    if isinstance(base, HuberBase) and abs(r / (1.0 + w) - base.alpha) <= 3e-3 * base.alpha:
+    assume(r > 1e-3)
+    rho = h.prox(w, r)
+    if isinstance(base, PowerBase):
+        v = h.eval(rho)
+        point, weight, m1, m2, p1 = h.inverse(r, v)
+        assert point == pytest.approx(rho, rel=1e-13)
+        assert p1 == pytest.approx(v * _differences(lambda t: h.inverse(r, t)[0], v, 1e-6 * v)[0],
+                                   rel=1e-6)
+        assert weight == pytest.approx(w, rel=1e-8)
+        _assert_derivatives(m1 / v, m2 / (v * v), lambda t: h.inverse(r, t)[1], v, w, v)
         return
-    _assert_curvature(curvature, curve, w)
+    # the clamp at alpha is a kink of the weight
+    assume(rho < h.alpha * (1.0 - 1e-3))
+    weight, r1, r2, value, v1, v2 = h.inverse(r, rho)
+    assert weight == pytest.approx(w, rel=1e-12)
+    assert value == pytest.approx(h.eval(rho), abs=1e-15 * h.alpha ** 2)
+    assert (v1, v2) == (rho, 1.0)
+    _assert_derivatives(r1 * weight, r2 * weight, lambda t: h.inverse(r, t)[0], rho, w,
+                        min(rho, r - rho))
 
 
 @settings(max_examples=300, deadline=None)
@@ -655,28 +645,32 @@ def test_conj_slope_matches_central_difference(base, log_w, x):
     log_w=st.floats(-3.0, 3.0),
     y=st.floats(-10.0, 10.0),
 )
-def test_env_slope_matches_central_difference(scaling, log_w, y):
+def test_scaling_inverse_runs_the_prox_backwards(scaling, log_w, y):
+    # the prox of w * env at y, run backwards: the sqrt envelope is an outer
+    # curve, the root and identity envelopes inner ones
     w = 10.0 ** log_w
-    curve = _scaling_curve(scaling, y)
-    fd, h = _central_difference(curve, w)
-    z = curve(w)[0]
-    # the clamps at 0 and at the upper end are kinks of the curve
-    lo, hi = curve(w - h)[0], curve(w + h)[0]
-    for end in (0.0, getattr(scaling, "upper", INF)):
-        assume((lo == end) == (hi == end))
-    if isinstance(scaling, IdentityScaling):
-        assume(min(abs(y + w), abs(y + w - scaling.upper)) > 2.0 * h)
-    slope, curvature = scaling.env_derivatives(w, z)
-    assert slope <= 0.0
-    assert abs(slope - fd) <= 1e-5 * (1.0 + abs(fd)) + 1e-9 * abs(curve(w)[1]) / h
-    # the second difference spans 100 times the width: no clamp inside it either
-    h2 = _second_difference(curve, w)[1]
-    lo, hi = curve(w - h2)[0], curve(w + h2)[0]
-    if any((lo == end) != (hi == end) for end in (0.0, getattr(scaling, "upper", INF))):
+    z = scaling.prox_env(w, y)
+    if isinstance(scaling, SqrtScaling):
+        # |z| comes from v**2 - beta, which cancels for |z| small against sqrt(beta)
+        assume(abs(z) > 1e-3 * math.sqrt(scaling.beta))
+        v = scaling.env_eval(z)
+        point, weight, m1, m2, p1 = scaling.inverse(y, v)
+        assert point == pytest.approx(z, rel=1e-9)
+        near = v - math.sqrt(scaling.beta)
+        assert p1 == pytest.approx(
+            v * _differences(lambda t: scaling.inverse(y, t)[0], v, 1e-3 * near)[0], rel=1e-5)
+        assert weight == pytest.approx(w, rel=1e-8)
+        _assert_derivatives(m1 / v, m2 / (v * v), lambda t: scaling.inverse(y, t)[1], v, w,
+                            v - math.sqrt(scaling.beta))
         return
-    if isinstance(scaling, IdentityScaling) and min(abs(y + w), abs(y + w - scaling.upper)) <= 2.0 * h2:
-        return
-    _assert_curvature(curvature, curve, w)
+    # off the clamps, and off the pole z = y of the weight
+    assume(0.0 < z < scaling.upper and z - y > 1e-3 * abs(y) + 1e-6)
+    weight, r1, r2, value, v1, v2 = scaling.inverse(y, z)
+    assert weight == pytest.approx(w, rel=1e-9)
+    assert value == scaling.env_eval(z)
+    near = min(z, z - y)
+    _assert_derivatives(r1 * weight, r2 * weight, lambda t: scaling.inverse(y, t)[0], z, w, near)
+    _assert_derivatives(v1, v2, scaling.env_eval, z, abs(value), near)
 
 
 @settings(max_examples=300, deadline=None)
@@ -733,30 +727,32 @@ def test_vector_conjugate_methods_are_the_radial_lift_of_the_profile(base, log_w
     assert repr(base.proj_dom_conj(x)) == repr(lift(h.proj_cl_dom(r)))
 
 
-def test_slopes_vanish_on_clamps():
-    # the root scaling at its upper end: prox_env(1, 10) would be about 10.1
+def test_power_prox_forms_an_overflowing_monomial_in_logs():
+    # near the root, about 2.12e6, rho**49 exceeds the largest double while
+    # w * rho**49 is about a = 1e10: the solve used to raise OverflowError
+    rho = PowerScalar(50.0).prox(1e-300, 1e10)
+    assert 2.1e6 < rho < 2.13e6
+    # rho + w rho**49 = a, in logs: the root to a few rounding units
+    assert abs(math.log(1e-300) + 49.0 * math.log(rho) - math.log(1e10 - rho)) <= 1e-12
+
+
+def test_inverse_weights_at_clamps():
+    # an inner call at a clamped end gives the weight where the clamp begins:
+    # the least that clamps the root scaling at its upper end (prox_env(1, 10)
+    # would be about 10.1 unclamped) ...
     root = RootScaling(0.5, 4.0)
-    assert root.prox_env(1.0, 10.0) == 4.0
-    assert root.env_derivatives(1.0, 4.0) == (0.0, 0.0)
-    assert root.env_derivatives(0.0, root.prox_env(0.0, 10.0)) == (0.0, 0.0)
-    assert _central_difference(_scaling_curve(root, 10.0), 1.0)[0] == 0.0
-    assert _second_difference(_scaling_curve(root, 10.0), 1.0)[0] == 0.0
-    # the Huber conjugate profile on its end: r / (1 + w) = 2.5 > alpha
-    huber = HuberBase(1.0).conj.phi1d
-    rho = huber.prox(1.0, 5.0)
-    assert rho == pytest.approx(1.0)
-    assert huber.derivatives(1.0, rho) == (0.0, 0.0)
-    assert _central_difference(_profile_curve(huber, 5.0), 1.0)[0] == 0.0
-    assert _second_difference(_profile_curve(huber, 5.0), 1.0)[0] == 0.0
-    # the power conjugate profile at rho = 0, where g'' is infinite for p* < 2
-    for p in (1.5, 2.0, 3.0):
-        power = PowerBase(p).conj.phi1d
-        assert power.prox(1.0, 0.0) == 0.0
-        assert power.derivatives(1.0, 0.0) == (0.0, 0.0)
-        assert power.derivatives(0.0, 0.0) == (0.0, 0.0)
-    # the identity scaling clamped at 0 and at its upper end
+    w = root.inverse(3.5, 4.0)[0]
+    assert w == 2.0
+    assert root.prox_env(w * (1.0 + 1e-9), 3.5) == 4.0 > root.prox_env(w * (1.0 - 1e-6), 3.5)
     ident = IdentityScaling(2.0)
-    # linear inside, flat on a clamp
-    assert ident.env_derivatives(1.0, ident.prox_env(1.0, -3.0)) == (0.0, 0.0)
-    assert ident.env_derivatives(1.0, ident.prox_env(1.0, 3.0)) == (0.0, 0.0)
-    assert ident.env_derivatives(1.0, ident.prox_env(1.0, 0.5)) == (-1.0, 0.0)
+    assert ident.inverse(0.5, 2.0)[0] == 1.5
+    assert ident.prox_env(1.5, 0.5) == 2.0 > ident.prox_env(1.4, 0.5)
+    # ... and the largest that clamps at 0, or the Huber profile at alpha
+    assert ident.inverse(-3.0, 0.0)[0] == 3.0
+    assert ident.prox_env(3.0, -3.0) == 0.0 < ident.prox_env(3.1, -3.0)
+    huber = HuberBase(1.0).conj.phi1d
+    assert huber.inverse(5.0, 1.0)[0] == 4.0
+    assert huber.prox(4.0, 5.0) == 1.0 > huber.prox(4.1, 5.0)
+    # an outer call at its least value is the pole, where the weight is infinite
+    assert PowerBase(3.0).conj.phi1d.inverse(2.0, 0.0) == (0.0, INF, -INF, INF, 0.0)
+    assert SqrtScaling(1.0).inverse(0.5, 1.0) == (0.0, INF, -INF, INF, 0.0)

@@ -9,16 +9,28 @@ from hypothesis import strategies as st
 from persprox.roots import RootFindError, real_quartic_roots, solve_bracketed
 
 
-def _solve(fn, slope, *, curvature=None, trace=None, **kw):
-    """``solve_bracketed`` from ``fn(0)`` on ``slope`` and ``curvature``
-    (NaN where not given: Newton steps only), with the tolerances in ``kw``
-    (``1e-12`` and 200 evaluations where not given)."""
+def _solve(fn, slope, *, curvature=None, trace=None, b=0.0, c=None, **kw):
+    """``solve_bracketed`` on ``fn`` from the evaluated end ``b`` towards the
+    never-evaluated end ``c`` (``b - fn(b)``, the far bound of a function of
+    slope at least 1, where not given), with ``slope`` and ``curvature`` in
+    ``x`` turned into derivatives in ``s = log|x - c|`` (a NaN curvature
+    where not given: Newton steps only), no second function, and the
+    tolerances in ``kw`` (``1e-12`` and 200 evaluations where not given)."""
     kw.setdefault("xtol", 1e-12)
     kw.setdefault("ftol", 1e-12)
     kw.setdefault("max_iter", 200)
     if curvature is None:
         curvature = _undefined
-    return solve_bracketed(fn, lambda t: (slope(t), curvature(t)), fn(0.0), trace=trace, **kw)
+    fb = fn(b)
+    if c is None:
+        c = b - fb
+
+    def derivatives(x):
+        d = x - c
+        return (d * slope(x), d * d * curvature(x) + d * slope(x), math.nan, math.nan, math.nan,
+                math.nan, math.nan)
+
+    return solve_bracketed(fn, derivatives, b, fb, c, trace=trace, **kw)
 
 
 def _undefined(t):
@@ -27,8 +39,12 @@ def _undefined(t):
 
 
 def test_solve_bracketed_linear():
-    res = _solve(lambda t: t - 3.0, lambda t: 1.0)
-    assert (res.root, res.residual, res.iterations) == (3.0, 0.0, 1)
+    # fn is linear in s = log(x), the coordinate of the steps for c = 0: one
+    # Newton step from b = 10 lands on the root
+    res = _solve(lambda t: math.log(t / 3.0), lambda t: 1.0 / t, b=10.0, c=0.0)
+    assert res.iterations == 1
+    assert res.root == pytest.approx(3.0, rel=4e-16)
+    assert abs(res.residual) <= 1e-12
 
 
 def test_solve_bracketed_stiff_kink():
@@ -38,23 +54,26 @@ def test_solve_bracketed_stiff_kink():
 
 
 def test_solve_bracketed_requires_sign_change():
-    with pytest.raises(RootFindError):
-        solve_bracketed(lambda t: t + 1.0, lambda t: (1.0, 0.0), 1.0,
-                        xtol=1e-12, ftol=1e-12, max_iter=50)
+    # the bracket needs a finite value at its evaluated end, and two ends
+    for fb, c in ((math.inf, 2.0), (math.nan, 2.0), (-1.0, 0.0)):
+        with pytest.raises(RootFindError):
+            solve_bracketed(lambda t: t + 1.0, lambda t: (1.0, 0.0, math.nan, math.nan, math.nan, math.nan, math.nan),
+                            0.0, fb, c, xtol=1e-12, ftol=1e-12, max_iter=50)
 
 
 def test_solve_bracketed_iteration_budget():
-    # Newton from 0 needs 8 evaluations here
+    # Newton from 0 needs more evaluations than this budget
     fn = lambda t: t ** 3 + t - 3.0
     with pytest.raises(RootFindError) as err:
-        _solve(fn, lambda t: 3.0 * t * t + 1.0, xtol=1e-15, ftol=1e-15, max_iter=3)
-    assert err.value.lo <= 1.2134116627622296 <= err.value.hi
+        _solve(fn, lambda t: 3.0 * t * t + 1.0, xtol=1e-15, ftol=1e-15, max_iter=2)
+    lo, hi = sorted((err.value.lo, err.value.hi))
+    assert lo <= 1.2134116627622296 <= hi
 
 
 def test_solve_bracketed_stops_at_float_resolution():
     # |fn| at the doubles next to the root is about 4e4, far above ftol
     fn = lambda t: t + 1e20 * (t * t - 2.0)
-    res = _solve(fn, lambda t: 1.0 + 2e20 * t, xtol=0.0, ftol=1e-20)
+    res = _solve(fn, lambda t: 1.0 + 2e20 * t, xtol=0.0, ftol=1e-20, c=3.0)
     lo, hi = math.nextafter(res.root, 0.0), math.nextafter(res.root, 3.0)
     other = lo if fn(lo) * fn(res.root) < 0.0 else hi
     assert fn(other) * fn(res.root) < 0.0
@@ -81,62 +100,62 @@ def test_newton_steps_from_slopes():
                  trace=lambda *row: rows.append(row))
     assert res.root == pytest.approx(1.2134116627622296, rel=1e-15)
     assert res.iterations == len(rows) <= 8
-    # bisection alone takes 42 evaluations to the same tolerances
-    assert _solve(fn, _undefined, xtol=1e-15, ftol=1e-15).iterations >= 40
+    # without slopes: secants between evaluated ends, after bisections
+    # towards c while c is an end
+    assert _solve(fn, _undefined, xtol=1e-15, ftol=1e-15).iterations > res.iterations
 
 
 def test_each_evaluation_shrinks_the_bracket():
-    # fn' >= 1, so the root lies in [0, -fn(0)] and within |fn(x)| of each x
+    # each evaluated point replaces the end of its bracket on its own side
     fn = lambda t: t + 0.5 * math.tanh(t - 1.0) - 1.5
     rows = []
     res = _solve(fn, lambda t: 1.0 + 0.5 / math.cosh(t - 1.0) ** 2, ftol=1e-10,
+                 curvature=lambda t: -math.tanh(t - 1.0) / math.cosh(t - 1.0) ** 2,
                  trace=lambda *row: rows.append(row))
     assert abs(fn(res.root)) <= 5e-13
     assert res.iterations == len(rows) <= 5
     for _, lo, hi, x, fx in rows:
-        assert lo <= x <= hi
-    # each evaluation bounds the next bracket by |fn(x)|
-    for (_, _, _, x, fx), (_, lo, hi, _, _) in zip(rows, rows[1:]):
-        slack = 4.0 * 2.0 ** -52 * abs(x)
-        assert lo >= x - abs(fx) - slack and hi <= x + abs(fx) + slack
+        assert lo < x < hi
+    for (_, lo, hi, x, fx), (_, lo2, hi2, _, _) in zip(rows, rows[1:]):
+        assert (lo2, hi2) == ((x, hi) if fx < 0.0 else (lo, x))
 
 
 def test_bisects_where_the_slope_is_nan():
-    # a NaN slope (one the curves do not define) rules out a Newton step:
-    # every step bisects, in log space while the ends differ by more than
-    # 16x, and the search still converges
+    # a NaN slope rules out a Newton step: while c is an end, each step
+    # halves the distance to c; once both ends are evaluated, secant steps,
+    # or bisections where a secant step would leave the bracket
     fn = lambda t: t + 0.5 * math.tanh(t - 1.0) - 1.5
     rows = []
     res = _solve(fn, _undefined, xtol=1e-12, ftol=1e-10, trace=lambda *row: rows.append(row))
-    # stopped on the width: within xtol of the root, |fn| within ftol
     assert res.root == pytest.approx(1.3374158071711997, abs=1e-12)
     assert abs(res.residual) <= 1e-10
-    assert res.iterations == len(rows) <= 30
+    assert res.iterations == len(rows) <= 12
+    c = -fn(0.0)
+    assert rows[0][3] == 0.5 * c
     for _, lo, hi, x, _ in rows:
-        low = max(lo, 1e-12)
-        mid = math.sqrt(low) * math.sqrt(hi) if hi > 16.0 * low else lo + 0.5 * (hi - lo)
-        assert x == pytest.approx(mid, rel=1e-15, abs=1e-12)
+        assert lo < x < hi
 
 
 def test_log_space_split_with_zero_lower_end_and_xtol():
-    # roots 1e-18..1e-90 of fn' >= 1 functions, decades below -fn(0); with
-    # xtol = 0 the smallest normal double stands in for the lower end 0
-    for power, c in ((0.3, 1e-6), (0.1, 1e-3), (0.1, 1e-9), (0.5, 1e-9)):
-        fn = lambda t: t + 1e12 * (t ** power - c)
-        slope = lambda t: 1.0 + 1e12 * power * t ** (power - 1.0) if t > 0.0 else math.inf
-        res = _solve(fn, slope, xtol=0.0, ftol=0.0)
-        assert res.root == pytest.approx(c ** (1.0 / power), rel=1e-13)
+    # roots 1e-18..1e-90 of functions with a pole at the lower end 0 = c,
+    # decades below b = 1; with xtol = 0 the search runs to ftol = 0 or to
+    # float resolution, by steps in log x
+    for power, k in ((0.3, 1e-6), (0.1, 1e-3), (0.1, 1e-9), (0.5, 1e-9)):
+        fn = lambda t: k - t ** power
+        slope = lambda t: -power * t ** (power - 1.0)
+        curvature = lambda t: -power * (power - 1.0) * t ** (power - 2.0)
+        res = _solve(fn, slope, curvature=curvature, b=1.0, c=0.0, xtol=0.0, ftol=0.0)
+        assert res.root == pytest.approx(k ** (1.0 / power), rel=1e-13)
         assert res.iterations <= 20
 
 
 def test_bound_broken_by_rounding_noise():
-    # fn' >= 1 up to noise of 30 ulps of the root, so the bound |fn(x)| from
-    # x can exclude the root of the computed fn; the search must still end
-    # at a sign change between adjacent doubles or at |fn| <= ftol
+    # fn is monotone up to noise of 30 ulps of the root: the search must
+    # still end at a sign change between adjacent doubles or at |fn| <= ftol
     for k in range(40):
         r = 1e6 * (1.0 + k / 7.0)
         fn = lambda t: (t - r) + 30.0 * math.ulp(r) * (2.0 * random.Random(t).random() - 1.0)
-        res = _solve(fn, lambda t: 1.0)
+        res = _solve(fn, lambda t: 1.0, c=2.0 * r)
         x, fx = res.root, res.residual
         assert fx == fn(x)
         if abs(fx) > 1e-12:
@@ -144,20 +163,21 @@ def test_bound_broken_by_rounding_noise():
             assert any(fx * f <= 0.0 for f in sides), (k, x, fx, sides)
 
 
-def test_unevaluated_end_is_evaluated_once_the_width_is_met():
-    # a slope two rounding units above 1 puts the Newton step from 0 three
-    # ulps short of the root, the end -fn(0) that was never evaluated; the
-    # width is met there but not ftol, so that end is evaluated next rather
-    # than reached by bisections of an ulp or two
-    r = 5e7
-    res = _solve(lambda t: t - r, lambda t: 1.0 + 4.5e-16, ftol=1e-10)
-    assert (res.root, res.iterations) == (r, 2)
+def test_a_step_onto_the_pole_lands_next_to_it():
+    # the root lies closer to the pole c than the double next to it: a step
+    # that rounds onto c lands on that double, where fn is still negative
+    # and no double is left inside the bracket
+    c = 1.0
+    fn = lambda t: 1.0 / (c - t) - 1e20
+    slope = lambda t: 1.0 / (c - t) ** 2
+    res = _solve(fn, slope, b=0.5, c=c)
+    assert res.root == math.nextafter(c, 0.0)
+    assert res.iterations <= 3
 
 
 def test_halley_steps_from_the_curvature():
-    # fn is concave, so every Newton step from below lands short of the root;
-    # Halley's step s / (1 - k), k = fn * fn'' / (2 fn'**2), takes 3
-    # evaluations where Newton takes 5, to the same root
+    # Halley's step s / (1 - k), k = f f_ss / (2 f_s**2), takes fewer
+    # evaluations than Newton's, to the same root
     fn = lambda t: t + 4.0 * (1.0 - math.exp(-t)) - 3.0
     slope = lambda t: 1.0 + 4.0 * math.exp(-t)
     curvature = lambda t: -4.0 * math.exp(-t)
@@ -165,77 +185,65 @@ def test_halley_steps_from_the_curvature():
     newton = _solve(fn, slope, xtol=1e-15, ftol=1e-15)
     halley = _solve(fn, slope, xtol=1e-15, ftol=1e-15, curvature=curvature,
                     trace=lambda *row: rows.append(row))
-    assert (newton.iterations, halley.iterations) == (5, 3)
+    assert halley.iterations < newton.iterations
     assert halley.root == pytest.approx(newton.root, rel=4e-16)
-    f0, d0 = fn(0.0), slope(0.0)
-    k = 0.5 * f0 * curvature(0.0) / (d0 * d0)
-    assert rows[0][3] == pytest.approx((-f0 / d0) / (1.0 - k), rel=1e-15)
+    c = -fn(0.0)
+    f_s, f_ss = -c * slope(0.0), c * c * curvature(0.0) - c * slope(0.0)
+    step = -fn(0.0) / f_s
+    k = 0.5 * fn(0.0) * f_ss / (f_s * f_s)
+    assert rows[0][3] == pytest.approx(c - c * math.exp(step / (1.0 - k)), rel=1e-15)
 
 
-def _huber_sqrt_search(gamma, x, y):
-    """The multiplier search of huber(1e4)/sqrt(1), whose T(0) is -5e7, with
-    the points it evaluates and those at which it reads T' and T''."""
-    from persprox import HuberBase, PerspectivePair, SqrtScaling
-    from persprox.solver import SearchRecord, make_residual_case_iii
+def test_the_second_function_takes_the_longer_step():
+    # fn = k - x**q is near flat in s = log x far above its root, where Newton
+    # on it moves a few units of s per step; g = log k - q log x, with the
+    # same root and sign, is linear in s and reaches the root in one step
+    q, k = 0.5, 1e-40
+    fn = lambda t: k - t ** q
 
-    pair = PerspectivePair(HuberBase(1e4), SqrtScaling(1.0), n=2)
-    record = SearchRecord()
-    T = make_residual_case_iii(pair, gamma, x, y, record)
-    calls = []
+    def derivatives(x):
+        return (-q * x ** q, -q * q * x ** q, math.log(k) - q * math.log(x), -q, 0.0, math.nan, math.nan)
 
-    def derivatives(eta):
-        calls.append(eta)
-        return record.derivatives(eta)
-
-    rows = []
-    t0 = T(0.0)
-    res = solve_bracketed(T, derivatives, t0, xtol=1e-12, ftol=1e-10, max_iter=200,
-                          trace=lambda *row: rows.append(row))
-    return t0, record, res, [row[3] for row in rows], calls
-
-
-def test_curvature_is_read_only_where_a_halley_step_is_considered():
-    # T' is 1 at 0, so the Newton step lands on -T(0), the far end and here
-    # the root: one evaluation, with no Halley step
-    t0, _, res, points, _ = _huber_sqrt_search(
-        82.460343725865, (-2.2471579863643957e-11, 1.0463393631637133e-11), 1.3480067897445157e-10)
-    assert t0 == -5e7
-    assert (res.iterations, points) == (1, [5e7])
+    res = solve_bracketed(fn, derivatives, 1.0, fn(1.0), 0.0, xtol=0.0, ftol=0.0, max_iter=200)
+    assert res.root == pytest.approx(k ** (1.0 / q), rel=1e-14)
+    assert res.iterations <= 3
 
 
 def test_an_out_of_reach_halley_step_falls_back_to_newton():
-    # T' is a rounding unit above 1 at 0 and k about 0.04: Halley's step would
-    # pass -T(0), so the Newton step is taken, two ulps short of the root, and
-    # the far end next, as without the curvature; a bisection would halve
-    # the 5e7-wide bracket instead
-    t0, record, res, points, calls = _huber_sqrt_search(
-        1379477.7849622804, (-0.17968340073754324, 0.7541093507962938), -0.03661254703780653)
-    assert t0 == -5e7 and calls == [0.0]
-    assert points == [-t0 / record.derivatives(0.0)[0], 5e7]
-    assert (res.root, res.iterations) == (5e7, 2)
+    # fn = t - 1 with c = 10 and derivatives made up to steer the steps: the
+    # Newton step from 0 lands on 1.5, past the root; from there Halley's
+    # step would pass the evaluated end 0, Newton's lands on 0.5
+    fn = lambda t: t - 1.0
+    c = 10.0
+    made_up = {0.0: (1.0 / math.log(0.85), math.nan),
+               1.5: (-0.5 / math.log(9.5 / 8.5), 27.2), 0.5: (1.0, math.nan)}
+
+    def derivatives(x):
+        return made_up[x] + (math.nan,) * 5
+
+    rows = []
+    with pytest.raises(RootFindError):
+        solve_bracketed(fn, derivatives, 0.0, fn(0.0), c, xtol=1e-12, ftol=1e-12, max_iter=2,
+                        trace=lambda *row: rows.append(row))
+    f_s, f_ss = made_up[1.5]
+    newton = -0.5 / f_s
+    k = -0.5 * newton * f_ss / f_s
+    assert -0.5 <= k <= 0.5 and c + (1.5 - c) * math.exp(newton / (1.0 - k)) < 0.0
+    assert [row[3] for row in rows] == [pytest.approx(1.5, rel=1e-15), pytest.approx(0.5, rel=1e-15)]
 
 
 def test_width_met_stop_returns_the_evaluated_end_of_smaller_residual():
-    # power(2)/identity with T' about 6e6 near eta = 0.031, where one ulp of
-    # eta moves T by 2e-11: evaluation 15 has |T| = 1.7e-11 <= ftol, the
-    # tol-long step from it overshoots to T = 3e-6, and the width is met
-    # there. The search returns evaluation 15 rather than bisecting back
-    # towards it (15 more evaluations)
-    from persprox import IdentityScaling, PerspectivePair, PowerBase
-    from persprox.solver import SearchRecord, make_residual_case_i
-
-    pair = PerspectivePair(PowerBase(2.0), IdentityScaling(), n=2)
-    record = SearchRecord()
-    T = make_residual_case_i(pair, 9.184349510317373e-08, (41225.91147263342, -16862.3298789671),
-                             -94729.97351573117, record)
+    # no double meets ftol = 0 here: the search stops once its evaluated ends
+    # lie within xtol, at the one of smaller |fn|
+    fn = lambda t: 1e11 * (t * t - 0.1)
     rows = []
-    # Newton steps only: T' from the record, no T''
-    res = solve_bracketed(T, lambda eta: (record.derivatives(eta)[0], math.nan), T(0.0),
-                          xtol=1e-12, ftol=1e-10, max_iter=200, trace=lambda *row: rows.append(row))
-    assert res.iterations == len(rows) == 16
-    (*_, x15, t15), (*_, x16, t16) = rows[-2:]
-    assert abs(t15) <= 1e-10 < abs(t16)
-    assert (res.root, res.residual) == (x15, t15)
+    res = _solve(fn, lambda t: 2e11 * t, b=0.0, c=1.0, xtol=1e-9, ftol=0.0,
+                 trace=lambda *row: rows.append(row))
+    below = max(x for *_, x, fx in rows if fx < 0.0)
+    above = min(x for *_, x, fx in rows if fx > 0.0)
+    assert 0.0 < above - below <= 1e-9 and res.residual != 0.0
+    assert res.root in (below, above)
+    assert abs(res.residual) == min(abs(fn(below)), abs(fn(above)))
 
 
 def _numpy_real_roots(b, c, d, e):

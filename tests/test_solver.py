@@ -27,7 +27,7 @@ from persprox import (
 )
 from persprox.solver import make_residual_case_i, make_residual_case_iii
 from conftest import bisect_root, eta_on_wider_bracket, rand_vec
-from reference import case_ii_prox
+from reference import case_ii_prox, multiplier_residual
 
 HUBER = PerspectivePair(HuberBase(1.0), SqrtScaling(1.0), n=2)
 POWER_ROOT_BOUNDED = PerspectivePair(PowerBase(2.0), RootScaling(0.5, 1.0), n=2)
@@ -116,7 +116,7 @@ def test_eta_residual_and_monotonicity_probes():
     pair = POWER_ROOT_FREE
     gamma, x, y = 1.0, (6.0, 0.0), 3.5
     eta, iters = solve_eta_case_i(pair, gamma, x, y)
-    T = make_residual_case_i(pair, gamma, x, y)
+    T = multiplier_residual(pair, gamma, x, y)
     assert abs(T(eta)) <= 1e-10
     assert iters <= 200
     # bracket construction probes
@@ -156,8 +156,7 @@ def test_eta_unique_across_brackets(rng):
             if label not in (CaseLabel.OMEGA4, CaseLabel.XI4):
                 continue
             e1, _ = solver(pair, gamma, x, y)
-            make = make_residual_case_i if solver is solve_eta_case_i else make_residual_case_iii
-            e2 = eta_on_wider_bracket(make(pair, gamma, x, y), 4.0 + 8.0 * rng.random())
+            e2 = eta_on_wider_bracket(multiplier_residual(pair, gamma, x, y), 4.0 + 8.0 * rng.random())
             assert abs(e1 - e2) <= 1e-12 * (1.0 + abs(e1))
 
 
@@ -305,8 +304,9 @@ def test_root_region_at_float_resolution_is_certified():
 
 
 def test_wide_multiplier_bracket_converges():
-    # T(0) is about -1e67 while the root is near 1e-3: Brent on the bracket
-    # [0, -T(0)] only bisects, so the search narrows it in log space first
+    # T(0) is about -1e67 while the root is near 1e-3: a search on eta over
+    # [0, -T(0)] has 70 decades to cross; on z the steps in log|z - pole|,
+    # and on log(eta) - log(-v), cross them in a few
     pair = PerspectivePair(PowerBase(1.05), RootScaling(0.5), n=2)
     x, y = (22006.724533872693, -62532.52918439194), -45281.95959480737
     res = prox_perspective(pair, 8.262494585872198e-06, x, y)
@@ -429,7 +429,7 @@ def test_huge_multiplier_bracket_does_not_divide_by_zero():
     # below the smallest double; the scalar solver used to raise
     # ZeroDivisionError there instead of returning 0
     pair = PerspectivePair(PowerBase(3.0), RootScaling(0.5), n=2)
-    eta = eta_on_wider_bracket(make_residual_case_i(pair, 1.0, (6.0, 0.0), 3.5), 1e300)
+    eta = eta_on_wider_bracket(multiplier_residual(pair, 1.0, (6.0, 0.0), 3.5), 1e300)
     res = prox_perspective(pair, 1.0, (6.0, 0.0), 3.5)
     assert eta == pytest.approx(res.eta, rel=1e-9)
 
@@ -483,16 +483,16 @@ def test_root_region_runs_on_radii(monkeypatch):
         assert events[0] == "certificate", events
         (record,) = records
         assert record.points
-        for eta, entry in record.points.items():
-            assert type(eta) is float and [type(v) for v in entry] == [float] * 4, entry
+        for u, entry in record.points.items():
+            assert type(u) is float and [type(v) for v in entry] == [float] * 12, entry
     assert labels == {CaseLabel.OMEGA4, CaseLabel.XI4}
 
 
 def test_multiplier_search_on_root_band_inputs(monkeypatch):
-    # Halley steps from the exact slopes and curvatures, the [0, -T(0)]
-    # bracket that is never evaluated at its upper end, and the |T| stop rule
-    # (Newton steps alone averaged 3.5 evaluations here, 4 at most; Brent
-    # without slopes, plus a probe of T(hi), 5.7 and 7)
+    # Halley steps on the inner curve point from the exact slopes and
+    # curvatures, the bracket from the point at eta = 0 to the pole, and
+    # the stop rules (the search on eta took 2.59 and 2.01 evaluations here,
+    # each two scalar solves; Brent without slopes 5.7)
     import persprox.solver as solver
     from persprox.cli import main
     count = [0]
@@ -521,8 +521,7 @@ def test_multiplier_search_on_root_band_inputs(monkeypatch):
         assert count[0] == res.root_iterations
         # the same root as a bisection run to float resolution; the search
         # stops at |T| <= 5e-13, and T' >= 1
-        make = make_residual_case_i if res.label is CaseLabel.OMEGA4 else make_residual_case_iii
-        T = make(pair, call.gamma, call.x, call.y)
+        T = multiplier_residual(pair, call.gamma, call.x, call.y)
         ref = bisect_root(T, 0.0, -T(0.0))
         assert abs(res.eta - ref) <= 1e-12 * (1.0 + ref), (call, res.eta, ref)
         # trace-root prints one row per evaluation
@@ -534,3 +533,75 @@ def test_multiplier_search_on_root_band_inputs(monkeypatch):
     assert len(evals) > 150
     assert sum(evals) / len(evals) <= 3.0
     assert max(evals) <= 4
+
+
+def _probe_call(seed, index):
+    """Call ``index`` of robustness-probe seed ``seed`` and its pair."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    call = workloads.probe_calls(seed)[index]
+    return workloads.build_pair(workloads.ROBUSTNESS_SPECS[call.pair]), call
+
+
+def _stop_distance(eta):
+    # the widest stop of RootConfig's defaults: eta_tol plus four rounding
+    # units of the bound, and two more of the estimate
+    return 1e-12 + 6.0 * 2.0 ** -52 * abs(eta)
+
+
+def test_root_on_the_upper_clamp_of_the_root_scaling():
+    # the scale prox at eta = 0 sits on the upper end z = 4 of the interval,
+    # and T at the weight where that clamp begins is not negative: the root
+    # lies on the clamp, where T(eta) = eta - 4**0.5, so eta is 2.0 exactly
+    pair = PerspectivePair(PowerBase(3.0), RootScaling(0.5, 4.0), n=2)
+    res = prox_perspective(pair, 1.0, (6.0, 0.0), 3.5)
+    assert (res.label, res.q, res.eta, res.root_iterations) == (CaseLabel.OMEGA4, 4.0, 2.0, 1)
+    assert multiplier_residual(pair, 1.0, (6.0, 0.0), 3.5)(2.0) == 0.0
+    assert res.certificate_gap <= 1e-12
+
+
+@pytest.mark.parametrize("seed, index, label, most", [
+    (2, 46, CaseLabel.XI4, 8),
+    (1, 753, CaseLabel.OMEGA4, 6),
+], ids=["huber-1e4-sqrt-at-alpha", "power2-identity"])
+def test_probe_calls_the_multiplier_search_in_eta_crept_on(seed, index, label, most):
+    # huber(1e4)/sqrt with the profile clamp rho = alpha as the far end of
+    # the bracket (28 evaluations of T(eta) before the search moved to the
+    # inner point) and power(2)/identity (27): both are now a few steps,
+    # to the root of a float-resolution bisection of the forward T(eta)
+    pair, call = _probe_call(seed, index)
+    res = prox_perspective(pair, call.gamma, call.x, call.y)
+    assert res.label is label
+    assert 0 < res.root_iterations <= most
+    T = multiplier_residual(pair, call.gamma, call.x, call.y)
+    ref = bisect_root(T, 0.0, -T(0.0))
+    assert abs(res.eta - ref) <= 2.0 * _stop_distance(ref), (res.eta, ref)
+    size = sum(c * c for c in call.x) + call.y * call.y
+    assert res.certificate_gap <= 1e-8 * (1.0 + size)
+
+
+def test_probe_root_region_evaluations_per_pair():
+    # every root-region call of robustness-probe seeds 0-4: T evaluations
+    # per pair at most 6 on average and 20 in the worst call
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    pairs = [workloads.build_pair(spec) for spec in workloads.ROBUSTNESS_SPECS]
+    evals = {}
+    for seed in range(5):
+        for call in workloads.probe_calls(seed):
+            try:
+                res = prox_perspective(pairs[call.pair], call.gamma, call.x, call.y)
+            except (ArithmeticError, ValueError):
+                continue  # the probe's known raises, counted by scripts/output_digest.py
+            if res.label in (CaseLabel.OMEGA4, CaseLabel.XI4):
+                evals.setdefault(call.pair, []).append(res.root_iterations)
+    assert len(evals) == 5  # every pair but abs/root, which decouples
+    for pair, counts in evals.items():
+        assert sum(counts) / len(counts) <= 6.0, (pair, sum(counts) / len(counts))
+        assert max(counts) <= 20, (pair, max(counts))
