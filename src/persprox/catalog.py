@@ -30,15 +30,14 @@ through these members alone:
   ``cl S`` and ``proj_dom_env_conj`` the projection onto the closed
   domain of ``env_conj_eval``.  It also gives ``inverse``.
 - ``inverse`` runs the prox family ``u = prox_{w f}(t)`` of the profile or
-  envelope ``f`` backwards, in the role the sign class gives ``f`` in the
-  multiplier search: the outer curve (a nonnegative conjugate's profile, an
+  envelope ``f`` backwards, without a scalar solve, in the role the sign
+  class gives ``f``: the outer curve (a nonnegative conjugate's profile, an
   S_LOWER envelope) or the inner one.  The inner ``inverse(t, u)`` returns
-  ``(w, w'/w, w''/w, f(u), f'(u), f''(u))`` in ``u``, ``w`` the weight
-  landing on ``u`` (at a clamp, the weight where it begins).  The outer
-  ``inverse(t, v)``, for ``v`` above ``f(0)``, the least value, returns
-  ``(u, w, v w', v**2 w'', v u')`` in ``v``, ``u`` the point on the side
-  of ``t`` where ``f`` is ``v``; at or below ``f(0)``, ``(0, inf, -inf,
-  inf, 0)``.  Neither takes a scalar solve.
+  ``(w, w'/w, w''/w, f(u), f'(u), f''(u))`` in ``u`` for the weight ``w``
+  landing on ``u`` (at a clamp, where it begins); the outer ``inverse(t,
+  v)`` returns ``(u, w, v w', v**2 w'', v u')`` in ``v`` for the point
+  ``u`` on the side of ``t`` where ``f`` is ``v``, ``(0, inf, -inf, inf,
+  0)`` at or below ``f(0)``, the least value.
 
 The bases' ``conj_eval`` and ``prox_conj``, the lift's value and prox, lie
 outside the base contract: the package calls neither, and the benchmark's
@@ -48,7 +47,7 @@ tracer wraps both by name.
 from __future__ import annotations
 
 import math
-from .core import (EPS, INF, MIN_SUBNORMAL, CaseKind, SignClass, Value, Vec, as_vec, norm,
+from .core import (EPS, INF, LOG_MAX, MIN_SUBNORMAL, CaseKind, SignClass, Value, Vec, as_vec, norm,
                    scale, zeros_like)
 from .radial import RadialFunction, radial_prox
 # real_quartic_roots and solve_bracketed are no longer called here; they stay
@@ -89,7 +88,7 @@ def _solve_power(r: float, w: float, a: float) -> float:
             g = rho + w * rho ** r1 - a
         except OverflowError:  # rho**r1 beyond the largest double, w * rho**r1 maybe not
             t = math.log(w) + r1 * math.log(rho)
-            g = rho + (math.exp(t) if t < 709.0 else INF) - a
+            g = rho + (math.exp(t) if t < LOG_MAX else INF) - a
         if g > 0.0:
             hi = rho
         else:
@@ -100,7 +99,7 @@ def _solve_power(r: float, w: float, a: float) -> float:
             d = 1.0 + wr1 * rho ** r2
         except OverflowError:
             t = math.log(w) + r2 * math.log(rho)
-            d = 1.0 + r1 * (math.exp(t) if t < 709.0 else INF)
+            d = 1.0 + r1 * (math.exp(t) if t < LOG_MAX else INF)
         nxt = rho - g / d if 0.0 < d < INF else 0.5 * (lo + hi)
         if nxt != rho and not lo < nxt < hi:  # also a NaN or infinite step
             if nxt >= hi == top:  # top is then unevaluated; a NaN step bisects

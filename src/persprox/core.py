@@ -40,6 +40,7 @@ EPS = 2.0 ** -52  # the rounding unit: the gap between 1.0 and the next double
 MIN_NORMAL = 2.0 ** -1022  # the smallest normal double
 MIN_SUBNORMAL = 2.0 ** -1074  # the smallest positive double
 ZERO_NORM = 1e-300  # a vector of smaller norm is the zero vector (a subnormal guard)
+LOG_MAX = math.log(1.7976931348623157e308)  # exp of a larger argument overflows
 
 
 def negligible(value: float, size: float) -> bool:

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import math
 
-from .core import EPS, Record
+from .core import EPS, LOG_MAX, Record
 
 INF, NAN = math.inf, math.nan
+_WIDE_RATIO = 16.0  # ends whose distances to the pole differ more bisect in its log
 
 
 class RootFindError(RuntimeError):
@@ -45,7 +46,7 @@ def _target(f: float, f1: float, f2: float, b: float, c: float, lo: float, hi: f
     step = newton / (1.0 - k) if -0.5 <= k <= 0.5 else newton
     tol = 2.0 * EPS * (b if b > 0.0 else -b)
     while True:
-        if step <= 700.0:
+        if step < LOG_MAX:
             t = c + (b - c) * math.exp(step)
             if t == c:
                 t = math.nextafter(c, b)
@@ -66,40 +67,36 @@ def solve_bracketed(fn, derivatives, b: float, fb: float, c: float, *, xtol: flo
 
     Steps are taken in ``s = log|x - c|``, which keeps every point on the
     side of ``c``.  ``derivatives(x)``, at an evaluated ``x``, gives ``(f_s,
-    f_ss, g, g_s, g_ss, e, err)``: the first two derivatives of ``fn`` in
-    ``s``; a second function ``g`` with the root and sign of ``fn`` and its
-    two (NaN where none); ``e``, an estimate that bounds the root from the
-    side of ``x`` (``x`` itself where NaN; ``at_c`` for ``c``); and ``err``,
-    the error of the estimate the caller reports from ``x`` (NaN where
-    none).  From ``b``, the end evaluated last, each function gives Halley's
-    step ``newton / (1 - k)``, ``k = f f_ss / (2 f_s**2)``, where ``|k| <=
-    1/2`` and it stays in the bracket, else Newton's.  A target that rounds
-    onto ``c`` becomes the double next to it; a move under two rounding
-    units of ``b`` becomes that long.  The search takes the target moving
-    farthest, strictly inside the bracket; failing both, the secant between
-    evaluated ends (Illinois' rule: the end kept again weighs half), then a
-    bisection: halving the distance to ``c`` while ``c`` is an end, else in
-    ``s`` while the ends' distances to ``c`` differ by over 16x, else plain.
-    A NaN ``fn`` counts as the side of ``c``.
+    f_ss, g, g_s, g_ss, e, err)``: ``fn``'s first two derivatives in ``s``;
+    a second function with the root and sign of ``fn`` and its two (NaN
+    where none); ``e``, a bound on the root from the side of ``x`` (``x``
+    where NaN; ``at_c`` for ``c``); and ``err``, ``|fn|`` as predicted at
+    the point the caller reports from ``x``.  From ``b``, the end evaluated
+    last, each function gives Halley's step where ``|k| <= 1/2`` (``k = f
+    f_ss / (2 f_s**2)``) and it stays inside, else Newton's; a target on
+    ``c`` becomes its neighbour double, a move under two rounding units of
+    ``b`` that long.  The search takes the target moving farthest; failing
+    both, the Illinois secant between evaluated ends, then a bisection, in
+    ``s`` while the ends' distances to ``c`` differ by over ``_WIDE_RATIO``
+    and ``c`` is not an end.  A NaN ``fn`` counts as the side of ``c``.
 
-    It stops at ``b`` once ``|fn(b)| <= min(ftol, xtol/2)``, or ``<= ftol``
-    with ``err <= xtol/2``; and at the evaluated end of smaller ``|fn|`` once
-    the ends' estimates are within ``xtol`` plus four rounding units (without
-    estimates, the ends within ``xtol``) or no double lies inside.
-    ``iterations`` counts calls of ``fn``, ``bracket`` is ``(root, other
-    end)``, and ``trace(it, lo, hi, x, fn(x))`` gets each evaluated ``x``
-    and the bracket it was chosen in.
+    It stops at ``b`` once ``|fn(b)|`` or ``err`` is at most ``min(ftol,
+    xtol/2)``; and at the evaluated end of smaller ``|fn|`` once the ends'
+    bounds are within ``xtol`` plus four rounding units (without bounds, the
+    ends within ``xtol``) or no double lies inside.  ``iterations`` counts
+    calls of ``fn``, ``bracket`` is ``(root, other end)``, and ``trace(it,
+    lo, hi, x, fn(x))`` gets each evaluated ``x`` and its bracket.
     """
     if not -INF < fb < INF or b == c:
         raise RootFindError("no sign change on bracket", b, c, fb, NAN)
     far, ffar, efar, fsec = c, NAN, at_c, NAN  # fsec: ffar, halved each time far is kept
-    fstop, errstop, it = min(ftol, 0.5 * xtol), 0.5 * xtol, 0
+    fstop, it = min(ftol, 0.5 * xtol), 0
     while True:
         if -fstop <= fb <= fstop:
             return RootResult(b, fb, it, (b, far))
         ds = derivatives(b)
         e = ds[5]
-        if ds[6] <= errstop and -ftol <= fb <= ftol:
+        if ds[6] <= fstop:
             return RootResult(b, fb, it, (b, far))
         mid = b + 0.5 * (far - b)
         width = abs(efar - e) <= 4.0 * EPS * abs(e) + xtol if e == e else abs(far - b) <= xtol
@@ -122,15 +119,12 @@ def solve_bracketed(fn, derivatives, b: float, fb: float, c: float, *, xtol: flo
                 if -tol < x - b < tol:
                     x = b + toward * tol
             if not lo < x < hi:
-                d, dfar = b - c, far - c
-                if far == c:
-                    x = c + 0.5 * d
-                elif 16.0 * abs(d) < abs(dfar) or 16.0 * abs(dfar) < abs(d):
-                    x = c + math.copysign(math.sqrt(abs(d)) * math.sqrt(abs(dfar)), d)
-                else:
-                    x = mid
-                if not lo < x < hi:
-                    x = mid
+                d, dfar = abs(b - c), abs(far - c)
+                x = mid
+                if _WIDE_RATIO * d < dfar or _WIDE_RATIO * dfar < d:
+                    x = c + (b - c) * math.sqrt(dfar / d)  # c itself where far is c
+                    if not lo < x < hi:
+                        x = mid
         fx = fn(x)
         it += 1
         if trace is not None:  # [lo, hi] is the bracket x was chosen in

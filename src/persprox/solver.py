@@ -3,34 +3,23 @@
 The computation dispatches on the sign class of the base conjugate.  The
 zero-or-infinity class decouples into a base prox and a scale projection.
 The signed classes work with two nonincreasing value curves of a weight
-``v >= 0`` (weight 0 meaning projection):
-
-- the base curve ``B(v) = phi*(prox_{(v/gamma) phi*}(x/gamma))``, run on
-  radii as ``h(prox_{(v/gamma) h}(r))``: ``phi*`` is the radial lift of
-  its profile ``h`` (``base.conj.phi1d``) and ``r = ||x/gamma||``;
-- the scale curve ``S(v) = env(prox_{gamma v env}(y))``, with ``env`` the
-  scaling's convex envelope.
+``v >= 0`` (weight 0 meaning projection): the base curve ``B(v) =
+h(prox_{(v/gamma) h}(r))`` on the radius ``r = ||x/gamma||``, ``h`` the
+profile of ``phi*`` (``base.conj.phi1d``), and the scale curve ``S(v) =
+env(prox_{gamma v env}(y))``, ``env`` the scaling's convex envelope.
 
 The multiplier ``eta`` drives B for a nonnegative conjugate (case i) and
 S for a nonpositive one (case iii); the other curve takes the driven
 curve's value, so ``T(eta) = inner(outer(eta)) + eta`` in both cases.
-One pass tests the regions the same way in both cases and assembles the
-prox where a closed form applies: region 1 when both curves vanish at
-weight 0, region 2 when the inner curve vanishes at the outer curve's
-weight-0 value, region 3 when the outer curve vanishes at minus the inner
-curve's weight-0 value (that value is ``eta``).  Region 4 searches the
-root on the inner curve point ``u`` (``z`` in case i, ``rho`` in case
-iii), between its point at ``eta = 0`` and its pole as ``eta`` grows, in
-``log|u - pole|``: the contracts' ``inverse`` runs both proxes backwards
-(the weight of ``u`` is the outer value, the weight of that value's outer
-point is ``eta``), so ``T(u)`` takes no scalar solve.  Every curve point
-is a float; the base point is built once, at assembly, as ``x/gamma``
-scaled by ``rho / r`` for the profile radius ``rho``.
-
-Classification, the residual and the search are each written once and
-read the case from the sign class; the case-(iii) names are aliases of
-the case-(i) ones, and a zero-or-infinity pair makes them raise
-``ValueError``.
+One pass tests the regions and assembles the prox where a closed form
+applies: region 1 when both curves vanish at weight 0, region 2 when the
+inner curve vanishes at the outer curve's weight-0 value, region 3 when
+the outer curve vanishes at minus the inner curve's weight-0 value (that
+value is ``eta``).  Region 4 searches the root on the inner curve point
+``u`` (``z`` in case i, ``rho`` in case iii) in ``log|u - pole|``: the
+contracts' ``inverse`` runs both proxes backwards, so ``T(u)`` takes no
+scalar solve.  The case-(iii) names are aliases of the case-(i) ones, and
+a zero-or-infinity pair makes them raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -38,7 +27,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .core import EPS, INF, Record, SignClass, Value, Vec, negligible, norm, scale
+from .core import EPS, INF, SLACK, Record, SignClass, Value, Vec, negligible, norm, scale
 # prox_fenchel_gap only for the benchmark's tracer, which wraps it by this name
 from .perspective import PerspectivePair, certificate_gap, prox_fenchel_gap
 from .roots import solve_bracketed
@@ -59,15 +48,14 @@ class CaseLabel(Enum):
 class RootConfig(Value):
     """Tolerances of the multiplier search; region tests use ``core.negligible``.
 
-    The search on the inner curve point ``u`` stops once ``|T| <=
-    min(residual_tol, eta_tol / 2)`` (``T(u)`` is ``T(eta)`` at the ``eta``
-    of ``u``, and ``T' >= 1`` in ``eta``); once ``|T| <= residual_tol``
-    where the curvature puts a Newton step in ``eta`` within ``eta_tol / 2``
-    of the root; and, at the evaluated end of smaller ``|T|``, once the
-    ends' bounds on the multiplier (minus their inner values) are within
-    ``eta_tol`` plus four rounding units, or no double lies inside the
-    bracket.  ``max_iter`` bounds its ``T`` evaluations.  An immutable
-    value (``core.Value``): equal settings compare and hash equal.
+    The search on the inner curve point ``u`` (``T(u)`` is ``T(eta)`` at
+    the ``eta`` of ``u``; ``T' >= 1``) stops once ``|T| <= min(residual_tol,
+    eta_tol / 2)`` at ``u`` or, by the curvature, at the ``eta`` a Newton
+    step from ``u`` reports; else once the ends' bounds on the multiplier
+    are within ``eta_tol`` plus four rounding units, or no double lies
+    between them.  A multiplier the inverse map rounds off by over a share
+    of that stop is finished on the forward ``T(eta)`` alike.  ``max_iter``
+    bounds the evaluations of each.  An immutable ``core.Value``.
     """
 
     __slots__ = ("eta_tol", "residual_tol", "max_iter")
@@ -87,14 +75,13 @@ class ProxResult(Record):
     """Prox point plus diagnostics.
 
     ``eta`` is the coupling multiplier (0 on the closed-form regions with
-    vanishing scale value), ``root_iterations`` counts the evaluations of
-    ``T`` the multiplier search made (not the one at its bracket's end at
-    ``eta = 0``, unless that finds a clamp; 0 off the root region), and
-    ``certificate_gap`` is the Fenchel residual of the output, checked
-    independently of the path that produced it.
+    vanishing scale value), ``root_iterations`` counts the search's
+    evaluations of ``T(u)`` (not the one at ``eta = 0``; 0 off the root
+    region), and ``certificate_gap`` is the Fenchel residual of the output,
+    checked independently of the path that produced it.
 
-    A plain per-call record (``core.Record``), fresh from every call, without
-    the assignment guard that would cost each call more than the record.
+    A plain per-call record (``core.Record``), without the assignment guard
+    that would cost each call more than the record.
     """
 
     __slots__ = ("p", "q", "eta", "label", "root_iterations", "certificate_gap")
@@ -107,6 +94,12 @@ class ProxResult(Record):
 
 
 DEFAULT_CONFIG = RootConfig()
+
+# g = log(eta) - log(-v) steps too while |T| > _LOG_FORM * |v| (near linear
+# in s where eta spans decades, it loses its digits near the root); Newton
+# steps under _NEAR of eta keep the curvature estimate and first-order curve
+# points; eta's rounding may take _ROUNDING_SHARE of the stop distance
+_LOG_FORM, _NEAR, _ROUNDING_SHARE = 0.1, EPS ** 0.5, 1.0 / 16.0
 
 # region labels of the signed cases, keyed by "the multiplier drives B"
 _LABELS = {
@@ -127,9 +120,11 @@ def _pull_back(x: Vec, gamma: float, xg: Vec, d: Vec) -> Vec:
 
 
 def _curves(pair: PerspectivePair, gamma: float, x: Vec, y: float, base_drives: bool):
-    """``(base_drives, (x/gamma, r, y), outer, inner)`` at a checked ``(x, y)``:
-    the curve the multiplier drives and the other, each a ``(point, value)``
-    pair of functions on floats, the curve at weight ``v`` being ``value(point(v))``.
+    """``(base_drives, (x/gamma, r, y, k), outer, inner)`` at a checked
+    ``(x, y)``: the driven curve and the other, each ``(point, value, f)``,
+    the curve at weight ``v`` being ``value(point(v))`` and ``f.inverse``
+    running it backwards, with weights over ``k`` (``1/gamma`` for B,
+    ``gamma`` for S).
     """
     scaling = pair.scaling
     h = pair.base.conj.phi1d
@@ -148,22 +143,21 @@ def _curves(pair: PerspectivePair, gamma: float, x: Vec, y: float, base_drives: 
     def s_point(v: float, prox_env=scaling.prox_env, gamma=gamma, y=y) -> float:
         return prox_env(gamma * v, y)
 
-    b, s = (b_point, h.eval), (s_point, scaling.env_eval)
-    return (True, (xg, r, y), b, s) if base_drives else (False, (xg, r, y), s, b)
+    b, s = (b_point, h.eval, h), (s_point, scaling.env_eval, scaling)
+    if base_drives:
+        return True, (xg, r, y, 1.0 / gamma), b, s
+    return False, (xg, r, y, gamma), s, b
 
 
 def _signed_pass(curves):
-    """The region tests on the ``_curves`` of an input, and the closed-form
-    points where they select one.
-
-    Returns ``(region, outer point, inner point, eta)``.  In region 4, the
-    root region, the last entry is instead the ``SearchRecord`` entry of
-    ``T(0)`` where the tests computed it (else None).  Zero tests are
-    ``core.negligible`` at the size of the curve's argument: ``r`` for B,
-    ``y`` for S.  An outer value of +inf at weight 0 is a finite one beyond
-    the largest double, which no test or search can use: ``OverflowError``.
+    """``(region, outer point, inner point, eta)`` from the region tests on
+    the ``_curves`` of an input; in region 4 the last entry is instead the
+    ``SearchRecord.start`` of ``T(0)`` where the tests computed it (else
+    None).  Zero tests are ``core.negligible`` at ``r`` for B, ``y`` for S.
+    An outer value of +inf at weight 0 (beyond the largest double) raises
+    ``OverflowError``.
     """
-    base_drives, (_, r, y), (o_point, o_value), (i_point, i_value) = curves
+    base_drives, (_, r, y, k), (o_point, o_value, outer), (i_point, i_value, _) = curves
     o_ref, i_ref = (r, y) if base_drives else (y, r)
     o_pt = o_point(0.0)
     o0 = o_value(o_pt)
@@ -180,8 +174,11 @@ def _signed_pass(curves):
         t0 = i_value(i_pt2)
         if negligible(t0, i_ref):
             return 2, o_pt, i_pt2, 0.0
-        entry = (o_pt, i_pt2, o0, t0)
-    if not i_zero and 0.0 < -i0 < INF:
+        entry = (i_pt2, t0)
+    # region 3 needs -i0 past the weight where the outer value falls to the
+    # zero bound (the inverse's; +inf where it never does), less a margin
+    if (not i_zero and 0.0 < -i0 < INF
+            and -i0 >= outer.inverse(o_ref, SLACK * (1.0 + abs(o_ref)))[1] / k * (1.0 - _NEAR)):
         o_pt3 = o_point(-i0)
         if negligible(o_value(o_pt3), o_ref):
             return 3, o_pt3, i_pt, -i0
@@ -207,20 +204,17 @@ def classify_case_i(pair: PerspectivePair, gamma: float, x, y) -> CaseLabel:
 
 
 class SearchRecord:
-    """Side record of one multiplier search.
-
-    ``start`` is ``(outer point, inner point, outer value, T(0))`` at
-    ``eta = 0``, handed over by the region pass where it computed it;
-    ``curves`` the ``_curves`` of the checked input.  ``points[u] = (T_s,
-    T_ss, g, g_s, g_ss, -v, err, v, eta, eta_s, o, o_s)`` for each inner
-    point ``u`` at which ``T`` was evaluated: what ``roots.solve_bracketed``
-    reads (derivatives in ``s = log|u - pole|`` of ``T`` and of ``g =
-    log(eta) - log(-v)``, which has the root and sign of ``T``; minus the
-    inner value ``v``, which bounds the root from the side of ``u``; the
-    error of a Newton step in ``eta`` from ``u``), then ``v``, the ``eta``
-    of ``u`` and the outer point ``o`` at it, with their derivatives.
-    ``pole`` is the inner point as ``eta`` grows without bound, and ``out``
-    the outer and inner points of the prox at the returned ``eta``.
+    """Side record of one multiplier search: ``start`` is ``(u0, T(0))``,
+    the inner point at ``eta = 0`` and ``T`` there, from the region pass;
+    ``curves`` the input's ``_curves``; ``points[u] = (T_s, T_ss, g, g_s,
+    g_ss, -v, err, v, eta, eta_s, o, o_s, rnd)`` for each evaluated inner
+    point ``u``: what ``roots.solve_bracketed`` reads (derivatives in ``s =
+    log|u - pole|`` of ``T`` and of ``g = log(eta) - log(-v)``, with the
+    root and sign of ``T``; ``-v``, a bound on the root; ``|T|`` predicted
+    after a Newton step in ``eta``), then ``v``, ``eta`` and the outer
+    point ``o`` with their derivatives, and the rounding of that step's
+    ``eta``; ``pole`` the inner point as ``eta`` grows without bound, and
+    ``out`` the prox's curve points.
     """
 
     __slots__ = ("start", "curves", "points", "pole", "chain", "out")
@@ -233,24 +227,25 @@ class SearchRecord:
 def make_residual_case_i(pair: PerspectivePair, gamma: float, x, y,
                          record: SearchRecord | None = None):
     """``T(u) = inner value + eta`` on the inner curve point ``u`` (``z`` in
-    case i, ``rho`` in case iii, as in ``classify_case_i``): ``T(eta)`` at
-    the ``eta`` putting the inner point at ``u``, through the contracts'
-    ``inverse``, with no scalar solve.  Each evaluation stores its entry in
-    ``record.points``; ``record.chain`` is the same map, for evaluations not
-    counted.  ``T`` runs on ``record.curves`` when set, unchecked."""
+    case i, ``rho`` in case iii) through the contracts' ``inverse``, on
+    ``record.curves`` when set.  Each evaluation stores its entry in
+    ``record.points`` (where one is, ``T`` returns its value);
+    ``record.chain`` is ``T`` uncounted."""
     record = SearchRecord() if record is None else record
     if record.curves is None:
         x, y = pair.check_point(x, y)
         record.curves = _curves(pair, gamma, x, y, _base_drives(pair))
-    base_drives, (_, r, y), (_, o_value), (i_point, _) = record.curves
-    h, sc = pair.base.conj.phi1d.inverse, pair.scaling.inverse
-    # the weights are eta / gamma (B) and gamma * value (S)
-    inner, outer, t_in, t_out, k = (sc, h, y, r, 1.0 / gamma) if base_drives else (h, sc, r, y, gamma)
+    base_drives, (_, r, y, k), (_, o_value, outer), (i_point, _, inner) = record.curves
+    inner, outer = inner.inverse, outer.inverse
+    t_in, t_out = (y, r) if base_drives else (r, y)
     # the outer curve is least at its point 0, where its weight is infinite
     c = record.pole = i_point(o_value(0.0))
     points, log, nan = record.points, math.log, math.nan
 
     def T(u: float) -> float:
+        entry = points.get(u)
+        if entry is not None:  # u0's, made by record.chain
+            return entry[7] + entry[8]
         d = u - c  # d/ds = d * d/du
         w, r1, r2, v, v1, v2 = inner(t_in, u)
         o_pt, ow, m1, m2, o1 = outer(t_out, w * k)
@@ -261,34 +256,56 @@ def make_residual_case_i(pair: PerspectivePair, gamma: float, x, y,
         e1 = m1 * r1 / k
         e2 = (m2 * r1 * r1 + m1 * r2) / k
         t1, t2 = v1 + e1, v2 + e2
-        err = g = g1 = g2 = nan
-        if abs(t) > -1e-3 * v and 0.0 < eta < INF:  # far from the root: g
+        err = rnd = g = g1 = g2 = nan
+        if abs(t) > -_LOG_FORM * v and 0.0 < eta < INF:  # far from the root: g
             l1 = m1 / ow * r1
             g1 = v1 / v
             g = log(eta) - log(-v)
             g2 = m2 / ow * r1 * r1 + m1 / ow * r2 - l1 * l1 - v2 / v + g1 * g1
             g1 = l1 - g1
-        elif t == 0.0:
-            err = 0.0
-        elif abs(t * e1) < EPS ** 0.5 * abs(t1 * eta):
-            # T''_eta delta**2 / (2 T'_eta) for the step delta = t e1 / t1; none
-            # above sqrt(EPS) of eta, where the first-order move of the curve
-            # points to its end would round off
-            err = 0.5 * abs(t2 * e1 - t1 * e2) * t * t / abs(t1 * t1 * t1)
-        points[u] = (t1, t2, g, g1, g2, -v, err, v, eta, e1, o_pt, o1 * r1)
+        elif t1 and o1 and w * r1:
+            if e1 and abs(t * e1) <= _NEAR * abs(t1 * eta):
+                # T''_eta delta**2 / 2 after the step delta = t e1 / t1
+                err = 0.5 * abs(t2 * e1 - t1 * e2) * t * t / abs(t1 * t1 * e1)
+            # that step's eta rounds off with four units of the outer point
+            # and of the inner prox equation, read forwards
+            rnd = 4.0 * EPS * (abs(m1 / k * o_pt / o1 * v1 / t1)
+                               + abs(max(abs(t_in), abs(u)) * d / (w * r1) * e1 / t1))
+        points[u] = (t1, t2, g, g1, g2, -v, err, v, eta, e1, o_pt, o1 * r1, rnd)
         return t
 
     record.chain = T
     return T
 
 
-def _settle(record: SearchRecord, eta: float) -> float:
-    """``record.out`` from the curves at ``eta``, the outer prox at weight
-    ``eta`` and the inner one at its value; returns ``T(eta)``."""
-    _, _, (o_point, o_value), (i_point, i_value) = record.curves
-    o_pt = o_point(eta)
-    record.out = o_pt, i_point(o_value(o_pt))
-    return i_value(record.out[1]) + eta
+def _finish(record: SearchRecord, eta: float, slope: float, cfg: RootConfig) -> float:
+    """The multiplier, and the prox's curve points in ``record.out``, from
+    Newton steps of slope ``slope`` (``1 / T'``) on the forward ``T(eta)``
+    (the outer prox at weight ``eta``, the inner one at its value) from
+    ``eta``, bisecting a bracket they leave, to the search's stops."""
+    _, _, (o_point, o_value, _), (i_point, i_value, _) = record.curves
+    stop, ends, best = min(cfg.residual_tol, 0.5 * cfg.eta_tol), [None, None], None
+    for _ in range(cfg.max_iter):
+        o_pt = o_point(eta)
+        i_pt = i_point(o_value(o_pt))
+        t = i_value(i_pt) + eta
+        if best is None or abs(t) < best[0]:
+            best = abs(t), eta, (o_pt, i_pt)
+        if abs(t) <= stop:
+            break
+        ends[t > 0.0] = eta
+        nxt = eta - t * slope
+        if None not in ends:
+            a, b = ends
+            if b - a <= cfg.eta_tol + 4.0 * EPS * abs(b):
+                break
+            if not min(a, b) < nxt < max(a, b):
+                nxt = a + 0.5 * (b - a)
+        if nxt == eta or nxt in ends:
+            break
+        eta = nxt
+    _, eta, record.out = best
+    return eta
 
 
 def solve_eta_case_i(
@@ -299,36 +316,33 @@ def solve_eta_case_i(
     """Multiplier for the root region of a signed pair, case (i) or (iii)
     as in ``classify_case_i``, and the number of ``T`` evaluations it took.
 
-    ``roots.solve_bracketed`` searches the inner points between ``u0``, the
-    one at ``eta = 0`` (whose entry, for the first step, is an evaluation of
-    ``record.chain`` not counted), and the pole, and stops as ``RootConfig``
-    states.  Where ``T(u0) >= 0``, ``u0`` sits on a clamp of the inner curve
-    (``RootScaling``'s upper end) holding the root, whose value gives the
-    multiplier: one counted evaluation.  Where ``u0`` is the pole, the
-    multiplier is ``-T(0)``.  ``eta`` is a Newton step in ``eta`` from the
-    returned point (minus its inner value where the inner curve is flat in
-    ``eta``, its ``eta`` where it is steep), kept between minus the inner
-    values at the bracket's ends.  ``trace(it, lo, hi, eta, T(eta))`` gets
-    every evaluation and its bracket, as multipliers (the pole's is +inf).
+    ``roots.solve_bracketed`` searches the inner points between ``u0``
+    (its entry an uncounted ``record.chain`` call) and the pole.  Where
+    ``T(u0) >= 0``, ``u0`` sits on a clamp of the inner curve holding the
+    root ``-v``: one counted evaluation.  Where ``u0`` is the pole, the
+    multiplier is ``-T(0)``.  ``eta`` is a Newton step from the returned
+    point, kept between the ends' bounds; where it misses the stop, or its
+    rounding exceeds ``_ROUNDING_SHARE`` of the stop distance (the inverse
+    map forms ``eta`` from an outer point that hardly moves), ``_finish``
+    runs on the forward ``T(eta)``, uncounted.  ``trace(it, lo, hi, eta,
+    T(eta))`` gets each counted evaluation and its bracket, as multipliers.
     """
     make = make_residual_case_i if _base_drives(pair) else make_residual_case_iii
     record = SearchRecord() if record is None else record
     T = make(pair, gamma, x, y, record)
     if record.start is None:
-        _, _, (o_point, o_value), (i_point, i_value) = record.curves
+        _, _, (o_point, o_value, _), (i_point, i_value, _) = record.curves
         u0 = i_point(o_value(o_point(0.0)))
-        record.start = None, u0, None, i_value(u0)
-    _, u0, _, t0 = record.start
+        record.start = u0, i_value(u0)
+    u0, t0 = record.start
     c, points = record.pole, record.points
     if t0 >= 0.0 or u0 == c:  # eta = 0, or an inner curve that cannot move
-        _settle(record, max(-t0, 0.0))
-        return max(-t0, 0.0), 0
+        return _finish(record, max(-t0, 0.0), 0.0, cfg), 0
     if record.chain(u0) >= 0.0 and T(u0) >= 0.0:  # on a clamp, T = eta + v: root -v
         v, eta_c = points[u0][7:9]
         if trace is not None:
             trace(1, 0.0, eta_c, -v, 0.0)
-        _settle(record, -v)
-        return -v, 1
+        return _finish(record, -v, 0.0, cfg), 1
     report = None
     if trace is not None:
         etas = {u0: 0.0, c: INF}
@@ -341,26 +355,20 @@ def solve_eta_case_i(
                           xtol=cfg.eta_tol, ftol=cfg.residual_tol, max_iter=cfg.max_iter,
                           at_c=at_c, trace=report)
     root, other = res.bracket
-    t1, _, _, _, _, lo, err, v, eta, e1, o_pt, o_s = points[root]
+    t1, _, _, _, _, lo, err, v, eta, e1, o_pt, o_s, rnd = points[root]
     hi = points[other][5] if other in points else at_c
     lo, hi = min(lo, hi), max(lo, hi)
     t, slope = res.residual, e1 / t1 if t1 else 0.0  # 1 / T'(eta), T' >= 1
     eta -= t * slope
     if not lo <= eta <= hi:
         eta = min(max(-v, lo), hi)
-    if abs(t) <= cfg.residual_tol and err <= 0.5 * cfg.eta_tol:
+    if (err <= min(cfg.residual_tol, 0.5 * cfg.eta_tol)
+            and rnd <= _ROUNDING_SHARE * (0.5 * cfg.eta_tol + 4.0 * EPS * eta)):
         # the curve points there, moved to eta to first order in s
         ds = -t / t1 if t1 else 0.0
         record.out = o_pt + o_s * ds, root + (root - c) * ds
         return eta, res.iterations
-    # else the prox from the forward curves at eta, and where the forward T
-    # there misses the stop (the inverse map rounds eta off where the outer
-    # point hardly moves), once more from a Newton step on it
-    t = _settle(record, eta)
-    if abs(t) > max(min(cfg.residual_tol, 0.5 * cfg.eta_tol), 4.0 * EPS * eta) and 0.0 < slope <= 1.0:
-        eta -= t * slope
-        _settle(record, eta)
-    return eta, res.iterations
+    return _finish(record, eta, slope, cfg), res.iterations
 
 
 # the same functions under their case-(iii) names; the root region of each
@@ -376,11 +384,10 @@ def prox_perspective(
 ) -> ProxResult:
     """Prox of ``gamma * (perspective of base with scaling)`` at ``(x, y)``.
 
-    Validates the input once, at its entry; nothing under it checks it
-    again.  Dispatches on the sign class of the base conjugate, resolves
-    the region and assembles the prox in one pass over the two value
-    curves (scalar profile and scaling calls; the root region's search
-    reuses them), and attaches the Fenchel certificate (``certificate_gap``).
+    Validates the input once, at its entry.  Dispatches on the sign class
+    of the base conjugate, resolves the region and assembles the prox in
+    one pass over the two value curves (the search reuses them), and
+    attaches the Fenchel certificate (``certificate_gap``).
     """
     if not 0.0 < gamma < INF:
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
@@ -395,9 +402,7 @@ def prox_perspective(
         curves = _curves(pair, gamma, x, y, base_drives)
         region, o_pt, i_pt, eta = _signed_pass(curves)
         iters = 0
-        if region == 4:
-            # the search runs on the pass's curves, and T(0) and its
-            # points come from the pass where it computed them
+        if region == 4:  # on the pass's curves, from its T(0)
             record = SearchRecord(eta, curves)
             solve = solve_eta_case_i if base_drives else solve_eta_case_iii
             eta, iters = solve(pair, gamma, x, y, cfg, record=record)
@@ -405,7 +410,7 @@ def prox_perspective(
         label = _LABELS[base_drives][region - 1]
         rho, q = (o_pt, i_pt) if base_drives else (i_pt, o_pt)
         # the base point, built once: x/gamma itself where rho == r
-        xg, r, _ = curves[1]
+        xg, r, _, _ = curves[1]
         p = _pull_back(x, gamma, xg, xg if rho == r else scale(xg, rho / r))
     gap = certificate_gap(pair, gamma, x, y, p, q)
     return ProxResult(p, q, eta, label, iters, gap)

@@ -201,10 +201,10 @@ def test_malformed_json_exit_code():
 
 def test_solver_failure_exit_code():
     # an over-tight iteration budget forces a root-find failure on a
-    # root-region input
+    # root-region input (the search meets these tolerances in two steps)
     out = run_cli(
         "prox", "--spec", HUBER_SPEC, "--point", '{"x":[1,0],"y":0.3}',
-        "--tol", "max_iter=2", "--tol", "eta_tol=1e-15", "--tol", "residual_tol=1e-15",
+        "--tol", "max_iter=1", "--tol", "eta_tol=1e-15", "--tol", "residual_tol=1e-15",
     )
     assert out.returncode == 3
     assert "solver failure" in out.stderr

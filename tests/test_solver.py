@@ -126,7 +126,7 @@ def test_eta_residual_and_monotonicity_probes():
     # the two composed curves are nonincreasing on a sampled grid
     from persprox.solver import _curves
 
-    _, _, (b_point, b_value), (s_point, s_value) = _curves(pair, gamma, x, y, True)
+    _, _, (b_point, b_value, _), (s_point, s_value, _) = _curves(pair, gamma, x, y, True)
 
     def phi2(e):
         return b_value(b_point(e))
@@ -484,7 +484,7 @@ def test_root_region_runs_on_radii(monkeypatch):
         (record,) = records
         assert record.points
         for u, entry in record.points.items():
-            assert type(u) is float and [type(v) for v in entry] == [float] * 12, entry
+            assert type(u) is float and [type(v) for v in entry] == [float] * 13, entry
     assert labels == {CaseLabel.OMEGA4, CaseLabel.XI4}
 
 
@@ -605,3 +605,36 @@ def test_probe_root_region_evaluations_per_pair():
     for pair, counts in evals.items():
         assert sum(counts) / len(counts) <= 6.0, (pair, sum(counts) / len(counts))
         assert max(counts) <= 20, (pair, max(counts))
+
+
+def test_probe_power20_root095_multipliers_match_the_forward_residual():
+    # power(20)/root(0.95) (p* = 20/19): where the outer point hardly moves,
+    # the inverse map forms eta from r - rho with rounding far above the
+    # stop, and the prox is finished on the forward T(eta); every multiplier
+    # of the probe's root-region calls lies within one stop distance of a
+    # float-resolution bisection of the forward T(eta)
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    index = 2
+    assert workloads.ROBUSTNESS_SPECS[index] == {
+        "base": {"name": "power", "p": 20.0}, "scaling": {"name": "root", "q": 0.95}}
+    pair = workloads.build_pair(workloads.ROBUSTNESS_SPECS[index])
+    checked = 0
+    for seed in range(5):
+        for call in workloads.probe_calls(seed):
+            if call.pair != index:
+                continue
+            try:
+                res = prox_perspective(pair, call.gamma, call.x, call.y)
+            except (ArithmeticError, ValueError):
+                continue  # the probe's known raises, counted by scripts/output_digest.py
+            if res.label is not CaseLabel.OMEGA4:
+                continue
+            T = multiplier_residual(pair, call.gamma, call.x, call.y)
+            ref = bisect_root(T, 0.0, -T(0.0))
+            assert abs(res.eta - ref) <= _stop_distance(ref), (seed, call, res.eta, ref)
+            checked += 1
+    assert checked > 800
