@@ -12,10 +12,13 @@ call count, error count, the count of outputs whose gap is not finite or
 exceeds the benchmark bound ``1e-8 * (1 + ||(x, y)||^2)``, the count of
 calls whose scaling-identity gap exceeds 1e-6 (``identity_gap`` of
 ``tests/reference.py``, whose rescaling laws cover every pair but abs; a
-call where either side raises is not counted), and the two digests, then
-the totals, and per probe pair the mean and maximum number of ``T``
-evaluations of its root-region calls over the probe seeds (counted by
-wrapping the residuals that ``make_residual_case_i/iii`` return).  Two
+call where either side raises is not counted), the count of root-region
+calls the entry rule resolved (those that built no residual: the
+multiplier's bracket had collapsed at entry, see ``solve_eta_case_i``),
+and the two digests, then the totals, and per probe pair the mean and
+maximum number of ``T`` evaluations of its root-region calls over the
+probe seeds (counted by wrapping ``make_residual_case_i/iii`` and the
+residuals they return) and how many of them the entry rule resolved.  Two
 checkouts whose solver outputs are bit-identical print the same solver
 digests, whatever their certificates:
 
@@ -88,10 +91,10 @@ def input_sets():
 
 
 class EvalCounter:
-    """Counts the ``T`` evaluations of the residuals the solver builds."""
+    """Counts the residuals the solver builds and their ``T`` evaluations."""
 
     def __init__(self):
-        self.count = 0
+        self.count = self.built = 0
         self.saved = []
 
     def install(self):
@@ -106,6 +109,7 @@ class EvalCounter:
 
     def _wrap(self, make):
         def counted_make(*args, **kwargs):
+            self.built += 1
             T = make(*args, **kwargs)
 
             def counted_T(eta):
@@ -132,23 +136,25 @@ def outcome(pair, call):
 
 def run(counter=None):
     """Prints the digests; returns ``{set name: [record per call]}``, a
-    record being ``[label, p, q, eta, root_iterations, T evaluations]`` or
-    ``["error", type name]``."""
+    record being ``[label, p, q, eta, root_iterations, T evaluations,
+    residuals built]`` or ``["error", type name]``."""
     totals = hashlib.sha256(), hashlib.sha256()
-    total_calls = total_errors = total_uncertified = total_identity = 0
+    total_calls = total_errors = total_uncertified = total_identity = total_entry = 0
     records = {}
     for name, pairs, calls in input_sets():
         digests = hashlib.sha256(), hashlib.sha256()
-        errors = uncertified = identity = 0
+        errors = uncertified = identity = entry = 0
         rows = records[name] = []
         for call in calls:
-            before = counter.count if counter else 0
+            evals, built = (counter.count, counter.built) if counter else (0, 0)
             solver_text, gap_text, ok, r = outcome(pairs[call.pair], call)
-            evals = counter.count - before if counter else 0
+            if counter:
+                evals, built = counter.count - evals, counter.built - built
             if r is None:
                 rows.append(["error", solver_text])
             else:
-                rows.append([r.label.value, list(r.p), r.q, r.eta, r.root_iterations, evals])
+                rows.append([r.label.value, list(r.p), r.q, r.eta, r.root_iterations, evals, built])
+                entry += r.label.value in ROOT_LABELS and not built
             errors += ok is None
             uncertified += ok is False
             if r is not None:
@@ -162,21 +168,25 @@ def run(counter=None):
         total_errors += errors
         total_uncertified += uncertified
         total_identity += identity
+        total_entry += entry
         print(f"{name:<20} calls {len(calls):>5}  errors {errors:>3}  uncertified {uncertified:>4}"
-              f"  identity {identity:>4}"
+              f"  identity {identity:>4}  entry {entry:>4}"
               f"  solver {digests[0].hexdigest()[:16]}  gaps {digests[1].hexdigest()[:16]}")
     print(f"{'total':<20} calls {total_calls:>5}  errors {total_errors:>3}"
-          f"  uncertified {total_uncertified:>4}  identity {total_identity:>4}"
+          f"  uncertified {total_uncertified:>4}  identity {total_identity:>4}  entry {total_entry:>4}"
           f"  solver {totals[0].hexdigest()[:16]}  gaps {totals[1].hexdigest()[:16]}")
-    probe = {}
+    probe, probe_entry = {}, {}
     for name, _, calls in input_sets():
         if name.startswith("probe"):
             for key, evals in _eval_stats(records[name], calls).items():
                 probe.setdefault(key[0], []).extend(evals)
+            for row, call in zip(records[name], calls):
+                if row[0] in ROOT_LABELS and not row[6]:
+                    probe_entry[call.pair] = probe_entry.get(call.pair, 0) + 1
     for pair in sorted(probe):
         evals = probe[pair]
         print(f"probe pair {pair} root-region T evaluations: mean {sum(evals) / len(evals):.2f}"
-              f"  max {max(evals)}  ({len(evals)} calls)")
+              f"  max {max(evals)}  ({len(evals)} calls, {probe_entry.get(pair, 0)} resolved at entry)")
     return records
 
 

@@ -53,9 +53,10 @@ class RootConfig(Value):
     eta_tol / 2)`` at ``u`` or, by the curvature, at the ``eta`` a Newton
     step from ``u`` reports; else once the ends' bounds on the multiplier
     are within ``eta_tol`` plus four rounding units, or no double lies
-    between them.  A multiplier the inverse map rounds off by over a share
-    of that stop is finished on the forward ``T(eta)`` alike.  ``max_iter``
-    bounds the evaluations of each.  An immutable ``core.Value``.
+    between them (at entry, within the four units alone).  A multiplier
+    the inverse map rounds off by over a share of that stop is finished on
+    the forward ``T(eta)`` alike.  ``max_iter`` bounds the evaluations of
+    each.  An immutable ``core.Value``.
     """
 
     __slots__ = ("eta_tol", "residual_tol", "max_iter")
@@ -76,9 +77,9 @@ class ProxResult(Record):
 
     ``eta`` is the coupling multiplier (0 on the closed-form regions with
     vanishing scale value), ``root_iterations`` counts the search's
-    evaluations of ``T(u)`` (not the one at ``eta = 0``; 0 off the root
-    region), and ``certificate_gap`` is the Fenchel residual of the output,
-    checked independently of the path that produced it.
+    evaluations of ``T(u)`` (not ``T(0)``; 0 for a root found at entry or
+    off the root region), and ``certificate_gap`` is the Fenchel residual of
+    the output, checked independently of the path that produced it.
 
     A plain per-call record (``core.Record``), without the assignment guard
     that would cost each call more than the record.
@@ -152,8 +153,8 @@ def _curves(pair: PerspectivePair, gamma: float, x: Vec, y: float, base_drives: 
 def _signed_pass(curves):
     """``(region, outer point, inner point, eta)`` from the region tests on
     the ``_curves`` of an input; in region 4 the last entry is instead the
-    ``SearchRecord.start`` of ``T(0)`` where the tests computed it (else
-    None).  Zero tests are ``core.negligible`` at ``r`` for B, ``y`` for S.
+    search's ``SearchRecord``, with the tests' ``T(0)`` and weight-0 inner
+    point.  Zero tests are ``core.negligible`` at ``r`` for B, ``y`` for S.
     An outer value of +inf at weight 0 (beyond the largest double) raises
     ``OverflowError``.
     """
@@ -182,7 +183,7 @@ def _signed_pass(curves):
         o_pt3 = o_point(-i0)
         if negligible(o_value(o_pt3), o_ref):
             return 3, o_pt3, i_pt, -i0
-    return 4, None, None, entry
+    return 4, None, None, SearchRecord(curves, o0, entry, (i_pt, i0))
 
 
 def _base_drives(pair) -> bool:
@@ -204,42 +205,56 @@ def classify_case_i(pair: PerspectivePair, gamma: float, x, y) -> CaseLabel:
 
 
 class SearchRecord:
-    """Side record of one multiplier search: ``start`` is ``(u0, T(0))``,
-    the inner point at ``eta = 0`` and ``T`` there, from the region pass;
-    ``curves`` the input's ``_curves``; ``points[u] = (T_s, T_ss, g, g_s,
-    g_ss, -v, err, v, eta, eta_s, o, o_s, rnd)`` for each evaluated inner
-    point ``u``: what ``roots.solve_bracketed`` reads (derivatives in ``s =
-    log|u - pole|`` of ``T`` and of ``g = log(eta) - log(-v)``, with the
-    root and sign of ``T``; ``-v``, a bound on the root; ``|T|`` predicted
-    after a Newton step in ``eta``), then ``v``, ``eta`` and the outer
-    point ``o`` with their derivatives, and the rounding of that step's
-    ``eta``; ``pole`` the inner point as ``eta`` grows without bound, and
-    ``out`` the prox's curve points.
+    """Side record of one multiplier search, built by the region pass on
+    ``curves`` from ``o0``, the outer curve's weight-0 value, and its
+    ``(inner point, value)`` at weight ``o0`` and at 0 (or None): ``start``
+    is ``(u0, T(0))``, the inner point at weight ``o0`` (``eta = 0``) and
+    ``T`` there; ``pole`` the inner point as ``eta`` grows without bound,
+    at the outer curve's least value (at its point 0), and ``at_c`` minus
+    the inner value there, the bound on the root from that end; ``points[u]
+    = (T_s, T_ss, g, g_s, g_ss, -v, err, v, eta, eta_s, o, o_s, rnd)`` for
+    each evaluated inner point ``u``: what ``roots.solve_bracketed`` reads
+    (derivatives in ``s = log|u - pole|`` of ``T`` and of ``g = log(eta) -
+    log(-v)``, with the root and sign of ``T``; ``-v``, a bound on the
+    root; ``|T|`` predicted after a Newton step in ``eta``), then ``v``,
+    ``eta`` and the outer point ``o`` with their derivatives, and the
+    rounding of that step's ``eta``; ``out`` the prox's curve points.
     """
 
-    __slots__ = ("start", "curves", "points", "pole", "chain", "out")
+    __slots__ = ("start", "curves", "pole", "at_c", "points", "chain", "out")
 
-    def __init__(self, start: tuple | None = None, curves: tuple | None = None):
-        self.start, self.curves, self.points = start, curves, {}
-        self.pole = self.chain = self.out = None
+    def __init__(self, curves: tuple, o0: float, start: tuple | None, zero: tuple | None):
+        _, _, (_, o_value, _), (i_point, i_value, _) = curves
+        if start is None:
+            u = i_point(o0)
+            start = u, i_value(u)
+        least = o_value(0.0)
+        pole = start if least == o0 else zero if least == 0.0 and zero else None
+        if pole is None:
+            u = i_point(least)
+            pole = u, i_value(u)
+        self.start, self.curves, (self.pole, v) = start, curves, pole
+        self.at_c, self.points, self.chain, self.out = -v, {}, None, None
+
+
+def _direct_record(pair: PerspectivePair, gamma: float, x, y) -> SearchRecord:
+    """The ``SearchRecord`` of a search called without the region pass."""
+    curves = _curves(pair, gamma, *pair.check_point(x, y), _base_drives(pair))
+    o_point, o_value, _ = curves[2]
+    return SearchRecord(curves, o_value(o_point(0.0)), None, None)
 
 
 def make_residual_case_i(pair: PerspectivePair, gamma: float, x, y,
                          record: SearchRecord | None = None):
     """``T(u) = inner value + eta`` on the inner curve point ``u`` (``z`` in
     case i, ``rho`` in case iii) through the contracts' ``inverse``, on
-    ``record.curves`` when set.  Each evaluation stores its entry in
-    ``record.points`` (where one is, ``T`` returns its value);
+    ``record``'s curves and pole when set.  Each evaluation stores its entry
+    in ``record.points`` (where one is, ``T`` returns its value);
     ``record.chain`` is ``T`` uncounted."""
-    record = SearchRecord() if record is None else record
-    if record.curves is None:
-        x, y = pair.check_point(x, y)
-        record.curves = _curves(pair, gamma, x, y, _base_drives(pair))
-    base_drives, (_, r, y, k), (_, o_value, outer), (i_point, _, inner) = record.curves
-    inner, outer = inner.inverse, outer.inverse
+    record = _direct_record(pair, gamma, x, y) if record is None else record
+    base_drives, (_, r, y, k), (_, _, outer), (_, _, inner) = record.curves
+    inner, outer, c = inner.inverse, outer.inverse, record.pole
     t_in, t_out = (y, r) if base_drives else (r, y)
-    # the outer curve is least at its point 0, where its weight is infinite
-    c = record.pole = i_point(o_value(0.0))
     points, log, nan = record.points, math.log, math.nan
 
     def T(u: float) -> float:
@@ -316,28 +331,38 @@ def solve_eta_case_i(
     """Multiplier for the root region of a signed pair, case (i) or (iii)
     as in ``classify_case_i``, and the number of ``T`` evaluations it took.
 
-    ``roots.solve_bracketed`` searches the inner points between ``u0``
-    (its entry an uncounted ``record.chain`` call) and the pole.  Where
-    ``T(u0) >= 0``, ``u0`` sits on a clamp of the inner curve holding the
-    root ``-v``: one counted evaluation.  Where ``u0`` is the pole, the
-    multiplier is ``-T(0)``.  ``eta`` is a Newton step from the returned
-    point, kept between the ends' bounds; where it misses the stop, or its
-    rounding exceeds ``_ROUNDING_SHARE`` of the stop distance (the inverse
-    map forms ``eta`` from an outer point that hardly moves), ``_finish``
-    runs on the forward ``T(eta)``, uncounted.  ``trace(it, lo, hi, eta,
-    T(eta))`` gets each counted evaluation and its bracket, as multipliers.
+    The entry rule runs first, on the pass's ``record`` (built here for a
+    direct call): ``eta`` is 0 where ``T(0) >= 0``, else ``-T(0)`` where
+    ``u0`` is the pole or the bounds ``-T(0)``, ``record.at_c`` meet the
+    width stop less ``eta_tol``, from one forward ``T(eta)`` (in the last
+    case where it meets the residual stop).  Otherwise
+    ``roots.solve_bracketed`` searches the inner points between ``u0`` (its
+    entry an uncounted ``record.chain`` call) and the pole.  Where ``T(u0)
+    >= 0``, ``u0`` sits on a clamp of the inner curve holding the root
+    ``-v``: one counted evaluation.  ``eta`` is a Newton step from the
+    returned point, kept between the ends' bounds; where it misses the
+    stop, or its rounding exceeds ``_ROUNDING_SHARE`` of the stop distance
+    (the inverse map forms ``eta`` from an outer point that hardly moves),
+    ``_finish`` runs on the forward ``T(eta)``, uncounted.  ``trace(it, lo,
+    hi, eta, T(eta))`` gets each counted evaluation and its bracket, as
+    multipliers, and an entry rule's result as iteration 0.
     """
-    make = make_residual_case_i if _base_drives(pair) else make_residual_case_iii
-    record = SearchRecord() if record is None else record
-    T = make(pair, gamma, x, y, record)
-    if record.start is None:
+    record = _direct_record(pair, gamma, x, y) if record is None else record
+    make = make_residual_case_i if record.curves[0] else make_residual_case_iii
+    (u0, t0), c, at_c = record.start, record.pole, record.at_c
+    kept = t0 >= 0.0 or u0 == c
+    if kept or abs(at_c + t0) <= 4.0 * EPS * -t0:  # the width stop, less eta_tol
         _, _, (o_point, o_value, _), (i_point, i_value, _) = record.curves
-        u0 = i_point(o_value(o_point(0.0)))
-        record.start = u0, i_value(u0)
-    u0, t0 = record.start
-    c, points = record.pole, record.points
-    if t0 >= 0.0 or u0 == c:  # eta = 0, or an inner curve that cannot move
-        return _finish(record, max(-t0, 0.0), 0.0, cfg), 0
+        eta = max(-t0, 0.0)
+        o_pt = o_point(eta)
+        i_pt = i_point(o_value(o_pt))
+        t = i_value(i_pt) + eta
+        if kept or abs(t) <= min(cfg.residual_tol, 0.5 * cfg.eta_tol):
+            record.out = o_pt, i_pt
+            if trace is not None:
+                trace(0, min(eta, at_c), max(eta, at_c), eta, t)
+            return eta, 0
+    T, points = make(pair, gamma, x, y, record), record.points
     if record.chain(u0) >= 0.0 and T(u0) >= 0.0:  # on a clamp, T = eta + v: root -v
         v, eta_c = points[u0][7:9]
         if trace is not None:
@@ -350,7 +375,6 @@ def solve_eta_case_i(
         def report(it, lo, hi, u, t, trace=trace):
             etas[u] = points[u][8]
             trace(it, min(etas[lo], etas[hi]), max(etas[lo], etas[hi]), etas[u], t)
-    at_c = -record.curves[3][1](c)
     res = solve_bracketed(T, points.__getitem__, u0, points[u0][7] + points[u0][8], c,
                           xtol=cfg.eta_tol, ftol=cfg.residual_tol, max_iter=cfg.max_iter,
                           at_c=at_c, trace=report)
@@ -402,8 +426,8 @@ def prox_perspective(
         curves = _curves(pair, gamma, x, y, base_drives)
         region, o_pt, i_pt, eta = _signed_pass(curves)
         iters = 0
-        if region == 4:  # on the pass's curves, from its T(0)
-            record = SearchRecord(eta, curves)
+        if region == 4:  # on the pass's record
+            record = eta
             solve = solve_eta_case_i if base_drives else solve_eta_case_iii
             eta, iters = solve(pair, gamma, x, y, cfg, record=record)
             o_pt, i_pt = record.out

@@ -351,6 +351,18 @@ def test_trace_root_csv():
     assert abs(rows[-1][4]) <= 1e-10
 
 
+def test_trace_root_reports_a_root_found_at_entry():
+    # y = 0 pins the inner point at the pole: the entry rule returns -T(0)
+    # with no search, and trace-root prints its one row, iteration 0, with
+    # the entry bounds, the multiplier and the forward T there
+    out = run_cli("trace-root", "--spec", HUBER_SPEC, "--point", '{"x":[1,0],"y":0}')
+    assert out.returncode == 0
+    assert out.stdout.splitlines() == ["iter,eta_lo,eta_hi,eta_mid,T_mid", "0,0.375,0.375,0.375,0.0"]
+    prox = run_cli("prox", "--spec", HUBER_SPEC, "--point", '{"x":[1,0],"y":0}')
+    record = json.loads(prox.stdout)
+    assert (record["case_label"], record["eta"], record["iterations"]) == ("Xi4", 0.375, 0)
+
+
 def test_trace_root_power_root_region():
     out = run_cli("trace-root", "--spec", POWER_SPEC, "--point", '{"x":[6,0],"y":3.5}')
     assert out.returncode == 0

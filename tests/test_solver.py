@@ -368,10 +368,14 @@ def test_prox_validates_its_input_once(monkeypatch, pair, x, y, label):
     (POWER_ROOT_BOUNDED, (0.0, 0.0), 2.0, CaseLabel.OMEGA3),
     (HUBER, (3.0, 0.0), 0.0, CaseLabel.XI2),
     (ABS_ROOT, (2.0, 0.0), 2.0, CaseLabel.CASE_II),
+    (HUBER, (1.0, 0.2), 0.2, CaseLabel.XI4),
 ])
 def test_root_region_reaches_the_public_multiplier_names(monkeypatch, pair, x, y, label):
     # the root region goes through the module globals solve_eta_case_* and,
-    # from there, make_residual_case_*, once each; closed forms call neither
+    # where it searches, from there make_residual_case_*, once each; on
+    # huber/sqrt at y = 0 the inner point at eta = 0 is the pole, and the
+    # entry rule returns the multiplier without a residual; closed forms
+    # call neither
     import persprox.solver as solver
 
     calls = []
@@ -389,7 +393,7 @@ def test_root_region_reaches_the_public_multiplier_names(monkeypatch, pair, x, y
     assert prox_perspective(pair, 1.0, x, y).label is label
     case = {CaseLabel.OMEGA4: "i", CaseLabel.XI4: "iii"}.get(label)
     expected = [] if case is None else ["solve_eta_case_" + case, "make_residual_case_" + case]
-    assert calls == expected
+    assert calls == expected[:1 if pair is HUBER and y == 0.0 else 2]
 
 
 @pytest.mark.parametrize("pair", [
@@ -434,13 +438,19 @@ def test_huge_multiplier_bracket_does_not_divide_by_zero():
     assert eta == pytest.approx(res.eta, rel=1e-9)
 
 
-def _root_band_inputs(count):
-    """The first ``count`` seed-0 inputs of the benchmark's root_band pool."""
+def _workloads():
+    """The benchmark's input generators, ``perfbench/workloads.py``."""
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
     try:
         import workloads
     finally:
         sys.path.pop(0)
+    return workloads
+
+
+def _root_band_inputs(count):
+    """The first ``count`` seed-0 inputs of the benchmark's root_band pool."""
+    workloads = _workloads()
     pairs, calls = workloads.setup("root_band", 0)
     return [(pairs[c.pair], workloads.cli_spec("root_band", c.pair), c) for c in calls[:count]]
 
@@ -537,11 +547,7 @@ def test_multiplier_search_on_root_band_inputs(monkeypatch):
 
 def _probe_call(seed, index):
     """Call ``index`` of robustness-probe seed ``seed`` and its pair."""
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-    try:
-        import workloads
-    finally:
-        sys.path.pop(0)
+    workloads = _workloads()
     call = workloads.probe_calls(seed)[index]
     return workloads.build_pair(workloads.ROBUSTNESS_SPECS[call.pair]), call
 
@@ -586,11 +592,7 @@ def test_probe_calls_the_multiplier_search_in_eta_crept_on(seed, index, label, m
 def test_probe_root_region_evaluations_per_pair():
     # every root-region call of robustness-probe seeds 0-4: T evaluations
     # per pair at most 6 on average and 20 in the worst call
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-    try:
-        import workloads
-    finally:
-        sys.path.pop(0)
+    workloads = _workloads()
     pairs = [workloads.build_pair(spec) for spec in workloads.ROBUSTNESS_SPECS]
     evals = {}
     for seed in range(5):
@@ -613,11 +615,7 @@ def test_probe_power20_root095_multipliers_match_the_forward_residual():
     # stop, and the prox is finished on the forward T(eta); every multiplier
     # of the probe's root-region calls lies within one stop distance of a
     # float-resolution bisection of the forward T(eta)
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-    try:
-        import workloads
-    finally:
-        sys.path.pop(0)
+    workloads = _workloads()
     index = 2
     assert workloads.ROBUSTNESS_SPECS[index] == {
         "base": {"name": "power", "p": 20.0}, "scaling": {"name": "root", "q": 0.95}}
@@ -638,3 +636,107 @@ def test_probe_power20_root095_multipliers_match_the_forward_residual():
             assert abs(res.eta - ref) <= _stop_distance(ref), (seed, call, res.eta, ref)
             checked += 1
     assert checked > 800
+
+
+def _spy_searches(monkeypatch):
+    """``[record, residuals built]`` per root-region call, appended by spies
+    on the ``solver`` globals ``solve_eta_case_*`` and ``make_residual_case_*``."""
+    import persprox.solver as solver
+    searches = []
+    for case in ("i", "iii"):
+        solve = getattr(solver, "solve_eta_case_" + case)
+        make = getattr(solver, "make_residual_case_" + case)
+
+        def spy_solve(*args, solve=solve, record=None, **kwargs):
+            searches.append([record, 0])
+            return solve(*args, record=record, **kwargs)
+
+        def spy_make(*args, make=make, **kwargs):
+            searches[-1][1] += 1
+            return make(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "solve_eta_case_" + case, spy_solve)
+        monkeypatch.setattr(solver, "make_residual_case_" + case, spy_make)
+    return searches
+
+
+def _collapsed(record, slack=0.0):
+    """Whether the ends' bounds on the multiplier, ``-T(0)`` and
+    ``at_c``, lie within four rounding units (plus ``slack``) at entry, or
+    the inner point at ``eta = 0`` is the pole."""
+    u0, t0 = record.start
+    return u0 == record.pole or abs(record.at_c + t0) <= 4.0 * 2.0 ** -52 * abs(t0) + slack
+
+
+def test_entry_rule_takes_wide_scale_huber_sqrt_without_a_residual(monkeypatch):
+    # huber(1e4)/sqrt at gamma up to 1e8 and |y|**2 under the rounding of
+    # beta: the multiplier's bracket has collapsed at entry, and the entry
+    # rule returns -T(0) from one forward T(eta), building no residual; a
+    # call whose forward T there misses the stop, or whose bracket is open,
+    # searches with one residual
+    workloads = _workloads()
+    index = workloads.WIDE_SCALE_SPECS.index(
+        {"base": {"name": "huber", "alpha": 10000.0}, "scaling": {"name": "sqrt", "beta": 1.0}})
+    pairs, calls = workloads.setup("wide_scale", 0)
+    pair = pairs[index]
+    searches = _spy_searches(monkeypatch)
+    taken = at_pole = 0
+    for call in calls:
+        if call.pair != index:
+            continue
+        searches.clear()
+        res = prox_perspective(pair, call.gamma, call.x, call.y)
+        if res.label is not CaseLabel.XI4:
+            continue
+        (record, built), = searches
+        if built:
+            assert built == 1 and record.start[0] != record.pole, call
+            continue
+        assert _collapsed(record), call
+        assert res.root_iterations == 0
+        T = multiplier_residual(pair, call.gamma, call.x, call.y)
+        ref = bisect_root(T, 0.0, -T(0.0))
+        assert abs(res.eta - ref) <= _stop_distance(ref), (call, res.eta, ref)
+        taken += 1
+        at_pole += record.start[0] == record.pole
+    assert taken >= 940 and at_pole >= 500, (taken, at_pole)
+
+
+def test_entry_rule_has_no_absolute_term(monkeypatch):
+    # power(2)/identity probe calls whose entry bounds are within eta_tol
+    # of each other but not within rounding: an entry rule with the search's
+    # absolute eta_tol term would take them and move their outputs
+    workloads = _workloads()
+    index = workloads.ROBUSTNESS_SPECS.index(
+        {"base": {"name": "power", "p": 2.0}, "scaling": {"name": "identity-interval"}})
+    pair = workloads.build_pair(workloads.ROBUSTNESS_SPECS[index])
+    searches = _spy_searches(monkeypatch)
+    near = 0
+    for seed in range(5):
+        for call in workloads.probe_calls(seed):
+            if call.pair != index:
+                continue
+            searches.clear()
+            res = prox_perspective(pair, call.gamma, call.x, call.y)
+            if res.label is not CaseLabel.OMEGA4:
+                continue
+            (record, built), = searches
+            if _collapsed(record, RootConfig().eta_tol) and not _collapsed(record):
+                assert built == 1, call
+                near += 1
+    assert near == 15
+
+
+def test_entry_rule_leaves_root_band_searching(monkeypatch):
+    # no root_band input has a collapsed bracket at entry: every root-region
+    # call builds exactly one residual
+    searches = _spy_searches(monkeypatch)
+    roots = 0
+    for pair, _, call in _root_band_inputs(2000):
+        searches.clear()
+        res = prox_perspective(pair, call.gamma, call.x, call.y)
+        assert len(searches) == (res.label in (CaseLabel.OMEGA4, CaseLabel.XI4))
+        if searches:
+            assert searches[0][1] == 1, call
+            roots += 1
+    assert roots > 1000
