@@ -10,7 +10,11 @@ each pass times every call of the pool on both sides, the side that goes
 first alternating from pass to pass.  Prints the median over passes of
 the per-call time ratio, this checkout over the other (below 1 means this
 checkout is faster), and the passes this checkout won, for the whole pool
-and per (pair, label), the label being this checkout's.  As in
+and per (pair, label), the label being this checkout's, with each side's
+mean number of ``T`` evaluations per call (counted in one untimed pass per
+side by ``output_digest.EvalCounter``, which wraps the side's
+``make_residual_case_*`` and the residuals they return), so one run shows
+whether a change moved time or moved work.  As in
 ``perfbench/measure.py``, the collector is frozen after the warm-up:
 
     python3 scripts/ab_inprocess.py ../parent --workload wide_scale --passes 16
@@ -34,6 +38,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import persprox
 import workloads
+from output_digest import EvalCounter
 
 # what a prox call may raise on valid input (RootFindError is a RuntimeError)
 ERRORS = (ArithmeticError, ValueError, RuntimeError)
@@ -77,6 +82,24 @@ def time_pass(prox, pairs, calls) -> list:
     return out
 
 
+def count_evaluations(package, prox, pairs, calls) -> list:
+    """``T`` evaluations per call of one untimed pass of ``package``'s prox."""
+    counter = EvalCounter(sys.modules[package.__name__ + ".solver"])
+    counter.install()
+    out = []
+    try:
+        for call in calls:
+            before = counter.count
+            try:
+                prox(pairs[call.pair], call.gamma, call.x, call.y)
+            except ERRORS:
+                pass
+            out.append(counter.count - before)
+    finally:
+        counter.uninstall()
+    return out
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("other", metavar="OTHER_CHECKOUT", help="root of the other checkout")
@@ -97,6 +120,7 @@ def main(argv=None) -> None:
         except ERRORS as exc:
             label = type(exc).__name__
         groups.setdefault(f"pair {call.pair} {label}", []).append(i)
+    evals = [count_evaluations(package, *side, calls) for package, side in zip((persprox, other), sides)]
     for prox, pairs in sides:  # warm-up
         time_pass(prox, pairs, calls)
     # as the benchmark does: what is alive now stays out of the collector's way
@@ -122,8 +146,10 @@ def main(argv=None) -> None:
         r = ratios[key]
         wins = sum(x < 1.0 for x in r)
         this_us, that_us = (statistics.median(v) for v in per_call[key])
+        this_ev, that_ev = (sum(e[i] for i in groups[key]) / len(groups[key]) for e in evals)
         print(f"  {key:<22} calls {len(groups[key]):>5}  median ratio {statistics.median(r):.3f}"
-              f"  wins {wins}/{len(r)}  us per call {this_us:.1f} (this) {that_us:.1f} (other)")
+              f"  wins {wins}/{len(r)}  us per call {this_us:.1f} (this) {that_us:.1f} (other)"
+              f"  T evaluations {this_ev:.2f} (this) {that_ev:.2f} (other)")
 
 
 if __name__ == "__main__":

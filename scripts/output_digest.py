@@ -91,21 +91,23 @@ def input_sets():
 
 
 class EvalCounter:
-    """Counts the residuals the solver builds and their ``T`` evaluations."""
+    """Counts the residuals a solver module (this checkout's where not
+    given) builds and their ``T`` evaluations."""
 
-    def __init__(self):
+    def __init__(self, module=solver):
+        self.module = module
         self.count = self.built = 0
         self.saved = []
 
     def install(self):
         for name in ("make_residual_case_i", "make_residual_case_iii"):
-            make = getattr(solver, name)
+            make = getattr(self.module, name)
             self.saved.append((name, make))
-            setattr(solver, name, self._wrap(make))
+            setattr(self.module, name, self._wrap(make))
 
     def uninstall(self):
         while self.saved:
-            setattr(solver, *self.saved.pop())
+            setattr(self.module, *self.saved.pop())
 
     def _wrap(self, make):
         def counted_make(*args, **kwargs):

@@ -29,9 +29,16 @@ class PairMismatch(ValueError):
 
 
 class PerspectivePair(Value):
-    """A base function, a scaling function, and the base dimension."""
+    """A base function, a scaling function, and the base dimension.
 
-    __slots__ = ("base", "scaling", "n")
+    ``driven_least`` is derived: for a signed pair, the least value of the
+    curve its multiplier drives, at that curve's point 0 (``h(0)``, ``h``
+    the profile of ``phi*``, for a nonnegative conjugate; ``env(0)`` for a
+    nonpositive one), which ``solver`` would otherwise evaluate per call.
+    """
+
+    _fields = ("base", "scaling", "n")
+    __slots__ = _fields + ("driven_least",)
 
     def __init__(self, base, scaling, n: int = 1):
         if n < 1:
@@ -48,6 +55,9 @@ class PerspectivePair(Value):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "scaling", scaling)
         object.__setattr__(self, "n", n)
+        least = (base.conj.phi1d.eval(0.0) if sc is SignClass.NONNEGATIVE_CONJUGATE
+                 else scaling.env_eval(0.0) if sc is SignClass.NONPOSITIVE_CONJUGATE else None)
+        object.__setattr__(self, "driven_least", least)
 
     def check_point(self, x, y) -> tuple[Vec, float]:
         x = as_vec(x)

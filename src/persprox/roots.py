@@ -25,14 +25,15 @@ class RootFindError(RuntimeError):
 
 
 class RootResult(Record):
-    """Root, ``fn`` there, the evaluations made and the final bracket (the
-    root and the other end): a plain record per search."""
+    """Root, ``fn`` there, the evaluations made, the root's entry (what
+    ``fn`` left in the slot there) and the other end's bound on the root
+    (NaN where that end returned NaN): a plain record per search."""
 
-    __slots__ = ("root", "residual", "iterations", "bracket")
+    __slots__ = ("root", "residual", "iterations", "entry", "bound")
 
-    def __init__(self, root: float, residual: float, iterations: int, bracket: tuple):
-        self.root, self.residual = root, residual
-        self.iterations, self.bracket = iterations, bracket
+    def __init__(self, root: float, residual: float, iterations: int, entry: tuple, bound: float):
+        self.root, self.residual, self.iterations = root, residual, iterations
+        self.entry, self.bound = entry, bound
 
 
 def _target(f: float, f1: float, f2: float, b: float, c: float, lo: float, hi: float,
@@ -59,57 +60,59 @@ def _target(f: float, f1: float, f2: float, b: float, c: float, lo: float, hi: f
         step = newton
 
 
-def solve_bracketed(fn, derivatives, b: float, fb: float, c: float, *, xtol: float,
+def solve_bracketed(fn, slot: list, b: float, fb: float, c: float, *, xtol: float,
                     ftol: float, max_iter: int, at_c: float = NAN, trace=None) -> RootResult:
     """Root of ``fn``, which changes sign once between ``b``, where ``fb =
     fn(b)`` is known and finite, and ``c``, never evaluated, beyond which it
     has the other sign (or a pole).
 
     Steps are taken in ``s = log|x - c|``, which keeps every point on the
-    side of ``c``.  ``derivatives(x)``, at an evaluated ``x``, gives ``(f_s,
-    f_ss, g, g_s, g_ss, e, err)``: ``fn``'s first two derivatives in ``s``;
-    a second function with the root and sign of ``fn`` and its two (NaN
-    where none); ``e``, a bound on the root from the side of ``x`` (``x``
-    where NaN; ``at_c`` for ``c``); and ``err``, ``|fn|`` as predicted at
-    the point the caller reports from ``x``.  From ``b``, the end evaluated
-    last, each function gives Halley's step where ``|k| <= 1/2`` (``k = f
-    f_ss / (2 f_s**2)``) and it stays inside, else Newton's; a target on
-    ``c`` becomes its neighbour double, a move under two rounding units of
-    ``b`` that long.  The search takes the target moving farthest; failing
-    both, the Illinois secant between evaluated ends, then a bisection, in
-    ``s`` while the ends' distances to ``c`` differ by over ``_WIDE_RATIO``
-    and ``c`` is not an end.  A NaN ``fn`` counts as the side of ``c``.
+    side of ``c``.  ``slot`` is a one-item list where each ``fn(x)`` leaves
+    ``x``'s entry, which starts ``(f_s, f_ss, g, g_s, g_ss, e, err)`` (the
+    rest is the caller's); on entry it holds ``b``'s.  The entry gives
+    ``fn``'s first two derivatives in ``s``; a second function with the
+    root and sign of ``fn`` and its two (NaN where none); ``e``, a bound on
+    the root from the side of ``x`` (``x`` where NaN; ``at_c`` for ``c``);
+    and ``err``, ``|fn|`` as predicted at the point the caller reports from
+    ``x``.  The search keeps the entries of its two ends, so an evaluation
+    that returns NaN and moves no end leaves ``b``'s in use.  From ``b``,
+    the end evaluated last, each function gives Halley's step where ``|k|
+    <= 1/2`` (``k = f f_ss / (2 f_s**2)``) and it stays inside, else
+    Newton's; a target on ``c`` becomes its neighbour double, a move under
+    two rounding units of ``b`` that long.  The search takes the target
+    moving farthest; failing both, the Illinois secant between evaluated
+    ends, then a bisection, in ``s`` while the ends' distances to ``c``
+    differ by over ``_WIDE_RATIO`` and ``c`` is not an end.  A NaN ``fn``
+    counts as the side of ``c``.
 
     It stops at ``b`` once ``|fn(b)|`` or ``err`` is at most ``min(ftol,
     xtol/2)``; and at the evaluated end of smaller ``|fn|`` once the ends'
     bounds are within ``xtol`` plus four rounding units (without bounds, the
     ends within ``xtol``) or no double lies inside.  ``iterations`` counts
-    calls of ``fn``, ``bracket`` is ``(root, other end)``, and ``trace(it,
-    lo, hi, x, fn(x))`` gets each evaluated ``x`` and its bracket.
+    calls of ``fn``, and ``trace(it, lo, hi, x, fn(x))`` gets each
+    evaluated ``x`` and its bracket, with ``x``'s entry in the slot.
     """
     if not -INF < fb < INF or b == c:
         raise RootFindError("no sign change on bracket", b, c, fb, NAN)
     far, ffar, efar, fsec = c, NAN, at_c, NAN  # fsec: ffar, halved each time far is kept
+    db, dfar = slot[0], None  # the ends' entries
     fstop, it = min(ftol, 0.5 * xtol), 0
     while True:
-        if -fstop <= fb <= fstop:
-            return RootResult(b, fb, it, (b, far))
-        ds = derivatives(b)
-        e = ds[5]
-        if ds[6] <= fstop:
-            return RootResult(b, fb, it, (b, far))
+        if -fstop <= fb <= fstop or db[6] <= fstop:
+            return RootResult(b, fb, it, db, efar)
+        e = db[5]
         mid = b + 0.5 * (far - b)
         width = abs(efar - e) <= 4.0 * EPS * abs(e) + xtol if e == e else abs(far - b) <= xtol
         if width or mid == b or mid == far:
             if abs(ffar) < abs(fb):  # never true of an end not evaluated
-                return RootResult(far, ffar, it, (far, b))
-            return RootResult(b, fb, it, (b, far))
+                return RootResult(far, ffar, it, dfar, e)
+            return RootResult(b, fb, it, db, efar)
         if it >= max_iter:
             raise RootFindError(f"no convergence in {max_iter} iterations", b, far, fb, ffar)
         lo, hi, toward = (b, far, 1.0) if b < far else (far, b, -1.0)
-        x = _target(fb, ds[0], ds[1], b, c, lo, hi, toward)
-        if ds[2] == ds[2]:
-            t = _target(ds[2], ds[3], ds[4], b, c, lo, hi, toward)
+        x = _target(fb, db[0], db[1], b, c, lo, hi, toward)
+        if db[2] == db[2]:
+            t = _target(db[2], db[3], db[4], b, c, lo, hi, toward)
             if not abs(x - b) >= abs(t - b):  # also when x is NaN
                 x = t
         if x != x:
@@ -119,10 +122,10 @@ def solve_bracketed(fn, derivatives, b: float, fb: float, c: float, *, xtol: flo
                 if -tol < x - b < tol:
                     x = b + toward * tol
             if not lo < x < hi:
-                d, dfar = abs(b - c), abs(far - c)
+                gap_b, gap_far = abs(b - c), abs(far - c)
                 x = mid
-                if _WIDE_RATIO * d < dfar or _WIDE_RATIO * dfar < d:
-                    x = c + (b - c) * math.sqrt(dfar / d)  # c itself where far is c
+                if _WIDE_RATIO * gap_b < gap_far or _WIDE_RATIO * gap_far < gap_b:
+                    x = c + (b - c) * math.sqrt(gap_far / gap_b)  # c itself where far is c
                     if not lo < x < hi:
                         x = mid
         fx = fn(x)
@@ -130,12 +133,12 @@ def solve_bracketed(fn, derivatives, b: float, fb: float, c: float, *, xtol: flo
         if trace is not None:  # [lo, hi] is the bracket x was chosen in
             trace(it, lo, hi, x, fx)
         if fx != fx:
-            far, ffar, efar, fsec = x, NAN, NAN, NAN
+            far, ffar, efar, fsec, dfar = x, NAN, NAN, NAN, slot[0]
         elif (fx > 0.0) == (fb > 0.0):
-            b, fb = x, fx
+            b, fb, db = x, fx, slot[0]
             fsec *= 0.5  # the end kept again weighs half in the next secant
         else:
-            far, ffar, efar, fsec, b, fb = b, fb, e, fb, x, fx
+            far, ffar, efar, fsec, dfar, b, fb, db = b, fb, e, fb, db, x, fx, slot[0]
 
 
 def real_quartic_roots(

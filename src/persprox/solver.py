@@ -18,8 +18,12 @@ the outer curve vanishes at minus the inner curve's weight-0 value (that
 value is ``eta``).  Region 4 searches the root on the inner curve point
 ``u`` (``z`` in case i, ``rho`` in case iii) in ``log|u - pole|``: the
 contracts' ``inverse`` runs both proxes backwards, so ``T(u)`` takes no
-scalar solve.  The case-(iii) names are aliases of the case-(i) ones, and
-a zero-or-infinity pair makes them raise ``ValueError``.
+scalar solve.  One search state, a plain list (``_search_state``), carries
+region 4 from the pass to the assembled prox: ``T`` leaves each
+evaluation's entry in its slot, where ``roots.solve_bracketed`` reads it,
+and the search leaves the prox's curve points there.  The case-(iii)
+names are aliases of the case-(i) ones, and a zero-or-infinity pair makes
+them raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -121,57 +125,59 @@ def _pull_back(x: Vec, gamma: float, xg: Vec, d: Vec) -> Vec:
 
 
 def _curves(pair: PerspectivePair, gamma: float, x: Vec, y: float, base_drives: bool):
-    """``(base_drives, (x/gamma, r, y, k), outer, inner)`` at a checked
-    ``(x, y)``: the driven curve and the other, each ``(point, value, f)``,
-    the curve at weight ``v`` being ``value(point(v))`` and ``f.inverse``
-    running it backwards, with weights over ``k`` (``1/gamma`` for B,
-    ``gamma`` for S).
+    """``(base_drives, x/gamma, r, k, least, outer, inner)`` at a checked
+    ``(x, y)``: the weight scale ``k`` (``1/gamma`` for B, ``gamma`` for S),
+    the outer curve's least value (``pair.driven_least``), and the driven
+    curve and the other, each ``(f, value, t, gamma, on_b)``: the function
+    (the profile ``h`` for B, the scaling for S), its value, the input
+    (``r`` for B, ``y`` for S) and whether it is B; ``_point`` gives its
+    point at a weight, ``f.inverse`` runs it backwards, with weights over
+    ``k``.  Plain tuples: nothing is built per call but them.
     """
-    scaling = pair.scaling
-    h = pair.base.conj.phi1d
     xg = scale(x, 1.0 / gamma)
     r = norm(xg)
     if r == INF:  # x/gamma overflowed
         raise ValueError(f"x/gamma must be finite, with a finite norm; got {xg!r}")
-
-    # bound through default arguments, which are cheaper to set up than
-    # closure cells on a path that runs once per prox call
-    def b_point(v: float, h=h, gamma=gamma, r=r) -> float:
-        # the prox of (v/gamma) h, the projection onto cl dom h at 0
-        w = v / gamma
-        return h.prox(w, r) if w != 0.0 else h.proj_cl_dom(r)
-
-    def s_point(v: float, prox_env=scaling.prox_env, gamma=gamma, y=y) -> float:
-        return prox_env(gamma * v, y)
-
-    b, s = (b_point, h.eval, h), (s_point, scaling.env_eval, scaling)
+    h, scaling = pair.base.conj.phi1d, pair.scaling
+    b, s = (h, h.eval, r, gamma, True), (scaling, scaling.env_eval, y, gamma, False)
     if base_drives:
-        return True, (xg, r, y, 1.0 / gamma), b, s
-    return False, (xg, r, y, gamma), s, b
+        return True, xg, r, 1.0 / gamma, pair.driven_least, b, s
+    return False, xg, r, gamma, pair.driven_least, s, b
+
+
+def _point(curve: tuple, v: float) -> float:
+    """The point of a ``_curves`` curve at weight ``v``: the prox of ``(v/gamma)
+    h`` at ``r`` (the projection onto ``cl dom h`` at weight 0) on B, of
+    ``gamma v env`` at ``y`` on S."""
+    f, _, t, gamma, on_b = curve
+    if on_b:
+        w = v / gamma
+        return f.prox(w, t) if w != 0.0 else f.proj_cl_dom(t)
+    return f.prox_env(gamma * v, t)
 
 
 def _signed_pass(curves):
     """``(region, outer point, inner point, eta)`` from the region tests on
     the ``_curves`` of an input; in region 4 the last entry is instead the
-    search's ``SearchRecord``, with the tests' ``T(0)`` and weight-0 inner
-    point.  Zero tests are ``core.negligible`` at ``r`` for B, ``y`` for S.
-    An outer value of +inf at weight 0 (beyond the largest double) raises
-    ``OverflowError``.
+    search state (``_search_state``), with the tests' ``T(0)`` and weight-0
+    inner point.  Zero tests are ``core.negligible`` at ``r`` for B, ``y``
+    for S.  An outer value of +inf at weight 0 (beyond the largest double)
+    raises ``OverflowError``.
     """
-    base_drives, (_, r, y, k), (o_point, o_value, outer), (i_point, i_value, _) = curves
-    o_ref, i_ref = (r, y) if base_drives else (y, r)
-    o_pt = o_point(0.0)
+    _, _, _, k, _, outer, inner = curves
+    o_value, o_ref, i_value, i_ref = outer[1], outer[2], inner[1], inner[2]
+    o_pt = _point(outer, 0.0)
     o0 = o_value(o_pt)
     if o0 == INF:
         raise OverflowError("the outer curve value at weight 0 overflows")
-    i_pt = i_point(0.0)
+    i_pt = _point(inner, 0.0)
     i0 = i_value(i_pt)
     o_zero, i_zero = negligible(o0, o_ref), negligible(i0, i_ref)
     if o_zero and i_zero:
         return 1, o_pt, i_pt, 0.0
     entry = None
     if not o_zero and o0 > 0.0:
-        i_pt2 = i_point(o0)
+        i_pt2 = _point(inner, o0)
         t0 = i_value(i_pt2)
         if negligible(t0, i_ref):
             return 2, o_pt, i_pt2, 0.0
@@ -179,11 +185,11 @@ def _signed_pass(curves):
     # region 3 needs -i0 past the weight where the outer value falls to the
     # zero bound (the inverse's; +inf where it never does), less a margin
     if (not i_zero and 0.0 < -i0 < INF
-            and -i0 >= outer.inverse(o_ref, SLACK * (1.0 + abs(o_ref)))[1] / k * (1.0 - _NEAR)):
-        o_pt3 = o_point(-i0)
+            and -i0 >= outer[0].inverse(o_ref, SLACK * (1.0 + abs(o_ref)))[1] / k * (1.0 - _NEAR)):
+        o_pt3 = _point(outer, -i0)
         if negligible(o_value(o_pt3), o_ref):
             return 3, o_pt3, i_pt, -i0
-    return 4, None, None, SearchRecord(curves, o0, entry, (i_pt, i0))
+    return 4, None, None, _search_state(curves, o0, entry, (i_pt, i0))
 
 
 def _base_drives(pair) -> bool:
@@ -204,63 +210,60 @@ def classify_case_i(pair: PerspectivePair, gamma: float, x, y) -> CaseLabel:
     return _LABELS[base_drives][region - 1]
 
 
-class SearchRecord:
-    """Side record of one multiplier search, built by the region pass on
-    ``curves`` from ``o0``, the outer curve's weight-0 value, and its
-    ``(inner point, value)`` at weight ``o0`` and at 0 (or None): ``start``
-    is ``(u0, T(0))``, the inner point at weight ``o0`` (``eta = 0``) and
-    ``T`` there; ``pole`` the inner point as ``eta`` grows without bound,
-    at the outer curve's least value (at its point 0), and ``at_c`` minus
-    the inner value there, the bound on the root from that end; ``points[u]
-    = (T_s, T_ss, g, g_s, g_ss, -v, err, v, eta, eta_s, o, o_s, rnd)`` for
-    each evaluated inner point ``u``: what ``roots.solve_bracketed`` reads
-    (derivatives in ``s = log|u - pole|`` of ``T`` and of ``g = log(eta) -
-    log(-v)``, with the root and sign of ``T``; ``-v``, a bound on the
-    root; ``|T|`` predicted after a Newton step in ``eta``), then ``v``,
-    ``eta`` and the outer point ``o`` with their derivatives, and the
-    rounding of that step's ``eta``; ``out`` the prox's curve points.
+def _search_state(curves: tuple, o0: float, start: tuple | None, zero: tuple | None) -> list:
+    """The state of one multiplier search, ``[slot, curves, u0, T(0), pole,
+    at_c]``, built on ``curves`` from ``o0``, the outer curve's weight-0
+    value, and its ``(inner point, value)`` at weight ``o0`` and at 0 (or
+    None).  ``u0`` is the inner point at weight ``o0`` (``eta = 0``) and
+    ``T(0)`` the inner value there; ``pole`` the inner point as ``eta``
+    grows without bound, at the outer curve's least value, and ``at_c``
+    minus the inner value there, the bound on the root from that end.  The
+    slot, item 0, is the one the search's ``T`` and ``roots.solve_bracketed``
+    share: it holds the entry of the inner point ``T`` evaluated last (see
+    ``make_residual_case_i``), and once ``solve_eta_case_i`` returns, the
+    prox's curve points ``(outer, inner)``.
     """
-
-    __slots__ = ("start", "curves", "pole", "at_c", "points", "chain", "out")
-
-    def __init__(self, curves: tuple, o0: float, start: tuple | None, zero: tuple | None):
-        _, _, (_, o_value, _), (i_point, i_value, _) = curves
-        if start is None:
-            u = i_point(o0)
-            start = u, i_value(u)
-        least = o_value(0.0)
-        pole = start if least == o0 else zero if least == 0.0 and zero else None
-        if pole is None:
-            u = i_point(least)
-            pole = u, i_value(u)
-        self.start, self.curves, (self.pole, v) = start, curves, pole
-        self.at_c, self.points, self.chain, self.out = -v, {}, None, None
+    least, inner = curves[4], curves[6]
+    if start is None:
+        u0 = _point(inner, o0)
+        start = u0, inner[1](u0)
+    u0, t0 = start
+    if least == o0:
+        c, v = u0, t0
+    elif least == 0.0 and zero:
+        c, v = zero
+    else:
+        c = _point(inner, least)
+        v = inner[1](c)
+    return [None, curves, u0, t0, c, -v]
 
 
-def _direct_record(pair: PerspectivePair, gamma: float, x, y) -> SearchRecord:
-    """The ``SearchRecord`` of a search called without the region pass."""
+def _direct_state(pair: PerspectivePair, gamma: float, x, y) -> list:
+    """The search state of a search called without the region pass."""
     curves = _curves(pair, gamma, *pair.check_point(x, y), _base_drives(pair))
-    o_point, o_value, _ = curves[2]
-    return SearchRecord(curves, o_value(o_point(0.0)), None, None)
+    outer = curves[5]
+    return _search_state(curves, outer[1](_point(outer, 0.0)), None, None)
 
 
-def make_residual_case_i(pair: PerspectivePair, gamma: float, x, y,
-                         record: SearchRecord | None = None):
+def make_residual_case_i(pair: PerspectivePair, gamma: float, x, y, state: list | None = None):
     """``T(u) = inner value + eta`` on the inner curve point ``u`` (``z`` in
-    case i, ``rho`` in case iii) through the contracts' ``inverse``, on
-    ``record``'s curves and pole when set.  Each evaluation stores its entry
-    in ``record.points`` (where one is, ``T`` returns its value);
-    ``record.chain`` is ``T`` uncounted."""
-    record = _direct_record(pair, gamma, x, y) if record is None else record
-    base_drives, (_, r, y, k), (_, _, outer), (_, _, inner) = record.curves
-    inner, outer, c = inner.inverse, outer.inverse, record.pole
-    t_in, t_out = (y, r) if base_drives else (r, y)
-    points, log, nan = record.points, math.log, math.nan
+    case i, ``rho`` in case iii) through the contracts' ``inverse``, on the
+    curves and pole of ``state`` (built here for a direct call).  Each
+    evaluation leaves its entry in the state's slot, ``(T_s, T_ss, g, g_s,
+    g_ss, -v, err, v, eta, eta_s, o, o_s, rnd)``: what
+    ``roots.solve_bracketed`` reads (derivatives in ``s = log|u - pole|``
+    of ``T`` and of ``g = log(eta) - log(-v)``, with the root and sign of
+    ``T``; ``-v``, a bound on the root; ``|T|`` predicted after a Newton
+    step in ``eta``), then ``v``, ``eta`` and the outer point ``o`` with
+    their derivatives, and the rounding of that step's ``eta``.  ``T``
+    reads its constants from default arguments, not closure cells, and is
+    evaluated once at ``u0`` before it is returned, so the slot then holds
+    that entry, the search's own and uncounted."""
+    state = _direct_state(pair, gamma, x, y) if state is None else state
+    _, (_, _, _, k, _, outer, inner), u0, _, c, _ = state
 
-    def T(u: float) -> float:
-        entry = points.get(u)
-        if entry is not None:  # u0's, made by record.chain
-            return entry[7] + entry[8]
+    def T(u: float, inner=inner[0].inverse, outer=outer[0].inverse, t_in=inner[2],
+          t_out=outer[2], k=k, c=c, slot=state, log=math.log, nan=math.nan) -> float:
         d = u - c  # d/ds = d * d/du
         w, r1, r2, v, v1, v2 = inner(t_in, u)
         o_pt, ow, m1, m2, o1 = outer(t_out, w * k)
@@ -286,24 +289,30 @@ def make_residual_case_i(pair: PerspectivePair, gamma: float, x, y,
             # and of the inner prox equation, read forwards
             rnd = 4.0 * EPS * (abs(m1 / k * o_pt / o1 * v1 / t1)
                                + abs(max(abs(t_in), abs(u)) * d / (w * r1) * e1 / t1))
-        points[u] = (t1, t2, g, g1, g2, -v, err, v, eta, e1, o_pt, o1 * r1, rnd)
+        slot[0] = (t1, t2, g, g1, g2, -v, err, v, eta, e1, o_pt, o1 * r1, rnd)
         return t
 
-    record.chain = T
+    T(u0)
     return T
 
 
-def _finish(record: SearchRecord, eta: float, slope: float, cfg: RootConfig) -> float:
-    """The multiplier, and the prox's curve points in ``record.out``, from
+def _forward(curves: tuple, eta: float) -> tuple:
+    """``(T(eta), outer point, inner point)`` on the forward map: the outer
+    prox at weight ``eta``, the inner one at its value."""
+    outer, inner = curves[5], curves[6]
+    o_pt = _point(outer, eta)
+    i_pt = _point(inner, outer[1](o_pt))
+    return inner[1](i_pt) + eta, o_pt, i_pt
+
+
+def _finish(state: list, eta: float, slope: float, cfg: RootConfig) -> float:
+    """The multiplier, and the prox's curve points in the state's slot, from
     Newton steps of slope ``slope`` (``1 / T'``) on the forward ``T(eta)``
-    (the outer prox at weight ``eta``, the inner one at its value) from
-    ``eta``, bisecting a bracket they leave, to the search's stops."""
-    _, _, (o_point, o_value, _), (i_point, i_value, _) = record.curves
+    from ``eta``, bisecting a bracket they leave, to the search's stops."""
+    curves = state[1]
     stop, ends, best = min(cfg.residual_tol, 0.5 * cfg.eta_tol), [None, None], None
     for _ in range(cfg.max_iter):
-        o_pt = o_point(eta)
-        i_pt = i_point(o_value(o_pt))
-        t = i_value(i_pt) + eta
+        t, o_pt, i_pt = _forward(curves, eta)
         if best is None or abs(t) < best[0]:
             best = abs(t), eta, (o_pt, i_pt)
         if abs(t) <= stop:
@@ -319,68 +328,68 @@ def _finish(record: SearchRecord, eta: float, slope: float, cfg: RootConfig) -> 
         if nxt == eta or nxt in ends:
             break
         eta = nxt
-    _, eta, record.out = best
+    _, eta, state[0] = best
     return eta
 
 
 def solve_eta_case_i(
     pair: PerspectivePair, gamma: float, x, y,
     cfg: RootConfig = DEFAULT_CONFIG, *,
-    trace=None, record: SearchRecord | None = None,
+    trace=None, state: list | None = None,
 ) -> tuple[float, int]:
     """Multiplier for the root region of a signed pair, case (i) or (iii)
     as in ``classify_case_i``, and the number of ``T`` evaluations it took.
 
-    The entry rule runs first, on the pass's ``record`` (built here for a
-    direct call): ``eta`` is 0 where ``T(0) >= 0``, else ``-T(0)`` where
-    ``u0`` is the pole or the bounds ``-T(0)``, ``record.at_c`` meet the
-    width stop less ``eta_tol``, from one forward ``T(eta)`` (in the last
-    case where it meets the residual stop).  Otherwise
-    ``roots.solve_bracketed`` searches the inner points between ``u0`` (its
-    entry an uncounted ``record.chain`` call) and the pole.  Where ``T(u0)
-    >= 0``, ``u0`` sits on a clamp of the inner curve holding the root
-    ``-v``: one counted evaluation.  ``eta`` is a Newton step from the
-    returned point, kept between the ends' bounds; where it misses the
-    stop, or its rounding exceeds ``_ROUNDING_SHARE`` of the stop distance
-    (the inverse map forms ``eta`` from an outer point that hardly moves),
-    ``_finish`` runs on the forward ``T(eta)``, uncounted.  ``trace(it, lo,
+    The entry rule runs first, on the pass's search ``state``
+    (``_search_state``, built here for a direct call): ``eta`` is 0 where
+    ``T(0) >= 0``, else ``-T(0)`` where ``u0`` is the pole or the bounds
+    ``-T(0)``, ``at_c`` meet the width stop less ``eta_tol``, from one
+    forward ``T(eta)`` (in the last case where it meets the residual stop).
+    Otherwise ``roots.solve_bracketed`` searches the inner points between
+    ``u0`` (its entry left in the slot by ``make_residual_case_i``) and the
+    pole.  Where ``T(u0) >= 0``, ``u0`` sits on a clamp of the inner curve
+    holding the root ``-v``: one counted evaluation.  ``eta`` is a Newton
+    step from the root's entry, kept between the ends' bounds; where it
+    misses the stop, or its rounding exceeds ``_ROUNDING_SHARE`` of the
+    stop distance (the inverse map forms ``eta`` from an outer point that
+    hardly moves), ``_finish`` runs on the forward ``T(eta)``, uncounted.
+    The prox's curve points are left in the state's slot.  ``trace(it, lo,
     hi, eta, T(eta))`` gets each counted evaluation and its bracket, as
     multipliers, and an entry rule's result as iteration 0.
     """
-    record = _direct_record(pair, gamma, x, y) if record is None else record
-    make = make_residual_case_i if record.curves[0] else make_residual_case_iii
-    (u0, t0), c, at_c = record.start, record.pole, record.at_c
+    state = _direct_state(pair, gamma, x, y) if state is None else state
+    _, curves, u0, t0, c, at_c = state
     kept = t0 >= 0.0 or u0 == c
     if kept or abs(at_c + t0) <= 4.0 * EPS * -t0:  # the width stop, less eta_tol
-        _, _, (o_point, o_value, _), (i_point, i_value, _) = record.curves
         eta = max(-t0, 0.0)
-        o_pt = o_point(eta)
-        i_pt = i_point(o_value(o_pt))
-        t = i_value(i_pt) + eta
+        t, o_pt, i_pt = _forward(curves, eta)
         if kept or abs(t) <= min(cfg.residual_tol, 0.5 * cfg.eta_tol):
-            record.out = o_pt, i_pt
+            state[0] = o_pt, i_pt
             if trace is not None:
                 trace(0, min(eta, at_c), max(eta, at_c), eta, t)
             return eta, 0
-    T, points = make(pair, gamma, x, y, record), record.points
-    if record.chain(u0) >= 0.0 and T(u0) >= 0.0:  # on a clamp, T = eta + v: root -v
-        v, eta_c = points[u0][7:9]
+    make = make_residual_case_i if curves[0] else make_residual_case_iii
+    T = make(pair, gamma, x, y, state)
+    entry = state[0]
+    t_u0 = entry[7] + entry[8]
+    if t_u0 >= 0.0 and T(u0) >= 0.0:  # on a clamp, T = eta + v: root -v
+        v, eta_c = entry[7:9]
         if trace is not None:
             trace(1, 0.0, eta_c, -v, 0.0)
-        return _finish(record, -v, 0.0, cfg), 1
+        return _finish(state, -v, 0.0, cfg), 1
     report = None
     if trace is not None:
         etas = {u0: 0.0, c: INF}
 
         def report(it, lo, hi, u, t, trace=trace):
-            etas[u] = points[u][8]
+            etas[u] = state[0][8]
             trace(it, min(etas[lo], etas[hi]), max(etas[lo], etas[hi]), etas[u], t)
-    res = solve_bracketed(T, points.__getitem__, u0, points[u0][7] + points[u0][8], c,
-                          xtol=cfg.eta_tol, ftol=cfg.residual_tol, max_iter=cfg.max_iter,
-                          at_c=at_c, trace=report)
-    root, other = res.bracket
-    t1, _, _, _, _, lo, err, v, eta, e1, o_pt, o_s, rnd = points[root]
-    hi = points[other][5] if other in points else at_c
+    res = solve_bracketed(T, state, u0, t_u0, c, xtol=cfg.eta_tol, ftol=cfg.residual_tol,
+                          max_iter=cfg.max_iter, at_c=at_c, trace=report)
+    root, hi = res.root, res.bound
+    t1, _, _, _, _, lo, err, v, eta, e1, o_pt, o_s, rnd = res.entry
+    if hi != hi:  # the other end returned NaN: the pole's bound
+        hi = at_c
     lo, hi = min(lo, hi), max(lo, hi)
     t, slope = res.residual, e1 / t1 if t1 else 0.0  # 1 / T'(eta), T' >= 1
     eta -= t * slope
@@ -390,9 +399,9 @@ def solve_eta_case_i(
             and rnd <= _ROUNDING_SHARE * (0.5 * cfg.eta_tol + 4.0 * EPS * eta)):
         # the curve points there, moved to eta to first order in s
         ds = -t / t1 if t1 else 0.0
-        record.out = o_pt + o_s * ds, root + (root - c) * ds
+        state[0] = o_pt + o_s * ds, root + (root - c) * ds
         return eta, res.iterations
-    return _finish(record, eta, slope, cfg), res.iterations
+    return _finish(state, eta, slope, cfg), res.iterations
 
 
 # the same functions under their case-(iii) names; the root region of each
@@ -426,15 +435,15 @@ def prox_perspective(
         curves = _curves(pair, gamma, x, y, base_drives)
         region, o_pt, i_pt, eta = _signed_pass(curves)
         iters = 0
-        if region == 4:  # on the pass's record
-            record = eta
+        if region == 4:  # on the pass's search state
+            state = eta
             solve = solve_eta_case_i if base_drives else solve_eta_case_iii
-            eta, iters = solve(pair, gamma, x, y, cfg, record=record)
-            o_pt, i_pt = record.out
+            eta, iters = solve(pair, gamma, x, y, cfg, state=state)
+            o_pt, i_pt = state[0]
         label = _LABELS[base_drives][region - 1]
         rho, q = (o_pt, i_pt) if base_drives else (i_pt, o_pt)
         # the base point, built once: x/gamma itself where rho == r
-        xg, r, _, _ = curves[1]
+        xg, r = curves[1:3]
         p = _pull_back(x, gamma, xg, xg if rho == r else scale(xg, rho / r))
     gap = certificate_gap(pair, gamma, x, y, p, q)
     return ProxResult(p, q, eta, label, iters, gap)

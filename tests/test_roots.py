@@ -30,7 +30,20 @@ def _solve(fn, slope, *, curvature=None, trace=None, b=0.0, c=None, **kw):
         return (d * slope(x), d * d * curvature(x) + d * slope(x), math.nan, math.nan, math.nan,
                 math.nan, math.nan)
 
-    return solve_bracketed(fn, derivatives, b, fb, c, trace=trace, **kw)
+    return _bracketed(fn, derivatives, b, c, fb=fb, trace=trace, **kw)
+
+
+def _bracketed(fn, derivatives, b, c, *, fb=None, **kw):
+    """``solve_bracketed`` from ``b`` (``fb = fn(b)`` where not given) on
+    ``fn`` made to leave ``derivatives(x)`` in the slot at each ``x``; the
+    slot starts with ``b``'s."""
+    slot = [derivatives(b)]
+
+    def slotted(x):
+        slot[0] = derivatives(x)
+        return fn(x)
+
+    return solve_bracketed(slotted, slot, b, fn(b) if fb is None else fb, c, **kw)
 
 
 def _undefined(t):
@@ -57,8 +70,8 @@ def test_solve_bracketed_requires_sign_change():
     # the bracket needs a finite value at its evaluated end, and two ends
     for fb, c in ((math.inf, 2.0), (math.nan, 2.0), (-1.0, 0.0)):
         with pytest.raises(RootFindError):
-            solve_bracketed(lambda t: t + 1.0, lambda t: (1.0, 0.0, math.nan, math.nan, math.nan, math.nan, math.nan),
-                            0.0, fb, c, xtol=1e-12, ftol=1e-12, max_iter=50)
+            _bracketed(lambda t: t + 1.0, lambda t: (1.0, 0.0) + (math.nan,) * 5, 0.0, c, fb=fb,
+                       xtol=1e-12, ftol=1e-12, max_iter=50)
 
 
 def test_solve_bracketed_iteration_budget():
@@ -204,7 +217,7 @@ def test_the_second_function_takes_the_longer_step():
     def derivatives(x):
         return (-q * x ** q, -q * q * x ** q, math.log(k) - q * math.log(x), -q, 0.0, math.nan, math.nan)
 
-    res = solve_bracketed(fn, derivatives, 1.0, fn(1.0), 0.0, xtol=0.0, ftol=0.0, max_iter=200)
+    res = _bracketed(fn, derivatives, 1.0, 0.0, xtol=0.0, ftol=0.0, max_iter=200)
     assert res.root == pytest.approx(k ** (1.0 / q), rel=1e-14)
     assert res.iterations <= 3
 
@@ -223,13 +236,39 @@ def test_an_out_of_reach_halley_step_falls_back_to_newton():
 
     rows = []
     with pytest.raises(RootFindError):
-        solve_bracketed(fn, derivatives, 0.0, fn(0.0), c, xtol=1e-12, ftol=1e-12, max_iter=2,
-                        trace=lambda *row: rows.append(row))
+        _bracketed(fn, derivatives, 0.0, c, xtol=1e-12, ftol=1e-12, max_iter=2,
+                   trace=lambda *row: rows.append(row))
     f_s, f_ss = made_up[1.5]
     newton = -0.5 / f_s
     k = -0.5 * newton * f_ss / f_s
     assert -0.5 <= k <= 0.5 and c + (1.5 - c) * math.exp(newton / (1.0 - k)) < 0.0
     assert [row[3] for row in rows] == [pytest.approx(1.5, rel=1e-15), pytest.approx(0.5, rel=1e-15)]
+
+
+def test_a_nan_evaluation_keeps_the_end_and_its_own_derivatives():
+    # fn = t - 1 with c = 10, NaN past 1.2; b = 0's curvature is made up so
+    # that Halley's step lands on 1.5, where fn is NaN and the slot gets
+    # derivatives whose Newton step from b would land on 0.5.  The NaN
+    # point becomes the far end and b is kept: the next step is b's own
+    # Newton target, Halley's now being the far end, and the search still
+    # converges to the root
+    c = 10.0
+    fn = lambda t: t - 1.0 if t <= 1.2 else math.nan
+    newton = -0.1  # -fn(0) / f_s at b, f_s = -10
+    halley = math.log(0.85)  # the step from 10 to 1.5 in s = log(10 - t)
+    k = 1.0 - newton / halley
+    made_up = {0.0: (-10.0, 2.0 * k * 10.0 / newton), 1.5: (1.0 / math.log(0.95), math.nan)}
+
+    def derivatives(x):
+        d = x - c
+        return made_up.get(x, (d, d)) + (math.nan,) * 5
+
+    rows = []
+    res = _bracketed(fn, derivatives, 0.0, c, xtol=1e-12, ftol=1e-12, max_iter=20,
+                     trace=lambda *row: rows.append(row))
+    assert rows[0][3] == pytest.approx(1.5, rel=1e-15) and math.isnan(rows[0][4])
+    assert rows[1][1:4] == (0.0, rows[0][3], pytest.approx(c - c * math.exp(newton), rel=1e-15))
+    assert res.root == pytest.approx(1.0, abs=1e-12) and abs(res.residual) <= 1e-12
 
 
 def test_width_met_stop_returns_the_evaluated_end_of_smaller_residual():

@@ -124,15 +124,15 @@ def test_eta_residual_and_monotonicity_probes():
     hi = max(1.0, -T(0.0)) + 1e-12
     assert T(hi) >= 0.0
     # the two composed curves are nonincreasing on a sampled grid
-    from persprox.solver import _curves
+    from persprox.solver import _curves, _point
 
-    _, _, (b_point, b_value, _), (s_point, s_value, _) = _curves(pair, gamma, x, y, True)
+    b, s = _curves(pair, gamma, x, y, True)[5:]
 
     def phi2(e):
-        return b_value(b_point(e))
+        return b[1](_point(b, e))
 
     def phi1(mu):
-        return s_value(s_point(mu))
+        return s[1](_point(s, mu))
 
     grid = [0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0]
     assert phi2(0.0) < math.inf
@@ -458,7 +458,9 @@ def _root_band_inputs(count):
 def test_root_region_runs_on_radii(monkeypatch):
     # the search and its assembly work on the conjugate profile at
     # r = ||x/gamma||: no vector base-contract call before the certificate,
-    # and every curve point of the search record is a float
+    # and every curve point the search state holds is a float: each entry
+    # the residual leaves in the slot (u0's, made with the residual, and one
+    # per evaluation), and the prox's curve points there once the search ends
     import persprox.solver as solver
     events = []
     for cls in (PowerBase, HuberBase):
@@ -475,25 +477,41 @@ def test_root_region_runs_on_radii(monkeypatch):
         return certify(*args)
 
     monkeypatch.setattr(solver, "certificate_gap", certificate)
-    records = []
-    for name in ("solve_eta_case_i", "solve_eta_case_iii"):
-        def search(*args, solve=getattr(solver, name), record=None, **kwargs):
-            records.append(record)
-            return solve(*args, record=record, **kwargs)
+    states, entries = [], []
+    for case in ("i", "iii"):
+        def search(*args, solve=getattr(solver, "solve_eta_case_" + case), state=None, **kwargs):
+            out = solve(*args, state=state, **kwargs)
+            states.append(state)
+            return out
 
-        monkeypatch.setattr(solver, name, search)
+        def make(*args, make=getattr(solver, "make_residual_case_" + case)):
+            state = args[4]
+            T = make(*args)
+            entries.append((state[2], state[0]))
+
+            def spied(u):
+                t = T(u)
+                entries.append((u, state[0]))
+                return t
+
+            return spied
+
+        monkeypatch.setattr(solver, "solve_eta_case_" + case, search)
+        monkeypatch.setattr(solver, "make_residual_case_" + case, make)
     labels = set()
     for pair, _, call in _root_band_inputs(100):
         events.clear()
-        records.clear()
+        states.clear()
+        entries.clear()
         res = prox_perspective(pair, call.gamma, call.x, call.y)
         if res.label not in (CaseLabel.OMEGA4, CaseLabel.XI4):
             continue
         labels.add(res.label)
         assert events[0] == "certificate", events
-        (record,) = records
-        assert record.points
-        for u, entry in record.points.items():
+        (state,) = states
+        assert [type(v) for v in state[0]] == [float] * 2, state[0]
+        assert len(entries) >= 2
+        for u, entry in entries:
             assert type(u) is float and [type(v) for v in entry] == [float] * 13, entry
     assert labels == {CaseLabel.OMEGA4, CaseLabel.XI4}
 
@@ -589,9 +607,16 @@ def test_probe_calls_the_multiplier_search_in_eta_crept_on(seed, index, label, m
     assert res.certificate_gap <= 1e-8 * (1.0 + size)
 
 
+# per probe pair, the most T evaluations its root-region calls may take on
+# average and in the worst call: the means of the search on the inner point
+# (1.668, 5.417, 2.904, 4.243, 1.410) rounded up to the next 0.05, so a
+# start that trades scalar solves for evaluations shows here
+_PROBE_EVALUATIONS = {0: (1.70, 5), 1: (5.45, 7), 2: (2.95, 7), 3: (4.25, 7), 4: (1.45, 13)}
+
+
 def test_probe_root_region_evaluations_per_pair():
-    # every root-region call of robustness-probe seeds 0-4: T evaluations
-    # per pair at most 6 on average and 20 in the worst call
+    # every root-region call of robustness-probe seeds 0-4, the entry
+    # rule's (no evaluation) included, within _PROBE_EVALUATIONS
     workloads = _workloads()
     pairs = [workloads.build_pair(spec) for spec in workloads.ROBUSTNESS_SPECS]
     evals = {}
@@ -603,10 +628,11 @@ def test_probe_root_region_evaluations_per_pair():
                 continue  # the probe's known raises, counted by scripts/output_digest.py
             if res.label in (CaseLabel.OMEGA4, CaseLabel.XI4):
                 evals.setdefault(call.pair, []).append(res.root_iterations)
-    assert len(evals) == 5  # every pair but abs/root, which decouples
+    assert sorted(evals) == sorted(_PROBE_EVALUATIONS)  # every pair but abs/root, which decouples
     for pair, counts in evals.items():
-        assert sum(counts) / len(counts) <= 6.0, (pair, sum(counts) / len(counts))
-        assert max(counts) <= 20, (pair, max(counts))
+        mean, most = _PROBE_EVALUATIONS[pair]
+        assert sum(counts) / len(counts) <= mean, (pair, sum(counts) / len(counts))
+        assert max(counts) <= most, (pair, max(counts))
 
 
 def test_probe_power20_root095_multipliers_match_the_forward_residual():
@@ -639,17 +665,17 @@ def test_probe_power20_root095_multipliers_match_the_forward_residual():
 
 
 def _spy_searches(monkeypatch):
-    """``[record, residuals built]`` per root-region call, appended by spies
-    on the ``solver`` globals ``solve_eta_case_*`` and ``make_residual_case_*``."""
+    """``[search state, residuals built]`` per root-region call, appended by
+    spies on the ``solver`` globals ``solve_eta_case_*`` and ``make_residual_case_*``."""
     import persprox.solver as solver
     searches = []
     for case in ("i", "iii"):
         solve = getattr(solver, "solve_eta_case_" + case)
         make = getattr(solver, "make_residual_case_" + case)
 
-        def spy_solve(*args, solve=solve, record=None, **kwargs):
-            searches.append([record, 0])
-            return solve(*args, record=record, **kwargs)
+        def spy_solve(*args, solve=solve, state=None, **kwargs):
+            searches.append([state, 0])
+            return solve(*args, state=state, **kwargs)
 
         def spy_make(*args, make=make, **kwargs):
             searches[-1][1] += 1
@@ -660,12 +686,12 @@ def _spy_searches(monkeypatch):
     return searches
 
 
-def _collapsed(record, slack=0.0):
+def _collapsed(state, slack=0.0):
     """Whether the ends' bounds on the multiplier, ``-T(0)`` and
     ``at_c``, lie within four rounding units (plus ``slack``) at entry, or
-    the inner point at ``eta = 0`` is the pole."""
-    u0, t0 = record.start
-    return u0 == record.pole or abs(record.at_c + t0) <= 4.0 * 2.0 ** -52 * abs(t0) + slack
+    the inner point at ``eta = 0`` is the pole (``solver._search_state``)."""
+    _, _, u0, t0, pole, at_c = state
+    return u0 == pole or abs(at_c + t0) <= 4.0 * 2.0 ** -52 * abs(t0) + slack
 
 
 def test_entry_rule_takes_wide_scale_huber_sqrt_without_a_residual(monkeypatch):
@@ -688,17 +714,17 @@ def test_entry_rule_takes_wide_scale_huber_sqrt_without_a_residual(monkeypatch):
         res = prox_perspective(pair, call.gamma, call.x, call.y)
         if res.label is not CaseLabel.XI4:
             continue
-        (record, built), = searches
+        (state, built), = searches
         if built:
-            assert built == 1 and record.start[0] != record.pole, call
+            assert built == 1 and state[2] != state[4], call
             continue
-        assert _collapsed(record), call
+        assert _collapsed(state), call
         assert res.root_iterations == 0
         T = multiplier_residual(pair, call.gamma, call.x, call.y)
         ref = bisect_root(T, 0.0, -T(0.0))
         assert abs(res.eta - ref) <= _stop_distance(ref), (call, res.eta, ref)
         taken += 1
-        at_pole += record.start[0] == record.pole
+        at_pole += state[2] == state[4]
     assert taken >= 940 and at_pole >= 500, (taken, at_pole)
 
 
@@ -720,8 +746,8 @@ def test_entry_rule_has_no_absolute_term(monkeypatch):
             res = prox_perspective(pair, call.gamma, call.x, call.y)
             if res.label is not CaseLabel.OMEGA4:
                 continue
-            (record, built), = searches
-            if _collapsed(record, RootConfig().eta_tol) and not _collapsed(record):
+            (state, built), = searches
+            if _collapsed(state, RootConfig().eta_tol) and not _collapsed(state):
                 assert built == 1, call
                 near += 1
     assert near == 15
