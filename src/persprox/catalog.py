@@ -357,8 +357,10 @@ class RootScaling(Value):
         if weight == 0.0:
             # max keeps its first argument on a tie, so -0.0 projects to 0.0
             return min(max(0.0, float(y)), self.upper)
+        # the prox of the nonincreasing -z**q moves y right; the solve's
+        # rounding may not, where the weight's term is below an ulp of y
         z = root_scaling_prox_neg(weight, self.q, y)
-        return min(z, self.upper)
+        return min(max(z, y), self.upper)
 
     def inverse(self, y: float, z: float) -> tuple[float, ...]:
         # y = z - q w z**(q-1): w = (z - y) z**(1-q) / q, w'/w = ((2 - q) z -

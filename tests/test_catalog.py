@@ -320,6 +320,37 @@ def test_sqrt_scaling_prox_matches_a_decimal_solve(beta, mu, ay, negative):
         _assert_within(D(abs(r)), u, u + (u + day + dmu * u / s) / slope)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(q=st.sampled_from((0.05, 0.5, 0.95)), log_y=st.floats(-12.0, 12.0),
+       log_mu=st.floats(-40.0, 0.0))
+def test_root_scaling_prox_env_moves_y_right(q, log_y, log_mu):
+    # the prox of mu * (-z**q), nonincreasing, lands at or right of y, also
+    # where mu's term is far below an ulp of y and the solve rounds below it
+    y = 10.0 ** log_y
+    z = RootScaling(q).prox_env(10.0 ** log_mu * y ** 1.5, y)
+    assert z >= y, (q, y, z)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(beta=_decades(-20.0, 20.0), mu=_decades(-40.0, 20.0), ay=_decades(-30.0, 30.0),
+       negative=st.booleans())
+def test_sqrt_scaling_prox_moves_towards_zero(beta, mu, ay, negative):
+    # the prox of an even function increasing in |y| keeps y's sign and no
+    # more than its magnitude
+    y = -ay if negative else ay
+    z = sqrt_scaling_prox(beta, mu, y)
+    assert abs(z) <= ay and z * y >= 0.0, (beta, mu, y, z)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(p=st.floats(1.05, 50.0), w=_decades(-40.0, 40.0), at=_decades(-30.0, 30.0),
+       negative=st.booleans())
+def test_power_prox_moves_towards_zero(p, w, at, negative):
+    t = -at if negative else at
+    rho = PowerScalar(p).prox(w, t)
+    assert abs(rho) <= at and rho * t >= 0.0, (p, w, t, rho)
+
+
 # --- Huber pieces -----------------------------------------------------------
 
 def test_huber_prox_conj_branches():
