@@ -357,9 +357,7 @@ class RootScaling(Value):
         if weight == 0.0:
             # max keeps its first argument on a tie, so -0.0 projects to 0.0
             return min(max(0.0, float(y)), self.upper)
-        # the prox of the nonincreasing -z**q moves y right; the solve's
-        # rounding may not, where the weight's term is below an ulp of y
-        z = root_scaling_prox_neg(weight, self.q, y)
+        z = root_scaling_prox_neg(weight, self.q, y)  # may round below y, where -z**q pushes right
         return min(max(z, y), self.upper)
 
     def inverse(self, y: float, z: float) -> tuple[float, ...]:

@@ -29,13 +29,10 @@ class PairMismatch(ValueError):
 
 
 class PerspectivePair(Value):
-    """A base function, a scaling function, and the base dimension.
-
-    ``driven_least`` is derived: for a signed pair, the least value of the
-    curve its multiplier drives, at that curve's point 0 (``h(0)``, ``h``
-    the profile of ``phi*``, for a nonnegative conjugate; ``env(0)`` for a
-    nonpositive one), which ``solver`` would otherwise evaluate per call.
-    """
+    """A base function, a scaling function, and the base dimension; derived,
+    the least value of the curve a signed pair's multiplier drives, once per
+    pair: ``h(0)`` (``h`` the profile of ``phi*``) for a nonnegative
+    conjugate, ``env(0)`` for a nonpositive one."""
 
     _fields = ("base", "scaling", "n")
     __slots__ = _fields + ("driven_least",)

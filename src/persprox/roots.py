@@ -25,9 +25,8 @@ class RootFindError(RuntimeError):
 
 
 class RootResult(Record):
-    """Root, ``fn`` there, the evaluations made, the root's entry (what
-    ``fn`` left in the slot there) and the other end's bound on the root
-    (NaN where that end returned NaN): a plain record per search."""
+    """Root, ``fn`` there, the evaluations made, the root's entry and the
+    other end's bound (NaN where it returned NaN): a plain record per search."""
 
     __slots__ = ("root", "residual", "iterations", "entry", "bound")
 
@@ -67,15 +66,14 @@ def solve_bracketed(fn, slot: list, b: float, fb: float, c: float, *, xtol: floa
     has the other sign (or a pole).
 
     Steps are taken in ``s = log|x - c|``, which keeps every point on the
-    side of ``c``.  ``slot`` is a one-item list where each ``fn(x)`` leaves
-    ``x``'s entry, which starts ``(f_s, f_ss, g, g_s, g_ss, e, err)`` (the
-    rest is the caller's); on entry it holds ``b``'s.  The entry gives
-    ``fn``'s first two derivatives in ``s``; a second function with the
-    root and sign of ``fn`` and its two (NaN where none); ``e``, a bound on
-    the root from the side of ``x`` (``x`` where NaN; ``at_c`` for ``c``);
-    and ``err``, ``|fn|`` as predicted at the point the caller reports from
-    ``x``.  The search keeps the entries of its two ends, so an evaluation
-    that returns NaN and moves no end leaves ``b``'s in use.  From ``b``,
+    side of ``c``.  Each ``fn(x)`` leaves in ``slot[0]`` (holding ``b``'s at
+    entry) ``x``'s entry, which starts ``(f_s, f_ss, g, g_s, g_ss, e,
+    err)``: ``fn``'s first two derivatives in ``s``; a second function with
+    the root and sign of ``fn`` and its two (NaN where none); ``e``, a bound
+    on the root from the side of ``x`` (``x`` where NaN; ``at_c`` for
+    ``c``); and ``err``, ``|fn|`` as predicted at the point the caller
+    reports from ``x``.  The search keeps its ends' entries, so after an
+    evaluation that returns NaN ``b``'s own stay in use.  From ``b``,
     the end evaluated last, each function gives Halley's step where ``|k|
     <= 1/2`` (``k = f f_ss / (2 f_s**2)``) and it stays inside, else
     Newton's; a target on ``c`` becomes its neighbour double, a move under

@@ -18,12 +18,9 @@ the outer curve vanishes at minus the inner curve's weight-0 value (that
 value is ``eta``).  Region 4 searches the root on the inner curve point
 ``u`` (``z`` in case i, ``rho`` in case iii) in ``log|u - pole|``: the
 contracts' ``inverse`` runs both proxes backwards, so ``T(u)`` takes no
-scalar solve.  One search state, a plain list (``_search_state``), carries
-region 4 from the pass to the assembled prox: ``T`` leaves each
-evaluation's entry in its slot, where ``roots.solve_bracketed`` reads it,
-and the search leaves the prox's curve points there.  The case-(iii)
-names are aliases of the case-(i) ones, and a zero-or-infinity pair makes
-them raise ``ValueError``.
+scalar solve; one list (``_search_state``) carries the search from the
+pass to the prox.  The case-(iii) names are aliases of the case-(i) ones,
+and a zero-or-infinity pair makes them raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -126,14 +123,12 @@ def _pull_back(x: Vec, gamma: float, xg: Vec, d: Vec) -> Vec:
 
 def _curves(pair: PerspectivePair, gamma: float, x: Vec, y: float, base_drives: bool):
     """``(base_drives, x/gamma, r, k, least, outer, inner)`` at a checked
-    ``(x, y)``: the weight scale ``k`` (``1/gamma`` for B, ``gamma`` for S),
-    the outer curve's least value (``pair.driven_least``), and the driven
-    curve and the other, each ``(f, value, t, gamma, on_b)``: the function
-    (the profile ``h`` for B, the scaling for S), its value, the input
-    (``r`` for B, ``y`` for S) and whether it is B; ``_point`` gives its
-    point at a weight, ``f.inverse`` runs it backwards, with weights over
-    ``k``.  Plain tuples: nothing is built per call but them.
-    """
+    ``(x, y)``: ``k`` is ``1/gamma`` for B, ``gamma`` for S, ``least`` the
+    outer curve's least value, and the driven curve and the other are each
+    ``(f, value, t, gamma, on_b)``: the profile ``h`` at ``t = r`` for B, the
+    scaling at ``t = y`` for S, its value, and whether it is B.  ``_point``
+    gives a curve's point at a weight; ``f.inverse`` runs it backwards, with
+    weights over ``k``."""
     xg = scale(x, 1.0 / gamma)
     r = norm(xg)
     if r == INF:  # x/gamma overflowed
@@ -146,9 +141,8 @@ def _curves(pair: PerspectivePair, gamma: float, x: Vec, y: float, base_drives: 
 
 
 def _point(curve: tuple, v: float) -> float:
-    """The point of a ``_curves`` curve at weight ``v``: the prox of ``(v/gamma)
-    h`` at ``r`` (the projection onto ``cl dom h`` at weight 0) on B, of
-    ``gamma v env`` at ``y`` on S."""
+    """A ``_curves`` curve's point at weight ``v``: the prox of ``(v/gamma) h``
+    at ``r`` on B (the projection onto ``cl dom h`` at 0), of ``gamma v env`` at ``y`` on S."""
     f, _, t, gamma, on_b = curve
     if on_b:
         w = v / gamma
@@ -211,18 +205,15 @@ def classify_case_i(pair: PerspectivePair, gamma: float, x, y) -> CaseLabel:
 
 
 def _search_state(curves: tuple, o0: float, start: tuple | None, zero: tuple | None) -> list:
-    """The state of one multiplier search, ``[slot, curves, u0, T(0), pole,
-    at_c]``, built on ``curves`` from ``o0``, the outer curve's weight-0
-    value, and its ``(inner point, value)`` at weight ``o0`` and at 0 (or
-    None).  ``u0`` is the inner point at weight ``o0`` (``eta = 0``) and
-    ``T(0)`` the inner value there; ``pole`` the inner point as ``eta``
-    grows without bound, at the outer curve's least value, and ``at_c``
-    minus the inner value there, the bound on the root from that end.  The
-    slot, item 0, is the one the search's ``T`` and ``roots.solve_bracketed``
-    share: it holds the entry of the inner point ``T`` evaluated last (see
-    ``make_residual_case_i``), and once ``solve_eta_case_i`` returns, the
-    prox's curve points ``(outer, inner)``.
-    """
+    """One multiplier search's state, ``[slot, curves, u0, T(0), pole, at_c]``,
+    on ``curves`` from the outer weight-0 value ``o0`` and the ``(inner
+    point, value)`` at weight ``o0`` and at 0 (or None): ``u0`` is the inner
+    point at ``eta = 0``, ``T(0)`` the inner value there, ``pole`` the inner
+    point as ``eta`` grows without bound (at the outer curve's least value)
+    and ``at_c`` minus the inner value there, the root's bound from that end.
+    The slot, which ``T`` and ``roots.solve_bracketed`` share, holds the
+    entry of the point ``T`` evaluated last (``make_residual_case_i``), and
+    the prox's curve points ``(outer, inner)`` once the search returns."""
     least, inner = curves[4], curves[6]
     if start is None:
         u0 = _point(inner, o0)
@@ -249,16 +240,14 @@ def make_residual_case_i(pair: PerspectivePair, gamma: float, x, y, state: list 
     """``T(u) = inner value + eta`` on the inner curve point ``u`` (``z`` in
     case i, ``rho`` in case iii) through the contracts' ``inverse``, on the
     curves and pole of ``state`` (built here for a direct call).  Each
-    evaluation leaves its entry in the state's slot, ``(T_s, T_ss, g, g_s,
-    g_ss, -v, err, v, eta, eta_s, o, o_s, rnd)``: what
-    ``roots.solve_bracketed`` reads (derivatives in ``s = log|u - pole|``
-    of ``T`` and of ``g = log(eta) - log(-v)``, with the root and sign of
-    ``T``; ``-v``, a bound on the root; ``|T|`` predicted after a Newton
-    step in ``eta``), then ``v``, ``eta`` and the outer point ``o`` with
-    their derivatives, and the rounding of that step's ``eta``.  ``T``
-    reads its constants from default arguments, not closure cells, and is
-    evaluated once at ``u0`` before it is returned, so the slot then holds
-    that entry, the search's own and uncounted."""
+    evaluation leaves ``(T_s, T_ss, g, g_s, g_ss, -v, err, v, eta, eta_s, o,
+    o_s, rnd)`` in the state's slot: what ``roots.solve_bracketed`` reads
+    (derivatives in ``s = log|u - pole|`` of ``T`` and of ``g = log(eta) -
+    log(-v)``, which has the root and sign of ``T``; ``-v``, a bound on the
+    root; ``|T|`` predicted after a Newton step in ``eta``), then ``v``,
+    ``eta``, the outer point ``o`` and their derivatives, and that step's
+    rounding.  ``T`` reads default arguments, not closure cells; it is
+    evaluated at ``u0``, uncounted, before it is returned."""
     state = _direct_state(pair, gamma, x, y) if state is None else state
     _, (_, _, _, k, _, outer, inner), u0, _, c, _ = state
 
@@ -297,8 +286,7 @@ def make_residual_case_i(pair: PerspectivePair, gamma: float, x, y, state: list 
 
 
 def _forward(curves: tuple, eta: float) -> tuple:
-    """``(T(eta), outer point, inner point)`` on the forward map: the outer
-    prox at weight ``eta``, the inner one at its value."""
+    """``(T(eta), outer point, inner point)``: the outer prox at ``eta``, the inner at its value."""
     outer, inner = curves[5], curves[6]
     o_pt = _point(outer, eta)
     i_pt = _point(inner, outer[1](o_pt))
@@ -340,22 +328,22 @@ def solve_eta_case_i(
     """Multiplier for the root region of a signed pair, case (i) or (iii)
     as in ``classify_case_i``, and the number of ``T`` evaluations it took.
 
-    The entry rule runs first, on the pass's search ``state``
-    (``_search_state``, built here for a direct call): ``eta`` is 0 where
-    ``T(0) >= 0``, else ``-T(0)`` where ``u0`` is the pole or the bounds
-    ``-T(0)``, ``at_c`` meet the width stop less ``eta_tol``, from one
-    forward ``T(eta)`` (in the last case where it meets the residual stop).
-    Otherwise ``roots.solve_bracketed`` searches the inner points between
-    ``u0`` (its entry left in the slot by ``make_residual_case_i``) and the
-    pole.  Where ``T(u0) >= 0``, ``u0`` sits on a clamp of the inner curve
-    holding the root ``-v``: one counted evaluation.  ``eta`` is a Newton
-    step from the root's entry, kept between the ends' bounds; where it
-    misses the stop, or its rounding exceeds ``_ROUNDING_SHARE`` of the
-    stop distance (the inverse map forms ``eta`` from an outer point that
-    hardly moves), ``_finish`` runs on the forward ``T(eta)``, uncounted.
-    The prox's curve points are left in the state's slot.  ``trace(it, lo,
-    hi, eta, T(eta))`` gets each counted evaluation and its bracket, as
-    multipliers, and an entry rule's result as iteration 0.
+    The entry rule runs first, on the pass's ``state`` (``_search_state``,
+    built here for a direct call): ``eta`` is 0 where ``T(0) >= 0``, else
+    ``-T(0)`` where ``u0`` is the pole or the bounds ``-T(0)``, ``at_c``
+    meet the width stop less ``eta_tol``, from one forward ``T(eta)`` (in
+    the last case where it meets the residual stop).  Otherwise
+    ``roots.solve_bracketed`` searches the inner points between ``u0`` (its
+    entry left in the slot by ``make_residual_case_i``) and the pole.  Where
+    ``T(u0) >= 0``, ``u0`` sits on a clamp of the inner curve holding the
+    root ``-v``: one counted evaluation.  ``eta`` is a Newton step from the
+    root's entry, kept between the ends' bounds; where it misses the stop,
+    or its rounding exceeds ``_ROUNDING_SHARE`` of the stop distance (the
+    inverse map forms ``eta`` from an outer point that hardly moves),
+    ``_finish`` runs on the forward ``T(eta)``, uncounted; the prox's curve
+    points are left in the slot.  ``trace(it, lo, hi, eta, T(eta))`` gets
+    each counted evaluation and its bracket, as multipliers, and an entry
+    rule's result as iteration 0.
     """
     state = _direct_state(pair, gamma, x, y) if state is None else state
     _, curves, u0, t0, c, at_c = state
@@ -368,14 +356,11 @@ def solve_eta_case_i(
             if trace is not None:
                 trace(0, min(eta, at_c), max(eta, at_c), eta, t)
             return eta, 0
-    make = make_residual_case_i if curves[0] else make_residual_case_iii
-    T = make(pair, gamma, x, y, state)
-    entry = state[0]
-    t_u0 = entry[7] + entry[8]
-    if t_u0 >= 0.0 and T(u0) >= 0.0:  # on a clamp, T = eta + v: root -v
-        v, eta_c = entry[7:9]
+    T = (make_residual_case_i if curves[0] else make_residual_case_iii)(pair, gamma, x, y, state)
+    v, eta0 = state[0][7:9]
+    if v + eta0 >= 0.0 and T(u0) >= 0.0:  # on a clamp, T = eta + v: root -v
         if trace is not None:
-            trace(1, 0.0, eta_c, -v, 0.0)
+            trace(1, 0.0, eta0, -v, 0.0)
         return _finish(state, -v, 0.0, cfg), 1
     report = None
     if trace is not None:
@@ -384,12 +369,10 @@ def solve_eta_case_i(
         def report(it, lo, hi, u, t, trace=trace):
             etas[u] = state[0][8]
             trace(it, min(etas[lo], etas[hi]), max(etas[lo], etas[hi]), etas[u], t)
-    res = solve_bracketed(T, state, u0, t_u0, c, xtol=cfg.eta_tol, ftol=cfg.residual_tol,
+    res = solve_bracketed(T, state, u0, v + eta0, c, xtol=cfg.eta_tol, ftol=cfg.residual_tol,
                           max_iter=cfg.max_iter, at_c=at_c, trace=report)
-    root, hi = res.root, res.bound
+    root, hi = res.root, res.bound if res.bound == res.bound else at_c  # NaN: the pole's
     t1, _, _, _, _, lo, err, v, eta, e1, o_pt, o_s, rnd = res.entry
-    if hi != hi:  # the other end returned NaN: the pole's bound
-        hi = at_c
     lo, hi = min(lo, hi), max(lo, hi)
     t, slope = res.residual, e1 / t1 if t1 else 0.0  # 1 / T'(eta), T' >= 1
     eta -= t * slope
