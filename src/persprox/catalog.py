@@ -3,7 +3,8 @@
 The scalar conjugate profiles come first (each base's conjugate is the
 radial lift of one), then the vector-level base functions, then the
 scaling functions.  The scalar equation solvers at the bottom are the only
-iterative pieces.
+iterative pieces; the power profile's prox and the root scaling's share one,
+``_monomial_log_root``, a Newton in the log of the unknown.
 
 These are the contracts, stated once; the package reads the objects
 through these members alone:
@@ -47,8 +48,8 @@ tracer wraps both by name.
 from __future__ import annotations
 
 import math
-from .core import (EPS, INF, LOG_MAX, MIN_SUBNORMAL, CaseKind, SignClass, Value, Vec, as_vec, norm,
-                   scale, zeros_like)
+from .core import (EPS, INF, MIN_NORMAL, MIN_SUBNORMAL, CaseKind, SignClass, Value, Vec, as_vec,
+                   norm, scale, zeros_like)
 from .radial import RadialFunction, radial_prox
 # real_quartic_roots and solve_bracketed are no longer called here; they stay
 # module globals because perfbench/tracing.py wraps them in persprox.catalog by name
@@ -58,60 +59,6 @@ _LN2 = math.log(2.0)
 
 # ---------------------------------------------------------------------------
 # scalar pieces
-
-
-def _solve_power(r: float, w: float, a: float) -> float:
-    """Solve ``rho + w * rho**(r-1) = a`` for ``rho`` in [0, a] (a > 0, w > 0).
-
-    Newton, safeguarded by bisection, stops once the residual is within four
-    rounding units of ``a`` or a step rounds to nothing.  A step on or past the
-    unevaluated upper end evaluates it rather than creep to it by bisection;
-    where that end, the monomial cap, rounded to below the root, ``a`` replaces it.
-    Where ``rho**(r-1)`` overflows, ``w * rho**(r-1)`` is formed in logs."""
-    lo, hi = 0.0, a
-    # each term alone bounds the root; the monomial cap is nearly exact for
-    # large exponents, where Newton from a loose start is only linear
-    log_cap = (math.log(a) - math.log(w)) / (r - 1.0)
-    if log_cap < 700.0:
-        hi = min(hi, math.exp(log_cap))
-    if 0.5 * hi == 0.0:
-        # the root is within the smallest subnormal of 0, its nearest double
-        # (a start at rho = 0 would take 0.0 ** (r - 2) with r < 2 below)
-        return 0.0
-    rho = min(a / (1.0 + w), hi)  # exact for r == 2
-    if rho <= 0.0 or rho >= hi:
-        rho = 0.5 * hi
-    r1, r2 = r - 1.0, r - 2.0
-    wr1, gtol, top = w * r1, 4.0 * EPS * a, hi
-    for _ in range(120):
-        try:
-            g = rho + w * rho ** r1 - a
-        except OverflowError:  # rho**r1 beyond the largest double, w * rho**r1 maybe not
-            t = math.log(w) + r1 * math.log(rho)
-            g = rho + (math.exp(t) if t < LOG_MAX else INF) - a
-        if g > 0.0:
-            hi = rho
-        else:
-            lo = rho
-        if abs(g) <= gtol:
-            break
-        try:
-            d = 1.0 + wr1 * rho ** r2
-        except OverflowError:
-            t = math.log(w) + r2 * math.log(rho)
-            d = 1.0 + r1 * (math.exp(t) if t < LOG_MAX else INF)
-        nxt = rho - g / d if 0.0 < d < INF else 0.5 * (lo + hi)
-        if nxt != rho and not lo < nxt < hi:  # also a NaN or infinite step
-            if nxt >= hi == top:  # top is then unevaluated; a NaN step bisects
-                nxt, top = hi, INF
-            elif lo == hi < nxt:  # the cap, evaluated, rounded to below the root
-                hi = a
-            else:
-                nxt = 0.5 * (lo + hi)
-        if nxt == rho:
-            break
-        rho = nxt
-    return rho
 
 
 class PowerScalar(Value):
@@ -131,13 +78,29 @@ class PowerScalar(Value):
             return INF
 
     def prox(self, gamma: float, t: float) -> float:
+        """The root ``rho`` in ``[0, |t|]`` of ``rho + gamma*rho**(p-1) = |t|``,
+        with the sign of ``t``: ``|t|*u`` for the root of ``u + c*u**(p-1) = 1``,
+        ``c = gamma*|t|**(p-2)``, solved in logs (``_monomial_log_root``), then
+        one Newton step in ``rho``, from a few rounding units of ``log rho`` to a
+        few of ``rho``, where ``gamma*rho**(p-1)`` is finite and rounds to within
+        a rounding unit of ``rho``."""
         a = abs(t)
         if gamma == 0.0 or a == 0.0:
             rho = a
         elif self.p == 2.0:
             rho = a / (1.0 + gamma)
         else:
-            rho = _solve_power(self.p, gamma, a)
+            r1, log_a = self.p - 1.0, math.log(a)
+            log_c = math.log(gamma) + (r1 - 1.0) * log_a
+            rho = math.exp(log_a + _monomial_log_root(log_c, r1, 1.0))
+            try:
+                power = rho ** r1
+            except OverflowError:  # beyond the largest double, while gamma * power is about a
+                power = INF
+            if power < INF and (power >= MIN_NORMAL or gamma * MIN_SUBNORMAL < EPS * rho):
+                m = gamma * power
+                rho -= (rho - a + m) / (1.0 + r1 * m / rho)
+            rho = a if rho > a else rho if rho > 0.0 else 0.0  # exp(log a) may round above a
         return rho if t > 0.0 else -rho if t < 0.0 else 0.0
 
     def proj_cl_dom(self, t: float) -> float:
@@ -483,44 +446,61 @@ class IdentityScaling(Value):
 
 
 def root_scaling_prox_neg(mu: float, q: float, y: float) -> float:
-    """The unique ``z > 0`` with ``y = z - q*mu*z**(q-1)``.
-
-    This is the prox of ``mu*(-psi)`` at ``y`` for ``psi`` the q-th
-    root on the nonnegative half line.  Newton on the increasing
-    ``F(t) = exp(t) - w(t) - y`` in ``t = log z``, with
-    ``w(t) = exp(log(q*mu) + (q-1)*t)``, starts from the
-    dominant-balance end of a bracket of width ``log 2`` (``y >= 0``) or
-    ``log 2 / (1-q)`` (``y < 0``), bisects when a step leaves the bracket,
-    and stops once a step is within four rounding units of ``t`` and of
-    ``F``, or at the end of smaller ``|F|`` once no double lies inside the
-    bracket (``F`` cancels to a few ulps of ``|y|``).  No power of ``z`` is taken, so nothing underflows; the result
-    ``exp(t)`` is 0 only for a root below the smallest double.
-    """
+    """The unique ``z > 0`` with ``y = z - q*mu*z**(q-1)``, the prox of ``mu*(-psi)``
+    at ``y`` for ``psi`` the q-th root on the nonnegative half line, by
+    ``_monomial_log_root`` at ``k = q - 1``; 0 only below the smallest double."""
     if not 0.0 < q < 1.0:
         raise ValueError(f"root exponent must lie in (0, 1), got {q}")
     if mu <= 0.0:
         raise ValueError(f"weight must be positive, got {mu}")
-    a = 1.0 - q
-    log_c = math.log(q) + math.log(mu)
-    t_bal = log_c / (1.0 + a)  # the root at y == 0, where exp(t) == w(t)
-    if y >= 0.0:
-        # F < 0 at log y and at t_bal; above both, exp(t) >= y, w, so z = y + w <= 2 e^t_lo
+    return math.exp(_monomial_log_root(math.log(q) + math.log(mu), q - 1.0, y))
+
+
+def _monomial_log_root(log_c: float, k: float, y: float) -> float:
+    """``log z`` for the root ``z > 0`` of ``z + sgn(k)*c*z**k = y``, ``c =
+    exp(log_c)``, for ``k > 0`` at ``y = 1`` (the power profile's prox,
+    scaled) or ``-1 < k < 0`` (the root scaling's): Newton on the increasing
+    ``F(t) = exp(t) + sgn(k)*m(t) - y``, ``m(t) = exp(log_c + k*t)``, in ``t =
+    log z``, which forms no power of ``z``, from near the dominant-balance end
+    of a bracket.  It bisects when a step leaves the bracket, and stops once a
+    step is within four rounding units of ``t`` and of ``F``, or at the end of
+    smaller ``|F|`` once no double lies inside the bracket (``F`` cancels to a
+    few ulps of ``|y|``)."""
+    a, sign = (k, 1.0) if k > 0.0 else (-k, -1.0)
+    if k > 0.0:
+        # each term alone is at most 1: t_hi, where the lesser is 1, bounds the root,
+        # and above t_lo the larger is at least 1/2.  F(t_hi) is the other term r; a
+        # Newton step on log(exp(t) + m(t)) = 0, third order in r, starts below t_hi
+        if log_c <= 0.0:  # exp(t_hi) is 1, m(t_hi) is r
+            t_hi, r = 0.0, math.exp(log_c)
+            s = 1.0 + k * r
+        else:  # m(t_hi) is 1, exp(t_hi) is r
+            t_hi = -log_c / k
+            r = math.exp(t_hi)
+            s = r + k
+        t, t_lo = t_hi, t_hi - (_LN2 if k >= 1.0 else _LN2 / k)
+        if r > 4.0 * EPS * (abs(log_c) + 1.0):  # F(t_hi) > 0 beyond its rounding
+            t -= math.log1p(r) * (1.0 + r) / s
+    elif y >= 0.0:
+        # F < 0 at log y and at the root for y == 0, where exp(t) == m(t); above
+        # both, exp(t) >= y, m, so z = y + m <= 2 e^t_lo
+        t_bal = log_c / (1.0 + a)
         t = t_lo = max(math.log(y), t_bal) if y > 0.0 else t_bal
         t_hi = t_lo + _LN2
     else:
-        # F > 0 at t_bal and where w == -y; below both, w >= exp(t), -y, so w(z) <= 2 w(t_hi)
-        t = t_hi = min(t_bal, (log_c - math.log(-y)) / a)
+        # F > 0 at the balance and where m == -y; below both, m >= exp(t), -y, so m(z) <= 2 m(t_hi)
+        t = t_hi = min(log_c / (1.0 + a), (log_c - math.log(-y)) / a)
         t_lo = t_hi - _LN2 / a
     f_lo, f_hi = -INF, INF  # not evaluated yet
     exp, ay, four_eps = math.exp, abs(y), 4.0 * EPS
     for _ in range(200):
         ez = exp(t)
-        w = exp(log_c - a * t)
-        f = ez - w - y
-        dfdt = ez + a * w
+        m = exp(log_c + k * t)
+        f = ez + sign * m - y
+        dfdt = ez + a * m
         dt = f / dfdt
-        if abs(dt) <= four_eps * (abs(t) + (ez + w + ay) / dfdt):
-            return exp(t - dt)
+        if abs(dt) <= four_eps * (abs(t) + (ez + m + ay) / dfdt):
+            return t - dt
         if f > 0.0:
             t_hi, f_hi = t, f
         else:
@@ -529,7 +509,7 @@ def root_scaling_prox_neg(mu: float, q: float, y: float) -> float:
         if not t_lo < t < t_hi:
             t = 0.5 * (t_lo + t_hi)
             if t in (t_lo, t_hi):  # no double lies strictly inside the bracket
-                return math.exp(t_lo if -f_lo < f_hi else t_hi)
+                return t_lo if -f_lo < f_hi else t_hi
     raise RootFindError(
         "no convergence of Newton in log z", math.exp(t_lo), math.exp(t_hi), f_lo, f_hi,
     )

@@ -270,8 +270,11 @@ def _assert_within(got: D, want: D, size: D):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(pstar=st.floats(1.05, 50.0), w=_decades(-20.0, 20.0), a=_decades(-30.0, 30.0))
+@given(pstar=_decades(-3.0, math.log10(999.0)).map(lambda e: 1.0 + e), w=_decades(-40.0, 40.0),
+       a=_decades(-30.0, 30.0))
 @example(pstar=1.5, w=1.0, a=1e-12)  # the root is 1e-24; an absolute stop gave 9.98e-25
+@example(pstar=3.0, w=1.0, a=5e-324)  # the root rounds to the smallest subnormal
+@example(pstar=1.5, w=1e-150, a=1e-300)  # both terms about a/2, far below 1
 def test_power_prox_matches_a_decimal_solve(pstar, w, a):
     # rho + w * rho**r1 = a with r1 = p* - 1, in rho
     rho = PowerScalar(pstar).prox(w, a)
