@@ -111,7 +111,7 @@ def solve_bracketed(fn, slot: list, b: float, fb: float, c: float, *, xtol: floa
         x = _target(fb, db[0], db[1], b, c, lo, hi, toward)
         if db[2] == db[2]:
             t = _target(db[2], db[3], db[4], b, c, lo, hi, toward)
-            if not abs(x - b) >= abs(t - b):  # also when x is NaN
+            if t == t and not abs(x - b) >= abs(t - b):  # also when x is NaN
                 x = t
         if x != x:
             if -INF < fsec < INF:  # the secant, Illinois-weighted

@@ -60,6 +60,16 @@ def test_solve_bracketed_linear():
     assert abs(res.residual) <= 1e-12
 
 
+def test_a_second_function_without_a_target_leaves_the_first_ones():
+    # g has a value but no slope, so no target of its own: fn's Newton step
+    # stands, and lands on the root, fn being linear in s = log(x)
+    fn = lambda t: math.log(t / 3.0)
+    res = _bracketed(fn, lambda t: (1.0, 0.0, fn(t)) + (math.nan,) * 4, 10.0, 0.0,
+                     xtol=1e-12, ftol=1e-12, max_iter=200)
+    assert res.iterations == 1
+    assert res.root == pytest.approx(3.0, rel=4e-16)
+
+
 def test_solve_bracketed_stiff_kink():
     fn = lambda t: 1e6 * (t - 0.1) if t > 0.1 else (t - 0.1)
     res = _solve(fn, _undefined, xtol=1e-13, ftol=1e-10)

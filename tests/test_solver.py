@@ -609,9 +609,9 @@ def test_probe_calls_the_multiplier_search_in_eta_crept_on(seed, index, label, m
 
 # per probe pair, the most T evaluations its root-region calls may take on
 # average and in the worst call: the means of the search on the inner point
-# (1.668, 5.417, 2.904, 4.243, 1.410) rounded up to the next 0.05, so a
+# (1.668, 5.417, 2.904, 4.243, 1.327) rounded up to the next 0.05, so a
 # start that trades scalar solves for evaluations shows here
-_PROBE_EVALUATIONS = {0: (1.70, 5), 1: (5.45, 7), 2: (2.95, 7), 3: (4.25, 7), 4: (1.45, 13)}
+_PROBE_EVALUATIONS = {0: (1.70, 5), 1: (5.45, 7), 2: (2.95, 7), 3: (4.25, 7), 4: (1.35, 10)}
 
 
 def test_probe_root_region_evaluations_per_pair():
