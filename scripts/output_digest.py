@@ -72,10 +72,9 @@ def stop_distance(eta: float) -> float:
     lie from the root: the width stop leaves the ends' bounds on the root
     (minus their inner values) up to ``eta_tol + 4 eps |eta|`` apart, and
     the reported estimate carries two more rounding units; the residual
-    stops (``|T| <= min(residual_tol, eta_tol / 2)``, or ``|T| <=
-    residual_tol`` with a Newton step in ``eta`` predicted within
-    ``eta_tol / 2``) are tighter.  Two searches differ by at most the sum of
-    their distances."""
+    stop (``|T|``, or ``|T|`` predicted after the Newton step the search
+    reports, at most ``min(residual_tol, eta_tol / 2)``; ``T' >= 1``) is
+    tighter.  Two searches differ by at most the sum of their distances."""
     return ETA_TOL + 6.0 * EPS * abs(eta)
 
 
