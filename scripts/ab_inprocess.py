@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Interleaved in-process timing of this checkout's prox against another's.
 
-Loads this checkout's ``src/persprox`` as ``persprox`` and the other
-checkout's as ``persprox_other``, side by side in one process, and builds
-each side's pairs from its own ``make_base``/``make_scaling``.  The calls
-are one seed's pool of a workload of ``perfbench/workloads.py`` (this
+Loads both checkouts' ``src/persprox`` side by side in one process, one
+as ``persprox`` and the other as ``persprox_other``, and builds each
+side's pairs from its own ``make_base``/``make_scaling``.  The calls are
+one seed's pool of a workload of ``perfbench/workloads.py`` (this
 checkout's, imported read-only).  After one untimed warm-up pass per side,
 each pass times every call of the pool on both sides, the side that goes
 first alternating from pass to pass.  Prints the median over passes of
@@ -19,26 +19,29 @@ whether a change moved time or moved work.  As in
 
     python3 scripts/ab_inprocess.py ../parent --workload wide_scale --passes 16
 
-Process-level runs of the same code on a shared host move by tens of
-percent from one run to the next; both sides of one pass here share the
-process, its caches and the host's load at that moment.
+One process carries a bias of a few percent that every group shares (the
+heap and code layout it happened to get): three runs of a checkout against
+a copy of itself read 1.034, 1.001 and 0.988 on closed_band.  ``--runs N``
+runs N fresh processes, one after the other, alternating which checkout
+loads as ``persprox``; it prints each run's overall ratio, then per group
+the median over the runs of their median ratios, with its min-max:
+
+    python3 scripts/ab_inprocess.py ../parent --workload closed_band --passes 10 --runs 6
 """
 
 import argparse
 import gc
 import importlib.util
+import multiprocessing
 import statistics
 import sys
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-import persprox
 import workloads
-from output_digest import EvalCounter
 
 # what a prox call may raise on valid input (RootFindError is a RuntimeError)
 ERRORS = (ArithmeticError, ValueError, RuntimeError)
@@ -82,9 +85,9 @@ def time_pass(prox, pairs, calls) -> list:
     return out
 
 
-def count_evaluations(package, prox, pairs, calls) -> list:
-    """``T`` evaluations per call of one untimed pass of ``package``'s prox."""
-    counter = EvalCounter(sys.modules[package.__name__ + ".solver"])
+def count_evaluations(counter, prox, pairs, calls) -> list:
+    """``T`` evaluations per call of one untimed pass of a prox, counted by
+    an ``output_digest.EvalCounter`` on its solver module."""
     counter.install()
     out = []
     try:
@@ -100,27 +103,30 @@ def count_evaluations(package, prox, pairs, calls) -> list:
     return out
 
 
-def main(argv=None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("other", metavar="OTHER_CHECKOUT", help="root of the other checkout")
-    parser.add_argument("--workload", default="wide_scale", choices=workloads.PROX)
-    parser.add_argument("--passes", type=int, default=16)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-    other = load_package(Path(args.other).resolve() / "src" / "persprox", "persprox_other")
-    calls = workloads.make_calls(args.workload, args.seed)
-    sides = [(persprox.prox_perspective, build_pairs(persprox, args.workload)),
-             (other.prox_perspective, build_pairs(other, args.workload))]
+def measure(other: Path, workload: str, passes: int, seed: int, swapped: bool = False) -> dict:
+    """One run in this process: ``{group: (calls, ratios per pass, (this,
+    other) us per call per pass, (this, other) mean T evaluations)}``, the
+    ratios this checkout over ``other``.  ``swapped`` loads ``other`` as
+    ``persprox`` and this checkout as ``persprox_other``; ``persprox`` is
+    loaded first, so ``output_digest`` and the modules it imports use it."""
+    roots = (ROOT, other) if not swapped else (other, ROOT)
+    loaded = [load_package(root / "src" / "persprox", name)
+              for root, name in zip(roots, ("persprox", "persprox_other"))]
+    this, that = loaded if not swapped else loaded[::-1]
+    import output_digest  # this script's directory; it imports persprox, loaded above
+    calls = workloads.make_calls(workload, seed)
+    sides = [(package.prox_perspective, build_pairs(package, workload)) for package in (this, that)]
 
     groups = {"all": list(range(len(calls)))}
     for i, call in enumerate(calls):
         try:
-            label = persprox.prox_perspective(sides[0][1][call.pair], call.gamma,
-                                              call.x, call.y).label.value
+            label = this.prox_perspective(sides[0][1][call.pair], call.gamma,
+                                          call.x, call.y).label.value
         except ERRORS as exc:
             label = type(exc).__name__
         groups.setdefault(f"pair {call.pair} {label}", []).append(i)
-    evals = [count_evaluations(package, *side, calls) for package, side in zip((persprox, other), sides)]
+    evals = [count_evaluations(output_digest.EvalCounter(sys.modules[package.__name__ + ".solver"]),
+                               *side, calls) for package, side in zip((this, that), sides)]
     for prox, pairs in sides:  # warm-up
         time_pass(prox, pairs, calls)
     # as the benchmark does: what is alive now stays out of the collector's way
@@ -129,27 +135,93 @@ def main(argv=None) -> None:
 
     ratios = {key: [] for key in groups}
     per_call = {key: ([], []) for key in groups}
-    for n in range(args.passes):
+    for n in range(passes):
         order = (0, 1) if n % 2 == 0 else (1, 0)
         times = [None, None]
         for side in order:
             times[side] = time_pass(*sides[side], calls)
         for key, members in groups.items():
-            this, that = (sum(t[i] for i in members) for t in times)
-            ratios[key].append(this / that)
-            for side, total in enumerate((this, that)):
+            totals = [sum(t[i] for i in members) for t in times]
+            ratios[key].append(totals[0] / totals[1])
+            for side, total in enumerate(totals):
                 per_call[key][side].append(total / len(members) / 1e3)
+    return {key: (len(members), ratios[key], per_call[key],
+                  tuple(sum(e[i] for i in members) / len(members) for e in evals))
+            for key, members in groups.items()}
 
-    print(f"{args.workload} seed {args.seed}: {len(calls)} calls, {args.passes} passes;"
+
+def _child(conn, *args) -> None:
+    """Runs ``measure`` in a fresh process and sends its result back."""
+    conn.send(measure(*args))
+    conn.close()
+
+
+def _ordered(result: dict) -> list:
+    return sorted(result, key=lambda k: (k != "all", k))
+
+
+def print_run(result: dict) -> None:
+    for key in _ordered(result):
+        count, r, per_call, (this_ev, that_ev) = result[key]
+        this_us, that_us = (statistics.median(v) for v in per_call)
+        print(f"  {key:<22} calls {count:>5}  median ratio {statistics.median(r):.3f}"
+              f"  wins {sum(x < 1.0 for x in r)}/{len(r)}  us per call {this_us:.1f} (this)"
+              f" {that_us:.1f} (other)  T evaluations {this_ev:.2f} (this) {that_ev:.2f} (other)")
+
+
+def print_runs(results: list) -> None:
+    """Each run's overall ratio, then per group the median over runs of the
+    runs' median ratios, with their min-max and the passes won."""
+    for n, result in enumerate(results):
+        loaded = "other" if n % 2 else "this"
+        print(f"  run {n + 1}: {loaded} checkout loaded as persprox,"
+              f" median ratio {statistics.median(result['all'][1]):.3f}")
+    for key in _ordered(results[0]):
+        medians = [statistics.median(result[key][1]) for result in results]
+        wins = sum(x < 1.0 for result in results for x in result[key][1])
+        passes = sum(len(result[key][1]) for result in results)
+        this_ev, that_ev = results[0][key][3]
+        print(f"  {key:<22} calls {results[0][key][0]:>5}  median ratio over runs"
+              f" {statistics.median(medians):.3f} (min {min(medians):.3f}, max {max(medians):.3f})"
+              f"  wins {wins}/{passes}  T evaluations {this_ev:.2f} (this) {that_ev:.2f} (other)")
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("other", metavar="OTHER_CHECKOUT", help="root of the other checkout")
+    parser.add_argument("--workload", default="wide_scale", choices=workloads.PROX)
+    parser.add_argument("--passes", type=int, default=16)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--runs", type=int, default=1,
+                        help="fresh processes, alternating which checkout loads as persprox")
+    args = parser.parse_args(argv)
+    if args.runs < 1:
+        parser.error("--runs must be at least 1")
+    other = Path(args.other).resolve()
+    if args.runs == 1:
+        results = [measure(other, args.workload, args.passes, args.seed)]
+    else:
+        context = multiprocessing.get_context("spawn")
+        results = []
+        for n in range(args.runs):
+            receive, send = context.Pipe(duplex=False)
+            child = context.Process(target=_child, args=(
+                send, other, args.workload, args.passes, args.seed, n % 2 == 1))
+            child.start()
+            send.close()
+            try:
+                results.append(receive.recv())
+            except EOFError:
+                raise SystemExit(f"run {n + 1} failed: its process exited with {child.exitcode}")
+            finally:
+                child.join()
+    runs = f" in each of {args.runs} processes" if args.runs > 1 else ""
+    print(f"{args.workload} seed {args.seed}: {results[0]['all'][0]} calls, {args.passes} passes{runs};"
           f" ratio this/other of the time per call (below 1: this checkout faster)")
-    for key in sorted(groups, key=lambda k: (k != "all", k)):
-        r = ratios[key]
-        wins = sum(x < 1.0 for x in r)
-        this_us, that_us = (statistics.median(v) for v in per_call[key])
-        this_ev, that_ev = (sum(e[i] for i in groups[key]) / len(groups[key]) for e in evals)
-        print(f"  {key:<22} calls {len(groups[key]):>5}  median ratio {statistics.median(r):.3f}"
-              f"  wins {wins}/{len(r)}  us per call {this_us:.1f} (this) {that_us:.1f} (other)"
-              f"  T evaluations {this_ev:.2f} (this) {that_ev:.2f} (other)")
+    if args.runs == 1:
+        print_run(results[0])
+    else:
+        print_runs(results)
 
 
 if __name__ == "__main__":

@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import random
 import sys
 
 from .catalog import HuberBase, SqrtScaling, _real, make_base, make_scaling
@@ -217,6 +216,7 @@ def cmd_trace_root(args) -> int:
 
 
 def random_point(seed: int, n: int) -> tuple[tuple[float, ...], float]:
+    import random  # validate alone draws points: a prox process does not load it
     rng = random.Random(seed)
     x = tuple(rng.uniform(-4.0, 4.0) for _ in range(n))
     return x, rng.uniform(-4.0, 4.0)

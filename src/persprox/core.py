@@ -16,10 +16,10 @@ paths give the same value, sign of zero included, so a fast path changes
 no float operation.
 
 Every zero and membership test in the package applies one rounding-slack
-rule, ``negligible``, at the magnitude of the input a value came from
-(``||x|| / gamma`` on the base side, ``|y|`` on the scale side), so an
-input the region pass treats as zero is snapped to zero by the
-certificate too.  The rounding constants are defined here and nowhere
+rule, ``|value| <= slack_bound(size)``, at the magnitude of the input a
+value came from (``||x|| / gamma`` on the base side, ``|y|`` on the scale
+side), so an input the region pass treats as zero is snapped to zero by
+the certificate too.  The rounding constants are defined here and nowhere
 else.  Every scalar solve stops by one rule: once its step or residual is
 within a few rounding units (``EPS``) of the quantities it is computed
 from, never on an absolute floor.
@@ -43,10 +43,10 @@ ZERO_NORM = 1e-300  # a vector of smaller norm is the zero vector (a subnormal g
 LOG_MAX = math.log(1.7976931348623157e308)  # exp of a larger argument overflows
 
 
-def negligible(value: float, size: float) -> bool:
-    """Whether ``value`` is zero up to rounding in an input of magnitude
-    ``size``; +-inf and NaN never are."""
-    return abs(value) <= SLACK * (1.0 + abs(size))
+def slack_bound(size: float) -> float:
+    """The largest ``|value|`` that is zero up to rounding in an input of
+    magnitude ``size`` (a caller computes it once per input and compares)."""
+    return SLACK * (1.0 + abs(size))
 
 
 class DimensionMismatch(ValueError):

@@ -12,11 +12,12 @@ rule on the value ``c = phi*(x*)`` (``_conj_value``); the certificate reads
 from __future__ import annotations
 
 import math
+from operator import mul
 
 from .core import (INF, ZERO_NORM, CaseKind, DimensionMismatch, SignClass, Value, Vec, as_vec,
-                   dist, dot, negligible, scale)
+                   dist, scale, slack_bound)
 
-# the one exception to ``core.negligible``: a ratio y*/c this close
+# the one exception to ``core.slack_bound``: a ratio y*/c this close
 # (relatively) to dom env* is pulled onto it.  The slack absorbs the
 # multiplier search's residual, which reaches y* through q, not rounding;
 # at ``core.SLACK``, 21 of the 9,600 wide_scale pool calls of seeds 0 and 1
@@ -70,10 +71,6 @@ class PerspectivePair(Value):
         return x, float(y)
 
 
-def _in_cl_conv_S(scaling, y: float) -> bool:
-    return negligible(y - scaling.prox_env(0.0, y), y)
-
-
 def preperspective_eval(pair: PerspectivePair, x, y) -> float:
     """Raw scaled composition: ``s(y) * phi(x / s(y))`` where ``0 < s(y) < inf``,
     and +inf everywhere else."""
@@ -97,18 +94,20 @@ def perspective_eval(pair: PerspectivePair, x, y) -> float:
 def _perspective_value(pair: PerspectivePair, x: Vec, y: float) -> float:
     base, scaling = pair.base, pair.scaling
     sc = base.sign_class
-    if sc is SignClass.ZERO_INFTY_CONJUGATE:
-        if not _in_cl_conv_S(scaling, y):
+    if sc is not SignClass.ZERO_INFTY_CONJUGATE:
+        sv = scaling.eval(y)
+        if 0.0 < sv < INF:
+            inv = 1.0 / sv
+            return sv * base.eval(tuple([c * inv for c in x]))
+        if sc is SignClass.NONNEGATIVE_CONJUGATE:
+            return base.rec_eval(x) if sv == 0.0 else INF
+        if not sv <= 0.0:
             return INF
-        return base.eval(x)
-    sv = scaling.eval(y)
-    if 0.0 < sv < INF:
-        return sv * base.eval(scale(x, 1.0 / sv))
-    if sc is SignClass.NONNEGATIVE_CONJUGATE:
-        return base.rec_eval(x) if sv == 0.0 else INF
-    if sv <= 0.0 and _in_cl_conv_S(scaling, y):
-        return base.rec_eval(x)
-    return INF
+    # zero-or-infinity conjugates, and s(y) <= 0 for nonpositive: y in cl conv S
+    d = y - scaling.prox_env(0.0, y)
+    if d != 0.0 and not abs(d) <= slack_bound(y):
+        return INF
+    return base.eval(x) if sc is SignClass.ZERO_INFTY_CONJUGATE else base.rec_eval(x)
 
 
 def perspective_conj_eval(pair: PerspectivePair, xstar, ystar) -> float:
@@ -121,8 +120,8 @@ def perspective_conj_eval(pair: PerspectivePair, xstar, ystar) -> float:
 def _conj_value(pair: PerspectivePair, c: float, ystar: float, size: float | None) -> float:
     """The conjugate at ``(x*, y*)`` from ``c = phi*(x*)``: the support function
     of the closed scale hull when ``c == 0``, a scaled envelope conjugate when
-    ``c`` has the sign its class promises, +inf when ``c`` is +inf.  At the input
-    ``size`` of a certificate, a negligible ``c`` is zero and the ratio is clamped."""
+    ``c`` has the sign its class promises, +inf when ``c`` is +inf.  At a certificate's
+    input ``size``, ``c`` within its ``core.slack_bound`` is zero; the ratio is clamped."""
     scaling = pair.scaling
     sc = pair.base.sign_class
     if sc is SignClass.ZERO_INFTY_CONJUGATE:
@@ -131,7 +130,7 @@ def _conj_value(pair: PerspectivePair, c: float, ystar: float, size: float | Non
         return scaling.support_cl_conv_S(ystar)
     if c == INF:
         return INF
-    if c == 0.0 or (size is not None and negligible(c, size)):
+    if c == 0.0 or (size is not None and abs(c) <= slack_bound(size)):
         return scaling.support_cl_conv_S(ystar)
     ratio = ystar / c if sc is SignClass.NONNEGATIVE_CONJUGATE else ystar / (-c)
     if size is not None:
@@ -153,7 +152,7 @@ def prox_fenchel_gap(
     input alone, ``size = ||x|| / gamma``, so the check does not depend on
     the path that produced ``(p, q)``: a conjugate argument that distance
     outside ``cl dom phi*`` is pulled onto it, and a conjugate value
-    ``phi*(x*)`` within ``core.negligible`` of zero counts as zero.
+    ``phi*(x*)`` within ``core.slack_bound`` of zero counts as zero.
     Checks ``gamma`` and both points, then runs ``certificate_gap``.
     """
     if not 0.0 < gamma < INF:
@@ -182,10 +181,10 @@ def certificate_gap(
     if c == INF or not ZERO_NORM <= rs < INF:
         proj = base.proj_dom_conj(xstar)
         # the projection returns xstar itself when it is already in the domain
-        if proj is not xstar and negligible(dist(proj, xstar), size):
+        if proj is not xstar and dist(proj, xstar) <= slack_bound(size):
             xstar, c = proj, h.eval(math.hypot(*proj))
     val = _perspective_value(pair, p, q)
     conj = _conj_value(pair, c, ystar, size)
     if val == INF or conj == INF:
         return INF
-    return val + conj - dot(p, xstar) - q * ystar
+    return val + conj - sum(map(mul, p, xstar)) - q * ystar

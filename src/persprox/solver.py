@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .core import EPS, INF, SLACK, Record, SignClass, Value, Vec, negligible, norm, scale
+from .core import EPS, INF, Record, SignClass, Value, Vec, slack_bound
 # prox_fenchel_gap only for the benchmark's tracer, which wraps it by this name
 from .perspective import PerspectivePair, certificate_gap, prox_fenchel_gap
 from .roots import solve_bracketed
@@ -47,7 +47,7 @@ class CaseLabel(Enum):
 
 
 class RootConfig(Value):
-    """Tolerances of the multiplier search; region tests use ``core.negligible``.
+    """Tolerances of the multiplier search; region tests use ``core.slack_bound``.
 
     The search on the inner curve point ``u`` (``T(u)`` is ``T(eta)`` at
     the ``eta`` of ``u``; ``T' >= 1``) stops once ``|T| <= min(residual_tol,
@@ -110,34 +110,16 @@ _LABELS = {
 }
 
 
-def _pull_back(x: Vec, gamma: float, xg: Vec, d: Vec) -> Vec:
-    """``x - gamma * d`` with exact zeros where ``d`` left ``x/gamma`` unmoved:
-    ``gamma * (x_i / gamma)`` rounds away from ``x_i``, and the recession
-    indicator in the certificate rejects the one-ulp junk that would leave.
-    """
-    return tuple([
-        0.0 if di == gi and gi != 0.0 else xi - gamma * di
-        for xi, gi, di in zip(x, xg, d)
-    ])
-
-
-def _curves(pair: PerspectivePair, gamma: float, x: Vec, y: float, base_drives: bool):
-    """``(base_drives, x/gamma, r, k, least, outer, inner)`` at a checked
-    ``(x, y)``: ``k`` is ``1/gamma`` for B, ``gamma`` for S, ``least`` the
-    outer curve's least value, and the driven curve and the other are each
-    ``(f, value, t, gamma, on_b)``: the profile ``h`` at ``t = r`` for B, the
-    scaling at ``t = y`` for S, its value, and whether it is B.  ``_point``
-    gives a curve's point at a weight; ``f.inverse`` runs it backwards, with
-    weights over ``k``."""
-    xg = scale(x, 1.0 / gamma)
-    r = norm(xg)
-    if r == INF:  # x/gamma overflowed
-        raise ValueError(f"x/gamma must be finite, with a finite norm; got {xg!r}")
+def _curves(pair: PerspectivePair, gamma: float, r: float, y: float, base_drives: bool):
+    """``(base_drives, k, least, outer, inner)``: ``k`` is ``1/gamma`` for B, ``gamma``
+    for S, ``least`` the outer curve's least value, each curve ``(f, value, t, gamma,
+    on_b)``: the profile ``h`` at ``t = ||x/gamma||`` for B, the scaling at ``t = y``
+    for S, its value, whether it is B; ``_point`` evaluates it, ``f.inverse`` inverts it."""
     h, scaling = pair.base.conj.phi1d, pair.scaling
     b, s = (h, h.eval, r, gamma, True), (scaling, scaling.env_eval, y, gamma, False)
     if base_drives:
-        return True, xg, r, 1.0 / gamma, pair.driven_least, b, s
-    return False, xg, r, gamma, pair.driven_least, s, b
+        return True, 1.0 / gamma, pair.driven_least, b, s
+    return False, gamma, pair.driven_least, s, b
 
 
 def _point(curve: tuple, v: float) -> float:
@@ -150,40 +132,59 @@ def _point(curve: tuple, v: float) -> float:
     return f.prox_env(gamma * v, t)
 
 
-def _signed_pass(curves):
-    """``(region, outer point, inner point, eta)`` from the region tests on
-    the ``_curves`` of an input; in region 4 the last entry is instead the
-    search state (``_search_state``), with the tests' ``T(0)`` and weight-0
-    inner point.  Zero tests are ``core.negligible`` at ``r`` for B, ``y``
-    for S.  An outer value of +inf at weight 0 (beyond the largest double)
-    raises ``OverflowError``.
-    """
-    _, _, _, k, _, outer, inner = curves
-    o_value, o_ref, i_value, i_ref = outer[1], outer[2], inner[1], inner[2]
-    o_pt = _point(outer, 0.0)
-    o0 = o_value(o_pt)
+def _radius(x: Vec, gamma: float) -> tuple[Vec, float]:
+    """``(x/gamma, ||x/gamma||)``; a norm beyond the largest double raises ``ValueError``."""
+    inv = 1.0 / gamma
+    xg = tuple([c * inv for c in x])
+    r = math.hypot(*xg)
+    if r == INF:  # x/gamma overflowed
+        raise ValueError(f"x/gamma must be finite, with a finite norm; got {xg!r}")
+    return xg, r
+
+
+def _signed_pass(pair: PerspectivePair, gamma: float, x: Vec, y: float, base_drives: bool):
+    """``(region, outer point, inner point, eta, x/gamma, r)`` at a checked ``(x, y)``,
+    by direct contract calls up to region 2; in region 4 ``eta`` is the search state
+    (``_search_state``).  Zero tests use ``core.slack_bound`` at ``r`` for B, ``y`` for
+    S; an outer value of +inf at weight 0 raises ``OverflowError``."""
+    xg, r = _radius(x, gamma)
+    h, scaling = pair.base.conj.phi1d, pair.scaling
+    b_pt = h.proj_cl_dom(r)
+    b0 = h.eval(b_pt)
+    s_pt = scaling.prox_env(0.0, y)
+    s0 = scaling.env_eval(s_pt)
+    b_tol, s_tol = slack_bound(r), slack_bound(y)
+    if base_drives:
+        o_pt, o0, o_ref, o_tol, i_pt, i0, i_tol = b_pt, b0, r, b_tol, s_pt, s0, s_tol
+    else:
+        o_pt, o0, o_ref, o_tol, i_pt, i0, i_tol = s_pt, s0, y, s_tol, b_pt, b0, b_tol
     if o0 == INF:
         raise OverflowError("the outer curve value at weight 0 overflows")
-    i_pt = _point(inner, 0.0)
-    i0 = i_value(i_pt)
-    o_zero, i_zero = negligible(o0, o_ref), negligible(i0, i_ref)
+    o_zero, i_zero = abs(o0) <= o_tol, abs(i0) <= i_tol
     if o_zero and i_zero:
-        return 1, o_pt, i_pt, 0.0
+        return 1, o_pt, i_pt, 0.0, xg, r
     entry = None
-    if not o_zero and o0 > 0.0:
-        i_pt2 = _point(inner, o0)
-        t0 = i_value(i_pt2)
-        if negligible(t0, i_ref):
-            return 2, o_pt, i_pt2, 0.0
-        entry = (i_pt2, t0)
+    if not o_zero and o0 > 0.0:  # the inner curve's point at weight o0
+        if base_drives:
+            pt = scaling.prox_env(gamma * o0, y)
+            t0 = scaling.env_eval(pt)
+        else:
+            w = o0 / gamma
+            pt = h.prox(w, r) if w != 0.0 else b_pt
+            t0 = h.eval(pt)
+        if abs(t0) <= i_tol:
+            return 2, o_pt, pt, 0.0, xg, r
+        entry = pt, t0
+    curves = _curves(pair, gamma, r, y, base_drives)
+    outer = curves[3]
     # region 3 needs -i0 past the weight where the outer value falls to the
     # zero bound (the inverse's; +inf where it never does), less a margin
     if (not i_zero and 0.0 < -i0 < INF
-            and -i0 >= outer[0].inverse(o_ref, SLACK * (1.0 + abs(o_ref)))[1] / k * (1.0 - _NEAR)):
+            and -i0 >= outer[0].inverse(o_ref, o_tol)[1] / curves[1] * (1.0 - _NEAR)):
         o_pt3 = _point(outer, -i0)
-        if negligible(o_value(o_pt3), o_ref):
-            return 3, o_pt3, i_pt, -i0
-    return 4, None, None, _search_state(curves, o0, entry, (i_pt, i0))
+        if abs(outer[1](o_pt3)) <= o_tol:
+            return 3, o_pt3, i_pt, -i0, xg, r
+    return 4, None, None, _search_state(curves, o0, entry, (i_pt, i0)), xg, r
 
 
 def _base_drives(pair) -> bool:
@@ -200,8 +201,7 @@ def classify_case_i(pair: PerspectivePair, gamma: float, x, y) -> CaseLabel:
     runs on it.  A zero-or-infinity pair raises ``ValueError``."""
     x, y = pair.check_point(x, y)
     base_drives = _base_drives(pair)
-    region = _signed_pass(_curves(pair, gamma, x, y, base_drives))[0]
-    return _LABELS[base_drives][region - 1]
+    return _LABELS[base_drives][_signed_pass(pair, gamma, x, y, base_drives)[0] - 1]
 
 
 def _search_state(curves: tuple, o0: float, start: tuple | None, zero: tuple | None) -> list:
@@ -214,7 +214,7 @@ def _search_state(curves: tuple, o0: float, start: tuple | None, zero: tuple | N
     The slot, which ``T`` and ``roots.solve_bracketed`` share, holds the
     entry of the point ``T`` evaluated last (``make_residual_case_i``), and
     the prox's curve points ``(outer, inner)`` once the search returns."""
-    least, inner = curves[4], curves[6]
+    least, inner = curves[2], curves[4]
     if start is None:
         u0 = _point(inner, o0)
         start = u0, inner[1](u0)
@@ -231,9 +231,9 @@ def _search_state(curves: tuple, o0: float, start: tuple | None, zero: tuple | N
 
 def _direct_state(pair: PerspectivePair, gamma: float, x, y) -> list:
     """The search state of a search called without the region pass."""
-    curves = _curves(pair, gamma, *pair.check_point(x, y), _base_drives(pair))
-    outer = curves[5]
-    return _search_state(curves, outer[1](_point(outer, 0.0)), None, None)
+    x, y = pair.check_point(x, y)
+    curves = _curves(pair, gamma, _radius(x, gamma)[1], y, _base_drives(pair))
+    return _search_state(curves, curves[3][1](_point(curves[3], 0.0)), None, None)
 
 
 def make_residual_case_i(pair: PerspectivePair, gamma: float, x, y, state: list | None = None):
@@ -249,7 +249,7 @@ def make_residual_case_i(pair: PerspectivePair, gamma: float, x, y, state: list 
     rounding.  ``T`` reads default arguments, not closure cells; it is
     evaluated at ``u0``, uncounted, before it is returned."""
     state = _direct_state(pair, gamma, x, y) if state is None else state
-    _, (_, _, _, k, _, outer, inner), u0, _, c, _ = state
+    _, (_, k, _, outer, inner), u0, _, c, _ = state
 
     def T(u: float, inner=inner[0].inverse, outer=outer[0].inverse, t_in=inner[2],
           t_out=outer[2], k=k, c=c, slot=state, log=math.log, nan=math.nan) -> float:
@@ -287,7 +287,7 @@ def make_residual_case_i(pair: PerspectivePair, gamma: float, x, y, state: list 
 
 def _forward(curves: tuple, eta: float) -> tuple:
     """``(T(eta), outer point, inner point)``: the outer prox at ``eta``, the inner at its value."""
-    outer, inner = curves[5], curves[6]
+    outer, inner = curves[3], curves[4]
     o_pt = _point(outer, eta)
     i_pt = _point(inner, outer[1](o_pt))
     return inner[1](i_pt) + eta, o_pt, i_pt
@@ -415,8 +415,7 @@ def prox_perspective(
         label, eta, iters = CaseLabel.CASE_II, 0.0, 0
     else:
         base_drives = sc is SignClass.NONNEGATIVE_CONJUGATE
-        curves = _curves(pair, gamma, x, y, base_drives)
-        region, o_pt, i_pt, eta = _signed_pass(curves)
+        region, o_pt, i_pt, eta, xg, r = _signed_pass(pair, gamma, x, y, base_drives)
         iters = 0
         if region == 4:  # on the pass's search state
             state = eta
@@ -425,8 +424,10 @@ def prox_perspective(
             o_pt, i_pt = state[0]
         label = _LABELS[base_drives][region - 1]
         rho, q = (o_pt, i_pt) if base_drives else (i_pt, o_pt)
-        # the base point, built once: x/gamma itself where rho == r
-        xg, r = curves[1:3]
-        p = _pull_back(x, gamma, xg, xg if rho == r else scale(xg, rho / r))
+        # p = x - gamma (rho / r) x/gamma, exactly 0 where x/gamma stays: the
+        # certificate's recession indicator rejects gamma * (x_i / gamma) - x_i
+        a = 1.0 if rho == r else rho / r
+        p = tuple([0.0 if (d := g * a) == g and g != 0.0 else xi - gamma * d
+                   for xi, g in zip(x, xg)])
     gap = certificate_gap(pair, gamma, x, y, p, q)
     return ProxResult(p, q, eta, label, iters, gap)

@@ -39,7 +39,7 @@ from persprox import (
     radial_prox,
 )
 from persprox import catalog, perspective
-from persprox.core import ZERO_NORM, as_vec, dist, dot, negligible, norm, scale, sub
+from persprox.core import ZERO_NORM, as_vec, dist, dot, norm, scale, slack_bound, sub
 
 # identity checks use absolute 1e-12 plus relative 1e-10 * (1 + magnitude)
 ABS_TOL = 1e-12
@@ -160,7 +160,7 @@ def vector_lift_certificate_gap(pair, gamma: float, x, y: float, p, q: float) ->
     ystar = (y - q) / gamma
     proj = pair.base.proj_dom_conj(xstar)
     # the projection returns xstar itself when it is already in the domain
-    if proj is not xstar and negligible(dist(proj, xstar), size):
+    if proj is not xstar and dist(proj, xstar) <= slack_bound(size):
         xstar = proj
     val = perspective._perspective_value(pair, p, q)
     conj = perspective._conj_value(pair, pair.base.conj_eval(xstar), ystar, size)

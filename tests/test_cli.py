@@ -249,7 +249,7 @@ def test_non_finite_tolerance_is_bad_input(capsys, key, value):
 
     # before the check, classify_tol=nan/inf printed a wrong label and
     # eta_tol=nan exited as a solver failure; classify_tol is no longer a
-    # setting (region tests use the one slack rule of core.negligible), nor
+    # setting (region tests use the one slack rule of core.slack_bound), nor
     # are the keys of the brute-force oracle, which left the command line
     argv = ["prox", "--spec", HUBER_SPEC, "--point", '{"x":[3,0],"y":0}', "--tol", f"{key}={value}"]
     assert main(argv) == 2
@@ -307,17 +307,19 @@ def test_prox_process_imports_no_numpy_or_process_pool():
 
 
 def test_prox_process_imports_no_typing():
-    # -S keeps site (which may load typing through installed packages) out,
-    # so only the persprox import path is seen
+    # -S keeps site (which may load typing or random through installed
+    # packages) out, so only the persprox import path is seen; random is
+    # loaded by validate alone
     code = (
         f"import sys; sys.path.insert(0, {SRC!r}); from persprox.cli import main; "
         f"rc = main(['prox', '--spec', {HUBER_SPEC!r}, '--point', '{{\"x\":[1,0],\"y\":0}}']); "
-        "print('typing' in sys.modules, file=sys.stderr); sys.exit(rc)"
+        "print([m for m in ('typing', 'random') if m in sys.modules], file=sys.stderr); "
+        "sys.exit(rc)"
     )
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["case_label"] == "Xi4"
-    assert out.stderr.strip() == "False"
+    assert out.stderr.strip() == "[]"
 
 
 @pytest.mark.parametrize("command", [

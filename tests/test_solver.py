@@ -41,7 +41,7 @@ def test_classification_power_root_examples():
     assert classify_case_i(POWER_ROOT_BOUNDED, 1.0, (0.0, 0.0), 2.0) is CaseLabel.OMEGA3
     assert classify_case_i(POWER_ROOT_BOUNDED, 1.0, (0.7, -0.3), 0.5) is CaseLabel.OMEGA4
     assert classify_case_i(POWER_ROOT_BOUNDED, 1.0, (1e-4, 0.0), -5.0) is CaseLabel.OMEGA4
-    # inputs within the rounding slack of core.negligible of the zero set
+    # inputs within the rounding slack of core.slack_bound of the zero set
     # land on the closed form
     assert classify_case_i(POWER_ROOT_BOUNDED, 1.0, (1e-8, 0.0), -5.0) is CaseLabel.OMEGA1
 
@@ -126,7 +126,7 @@ def test_eta_residual_and_monotonicity_probes():
     # the two composed curves are nonincreasing on a sampled grid
     from persprox.solver import _curves, _point
 
-    b, s = _curves(pair, gamma, x, y, True)[5:]
+    b, s = _curves(pair, gamma, math.hypot(*x) / gamma, y, True)[3:]
 
     def phi2(e):
         return b[1](_point(b, e))
@@ -262,7 +262,7 @@ def test_input_validation():
         for value in (math.nan, math.inf, -math.inf, 0.0):
             with pytest.raises(ValueError, match=key):
                 RootConfig(**{key: value})
-    # region tests use the one slack rule of core.negligible; the
+    # region tests use the one slack rule of core.slack_bound; the
     # classification tolerance is no longer a setting
     with pytest.raises(TypeError, match="classify_tol"):
         RootConfig(classify_tol=1e-12)
