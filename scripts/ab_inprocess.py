@@ -15,16 +15,16 @@ mean number of ``T`` evaluations per call (counted in one untimed pass per
 side by ``output_digest.EvalCounter``, which wraps the side's
 ``make_residual_case_*`` and the residuals they return), so one run shows
 whether a change moved time or moved work.  As in
-``perfbench/measure.py``, the collector is frozen after the warm-up:
-
-    python3 scripts/ab_inprocess.py ../parent --workload wide_scale --passes 16
+``perfbench/measure.py``, the collector is frozen after the warm-up.
 
 One process carries a bias of a few percent that every group shares (the
 heap and code layout it happened to get): three runs of a checkout against
-a copy of itself read 1.034, 1.001 and 0.988 on closed_band.  ``--runs N``
-runs N fresh processes, one after the other, alternating which checkout
-loads as ``persprox``; it prints each run's overall ratio, then per group
-the median over the runs of their median ratios, with its min-max:
+a copy of itself read 1.034, 1.001 and 0.988 on closed_band.  So each run
+is a fresh spawned process, and ``--runs N`` (default 1) runs N of them one
+after the other, alternating which checkout loads as ``persprox`` (run 1
+loads this one).  It prints each run's overall ratio, then per group the
+median over the runs of their median ratios, with its min-max, and the
+median over the runs of each side's us per call:
 
     python3 scripts/ab_inprocess.py ../parent --workload closed_band --passes 10 --runs 6
 """
@@ -160,18 +160,10 @@ def _ordered(result: dict) -> list:
     return sorted(result, key=lambda k: (k != "all", k))
 
 
-def print_run(result: dict) -> None:
-    for key in _ordered(result):
-        count, r, per_call, (this_ev, that_ev) = result[key]
-        this_us, that_us = (statistics.median(v) for v in per_call)
-        print(f"  {key:<22} calls {count:>5}  median ratio {statistics.median(r):.3f}"
-              f"  wins {sum(x < 1.0 for x in r)}/{len(r)}  us per call {this_us:.1f} (this)"
-              f" {that_us:.1f} (other)  T evaluations {this_ev:.2f} (this) {that_ev:.2f} (other)")
-
-
 def print_runs(results: list) -> None:
     """Each run's overall ratio, then per group the median over runs of the
-    runs' median ratios, with their min-max and the passes won."""
+    runs' median ratios, with their min-max, the passes won and the median
+    over runs of each side's median us per call."""
     for n, result in enumerate(results):
         loaded = "other" if n % 2 else "this"
         print(f"  run {n + 1}: {loaded} checkout loaded as persprox,"
@@ -180,10 +172,13 @@ def print_runs(results: list) -> None:
         medians = [statistics.median(result[key][1]) for result in results]
         wins = sum(x < 1.0 for result in results for x in result[key][1])
         passes = sum(len(result[key][1]) for result in results)
+        this_us, that_us = (statistics.median(statistics.median(result[key][2][side])
+                                              for result in results) for side in (0, 1))
         this_ev, that_ev = results[0][key][3]
         print(f"  {key:<22} calls {results[0][key][0]:>5}  median ratio over runs"
               f" {statistics.median(medians):.3f} (min {min(medians):.3f}, max {max(medians):.3f})"
-              f"  wins {wins}/{passes}  T evaluations {this_ev:.2f} (this) {that_ev:.2f} (other)")
+              f"  wins {wins}/{passes}  us per call {this_us:.1f} (this) {that_us:.1f} (other)"
+              f"  T evaluations {this_ev:.2f} (this) {that_ev:.2f} (other)")
 
 
 def main(argv=None) -> None:
@@ -198,30 +193,24 @@ def main(argv=None) -> None:
     if args.runs < 1:
         parser.error("--runs must be at least 1")
     other = Path(args.other).resolve()
-    if args.runs == 1:
-        results = [measure(other, args.workload, args.passes, args.seed)]
-    else:
-        context = multiprocessing.get_context("spawn")
-        results = []
-        for n in range(args.runs):
-            receive, send = context.Pipe(duplex=False)
-            child = context.Process(target=_child, args=(
-                send, other, args.workload, args.passes, args.seed, n % 2 == 1))
-            child.start()
-            send.close()
-            try:
-                results.append(receive.recv())
-            except EOFError:
-                raise SystemExit(f"run {n + 1} failed: its process exited with {child.exitcode}")
-            finally:
-                child.join()
-    runs = f" in each of {args.runs} processes" if args.runs > 1 else ""
-    print(f"{args.workload} seed {args.seed}: {results[0]['all'][0]} calls, {args.passes} passes{runs};"
-          f" ratio this/other of the time per call (below 1: this checkout faster)")
-    if args.runs == 1:
-        print_run(results[0])
-    else:
-        print_runs(results)
+    context = multiprocessing.get_context("spawn")
+    results = []
+    for n in range(args.runs):
+        receive, send = context.Pipe(duplex=False)
+        child = context.Process(target=_child, args=(
+            send, other, args.workload, args.passes, args.seed, n % 2 == 1))
+        child.start()
+        send.close()
+        try:
+            results.append(receive.recv())
+        except EOFError:
+            raise SystemExit(f"run {n + 1} failed: its process exited with {child.exitcode}")
+        finally:
+            child.join()
+    print(f"{args.workload} seed {args.seed}: {results[0]['all'][0]} calls, {args.passes} passes"
+          f" per run, runs {args.runs}; ratio this/other of the time per call"
+          f" (below 1: this checkout faster)")
+    print_runs(results)
 
 
 if __name__ == "__main__":

@@ -105,7 +105,7 @@ def _perspective_value(pair: PerspectivePair, x: Vec, y: float) -> float:
             return INF
     # zero-or-infinity conjugates, and s(y) <= 0 for nonpositive: y in cl conv S
     d = y - scaling.prox_env(0.0, y)
-    if d != 0.0 and not abs(d) <= slack_bound(y):
+    if not abs(d) <= slack_bound(y):
         return INF
     return base.eval(x) if sc is SignClass.ZERO_INFTY_CONJUGATE else base.rec_eval(x)
 

@@ -168,7 +168,7 @@ def _signed_pass(pair: PerspectivePair, gamma: float, x: Vec, y: float, base_dri
         if base_drives:
             pt = scaling.prox_env(gamma * o0, y)
             t0 = scaling.env_eval(pt)
-        else:
+        else:  # B's point as _point gives it: change the two together
             w = o0 / gamma
             pt = h.prox(w, r) if w != 0.0 else b_pt
             t0 = h.eval(pt)
