@@ -24,7 +24,11 @@ is a fresh spawned process, and ``--runs N`` (default 1) runs N of them one
 after the other, alternating which checkout loads as ``persprox`` (run 1
 loads this one).  It prints each run's overall ratio, then per group the
 median over the runs of their median ratios, with its min-max, and the
-median over the runs of each side's us per call:
+median over the runs of each side's us per call.  Per run and side it
+also prints the benchmark's latencies over the pool (``perfbench/measure.py``):
+an input's latency is the median of its times over the passes, and the
+p50 and the tail (p99) are taken over the inputs, so a change to the
+slowest inputs shows in-process:
 
     python3 scripts/ab_inprocess.py ../parent --workload closed_band --passes 10 --runs 6
 """
@@ -42,6 +46,8 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads
+from measure import TAIL_PCT
+from timing import percentile
 
 # what a prox call may raise on valid input (RootFindError is a RuntimeError)
 ERRORS = (ArithmeticError, ValueError, RuntimeError)
@@ -103,10 +109,19 @@ def count_evaluations(counter, prox, pairs, calls) -> list:
     return out
 
 
-def measure(other: Path, workload: str, passes: int, seed: int, swapped: bool = False) -> dict:
-    """One run in this process: ``{group: (calls, ratios per pass, (this,
-    other) us per call per pass, (this, other) mean T evaluations)}``, the
-    ratios this checkout over ``other``.  ``swapped`` loads ``other`` as
+def latencies(samples: list, workload: str) -> tuple:
+    """``(p50, tail)`` in us over the inputs of each input's median time
+    (ns per pass), the benchmark's latency definitions."""
+    medians = sorted(statistics.median(times) for times in samples)
+    return percentile(medians, 50.0) / 1e3, percentile(medians, TAIL_PCT[workload]) / 1e3
+
+
+def measure(other: Path, workload: str, passes: int, seed: int,
+            swapped: bool = False) -> tuple:
+    """One run in this process: ``({group: (calls, ratios per pass, (this,
+    other) us per call per pass, (this, other) mean T evaluations)}, (this,
+    other) latencies)``, the ratios this checkout over ``other`` and the
+    latencies ``(p50, tail)`` in us.  ``swapped`` loads ``other`` as
     ``persprox`` and this checkout as ``persprox_other``; ``persprox`` is
     loaded first, so ``output_digest`` and the modules it imports use it."""
     roots = (ROOT, other) if not swapped else (other, ROOT)
@@ -135,19 +150,23 @@ def measure(other: Path, workload: str, passes: int, seed: int, swapped: bool = 
 
     ratios = {key: [] for key in groups}
     per_call = {key: ([], []) for key in groups}
+    samples = ([[] for _ in calls], [[] for _ in calls])  # per side and input
     for n in range(passes):
         order = (0, 1) if n % 2 == 0 else (1, 0)
         times = [None, None]
         for side in order:
             times[side] = time_pass(*sides[side], calls)
+            for input_times, t in zip(samples[side], times[side]):
+                input_times.append(t)
         for key, members in groups.items():
             totals = [sum(t[i] for i in members) for t in times]
             ratios[key].append(totals[0] / totals[1])
             for side, total in enumerate(totals):
                 per_call[key][side].append(total / len(members) / 1e3)
-    return {key: (len(members), ratios[key], per_call[key],
-                  tuple(sum(e[i] for i in members) / len(members) for e in evals))
-            for key, members in groups.items()}
+    return ({key: (len(members), ratios[key], per_call[key],
+                   tuple(sum(e[i] for i in members) / len(members) for e in evals))
+             for key, members in groups.items()},
+            tuple(latencies(side, workload) for side in samples))
 
 
 def _child(conn, *args) -> None:
@@ -160,14 +179,19 @@ def _ordered(result: dict) -> list:
     return sorted(result, key=lambda k: (k != "all", k))
 
 
-def print_runs(results: list) -> None:
-    """Each run's overall ratio, then per group the median over runs of the
-    runs' median ratios, with their min-max, the passes won and the median
-    over runs of each side's median us per call."""
-    for n, result in enumerate(results):
+def print_runs(runs: list, workload: str) -> None:
+    """Each run's overall ratio and both sides' latencies, then per group
+    the median over runs of the runs' median ratios, with their min-max,
+    the passes won and the median over runs of each side's median us per
+    call."""
+    tail = f"p{TAIL_PCT[workload]:g}"
+    for n, (result, (this_lat, that_lat)) in enumerate(runs):
         loaded = "other" if n % 2 else "this"
         print(f"  run {n + 1}: {loaded} checkout loaded as persprox,"
-              f" median ratio {statistics.median(result['all'][1]):.3f}")
+              f" median ratio {statistics.median(result['all'][1]):.3f},"
+              f" latency p50 {this_lat[0]:.2f} (this) {that_lat[0]:.2f} (other),"
+              f" {tail} {this_lat[1]:.2f} (this) {that_lat[1]:.2f} (other) us")
+    results = [result for result, _ in runs]
     for key in _ordered(results[0]):
         medians = [statistics.median(result[key][1]) for result in results]
         wins = sum(x < 1.0 for result in results for x in result[key][1])
@@ -207,10 +231,10 @@ def main(argv=None) -> None:
             raise SystemExit(f"run {n + 1} failed: its process exited with {child.exitcode}")
         finally:
             child.join()
-    print(f"{args.workload} seed {args.seed}: {results[0]['all'][0]} calls, {args.passes} passes"
+    print(f"{args.workload} seed {args.seed}: {results[0][0]['all'][0]} calls, {args.passes} passes"
           f" per run, runs {args.runs}; ratio this/other of the time per call"
           f" (below 1: this checkout faster)")
-    print_runs(results)
+    print_runs(results, args.workload)
 
 
 if __name__ == "__main__":

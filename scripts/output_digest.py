@@ -19,10 +19,10 @@ and the two digests, then the totals, and per probe pair the mean and
 maximum number of ``T`` evaluations of its root-region calls over the
 probe seeds (counted by wrapping ``make_residual_case_i/iii`` and the
 residuals they return) and how many of them the entry rule resolved, and
-per input set how many outputs the certificate re-projects, by label (the
-calls of a base's ``proj_dom_conj``, which ``certificate_gap`` makes where
-``phi*`` of the dual point ``x*`` is +inf, as when rounding leaves ``x*``
-an ulp outside the ball; no other part of a prox call makes them).  Two
+per input set how many outputs have a dual point the certificate pulls in,
+by label: ``||x*||``, ``x* = (x - p)/gamma`` as ``certificate_gap`` forms
+it, outside the domain of the base's conjugate profile, as when rounding
+leaves ``x*`` an ulp outside the ball.  Two
 checkouts whose solver outputs are bit-identical print the same solver
 digests, whatever their certificates:
 
@@ -59,7 +59,6 @@ sys.path.insert(0, str(ROOT / "tests"))
 
 import checks
 import workloads
-import persprox.catalog as catalog
 import persprox.solver as solver
 from persprox import prox_perspective
 from persprox.core import EPS
@@ -126,31 +125,13 @@ class EvalCounter:
         return counted_make
 
 
-class ProjectionCounter:
-    """Counts the calls of the catalog bases' ``proj_dom_conj``."""
-
-    def __init__(self):
-        self.count = 0
-        self.saved = []
-
-    def install(self):
-        for cls in vars(catalog).values():
-            if isinstance(cls, type) and "proj_dom_conj" in vars(cls):
-                project = vars(cls)["proj_dom_conj"]
-                self.saved.append((cls, project))
-                setattr(cls, "proj_dom_conj", self._wrap(project))
-
-    def uninstall(self):
-        while self.saved:
-            cls, project = self.saved.pop()
-            setattr(cls, "proj_dom_conj", project)
-
-    def _wrap(self, project):
-        def counted_project(base, xstar):
-            self.count += 1
-            return project(base, xstar)
-
-        return counted_project
+def pulled_in(pair, call, r) -> bool:
+    """Whether the dual point of output ``r`` lies outside the domain of
+    the base's conjugate profile, where the certificate pulls it in."""
+    x, _ = pair.check_point(call.x, call.y)
+    inv = 1.0 / call.gamma
+    rs = math.hypot(*[(a - b) * inv for a, b in zip(x, r.p)])
+    return pair.base.conj.phi1d.eval(rs) == math.inf
 
 
 def outcome(pair, call):
@@ -166,32 +147,30 @@ def outcome(pair, call):
     return repr((r.p, r.q, r.eta, r.label.value, r.root_iterations)), repr(r.certificate_gap), ok, r
 
 
-def run(counter=None, projections=None):
-    """Prints the digests; returns ``{set name: [record per call]}``, a
-    record being ``[label, p, q, eta, root_iterations, T evaluations,
-    residuals built]`` or ``["error", type name]``.  With a
-    ``ProjectionCounter`` installed, also prints the re-projections."""
+def run(counter=None):
+    """Prints the digests and the outputs whose dual point the certificate
+    pulls in; returns ``{set name: [record per call]}``, a record being
+    ``[label, p, q, eta, root_iterations, T evaluations, residuals built]``
+    or ``["error", type name]``."""
     # imported here, not above: scripts/ab_inprocess.py imports this module
     # for EvalCounter with another checkout's package loaded as persprox
     from reference import identity_gap
 
     totals = hashlib.sha256(), hashlib.sha256()
     total_calls = total_errors = total_uncertified = total_identity = total_entry = 0
-    records, reprojected = {}, {}
+    records, outside = {}, {}
     for name, pairs, calls in input_sets():
         digests = hashlib.sha256(), hashlib.sha256()
         errors = uncertified = identity = entry = 0
         rows = records[name] = []
-        by_label = reprojected[name] = {}
+        by_label = outside[name] = {}
         for call in calls:
             evals, built = (counter.count, counter.built) if counter else (0, 0)
-            projected = projections.count if projections else 0
             solver_text, gap_text, ok, r = outcome(pairs[call.pair], call)
             if counter:
                 evals, built = counter.count - evals, counter.built - built
-            if projections and projections.count > projected:
-                label = "error" if r is None else r.label.value
-                by_label[label] = by_label.get(label, 0) + projections.count - projected
+            if r is not None and pulled_in(pairs[call.pair], call, r):
+                by_label[r.label.value] = by_label.get(r.label.value, 0) + 1
             if r is None:
                 rows.append(["error", solver_text])
             else:
@@ -229,11 +208,10 @@ def run(counter=None, projections=None):
         evals = probe[pair]
         print(f"probe pair {pair} root-region T evaluations: mean {sum(evals) / len(evals):.2f}"
               f"  max {max(evals)}  ({len(evals)} calls, {probe_entry.get(pair, 0)} resolved at entry)")
-    if projections:
-        for name, by_label in reprojected.items():
-            labels = ", ".join(f"{label} {n}" for label, n in sorted(by_label.items()))
-            print(f"{name:<20} certificate re-projections {sum(by_label.values()):>4}"
-                  f"{f'  ({labels})' if labels else ''}")
+    for name, by_label in outside.items():
+        labels = ", ".join(f"{label} {n}" for label, n in sorted(by_label.items()))
+        print(f"{name:<20} dual points pulled in {sum(by_label.values()):>4}"
+              f"{f'  ({labels})' if labels else ''}")
     return records
 
 
@@ -292,13 +270,11 @@ def main(argv=None):
     mode.add_argument("--dump", metavar="PATH", help="store every call's output as JSON")
     mode.add_argument("--against", metavar="PATH", help="compare with a stored --dump file")
     args = parser.parse_args(argv)
-    counter, projections = EvalCounter(), ProjectionCounter()
+    counter = EvalCounter()
     counter.install()
-    projections.install()
     try:
-        records = run(counter, projections)
+        records = run(counter)
     finally:
-        projections.uninstall()
         counter.uninstall()
     if args.dump:
         Path(args.dump).write_text(json.dumps(records), encoding="utf-8")

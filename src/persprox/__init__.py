@@ -17,7 +17,6 @@ from .core import (
     SignClass,
     Vec,
     as_vec,
-    dist,
     dot,
     norm,
 )

@@ -16,8 +16,8 @@ through these members alone:
 - A base ``phi`` has ``sign_class``, the ``SignClass`` of ``phi*``;
   ``eval(x)``; ``rec_eval(x)``, its recession function; ``conj``, the
   ``radial.RadialFunction`` of its profile (``phi*(x*) = h(||x*||)`` for
-  ``h = conj.phi1d``); and ``proj_dom_conj(x*)``, the projection onto
-  ``cl dom phi*``.  The solver runs on ``h`` at ``r = ||x/gamma||``.  A
+  ``h = conj.phi1d``).  The solver runs on ``h`` at ``r = ||x/gamma||``, and
+  the certificate at ``||x*||``.  A
   zero-or-infinity base also gives ``prox_primal(gamma, x)``, the prox of
   ``gamma * phi``, which its decoupled prox calls.
 - A scaling ``s`` on the real line has ``case_kind``, a ``CaseKind``, and
@@ -40,9 +40,10 @@ through these members alone:
   ``u`` on the side of ``t`` where ``f`` is ``v``, ``(0, inf, -inf, inf,
   0)`` at or below ``f(0)``, the least value.
 
-The bases' ``conj_eval`` and ``prox_conj``, the lift's value and prox, lie
-outside the base contract: the package calls neither, and the benchmark's
-tracer wraps both by name.
+The bases' ``conj_eval``, ``prox_conj`` and ``proj_dom_conj``, the lift's
+value, prox and projection onto ``cl dom phi*``, lie outside the base
+contract: the package calls none of them, and the benchmark's tracer wraps
+them by name.
 """
 
 from __future__ import annotations
@@ -220,7 +221,7 @@ class AbsBase(Value):
         return self.conj.phi1d.eval(norm(xstar))
 
     def prox_conj(self, gamma: float, xstar) -> Vec:
-        return self.proj_dom_conj(xstar)
+        return _cap_norm(as_vec(xstar), 1.0)
 
     def proj_dom_conj(self, xstar) -> Vec:
         return _cap_norm(as_vec(xstar), 1.0)

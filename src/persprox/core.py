@@ -104,10 +104,6 @@ def scale(x, a: float):
     return tuple([c * a for c in x])
 
 
-def dist(x, y) -> float:
-    return norm(sub(x, y))
-
-
 def zeros_like(x):
     if isinstance(x, (int, float)):
         return 0.0

@@ -6,7 +6,8 @@ one-dimensional scale space.  Which closed form applies is decided by the
 sign class of the base conjugate, matched at construction against the
 convexity side of the scaling.  The conjugate of the perspective is one
 rule on the value ``c = phi*(x*)`` (``_conj_value``); the certificate reads
-``c`` from the base's conjugate profile at the single norm ``||x*||``.
+``c`` from the base's conjugate profile at the single norm ``||x*||``, which
+it also projects onto the profile's domain where rounding left it outside.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from __future__ import annotations
 import math
 from operator import mul
 
-from .core import (INF, ZERO_NORM, CaseKind, DimensionMismatch, SignClass, Value, Vec, as_vec,
-                   dist, scale, slack_bound)
+from .core import (INF, CaseKind, DimensionMismatch, SignClass, Value, Vec, as_vec, scale,
+                   slack_bound)
 
 # the one exception to ``core.slack_bound``: a ratio y*/c this close
 # (relatively) to dom env* is pulled onto it.  The slack absorbs the
@@ -150,9 +151,11 @@ def prox_fenchel_gap(
     displacement, and the pairing between them; the result is zero at the
     exact prox and nonnegative elsewhere.  Rounding slack is sized by the
     input alone, ``size = ||x|| / gamma``, so the check does not depend on
-    the path that produced ``(p, q)``: a conjugate argument that distance
-    outside ``cl dom phi*`` is pulled onto it, and a conjugate value
-    ``phi*(x*)`` within ``core.slack_bound`` of zero counts as zero.
+    the path that produced ``(p, q)``: a conjugate argument whose norm lies
+    that distance outside ``cl dom h`` (``h`` the base's conjugate profile)
+    is pulled onto the domain's boundary along its ray, and a conjugate value
+    ``phi*(x*)`` within ``core.slack_bound`` of zero counts as zero.  A dual
+    point whose norm overflows gives +inf.
     Checks ``gamma`` and both points, then runs ``certificate_gap``.
     """
     if not 0.0 < gamma < INF:
@@ -168,21 +171,21 @@ def certificate_gap(
     """``prox_fenchel_gap`` without its checks, for a caller that has checked
     ``gamma`` and ``(x, y)`` and assembled ``(p, q)`` itself, as ``prox_perspective``
     has.  It reads ``phi*(x*)`` as the profile ``h = base.conj.phi1d`` at one norm
-    ``rs = ||x*||``, and runs ``proj_dom_conj`` only where ``h(rs)`` is +inf (``rs``
-    outside ``cl dom h``) or ``rs`` is below ``core.ZERO_NORM`` or not finite."""
-    base = pair.base
-    h = base.conj.phi1d
+    ``rs = ||x*||``.  Where ``h(rs)`` is +inf, ``rs`` is projected onto ``cl dom h``
+    (``rp = h.proj_cl_dom(rs)``); within the slack, ``x*`` is rescaled by ``rp / rs``
+    and ``phi*`` read as ``h(rp)``.  An overflowed norm is not pulled in."""
+    h = pair.base.conj.phi1d
     size = math.hypot(*x) / gamma
     inv = 1.0 / gamma
     xstar = tuple([(a - b) * inv for a, b in zip(x, p)])
     ystar = (y - q) / gamma
     rs = math.hypot(*xstar)
     c = h.eval(rs)
-    if c == INF or not ZERO_NORM <= rs < INF:
-        proj = base.proj_dom_conj(xstar)
-        # the projection returns xstar itself when it is already in the domain
-        if proj is not xstar and dist(proj, xstar) <= slack_bound(size):
-            xstar, c = proj, h.eval(math.hypot(*proj))
+    if c == INF and rs < INF:
+        rp = h.proj_cl_dom(rs)
+        if rs - rp <= slack_bound(size):
+            t = rp / rs
+            xstar, c = tuple([a * t for a in xstar]), h.eval(rp)
     val = _perspective_value(pair, p, q)
     conj = _conj_value(pair, c, ystar, size)
     if val == INF or conj == INF:

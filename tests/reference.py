@@ -39,7 +39,7 @@ from persprox import (
     radial_prox,
 )
 from persprox import catalog, perspective
-from persprox.core import ZERO_NORM, as_vec, dist, dot, norm, scale, slack_bound, sub
+from persprox.core import ZERO_NORM, as_vec, dot, norm, scale, slack_bound, sub
 
 # identity checks use absolute 1e-12 plus relative 1e-10 * (1 + magnitude)
 ABS_TOL = 1e-12
@@ -105,7 +105,7 @@ def prox_characterization_gap(f, gamma: float, x, p, probes=()) -> float:
 
 def _scaled_value(f, gamma: float, p) -> float:
     if gamma == 0.0:
-        inside = dist(p, f.proj_cl_dom(p)) <= ABS_TOL + REL_TOL * (1.0 + norm(p))
+        inside = norm(sub(p, f.proj_cl_dom(p))) <= ABS_TOL + REL_TOL * (1.0 + norm(p))
         return 0.0 if inside else INF
     v = f.eval(p)
     return INF if v == INF else gamma * v
@@ -152,15 +152,19 @@ def vector_lift_certificate_gap(pair, gamma: float, x, y: float, p, q: float) ->
     """``perspective.certificate_gap`` as it read ``phi*`` through the base's
     vector methods: ``proj_dom_conj`` at every ``x*``, then ``conj_eval``.
 
-    The reference for the profile path, which must give the same gap bit
-    for bit; ``(x, y)`` and ``(p, q)`` are checked points.
+    The reference for the profile path, which gives the same gap bit for
+    bit wherever ``||x*||`` lies in the domain of the base's conjugate
+    profile.  Where rounding leaves ``x*`` outside it, the profile path
+    pulls the norm in and rescales ``x*`` once, while this one projects the
+    vector (``huber`` and ``abs`` then cap it onto the ball), so the two
+    gaps differ by rounding.  ``(x, y)`` and ``(p, q)`` are checked points.
     """
     size = norm(x) / gamma
     xstar = scale(sub(x, p), 1.0 / gamma)
     ystar = (y - q) / gamma
     proj = pair.base.proj_dom_conj(xstar)
     # the projection returns xstar itself when it is already in the domain
-    if proj is not xstar and dist(proj, xstar) <= slack_bound(size):
+    if proj is not xstar and norm(sub(proj, xstar)) <= slack_bound(size):
         xstar = proj
     val = perspective._perspective_value(pair, p, q)
     conj = perspective._conj_value(pair, pair.base.conj_eval(xstar), ystar, size)

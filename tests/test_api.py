@@ -30,6 +30,9 @@ ALLOWED = {
     ("catalog", "PowerBase.conj_eval"): TRACED,
     ("catalog", "HuberBase.conj_eval"): TRACED,
     ("catalog", "AbsBase.conj_eval"): TRACED,
+    ("catalog", "PowerBase.proj_dom_conj"): TRACED,
+    ("catalog", "HuberBase.proj_dom_conj"): TRACED,
+    ("catalog", "AbsBase.proj_dom_conj"): TRACED,
     ("radial", "RadialFunction.prox"): TRACED,
 }
 
@@ -38,7 +41,7 @@ ALLOWED = {
 # A base also has ``sign_class`` and ``conj`` (its profile is
 # ``conj.phi1d``), a scaling ``case_kind``.
 _PROFILE = ("eval", "prox", "proj_cl_dom")
-_BASE = ("eval", "rec_eval", "proj_dom_conj")
+_BASE = ("eval", "rec_eval")
 CONTRACTS = {
     "profile": _PROFILE,
     "signed profile": _PROFILE + ("inverse",),
