@@ -77,7 +77,11 @@ def stop_distance(eta: float) -> float:
     the reported estimate carries two more rounding units; the residual
     stop (``|T|``, or ``|T|`` predicted after the Newton step the search
     reports, at most ``min(residual_tol, eta_tol / 2)``; ``T' >= 1``) is
-    tighter.  Two searches differ by at most the sum of their distances."""
+    tighter.  Two searches of one root differ by at most the sum of their
+    distances.  Checkouts whose curves differ by rounding (a radius ``r =
+    ||x|| / gamma`` formed another way, say) search different roots, so
+    their share of that sum can exceed 1: 2.40 on probe seed 4 between
+    checkouts that formed ``r`` as ``||x/gamma||`` and as ``||x|| / gamma``."""
     return ETA_TOL + 6.0 * EPS * abs(eta)
 
 

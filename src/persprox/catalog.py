@@ -16,7 +16,7 @@ through these members alone:
 - A base ``phi`` has ``sign_class``, the ``SignClass`` of ``phi*``;
   ``eval(x)``; ``rec_eval(x)``, its recession function; ``conj``, the
   ``radial.RadialFunction`` of its profile (``phi*(x*) = h(||x*||)`` for
-  ``h = conj.phi1d``).  The solver runs on ``h`` at ``r = ||x/gamma||``, and
+  ``h = conj.phi1d``).  The solver runs on ``h`` at ``r = ||x|| / gamma``, and
   the certificate at ``||x*||``.  A
   zero-or-infinity base also gives ``prox_primal(gamma, x)``, the prox of
   ``gamma * phi``, which its decoupled prox calls.

@@ -155,7 +155,7 @@ def prox_fenchel_gap(
     that distance outside ``cl dom h`` (``h`` the base's conjugate profile)
     is pulled onto the domain's boundary along its ray, and a conjugate value
     ``phi*(x*)`` within ``core.slack_bound`` of zero counts as zero.  A dual
-    point whose norm overflows gives +inf.
+    point whose norm overflows, or an input whose ``size`` does, gives +inf.
     Checks ``gamma`` and both points, then runs ``certificate_gap``.
     """
     if not 0.0 < gamma < INF:
@@ -173,9 +173,11 @@ def certificate_gap(
     has.  It reads ``phi*(x*)`` as the profile ``h = base.conj.phi1d`` at one norm
     ``rs = ||x*||``.  Where ``h(rs)`` is +inf, ``rs`` is projected onto ``cl dom h``
     (``rp = h.proj_cl_dom(rs)``); within the slack, ``x*`` is rescaled by ``rp / rs``
-    and ``phi*`` read as ``h(rp)``.  An overflowed norm is not pulled in."""
-    h = pair.base.conj.phi1d
+    and ``phi*`` read as ``h(rp)``.  An overflowed ``rs`` or ``size`` gives +inf."""
     size = math.hypot(*x) / gamma
+    if size == INF:
+        return INF
+    h = pair.base.conj.phi1d
     inv = 1.0 / gamma
     xstar = tuple([(a - b) * inv for a, b in zip(x, p)])
     ystar = (y - q) / gamma

@@ -110,10 +110,9 @@ def real_quartic_roots(
         fx = quartic_at(x)
         for _ in range(2):
             dfx = ((4.0 * x + 3.0 * b) * x + 2.0 * c) * x + d
-            if dfx == 0.0 or not math.isfinite(dfx):
-                break
-            step = fx / dfx
-            if not math.isfinite(step):
+            # a step refines the candidate, which lies within about eps**(1/4) of its root: a
+            # longer one (or a NaN) leaves for another root, as at a double root's tiny slope
+            if dfx == 0.0 or not abs(step := fx / dfx) <= 1e-3 * (1.0 + abs(x)):
                 break
             x2 = x - step
             fx2 = quartic_at(x2)

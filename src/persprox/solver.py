@@ -4,7 +4,7 @@ The computation dispatches on the sign class of the base conjugate.  The
 zero-or-infinity class decouples into a base prox and a scale projection.
 The signed classes work with two nonincreasing value curves of a weight
 ``v >= 0`` (weight 0 meaning projection): the base curve ``B(v) =
-h(prox_{(v/gamma) h}(r))`` on the radius ``r = ||x/gamma||``, ``h`` the
+h(prox_{(v/gamma) h}(r))`` on the radius ``r = ||x|| / gamma``, ``h`` the
 profile of ``phi*`` (``base.conj.phi1d``), and the scale curve ``S(v) =
 env(prox_{gamma v env}(y))``, ``env`` the scaling's convex envelope.
 
@@ -113,7 +113,7 @@ _LABELS = {
 def _curves(pair: PerspectivePair, gamma: float, r: float, y: float, base_drives: bool):
     """``(base_drives, k, least, outer, inner)``: ``k`` is ``1/gamma`` for B, ``gamma``
     for S, ``least`` the outer curve's least value, each curve ``(f, value, t, gamma,
-    on_b)``: the profile ``h`` at ``t = ||x/gamma||`` for B, the scaling at ``t = y``
+    on_b)``: the profile ``h`` at ``t = ||x|| / gamma`` for B, the scaling at ``t = y``
     for S, its value, whether it is B; ``_point`` evaluates it, ``f.inverse`` inverts it."""
     h, scaling = pair.base.conj.phi1d, pair.scaling
     b, s = (h, h.eval, r, gamma, True), (scaling, scaling.env_eval, y, gamma, False)
@@ -132,22 +132,23 @@ def _point(curve: tuple, v: float) -> float:
     return f.prox_env(gamma * v, t)
 
 
-def _radius(x: Vec, gamma: float) -> tuple[Vec, float]:
-    """``(x/gamma, ||x/gamma||)``; a norm beyond the largest double raises ``ValueError``."""
-    inv = 1.0 / gamma
-    xg = tuple([c * inv for c in x])
-    r = math.hypot(*xg)
-    if r == INF:  # x/gamma overflowed
-        raise ValueError(f"x/gamma must be finite, with a finite norm; got {xg!r}")
-    return xg, r
+def _radius(x: Vec, gamma: float) -> float:
+    """``||x|| / gamma``, or where that overflows ``||x/gamma||``; ``ValueError`` if infinite."""
+    r = math.hypot(*x) / gamma
+    if r == INF:
+        xg = tuple([c * (1.0 / gamma) for c in x])
+        r = math.hypot(*xg)
+        if r == INF:
+            raise ValueError(f"x/gamma must be finite, with a finite norm; got {xg!r}")
+    return r
 
 
 def _signed_pass(pair: PerspectivePair, gamma: float, x: Vec, y: float, base_drives: bool):
-    """``(region, outer point, inner point, eta, x/gamma, r)`` at a checked ``(x, y)``,
+    """``(region, outer point, inner point, eta, r)`` at a checked ``(x, y)``,
     by direct contract calls up to region 2; in region 4 ``eta`` is the search state
     (``_search_state``).  Zero tests use ``core.slack_bound`` at ``r`` for B, ``y`` for
     S; an outer value of +inf at weight 0 raises ``OverflowError``."""
-    xg, r = _radius(x, gamma)
+    r = _radius(x, gamma)
     h, scaling = pair.base.conj.phi1d, pair.scaling
     b_pt = h.proj_cl_dom(r)
     b0 = h.eval(b_pt)
@@ -162,7 +163,7 @@ def _signed_pass(pair: PerspectivePair, gamma: float, x: Vec, y: float, base_dri
         raise OverflowError("the outer curve value at weight 0 overflows")
     o_zero, i_zero = abs(o0) <= o_tol, abs(i0) <= i_tol
     if o_zero and i_zero:
-        return 1, o_pt, i_pt, 0.0, xg, r
+        return 1, o_pt, i_pt, 0.0, r
     entry = None
     if not o_zero and o0 > 0.0:  # the inner curve's point at weight o0
         if base_drives:
@@ -173,7 +174,7 @@ def _signed_pass(pair: PerspectivePair, gamma: float, x: Vec, y: float, base_dri
             pt = h.prox(w, r) if w != 0.0 else b_pt
             t0 = h.eval(pt)
         if abs(t0) <= i_tol:
-            return 2, o_pt, pt, 0.0, xg, r
+            return 2, o_pt, pt, 0.0, r
         entry = pt, t0
     curves = _curves(pair, gamma, r, y, base_drives)
     outer = curves[3]
@@ -183,8 +184,8 @@ def _signed_pass(pair: PerspectivePair, gamma: float, x: Vec, y: float, base_dri
             and -i0 >= outer[0].inverse(o_ref, o_tol)[1] / curves[1] * (1.0 - _NEAR)):
         o_pt3 = _point(outer, -i0)
         if abs(outer[1](o_pt3)) <= o_tol:
-            return 3, o_pt3, i_pt, -i0, xg, r
-    return 4, None, None, _search_state(curves, o0, entry, (i_pt, i0)), xg, r
+            return 3, o_pt3, i_pt, -i0, r
+    return 4, None, None, _search_state(curves, o0, entry, (i_pt, i0)), r
 
 
 def _base_drives(pair) -> bool:
@@ -232,7 +233,7 @@ def _search_state(curves: tuple, o0: float, start: tuple | None, zero: tuple | N
 def _direct_state(pair: PerspectivePair, gamma: float, x, y) -> list:
     """The search state of a search called without the region pass."""
     x, y = pair.check_point(x, y)
-    curves = _curves(pair, gamma, _radius(x, gamma)[1], y, _base_drives(pair))
+    curves = _curves(pair, gamma, _radius(x, gamma), y, _base_drives(pair))
     return _search_state(curves, curves[3][1](_point(curves[3], 0.0)), None, None)
 
 
@@ -415,7 +416,7 @@ def prox_perspective(
         label, eta, iters = CaseLabel.CASE_II, 0.0, 0
     else:
         base_drives = sc is SignClass.NONNEGATIVE_CONJUGATE
-        region, o_pt, i_pt, eta, xg, r = _signed_pass(pair, gamma, x, y, base_drives)
+        region, o_pt, i_pt, eta, r = _signed_pass(pair, gamma, x, y, base_drives)
         iters = 0
         if region == 4:  # on the pass's search state
             state = eta
@@ -424,10 +425,8 @@ def prox_perspective(
             o_pt, i_pt = state[0]
         label = _LABELS[base_drives][region - 1]
         rho, q = (o_pt, i_pt) if base_drives else (i_pt, o_pt)
-        # p = x - gamma (rho / r) x/gamma, exactly 0 where x/gamma stays: the
-        # certificate's recession indicator rejects gamma * (x_i / gamma) - x_i
+        # along the ray; exactly 0 where a x_i == x_i, as the certificate's recession test needs
         a = 1.0 if rho == r else rho / r
-        p = tuple([0.0 if (d := g * a) == g and g != 0.0 else xi - gamma * d
-                   for xi, g in zip(x, xg)])
+        p = tuple([xi - xi * a for xi in x])
     gap = certificate_gap(pair, gamma, x, y, p, q)
     return ProxResult(p, q, eta, label, iters, gap)

@@ -210,7 +210,7 @@ def multiplier_residual(pair, gamma: float, x, y: float):
     inner curve point instead."""
     x, y = pair.check_point(x, y)
     h, scaling = pair.base.conj.phi1d, pair.scaling
-    r = norm(scale(x, 1.0 / gamma))
+    r = norm(x) / gamma
 
     def base_curve(v):
         w = v / gamma

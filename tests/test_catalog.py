@@ -48,7 +48,7 @@ def test_power_prox_conj_cubic_forward():
     assert rho * 1.0 + 1.0 * rho ** 0.5 == pytest.approx(2.0, abs=1e-12)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     p=st.floats(1.05, 6.0),
     gamma=st.floats(0.05, 10.0),
@@ -102,7 +102,7 @@ def test_root_scaling_prox_stops_at_float_resolution():
     assert abs(z - 0.5 * mu * z ** -0.5 - y) <= 1e-10 * (1.0 + abs(y) + z)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     q=st.floats(0.05, 0.95),
     mu=st.floats(1e-3, 1e3),
@@ -164,7 +164,7 @@ def _assert_sqrt_scaling_prox_contract(beta, mu, y):
     return r
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     log_beta=st.floats(-8.0, 8.0),
     log_mu=st.floats(-12.0, 12.0),
@@ -636,7 +636,7 @@ SIGNED_BASES = st.sampled_from([PowerBase(1.5), PowerBase(2.0), PowerBase(3.0), 
                                  HuberBase(0.5), HuberBase(1.0), HuberBase(3.0)])
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     base=SIGNED_BASES,
     log_w=st.floats(-3.0, 3.0),
@@ -671,7 +671,7 @@ def test_profile_inverse_runs_the_prox_backwards(base, log_w, x):
                         min(rho, r - rho))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     scaling=st.sampled_from([RootScaling(0.3), RootScaling(0.5, 4.0), RootScaling(0.9, 2.0),
                              SqrtScaling(0.2), SqrtScaling(1.0), SqrtScaling(5.0),
@@ -707,7 +707,7 @@ def test_scaling_inverse_runs_the_prox_backwards(scaling, log_w, y):
     _assert_derivatives(v1, v2, scaling.env_eval, z, abs(value), near)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(base=SIGNED_BASES, log_w=st.floats(-3.0, 3.0), t=st.floats(-10.0, 10.0))
 def test_conj_profile_prox_meets_its_optimality_condition(base, log_w, t):
     # rho = prox_{w h}(t) iff t - rho lies in w * dh(rho): t = rho + w h'(rho)
@@ -727,7 +727,7 @@ def test_conj_profile_prox_meets_its_optimality_condition(base, log_w, t):
         assert abs(t) >= h.alpha * (1.0 + w) * (1.0 - 1e-15)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     base=st.one_of(SIGNED_BASES, st.just(AbsBase())),
     log_w=st.floats(-3.0, 3.0),

@@ -123,7 +123,7 @@ def test_sign_class_consistency(rng):
             assert base.conj_eval((0.0, 0.0)) < 0.0
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(
     x=st.floats(-10, 10),
     xs=st.floats(-10, 10),

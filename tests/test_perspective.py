@@ -309,6 +309,15 @@ def test_gap_of_an_overflowed_dual_point_is_inf():
     assert gap == INF
 
 
+def test_gap_of_an_input_whose_size_overflows_is_inf():
+    # ||x||/gamma = 1e310 overflows, and an infinite slack would pull any x*
+    # onto the ball and snap any phi* to zero: this gap read 0.0, although
+    # ||x*|| = 1.5e294 lies far outside the unit ball
+    p = (math.nextafter(1e300, 0.0), 0.0)
+    assert math.hypot(*((1e300 - p[0]) / 1e-10, 0.0)) > 1e294
+    assert prox_fenchel_gap(HUBER_PAIR, 1e-10, (1e300, 0.0), 0.5, p, 0.5) == INF
+
+
 def test_fenchel_gap_detects_wrong_point():
     gap_exact = prox_fenchel_gap(HUBER_PAIR, 1.0, (3.0, 0.0), 0.0, (2.0, 0.0), 0.0)
     assert 0.0 <= gap_exact <= 1e-10

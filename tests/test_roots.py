@@ -301,7 +301,7 @@ def _numpy_real_roots(b, c, d, e):
     return sorted(float(r.real) for r in roots if abs(r.imag) <= 1e-8 * abs(r))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.lists(st.floats(-6.0, 6.0), min_size=4, max_size=4))
 def test_quartic_matches_companion_matrix_oracle(coeffs):
     b, c, d, e = coeffs
@@ -315,6 +315,22 @@ def test_quartic_matches_companion_matrix_oracle(coeffs):
         resid = (((o + b) * o + c) * o + d) * o + e
         scale = max(1.0, abs(o)) ** 4 * max(1.0, abs(b), abs(c), abs(d), abs(e))
         assert abs(resid) <= 1e-8 * scale
+
+
+@pytest.mark.parametrize("coeffs, roots", [
+    ((4.0, 4.0, 1.1754943508222875e-38, 0.0), (-2.0, 0.0)),
+    ((2.0, 1.0, 1.1754943508222875e-38, 5e-324), (-1.0, 0.0)),
+    ((1.0, 0.0, 1.1754943508222875e-38, 1.1754943508222875e-38), (-1.0, 0.0)),
+    ((4.0, 3.0, 5e-324, 5e-324), (-3.0, -1.0, 0.0)),
+], ids=["double-root-2", "double-root-1", "cube-root-of-tiny", "tiny-tail"])
+def test_quartic_polish_stays_at_a_double_root(coeffs, roots):
+    # a tiny d or e leaves a double root (or a near pair) with a slope of
+    # about d there: a Newton polish step of about 1 jumped each candidate
+    # onto another root, and the root was missed (t^4 + 4t^3 + 4t^2 + 1e-38 t
+    # came out as [0.0], without its double root -2)
+    ours = real_quartic_roots(*coeffs)
+    assert len(ours) == len(roots)
+    assert all(abs(o - r) <= 1e-12 for o, r in zip(ours, roots)), ours
 
 
 def test_quartic_known_factorizations():

@@ -411,6 +411,45 @@ def test_overflowing_scaled_input_is_rejected(pair, gamma, x):
         prox_perspective(pair, gamma, x, 1.0)
 
 
+@pytest.mark.parametrize("base, scaling, at_gamma_10", [
+    ({"name": "power", "p": 3}, {"name": "root", "q": 0.5, "upper": 4}, OverflowError),
+    ({"name": "power", "p": 2}, {"name": "identity-interval"}, OverflowError),
+    ({"name": "huber", "alpha": 1}, {"name": "sqrt", "beta": 1}, CaseLabel.XI2),
+], ids=["power3-root0.5-4", "power2-identity", "huber1-sqrt1"])
+def test_an_overflowing_norm_of_x_keeps_the_verdicts_of_x_over_gamma(base, scaling, at_gamma_10):
+    # ||x|| overflows, but at gamma = 10 neither x/gamma nor its norm does:
+    # r is formed from x/gamma there, so the power pairs' outer value at
+    # weight 0 overflows (a solver failure, exit 3) and huber/sqrt lands on
+    # Xi2; at gamma = 1e-3, x/gamma overflows (bad input, exit 2)
+    from persprox.cli import build_problem, main
+    x, y = (1.5e308, 1.5e308), 0.5
+    assert math.hypot(*x) == math.inf
+    point = json.dumps({"x": x, "y": y})
+    for gamma, expected in ((10.0, at_gamma_10), (1e-3, ValueError)):
+        spec = {"base": base, "scaling": scaling, "gamma": gamma, "dims": [2, 1]}
+        pair, _ = build_problem(json.loads(json.dumps(spec)))
+        if isinstance(expected, CaseLabel):
+            assert prox_perspective(pair, gamma, x, y).label is expected
+        else:
+            with pytest.raises(expected):
+                prox_perspective(pair, gamma, x, y)
+        with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["prox", "--spec", json.dumps(spec), "--point", point])
+        assert code == {OverflowError: 3, ValueError: 2}.get(expected, 0)
+
+
+@pytest.mark.parametrize("pair", [
+    PerspectivePair(PowerBase(3.0), RootScaling(0.5, 4.0), n=2), POWER_ID,
+], ids=["power3-root0.5-4", "power2-identity"])
+def test_a_subnormal_x_is_projected_onto_zero(pair):
+    # x/gamma underflows to 0 at gamma = 1e8, so r = 0 and the prox is the
+    # projection p = 0: p = x - (rho/r) x gives it, where scaling x/gamma
+    # back kept x itself, which the certificate rejected (gap +inf)
+    res = prox_perspective(pair, 1e8, (5e-324, 0.0), 0.0)
+    assert res.label is CaseLabel.OMEGA1
+    assert res.p == (0.0, 0.0) and res.certificate_gap == 0.0
+
+
 @pytest.mark.xfail(strict=True, raises=OverflowError,
                    reason="solver._signed_pass: the outer curve value at weight 0 overflows "
                           "||x/gamma||**p* / p* at p* ~ 1000")
