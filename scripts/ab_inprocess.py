@@ -14,8 +14,14 @@ and per (pair, label), the label being this checkout's, with each side's
 mean number of ``T`` evaluations per call (counted in one untimed pass per
 side by ``output_digest.EvalCounter``, which wraps the side's
 ``make_residual_case_*`` and the residuals they return), so one run shows
-whether a change moved time or moved work.  As in
-``perfbench/measure.py``, the collector is frozen after the warm-up.
+whether a change moved time or moved work.  The first run's untimed pass
+also counts each side's executed bytecodes per call, per group and per
+function of the side's package (``OpcodeCounter``: ``sys.settrace`` with
+``f_trace_opcodes``).  Those counts repeat exactly from run to run, which
+no timing on a shared host does, so they show per layer where a change
+took work out; the functions whose counts differ most between the sides
+are listed last.  As in ``perfbench/measure.py``, the collector is frozen
+after the warm-up.
 
 One process carries a bias of a few percent that every group shares (the
 heap and code layout it happened to get): three runs of a checkout against
@@ -34,9 +40,11 @@ slowest inputs shows in-process:
 """
 
 import argparse
+import collections
 import gc
 import importlib.util
 import multiprocessing
+import os
 import statistics
 import sys
 import time
@@ -91,22 +99,64 @@ def time_pass(prox, pairs, calls) -> list:
     return out
 
 
-def count_evaluations(counter, prox, pairs, calls) -> list:
-    """``T`` evaluations per call of one untimed pass of a prox, counted by
-    an ``output_digest.EvalCounter`` on its solver module."""
+class OpcodeCounter:
+    """Executed bytecodes of the Python code of one package, per function
+    (``module.qualname``), counted by ``sys.settrace`` with
+    ``f_trace_opcodes`` while it is installed; frames of other code (the
+    ``EvalCounter`` wrappers, say) are not counted."""
+
+    def __init__(self, package):
+        self.prefix = os.path.dirname(package.__file__) + os.sep
+        self.counts = collections.Counter()
+
+    def _call(self, frame, event, arg):
+        code = frame.f_code
+        if not code.co_filename.startswith(self.prefix):
+            return None
+        frame.f_trace_lines = False
+        frame.f_trace_opcodes = True
+        key = f"{Path(code.co_filename).stem}.{code.co_qualname}"
+        counts = self.counts
+
+        def local(frame, event, arg):
+            if event == "opcode":
+                counts[key] += 1
+            return local
+
+        return local
+
+    def run(self, fn, *args):
+        """``fn(*args)`` with the counter installed; its count of bytecodes."""
+        before = self.counts.total()
+        sys.settrace(self._call)
+        try:
+            fn(*args)
+        finally:
+            sys.settrace(None)
+        return self.counts.total() - before
+
+
+def count_work(counter, opcodes, prox, pairs, calls) -> tuple:
+    """``(T evaluations, bytecodes)`` per call of one untimed pass of a prox,
+    the evaluations counted by an ``output_digest.EvalCounter`` on its solver
+    module, the bytecodes by ``opcodes``, an ``OpcodeCounter`` (None: 0)."""
     counter.install()
-    out = []
+    evals, ops = [], []
+
+    def call_prox(call):
+        try:
+            prox(pairs[call.pair], call.gamma, call.x, call.y)
+        except ERRORS:
+            pass
+
     try:
         for call in calls:
             before = counter.count
-            try:
-                prox(pairs[call.pair], call.gamma, call.x, call.y)
-            except ERRORS:
-                pass
-            out.append(counter.count - before)
+            ops.append(opcodes.run(call_prox, call) if opcodes else 0)
+            evals.append(counter.count - before)
     finally:
         counter.uninstall()
-    return out
+    return evals, ops
 
 
 def latencies(samples: list, workload: str) -> tuple:
@@ -117,11 +167,13 @@ def latencies(samples: list, workload: str) -> tuple:
 
 
 def measure(other: Path, workload: str, passes: int, seed: int,
-            swapped: bool = False) -> tuple:
+            swapped: bool = False, opcodes: bool = False) -> tuple:
     """One run in this process: ``({group: (calls, ratios per pass, (this,
-    other) us per call per pass, (this, other) mean T evaluations)}, (this,
-    other) latencies)``, the ratios this checkout over ``other`` and the
-    latencies ``(p50, tail)`` in us.  ``swapped`` loads ``other`` as
+    other) us per call per pass, (this, other) mean T evaluations, (this,
+    other) mean bytecodes)}, (this, other) latencies, (this, other) bytecodes
+    per function over the pool)``, the ratios this checkout over ``other`` and
+    the latencies ``(p50, tail)`` in us; bytecodes are counted where
+    ``opcodes`` is set, else read 0.  ``swapped`` loads ``other`` as
     ``persprox`` and this checkout as ``persprox_other``; ``persprox`` is
     loaded first, so ``output_digest`` and the modules it imports use it."""
     roots = (ROOT, other) if not swapped else (other, ROOT)
@@ -140,8 +192,10 @@ def measure(other: Path, workload: str, passes: int, seed: int,
         except ERRORS as exc:
             label = type(exc).__name__
         groups.setdefault(f"pair {call.pair} {label}", []).append(i)
-    evals = [count_evaluations(output_digest.EvalCounter(sys.modules[package.__name__ + ".solver"]),
-                               *side, calls) for package, side in zip((this, that), sides)]
+    counters = [OpcodeCounter(package) if opcodes else None for package in (this, that)]
+    work = [count_work(output_digest.EvalCounter(sys.modules[package.__name__ + ".solver"]),
+                       counter, *side, calls)
+            for package, counter, side in zip((this, that), counters, sides)]
     for prox, pairs in sides:  # warm-up
         time_pass(prox, pairs, calls)
     # as the benchmark does: what is alive now stays out of the collector's way
@@ -164,9 +218,11 @@ def measure(other: Path, workload: str, passes: int, seed: int,
             for side, total in enumerate(totals):
                 per_call[key][side].append(total / len(members) / 1e3)
     return ({key: (len(members), ratios[key], per_call[key],
-                   tuple(sum(e[i] for i in members) / len(members) for e in evals))
+                   *(tuple(sum(side[kind][i] for i in members) / len(members) for side in work)
+                     for kind in (0, 1)))
              for key, members in groups.items()},
-            tuple(latencies(side, workload) for side in samples))
+            tuple(latencies(side, workload) for side in samples),
+            tuple(dict(counter.counts) if counter else {} for counter in counters))
 
 
 def _child(conn, *args) -> None:
@@ -179,19 +235,21 @@ def _ordered(result: dict) -> list:
     return sorted(result, key=lambda k: (k != "all", k))
 
 
-def print_runs(runs: list, workload: str) -> None:
+def print_runs(runs: list, workload: str, functions: int = 12) -> None:
     """Each run's overall ratio and both sides' latencies, then per group
     the median over runs of the runs' median ratios, with their min-max,
-    the passes won and the median over runs of each side's median us per
-    call."""
+    the passes won, the median over runs of each side's median us per
+    call and the first run's T evaluations and bytecodes per call; last
+    the ``functions`` functions whose bytecodes per call over the pool
+    differ most between the sides."""
     tail = f"p{TAIL_PCT[workload]:g}"
-    for n, (result, (this_lat, that_lat)) in enumerate(runs):
+    for n, (result, (this_lat, that_lat), _) in enumerate(runs):
         loaded = "other" if n % 2 else "this"
         print(f"  run {n + 1}: {loaded} checkout loaded as persprox,"
               f" median ratio {statistics.median(result['all'][1]):.3f},"
               f" latency p50 {this_lat[0]:.2f} (this) {that_lat[0]:.2f} (other),"
               f" {tail} {this_lat[1]:.2f} (this) {that_lat[1]:.2f} (other) us")
-    results = [result for result, _ in runs]
+    results = [result for result, _, _ in runs]
     for key in _ordered(results[0]):
         medians = [statistics.median(result[key][1]) for result in results]
         wins = sum(x < 1.0 for result in results for x in result[key][1])
@@ -199,10 +257,21 @@ def print_runs(runs: list, workload: str) -> None:
         this_us, that_us = (statistics.median(statistics.median(result[key][2][side])
                                               for result in results) for side in (0, 1))
         this_ev, that_ev = results[0][key][3]
+        this_op, that_op = results[0][key][4]
         print(f"  {key:<22} calls {results[0][key][0]:>5}  median ratio over runs"
               f" {statistics.median(medians):.3f} (min {min(medians):.3f}, max {max(medians):.3f})"
               f"  wins {wins}/{passes}  us per call {this_us:.1f} (this) {that_us:.1f} (other)"
-              f"  T evaluations {this_ev:.2f} (this) {that_ev:.2f} (other)")
+              f"  T evaluations {this_ev:.2f} (this) {that_ev:.2f} (other)"
+              f"  bytecodes {this_op:.0f} (this) {that_op:.0f} (other)")
+    calls = results[0]["all"][0]
+    this_fn, that_fn = runs[0][2]
+    diff = sorted(set(this_fn) | set(that_fn),
+                  key=lambda f: (-abs(this_fn.get(f, 0) - that_fn.get(f, 0)), f))
+    print("  bytecodes per call by function, largest differences first:")
+    for name in diff[:functions]:
+        this_n, that_n = this_fn.get(name, 0) / calls, that_fn.get(name, 0) / calls
+        if this_n != that_n:
+            print(f"    {name:<44} {this_n:8.1f} (this) {that_n:8.1f} (other)")
 
 
 def main(argv=None) -> None:
@@ -222,7 +291,7 @@ def main(argv=None) -> None:
     for n in range(args.runs):
         receive, send = context.Pipe(duplex=False)
         child = context.Process(target=_child, args=(
-            send, other, args.workload, args.passes, args.seed, n % 2 == 1))
+            send, other, args.workload, args.passes, args.seed, n % 2 == 1, n == 0))
         child.start()
         send.close()
         try:

@@ -14,12 +14,14 @@ through these members alone:
   ``proj_cl_dom(t)`` (the projection onto ``cl dom h``, the ``w -> 0``
   member).  A signed base's profile also gives ``inverse``, below.
 - A base ``phi`` has ``sign_class``, the ``SignClass`` of ``phi*``;
-  ``eval(x)``; ``rec_eval(x)``, its recession function; ``conj``, the
-  ``radial.RadialFunction`` of its profile (``phi*(x*) = h(||x*||)`` for
-  ``h = conj.phi1d``).  The solver runs on ``h`` at ``r = ||x|| / gamma``, and
-  the certificate at ``||x*||``.  A
-  zero-or-infinity base also gives ``prox_primal(gamma, x)``, the prox of
-  ``gamma * phi``, which its decoupled prox calls.
+  ``eval_norm(t)``, its value at any point of norm ``t >= 0``, and
+  ``eval(x)``, which is ``eval_norm(||x||)``; ``rec_eval(x)``, its
+  recession function; ``conj``, the ``radial.RadialFunction`` of its
+  profile (``phi*(x*) = h(||x*||)`` for ``h = conj.phi1d``).  The solver
+  runs on ``h`` at ``r = ||x|| / gamma``, the certificate reads ``h`` at
+  ``||x*||`` and ``eval_norm`` at ``||p||``.  A zero-or-infinity base also
+  gives ``prox_primal(gamma, x)``, the prox of ``gamma * phi``, which its
+  decoupled prox calls.
 - A scaling ``s`` on the real line has ``case_kind``, a ``CaseKind``, and
   ``eval(y)``.  ``env_eval`` is the convex envelope the solver works with:
   the lower envelope of ``-s`` for NEG_S_LOWER, the upper envelope of
@@ -63,14 +65,21 @@ _LN2 = math.log(2.0)
 
 
 class PowerScalar(Value):
-    """t -> |t|**p / p for p > 1: the conjugate profile of ``PowerBase`` at ``p*``."""
+    """t -> |t|**p / p for p > 1: the conjugate profile of ``PowerBase`` at ``p*``;
+    derived, once per exponent, the constants of ``prox`` and ``inverse``."""
 
-    __slots__ = ("p",)
+    _fields = ("p",)
+    __slots__ = _fields + ("_pm1", "_pm1m1", "_inv", "_1mp", "_pm2", "_1m2p", "_2pm2", "_psq")
 
     def __init__(self, p: float):
         if not 1.0 < p < INF:
             raise ValueError(f"exponent must be finite and exceed 1, got {p}")
         object.__setattr__(self, "p", p)
+        # each as the methods wrote it: (p - 1) - 1 is not p - 2 in every rounding
+        for name, value in (("_pm1", p - 1.0), ("_pm1m1", (p - 1.0) - 1.0), ("_inv", 1.0 / p),
+                            ("_1mp", 1.0 - p), ("_pm2", p - 2.0), ("_1m2p", 1.0 - 2.0 * p),
+                            ("_2pm2", 2.0 * (p - 2.0)), ("_psq", p * p)):
+            object.__setattr__(self, name, value)
 
     def eval(self, t: float) -> float:
         try:
@@ -91,8 +100,8 @@ class PowerScalar(Value):
         elif self.p == 2.0:
             rho = a / (1.0 + gamma)
         else:
-            r1, log_a = self.p - 1.0, math.log(a)
-            log_c = math.log(gamma) + (r1 - 1.0) * log_a
+            r1, log_a = self._pm1, math.log(a)
+            log_c = math.log(gamma) + self._pm1m1 * log_a
             rho = math.exp(log_a + _monomial_log_root(log_c, r1, 1.0))
             try:
                 power = rho ** r1
@@ -110,26 +119,30 @@ class PowerScalar(Value):
     def inverse(self, r: float, v: float) -> tuple[float, ...]:
         # rho = (p v)**(1/p) has h(rho) = v, and r = rho + w h'(rho) with h'(rho)
         # = p v / rho, so w = (r - rho) rho / (p v); d rho / dv = rho / (p v)
-        p, g = self.p, self.p * v
+        p = self.p
+        g = p * v
         if not g > 0.0:
             return 0.0, INF, -INF, INF, 0.0
-        rho = g ** (1.0 / p)
+        rho = g ** self._inv
         f = rho / g
-        return (rho, (r - rho) * f, f * ((1.0 - p) * r + (p - 2.0) * rho) / p,
-                (1.0 - p) * f * ((1.0 - 2.0 * p) * r + 2.0 * (p - 2.0) * rho) / (p * p), rho / p)
+        c = self._1mp
+        return (rho, (r - rho) * f, f * (c * r + self._pm2 * rho) / p,
+                c * f * (self._1m2p * r + self._2pm2 * rho) / self._psq, rho / p)
 
 
 class HuberConjScalar(Value):
-    """The conjugate profile of ``HuberBase``: (t**2 - alpha**2) / 2 on [-alpha, alpha]."""
+    """The conjugate profile of ``HuberBase``: (t**2 - alpha**2) / 2 on [-alpha, alpha];
+    derived, alpha**2, once per slope."""
 
-    __slots__ = ("alpha",)
+    _fields = ("alpha",)
+    __slots__ = _fields + ("_a2",)
 
     def __init__(self, alpha: float):
         object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "_a2", alpha * alpha)
 
     def eval(self, t: float) -> float:
-        a = self.alpha
-        return 0.5 * (t * t - a * a) if abs(t) <= a else INF
+        return 0.5 * (t * t - self._a2) if abs(t) <= self.alpha else INF
 
     def prox(self, gamma: float, t: float) -> float:
         return math.copysign(min(abs(t) / (1.0 + gamma), self.alpha), t)
@@ -190,7 +203,10 @@ class PowerBase(Value):
         object.__setattr__(self, "conj", RadialFunction(PowerScalar(p / (p - 1.0))))
 
     def eval(self, x) -> float:
-        return norm(x) ** self.p / self.p
+        return self.eval_norm(norm(x))
+
+    def eval_norm(self, t: float) -> float:
+        return t ** self.p / self.p
 
     def conj_eval(self, xstar) -> float:
         return self.conj.phi1d.eval(norm(xstar))
@@ -215,7 +231,10 @@ class AbsBase(Value):
     conj = RadialFunction(AbsConjScalar())
 
     def eval(self, x) -> float:
-        return norm(x)
+        return self.eval_norm(norm(x))
+
+    def eval_norm(self, t: float) -> float:
+        return t
 
     def conj_eval(self, xstar) -> float:
         return self.conj.phi1d.eval(norm(xstar))
@@ -238,9 +257,10 @@ class AbsBase(Value):
 
 
 class HuberBase(Value):
-    """Radial robust loss with slope ``alpha``; ``conj`` lifts ``HuberConjScalar(alpha)``."""
+    """Radial robust loss with slope ``alpha``; ``conj`` lifts ``HuberConjScalar(alpha)``;
+    derived, alpha**2, once per slope."""
 
-    __slots__ = ("alpha", "conj")
+    __slots__ = ("alpha", "conj", "_a2")
     _fields = ("alpha",)
 
     sign_class = SignClass.NONPOSITIVE_CONJUGATE
@@ -253,13 +273,16 @@ class HuberBase(Value):
             raise ValueError(f"slope must have a finite square, got {alpha}")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "conj", RadialFunction(HuberConjScalar(alpha)))
+        object.__setattr__(self, "_a2", alpha * alpha)
 
     def eval(self, x) -> float:
+        return self.eval_norm(norm(x))
+
+    def eval_norm(self, t: float) -> float:
         # quadratic near 0 with the + alpha**2/2 offset that makes the
         # conjugate vanish on the boundary of its domain, linear in the tails
-        r = norm(x)
         a = self.alpha
-        return a * r if r > a else 0.5 * (r * r + a * a)
+        return a * t if t > a else 0.5 * (t * t + self._a2)
 
     def conj_eval(self, xstar) -> float:
         return self.conj.phi1d.eval(norm(xstar))
@@ -279,9 +302,11 @@ class HuberBase(Value):
 
 
 class RootScaling(Value):
-    """s(y) = y**q on the interval [0, upper], -inf elsewhere (0 < q < 1)."""
+    """s(y) = y**q on the interval [0, upper], -inf elsewhere (0 < q < 1); derived,
+    once per scaling, the constants of ``inverse`` and ``env_conj_eval``."""
 
-    __slots__ = ("q", "upper")
+    _fields = ("q", "upper")
+    __slots__ = _fields + ("_2mq", "_1mq", "_q1mq", "_bq", "_b1mq", "_conj_c", "_conj_k")
 
     case_kind = CaseKind.NEG_S_LOWER
 
@@ -292,6 +317,13 @@ class RootScaling(Value):
             raise ValueError(f"interval upper end must be positive, got {upper}")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "upper", upper)
+        # env_conj_eval's value at t < 0 is conj_c * (-t) ** conj_k; b**q is +inf at b = inf
+        for name, value in (("_2mq", 2.0 - q), ("_1mq", 1.0 - q), ("_q1mq", q * (1.0 - q)),
+                            ("_bq", upper ** q if upper < INF else INF),
+                            ("_b1mq", upper ** (1.0 - q)),
+                            ("_conj_c", (1.0 - q) * q ** (q / (1.0 - q))),
+                            ("_conj_k", -q / (1.0 - q))):
+            object.__setattr__(self, name, value)
 
     def eval(self, y: float) -> float:
         if 0.0 <= y <= self.upper:
@@ -304,14 +336,14 @@ class RootScaling(Value):
         return INF
 
     def env_conj_eval(self, t: float) -> float:
-        q, b = self.q, self.upper
+        b = self.upper
         if t >= 0.0:
-            return t * b + b ** q if b < INF else INF
+            return t * b + self._bq if b < INF else INF
         # the maximiser (q / -t) ** (1 / (1 - q)) overflows; its power 1 - q does not
-        if q / -t > b ** (1.0 - q):
-            return t * b + b ** q
+        if self.q / -t > self._b1mq:
+            return t * b + self._bq
         try:
-            return (1.0 - q) * q ** (q / (1.0 - q)) * (-t) ** (-q / (1.0 - q))
+            return self._conj_c * (-t) ** self._conj_k
         except OverflowError:  # the value exceeds the largest double
             return INF
 
@@ -328,10 +360,10 @@ class RootScaling(Value):
         # y = z - q w z**(q-1): w = (z - y) z**(1-q) / q, w'/w = ((2 - q) z -
         # (1 - q) y) / ((z - y) z), w''/w = (1 - q) ((2 - q) z + q y) / ((z - y)
         # z**2); at the upper end the least weight that clamps there
-        q, zq, zy = self.q, z ** self.q, z - y
-        return (zy * (z / zq) / q, ((2.0 - q) * z - (1.0 - q) * y) / zy / z,
-                (1.0 - q) * ((2.0 - q) * z + q * y) / zy / z / z,
-                -zq, -q * zq / z, q * (1.0 - q) * zq / z / z)
+        q = self.q
+        zq, zy, a, b = z ** q, z - y, self._2mq, self._1mq
+        return (zy * (z / zq) / q, (a * z - b * y) / zy / z, b * (a * z + q * y) / zy / z / z,
+                -zq, -q * zq / z, self._q1mq * zq / z / z)
 
     def support_cl_conv_S(self, t: float) -> float:
         if t <= 0.0:
@@ -345,9 +377,11 @@ class RootScaling(Value):
 
 
 class SqrtScaling(Value):
-    """s(y) = sqrt(beta + y^2), positive everywhere, so its upper envelope is itself."""
+    """s(y) = sqrt(beta + y^2), positive everywhere, so its upper envelope is itself;
+    derived, sqrt(beta), once per scaling."""
 
-    __slots__ = ("beta",)
+    _fields = ("beta",)
+    __slots__ = _fields + ("_sb",)
 
     case_kind = CaseKind.S_LOWER
 
@@ -355,6 +389,7 @@ class SqrtScaling(Value):
         if not 0.0 < beta < INF:
             raise ValueError(f"beta must be positive and finite, got {beta}")
         object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "_sb", math.sqrt(beta))
 
     def eval(self, y: float) -> float:
         return math.sqrt(self.beta + y * y)
@@ -364,7 +399,7 @@ class SqrtScaling(Value):
 
     def env_conj_eval(self, t: float) -> float:
         if abs(t) <= 1.0:
-            return -math.sqrt(self.beta) * math.sqrt(1.0 - t * t)
+            return -self._sb * math.sqrt(1.0 - t * t)
         return INF
 
     def prox_env(self, weight: float, y: float) -> float:
@@ -378,7 +413,7 @@ class SqrtScaling(Value):
         # |z| = sqrt(v**2 - beta) on the side of y, and y - z = w z / v: w =
         # (|y| - |z|) v / |z|, w' = -1 - |y| beta / |z|**3, w'' = 3 |y| beta v /
         # |z|**5; a value at or below sqrt(beta) is the pole
-        sb = math.sqrt(self.beta)
+        sb = self._sb
         d = (v - sb) * (v + sb)
         if not d > 0.0:
             return 0.0, INF, -INF, INF, 0.0

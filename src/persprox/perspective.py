@@ -8,6 +8,9 @@ convexity side of the scaling.  The conjugate of the perspective is one
 rule on the value ``c = phi*(x*)`` (``_conj_value``); the certificate reads
 ``c`` from the base's conjugate profile at the single norm ``||x*||``, which
 it also projects onto the profile's domain where rounding left it outside.
+The perspective's value reads the base at one norm too: ``s * phi(p / s)``
+is ``s`` times the base's ``eval_norm`` at ``||p|| / s``, with no vector
+``p / s`` built.
 """
 
 from __future__ import annotations
@@ -15,8 +18,7 @@ from __future__ import annotations
 import math
 from operator import mul
 
-from .core import (INF, CaseKind, DimensionMismatch, SignClass, Value, Vec, as_vec, scale,
-                   slack_bound)
+from .core import INF, CaseKind, DimensionMismatch, SignClass, Value, Vec, as_vec, slack_bound
 
 # the one exception to ``core.slack_bound``: a ratio y*/c this close
 # (relatively) to dom env* is pulled onto it.  The slack absorbs the
@@ -32,12 +34,15 @@ class PairMismatch(ValueError):
 
 class PerspectivePair(Value):
     """A base function, a scaling function, and the base dimension; derived,
-    the least value of the curve a signed pair's multiplier drives, once per
-    pair: ``h(0)`` (``h`` the profile of ``phi*``) for a nonnegative
-    conjugate, ``env(0)`` for a nonpositive one."""
+    once per pair: ``_profile``, ``h = base.conj.phi1d``, the profile of
+    ``phi*``; ``_drives``, which curve a signed pair's multiplier drives
+    (True: the base's, for a nonnegative conjugate; False: the scaling's,
+    for a nonpositive one; None: a zero-or-infinity conjugate has no
+    multiplier); and ``driven_least``, that curve's least value, ``h(0)``
+    or ``env(0)``."""
 
     _fields = ("base", "scaling", "n")
-    __slots__ = _fields + ("driven_least",)
+    __slots__ = _fields + ("_profile", "_drives", "driven_least")
 
     def __init__(self, base, scaling, n: int = 1):
         if n < 1:
@@ -54,9 +59,12 @@ class PerspectivePair(Value):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "scaling", scaling)
         object.__setattr__(self, "n", n)
-        least = (base.conj.phi1d.eval(0.0) if sc is SignClass.NONNEGATIVE_CONJUGATE
-                 else scaling.env_eval(0.0) if sc is SignClass.NONPOSITIVE_CONJUGATE else None)
-        object.__setattr__(self, "driven_least", least)
+        h = base.conj.phi1d
+        drives = (None if sc is SignClass.ZERO_INFTY_CONJUGATE
+                  else sc is SignClass.NONNEGATIVE_CONJUGATE)
+        least = None if drives is None else h.eval(0.0) if drives else scaling.env_eval(0.0)
+        for name, value in (("_profile", h), ("_drives", drives), ("driven_least", least)):
+            object.__setattr__(self, name, value)
 
     def check_point(self, x, y) -> tuple[Vec, float]:
         x = as_vec(x)
@@ -74,11 +82,12 @@ class PerspectivePair(Value):
 
 def preperspective_eval(pair: PerspectivePair, x, y) -> float:
     """Raw scaled composition: ``s(y) * phi(x / s(y))`` where ``0 < s(y) < inf``,
-    and +inf everywhere else."""
+    read as the base at the norm ``||x|| / s(y)`` as ``perspective_eval`` reads
+    it, and +inf everywhere else."""
     x, y = pair.check_point(x, y)
     sv = pair.scaling.eval(y)
     if 0.0 < sv < INF:
-        return sv * pair.base.eval(scale(x, 1.0 / sv))
+        return sv * pair.base.eval_norm(math.hypot(*x) / sv)
     return INF
 
 
@@ -93,14 +102,12 @@ def perspective_eval(pair: PerspectivePair, x, y) -> float:
 
 
 def _perspective_value(pair: PerspectivePair, x: Vec, y: float) -> float:
-    base, scaling = pair.base, pair.scaling
-    sc = base.sign_class
-    if sc is not SignClass.ZERO_INFTY_CONJUGATE:
+    base, scaling, drives = pair.base, pair.scaling, pair._drives
+    if drives is not None:
         sv = scaling.eval(y)
         if 0.0 < sv < INF:
-            inv = 1.0 / sv
-            return sv * base.eval(tuple([c * inv for c in x]))
-        if sc is SignClass.NONNEGATIVE_CONJUGATE:
+            return sv * base.eval_norm(math.hypot(*x) / sv)
+        if drives:
             return base.rec_eval(x) if sv == 0.0 else INF
         if not sv <= 0.0:
             return INF
@@ -108,14 +115,14 @@ def _perspective_value(pair: PerspectivePair, x: Vec, y: float) -> float:
     d = y - scaling.prox_env(0.0, y)
     if not abs(d) <= slack_bound(y):
         return INF
-    return base.eval(x) if sc is SignClass.ZERO_INFTY_CONJUGATE else base.rec_eval(x)
+    return base.eval_norm(math.hypot(*x)) if drives is None else base.rec_eval(x)
 
 
 def perspective_conj_eval(pair: PerspectivePair, xstar, ystar) -> float:
     """Conjugate of the perspective at ``(x*, y*)``: ``_conj_value`` at
     ``c = phi*(x*)``, read as the base's profile at ``||x*||``."""
     xstar, ystar = pair.check_point(xstar, ystar)
-    return _conj_value(pair, pair.base.conj.phi1d.eval(math.hypot(*xstar)), ystar, None)
+    return _conj_value(pair, pair._profile.eval(math.hypot(*xstar)), ystar, None)
 
 
 def _conj_value(pair: PerspectivePair, c: float, ystar: float, size: float | None) -> float:
@@ -123,9 +130,8 @@ def _conj_value(pair: PerspectivePair, c: float, ystar: float, size: float | Non
     of the closed scale hull when ``c == 0``, a scaled envelope conjugate when
     ``c`` has the sign its class promises, +inf when ``c`` is +inf.  At a certificate's
     input ``size``, ``c`` within its ``core.slack_bound`` is zero; the ratio is clamped."""
-    scaling = pair.scaling
-    sc = pair.base.sign_class
-    if sc is SignClass.ZERO_INFTY_CONJUGATE:
+    scaling, drives = pair.scaling, pair._drives
+    if drives is None:
         if c != 0.0:
             return INF
         return scaling.support_cl_conv_S(ystar)
@@ -133,7 +139,7 @@ def _conj_value(pair: PerspectivePair, c: float, ystar: float, size: float | Non
         return INF
     if c == 0.0 or (size is not None and abs(c) <= slack_bound(size)):
         return scaling.support_cl_conv_S(ystar)
-    ratio = ystar / c if sc is SignClass.NONNEGATIVE_CONJUGATE else ystar / (-c)
+    ratio = ystar / c if drives else ystar / (-c)
     if size is not None:
         d = scaling.proj_dom_env_conj(ratio)
         if abs(d - ratio) <= _RATIO_SLACK * (1.0 + abs(ratio)):
@@ -162,22 +168,22 @@ def prox_fenchel_gap(
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
     x, y = pair.check_point(x, y)
     p, q = pair.check_point(p, q)
-    return certificate_gap(pair, gamma, x, y, p, q)
+    return certificate_gap(pair, gamma, x, y, p, q, math.hypot(*x) / gamma)
 
 
 def certificate_gap(
-    pair: PerspectivePair, gamma: float, x: Vec, y: float, p: Vec, q: float
+    pair: PerspectivePair, gamma: float, x: Vec, y: float, p: Vec, q: float, size: float
 ) -> float:
     """``prox_fenchel_gap`` without its checks, for a caller that has checked
-    ``gamma`` and ``(x, y)`` and assembled ``(p, q)`` itself, as ``prox_perspective``
-    has.  It reads ``phi*(x*)`` as the profile ``h = base.conj.phi1d`` at one norm
-    ``rs = ||x*||``.  Where ``h(rs)`` is +inf, ``rs`` is projected onto ``cl dom h``
+    ``gamma`` and ``(x, y)``, formed ``size = ||x|| / gamma`` (as ``math.hypot(*x)
+    / gamma``) and assembled ``(p, q)`` itself, as ``prox_perspective`` has.  It
+    reads ``phi*(x*)`` as the profile ``h = base.conj.phi1d`` at one norm ``rs =
+    ||x*||``.  Where ``h(rs)`` is +inf, ``rs`` is projected onto ``cl dom h``
     (``rp = h.proj_cl_dom(rs)``); within the slack, ``x*`` is rescaled by ``rp / rs``
     and ``phi*`` read as ``h(rp)``.  An overflowed ``rs`` or ``size`` gives +inf."""
-    size = math.hypot(*x) / gamma
     if size == INF:
         return INF
-    h = pair.base.conj.phi1d
+    h = pair._profile
     inv = 1.0 / gamma
     xstar = tuple([(a - b) * inv for a, b in zip(x, p)])
     ystar = (y - q) / gamma

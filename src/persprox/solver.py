@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .core import EPS, INF, Record, SignClass, Value, Vec, slack_bound
+from .core import EPS, INF, Record, Value, Vec, slack_bound
 # prox_fenchel_gap only for the benchmark's tracer, which wraps it by this name
 from .perspective import PerspectivePair, certificate_gap, prox_fenchel_gap
 from .roots import solve_bracketed
@@ -57,10 +57,12 @@ class RootConfig(Value):
     between them (at entry, within the four units alone).  A multiplier
     the inverse map rounds off by over a share of that stop is finished on
     the forward ``T(eta)`` alike.  ``max_iter`` bounds the evaluations of
-    each.  An immutable ``core.Value``.
+    each.  An immutable ``core.Value``; derived, that residual stop
+    ``min(residual_tol, eta_tol / 2)``, once per configuration.
     """
 
-    __slots__ = ("eta_tol", "residual_tol", "max_iter")
+    _fields = ("eta_tol", "residual_tol", "max_iter")
+    __slots__ = _fields + ("_residual_stop",)
 
     def __init__(self, eta_tol: float = 1e-12, residual_tol: float = 1e-10, max_iter: int = 200):
         for name, value in (("eta_tol", eta_tol), ("residual_tol", residual_tol)):
@@ -71,6 +73,7 @@ class RootConfig(Value):
         for name, value in (("eta_tol", eta_tol), ("residual_tol", residual_tol),
                             ("max_iter", max_iter)):
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "_residual_stop", min(residual_tol, 0.5 * eta_tol))
 
 
 class ProxResult(Record):
@@ -115,7 +118,7 @@ def _curves(pair: PerspectivePair, gamma: float, r: float, y: float, base_drives
     for S, ``least`` the outer curve's least value, each curve ``(f, value, t, gamma,
     on_b)``: the profile ``h`` at ``t = ||x|| / gamma`` for B, the scaling at ``t = y``
     for S, its value, whether it is B; ``_point`` evaluates it, ``f.inverse`` inverts it."""
-    h, scaling = pair.base.conj.phi1d, pair.scaling
+    h, scaling = pair._profile, pair.scaling
     b, s = (h, h.eval, r, gamma, True), (scaling, scaling.env_eval, y, gamma, False)
     if base_drives:
         return True, 1.0 / gamma, pair.driven_least, b, s
@@ -143,13 +146,16 @@ def _radius(x: Vec, gamma: float) -> float:
     return r
 
 
-def _signed_pass(pair: PerspectivePair, gamma: float, x: Vec, y: float, base_drives: bool):
-    """``(region, outer point, inner point, eta, r)`` at a checked ``(x, y)``,
-    by direct contract calls up to region 2; in region 4 ``eta`` is the search state
-    (``_search_state``).  Zero tests use ``core.slack_bound`` at ``r`` for B, ``y`` for
-    S; an outer value of +inf at weight 0 raises ``OverflowError``."""
-    r = _radius(x, gamma)
-    h, scaling = pair.base.conj.phi1d, pair.scaling
+def _signed_pass(pair: PerspectivePair, gamma: float, x: Vec, y: float, base_drives: bool,
+                 size: float):
+    """``(region, outer point, inner point, eta, r)`` at a checked ``(x, y)`` with
+    ``size = ||x|| / gamma`` (as ``math.hypot(*x) / gamma``), by direct contract
+    calls up to region 2; ``r`` is ``size``, or ``_radius`` where it overflows.  In
+    region 4 ``eta`` is the search state (``_search_state``).  Zero tests use
+    ``core.slack_bound`` at ``r`` for B, ``y`` for S; an outer value of +inf at
+    weight 0 raises ``OverflowError``."""
+    r = size if size < INF else _radius(x, gamma)
+    h, scaling = pair._profile, pair.scaling
     b_pt = h.proj_cl_dom(r)
     b0 = h.eval(b_pt)
     s_pt = scaling.prox_env(0.0, y)
@@ -190,10 +196,10 @@ def _signed_pass(pair: PerspectivePair, gamma: float, x: Vec, y: float, base_dri
 
 def _base_drives(pair) -> bool:
     """Whether the multiplier drives B (case i) rather than S (case iii)."""
-    sc = pair.base.sign_class
-    if sc is SignClass.ZERO_INFTY_CONJUGATE:
+    drives = pair._drives
+    if drives is None:
         raise ValueError("a zero-or-infinity conjugate decouples: it has no multiplier")
-    return sc is SignClass.NONNEGATIVE_CONJUGATE
+    return drives
 
 
 def classify_case_i(pair: PerspectivePair, gamma: float, x, y) -> CaseLabel:
@@ -202,7 +208,8 @@ def classify_case_i(pair: PerspectivePair, gamma: float, x, y) -> CaseLabel:
     runs on it.  A zero-or-infinity pair raises ``ValueError``."""
     x, y = pair.check_point(x, y)
     base_drives = _base_drives(pair)
-    return _LABELS[base_drives][_signed_pass(pair, gamma, x, y, base_drives)[0] - 1]
+    region = _signed_pass(pair, gamma, x, y, base_drives, math.hypot(*x) / gamma)[0]
+    return _LABELS[base_drives][region - 1]
 
 
 def _search_state(curves: tuple, o0: float, start: tuple | None, zero: tuple | None) -> list:
@@ -299,7 +306,7 @@ def _finish(state: list, eta: float, slope: float, cfg: RootConfig) -> float:
     Newton steps of slope ``slope`` (``1 / T'``) on the forward ``T(eta)``
     from ``eta``, bisecting a bracket they leave, to the search's stops."""
     curves = state[1]
-    stop, ends, best = min(cfg.residual_tol, 0.5 * cfg.eta_tol), [None, None], None
+    stop, ends, best = cfg._residual_stop, [None, None], None
     for _ in range(cfg.max_iter):
         t, o_pt, i_pt = _forward(curves, eta)
         if best is None or abs(t) < best[0]:
@@ -352,7 +359,7 @@ def solve_eta_case_i(
     if kept or abs(at_c + t0) <= 4.0 * EPS * -t0:  # the width stop, less eta_tol
         eta = max(-t0, 0.0)
         t, o_pt, i_pt = _forward(curves, eta)
-        if kept or abs(t) <= min(cfg.residual_tol, 0.5 * cfg.eta_tol):
+        if kept or abs(t) <= cfg._residual_stop:
             state[0] = o_pt, i_pt
             if trace is not None:
                 trace(0, min(eta, at_c), max(eta, at_c), eta, t)
@@ -379,7 +386,7 @@ def solve_eta_case_i(
     eta -= t * slope
     if not lo <= eta <= hi:
         eta = min(max(-v, lo), hi)
-    if (err <= min(cfg.residual_tol, 0.5 * cfg.eta_tol)
+    if (err <= cfg._residual_stop
             and rnd <= _ROUNDING_SHARE * (0.5 * cfg.eta_tol + 4.0 * EPS * eta)):
         # the curve points there, moved to eta to first order in s
         ds = -t / t1 if t1 else 0.0
@@ -404,19 +411,20 @@ def prox_perspective(
     Validates the input once, at its entry.  Dispatches on the sign class
     of the base conjugate, resolves the region and assembles the prox in
     one pass over the two value curves (the search reuses them), and
-    attaches the Fenchel certificate (``certificate_gap``).
+    attaches the Fenchel certificate (``certificate_gap``), both sized by
+    one ``||x|| / gamma``.
     """
     if not 0.0 < gamma < INF:
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
     x, y = pair.check_point(x, y)
-    sc = pair.base.sign_class
-    if sc is SignClass.ZERO_INFTY_CONJUGATE:
+    size = math.hypot(*x) / gamma
+    base_drives = pair._drives
+    if base_drives is None:
         # decoupled: the base prox in x, the projection onto cl conv S in y
         p, q = pair.base.prox_primal(gamma, x), pair.scaling.prox_env(0.0, y)
         label, eta, iters = CaseLabel.CASE_II, 0.0, 0
     else:
-        base_drives = sc is SignClass.NONNEGATIVE_CONJUGATE
-        region, o_pt, i_pt, eta, r = _signed_pass(pair, gamma, x, y, base_drives)
+        region, o_pt, i_pt, eta, r = _signed_pass(pair, gamma, x, y, base_drives, size)
         iters = 0
         if region == 4:  # on the pass's search state
             state = eta
@@ -428,5 +436,5 @@ def prox_perspective(
         # along the ray; exactly 0 where a x_i == x_i, as the certificate's recession test needs
         a = 1.0 if rho == r else rho / r
         p = tuple([xi - xi * a for xi in x])
-    gap = certificate_gap(pair, gamma, x, y, p, q)
+    gap = certificate_gap(pair, gamma, x, y, p, q, size)
     return ProxResult(p, q, eta, label, iters, gap)

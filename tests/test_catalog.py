@@ -790,3 +790,105 @@ def test_inverse_weights_at_clamps():
     # an outer call at its least value is the pole, where the weight is infinite
     assert PowerBase(3.0).conj.phi1d.inverse(2.0, 0.0) == (0.0, INF, -INF, INF, 0.0)
     assert SqrtScaling(1.0).inverse(0.5, 1.0) == (0.0, INF, -INF, INF, 0.0)
+
+
+# --- constants derived once per object ------------------------------------
+# The expressions below are the methods as they read before the pair-only
+# constants moved into derived slots: the derived slots must change no bit.
+
+HOIST_P = (1.001, 1.05, 1.5, 2.0, 21.0)
+HOIST_Q = (1e-6, 0.5, 1.0 - 1e-6)
+HOIST_UPPER = (1.0, 4.0, INF)
+HOIST_BETA = (1e-8, 1.0, 1e8)
+HOIST_ALPHA = (1e-3, 1.0, 1e4)
+HOIST_ARGS = (-1e300, -1e3, -2.0, -1.0, -0.5, -1e-3, -1e-300, 0.0, 1e-300, 1e-3, 0.5, 1.0, 2.0,
+              3.9, 1e3, 1e300)
+
+
+def _outcome(fn, *args) -> str:
+    """The repr of ``fn(*args)``, or the name of what it raised."""
+    try:
+        return repr(fn(*args))
+    except ArithmeticError as exc:
+        return type(exc).__name__
+
+
+def _power_inverse(p, r, v):
+    g = p * v
+    if not g > 0.0:
+        return 0.0, INF, -INF, INF, 0.0
+    rho = g ** (1.0 / p)
+    f = rho / g
+    return (rho, (r - rho) * f, f * ((1.0 - p) * r + (p - 2.0) * rho) / p,
+            (1.0 - p) * f * ((1.0 - 2.0 * p) * r + 2.0 * (p - 2.0) * rho) / (p * p), rho / p)
+
+
+def _root_inverse(q, y, z):
+    zq, zy = z ** q, z - y
+    return (zy * (z / zq) / q, ((2.0 - q) * z - (1.0 - q) * y) / zy / z,
+            (1.0 - q) * ((2.0 - q) * z + q * y) / zy / z / z,
+            -zq, -q * zq / z, q * (1.0 - q) * zq / z / z)
+
+
+def _root_env_conj(q, b, t):
+    if t >= 0.0:
+        return t * b + b ** q if b < INF else INF
+    if q / -t > b ** (1.0 - q):
+        return t * b + b ** q
+    try:
+        return (1.0 - q) * q ** (q / (1.0 - q)) * (-t) ** (-q / (1.0 - q))
+    except OverflowError:
+        return INF
+
+
+def _sqrt_inverse(beta, y, v):
+    sb = math.sqrt(beta)
+    d = (v - sb) * (v + sb)
+    if not d > 0.0:
+        return 0.0, INF, -INF, INF, 0.0
+    a, ay = math.sqrt(d), abs(y)
+    k = ay * beta / a / a / a
+    return (math.copysign(a, y), (ay - a) * v / a, -v * (1.0 + k), 3.0 * k * v * v * v / a / a,
+            math.copysign(v * v / a, y))
+
+
+def _sqrt_env_conj(beta, t):
+    if abs(t) <= 1.0:
+        return -math.sqrt(beta) * math.sqrt(1.0 - t * t)
+    return INF
+
+
+def test_constants_derived_at_construction_change_no_bit():
+    positive = [a for a in HOIST_ARGS if a > 0.0]
+    for p in HOIST_P:
+        base = PowerBase(p)
+        for h in (PowerScalar(p), base.conj.phi1d):
+            for r in positive:
+                for v in HOIST_ARGS:
+                    assert _outcome(h.inverse, r, v) == _outcome(_power_inverse, h.p, r, v), (h, r, v)
+        for t in positive + [0.0]:
+            assert _outcome(base.eval_norm, t) == _outcome(lambda t: t ** p / p, t), (p, t)
+    for q in HOIST_Q:
+        for upper in HOIST_UPPER:
+            root = RootScaling(q, upper)
+            for t in HOIST_ARGS:
+                assert _outcome(root.env_conj_eval, t) == _outcome(_root_env_conj, q, upper, t), (
+                    root, t)
+                for z in positive:
+                    assert _outcome(root.inverse, t, z) == _outcome(_root_inverse, q, t, z), (
+                        root, t, z)
+    for beta in HOIST_BETA:
+        sqrt = SqrtScaling(beta)
+        for t in HOIST_ARGS:
+            assert _outcome(sqrt.env_conj_eval, t) == _outcome(_sqrt_env_conj, beta, t), (beta, t)
+            for v in positive:
+                assert _outcome(sqrt.inverse, t, v) == _outcome(_sqrt_inverse, beta, t, v), (
+                    beta, t, v)
+    for alpha in HOIST_ALPHA:
+        base = HuberBase(alpha)
+        for t in HOIST_ARGS:
+            assert _outcome(base.conj.phi1d.eval, t) == _outcome(
+                lambda t: 0.5 * (t * t - alpha * alpha) if abs(t) <= alpha else INF, t), (alpha, t)
+            if t >= 0.0:
+                assert _outcome(base.eval_norm, t) == _outcome(
+                    lambda t: alpha * t if t > alpha else 0.5 * (t * t + alpha * alpha), t), (alpha, t)

@@ -294,10 +294,13 @@ def test_validate_any_base_dimension():
 
 
 def test_prox_process_imports_no_numpy_or_process_pool():
+    # and a module taken off the prox path stays off it: splitting loads on
+    # first use, quartic on the first call of roots.real_quartic_roots
     code = (
         f"import sys; sys.path.insert(0, {SRC!r}); from persprox.cli import main; "
         f"rc = main(['prox', '--spec', {HUBER_SPEC!r}, '--point', '{{\"x\":[1,0],\"y\":0}}']); "
-        "heavy = ('numpy', 'concurrent.futures', 'multiprocessing', 'dataclasses', 'inspect'); "
+        "heavy = ('numpy', 'concurrent.futures', 'multiprocessing', 'dataclasses', 'inspect', "
+        "'persprox.splitting', 'persprox.quartic'); "
         "print([m for m in heavy if m in sys.modules], file=sys.stderr); sys.exit(rc)"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

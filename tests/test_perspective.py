@@ -286,18 +286,18 @@ def test_certificate_reads_the_conjugate_profile(monkeypatch):
             monkeypatch.setattr(cls, name, spy)
     outside = 0
     for pair, gamma, x, y, p, q, gap in cases:
-        assert repr(certificate_gap(pair, gamma, x, y, p, q)) == repr(gap)
+        assert repr(certificate_gap(pair, gamma, x, y, p, q, math.hypot(*x) / gamma)) == repr(gap)
         outside += _pulled_in(pair, gamma, x, p)
     assert {type(case[0].base) for case in cases} == {PowerBase, HuberBase, AbsBase}
     assert 0 < outside <= 0.25 * len(cases)
     for ulps in (1, 4):
         p0 = 2.0 - ulps * 2.0 ** -52
-        gap = certificate_gap(HUBER_PAIR, 1.0, (3.0, 0.0), 0.0, (p0, 0.0), 0.0)
+        gap = certificate_gap(HUBER_PAIR, 1.0, (3.0, 0.0), 0.0, (p0, 0.0), 0.0, 3.0)
         assert math.isfinite(gap) and abs(gap) <= 1e-12
     # and below core.ZERO_NORM, where the vector projection of a power base
     # is the zero vector; the gaps agree
     x, p = (3e-310, 0.0), (1e-310, 0.0)
-    gap = certificate_gap(POWER_ID, 1.0, x, 1.0, p, 1.0)
+    gap = certificate_gap(POWER_ID, 1.0, x, 1.0, p, 1.0, math.hypot(*x))
     assert events == []
     assert repr(gap) == repr(vector_lift_certificate_gap(POWER_ID, 1.0, x, 1.0, p, 1.0))
 
