@@ -106,11 +106,14 @@ DEFAULT_CONFIG = RootConfig()
 # points; eta's rounding may take _ROUNDING_SHARE of the stop distance
 _LOG_FORM, _NEAR, _ROUNDING_SHARE = 0.1, EPS ** 0.5, 1.0 / 16.0
 
-# region labels of the signed cases, keyed by "the multiplier drives B"
+# region labels of the signed cases, keyed by "the multiplier drives B", and
+# the decoupled one, read once here: on CPython 3.11 reading a member through
+# its Enum class takes about five times as long as a plain class attribute
 _LABELS = {
     True: (CaseLabel.OMEGA1, CaseLabel.OMEGA2, CaseLabel.OMEGA3, CaseLabel.OMEGA4),
     False: (CaseLabel.XI1, CaseLabel.XI2, CaseLabel.XI3, CaseLabel.XI4),
 }
+_CASE_II = CaseLabel.CASE_II
 
 
 def _curves(pair: PerspectivePair, gamma: float, r: float, y: float, base_drives: bool):
@@ -422,7 +425,7 @@ def prox_perspective(
     if base_drives is None:
         # decoupled: the base prox in x, the projection onto cl conv S in y
         p, q = pair.base.prox_primal(gamma, x), pair.scaling.prox_env(0.0, y)
-        label, eta, iters = CaseLabel.CASE_II, 0.0, 0
+        label, eta, iters = _CASE_II, 0.0, 0
     else:
         region, o_pt, i_pt, eta, r = _signed_pass(pair, gamma, x, y, base_drives, size)
         iters = 0

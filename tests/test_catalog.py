@@ -796,8 +796,10 @@ def test_inverse_weights_at_clamps():
 # The expressions below are the methods as they read before the pair-only
 # constants moved into derived slots: the derived slots must change no bit.
 
-HOIST_P = (1.001, 1.05, 1.5, 2.0, 21.0)
-HOIST_Q = (1e-6, 0.5, 1.0 - 1e-6)
+# p = 1.3 and q = 0.1 besides the limits: there a rewrite such as exp(-log p)
+# for 1/p, equal at the others, moves a bit
+HOIST_P = (1.001, 1.05, 1.3, 1.5, 2.0, 21.0)
+HOIST_Q = (1e-6, 0.1, 0.5, 1.0 - 1e-6)
 HOIST_UPPER = (1.0, 4.0, INF)
 HOIST_BETA = (1e-8, 1.0, 1e8)
 HOIST_ALPHA = (1e-3, 1.0, 1e4)
