@@ -9,8 +9,8 @@ rule on the value ``c = phi*(x*)`` (``_conj_value``); the certificate reads
 ``c`` from the base's conjugate profile at the single norm ``||x*||``, which
 it also projects onto the profile's domain where rounding left it outside.
 The perspective's value reads the base at one norm too: ``s * phi(p / s)``
-is ``s`` times the base's ``eval_norm`` at ``||p|| / s``, with no vector
-``p / s`` built.
+is ``s`` times the base's ``eval_norm`` at ``||p|| / s`` (at ``||p / s||``
+where only ``||p||`` overflows), with no vector ``p / s`` built.
 """
 
 from __future__ import annotations
@@ -87,7 +87,10 @@ def preperspective_eval(pair: PerspectivePair, x, y) -> float:
     x, y = pair.check_point(x, y)
     sv = pair.scaling.eval(y)
     if 0.0 < sv < INF:
-        return sv * pair.base.eval_norm(math.hypot(*x) / sv)
+        t = math.hypot(*x) / sv
+        if t == INF:  # as _perspective_value reads it
+            t = math.hypot(*[c / sv for c in x])
+        return sv * pair.base.eval_norm(t)
     return INF
 
 
@@ -106,7 +109,10 @@ def _perspective_value(pair: PerspectivePair, x: Vec, y: float) -> float:
     if drives is not None:
         sv = scaling.eval(y)
         if 0.0 < sv < INF:
-            return sv * base.eval_norm(math.hypot(*x) / sv)
+            t = math.hypot(*x) / sv
+            if t == INF:  # ||x|| overflows, where ||x / s|| may not
+                t = math.hypot(*[c / sv for c in x])
+            return sv * base.eval_norm(t)
         if drives:
             return base.rec_eval(x) if sv == 0.0 else INF
         if not sv <= 0.0:

@@ -60,6 +60,17 @@ def test_perspective_huber_values():
     assert perspective_eval(HUBER_PAIR, (0.0, 0.0), 0.0) == pytest.approx(0.5)
 
 
+def test_perspective_reads_the_base_where_only_the_norm_of_x_overflows():
+    # ||x|| is beyond the largest double, ||x / s|| and the value are not:
+    # s * phi(x / s) = alpha * ||x|| for a huber base of slope alpha < 1
+    pair = PerspectivePair(HuberBase(1e-3), SqrtScaling(1.0), n=2)
+    x, y = (1.5e308, 1.5e308), 10.0
+    assert math.hypot(*x) == INF
+    val = perspective_eval(pair, x, y)
+    assert val == preperspective_eval(pair, x, y)
+    assert val == pytest.approx(1e-3 * math.sqrt(2.0) * 1.5e308, rel=1e-12)
+
+
 def test_perspective_power_root_value():
     assert perspective_eval(POWER_ROOT, (2.0, 0.0), 4.0) == pytest.approx(1.0)
     # scale value 0 forces the recession: finite only at the origin
