@@ -235,13 +235,13 @@ def _ordered(result: dict) -> list:
     return sorted(result, key=lambda k: (k != "all", k))
 
 
-def print_runs(runs: list, workload: str, functions: int = 12) -> None:
+def print_runs(runs: list, workload: str) -> None:
     """Each run's overall ratio and both sides' latencies, then per group
     the median over runs of the runs' median ratios, with their min-max,
     the passes won, the median over runs of each side's median us per
     call and the first run's T evaluations and bytecodes per call; last
-    the ``functions`` functions whose bytecodes per call over the pool
-    differ most between the sides."""
+    the twelve functions whose bytecodes per call over the pool differ
+    most between the sides."""
     tail = f"p{TAIL_PCT[workload]:g}"
     for n, (result, (this_lat, that_lat), _) in enumerate(runs):
         loaded = "other" if n % 2 else "this"
@@ -268,7 +268,7 @@ def print_runs(runs: list, workload: str, functions: int = 12) -> None:
     diff = sorted(set(this_fn) | set(that_fn),
                   key=lambda f: (-abs(this_fn.get(f, 0) - that_fn.get(f, 0)), f))
     print("  bytecodes per call by function, largest differences first:")
-    for name in diff[:functions]:
+    for name in diff[:12]:
         this_n, that_n = this_fn.get(name, 0) / calls, that_fn.get(name, 0) / calls
         if this_n != that_n:
             print(f"    {name:<44} {this_n:8.1f} (this) {that_n:8.1f} (other)")

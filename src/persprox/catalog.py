@@ -317,9 +317,9 @@ class RootScaling(Value):
             raise ValueError(f"interval upper end must be positive, got {upper}")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "upper", upper)
-        # env_conj_eval's value at t < 0 is conj_c * (-t) ** conj_k; b**q is +inf at b = inf
+        # env_conj_eval's value at t < 0 is conj_c * (-t) ** conj_k
         for name, value in (("_2mq", 2.0 - q), ("_1mq", 1.0 - q), ("_q1mq", q * (1.0 - q)),
-                            ("_bq", upper ** q if upper < INF else INF),
+                            ("_bq", upper ** q),
                             ("_b1mq", upper ** (1.0 - q)),
                             ("_conj_c", (1.0 - q) * q ** (q / (1.0 - q))),
                             ("_conj_k", -q / (1.0 - q))):
@@ -361,8 +361,8 @@ class RootScaling(Value):
         # (1 - q) y) / ((z - y) z), w''/w = (1 - q) ((2 - q) z + q y) / ((z - y)
         # z**2); at the upper end the least weight that clamps there
         q = self.q
-        zq, zy, a, b = z ** q, z - y, self._2mq, self._1mq
-        return (zy * (z / zq) / q, (a * z - b * y) / zy / z, b * (a * z + q * y) / zy / z / z,
+        zq, zy, a2, a1 = z ** q, z - y, self._2mq, self._1mq
+        return (zy * (z / zq) / q, (a2 * z - a1 * y) / zy / z, a1 * (a2 * z + q * y) / zy / z / z,
                 -zq, -q * zq / z, self._q1mq * zq / z / z)
 
     def support_cl_conv_S(self, t: float) -> float:

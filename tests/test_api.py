@@ -41,7 +41,7 @@ ALLOWED = {
 # A base also has ``sign_class`` and ``conj`` (its profile is
 # ``conj.phi1d``), a scaling ``case_kind``.
 _PROFILE = ("eval", "prox", "proj_cl_dom")
-_BASE = ("eval", "rec_eval")
+_BASE = ("eval", "eval_norm", "rec_eval")
 CONTRACTS = {
     "profile": _PROFILE,
     "signed profile": _PROFILE + ("inverse",),
