@@ -16,12 +16,15 @@ side by ``output_digest.EvalCounter``, which wraps the side's
 ``make_residual_case_*`` and the residuals they return), so one run shows
 whether a change moved time or moved work.  The first run's untimed pass
 also counts each side's executed bytecodes per call, per group and per
-function of the side's package (``OpcodeCounter``: ``sys.settrace`` with
-``f_trace_opcodes``).  Those counts repeat exactly from run to run, which
-no timing on a shared host does, so they show per layer where a change
-took work out; the functions whose counts differ most between the sides
-are listed last.  As in ``perfbench/measure.py``, the collector is frozen
-after the warm-up.
+function of the side's package (``WorkCounter``: ``sys.settrace`` with
+``f_trace_opcodes``), and the builtin C functions that package's code
+calls, per group and per builtin (``sys.setprofile`` ``c_call`` events).
+Those counts repeat exactly from run to run, which no timing on a shared
+host does, so they show per layer where a change took work out: a
+bytecode is a few ns, a builtin call such as ``min`` tens, so a change can
+add bytecodes and still save time.  The functions and the builtins whose
+counts differ most between the sides are listed last.  As in
+``perfbench/measure.py``, the collector is frozen after the warm-up.
 
 One process carries a bias of a few percent that every group shares (the
 heap and code layout it happened to get): three runs of a checkout against
@@ -99,15 +102,24 @@ def time_pass(prox, pairs, calls) -> list:
     return out
 
 
-class OpcodeCounter:
+class WorkCounter:
     """Executed bytecodes of the Python code of one package, per function
     (``module.qualname``), counted by ``sys.settrace`` with
-    ``f_trace_opcodes`` while it is installed; frames of other code (the
+    ``f_trace_opcodes``, and the builtin C functions that code calls, per
+    builtin (``module.qualname``), counted from ``sys.setprofile``'s
+    ``c_call`` events, while it is installed; frames of other code (the
     ``EvalCounter`` wrappers, say) are not counted."""
 
     def __init__(self, package):
         self.prefix = os.path.dirname(package.__file__) + os.sep
         self.counts = collections.Counter()
+        self.builtins = collections.Counter()
+
+    def _profile(self, frame, event, arg):
+        if event == "c_call" and frame.f_code.co_filename.startswith(self.prefix):
+            module = getattr(arg, "__module__", None)
+            name = getattr(arg, "__qualname__", type(arg).__name__)
+            self.builtins[f"{module}.{name}" if module else name] += 1
 
     def _call(self, frame, event, arg):
         code = frame.f_code
@@ -125,23 +137,26 @@ class OpcodeCounter:
 
         return local
 
-    def run(self, fn, *args):
-        """``fn(*args)`` with the counter installed; its count of bytecodes."""
-        before = self.counts.total()
+    def run(self, fn, *args) -> tuple:
+        """``fn(*args)`` with the counter installed; its counts of bytecodes
+        and of builtin calls."""
+        before = self.counts.total(), self.builtins.total()
         sys.settrace(self._call)
+        sys.setprofile(self._profile)
         try:
             fn(*args)
         finally:
+            sys.setprofile(None)
             sys.settrace(None)
-        return self.counts.total() - before
+        return self.counts.total() - before[0], self.builtins.total() - before[1]
 
 
-def count_work(counter, opcodes, prox, pairs, calls) -> tuple:
-    """``(T evaluations, bytecodes)`` per call of one untimed pass of a prox,
-    the evaluations counted by an ``output_digest.EvalCounter`` on its solver
-    module, the bytecodes by ``opcodes``, an ``OpcodeCounter`` (None: 0)."""
+def count_work(counter, work, prox, pairs, calls) -> tuple:
+    """``(T evaluations, bytecodes, builtin calls)`` per call of one untimed
+    pass of a prox, the evaluations counted by an ``output_digest.EvalCounter``
+    on its solver module, the rest by ``work``, a ``WorkCounter`` (None: 0)."""
     counter.install()
-    evals, ops = [], []
+    evals, ops, c_calls = [], [], []
 
     def call_prox(call):
         try:
@@ -152,11 +167,13 @@ def count_work(counter, opcodes, prox, pairs, calls) -> tuple:
     try:
         for call in calls:
             before = counter.count
-            ops.append(opcodes.run(call_prox, call) if opcodes else 0)
+            n_ops, n_calls = work.run(call_prox, call) if work else (0, 0)
+            ops.append(n_ops)
+            c_calls.append(n_calls)
             evals.append(counter.count - before)
     finally:
         counter.uninstall()
-    return evals, ops
+    return evals, ops, c_calls
 
 
 def latencies(samples: list, workload: str) -> tuple:
@@ -167,13 +184,15 @@ def latencies(samples: list, workload: str) -> tuple:
 
 
 def measure(other: Path, workload: str, passes: int, seed: int,
-            swapped: bool = False, opcodes: bool = False) -> tuple:
+            swapped: bool = False, count: bool = False) -> tuple:
     """One run in this process: ``({group: (calls, ratios per pass, (this,
     other) us per call per pass, (this, other) mean T evaluations, (this,
-    other) mean bytecodes)}, (this, other) latencies, (this, other) bytecodes
-    per function over the pool)``, the ratios this checkout over ``other`` and
-    the latencies ``(p50, tail)`` in us; bytecodes are counted where
-    ``opcodes`` is set, else read 0.  ``swapped`` loads ``other`` as
+    other) mean bytecodes, (this, other) mean builtin calls)}, (this, other)
+    latencies, (this, other) bytecodes per function over the pool, (this,
+    other) builtin calls per builtin over the pool)``, the ratios this
+    checkout over ``other`` and the latencies ``(p50, tail)`` in us;
+    bytecodes and builtin calls are counted where ``count`` is set, else
+    read 0.  ``swapped`` loads ``other`` as
     ``persprox`` and this checkout as ``persprox_other``; ``persprox`` is
     loaded first, so ``output_digest`` and the modules it imports use it."""
     roots = (ROOT, other) if not swapped else (other, ROOT)
@@ -192,7 +211,7 @@ def measure(other: Path, workload: str, passes: int, seed: int,
         except ERRORS as exc:
             label = type(exc).__name__
         groups.setdefault(f"pair {call.pair} {label}", []).append(i)
-    counters = [OpcodeCounter(package) if opcodes else None for package in (this, that)]
+    counters = [WorkCounter(package) if count else None for package in (this, that)]
     work = [count_work(output_digest.EvalCounter(sys.modules[package.__name__ + ".solver"]),
                        counter, *side, calls)
             for package, counter, side in zip((this, that), counters, sides)]
@@ -219,10 +238,11 @@ def measure(other: Path, workload: str, passes: int, seed: int,
                 per_call[key][side].append(total / len(members) / 1e3)
     return ({key: (len(members), ratios[key], per_call[key],
                    *(tuple(sum(side[kind][i] for i in members) / len(members) for side in work)
-                     for kind in (0, 1)))
+                     for kind in (0, 1, 2)))
              for key, members in groups.items()},
             tuple(latencies(side, workload) for side in samples),
-            tuple(dict(counter.counts) if counter else {} for counter in counters))
+            tuple(dict(counter.counts) if counter else {} for counter in counters),
+            tuple(dict(counter.builtins) if counter else {} for counter in counters))
 
 
 def _child(conn, *args) -> None:
@@ -239,17 +259,17 @@ def print_runs(runs: list, workload: str) -> None:
     """Each run's overall ratio and both sides' latencies, then per group
     the median over runs of the runs' median ratios, with their min-max,
     the passes won, the median over runs of each side's median us per
-    call and the first run's T evaluations and bytecodes per call; last
-    the twelve functions whose bytecodes per call over the pool differ
-    most between the sides."""
+    call and the first run's T evaluations, bytecodes and builtin calls per
+    call; last the twelve functions whose bytecodes per call over the pool
+    differ most between the sides, and the twelve builtins whose calls do."""
     tail = f"p{TAIL_PCT[workload]:g}"
-    for n, (result, (this_lat, that_lat), _) in enumerate(runs):
+    for n, (result, (this_lat, that_lat), _, _) in enumerate(runs):
         loaded = "other" if n % 2 else "this"
         print(f"  run {n + 1}: {loaded} checkout loaded as persprox,"
               f" median ratio {statistics.median(result['all'][1]):.3f},"
               f" latency p50 {this_lat[0]:.2f} (this) {that_lat[0]:.2f} (other),"
               f" {tail} {this_lat[1]:.2f} (this) {that_lat[1]:.2f} (other) us")
-    results = [result for result, _, _ in runs]
+    results = [result for result, *_ in runs]
     for key in _ordered(results[0]):
         medians = [statistics.median(result[key][1]) for result in results]
         wins = sum(x < 1.0 for result in results for x in result[key][1])
@@ -258,20 +278,23 @@ def print_runs(runs: list, workload: str) -> None:
                                               for result in results) for side in (0, 1))
         this_ev, that_ev = results[0][key][3]
         this_op, that_op = results[0][key][4]
+        this_cc, that_cc = results[0][key][5]
         print(f"  {key:<22} calls {results[0][key][0]:>5}  median ratio over runs"
               f" {statistics.median(medians):.3f} (min {min(medians):.3f}, max {max(medians):.3f})"
               f"  wins {wins}/{passes}  us per call {this_us:.1f} (this) {that_us:.1f} (other)"
               f"  T evaluations {this_ev:.2f} (this) {that_ev:.2f} (other)"
-              f"  bytecodes {this_op:.0f} (this) {that_op:.0f} (other)")
+              f"  bytecodes {this_op:.0f} (this) {that_op:.0f} (other)"
+              f"  builtin calls {this_cc:.1f} (this) {that_cc:.1f} (other)")
     calls = results[0]["all"][0]
-    this_fn, that_fn = runs[0][2]
-    diff = sorted(set(this_fn) | set(that_fn),
-                  key=lambda f: (-abs(this_fn.get(f, 0) - that_fn.get(f, 0)), f))
-    print("  bytecodes per call by function, largest differences first:")
-    for name in diff[:12]:
-        this_n, that_n = this_fn.get(name, 0) / calls, that_fn.get(name, 0) / calls
-        if this_n != that_n:
-            print(f"    {name:<44} {this_n:8.1f} (this) {that_n:8.1f} (other)")
+    for title, (this_fn, that_fn) in (("bytecodes per call by function", runs[0][2]),
+                                      ("builtin calls per call by builtin", runs[0][3])):
+        diff = sorted(set(this_fn) | set(that_fn),
+                      key=lambda f: (-abs(this_fn.get(f, 0) - that_fn.get(f, 0)), f))
+        print(f"  {title}, largest differences first:")
+        for name in diff[:12]:
+            this_n, that_n = this_fn.get(name, 0) / calls, that_fn.get(name, 0) / calls
+            if this_n != that_n:
+                print(f"    {name:<44} {this_n:8.2f} (this) {that_n:8.2f} (other)")
 
 
 def main(argv=None) -> None:

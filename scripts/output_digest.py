@@ -29,17 +29,19 @@ digests, whatever their certificates:
     python3 scripts/output_digest.py
 
 Two modes compare checkouts whose outputs differ.  ``--dump PATH`` also
-stores every call's ``(label, p, q, eta, root_iterations)`` and the
-number of ``T`` evaluations it made as JSON.  ``--against PATH``
-reads such a file, made by another checkout, and prints per input set the
-label changes, the number of changed outputs ``(label, p, q, eta,
-root_iterations)``, the largest ``eta`` difference (also as a share of the
-most two searches that meet the default stop rules can differ by, the sum
-of their ``stop_distance``: ``eta_tol`` plus six rounding units of
-``eta``, see ``stop_distance``), the largest ``(p, q)``
-difference in ulps of ``||(x, y)||``, and the mean and maximum ``T``
-evaluations of root-region calls per (pair, label), this checkout's beside
-the stored ones:
+stores every call's ``(label, p, q, eta, root_iterations)``, the
+number of ``T`` evaluations it made and its certificate gap as JSON.
+``--against PATH`` reads such a file, made by another checkout, and prints
+per input set the label changes, the number of changed outputs ``(label,
+p, q, eta, root_iterations)``, the largest ``eta`` difference (also as a
+share of the most two searches that meet the default stop rules can differ
+by, the sum of their ``stop_distance``: ``eta_tol`` plus six rounding units
+of ``eta``, see ``stop_distance``), the largest ``(p, q)`` difference in
+ulps of ``||(x, y)||``, the number of gaps that moved, the largest move
+(also as a share of the call's gap bound) and the number of calls whose
+certified verdict flipped (a file stored without gaps reads none moved),
+and the mean and maximum ``T`` evaluations of root-region calls per (pair,
+label), this checkout's beside the stored ones:
 
     (cd parent && python3 scripts/output_digest.py --dump /tmp/parent.json)
     python3 scripts/output_digest.py --against /tmp/parent.json
@@ -138,6 +140,17 @@ def pulled_in(pair, call, r) -> bool:
     return pair.base.conj.phi1d.eval(rs) == math.inf
 
 
+def gap_bound(call) -> float:
+    """The benchmark's bound on a call's certificate gap, ``1e-8 * (1 + ||(x, y)||^2)``."""
+    size = sum(v * v for v in call.x) + call.y * call.y
+    return checks.GAP_SCALE * (1.0 + size)
+
+
+def certified(gap: float, call) -> bool:
+    """Whether a call's gap is finite and within ``gap_bound``."""
+    return math.isfinite(gap) and gap <= gap_bound(call)
+
+
 def outcome(pair, call):
     """The reprs of one call's solver output and gap, whether the gap is
     within the bound (None when the call raised), and the output itself."""
@@ -146,16 +159,15 @@ def outcome(pair, call):
     except Exception as exc:
         text = repr((type(exc).__name__, str(exc)))
         return text, text, None, None
-    size = sum(v * v for v in call.x) + call.y * call.y
-    ok = math.isfinite(r.certificate_gap) and r.certificate_gap <= checks.GAP_SCALE * (1.0 + size)
+    ok = certified(r.certificate_gap, call)
     return repr((r.p, r.q, r.eta, r.label.value, r.root_iterations)), repr(r.certificate_gap), ok, r
 
 
 def run(counter=None):
     """Prints the digests and the outputs whose dual point the certificate
     pulls in; returns ``{set name: [record per call]}``, a record being
-    ``[label, p, q, eta, root_iterations, T evaluations, residuals built]``
-    or ``["error", type name]``."""
+    ``[label, p, q, eta, root_iterations, T evaluations, residuals built,
+    certificate gap]`` or ``["error", type name]``."""
     # imported here, not above: scripts/ab_inprocess.py imports this module
     # for EvalCounter with another checkout's package loaded as persprox
     from reference import identity_gap
@@ -178,7 +190,8 @@ def run(counter=None):
             if r is None:
                 rows.append(["error", solver_text])
             else:
-                rows.append([r.label.value, list(r.p), r.q, r.eta, r.root_iterations, evals, built])
+                rows.append([r.label.value, list(r.p), r.q, r.eta, r.root_iterations, evals, built,
+                             r.certificate_gap])
                 entry += r.label.value in ROOT_LABELS and not built
             errors += ok is None
             uncertified += ok is False
@@ -230,18 +243,25 @@ def _eval_stats(rows, calls):
 
 def compare(stored, records):
     """Prints, per input set, how this checkout's outputs differ from ``stored``."""
-    worst_ulps = worst_eta = worst_share = 0.0
-    total_changes = total_moved = 0
+    worst_ulps = worst_eta = worst_share = worst_gap = worst_gap_share = 0.0
+    total_changes = total_moved = total_gaps = total_flips = 0
     for name, pairs, calls in input_sets():
         old, new = stored[name], records[name]
-        changes = raised = moved = 0
-        set_ulps = set_eta = set_share = 0.0
+        changes = raised = moved = gaps = flips = 0
+        set_ulps = set_eta = set_share = set_gap = set_gap_share = 0.0
         for a, b, call in zip(old, new, calls):
             if a[0] == "error" or b[0] == "error":
                 raised += a[0] != b[0]
                 continue
             changes += a[0] != b[0]
             moved += a[:5] != b[:5]
+            if len(a) > 7 and repr(a[7]) != repr(b[7]):
+                gaps += 1
+                d_gap = abs(a[7] - b[7])
+                d_gap = d_gap if d_gap == d_gap else math.inf  # inf - inf, or a NaN gap
+                set_gap = max(set_gap, d_gap)
+                set_gap_share = max(set_gap_share, d_gap / gap_bound(call))
+                flips += certified(a[7], call) != certified(b[7], call)
             ulp = math.ulp(math.hypot(*call.x, call.y))
             diff = math.hypot(*(u - v for u, v in zip(a[1], b[1])), a[2] - b[2])
             set_ulps = max(set_ulps, diff / ulp)
@@ -251,11 +271,17 @@ def compare(stored, records):
         worst_ulps = max(worst_ulps, set_ulps)
         worst_eta = max(worst_eta, set_eta)
         worst_share = max(worst_share, set_share)
+        worst_gap = max(worst_gap, set_gap)
+        worst_gap_share = max(worst_gap_share, set_gap_share)
         total_changes += changes
         total_moved += moved
+        total_gaps += gaps
+        total_flips += flips
         print(f"{name:<20} label changes {changes:>3}  error changes {raised:>3}"
               f"  changed outputs {moved:>4}  max |d eta| {set_eta:.2g} ({set_share:.2f} of tol)"
               f"  max (p, q) difference {set_ulps:.3g} ulps of |(x, y)|")
+        print(f"{'':<20} moved gaps {gaps:>4}  max |d gap| {set_gap:.2g}"
+              f" ({set_gap_share:.2g} of bound)  certified verdicts flipped {flips:>3}")
         before, after = _eval_stats(old, calls), _eval_stats(new, calls)
         for key in sorted(set(before) | set(after)):
             b_evals, a_evals = before.get(key, []), after.get(key, [])
@@ -266,6 +292,8 @@ def compare(stored, records):
     print(f"{'total':<20} label changes {total_changes:>3}"
           f"  changed outputs {total_moved:>4}  max |d eta| {worst_eta:.2g} ({worst_share:.2f} of tol)"
           f"  max (p, q) difference {worst_ulps:.3g} ulps of |(x, y)|")
+    print(f"{'':<20} moved gaps {total_gaps:>4}  max |d gap| {worst_gap:.2g}"
+          f" ({worst_gap_share:.2g} of bound)  certified verdicts flipped {total_flips:>3}")
 
 
 def main(argv=None):

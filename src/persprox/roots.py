@@ -94,7 +94,8 @@ def solve_bracketed(fn, slot: list, b: float, fb: float, c: float, *, xtol: floa
         raise RootFindError("no sign change on bracket", b, c, fb, NAN)
     far, ffar, efar, fsec = c, NAN, at_c, NAN  # fsec: ffar, halved each time far is kept
     db, dfar = slot[0], None  # the ends' entries
-    fstop, it = min(ftol, 0.5 * xtol), 0
+    fstop, it = 0.5 * xtol, 0
+    fstop = fstop if fstop < ftol else ftol
     while True:
         if -fstop <= fb <= fstop or db[6] <= fstop:
             return RootResult(b, fb, it, db, efar)

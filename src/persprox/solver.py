@@ -281,14 +281,14 @@ def make_residual_case_i(pair: PerspectivePair, gamma: float, x, y, state: list 
             g = log(eta) - log(-v)
             g2 = m2 / ow * r1 * r1 + m1 / ow * r2 - l1 * l1 - v2 / v + g1 * g1
             g1 = l1 - g1
-        elif t1 and o1 and w * r1:
-            if e1 and abs(t * e1) <= _NEAR * abs(t1 * eta):
-                # T''_eta delta**2 / 2 after the step delta = t e1 / t1
-                err = 0.5 * abs(t2 * e1 - t1 * e2) * t * t / abs(t1 * t1 * e1)
+        elif t1 and o1 and w * r1 and e1 and abs(t * e1) <= _NEAR * abs(t1 * eta):
+            # T''_eta delta**2 / 2 after the step delta = t e1 / t1
+            err = 0.5 * abs(t2 * e1 - t1 * e2) * t * t / abs(t1 * t1 * e1)
             # that step's eta rounds off with four units of the outer point
             # and of the inner prox equation, read forwards
+            a_in, a_u = abs(t_in), abs(u)
             rnd = 4.0 * EPS * (abs(m1 / k * o_pt / o1 * v1 / t1)
-                               + abs(max(abs(t_in), abs(u)) * d / (w * r1) * e1 / t1))
+                               + abs((a_u if a_u > a_in else a_in) * d / (w * r1) * e1 / t1))
         slot[0] = (t1, t2, g, g1, g2, -v, err, v, eta, e1, o_pt, o1 * r1, rnd)
         return t
 
@@ -322,7 +322,7 @@ def _finish(state: list, eta: float, slope: float, cfg: RootConfig) -> float:
             a, b = ends
             if b - a <= cfg.eta_tol + 4.0 * EPS * abs(b):
                 break
-            if not min(a, b) < nxt < max(a, b):
+            if not (b if b < a else a) < nxt < (b if b > a else a):
                 nxt = a + 0.5 * (b - a)
         if nxt == eta or nxt in ends:
             break
@@ -360,7 +360,7 @@ def solve_eta_case_i(
     _, curves, u0, t0, c, at_c = state
     kept = t0 >= 0.0 or u0 == c
     if kept or abs(at_c + t0) <= 4.0 * EPS * -t0:  # the width stop, less eta_tol
-        eta = max(-t0, 0.0)
+        eta = 0.0 if 0.0 > -t0 else -t0
         t, o_pt, i_pt = _forward(curves, eta)
         if kept or abs(t) <= cfg._residual_stop:
             state[0] = o_pt, i_pt
@@ -384,11 +384,12 @@ def solve_eta_case_i(
                           max_iter=cfg.max_iter, at_c=at_c, trace=report)
     root, hi = res.root, res.bound if res.bound == res.bound else at_c  # NaN: the pole's
     t1, _, _, _, _, lo, err, v, eta, e1, o_pt, o_s, rnd = res.entry
-    lo, hi = min(lo, hi), max(lo, hi)
+    lo, hi = hi if hi < lo else lo, hi if hi > lo else lo
     t, slope = res.residual, e1 / t1 if t1 else 0.0  # 1 / T'(eta), T' >= 1
     eta -= t * slope
     if not lo <= eta <= hi:
-        eta = min(max(-v, lo), hi)
+        eta = lo if lo > -v else -v
+        eta = hi if hi < eta else eta
     if (err <= cfg._residual_stop
             and rnd <= _ROUNDING_SHARE * (0.5 * cfg.eta_tol + 4.0 * EPS * eta)):
         # the curve points there, moved to eta to first order in s

@@ -15,6 +15,7 @@ from persprox import (
     PowerBase,
     PowerScalar,
     RadialFunction,
+    RootFindError,
     RootScaling,
     SqrtScaling,
     make_base,
@@ -854,6 +855,13 @@ def _sqrt_inverse(beta, y, v):
             math.copysign(v * v / a, y))
 
 
+def _power_eval_norm(p, t):
+    try:
+        return t ** p / p
+    except OverflowError:  # +inf, the overflow policy of PowerScalar.eval
+        return INF
+
+
 def _sqrt_env_conj(beta, t):
     if abs(t) <= 1.0:
         return -math.sqrt(beta) * math.sqrt(1.0 - t * t)
@@ -869,7 +877,7 @@ def test_constants_derived_at_construction_change_no_bit():
                 for v in HOIST_ARGS:
                     assert _outcome(h.inverse, r, v) == _outcome(_power_inverse, h.p, r, v), (h, r, v)
         for t in positive + [0.0]:
-            assert _outcome(base.eval_norm, t) == _outcome(lambda t: t ** p / p, t), (p, t)
+            assert _outcome(base.eval_norm, t) == _outcome(_power_eval_norm, p, t), (p, t)
     for q in HOIST_Q:
         for upper in HOIST_UPPER:
             root = RootScaling(q, upper)
@@ -894,3 +902,174 @@ def test_constants_derived_at_construction_change_no_bit():
             if t >= 0.0:
                 assert _outcome(base.eval_norm, t) == _outcome(
                     lambda t: alpha * t if t > alpha else 0.5 * (t * t + alpha * alpha), t), (alpha, t)
+
+
+# --- clamps as conditional expressions ---------------------------------------
+# The references below are the clamps as they read with the builtin min and
+# max.  max(a, b) is b if b > a else a, min(a, b) is b if b < a else a: the
+# first argument wins ties and NaN, so each rewritten method must return the
+# same bits, -0.0 and NaN included, or raise the same error.  The power
+# profile has no clamp of this kind; every other profile and scaling does.
+
+
+def _either(fn, *args) -> str:
+    """The repr of ``fn(*args)``, or the type and message of what it raised."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:  # noqa: BLE001 - both sides must raise alike
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _huber_prox_ref(alpha, gamma, t):
+    return math.copysign(min(abs(t) / (1.0 + gamma), alpha), t)
+
+
+def _huber_proj_ref(alpha, t):
+    return min(t, alpha) if t >= 0.0 else max(t, -alpha)
+
+
+def _unit_clamp_ref(t):
+    return min(max(float(t), -1.0), 1.0)
+
+
+def _log_root_ref(log_c, k, y):
+    # catalog._monomial_log_root for -1 < k < 0, its starts with min and max
+    a, sign = -k, -1.0
+    if y >= 0.0:
+        t_bal = log_c / (1.0 + a)
+        t = t_lo = max(math.log(y), t_bal) if y > 0.0 else t_bal
+        t_hi = t_lo + math.log(2.0)
+    else:
+        t = t_hi = min(log_c / (1.0 + a), (log_c - math.log(-y)) / a)
+        t_lo = t_hi - math.log(2.0) / a
+    f_lo, f_hi = -INF, INF
+    for _ in range(200):
+        ez = math.exp(t)
+        m = math.exp(log_c + k * t)
+        f = ez + sign * m - y
+        dfdt = ez + a * m
+        dt = f / dfdt
+        if abs(dt) <= 4.0 * EPS * (abs(t) + (ez + m + abs(y)) / dfdt):
+            return t - dt
+        if f > 0.0:
+            t_hi, f_hi = t, f
+        else:
+            t_lo, f_lo = t, f
+        t -= dt
+        if not t_lo < t < t_hi:
+            t = 0.5 * (t_lo + t_hi)
+            if t in (t_lo, t_hi):
+                return t_lo if -f_lo < f_hi else t_hi
+    raise RootFindError(
+        "no convergence of Newton in log z", math.exp(t_lo), math.exp(t_hi), f_lo, f_hi)
+
+
+def _root_prox_env_ref(q, upper, weight, y):
+    if weight < 0.0:
+        raise ValueError(f"weight must be nonnegative, got {weight}")
+    if weight == 0.0:
+        return min(max(0.0, float(y)), upper)
+    z = math.exp(_log_root_ref(math.log(q) + math.log(weight), q - 1.0, y))
+    return min(max(z, y), upper)
+
+
+def _sqrt_prox_ref(beta, mu, y):
+    # catalog.sqrt_scaling_prox, its start with min and max
+    a = abs(y)
+    r = r0 = max(0.0, a - mu)
+    if mu * mu > 256.0 * beta:
+        c = 0.5 * mu * beta
+        guess = c ** (1.0 / 3.0)
+        if a < mu:
+            guess = min(guess, math.sqrt(c / (mu - a)))
+        if guess > r0 and guess > 2.0 * math.sqrt(beta):
+            r = min(guess, a)
+    for _ in range(200):
+        ss = beta + r * r
+        w = mu / math.sqrt(ss)
+        wr = w * r
+        g = r - a + wr
+        dg = 1.0 + w * beta / ss
+        dr = g / dg
+        converged = abs(dr) <= 4.0 * (EPS * (r + (r + a + wr) / dg) + 5e-324)
+        r -= dr
+        if r < r0:
+            r = r0
+        if r > a:
+            r = a
+        if converged:
+            break
+    else:
+        raise RootFindError(
+            "no convergence of Newton on the stationarity equation", r0, a, -INF, INF)
+    if abs(g) > 1e-10 * (1.0 + a + mu):
+        raise RootFindError(f"stationarity residual {g!r}", r0, a, -INF, INF)
+    return math.copysign(r, y) if r > 0.0 else 0.0
+
+
+def _sqrt_prox_env_ref(beta, weight, y):
+    if weight < 0.0:
+        raise ValueError(f"weight must be nonnegative, got {weight}")
+    return float(y) if weight == 0.0 else _sqrt_prox_ref(beta, weight, y)
+
+
+def _identity_prox_env_ref(upper, weight, y):
+    if weight < 0.0:
+        raise ValueError(f"weight must be nonnegative, got {weight}")
+    return min(max(y + weight, 0.0), upper)
+
+
+def _clamp_values(*ends) -> list:
+    """The fixed grid, ``ends`` and their neighbours with either sign, and a
+    seeded sample of magnitudes from 1e-12 to 1e12."""
+    rng = random.Random(32)
+    values = [0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, INF, -INF, math.nan]
+    for end in ends:
+        for v in (end, math.nextafter(end, 0.0), math.nextafter(end, INF)):
+            values += [v, -v]
+    values += [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, 12.0) for _ in range(40)]
+    return values
+
+
+CLAMP_WEIGHTS = (0.0, -0.0, 5e-324, 1e-300, 0.5, 1.0, 3.0, 1e300, math.nan)
+
+
+def _check_clamp(method, reference, *args):
+    got, want = _either(method, *args), _either(reference, *args)
+    assert got == want, (method, args, got, want)
+
+
+def test_clamps_without_builtins_change_no_bit():
+    for alpha in (1e-3, 1.0, 1e4):
+        h = HuberBase(alpha).conj.phi1d
+        # |t| / (1 + gamma) == alpha at t = 2 alpha, gamma = 1
+        for t in _clamp_values(alpha, 2.0 * alpha):
+            _check_clamp(h.proj_cl_dom, lambda t: _huber_proj_ref(alpha, t), t)
+            for gamma in CLAMP_WEIGHTS:
+                _check_clamp(h.prox, lambda g, t: _huber_prox_ref(alpha, g, t), gamma, t)
+    h = AbsBase().conj.phi1d
+    for t in _clamp_values():
+        _check_clamp(h.proj_cl_dom, _unit_clamp_ref, t)
+        _check_clamp(h.prox, lambda g, t: _unit_clamp_ref(t), 1.0, t)
+    for upper in (1.0, 4.0, INF):
+        # y + weight == 0 at y = -weight, == upper at y = upper - weight
+        ties = [upper] + [w for w in CLAMP_WEIGHTS if w] + [upper - 1.0, upper - 3.0]
+        ident = IdentityScaling(upper)
+        for y in _clamp_values(*ties):
+            _check_clamp(ident.proj_dom_env_conj,
+                         lambda t: float(t) if upper < INF else min(float(t), -1.0), y)
+            for w in CLAMP_WEIGHTS:
+                _check_clamp(ident.prox_env, lambda w, y: _identity_prox_env_ref(upper, w, y), w, y)
+        for q in (1e-6, 0.1, 0.5, 1.0 - 1e-6):
+            root = RootScaling(q, upper)
+            for y in _clamp_values(upper):
+                _check_clamp(root.proj_dom_env_conj,
+                             lambda t: float(t) if upper < INF else min(float(t), 0.0), y)
+                for w in CLAMP_WEIGHTS:
+                    _check_clamp(root.prox_env, lambda w, y: _root_prox_env_ref(q, upper, w, y), w, y)
+    for beta in (1e-8, 1.0, 1e8):
+        sqrt = SqrtScaling(beta)
+        for y in _clamp_values(math.sqrt(beta)):
+            _check_clamp(sqrt.proj_dom_env_conj, _unit_clamp_ref, y)
+            for w in CLAMP_WEIGHTS:
+                _check_clamp(sqrt.prox_env, lambda w, y: _sqrt_prox_env_ref(beta, w, y), w, y)

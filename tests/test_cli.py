@@ -43,6 +43,20 @@ def test_eval_infeasible_point_serializes_inf():
     assert record["preperspective_value"] == "+inf"
 
 
+@pytest.mark.parametrize("spec", [
+    '{"base":{"name":"power","p":2},"scaling":{"name":"identity-interval"},"dims":[2,1]}',
+    '{"base":{"name":"power","p":1.5},"scaling":{"name":"root","q":0.5},"dims":[2,1]}',
+    '{"base":{"name":"huber","alpha":1},"scaling":{"name":"sqrt","beta":1},"dims":[2,1]}',
+], ids=["power2-identity", "power1.5-root0.5", "huber-sqrt"])
+def test_eval_value_beyond_the_largest_double_is_inf_on_every_base(spec, capsys):
+    from persprox.cli import main
+
+    # the power base's t ** p overflowed, and eval exited 3 where huber printed +inf
+    assert main(["eval", "--spec", spec, "--point", '{"x":[1.5e308,1.5e308],"y":10}']) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["value"] == record["preperspective_value"] == "+inf"
+
+
 def test_prox_record_fields_and_roundtrip():
     out = run_cli("prox", "--spec", HUBER_SPEC, "--point", '{"x":[3,0],"y":0}')
     assert out.returncode == 0

@@ -71,6 +71,18 @@ def test_perspective_reads_the_base_where_only_the_norm_of_x_overflows():
     assert val == pytest.approx(1e-3 * math.sqrt(2.0) * 1.5e308, rel=1e-12)
 
 
+@pytest.mark.parametrize("pair", [
+    PerspectivePair(PowerBase(2.0), IdentityScaling(), n=2),
+    PerspectivePair(PowerBase(1.5), RootScaling(0.5), n=2),
+    PerspectivePair(HuberBase(1.0), SqrtScaling(1.0), n=2),
+], ids=["power2-identity", "power1.5-root0.5", "huber-sqrt"])
+def test_perspective_value_beyond_the_largest_double_is_inf(pair):
+    # ||x / s|| is finite, phi there is not: every base reads +inf, where the
+    # power base's t ** p raised OverflowError
+    x, y = (1.5e308, 1.5e308), 10.0
+    assert perspective_eval(pair, x, y) == preperspective_eval(pair, x, y) == INF
+
+
 def test_perspective_power_root_value():
     assert perspective_eval(POWER_ROOT, (2.0, 0.0), 4.0) == pytest.approx(1.0)
     # scale value 0 forces the recession: finite only at the origin

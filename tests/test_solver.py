@@ -805,3 +805,45 @@ def test_entry_rule_leaves_root_band_searching(monkeypatch):
             assert searches[0][1] == 1, call
             roots += 1
     assert roots > 1000
+
+
+def test_prox_calls_make_no_builtin_min_or_max_call():
+    # a builtin min or max call costs about 47 ns on CPython 3.11, the
+    # conditional expression it stands for a few: a prox call's clamps are
+    # conditional expressions.  sys.setprofile's c_call events over the six
+    # probe pairs on probe seeds 0-4, the seed-0 pools, a root on the
+    # upper clamp of the root scaling and a huber Xi2 call reach every
+    # label the catalog can (Xi1 and Xi3 need a scale curve that vanishes
+    # at weight 0; sqrt, the only S_LOWER scaling, is positive), the entry
+    # rule, the search, its forward finish and both scalar solvers
+    workloads = _workloads()
+    probe_pairs = tuple(workloads.build_pair(s) for s in workloads.ROBUSTNESS_SPECS)
+    sets = [(probe_pairs, workloads.probe_calls(seed)) for seed in range(5)]
+    sets += [workloads.setup(workload, 0) for workload in workloads.PROX]
+    inputs = [(pairs[c.pair], c.gamma, c.x, c.y) for pairs, calls in sets for c in calls]
+    inputs += [(probe_pairs[0], 1.0, (6.0, 0.0), 3.5), (probe_pairs[4], 1.0, (3e4, 0.0), 0.0)]
+    builtin_calls, functions = {}, set()
+
+    def profile(frame, event, arg):
+        if event == "c_call" and (arg is min or arg is max):
+            key = (frame.f_code.co_name, arg.__name__)
+            builtin_calls[key] = builtin_calls.get(key, 0) + 1
+        elif event == "call":
+            functions.add(frame.f_code.co_name)
+
+    results = []
+    for pair, gamma, x, y in inputs:
+        sys.setprofile(profile)
+        try:
+            results.append((pair, prox_perspective(pair, gamma, x, y)))
+        except (ArithmeticError, ValueError, RuntimeError):
+            pass
+        finally:
+            sys.setprofile(None)
+    assert builtin_calls == {}
+    assert {res.label for _, res in results} == set(CaseLabel) - {CaseLabel.XI1, CaseLabel.XI3}
+    assert set(probe_pairs) <= {pair for pair, _ in results}
+    assert any(res.label in (CaseLabel.OMEGA4, CaseLabel.XI4) and res.root_iterations == 0
+               for _, res in results)  # the entry rule
+    assert results[-2][1].eta == 2.0 and results[-2][1].root_iterations == 1  # the clamp
+    assert {"solve_bracketed", "_finish", "_monomial_log_root", "sqrt_scaling_prox"} <= functions
