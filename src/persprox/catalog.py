@@ -10,9 +10,10 @@ These are the contracts, stated once; the package reads the objects
 through these members alone:
 
 - A profile ``h`` is an even convex function of one variable, finite near
-  0: ``eval(t)``, ``prox(w, t)`` (the prox of ``w * h``, ``w > 0``) and
-  ``proj_cl_dom(t)`` (the projection onto ``cl dom h``, the ``w -> 0``
-  member).  A signed base's profile also gives ``inverse``, below.
+  0: ``eval(t)`` and ``prox(w, t)``, the prox of ``w * h`` for ``w > 0``
+  and at ``w == 0`` the projection onto ``cl dom h`` (``0 * h`` is the
+  indicator of ``cl dom h``), as a scaling's ``prox_env`` is.  A signed
+  base's profile also gives ``inverse``, below.
 - A base ``phi`` has ``sign_class``, the ``SignClass`` of ``phi*``;
   ``eval_norm(t)``, its value at any point of norm ``t >= 0``, and
   ``eval(x)``, which is ``eval_norm(||x||)``; ``rec_eval(x)``, its
@@ -118,9 +119,6 @@ class PowerScalar(Value):
             rho = a if rho > a else rho if rho > 0.0 else 0.0  # exp(log a) may round above a
         return rho if t > 0.0 else -rho if t < 0.0 else 0.0
 
-    def proj_cl_dom(self, t: float) -> float:
-        return float(t)
-
     def inverse(self, r: float, v: float) -> tuple[float, ...]:
         # rho = (p v)**(1/p) has h(rho) = v, and r = rho + w h'(rho) with h'(rho)
         # = p v / rho, so w = (r - rho) rho / (p v); d rho / dv = rho / (p v)
@@ -150,14 +148,9 @@ class HuberConjScalar(Value):
         return 0.5 * (t * t - self._a2) if abs(t) <= self.alpha else INF
 
     def prox(self, gamma: float, t: float) -> float:
-        a, rho = self.alpha, abs(t) / (1.0 + gamma)
-        return math.copysign(a if a < rho else rho, t)
-
-    def proj_cl_dom(self, t: float) -> float:
-        a = self.alpha
-        if t >= 0.0:
-            return a if a < t else t
-        return -a if -a > t else t
+        # t / (1 + gamma) keeps the sign of t exactly: a signed clamp needs no abs or copysign
+        a, rho = self.alpha, t / (1.0 + gamma)
+        return a if a < rho else -a if -a > rho else rho
 
     def inverse(self, r: float, rho: float) -> tuple[float, ...]:
         # r = rho (1 + w) below alpha: w = (r - rho) / rho, w' = -r / rho**2,
@@ -176,9 +169,6 @@ class AbsConjScalar(Value):
         return 0.0 if -1.0 <= t <= 1.0 else INF
 
     def prox(self, gamma: float, t: float) -> float:
-        return self.proj_cl_dom(t)
-
-    def proj_cl_dom(self, t: float) -> float:
         t = float(t)
         return 1.0 if 1.0 < t else -1.0 if -1.0 > t else t
 

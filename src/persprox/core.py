@@ -90,14 +90,6 @@ def dot(x, y) -> float:
     return sum(map(operator.mul, x, y))
 
 
-def sub(x, y):
-    if type(x) is not tuple and isinstance(x, (int, float)):
-        return float(x) - float(y)
-    if len(x) != len(y):
-        raise DimensionMismatch(f"incompatible operands: {x!r} vs {y!r}")
-    return tuple(map(operator.sub, x, y))
-
-
 def scale(x, a: float):
     if type(x) is not tuple and isinstance(x, (int, float)):
         return float(x) * a

@@ -45,8 +45,8 @@ class PerspectivePair(Value):
     __slots__ = _fields + ("_profile", "_drives", "driven_least")
 
     def __init__(self, base, scaling, n: int = 1):
-        if n < 1:
-            raise ValueError(f"base dimension must be >= 1, got {n}")
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError(f"base dimension must be an int >= 1, got {n!r}")
         sc, kind = base.sign_class, scaling.case_kind
         if sc is SignClass.NONNEGATIVE_CONJUGATE and kind is not CaseKind.NEG_S_LOWER:
             raise PairMismatch(
@@ -78,6 +78,14 @@ class PerspectivePair(Value):
         if not math.isfinite(y):
             raise ValueError(f"the scale component must be finite, got {y!r}")
         return x, float(y)
+
+
+def check_input(pair: PerspectivePair, gamma: float, x, y) -> tuple[Vec, float]:
+    """``pair.check_point(x, y)``, once ``gamma`` is positive and finite
+    (else ``ValueError``): the one input check of every entry taking a weight."""
+    if not 0.0 < gamma < INF:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    return pair.check_point(x, y)
 
 
 def preperspective_eval(pair: PerspectivePair, x, y) -> float:
@@ -170,9 +178,7 @@ def prox_fenchel_gap(
     point whose norm overflows, or an input whose ``size`` does, gives +inf.
     Checks ``gamma`` and both points, then runs ``certificate_gap``.
     """
-    if not 0.0 < gamma < INF:
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    x, y = pair.check_point(x, y)
+    x, y = check_input(pair, gamma, x, y)
     p, q = pair.check_point(p, q)
     return certificate_gap(pair, gamma, x, y, p, q, math.hypot(*x) / gamma)
 
@@ -185,7 +191,7 @@ def certificate_gap(
     / gamma``) and assembled ``(p, q)`` itself, as ``prox_perspective`` has.  It
     reads ``phi*(x*)`` as the profile ``h = base.conj.phi1d`` at one norm ``rs =
     ||x*||``.  Where ``h(rs)`` is +inf, ``rs`` is projected onto ``cl dom h``
-    (``rp = h.proj_cl_dom(rs)``); within the slack, ``x*`` is rescaled by ``rp / rs``
+    (``rp = h.prox(0.0, rs)``); within the slack, ``x*`` is rescaled by ``rp / rs``
     and ``phi*`` read as ``h(rp)``.  An overflowed ``rs`` or ``size`` gives +inf."""
     if size == INF:
         return INF
@@ -196,7 +202,7 @@ def certificate_gap(
     rs = math.hypot(*xstar)
     c = h.eval(rs)
     if c == INF and rs < INF:
-        rp = h.proj_cl_dom(rs)
+        rp = h.prox(0.0, rs)
         if rs - rp <= slack_bound(size):
             t = rp / rs
             xstar, c = tuple([a * t for a in xstar]), h.eval(rp)

@@ -37,8 +37,9 @@ def radial_prox(phi: RadialFunction, gamma: float, x) -> Vec:
 
     ``gamma (.) phi`` is ``gamma * phi`` for ``gamma > 0`` and the indicator
     of ``cl dom phi`` for ``gamma == 0``, whose prox is the projection onto
-    that closure; a negative weight raises ``ValueError``.  Where the
-    scalar prox leaves ``||x||`` unmoved the result is ``x`` itself.
+    that closure, as the profile's ``prox(0, .)`` is; a negative weight
+    raises ``ValueError``.  Where the scalar prox leaves ``||x||`` unmoved
+    the result is ``x`` itself.
     """
     if gamma < 0.0:
         raise ValueError(f"weight must be nonnegative, got {gamma}")
@@ -46,5 +47,5 @@ def radial_prox(phi: RadialFunction, gamma: float, x) -> Vec:
     r = hypot(*x)
     if r < ZERO_NORM:
         return zeros_like(x)
-    t = phi.phi1d.prox(gamma, r) if gamma != 0.0 else phi.phi1d.proj_cl_dom(r)
+    t = phi.phi1d.prox(gamma, r)
     return x if t == r else scale(x, t / r)

@@ -3,10 +3,11 @@
 The computation dispatches on the sign class of the base conjugate.  The
 zero-or-infinity class decouples into a base prox and a scale projection.
 The signed classes work with two nonincreasing value curves of a weight
-``v >= 0`` (weight 0 meaning projection): the base curve ``B(v) =
-h(prox_{(v/gamma) h}(r))`` on the radius ``r = ||x|| / gamma``, ``h`` the
-profile of ``phi*`` (``base.conj.phi1d``), and the scale curve ``S(v) =
-env(prox_{gamma v env}(y))``, ``env`` the scaling's convex envelope.
+``v >= 0``: the base curve ``B(v) = h(prox_{(v/gamma) h}(r))`` on the
+radius ``r = ||x|| / gamma``, ``h`` the profile of ``phi*``
+(``base.conj.phi1d``), and the scale curve ``S(v) = env(prox_{gamma v
+env}(y))``, ``env`` the scaling's convex envelope; each prox at weight 0
+is the projection onto the closed domain.
 
 The multiplier ``eta`` drives B for a nonnegative conjugate (case i) and
 S for a nonpositive one (case iii); the other curve takes the driven
@@ -30,7 +31,7 @@ from enum import Enum
 
 from .core import EPS, INF, Record, Value, Vec, slack_bound
 # prox_fenchel_gap only for the benchmark's tracer, which wraps it by this name
-from .perspective import PerspectivePair, certificate_gap, prox_fenchel_gap
+from .perspective import PerspectivePair, certificate_gap, check_input, prox_fenchel_gap
 from .roots import solve_bracketed
 
 
@@ -68,8 +69,8 @@ class RootConfig(Value):
         for name, value in (("eta_tol", eta_tol), ("residual_tol", residual_tol)):
             if not 0.0 < value < INF:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if max_iter <= 0:
-            raise ValueError("max_iter must be positive")
+        if isinstance(max_iter, bool) or not isinstance(max_iter, int) or max_iter <= 0:
+            raise ValueError(f"max_iter must be a positive int, got {max_iter!r}")
         for name, value in (("eta_tol", eta_tol), ("residual_tol", residual_tol),
                             ("max_iter", max_iter)):
             object.__setattr__(self, name, value)
@@ -117,25 +118,20 @@ _CASE_II = CaseLabel.CASE_II
 
 
 def _curves(pair: PerspectivePair, gamma: float, r: float, y: float, base_drives: bool):
-    """``(base_drives, k, least, outer, inner)``: ``k`` is ``1/gamma`` for B, ``gamma``
-    for S, ``least`` the outer curve's least value, each curve ``(f, value, t, gamma,
-    on_b)``: the profile ``h`` at ``t = ||x|| / gamma`` for B, the scaling at ``t = y``
-    for S, its value, whether it is B; ``_point`` evaluates it, ``f.inverse`` inverts it."""
+    """``(base_drives, least, outer, inner)``, ``least`` the outer curve's least
+    value, each curve ``(f, prox, value, t, k)``: for B the profile ``h``, its
+    ``prox``, ``eval``, ``t = ||x|| / gamma`` and ``k = 1/gamma``, for S the scaling,
+    ``prox_env``, ``env_eval``, ``t = y`` and ``k = gamma``.  Curve weight ``v`` is
+    prox weight ``v * k`` (``_point``); ``f.inverse`` runs the prox backwards."""
     h, scaling = pair._profile, pair.scaling
-    b, s = (h, h.eval, r, gamma, True), (scaling, scaling.env_eval, y, gamma, False)
-    if base_drives:
-        return True, 1.0 / gamma, pair.driven_least, b, s
-    return False, gamma, pair.driven_least, s, b
+    b = h, h.prox, h.eval, r, 1.0 / gamma
+    s = scaling, scaling.prox_env, scaling.env_eval, y, gamma
+    return (True, pair.driven_least, b, s) if base_drives else (False, pair.driven_least, s, b)
 
 
 def _point(curve: tuple, v: float) -> float:
-    """A ``_curves`` curve's point at weight ``v``: the prox of ``(v/gamma) h``
-    at ``r`` on B (the projection onto ``cl dom h`` at 0), of ``gamma v env`` at ``y`` on S."""
-    f, _, t, gamma, on_b = curve
-    if on_b:
-        w = v / gamma
-        return f.prox(w, t) if w != 0.0 else f.proj_cl_dom(t)
-    return f.prox_env(gamma * v, t)
+    """A ``_curves`` curve's point at weight ``v``: its prox at ``t`` of weight ``v * k``."""
+    return curve[1](v * curve[4], curve[3])
 
 
 def _radius(x: Vec, gamma: float) -> float:
@@ -159,7 +155,7 @@ def _signed_pass(pair: PerspectivePair, gamma: float, x: Vec, y: float, base_dri
     weight 0 raises ``OverflowError``."""
     r = size if size < INF else _radius(x, gamma)
     h, scaling = pair._profile, pair.scaling
-    b_pt = h.proj_cl_dom(r)
+    b_pt = h.prox(0.0, r)
     b0 = h.eval(b_pt)
     s_pt = scaling.prox_env(0.0, y)
     s0 = scaling.env_eval(s_pt)
@@ -174,25 +170,24 @@ def _signed_pass(pair: PerspectivePair, gamma: float, x: Vec, y: float, base_dri
     if o_zero and i_zero:
         return 1, o_pt, i_pt, 0.0, r
     entry = None
-    if not o_zero and o0 > 0.0:  # the inner curve's point at weight o0
+    if not o_zero and o0 > 0.0:  # the inner curve's point at weight o0, as _point forms it
         if base_drives:
-            pt = scaling.prox_env(gamma * o0, y)
+            pt = scaling.prox_env(o0 * gamma, y)
             t0 = scaling.env_eval(pt)
-        else:  # B's point as _point gives it: change the two together
-            w = o0 / gamma
-            pt = h.prox(w, r) if w != 0.0 else b_pt
+        else:
+            pt = h.prox(o0 * (1.0 / gamma), r)
             t0 = h.eval(pt)
         if abs(t0) <= i_tol:
             return 2, o_pt, pt, 0.0, r
         entry = pt, t0
     curves = _curves(pair, gamma, r, y, base_drives)
-    outer = curves[3]
+    outer = curves[2]
     # region 3 needs -i0 past the weight where the outer value falls to the
     # zero bound (the inverse's; +inf where it never does), less a margin
     if (not i_zero and 0.0 < -i0 < INF
-            and -i0 >= outer[0].inverse(o_ref, o_tol)[1] / curves[1] * (1.0 - _NEAR)):
+            and -i0 >= outer[0].inverse(o_ref, o_tol)[1] / outer[4] * (1.0 - _NEAR)):
         o_pt3 = _point(outer, -i0)
-        if abs(outer[1](o_pt3)) <= o_tol:
+        if abs(outer[2](o_pt3)) <= o_tol:
             return 3, o_pt3, i_pt, -i0, r
     return 4, None, None, _search_state(curves, o0, entry, (i_pt, i0)), r
 
@@ -209,7 +204,7 @@ def classify_case_i(pair: PerspectivePair, gamma: float, x, y) -> CaseLabel:
     """Region of an input for a signed pair, case (i) or (iii) by the sign
     class of its base conjugate: the label of the pass ``prox_perspective``
     runs on it.  A zero-or-infinity pair raises ``ValueError``."""
-    x, y = pair.check_point(x, y)
+    x, y = check_input(pair, gamma, x, y)
     base_drives = _base_drives(pair)
     region = _signed_pass(pair, gamma, x, y, base_drives, math.hypot(*x) / gamma)[0]
     return _LABELS[base_drives][region - 1]
@@ -225,10 +220,10 @@ def _search_state(curves: tuple, o0: float, start: tuple | None, zero: tuple | N
     The slot, which ``T`` and ``roots.solve_bracketed`` share, holds the
     entry of the point ``T`` evaluated last (``make_residual_case_i``), and
     the prox's curve points ``(outer, inner)`` once the search returns."""
-    least, inner = curves[2], curves[4]
+    least, inner = curves[1], curves[3]
     if start is None:
         u0 = _point(inner, o0)
-        start = u0, inner[1](u0)
+        start = u0, inner[2](u0)
     u0, t0 = start
     if least == o0:
         c, v = u0, t0
@@ -236,15 +231,16 @@ def _search_state(curves: tuple, o0: float, start: tuple | None, zero: tuple | N
         c, v = zero
     else:
         c = _point(inner, least)
-        v = inner[1](c)
+        v = inner[2](c)
     return [None, curves, u0, t0, c, -v]
 
 
 def _direct_state(pair: PerspectivePair, gamma: float, x, y) -> list:
     """The search state of a search called without the region pass."""
-    x, y = pair.check_point(x, y)
+    x, y = check_input(pair, gamma, x, y)
     curves = _curves(pair, gamma, _radius(x, gamma), y, _base_drives(pair))
-    return _search_state(curves, curves[3][1](_point(curves[3], 0.0)), None, None)
+    outer = curves[2]
+    return _search_state(curves, outer[2](_point(outer, 0.0)), None, None)
 
 
 def make_residual_case_i(pair: PerspectivePair, gamma: float, x, y, state: list | None = None):
@@ -260,10 +256,10 @@ def make_residual_case_i(pair: PerspectivePair, gamma: float, x, y, state: list 
     rounding.  ``T`` reads default arguments, not closure cells; it is
     evaluated at ``u0``, uncounted, before it is returned."""
     state = _direct_state(pair, gamma, x, y) if state is None else state
-    _, (_, k, _, outer, inner), u0, _, c, _ = state
+    _, (_, _, outer, inner), u0, _, c, _ = state
 
-    def T(u: float, inner=inner[0].inverse, outer=outer[0].inverse, t_in=inner[2],
-          t_out=outer[2], k=k, c=c, slot=state, log=math.log, nan=math.nan) -> float:
+    def T(u: float, inner=inner[0].inverse, outer=outer[0].inverse, t_in=inner[3],
+          t_out=outer[3], k=outer[4], c=c, slot=state, log=math.log, nan=math.nan) -> float:
         d = u - c  # d/ds = d * d/du
         w, r1, r2, v, v1, v2 = inner(t_in, u)
         o_pt, ow, m1, m2, o1 = outer(t_out, w * k)
@@ -298,10 +294,10 @@ def make_residual_case_i(pair: PerspectivePair, gamma: float, x, y, state: list 
 
 def _forward(curves: tuple, eta: float) -> tuple:
     """``(T(eta), outer point, inner point)``: the outer prox at ``eta``, the inner at its value."""
-    outer, inner = curves[3], curves[4]
+    outer, inner = curves[2], curves[3]
     o_pt = _point(outer, eta)
-    i_pt = _point(inner, outer[1](o_pt))
-    return inner[1](i_pt) + eta, o_pt, i_pt
+    i_pt = _point(inner, outer[2](o_pt))
+    return inner[2](i_pt) + eta, o_pt, i_pt
 
 
 def _finish(state: list, eta: float, slope: float, cfg: RootConfig) -> float:
@@ -418,9 +414,7 @@ def prox_perspective(
     attaches the Fenchel certificate (``certificate_gap``), both sized by
     one ``||x|| / gamma``.
     """
-    if not 0.0 < gamma < INF:
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    x, y = pair.check_point(x, y)
+    x, y = check_input(pair, gamma, x, y)
     size = math.hypot(*x) / gamma
     base_drives = pair._drives
     if base_drives is None:

@@ -3,12 +3,14 @@ scalar functions and primal proxes that only the tests use.
 
 ``gamma (.) f`` means ``gamma * f`` for ``gamma > 0`` and the indicator of
 ``cl dom f`` for ``gamma == 0``, so its prox interpolates between the prox
-of ``gamma * f`` and the projection onto ``cl dom f``; the zero branch is
-taken only for an exact ``0.0`` weight.  The Moreau identity (criterion 5),
-the monotone value curves (criterion 6) and the unit tests check the
-package's prox ingredients against what is built here from them.  The
-``general_*`` helpers are the vector helpers of ``persprox.core`` with
-only their general path, the reference for the tuple fast paths.  The
+of ``gamma * f`` and the projection onto ``cl dom f``.  Every object here
+gives both through ``prox(gamma, .)``, as the package's profiles and
+scalings do: its prox at weight 0 is the projection.  The Moreau identity
+(criterion 5), the monotone value curves (criterion 6) and the unit tests
+check the package's prox ingredients against what is built here from
+them.  The ``general_*`` helpers are the vector helpers of
+``persprox.core`` with only their general path, the reference for the
+tuple fast paths; ``sub``, which only the tests use, is here too.  The
 brute-force prox oracle at the end is the ground truth of criterion 3 and
 of ``tests/test_oracle.py``.
 """
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from persprox import (
@@ -39,7 +42,7 @@ from persprox import (
     radial_prox,
 )
 from persprox import catalog, perspective
-from persprox.core import ZERO_NORM, as_vec, dot, norm, scale, slack_bound, sub
+from persprox.core import ZERO_NORM, as_vec, dot, norm, scale, slack_bound
 
 # identity checks use absolute 1e-12 plus relative 1e-10 * (1 + magnitude)
 ABS_TOL = 1e-12
@@ -51,11 +54,10 @@ REL_TOL = 1e-10
 
 
 def scaled_prox(f, gamma: float, x):
-    """Prox of ``gamma (.) f`` at ``x``; the projection onto ``cl dom f`` at 0."""
+    """Prox of ``gamma (.) f`` at ``x``, ``f.prox(gamma, x)``: the projection onto
+    ``cl dom f`` at 0."""
     if gamma < 0.0:
         raise ValueError(f"weight must be nonnegative, got {gamma}")
-    if gamma == 0.0:
-        return f.proj_cl_dom(x)
     return f.prox(gamma, x)
 
 
@@ -105,7 +107,7 @@ def prox_characterization_gap(f, gamma: float, x, p, probes=()) -> float:
 
 def _scaled_value(f, gamma: float, p) -> float:
     if gamma == 0.0:
-        inside = norm(sub(p, f.proj_cl_dom(p))) <= ABS_TOL + REL_TOL * (1.0 + norm(p))
+        inside = norm(sub(p, f.prox(0.0, p))) <= ABS_TOL + REL_TOL * (1.0 + norm(p))
         return 0.0 if inside else INF
     v = f.eval(p)
     return INF if v == INF else gamma * v
@@ -202,19 +204,18 @@ def multiplier_residual(pair, gamma: float, x, y: float):
     signed pair at ``(x, y)``, composed forwards: the outer prox at weight
     ``eta``, then the inner prox at the outer value as its weight, from the
     public ``prox``/``eval`` of the base's conjugate profile (at ``r =
-    ||x/gamma||``, weights over ``gamma``) and ``prox_env``/``env_eval`` of
-    the scaling (weights times ``gamma``).  The base curve is the outer one
-    for a nonnegative conjugate, the scale curve for a nonpositive one.
-    Both curves are nonincreasing, so ``T' >= 1`` and the multiplier is the
-    root in ``[0, -T(0)]``; the package searches the same root on the
-    inner curve point instead."""
+    ||x/gamma||``, weights over ``gamma``, the projection at weight 0) and
+    ``prox_env``/``env_eval`` of the scaling (weights times ``gamma``).
+    The base curve is the outer one for a nonnegative conjugate, the scale
+    curve for a nonpositive one.  Both curves are nonincreasing, so ``T' >=
+    1`` and the multiplier is the root in ``[0, -T(0)]``; the package
+    searches the same root on the inner curve point instead."""
     x, y = pair.check_point(x, y)
     h, scaling = pair.base.conj.phi1d, pair.scaling
     r = norm(x) / gamma
 
     def base_curve(v):
-        w = v / gamma
-        return h.eval(h.prox(w, r) if w != 0.0 else h.proj_cl_dom(r))
+        return h.eval(h.prox(v / gamma, r))
 
     def scale_curve(v):
         return scaling.env_eval(scaling.prox_env(gamma * v, y))
@@ -303,9 +304,6 @@ class AbsScalar:
     def prox(self, gamma: float, t: float) -> float:
         return math.copysign(max(abs(t) - gamma, 0.0), t)
 
-    def proj_cl_dom(self, t: float) -> float:
-        return float(t)
-
     def conj_eval(self, t: float) -> float:
         return 0.0 if abs(t) <= 1.0 else INF
 
@@ -333,9 +331,6 @@ class IntervalIndicator:
     def prox(self, gamma: float, t: float) -> float:
         return min(max(float(t), self.lo), self.hi)
 
-    def proj_cl_dom(self, t: float) -> float:
-        return min(max(float(t), self.lo), self.hi)
-
     def conj_eval(self, t: float) -> float:
         return _interval_support(self.lo, self.hi, t)
 
@@ -348,21 +343,21 @@ class IntervalIndicator:
 
 @dataclass(frozen=True)
 class SupportInterval:
-    """Support function of [lo, hi]; prox by Moreau against the clamp."""
+    """Support function of a bounded [lo, hi], finite everywhere; prox by
+    Moreau against the clamp."""
 
     lo: float
     hi: float
+
+    def __post_init__(self):
+        if not -INF < self.lo <= self.hi < INF:
+            raise ValueError(f"need a bounded nonempty interval, got [{self.lo}, {self.hi}]")
 
     def eval(self, t: float) -> float:
         return _interval_support(self.lo, self.hi, t)
 
     def prox(self, gamma: float, t: float) -> float:
         return t - min(max(float(t), gamma * self.lo), gamma * self.hi)
-
-    def proj_cl_dom(self, t: float) -> float:
-        lo_dom = -INF if self.lo > -INF else 0.0
-        hi_dom = INF if self.hi < INF else 0.0
-        return min(max(float(t), lo_dom), hi_dom)
 
     def conj_eval(self, t: float) -> float:
         return 0.0 if self.lo <= t <= self.hi else INF
@@ -403,9 +398,6 @@ class HuberScalar:
         if abs(t) <= a * (1.0 + gamma):
             return t / (1.0 + gamma)
         return t - math.copysign(gamma * a, t)
-
-    def proj_cl_dom(self, t: float) -> float:
-        return float(t)
 
     def conj_eval(self, t: float) -> float:
         a = self.alpha
@@ -487,9 +479,6 @@ class EnvelopeProvider:
     def prox(self, gamma: float, y: float) -> float:
         return self.scaling.prox_env(gamma, y)
 
-    def proj_cl_dom(self, y: float) -> float:
-        return self.scaling.prox_env(0.0, y)
-
     def conj_eval(self, t: float) -> float:
         return self.scaling.env_conj_eval(t)
 
@@ -509,9 +498,6 @@ class ConjugateProvider:
 
     def prox(self, gamma: float, x):
         return self.base.prox_conj(gamma, x)
-
-    def proj_cl_dom(self, x):
-        return self.base.proj_dom_conj(x)
 
     def conj_eval(self, x):
         return self.base.eval(x)
@@ -534,9 +520,6 @@ class PrimalProvider:
 
     def prox(self, gamma: float, x):
         return prox_primal(self.base, gamma, x)
-
-    def proj_cl_dom(self, x):
-        return x
 
     def conj_eval(self, x):
         return self.base.conj_eval(x)
@@ -581,12 +564,13 @@ def general_dot(x, y) -> float:
     return sum([a * b for a, b in zip(x, y)])
 
 
-def general_sub(x, y):
-    if isinstance(x, (int, float)):
+def sub(x, y):
+    """``x - y``, entrywise for two vectors."""
+    if type(x) is not tuple and isinstance(x, (int, float)):
         return float(x) - float(y)
     if len(x) != len(y):
         raise DimensionMismatch(f"incompatible operands: {x!r} vs {y!r}")
-    return tuple([a - b for a, b in zip(x, y)])
+    return tuple(map(operator.sub, x, y))
 
 
 def general_scale(x, a: float):

@@ -40,7 +40,7 @@ ALLOWED = {
 # the dead-definition guard and the conformance test both read this table.
 # A base also has ``sign_class`` and ``conj`` (its profile is
 # ``conj.phi1d``), a scaling ``case_kind``.
-_PROFILE = ("eval", "prox", "proj_cl_dom")
+_PROFILE = ("eval", "prox")
 _BASE = ("eval", "eval_norm", "rec_eval")
 CONTRACTS = {
     "profile": _PROFILE,
@@ -73,9 +73,9 @@ def _contract_of(mod: str, cls: ast.ClassDef) -> str | None:
     return "signed profile"
 
 
-def _names_used(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
-    """Names ``tree`` reads: loaded identifiers, attributes and string
-    constants (``getattr`` targets), outside the subtree ``skip``."""
+def _names_used(tree: ast.AST, skip: ast.AST | None = None, attrs: bool = True) -> set[str]:
+    """Names ``tree`` reads: loaded identifiers, string constants (``getattr``
+    targets) and, with ``attrs``, attributes, outside the subtree ``skip``."""
     used = set()
     stack = [tree]
     while stack:
@@ -84,7 +84,7 @@ def _names_used(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
             continue
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and attrs:
             used.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             used.add(node.value)
@@ -92,14 +92,36 @@ def _names_used(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
     return used
 
 
+def _read_elsewhere(modules: dict, mod: str, name: str) -> bool:
+    """Whether a module other than ``mod`` reads its top-level ``name``: it
+    imports it (``from .mod import name``, under any alias) and reads what
+    that bound, or it reads ``mod.name``."""
+    for other, tree in modules.items():
+        if other == mod:
+            continue
+        nodes = list(ast.walk(tree))
+        bound = {alias.asname or name for node in nodes
+                 if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == mod
+                 for alias in node.names if alias.name == name}
+        if bound & _names_used(tree, attrs=False):
+            return True
+        if any(isinstance(node, ast.Attribute) and node.attr == name
+               and isinstance(node.value, ast.Name) and node.value.id == mod for node in nodes):
+            return True
+    return False
+
+
 def unreferenced() -> set[tuple[str, str]]:
     """Definitions nothing else in ``src/`` refers to.
 
     Top-level functions and classes of every module, and the methods of the
     catalog and radial classes.  A reference inside the definition itself does not
-    count, nor does a re-export from ``__init__``.  Every catalog method,
-    contract methods included, must be read by name somewhere else in
-    ``src/``; a method named like a method of a contract (``CONTRACTS``)
+    count, nor does a re-export from ``__init__``.  A top-level definition is
+    read only by its own module (a loaded name or a string) or by one that
+    imports it or reads it as ``module.name`` (``_read_elsewhere``): a name
+    another module binds for itself, a local variable say, is no read of it.
+    Every catalog method, contract methods included, must be read by name
+    somewhere else in ``src/``; a method named like a method of a contract (``CONTRACTS``)
     its class does not implement is reported too, since that read may be
     the contract's.  A radial class implements no contract, so its methods
     named like contract members (``RadialFunction.prox``) are reported.
@@ -112,8 +134,8 @@ def unreferenced() -> set[tuple[str, str]]:
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            used = set().union(*(_names_used(t, skip=node) for t in modules.values()))
-            if node.name not in used:
+            if (node.name not in _names_used(tree, skip=node, attrs=False)
+                    and not _read_elsewhere(modules, mod, node.name)):
                 found.add((mod, node.name))
             if mod not in ("catalog", "radial") or not isinstance(node, ast.ClassDef):
                 continue

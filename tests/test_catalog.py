@@ -20,6 +20,7 @@ from persprox import (
     SqrtScaling,
     make_base,
     make_scaling,
+    radial_prox,
     root_scaling_prox_neg,
     sqrt_scaling_prox,
 )
@@ -747,7 +748,7 @@ def test_vector_conjugate_methods_are_the_radial_lift_of_the_profile(base, log_w
         assert repr(base.conj_eval(x)) == repr(h.eval(r))
         for t in (r, -r):
             clamp = min(max(t, -1.0), 1.0)
-            assert h.prox(w, t) == h.proj_cl_dom(t) == clamp
+            assert h.prox(w, t) == h.prox(0.0, t) == clamp
             assert h.eval(clamp) == 0.0
         return
 
@@ -759,7 +760,7 @@ def test_vector_conjugate_methods_are_the_radial_lift_of_the_profile(base, log_w
 
     assert repr(base.conj_eval(x)) == repr(h.eval(r))
     assert repr(base.prox_conj(w, x)) == repr(lift(h.prox(w, r)))
-    assert repr(base.proj_dom_conj(x)) == repr(lift(h.proj_cl_dom(r)))
+    assert repr(base.proj_dom_conj(x)) == repr(lift(h.prox(0.0, r)))
 
 
 def test_power_prox_forms_an_overflowing_monomial_in_logs():
@@ -1039,17 +1040,51 @@ def _check_clamp(method, reference, *args):
     assert got == want, (method, args, got, want)
 
 
+def _projection_ref(h, t):
+    """The projection onto ``cl dom h`` of each catalog profile, written out:
+    the identity for a power profile, else the clamp onto ``[-alpha, alpha]``
+    or ``[-1, 1]``, which keeps a signed zero and NaN."""
+    if isinstance(h, PowerScalar):
+        return float(t)
+    a = h.alpha if hasattr(h, "alpha") else 1.0
+    if t >= 0.0:
+        return a if a < t else t
+    return -a if -a > t else float(t)
+
+
+def test_profile_prox_at_weight_zero_is_the_projection():
+    profiles = ([(PowerScalar(p), ()) for p in (1.05, 1.5, 2.0, 3.0, 21.0)]
+                + [(HuberBase(a).conj.phi1d, (a,)) for a in (1e-3, 1.0, 1e4)]
+                + [(AbsBase().conj.phi1d, (1.0,))])
+    for h, ends in profiles:
+        for t in _clamp_values(*ends):
+            got, want = repr(h.prox(0.0, t)), repr(_projection_ref(h, t))
+            if isinstance(h, PowerScalar) and want in ("-0.0", "nan"):
+                # the one difference: the power prox returns +0.0 at -0.0 and at NaN
+                assert got == "0.0", (h, t)
+            else:
+                assert got == want, (h, t)
+    # neither reaches the prox path: the package asks for the weight-0 point at
+    # a norm over a positive gamma (the region pass at ||x|| / gamma, the
+    # certificate at ||x*||, radial_prox at ||x||), +0.0 for any zero vector,
+    # and a NaN entry fails the input check first
+    for x in ((-0.0,), (-0.0, -0.0), (0.0, -0.0)):
+        assert repr(math.hypot(*x) / 2.0) == "0.0"
+    with pytest.raises(ValueError, match="finite"):
+        radial_prox(PowerBase(2.0).conj, 0.0, (math.nan, 0.0))
+
+
 def test_clamps_without_builtins_change_no_bit():
     for alpha in (1e-3, 1.0, 1e4):
         h = HuberBase(alpha).conj.phi1d
         # |t| / (1 + gamma) == alpha at t = 2 alpha, gamma = 1
         for t in _clamp_values(alpha, 2.0 * alpha):
-            _check_clamp(h.proj_cl_dom, lambda t: _huber_proj_ref(alpha, t), t)
+            _check_clamp(lambda t: h.prox(0.0, t), lambda t: _huber_proj_ref(alpha, t), t)
             for gamma in CLAMP_WEIGHTS:
                 _check_clamp(h.prox, lambda g, t: _huber_prox_ref(alpha, g, t), gamma, t)
     h = AbsBase().conj.phi1d
     for t in _clamp_values():
-        _check_clamp(h.proj_cl_dom, _unit_clamp_ref, t)
+        _check_clamp(lambda t: h.prox(0.0, t), _unit_clamp_ref, t)
         _check_clamp(h.prox, lambda g, t: _unit_clamp_ref(t), 1.0, t)
     for upper in (1.0, 4.0, INF):
         # y + weight == 0 at y = -weight, == upper at y = upper - weight

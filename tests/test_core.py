@@ -25,7 +25,7 @@ from persprox import (
     norm,
 )
 from persprox import catalog
-from persprox.core import scale, sub
+from persprox.core import scale
 from conftest import grid_conjugate_1d, rand_vec
 from reference import (
     AbsScalar,
@@ -36,7 +36,6 @@ from reference import (
     general_dot,
     general_norm,
     general_scale,
-    general_sub,
 )
 
 BASES = [PowerBase(2.0), PowerBase(3.0), PowerBase(1.5), HuberBase(1.0), HuberBase(0.4), AbsBase()]
@@ -182,7 +181,6 @@ def test_vector_helpers_fast_paths_match_the_general_path(x, y, a):
     assert _outcome(as_vec, x) == _outcome(general_as_vec, x)
     assert _outcome(norm, x) == _outcome(general_norm, x)
     assert _outcome(scale, x, a) == _outcome(general_scale, x, a)
-    assert _outcome(sub, x, y) == _outcome(general_sub, x, y)
     assert _outcome(dot, x, y) == _outcome(general_dot, x, y)
 
 

@@ -23,11 +23,11 @@ from persprox import (
     prox_fenchel_gap,
     prox_perspective,
 )
-from persprox.core import norm, scale, slack_bound, sub
+from persprox.core import norm, scale, slack_bound
 from persprox import perspective
 from persprox.perspective import certificate_gap
 from conftest import limit_quotient_recession, rand_vec
-from reference import identity_gap, linear_perspective_eval, vector_lift_certificate_gap
+from reference import identity_gap, linear_perspective_eval, sub, vector_lift_certificate_gap
 
 HUBER_PAIR = PerspectivePair(HuberBase(1.0), SqrtScaling(1.0), n=2)
 POWER_ROOT = PerspectivePair(PowerBase(2.0), RootScaling(0.5, 4.0), n=2)
@@ -45,6 +45,19 @@ def test_pair_compatibility_rules():
     # zero-or-infinity conjugates pair with either side
     PerspectivePair(AbsBase(), SqrtScaling(1.0), n=2)
     PerspectivePair(AbsBase(), RootScaling(0.5), n=2)
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, True, "2", 0, -1])
+def test_base_dimension_must_be_a_positive_int(n):
+    # n = 2.5 used to construct a pair that every call then rejected
+    with pytest.raises(ValueError, match="base dimension must be an int >= 1"):
+        PerspectivePair(PowerBase(2.0), RootScaling(0.5), n=n)
+
+
+def test_prox_fenchel_gap_rejects_a_weight_that_is_not_positive_and_finite():
+    for gamma in (0.0, -1.0, INF, math.nan):
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            prox_fenchel_gap(POWER_ROOT, gamma, (1.0, 0.0), 1.0, (0.5, 0.0), 1.0)
 
 
 def test_preperspective_identity_scaling():
@@ -238,7 +251,7 @@ def _largest_term(pair, gamma, x, y, p, q) -> float:
     inv = 1.0 / gamma
     xstar = tuple([(a - b) * inv for a, b in zip(x, p)])
     ystar = (y - q) / gamma
-    c = h.eval(h.proj_cl_dom(math.hypot(*xstar)))
+    c = h.eval(h.prox(0.0, math.hypot(*xstar)))
     conj = perspective._conj_value(pair, c, ystar, math.hypot(*x) / gamma)
     val = perspective._perspective_value(pair, p, q)
     return max(abs(val), abs(conj), abs(sum(a * b for a, b in zip(p, xstar))), abs(q * ystar))

@@ -30,25 +30,26 @@ def test_radial_quadratic_shrink():
 
 def test_radial_prox_weight_zero_projects_and_negative_weight_raises():
     class UnitIntervalQuadratic:
-        # t**2 on [-1, 1], with a prox defined for positive weights only
+        # t**2 on [-1, 1]: its prox at weight 0 is the clamp onto [-1, 1], the
+        # projection, which radial_prox asks of prox as it asks any weight
+        weights = []
+
         def eval(self, t):
             return t * t if abs(t) <= 1.0 else math.inf
 
         def prox(self, gamma, t):
-            if not gamma > 0.0:
-                raise AssertionError("weight 0 must take the projection")
+            self.weights.append(gamma)
             return min(max(t / (1.0 + 2.0 * gamma), -1.0), 1.0)
-
-        def proj_cl_dom(self, t):
-            return min(max(t, -1.0), 1.0)
 
     phi = RadialFunction(UnitIntervalQuadratic())
     assert radial_prox(phi, 0.0, (3.0, 4.0)) == pytest.approx((0.6, 0.8), abs=1e-15)
     assert radial_prox(phi, 0.0, (0.3, 0.4)) == pytest.approx((0.3, 0.4), abs=1e-15)
     assert radial_prox(phi, 1.0, (3.0, 4.0)) == pytest.approx((0.6, 0.8), abs=1e-15)
+    assert UnitIntervalQuadratic.weights == [0.0, 0.0, 1.0]
     for x in ((3.0, 4.0), (0.0, 0.0)):
         with pytest.raises(ValueError, match="nonnegative"):
             radial_prox(phi, -0.5, x)
+    assert UnitIntervalQuadratic.weights == [0.0, 0.0, 1.0]  # a negative weight asks nothing
 
 
 def test_direction_preserved(rng):
@@ -95,9 +96,6 @@ def test_rejects_uneven_scalar():
 
         def prox(self, gamma, t):
             return (t + 2 * gamma) / (1 + 2 * gamma)
-
-        def proj_cl_dom(self, t):
-            return t
 
     with pytest.raises(ValueError):
         RadialFunction(Shifted())

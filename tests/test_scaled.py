@@ -96,9 +96,6 @@ def test_moreau_decompose_requires_conjugate():
         def prox(self, gamma, t):
             return t / (1.0 + gamma)
 
-        def proj_cl_dom(self, t):
-            return t
-
     with pytest.raises(ValueError):
         moreau_decompose(NoConj(), 1.0, 1.0)
 
@@ -132,9 +129,6 @@ def test_characterization_gap_fallback_lower_bound():
 
         def prox(self, gamma, t):
             return t / (1.0 + gamma)
-
-        def proj_cl_dom(self, t):
-            return t
 
     probes = [k * 0.25 - 5.0 for k in range(41)]
     good = prox_characterization_gap(OpaqueQuad(), 1.0, 4.0, 2.0, probes=probes)
@@ -176,7 +170,7 @@ def test_range_inclusion(rng):
             gamma = rng.choice([0.0, 0.5, 2.0])
             x = rng.uniform(-8, 8)
             out = scaled_prox(f, gamma, x)
-            assert abs(out - f.proj_cl_dom(out)) <= 1e-9 * (1.0 + abs(out))
+            assert abs(out - scaled_prox(f, 0.0, out)) <= 1e-9 * (1.0 + abs(out))
 
 
 def test_monotone_value_curve_with_drop_bound(rng):

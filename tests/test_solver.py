@@ -126,13 +126,17 @@ def test_eta_residual_and_monotonicity_probes():
     # the two composed curves are nonincreasing on a sampled grid
     from persprox.solver import _curves, _point
 
-    b, s = _curves(pair, gamma, math.hypot(*x) / gamma, y, True)[3:]
+    # each curve is (f, prox, value, t, k), the base curve outer, as the pair's
+    # conjugate is nonnegative
+    b, s = _curves(pair, gamma, math.hypot(*x) / gamma, y, True)[2:]
+    assert (b[0], b[3], b[4]) == (pair.base.conj.phi1d, math.hypot(*x) / gamma, 1.0 / gamma)
+    assert (s[0], s[3], s[4]) == (pair.scaling, y, gamma)
 
     def phi2(e):
-        return b[1](_point(b, e))
+        return b[2](_point(b, e))
 
     def phi1(mu):
-        return s[1](_point(s, mu))
+        return s[2](_point(s, mu))
 
     grid = [0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0]
     assert phi2(0.0) < math.inf
@@ -266,6 +270,28 @@ def test_input_validation():
     # classification tolerance is no longer a setting
     with pytest.raises(TypeError, match="classify_tol"):
         RootConfig(classify_tol=1e-12)
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("name", ["classify_case_i", "classify_case_iii", "solve_eta_case_i",
+                                  "solve_eta_case_iii", "make_residual_case_i",
+                                  "make_residual_case_iii"])
+def test_direct_solver_entries_reject_a_weight_that_is_not_positive_and_finite(name, gamma):
+    # each used to raise ZeroDivisionError at 0, blame a weight at -1, and at
+    # inf or nan raise RootFindError or return a label
+    from persprox import solver
+
+    pair = POWER_ROOT_FREE if name.endswith("_i") else HUBER
+    with pytest.raises(ValueError, match="gamma must be positive and finite"):
+        getattr(solver, name)(pair, gamma, (6.0, 0.0), 3.5)
+
+
+@pytest.mark.parametrize("max_iter", [2.5, math.nan, True, 200.0, "200"])
+def test_max_iter_must_be_an_int(max_iter):
+    # a nan max_iter used to reach range() in the search's finish as a TypeError
+    with pytest.raises(ValueError, match="max_iter must be a positive int"):
+        RootConfig(max_iter=max_iter)
+    assert RootConfig(max_iter=1).max_iter == 1
 
 
 @pytest.mark.parametrize("gamma, y", [
